@@ -2,8 +2,9 @@
 //! ablations DESIGN.md calls out:
 //!
 //! * support-set generation;
-//! * SPJ disagreement detection — naive vs. instance reduction vs. static
-//!   checks without batching vs. full batching (the §4 ladder);
+//! * SPJ disagreement detection — one rung per `Strategy` value: `Naive`
+//!   vs. `NaiveReduced` (instance reduction) vs. `NoBatching` (static
+//!   checks, per-update probes) vs. `Auto` (full batching) — the §4 ladder;
 //! * aggregate disagreement detection (Algorithm 5 + delta analysis);
 //! * entropy-family partition pricing (Algorithm 2);
 //! * history-aware repricing (the shrinking-support effect of §5.3);
@@ -17,7 +18,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qirana_core::{
     bundle_disagreements, bundle_partition, generate_support, prepare_query, EngineOptions,
-    PricePoint, SupportConfig, SupportSet,
+    PricePoint, Strategy, SupportConfig, SupportSet,
 };
 use qirana_datagen::world;
 use qirana_solver::{solve, MaxEntProblem};
@@ -57,22 +58,18 @@ fn spj_engine_ladder(c: &mut Criterion) {
     )
     .unwrap();
     let mut g = c.benchmark_group("spj_disagreements_S2000");
-    let configs: [(&str, EngineOptions); 4] = [
-        ("naive", EngineOptions::naive()),
-        (
-            "instance_reduction",
-            EngineOptions {
-                optimize: false,
-                batch: false,
-                reduce: true,
-                ..Default::default()
-            },
-        ),
-        ("static_no_batching", EngineOptions::no_batching()),
-        ("batched", EngineOptions::default()),
-    ];
-    for (name, opts) in configs {
-        g.bench_function(name, |b| {
+    // The §4 ladder, one rung per `Strategy` value.
+    for strategy in [
+        Strategy::Naive,
+        Strategy::NaiveReduced,
+        Strategy::NoBatching,
+        Strategy::Auto,
+    ] {
+        let opts = EngineOptions {
+            strategy,
+            ..Default::default()
+        };
+        g.bench_function(format!("{strategy:?}"), |b| {
             b.iter(|| bundle_disagreements(&mut db, &[&q], &support, &opts, None).unwrap())
         });
     }
@@ -95,8 +92,8 @@ fn agg_engine(c: &mut Criterion) {
     .unwrap();
     let mut g = c.benchmark_group("agg_disagreements_S2000");
     for (name, opts) in [
-        ("naive", EngineOptions::naive()),
-        ("optimized", EngineOptions::default()),
+        ("Naive", EngineOptions::naive()),
+        ("Auto", EngineOptions::default()),
     ] {
         g.bench_function(name, |b| {
             b.iter(|| bundle_disagreements(&mut db, &[&q], &support, &opts, None).unwrap())

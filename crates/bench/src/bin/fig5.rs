@@ -1,6 +1,8 @@
 //! Figure 5: scalability — time to price each SSB / TPC-H query with the
-//! per-update optimizer ("no batching"), the batched optimizer, and, for
-//! reference, the plain query execution time.
+//! per-update optimizer ("no batching", `Strategy::NoBatching`), the
+//! batched optimizer ("with batching" — `Strategy::Auto`, the default
+//! coverage path), and, for reference, the plain query execution time;
+//! `--naive 1` adds `Strategy::Naive`.
 //!
 //! `cargo run -p qirana-bench --bin fig5 --release -- <ssb|tpch> [--sf F] [--support N] [--naive 1] [--threads N]`
 //!

@@ -1,6 +1,9 @@
-//! Thread-scaling of the parallel pricing executor: wall-clock time of the
-//! naive disagreement loop and the partition (entropy-family) loop over a
-//! large support set, at increasing worker counts.
+//! Thread-scaling of the per-instance fan-out (`core::parallel::fan_out`):
+//! wall-clock time of a coverage sweep (disagreement bits) and an entropy
+//! sweep (partition fingerprints) over a large support set, at increasing
+//! worker counts. Both pin `Strategy::Naive` — one apply/execute/undo per
+//! support instance — so the rows time the fan-out, not the §4 checks or
+//! the delta evaluator that `Strategy::Auto` would route these shapes to.
 //!
 //! `cargo run -p qirana-bench --bin scaling --release -- [--support N] [--seed N] [--max-threads N]`
 //!
@@ -98,11 +101,11 @@ fn main() {
             );
         }
 
-        // Partition loop: one bundle fingerprint per support instance.
+        // Partition loop: one output fingerprint per support instance.
         let mut baseline = 0.0;
         let mut reference_fps = Vec::new();
         for &n in &threads {
-            let opts = EngineOptions::default()
+            let opts = EngineOptions::naive()
                 .with_parallelism(Parallelism::Threads(n))
                 .with_telemetry(h.telemetry());
             let (fps, secs) = h.time(

@@ -12,8 +12,8 @@
 
 use crate::cache::{CacheStats, PricingCache};
 use crate::engine::{
-    bundle_disagreements, bundle_partition, bundle_partition_cached, combine_bundle,
-    query_disagreements_cached, query_partition, EngineOptions,
+    bundle_disagreements, bundle_partition, bundle_partition_cached, fold_partition,
+    query_disagreements_cached, query_fps, EngineOptions,
 };
 use crate::fault;
 use crate::ledger::{
@@ -735,8 +735,8 @@ impl Qirana {
     ///   active-set short-circuit path (a skipped instance's bit is
     ///   already `true` in the OR; see `bundle_disagreements_cached`);
     /// * entropy — per-query fingerprint vectors folded instance-by-
-    ///   instance with [`combine_bundle`] equal the monolithic bundle
-    ///   partition (see `bundle_partition_cached`).
+    ///   instance by [`fold_partition`] *are* the bundle partition (see
+    ///   `bundle_partition_cached`).
     fn price_bundle_readonly(&self, bundle: &[&Prepared]) -> Result<f64, BrokerError> {
         let total = self.cfg.total_price;
         let use_cache = self.cfg.engine.cache.enabled;
@@ -825,27 +825,16 @@ impl Qirana {
 
     /// Peek-only counterpart of `bundle_partition_cached`: per-query
     /// fingerprint vectors (memo peek or scratch-replica evaluation)
-    /// folded instance-by-instance with [`combine_bundle`].
+    /// folded instance-by-instance by [`fold_partition`].
     fn bundle_partition_peeked(
         &self,
         bundle: &[&Prepared],
     ) -> Result<Vec<Fingerprint>, BrokerError> {
         fault::check(fault::ENGINE_EXECUTE)
             .map_err(|f| EngineError::Eval(format!("injected fault: {f}")))?;
-        let mut per_query = Vec::with_capacity(bundle.len());
-        for q in bundle {
-            per_query.push(self.query_fingerprints_peeked(q)?);
-        }
-        let n = self.support.len();
-        let mut row = vec![Fingerprint(0); bundle.len()];
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            for (slot, fps) in row.iter_mut().zip(&per_query) {
-                *slot = fps[i];
-            }
-            out.push(combine_bundle(&row));
-        }
-        Ok(out)
+        fold_partition(bundle, self.support.len(), |q| {
+            self.query_fingerprints_peeked(q)
+        })
     }
 
     /// One query's per-instance output fingerprints: peek the memo, else
@@ -864,7 +853,7 @@ impl Qirana {
             lookup.count("miss", 1);
         }
         let fps = self
-            .with_scratch_db(|db| Ok(query_partition(db, q, &self.support, &self.cfg.engine)?))?;
+            .with_scratch_db(|db| Ok(query_fps(db, q, &self.support, &self.cfg.engine, None)?))?;
         Ok(Arc::new(fps))
     }
 

@@ -105,7 +105,7 @@ enum Kind {
     /// Entropy family: per-instance output fingerprints.
     Blocks,
     /// Incremental evaluator state ([`crate::delta`]): base execution plus
-    /// per-operator intermediates, reused across both families.
+    /// per-operator intermediates, for the entropy family's sweeps.
     Delta,
 }
 

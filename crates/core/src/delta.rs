@@ -1,10 +1,15 @@
-//! Incremental (delta) support evaluation.
+//! Incremental (delta) support evaluation for the entropy family.
 //!
 //! Every neighborhood support instance is the base database plus exactly
-//! one row/swap update, yet the baseline evaluators re-execute the full
-//! plan once per neighbor. This module executes the plan **once** on the
-//! base instance, materializes per-operator intermediate state, and then
-//! prices each neighbor as a *delta* against the memoized base:
+//! one row/swap update, yet an entropy sweep needs the query's *output
+//! fingerprint* on each of them — which the baseline gets by re-executing
+//! the full plan once per neighbor. This module executes the plan **once**
+//! on the base instance, materializes per-operator intermediate state, and
+//! then fingerprints each neighbor as a *delta* against the memoized base.
+//! [`crate::engine::query_fps`] routes here for SPJ/aggregate shapes over
+//! neighborhood supports with no budget set; coverage sweeps never do
+//! (§4's batched checks answer the one-bit question cheaper — DESIGN.md §9
+//! has the measurements).
 //!
 //! * **Fingerprint arithmetic.** An unordered result fingerprint is
 //!   `header(N, C) + Σ row_hash(r)` under wrapping `u128` addition
@@ -31,31 +36,31 @@
 //!   the 2⁵³ exact-integer range, `MIN`/`MAX` ties with mixed value
 //!   representations, representative-dependent projections) and fall
 //!   back to full execution for that neighbor.
-//! * **Short circuits.** An update to an unreferenced relation, an update
-//!   whose *effective* changed columns are empty, or one that misses the
-//!   query's column footprint (referenced ∪ join columns) agrees with the
-//!   base by construction — no execution at all.
+//! * **Short circuits.** A neighbor the engine's shared visibility test
+//!   ([`crate::engine::visibility`]) rules out — unreferenced relation, no
+//!   *effective* change inside the query's column footprint — agrees with
+//!   the base by construction: no probe, no execution at all.
 //!
 //! Fallback policy: any guard trip, eval error, or modeling doubt routes
-//! that one neighbor through full plan execution on a lazily cloned
-//! database, so the delta path can never invent or suppress a result the
+//! that one neighbor through full plan execution (apply, execute, roll
+//! back), so the delta path can never invent or suppress a result the
 //! full-execution path wouldn't produce. A build-time self-check
 //! reconstructs the base fingerprint from the materialized state and
 //! declines ([`DeltaState::Ineligible`]) on any mismatch.
 
-use crate::engine::bag_fp;
+use crate::engine::{bag_fp, EngineOptions, Visible};
+use crate::naive::neighbor_fp;
 use crate::normal_form::{Prepared, Shape};
-use crate::telemetry::Telemetry;
+use crate::parallel::fan_out;
 use crate::update::SupportUpdate;
 use qirana_sqlengine::ast::BinaryOp;
 use qirana_sqlengine::exec::eval_row_expr;
 use qirana_sqlengine::plan::{AggSpec, Projection};
-use qirana_sqlengine::update::apply_writes;
 use qirana_sqlengine::{
     execute, output_row_hash, Database, EngineError, ExecContext, Fingerprint, PExpr, PRelation,
     ResolvedSelect, Row, Value,
 };
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 /// The unordered-fingerprint header term (`N ^ (C << 64)`).
 fn header(rows: u64, cols: u64) -> u128 {
@@ -119,16 +124,9 @@ pub struct SpjDelta {
     base_fp: Fingerprint,
     base_rows: u64,
     cols: u64,
-    /// Probe info per referenced catalog table (SPJ shapes have no
+    /// Probe strategy per referenced catalog table (SPJ shapes have no
     /// self-joins, so each table maps to exactly one relation).
-    rels: BTreeMap<usize, SpjRelProbe>,
-}
-
-#[derive(Debug)]
-struct SpjRelProbe {
-    /// Local columns the query can observe (referenced ∪ join columns).
-    footprint: HashSet<usize>,
-    strategy: Strategy,
+    rels: BTreeMap<usize, Strategy>,
 }
 
 #[derive(Debug)]
@@ -173,8 +171,6 @@ pub struct AggDelta {
     width: usize,
     /// Global aggregate (empty GROUP BY): always exactly one output row.
     global: bool,
-    /// Column footprint per referenced catalog table.
-    rels: BTreeMap<usize, HashSet<usize>>,
     /// The unrolled core: same FROM/WHERE, identity projections, no
     /// grouping — overriding the updated relation yields exactly the core
     /// rows the changed tuples contribute.
@@ -521,15 +517,9 @@ impl DAcc {
 pub fn build(db: &Database, q: &Prepared) -> Result<DeltaState, EngineError> {
     match &q.shape {
         Shape::Spj(shape) => build_spj(db, q, &shape.relations),
-        Shape::Agg(shape) => build_agg(db, q, &shape.relations),
+        Shape::Agg(_) => build_agg(db, q),
         Shape::Opaque { .. } => Ok(DeltaState::Ineligible),
     }
-}
-
-fn footprint_of(rel: &crate::normal_form::RelShape) -> HashSet<usize> {
-    let mut fp = rel.referenced_cols.clone();
-    fp.extend(rel.join_cols.iter().copied());
-    fp
 }
 
 fn build_spj(
@@ -571,13 +561,7 @@ fn build_spj(
             }
             None => Strategy::Override,
         };
-        rels.insert(
-            rel.table,
-            SpjRelProbe {
-                footprint: footprint_of(rel),
-                strategy,
-            },
-        );
+        rels.insert(rel.table, strategy);
     }
     Ok(DeltaState::Spj(SpjDelta {
         base_fp,
@@ -806,11 +790,7 @@ fn watched_agree(vals: &[Value], row: &[Value], watched: &[usize]) -> bool {
         .all(|(&s, v)| strict_value_eq(v, &row[s]))
 }
 
-fn build_agg(
-    db: &Database,
-    q: &Prepared,
-    relations: &[crate::normal_form::RelShape],
-) -> Result<DeltaState, EngineError> {
+fn build_agg(db: &Database, q: &Prepared) -> Result<DeltaState, EngineError> {
     let out = execute(&q.plan, &ExecContext::new(db))?;
     let base_out_rows = out.rows.len() as u64;
     let cols = out.columns.len() as u64;
@@ -923,17 +903,12 @@ fn build_agg(
         return Ok(DeltaState::Ineligible);
     }
 
-    let rels = relations
-        .iter()
-        .map(|r| (r.table, footprint_of(r)))
-        .collect();
     Ok(DeltaState::Agg(AggDelta {
         base_fp,
         base_out_rows,
         cols,
         width: q.plan.width,
         global,
-        rels,
         core,
         group_by,
         specs,
@@ -949,8 +924,6 @@ fn build_agg(
 // ---------------------------------------------------------------------------
 
 enum InnerProbe {
-    /// The neighbor provably agrees with the base (short circuit).
-    Base,
     /// Delta-computed neighbor fingerprint.
     Fp(Fingerprint),
     /// A guard tripped — this neighbor needs full execution.
@@ -1025,15 +998,11 @@ fn indexed_contrib(
 
 impl SpjDelta {
     fn try_probe(&self, db: &Database, plan: &ResolvedSelect, up: &SupportUpdate) -> InnerProbe {
-        let Some(rp) = self.rels.get(&up.table()) else {
-            return InnerProbe::Base; // relation unreferenced by the query
+        let Some(strategy) = self.rels.get(&up.table()) else {
+            return InnerProbe::NeedFallback; // visible updates hit a relation
         };
-        let eff = up.effective_changed_columns(db);
-        if eff.is_empty() || !eff.iter().any(|c| rp.footprint.contains(c)) {
-            return InnerProbe::Base; // misses the query's column footprint
-        }
         let (old_rows, new_rows) = up.old_new_rows(db);
-        let contrib = |rows: &[Row]| match &rp.strategy {
+        let contrib = |rows: &[Row]| match strategy {
             Strategy::Override => override_contrib(db, plan, up.table(), rows),
             Strategy::Indexed(ix) => indexed_contrib(db, ix, rows),
         };
@@ -1057,13 +1026,6 @@ impl SpjDelta {
 
 impl AggDelta {
     fn try_probe(&self, db: &Database, up: &SupportUpdate) -> InnerProbe {
-        let Some(footprint) = self.rels.get(&up.table()) else {
-            return InnerProbe::Base;
-        };
-        let eff = up.effective_changed_columns(db);
-        if eff.is_empty() || !eff.iter().any(|c| footprint.contains(c)) {
-            return InnerProbe::Base;
-        }
         let (old_rows, new_rows) = up.old_new_rows(db);
         let (Ok((removed, _)), Ok((added, _))) = (
             core_rows(db, &self.core, up.table(), &old_rows),
@@ -1241,162 +1203,64 @@ fn core_rows(
 /// Per-call probe tallies, folded into telemetry counters by the engine.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeStats {
-    /// Neighbors evaluated through the delta path at all.
+    /// Neighbors answered through the delta path at all.
     pub probes: u64,
-    /// Neighbors answered without any execution (agree with base).
+    /// Neighbors answered without any execution (invisible to the query,
+    /// so they agree with the base).
     pub short_circuits: u64,
     /// Neighbors that tripped a guard and ran full execution.
     pub fallbacks: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Outcome {
-    Skipped,
-    Base,
-    Computed(Fingerprint),
-    Fellback(Fingerprint),
-}
-
-/// Evaluates one neighbor: delta probe, or full plan execution on a
-/// lazily-cloned scratch database when a guard trips.
-fn evaluate(
-    db: &Database,
-    q: &Prepared,
-    state: &DeltaState,
-    up: &SupportUpdate,
-    scratch: &mut Option<Database>,
-) -> Result<Outcome, EngineError> {
-    let inner = match state {
-        DeltaState::Spj(d) => d.try_probe(db, &q.plan, up),
-        DeltaState::Agg(d) => d.try_probe(db, up),
-        DeltaState::Ineligible => InnerProbe::NeedFallback,
-    };
-    match inner {
-        InnerProbe::Base => Ok(Outcome::Base),
-        InnerProbe::Fp(fp) => Ok(Outcome::Computed(fp)),
-        InnerProbe::NeedFallback => {
-            let clone = scratch.get_or_insert_with(|| db.clone());
-            let undo = up.apply(clone);
-            let fp = execute(&q.plan, &ExecContext::new(clone)).map(bag_fp);
-            apply_writes(clone, &undo);
-            Ok(Outcome::Fellback(fp?))
-        }
-    }
-}
-
-fn run_probes(
-    db: &Database,
-    q: &Prepared,
-    state: &DeltaState,
-    updates: &[SupportUpdate],
-    active: Option<&[bool]>,
-    workers: usize,
-    tel: &Telemetry,
-) -> Result<(Vec<Outcome>, ProbeStats), EngineError> {
-    let is_active = |i: usize| {
-        active
-            .map(|a| a.get(i).copied().unwrap_or(false))
-            .unwrap_or(true)
-    };
-    let outcomes: Vec<Outcome> = if workers > 1 {
-        crate::parallel::run_indexed(
-            updates.len(),
-            workers,
-            || None::<Database>,
-            |scratch, i| {
-                if !is_active(i) {
-                    return Ok(Outcome::Skipped);
-                }
-                evaluate(db, q, state, &updates[i], scratch)
-            },
-            tel,
-        )?
-    } else {
-        let mut scratch = None;
-        let mut out = Vec::with_capacity(updates.len());
-        for (i, up) in updates.iter().enumerate() {
-            if !is_active(i) {
-                out.push(Outcome::Skipped);
-                continue;
-            }
-            out.push(evaluate(db, q, state, up, &mut scratch)?);
-        }
-        out
-    };
-    let mut stats = ProbeStats::default();
-    for o in &outcomes {
-        match o {
-            Outcome::Skipped => {}
-            Outcome::Base => {
-                stats.probes += 1;
-                stats.short_circuits += 1;
-            }
-            Outcome::Computed(_) => stats.probes += 1,
-            Outcome::Fellback(_) => {
-                stats.probes += 1;
-                stats.fallbacks += 1;
-            }
-        }
-    }
-    Ok((outcomes, stats))
-}
-
 /// Per-neighbor output fingerprints through the delta path (the
-/// incremental counterpart of [`crate::naive::query_fps_nbrs`]).
+/// incremental counterpart of [`crate::naive::neighbor_fps`]): the base
+/// fingerprint where the update is invisible, a delta probe elsewhere, and
+/// full plan execution — apply, execute, roll back — for any neighbor
+/// whose probe trips a guard.
 pub(crate) fn query_fps_nbrs(
-    db: &Database,
+    db: &mut Database,
     q: &Prepared,
     state: &DeltaState,
     updates: &[SupportUpdate],
-    workers: usize,
-    tel: &Telemetry,
+    visible: &[Visible],
+    opts: &EngineOptions,
 ) -> Result<(Vec<Fingerprint>, ProbeStats), EngineError> {
     let Some(base) = state.base_fp() else {
         return Err(EngineError::Eval("delta probe on ineligible state".into()));
     };
-    let (outcomes, stats) = run_probes(db, q, state, updates, None, workers, tel)?;
-    let fps = outcomes
-        .iter()
-        .map(|o| match o {
-            Outcome::Skipped | Outcome::Base => base,
-            Outcome::Computed(fp) | Outcome::Fellback(fp) => *fp,
-        })
-        .collect();
-    Ok((fps, stats))
-}
-
-/// Per-neighbor disagreement bits through the delta path (the incremental
-/// counterpart of [`crate::naive::disagreements_nbrs`]).
-pub(crate) fn disagreements_nbrs(
-    db: &Database,
-    q: &Prepared,
-    state: &DeltaState,
-    updates: &[SupportUpdate],
-    active: &[bool],
-    workers: usize,
-    tel: &Telemetry,
-) -> Result<(Vec<bool>, ProbeStats), EngineError> {
-    let Some(base) = state.base_fp() else {
-        return Err(EngineError::Eval("delta probe on ineligible state".into()));
+    let n = updates.len();
+    // (fingerprint, fell back) per neighbor.
+    let outcomes = fan_out(db, n, opts.parallelism, &opts.telemetry, |local, i| {
+        let up = &updates[i];
+        if visible[i].is_none() {
+            return Ok((base, false));
+        }
+        let inner = match state {
+            DeltaState::Spj(d) => d.try_probe(local, &q.plan, up),
+            DeltaState::Agg(d) => d.try_probe(local, up),
+            DeltaState::Ineligible => InnerProbe::NeedFallback,
+        };
+        match inner {
+            InnerProbe::Fp(fp) => Ok((fp, false)),
+            InnerProbe::NeedFallback => Ok((neighbor_fp(local, &q.plan, up, opts.budget)?, true)),
+        }
+    })?;
+    let stats = ProbeStats {
+        probes: n as u64,
+        short_circuits: visible.iter().filter(|v| v.is_none()).count() as u64,
+        fallbacks: outcomes.iter().filter(|(_, fell_back)| *fell_back).count() as u64,
     };
-    let (outcomes, stats) = run_probes(db, q, state, updates, Some(active), workers, tel)?;
-    let bits = outcomes
-        .iter()
-        .map(|o| match o {
-            Outcome::Skipped | Outcome::Base => false,
-            Outcome::Computed(fp) | Outcome::Fellback(fp) => *fp != base,
-        })
-        .collect();
-    Ok((bits, stats))
+    Ok((outcomes.into_iter().map(|(fp, _)| fp).collect(), stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::naive;
+    use crate::engine::{query_fps, visibility};
     use crate::normal_form::prepare_query;
-    use crate::support::{generate_support, SupportConfig};
-    use qirana_sqlengine::{ColumnDef, DataType, ExecBudget, TableSchema};
+    use crate::parallel::Parallelism;
+    use crate::support::{generate_support, SupportConfig, SupportSet};
+    use qirana_sqlengine::{ColumnDef, DataType, TableSchema};
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -1447,24 +1311,36 @@ mod tests {
         )
     }
 
-    fn assert_delta_matches_naive(sql: &str, workers: usize) {
-        let mut database = db();
-        let updates = support(&database, 160);
+    /// Builds the query's delta state and probes every update through it,
+    /// checking the fingerprints against per-instance execution
+    /// (`Strategy::Naive`) on the way out.
+    fn probe_checked(
+        mut database: Database,
+        sql: &str,
+        updates: Vec<SupportUpdate>,
+        workers: usize,
+    ) -> (Vec<Fingerprint>, ProbeStats) {
         let q = prepare_query(&database, sql).unwrap();
         let state = build(&database, &q).unwrap();
         assert!(state.is_usable(), "delta build declined for {sql}");
-        let tel = Telemetry::disabled();
-        let (fps, _) = query_fps_nbrs(&database, &q, &state, &updates, workers, &tel).unwrap();
+        let support = SupportSet::Neighborhood(updates);
+        let SupportSet::Neighborhood(updates) = &support else {
+            unreachable!()
+        };
+        let visible = visibility(&database, &q, &support, &vec![true; updates.len()]);
+        let opts = EngineOptions::default().with_parallelism(Parallelism::Threads(workers));
+        let (fps, stats) =
+            query_fps_nbrs(&mut database, &q, &state, updates, &visible, &opts).unwrap();
         let naive_fps =
-            naive::query_fps_nbrs(&mut database, &q, &updates, ExecBudget::UNLIMITED).unwrap();
+            query_fps(&mut database, &q, &support, &EngineOptions::naive(), None).unwrap();
         assert_eq!(fps, naive_fps, "fps diverged for {sql}");
-        let active = vec![true; updates.len()];
-        let (bits, _) =
-            disagreements_nbrs(&database, &q, &state, &updates, &active, workers, &tel).unwrap();
-        let naive_bits =
-            naive::disagreements_nbrs(&mut database, &q, &updates, &active, ExecBudget::UNLIMITED)
-                .unwrap();
-        assert_eq!(bits, naive_bits, "bits diverged for {sql}");
+        (fps, stats)
+    }
+
+    fn assert_delta_matches_naive(sql: &str, workers: usize) {
+        let database = db();
+        let updates = support(&database, 160);
+        probe_checked(database, sql, updates, workers);
     }
 
     #[test]
@@ -1501,9 +1377,6 @@ mod tests {
     fn join_key_swaps_match_naive() {
         // Swaps that move the join key relocate rows across hash buckets —
         // the delta must still agree with full execution bitwise.
-        let mut database = db();
-        let q =
-            prepare_query(&database, "select T.grp, U.w from T, U where T.id = U.t_id").unwrap();
         let updates: Vec<SupportUpdate> = (0..10)
             .map(|i| SupportUpdate::Swap {
                 table: 1,
@@ -1512,19 +1385,13 @@ mod tests {
                 cols: vec![1], // t_id: the join column
             })
             .collect();
-        let state = build(&database, &q).unwrap();
-        let tel = Telemetry::disabled();
-        let (fps, stats) = query_fps_nbrs(&database, &q, &state, &updates, 1, &tel).unwrap();
-        let naive_fps =
-            naive::query_fps_nbrs(&mut database, &q, &updates, ExecBudget::UNLIMITED).unwrap();
-        assert_eq!(fps, naive_fps);
+        let sql = "select T.grp, U.w from T, U where T.id = U.t_id";
+        let (_, stats) = probe_checked(db(), sql, updates, 1);
         assert_eq!(stats.probes, 10);
     }
 
     #[test]
     fn unreferenced_table_short_circuits() {
-        let database = db();
-        let q = prepare_query(&database, "select v from T where v > 3").unwrap();
         let updates: Vec<SupportUpdate> = (0..6)
             .map(|i| SupportUpdate::Row {
                 table: 1, // U: never referenced
@@ -1532,47 +1399,31 @@ mod tests {
                 changes: vec![(2, Value::Int(999 + i as i64))],
             })
             .collect();
-        let state = build(&database, &q).unwrap();
-        let tel = Telemetry::disabled();
-        let (bits, stats) = disagreements_nbrs(
-            &database,
-            &q,
-            &state,
-            &updates,
-            &vec![true; updates.len()],
-            1,
-            &tel,
-        )
-        .unwrap();
-        assert!(bits.iter().all(|b| !b));
+        let (fps, stats) = probe_checked(db(), "select v from T where v > 3", updates, 1);
+        assert!(
+            fps.iter().all(|fp| *fp == fps[0]),
+            "all agree with the base"
+        );
         assert_eq!(stats.short_circuits, 6);
         assert_eq!(stats.fallbacks, 0);
     }
 
     #[test]
     fn footprint_miss_short_circuits() {
-        let database = db();
-        // The query reads only T.v and T.grp; id is the key (never
-        // updated), so a w-update on U and a grp-miss on T both agree.
-        let q = prepare_query(&database, "select v from T where v < 9").unwrap();
+        // The query reads only T.v; a grp update on T misses its column
+        // footprint and agrees without a probe.
         let updates = vec![SupportUpdate::Row {
             table: 0,
             row: 2,
             changes: vec![(1, "z".into())], // grp: outside the footprint
         }];
-        let state = build(&database, &q).unwrap();
-        let tel = Telemetry::disabled();
-        let (fps, stats) = query_fps_nbrs(&database, &q, &state, &updates, 1, &tel).unwrap();
+        let (_, stats) = probe_checked(db(), "select v from T where v < 9", updates, 1);
         assert_eq!(stats.short_circuits, 1);
-        let mut database = db();
-        let naive_fps =
-            naive::query_fps_nbrs(&mut database, &q, &updates, ExecBudget::UNLIMITED).unwrap();
-        assert_eq!(fps, naive_fps);
     }
 
     #[test]
     fn noop_swap_short_circuits_via_effective_columns() {
-        let mut database = db();
+        let database = db();
         // Rows 0 and 3 of T share grp 'a' (0 % 3 == 3 % 3 == 0): the swap
         // declares grp changed but effectively changes nothing.
         let up = SupportUpdate::Swap {
@@ -1582,27 +1433,21 @@ mod tests {
             cols: vec![1],
         };
         assert!(!up.is_effective(&database));
-        let q = prepare_query(&database, "select grp from T where v >= 0").unwrap();
-        let state = build(&database, &q).unwrap();
-        let tel = Telemetry::disabled();
-        let updates = vec![up];
-        let (fps, stats) = query_fps_nbrs(&database, &q, &state, &updates, 1, &tel).unwrap();
+        let sql = "select grp from T where v >= 0";
+        let (_, stats) = probe_checked(database, sql, vec![up], 1);
         assert_eq!(stats.short_circuits, 1, "declared-but-ineffective swap");
-        let naive_fps =
-            naive::query_fps_nbrs(&mut database, &q, &updates, ExecBudget::UNLIMITED).unwrap();
-        assert_eq!(fps, naive_fps);
     }
 
     #[test]
     fn self_join_is_ineligible() {
-        let database = db();
+        let mut database = db();
         // Self-joins break per-tuple contribution additivity; the shape
         // classifier routes them to Opaque and the build must decline.
         let q = prepare_query(&database, "select a.v from T a, T b where a.id = b.id").unwrap();
         let state = build(&database, &q).unwrap();
         assert!(!state.is_usable());
-        let err =
-            query_fps_nbrs(&database, &q, &state, &[], 1, &Telemetry::disabled()).unwrap_err();
+        let opts = EngineOptions::default();
+        let err = query_fps_nbrs(&mut database, &q, &state, &[], &[], &opts).unwrap_err();
         assert!(matches!(err, EngineError::Eval(_)));
     }
 
@@ -1611,16 +1456,10 @@ mod tests {
         // Global aggregate over an empty filter result: the executor
         // synthesizes one all-NULL-sourced row; neighbors can create and
         // destroy real groups around it.
-        let mut database = db();
-        let q = prepare_query(&database, "select count(*), sum(v) from T where v > 1000").unwrap();
+        let database = db();
         let updates = support(&database, 80);
-        let state = build(&database, &q).unwrap();
-        assert!(state.is_usable());
-        let tel = Telemetry::disabled();
-        let (fps, _) = query_fps_nbrs(&database, &q, &state, &updates, 1, &tel).unwrap();
-        let naive_fps =
-            naive::query_fps_nbrs(&mut database, &q, &updates, ExecBudget::UNLIMITED).unwrap();
-        assert_eq!(fps, naive_fps);
+        let sql = "select count(*), sum(v) from T where v > 1000";
+        probe_checked(database, sql, updates, 1);
     }
 
     #[test]
@@ -1643,7 +1482,6 @@ mod tests {
                 .map(|i| vec![i.into(), (i % 2).into(), Value::Float(i as f64 + 0.25)])
                 .collect::<Vec<_>>(),
         );
-        let q = prepare_query(&database, "select g, sum(x), avg(x) from F group by g").unwrap();
         let updates: Vec<SupportUpdate> = (0..8)
             .map(|i| SupportUpdate::Row {
                 table: 0,
@@ -1651,13 +1489,8 @@ mod tests {
                 changes: vec![(2, Value::Float(100.5 + i as f64))],
             })
             .collect();
-        let state = build(&database, &q).unwrap();
-        assert!(state.is_usable());
-        let tel = Telemetry::disabled();
-        let (fps, stats) = query_fps_nbrs(&database, &q, &state, &updates, 1, &tel).unwrap();
+        let sql = "select g, sum(x), avg(x) from F group by g";
+        let (_, stats) = probe_checked(database, sql, updates, 1);
         assert_eq!(stats.fallbacks, 8, "float sums must route to fallback");
-        let naive_fps =
-            naive::query_fps_nbrs(&mut database, &q, &updates, ExecBudget::UNLIMITED).unwrap();
-        assert_eq!(fps, naive_fps);
     }
 }

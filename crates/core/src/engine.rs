@@ -1,65 +1,86 @@
-//! Pricing-engine orchestration.
+//! Pricing-engine orchestration: two per-query sweep primitives and the
+//! one place an evaluation path is chosen.
 //!
 //! A pricing call reduces to one of two primitives over the support set:
 //!
-//! * [`bundle_disagreements`] — for the coverage-family functions: one bit
-//!   per support instance, "does the bundle's output change on `Dᵢ`?"
+//! * [`query_bits`] — for the coverage-family functions: one bit per
+//!   support instance, "does the query's output change on `Dᵢ`?"
 //!   (Algorithm 1 / 3). This is where §4's optimizations apply.
-//! * [`bundle_partition`] — for the entropy-family functions: the bundle
-//!   output fingerprint per instance (Algorithm 2). This inherently
-//!   requires the queries' outputs per instance — the paper's reason
-//!   weighted coverage is the recommended default — but the incremental
-//!   evaluator ([`crate::delta`]) now derives those outputs from memoized
-//!   base state for SPJ/aggregate shapes instead of re-executing, falling
-//!   back to full per-instance execution everywhere else.
+//! * [`query_fps`] — for the entropy-family functions: the query's output
+//!   fingerprint per instance (Algorithm 2). This inherently requires the
+//!   outputs per instance — the paper's reason weighted coverage is the
+//!   recommended default.
+//!
+//! Each primitive picks its evaluation path with one `match`, at sweep
+//! time, on what it can observe — support kind, [`Prepared::shape`], the
+//! primitive itself, whether a budget is set — per the routing table in
+//! DESIGN.md §9; no user-set switch takes part ([`Strategy`] exists for the
+//! paper's ablation and the differential suites only). In front of every
+//! path sits one update-visibility test ([`visibility`]). A bundle is
+//! always derived from its members' per-query results: the OR with a
+//! shrinking active set ([`bundle_disagreements`]), respectively the
+//! per-instance [`combine_bundle`] fold ([`fold_partition`]).
 
 use crate::cache::{CacheConfig, PricingCache};
-use crate::delta::{self, DeltaState, ProbeStats};
+use crate::delta::{self, DeltaState};
 use crate::fault;
 use crate::naive;
-use crate::normal_form::{Prepared, Shape};
+use crate::normal_form::{AggShape, Prepared, Shape, SpjShape};
 use crate::optimized;
-use crate::parallel::{self, Parallelism};
+use crate::parallel::Parallelism;
 use crate::support::SupportSet;
-use crate::telemetry::{Stage, Telemetry};
+use crate::telemetry::{SpanGuard, Stage, Telemetry};
 use crate::update::SupportUpdate;
-use qirana_sqlengine::{Database, EngineError, ExecBudget, Fingerprint, QueryOutput};
+use qirana_sqlengine::{
+    execute, Database, EngineError, ExecBudget, ExecContext, Fingerprint, QueryOutput,
+};
 use std::sync::Arc;
 
-/// Engine knobs mirroring the paper's evaluated configurations, plus the
-/// execution budget every pricing query runs under.
+/// How a sweep is evaluated — the ablation axis of the paper's Figure 5.
+///
+/// Every value produces bitwise-identical bits and fingerprints; only the
+/// cost differs. Production code leaves the default: the non-default values
+/// exist solely so `fig5`, the criterion ablation and the differential
+/// suites can pin one path.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Strategy {
+    /// Route by primitive × plan shape (DESIGN.md §9): §4's batched checks
+    /// for coverage sweeps over SPJ/aggregate shapes, the incremental
+    /// evaluator ([`crate::delta`]) for unbudgeted entropy sweeps over
+    /// them, per-instance execution everywhere else.
+    #[default]
+    Auto,
+    /// The paper's "no batching" configuration: §4.1's static checks with
+    /// one dynamic query per update instead of §4.2's batches. Entropy
+    /// sweeps run per instance.
+    NoBatching,
+    /// The unoptimized baseline (Algorithms 1–2 verbatim): execute the
+    /// query on every instance the visibility test lets through. The
+    /// reference every other value is tested against.
+    Naive,
+    /// [`Strategy::Naive`] against per-relation *reduced instances*
+    /// (Appendix A) for coverage sweeps over SPJ shapes.
+    NaiveReduced,
+}
+
+/// Engine configuration: the evaluation strategy plus the execution
+/// budget, worker pool, cache and telemetry every pricing query runs under.
 ///
 /// Carries the [`Telemetry`] handle, so the struct is `Clone` (an `Arc`
-/// bump) but no longer `Copy`; engine entry points take it by reference.
+/// bump) but not `Copy`; engine entry points take it by reference.
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
-    /// Use the §4.1 static/dynamic disagreement checks instead of
-    /// re-executing the query per support instance.
-    pub optimize: bool,
-    /// Batch the dynamic checks into a constant number of queries per
-    /// relation (§4.2). Only meaningful when `optimize` is on.
-    pub batch: bool,
-    /// Run the naive path against per-relation *reduced instances*
-    /// (Appendix A's instance reduction). Only used when `optimize` is off
-    /// and the query is SPJ-shaped.
-    pub reduce: bool,
-    /// Incremental (delta) support evaluation: execute the plan once on
-    /// the base instance, materialize per-operator state, and answer each
-    /// neighbor as a delta ([`crate::delta`]). The default path for
-    /// SPJ/aggregate shapes over neighborhood supports; opaque shapes,
-    /// uniform supports, budget-limited runs, and any neighbor that trips
-    /// a delta guard fall back to full execution. Prices are bitwise
-    /// identical with the flag on or off.
-    pub delta: bool,
+    /// Evaluation strategy; see [`Strategy`]. Results are bitwise
+    /// identical for every value.
+    pub strategy: Strategy,
     /// Execution budget applied to every query the pricing engine runs
     /// (base executions, per-instance re-executions, batched probes).
     /// Trips surface as [`EngineError::BudgetExceeded`]. Unlimited by
     /// default.
     pub budget: ExecBudget,
-    /// Worker-pool size for the per-support-instance loops (naive
-    /// disagreements, partition fingerprints, and the optimizer's
-    /// per-update dynamic checks). Results are bitwise identical to the
-    /// sequential path for any setting; see [`crate::parallel`].
+    /// Worker-pool size for the per-support-instance loops. Results are
+    /// bitwise identical to the sequential path for any setting; see
+    /// [`crate::parallel`].
     pub parallelism: Parallelism,
     /// Incremental history-aware pricing: memoize per-query disagreement
     /// bitmaps and partition blocks in the broker's [`PricingCache`], so a
@@ -77,10 +98,7 @@ pub struct EngineOptions {
 impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
-            optimize: true,
-            batch: true,
-            reduce: false,
-            delta: true,
+            strategy: Strategy::Auto,
             budget: ExecBudget::UNLIMITED,
             parallelism: Parallelism::Sequential,
             cache: CacheConfig::default(),
@@ -94,9 +112,7 @@ impl EngineOptions {
     /// on, per-update dynamic queries.
     pub fn no_batching() -> Self {
         EngineOptions {
-            optimize: true,
-            batch: false,
-            delta: false,
+            strategy: Strategy::NoBatching,
             ..Default::default()
         }
     }
@@ -104,17 +120,9 @@ impl EngineOptions {
     /// The unoptimized baseline: run the query per support instance.
     pub fn naive() -> Self {
         EngineOptions {
-            optimize: false,
-            batch: false,
-            delta: false,
+            strategy: Strategy::Naive,
             ..Default::default()
         }
-    }
-
-    /// Toggles the incremental (delta) evaluation path.
-    pub fn with_delta(mut self, delta: bool) -> Self {
-        self.delta = delta;
-        self
     }
 
     /// Replaces the execution budget.
@@ -140,6 +148,13 @@ impl EngineOptions {
         self.telemetry = telemetry;
         self
     }
+}
+
+/// The engine's failpoint: every public entry point passes it before any
+/// execution.
+fn failpoint() -> Result<(), EngineError> {
+    fault::check(fault::ENGINE_EXECUTE)
+        .map_err(|f| EngineError::Eval(format!("injected fault: {f}")))
 }
 
 /// Forwards an engine result, counting budget trips in the telemetry
@@ -172,13 +187,221 @@ pub fn combine_bundle(fps: &[Fingerprint]) -> Fingerprint {
     Fingerprint(acc)
 }
 
-/// True when the delta evaluator may serve this query: the flag is on, no
-/// execution budget is in force (delta probes skip whole executions, so
-/// budget trips could not fire deterministically), and the shape has delta
-/// rules. Support-set kind is checked at the call sites (neighborhood
-/// arms only).
-fn delta_applies(q: &Prepared, opts: &EngineOptions) -> bool {
-    opts.delta && opts.budget.is_unlimited() && matches!(q.shape, Shape::Spj(_) | Shape::Agg(_))
+/// One support instance as a sweep sees it: `None` when the instance is
+/// masked out or provably agrees with the base (no path evaluates it);
+/// otherwise the update's *effective* changed columns — the `B` of
+/// Algorithms 4–6 (empty for a uniform world, which has no update).
+pub type Visible = Option<Vec<usize>>;
+
+/// The update-visibility test, in front of every evaluation path: an
+/// instance needs evaluation only if it is still active, its update
+/// touches a table the query references and — for SPJ/aggregate shapes,
+/// which record it — at least one *effectively* changed column lies in
+/// that relation's footprint (referenced ∪ join columns). This is the
+/// column-level form of Algorithm 4's static check; opaque shapes get the
+/// table-level form, uniform worlds only the mask.
+///
+/// Effective, not declared: [`crate::Qirana::commit_update`] keeps the
+/// support set while stored cells change, so an update may write a value
+/// back (in some or all of its columns); paths that reason about `B` get
+/// the columns that really differ.
+pub fn visibility(
+    db: &Database,
+    q: &Prepared,
+    support: &SupportSet,
+    active: &[bool],
+) -> Vec<Visible> {
+    let SupportSet::Neighborhood(updates) = support else {
+        return active.iter().map(|&a| a.then(Vec::new)).collect();
+    };
+    let relations = match &q.shape {
+        Shape::Spj(s) => Some(&s.relations),
+        Shape::Agg(s) => Some(&s.relations),
+        Shape::Opaque { .. } => None,
+    };
+    let refs = q.referenced_tables();
+    let sees = |up: &SupportUpdate| -> Visible {
+        if !refs.contains(&up.table()) {
+            return None;
+        }
+        let changed = up.effective_changed_columns(db);
+        let footprint = relations.and_then(|rs| rs.iter().find(|r| r.table == up.table()));
+        let seen = match footprint {
+            Some(rel) => changed
+                .iter()
+                .any(|c| rel.referenced_cols.contains(c) || rel.join_cols.contains(c)),
+            None => !changed.is_empty(),
+        };
+        seen.then_some(changed)
+    };
+    updates
+        .iter()
+        .zip(active)
+        .map(|(up, &a)| if a { sees(up) } else { None })
+        .collect()
+}
+
+/// Opens a sweep's `Disagreement` span, labelled `<family>/<path>`, and
+/// counts the sweep's deterministic work measure: instances still active
+/// going in — identical sequential vs parallel.
+fn sweep_span(tel: &Telemetry, label: &str, active: &[bool]) -> SpanGuard {
+    if !tel.is_enabled() {
+        return tel.span(Stage::Disagreement);
+    }
+    let span = tel.span_with(Stage::Disagreement, label.into());
+    span.count("neighbors", active.iter().filter(|&&a| a).count() as u64);
+    tel.counter_add("neighbors_evaluated_total", active.len() as u64);
+    span
+}
+
+/// Per-instance execution (Algorithms 1–2 verbatim): the base fingerprint,
+/// and the query's fingerprint on every instance — executed where visible,
+/// the base elsewhere.
+fn per_instance(
+    db: &mut Database,
+    q: &Prepared,
+    support: &SupportSet,
+    visible: &[Visible],
+    opts: &EngineOptions,
+) -> Result<(Fingerprint, Vec<Fingerprint>), EngineError> {
+    let base = bag_fp(execute(
+        &q.plan,
+        &ExecContext::new(db).with_budget(opts.budget),
+    )?);
+    let idxs: Vec<usize> = (0..visible.len())
+        .filter(|&i| visible[i].is_some())
+        .collect();
+    let executed = match support {
+        SupportSet::Neighborhood(updates) => {
+            naive::neighbor_fps(db, &q.plan, updates, &idxs, opts)?
+        }
+        SupportSet::Uniform(worlds) => naive::world_fps(&q.plan, worlds, &idxs, opts)?,
+    };
+    let mut fps = vec![base; visible.len()];
+    for (i, fp) in idxs.into_iter().zip(executed) {
+        fps[i] = fp;
+    }
+    Ok((base, fps))
+}
+
+/// The coverage paths of the routing table. The `bool` is §4.2's batching:
+/// one widened probe per relation (`true`) or one probe per update.
+enum BitsPath<'a> {
+    /// Execute the query on each visible instance.
+    PerInstance,
+    /// §4's static + dynamic checks for SPJ shapes (Algorithms 4, 6).
+    Spj(&'a SpjShape, &'a [SupportUpdate], bool),
+    /// §4's checks for aggregate shapes (Algorithm 5).
+    Agg(&'a AggShape, &'a [SupportUpdate], bool),
+    /// Per-instance execution on Appendix A's reduced instances.
+    Reduced(&'a [SupportUpdate]),
+}
+
+impl BitsPath<'_> {
+    fn label(&self) -> &'static str {
+        match self {
+            BitsPath::PerInstance => "coverage/per-instance",
+            BitsPath::Spj(.., true) | BitsPath::Agg(.., true) => "coverage/batched",
+            BitsPath::Spj(.., false) | BitsPath::Agg(.., false) => "coverage/unbatched",
+            BitsPath::Reduced(_) => "coverage/reduced",
+        }
+    }
+}
+
+/// The coverage primitive: for every support instance, whether `q`'s
+/// output on it differs from the output on the stored database.
+/// `active[i] = false` excludes instance `i` (its bit stays `false`).
+///
+/// `db` is `&mut` because the per-instance and aggregate-fallback paths
+/// apply each update and roll it back; the database is unchanged on
+/// return.
+pub fn query_bits(
+    db: &mut Database,
+    q: &Prepared,
+    support: &SupportSet,
+    active: &[bool],
+    opts: &EngineOptions,
+) -> Result<Vec<bool>, EngineError> {
+    use {Shape::*, Strategy::*, SupportSet::*};
+    failpoint()?;
+    let tel = &opts.telemetry;
+    let visible = visibility(db, q, support, active);
+    // The routing table (DESIGN.md §9), coverage rows.
+    let path = match (support, opts.strategy, &q.shape) {
+        (Uniform(_), ..) => BitsPath::PerInstance,
+        (Neighborhood(ups), Auto, Spj(s)) => BitsPath::Spj(s, ups, true),
+        (Neighborhood(ups), Auto, Agg(s)) => BitsPath::Agg(s, ups, true),
+        (Neighborhood(ups), NoBatching, Spj(s)) => BitsPath::Spj(s, ups, false),
+        (Neighborhood(ups), NoBatching, Agg(s)) => BitsPath::Agg(s, ups, false),
+        (Neighborhood(ups), NaiveReduced, Spj(_)) => BitsPath::Reduced(ups),
+        (Neighborhood(_), ..) => BitsPath::PerInstance,
+    };
+    let span = sweep_span(tel, path.label(), active);
+    let bits = meter_trips(
+        tel,
+        match path {
+            BitsPath::Spj(s, ups, batch) => {
+                optimized::spj_disagreements(db, s, ups, &visible, batch, opts)
+            }
+            BitsPath::Agg(s, ups, batch) => {
+                optimized::agg_disagreements(db, q, s, ups, &visible, batch, opts)
+            }
+            BitsPath::Reduced(ups) => {
+                naive::reduced_disagreements(db, q, ups, &visible, opts.budget)
+            }
+            BitsPath::PerInstance => per_instance(db, q, support, &visible, opts)
+                .map(|(base, fps)| fps.iter().map(|fp| *fp != base).collect()),
+        },
+    )?;
+    if tel.is_enabled() {
+        let found = bits.iter().filter(|&&b| b).count() as u64;
+        span.count("disagreements", found);
+        tel.counter_add("disagreements_found_total", found);
+    }
+    Ok(bits)
+}
+
+/// Computes, for every support instance, whether the bundle's output on it
+/// differs from the output on the stored database: the OR of the members'
+/// [`query_bits`], each evaluated only where no earlier member already
+/// disagreed.
+///
+/// `skip[i] = true` excludes instance `i` from evaluation (its bit stays
+/// `false`): history-aware pricing passes the already-charged bitmap here
+/// (Algorithm 3), which also makes repeat pricing *faster*, as §5.3
+/// observes.
+pub fn bundle_disagreements(
+    db: &mut Database,
+    bundle: &[&Prepared],
+    support: &SupportSet,
+    opts: &EngineOptions,
+    skip: Option<&[bool]>,
+) -> Result<Vec<bool>, EngineError> {
+    failpoint()?;
+    let n = support.len();
+    // active[i]: still needs evaluation for the remaining queries.
+    let mut active: Vec<bool> = match skip {
+        Some(s) if s.len() != n => {
+            return Err(EngineError::internal(format!(
+                "skip bitmap covers {} of {n} support instances",
+                s.len()
+            )));
+        }
+        Some(s) => s.iter().map(|&b| !b).collect(),
+        None => vec![true; n],
+    };
+    let mut disagree = vec![false; n];
+    for q in bundle {
+        let bits = query_bits(db, q, support, &active, opts)?;
+        for i in 0..n {
+            if bits[i] {
+                disagree[i] = true;
+                // A later bundle member cannot change the verdict.
+                active[i] = false;
+            }
+        }
+    }
+    Ok(disagree)
 }
 
 /// Obtains the query's delta state: from the pricing cache when one is
@@ -188,11 +411,9 @@ fn delta_applies(q: &Prepared, opts: &EngineOptions) -> bool {
 fn delta_state_for(
     db: &Database,
     q: &Prepared,
-    opts: &EngineOptions,
-    cache: Option<&mut PricingCache>,
+    tel: &Telemetry,
+    mut cache: Option<&mut PricingCache>,
 ) -> Result<Arc<DeltaState>, EngineError> {
-    let tel = &opts.telemetry;
-    let mut cache = cache;
     if let Some(c) = &mut cache {
         if let Some(state) = c.get_delta(q.plan_fp) {
             return Ok(state);
@@ -208,288 +429,92 @@ fn delta_state_for(
     Ok(state)
 }
 
-/// Folds one delta probe sweep's tallies into the metrics registry.
-fn record_probe_stats(tel: &Telemetry, stats: ProbeStats) {
-    if tel.is_enabled() {
-        tel.counter_add("delta_probes_total", stats.probes);
-        tel.counter_add("delta_short_circuits_total", stats.short_circuits);
-        tel.counter_add("delta_fallbacks_total", stats.fallbacks);
-    }
-}
-
-/// Computes, for every support instance, whether the bundle's output on it
-/// differs from the output on the stored database.
-///
-/// `skip[i] = true` excludes instance `i` from evaluation (its bit stays
-/// `false`): history-aware pricing passes the already-charged bitmap here
-/// (Algorithm 3), which also makes repeat pricing *faster*, as §5.3
-/// observes.
-///
-/// `db` is `&mut` because the naive and aggregate-fallback paths apply each
-/// update and roll it back; the database is unchanged on return.
-pub fn bundle_disagreements(
+/// The entropy primitive: `q`'s output fingerprint on every support
+/// instance (Algorithm 2's dictionary keys, per query). `cache`, when
+/// supplied, memoizes the incremental evaluator's per-plan state.
+pub fn query_fps(
     db: &mut Database,
-    bundle: &[&Prepared],
+    q: &Prepared,
     support: &SupportSet,
     opts: &EngineOptions,
-    skip: Option<&[bool]>,
-) -> Result<Vec<bool>, EngineError> {
-    bundle_disagreements_impl(db, bundle, support, opts, skip, None)
-}
-
-/// [`bundle_disagreements`] with an optional pricing cache for delta-state
-/// reuse across purchases (the cached entry points thread theirs through;
-/// the uncached public path builds per call).
-fn bundle_disagreements_impl(
-    db: &mut Database,
-    bundle: &[&Prepared],
-    support: &SupportSet,
-    opts: &EngineOptions,
-    skip: Option<&[bool]>,
-    mut cache: Option<&mut PricingCache>,
-) -> Result<Vec<bool>, EngineError> {
-    fault::check(fault::ENGINE_EXECUTE)
-        .map_err(|f| EngineError::Eval(format!("injected fault: {f}")))?;
-    let n = support.len();
-    if let Some(s) = skip {
-        assert_eq!(s.len(), n, "skip bitmap must cover the support set");
-    }
+    cache: Option<&mut PricingCache>,
+) -> Result<Vec<Fingerprint>, EngineError> {
+    use {Shape::*, Strategy::*, SupportSet::*};
+    failpoint()?;
     let tel = &opts.telemetry;
-    let mut disagree = vec![false; n];
-    // active[i]: still needs evaluation for the remaining queries.
-    let mut active: Vec<bool> = match skip {
-        Some(s) => s.iter().map(|&b| !b).collect(),
-        None => vec![true; n],
+    let active = vec![true; support.len()];
+    let visible = visibility(db, q, support, &active);
+    // The routing table (DESIGN.md §9), entropy rows. Delta probes skip
+    // whole executions, so under a budget — whose trips must fire exactly
+    // where per-instance execution trips — they do not apply.
+    let delta_updates = match (support, opts.strategy, &q.shape) {
+        (Uniform(_), ..) => None,
+        (Neighborhood(ups), Auto, Spj(_) | Agg(_)) if opts.budget.is_unlimited() => Some(ups),
+        (Neighborhood(_), ..) => None,
     };
-
-    for q in bundle {
-        let span = if tel.is_enabled() {
-            let s = tel.span_with(Stage::Disagreement, "coverage".into());
-            // Deterministic per-query work measure: instances still active
-            // going into this member — identical sequential vs parallel.
-            s.count("neighbors", active.iter().filter(|&&a| a).count() as u64);
-            s
-        } else {
-            tel.span(Stage::Disagreement)
-        };
-        let bits = meter_trips(
-            tel,
-            match support {
-                SupportSet::Uniform(worlds) => {
-                    let workers = opts.parallelism.workers(worlds.len());
-                    if workers > 1 {
-                        parallel::disagreements_uniform(
-                            db,
-                            q,
-                            worlds,
-                            &active,
-                            opts.budget,
-                            workers,
-                            tel,
-                        )
-                    } else {
-                        naive::disagreements_uniform(db, q, worlds, &active, opts.budget)
-                    }
-                }
-                SupportSet::Neighborhood(updates) => {
-                    let workers = opts.parallelism.workers(updates.len());
-                    let delta_bits = if delta_applies(q, opts) {
-                        let state = delta_state_for(db, q, opts, cache.as_deref_mut())?;
-                        if state.is_usable() {
-                            let probe_span = tel.span_with(Stage::DeltaProbe, "coverage".into());
-                            let (bits, stats) = delta::disagreements_nbrs(
-                                db, q, &state, updates, &active, workers, tel,
-                            )?;
-                            if tel.is_enabled() {
-                                probe_span.count("probes", stats.probes);
-                                probe_span.count("short_circuits", stats.short_circuits);
-                                probe_span.count("fallbacks", stats.fallbacks);
-                            }
-                            record_probe_stats(tel, stats);
-                            Some(Ok(bits))
-                        } else {
-                            None
-                        }
-                    } else {
-                        None
-                    };
-                    if let Some(bits) = delta_bits {
-                        bits
-                    } else if opts.optimize {
-                        match &q.shape {
-                            Shape::Spj(s) => {
-                                optimized::spj_disagreements(db, s, updates, &active, opts)
-                            }
-                            Shape::Agg(s) => {
-                                optimized::agg_disagreements(db, q, s, updates, &active, opts)
-                            }
-                            Shape::Opaque { .. } if workers > 1 => parallel::disagreements_nbrs(
-                                db,
-                                q,
-                                updates,
-                                &active,
-                                opts.budget,
-                                workers,
-                                tel,
-                            ),
-                            Shape::Opaque { .. } => {
-                                naive::disagreements_nbrs(db, q, updates, &active, opts.budget)
-                            }
-                        }
-                    } else if opts.reduce && matches!(q.shape, Shape::Spj(_)) {
-                        naive::reduced_disagreements(db, q, updates, &active, opts.budget)
-                    } else if workers > 1 {
-                        parallel::disagreements_nbrs(
-                            db,
-                            q,
-                            updates,
-                            &active,
-                            opts.budget,
-                            workers,
-                            tel,
-                        )
-                    } else {
-                        naive::disagreements_nbrs(db, q, updates, &active, opts.budget)
-                    }
-                }
-            },
-        )?;
-        let mut found = 0u64;
-        for i in 0..n {
-            if bits[i] {
-                disagree[i] = true;
-                // A later bundle member cannot change the verdict.
-                active[i] = false;
-                found += 1;
+    let label = match delta_updates {
+        Some(_) => "entropy/delta",
+        None => "entropy/per-instance",
+    };
+    let _span = sweep_span(tel, label, &active);
+    if let Some(updates) = delta_updates {
+        let state = delta_state_for(db, q, tel, cache)?;
+        // A declined build (failed self-check, unsupported detail) leaves
+        // the sweep to per-instance execution, like any other guard.
+        if state.is_usable() {
+            let probe_span = tel.span_with(Stage::DeltaProbe, "entropy".into());
+            let (fps, stats) = delta::query_fps_nbrs(db, q, &state, updates, &visible, opts)?;
+            if tel.is_enabled() {
+                probe_span.count("probes", stats.probes);
+                probe_span.count("short_circuits", stats.short_circuits);
+                probe_span.count("fallbacks", stats.fallbacks);
+                tel.counter_add("delta_probes_total", stats.probes);
+                tel.counter_add("delta_short_circuits_total", stats.short_circuits);
+                tel.counter_add("delta_fallbacks_total", stats.fallbacks);
             }
+            return Ok(fps);
         }
-        if tel.is_enabled() {
-            span.count("disagreements", found);
-            tel.counter_add("neighbors_evaluated_total", n as u64);
-            tel.counter_add("disagreements_found_total", found);
-        }
-        drop(span);
     }
-    Ok(disagree)
+    meter_trips(tel, per_instance(db, q, support, &visible, opts)).map(|(_, fps)| fps)
+}
+
+/// A bundle's partition from its members' per-query fingerprint vectors:
+/// per instance, the order-sensitive [`combine_bundle`] of the members'
+/// fingerprints there. `member` produces one query's vector (computed,
+/// memoized or peeked — the three callers differ only in that).
+pub(crate) fn fold_partition<E>(
+    bundle: &[&Prepared],
+    n: usize,
+    mut member: impl FnMut(&Prepared) -> Result<Arc<Vec<Fingerprint>>, E>,
+) -> Result<Vec<Fingerprint>, E> {
+    let mut per_query = Vec::with_capacity(bundle.len());
+    for q in bundle {
+        per_query.push(member(q)?);
+    }
+    let mut row = vec![Fingerprint(0); bundle.len()];
+    let mut out = Vec::with_capacity(n);
+    for i in 0..n {
+        for (slot, fps) in row.iter_mut().zip(&per_query) {
+            *slot = fps[i];
+        }
+        out.push(combine_bundle(&row));
+    }
+    Ok(out)
 }
 
 /// Computes the bundle output fingerprint on every support instance
-/// (Algorithm 2's dictionary keys). Skipped instances fingerprint as the
-/// base output.
-///
-/// Honors `opts.budget` on every execution and fans the per-instance
-/// executions out across `opts.parallelism` workers (fingerprints are
-/// identical for any worker count; see [`crate::parallel`]).
+/// (Algorithm 2's dictionary keys): the [`fold_partition`] of the members'
+/// [`query_fps`].
 pub fn bundle_partition(
     db: &mut Database,
     bundle: &[&Prepared],
     support: &SupportSet,
     opts: &EngineOptions,
 ) -> Result<Vec<Fingerprint>, EngineError> {
-    bundle_partition_impl(db, bundle, support, opts, None)
-}
-
-/// One query's per-neighbor output fingerprints, served by the delta
-/// evaluator when it applies and by full per-instance execution otherwise.
-fn query_fps_neighborhood(
-    db: &mut Database,
-    q: &Prepared,
-    updates: &[SupportUpdate],
-    opts: &EngineOptions,
-    cache: Option<&mut PricingCache>,
-) -> Result<Vec<Fingerprint>, EngineError> {
-    let tel = &opts.telemetry;
-    let workers = opts.parallelism.workers(updates.len());
-    if delta_applies(q, opts) {
-        let state = delta_state_for(db, q, opts, cache)?;
-        if state.is_usable() {
-            let probe_span = tel.span_with(Stage::DeltaProbe, "entropy".into());
-            let (fps, stats) = delta::query_fps_nbrs(db, q, &state, updates, workers, tel)?;
-            if tel.is_enabled() {
-                probe_span.count("probes", stats.probes);
-                probe_span.count("short_circuits", stats.short_circuits);
-                probe_span.count("fallbacks", stats.fallbacks);
-            }
-            record_probe_stats(tel, stats);
-            return Ok(fps);
-        }
-    }
-    meter_trips(
-        tel,
-        if workers > 1 {
-            parallel::query_fps_nbrs(db, q, updates, opts.budget, workers, tel)
-        } else {
-            naive::query_fps_nbrs(db, q, updates, opts.budget)
-        },
-    )
-}
-
-/// [`bundle_partition`] with an optional pricing cache for delta-state
-/// reuse.
-fn bundle_partition_impl(
-    db: &mut Database,
-    bundle: &[&Prepared],
-    support: &SupportSet,
-    opts: &EngineOptions,
-    mut cache: Option<&mut PricingCache>,
-) -> Result<Vec<Fingerprint>, EngineError> {
-    fault::check(fault::ENGINE_EXECUTE)
-        .map_err(|f| EngineError::Eval(format!("injected fault: {f}")))?;
-    let tel = &opts.telemetry;
-    let n = support.len();
-    let _span = if tel.is_enabled() {
-        let s = tel.span_with(Stage::Disagreement, "entropy".into());
-        s.count("neighbors", n as u64);
-        tel.counter_add("neighbors_evaluated_total", n as u64);
-        s
-    } else {
-        tel.span(Stage::Disagreement)
-    };
-    // Delta-eligible members price per query and fold with the same
-    // order-sensitive combiner the monolithic path applies per instance —
-    // bitwise identical by the combiner's definition (the differential
-    // suite pins this equivalence).
-    if let SupportSet::Neighborhood(updates) = support {
-        if bundle.iter().any(|q| delta_applies(q, opts)) {
-            let mut per_query = Vec::with_capacity(bundle.len());
-            for q in bundle {
-                per_query.push(query_fps_neighborhood(
-                    db,
-                    q,
-                    updates,
-                    opts,
-                    cache.as_deref_mut(),
-                )?);
-            }
-            let mut row = vec![Fingerprint(0); bundle.len()];
-            let mut out = Vec::with_capacity(n);
-            for i in 0..n {
-                for (slot, fps) in row.iter_mut().zip(&per_query) {
-                    *slot = fps[i];
-                }
-                out.push(combine_bundle(&row));
-            }
-            return Ok(out);
-        }
-    }
-    let workers = opts.parallelism.workers(n);
-    meter_trips(
-        tel,
-        match support {
-            SupportSet::Neighborhood(updates) if workers > 1 => {
-                parallel::partition_nbrs(db, bundle, updates, opts.budget, workers, tel)
-            }
-            SupportSet::Neighborhood(updates) => {
-                naive::partition_nbrs(db, bundle, updates, opts.budget)
-            }
-            SupportSet::Uniform(worlds) if workers > 1 => {
-                parallel::partition_uniform(bundle, worlds, opts.budget, workers, tel)
-            }
-            SupportSet::Uniform(worlds) => {
-                naive::partition_uniform(db, bundle, worlds, opts.budget)
-            }
-        },
-    )
+    failpoint()?;
+    fold_partition(bundle, support.len(), |q| {
+        query_fps(db, q, support, opts, None).map(Arc::new)
+    })
 }
 
 /// A single query's full (unmasked) disagreement bitmap, memoized in
@@ -517,14 +542,8 @@ pub fn query_disagreements_cached(
         }
         lookup.count("miss", 1);
     }
-    let bits = Arc::new(bundle_disagreements_impl(
-        db,
-        &[q],
-        support,
-        opts,
-        None,
-        Some(cache),
-    )?);
+    let active = vec![true; support.len()];
+    let bits = Arc::new(query_bits(db, q, support, &active, opts)?);
     cache.insert_bits(q.plan_fp, Arc::clone(&bits));
     Ok(bits)
 }
@@ -542,8 +561,7 @@ pub fn bundle_disagreements_cached(
     opts: &EngineOptions,
     cache: &mut PricingCache,
 ) -> Result<Vec<bool>, EngineError> {
-    fault::check(fault::ENGINE_EXECUTE)
-        .map_err(|f| EngineError::Eval(format!("injected fault: {f}")))?;
+    failpoint()?;
     let n = support.len();
     let mut disagree = vec![false; n];
     for q in bundle {
@@ -555,53 +573,8 @@ pub fn bundle_disagreements_cached(
     Ok(disagree)
 }
 
-/// A single query's per-instance output fingerprints (the entropy-family
-/// cache primitive), computed without memoization.
-pub fn query_partition(
-    db: &mut Database,
-    q: &Prepared,
-    support: &SupportSet,
-    opts: &EngineOptions,
-) -> Result<Vec<Fingerprint>, EngineError> {
-    query_partition_impl(db, q, support, opts, None)
-}
-
-/// [`query_partition`] with an optional pricing cache for delta-state
-/// reuse.
-fn query_partition_impl(
-    db: &mut Database,
-    q: &Prepared,
-    support: &SupportSet,
-    opts: &EngineOptions,
-    cache: Option<&mut PricingCache>,
-) -> Result<Vec<Fingerprint>, EngineError> {
-    fault::check(fault::ENGINE_EXECUTE)
-        .map_err(|f| EngineError::Eval(format!("injected fault: {f}")))?;
-    let tel = &opts.telemetry;
-    let n = support.len();
-    let _span = if tel.is_enabled() {
-        let s = tel.span_with(Stage::Disagreement, "entropy".into());
-        s.count("neighbors", n as u64);
-        tel.counter_add("neighbors_evaluated_total", n as u64);
-        s
-    } else {
-        tel.span(Stage::Disagreement)
-    };
-    let workers = opts.parallelism.workers(n);
-    match support {
-        SupportSet::Neighborhood(updates) => query_fps_neighborhood(db, q, updates, opts, cache),
-        SupportSet::Uniform(worlds) if workers > 1 => meter_trips(
-            tel,
-            parallel::query_fps_uniform(q, worlds, opts.budget, workers, tel),
-        ),
-        SupportSet::Uniform(worlds) => {
-            meter_trips(tel, naive::query_fps_uniform(q, worlds, opts.budget))
-        }
-    }
-}
-
-/// [`query_partition`], memoized in `cache` under the query's plan
-/// fingerprint.
+/// [`query_fps`], memoized in `cache` under the query's plan fingerprint
+/// (the entropy-family cache primitive).
 pub fn query_fingerprints_cached(
     db: &mut Database,
     q: &Prepared,
@@ -618,19 +591,16 @@ pub fn query_fingerprints_cached(
         }
         lookup.count("miss", 1);
     }
-    let fps = Arc::new(query_partition_impl(db, q, support, opts, Some(cache))?);
+    let fps = Arc::new(query_fps(db, q, support, opts, Some(cache))?);
     cache.insert_blocks(q.plan_fp, Arc::clone(&fps));
     Ok(fps)
 }
 
-/// Cache-aware [`bundle_partition`]: folds the members' memoized per-query
-/// fingerprint vectors instance-by-instance with [`combine_bundle`].
+/// Cache-aware [`bundle_partition`]: the [`fold_partition`] of the members'
+/// memoized per-query fingerprint vectors.
 ///
-/// Bitwise identical to the uncached path: on every instance each member's
-/// fingerprint is its own output fingerprint there (an update leaving a
-/// member's referenced tables untouched cannot change its output, so base
-/// reuse and execution agree), and the fold applies the same
-/// order-sensitive combiner to the same member order.
+/// Bitwise identical to the uncached path: the same fold over the same
+/// vectors, whether computed now or replayed from the memo.
 pub fn bundle_partition_cached(
     db: &mut Database,
     bundle: &[&Prepared],
@@ -638,22 +608,10 @@ pub fn bundle_partition_cached(
     opts: &EngineOptions,
     cache: &mut PricingCache,
 ) -> Result<Vec<Fingerprint>, EngineError> {
-    fault::check(fault::ENGINE_EXECUTE)
-        .map_err(|f| EngineError::Eval(format!("injected fault: {f}")))?;
-    let mut per_query = Vec::with_capacity(bundle.len());
-    for q in bundle {
-        per_query.push(query_fingerprints_cached(db, q, support, opts, cache)?);
-    }
-    let n = support.len();
-    let mut row = vec![Fingerprint(0); bundle.len()];
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        for (slot, fps) in row.iter_mut().zip(&per_query) {
-            *slot = fps[i];
-        }
-        out.push(combine_bundle(&row));
-    }
-    Ok(out)
+    failpoint()?;
+    fold_partition(bundle, support.len(), |q| {
+        query_fingerprints_cached(db, q, support, opts, cache)
+    })
 }
 
 #[cfg(test)]
@@ -661,7 +619,14 @@ mod tests {
     use super::*;
     use crate::normal_form::prepare_query;
     use crate::support::{generate_support, SupportConfig};
-    use qirana_sqlengine::{ColumnDef, DataType, TableSchema};
+    use qirana_sqlengine::{ColumnDef, DataType, TableSchema, Value};
+
+    const STRATEGIES: [Strategy; 4] = [
+        Strategy::Auto,
+        Strategy::NoBatching,
+        Strategy::Naive,
+        Strategy::NaiveReduced,
+    ];
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -685,22 +650,36 @@ mod tests {
         db
     }
 
-    /// The core cross-check: every engine configuration must produce the
-    /// same disagreement bits as the naive baseline.
-    #[test]
-    fn optimizer_matches_naive_on_bundle() {
-        let mut database = db();
-        let support = SupportSet::Neighborhood(generate_support(
-            &database,
+    fn support(db: &Database, size: usize) -> SupportSet {
+        SupportSet::Neighborhood(generate_support(
+            db,
             &SupportConfig {
-                size: 300,
+                size,
                 ..Default::default()
             },
-        ));
+        ))
+    }
+
+    fn with_strategy(strategy: Strategy) -> EngineOptions {
+        EngineOptions {
+            strategy,
+            ..Default::default()
+        }
+    }
+
+    /// The core cross-check: every strategy, sequential and parallel,
+    /// cached and uncached, must reproduce sequential uncached
+    /// `Strategy::Naive` bitwise for both primitives — SPJ, aggregate and
+    /// opaque members alike.
+    #[test]
+    fn every_strategy_matches_naive_bitwise() {
+        let mut database = db();
+        let support = support(&database, 300);
         let queries = [
             "select count(*) from User where gender = 'f'",
             "select gender from User where age > 18",
             "select gender, avg(age) from User group by gender",
+            "select distinct gender from User", // opaque: per-instance path
         ];
         let prepared: Vec<_> = queries
             .iter()
@@ -708,17 +687,103 @@ mod tests {
             .collect();
         let bundle: Vec<&Prepared> = prepared.iter().collect();
 
-        let naive = bundle_disagreements(
-            &mut database,
-            &bundle,
-            &support,
-            &EngineOptions::naive(),
-            None,
-        )
-        .unwrap();
-        for opts in [EngineOptions::default(), EngineOptions::no_batching()] {
-            let got = bundle_disagreements(&mut database, &bundle, &support, &opts, None).unwrap();
-            assert_eq!(got, naive, "mismatch under {opts:?}");
+        let naive = EngineOptions::naive();
+        let bits_ref =
+            bundle_disagreements(&mut database, &bundle, &support, &naive, None).unwrap();
+        let part_ref = bundle_partition(&mut database, &bundle, &support, &naive).unwrap();
+
+        for strategy in STRATEGIES {
+            for par in [Parallelism::Sequential, Parallelism::Threads(4)] {
+                let opts = with_strategy(strategy).with_parallelism(par);
+                let bits =
+                    bundle_disagreements(&mut database, &bundle, &support, &opts, None).unwrap();
+                assert_eq!(
+                    bits, bits_ref,
+                    "coverage mismatch under {strategy:?}/{par:?}"
+                );
+                let part = bundle_partition(&mut database, &bundle, &support, &opts).unwrap();
+                assert_eq!(
+                    part, part_ref,
+                    "entropy mismatch under {strategy:?}/{par:?}"
+                );
+
+                // Cold (all misses) and warm (all hits) must both agree.
+                let mut cache = PricingCache::new(64);
+                for round in 0..2 {
+                    let cached = bundle_disagreements_cached(
+                        &mut database,
+                        &bundle,
+                        &support,
+                        &opts,
+                        &mut cache,
+                    )
+                    .unwrap();
+                    assert_eq!(cached, bits_ref, "cached coverage, round {round}");
+                    let cached = bundle_partition_cached(
+                        &mut database,
+                        &bundle,
+                        &support,
+                        &opts,
+                        &mut cache,
+                    )
+                    .unwrap();
+                    assert_eq!(cached, part_ref, "cached entropy, round {round}");
+                }
+            }
+        }
+    }
+
+    /// Regression: the support set outlives seller updates, so a neighbor
+    /// can write back the stored value in some or all of its columns. The
+    /// §4 checks used to read the *declared* changed columns and charge
+    /// such neighbors.
+    #[test]
+    fn write_back_neighbors_agree_under_every_strategy() {
+        let mut database = Database::new();
+        database.add_table(
+            TableSchema::new(
+                "T",
+                vec![
+                    ColumnDef::new("id", DataType::Int),
+                    ColumnDef::new("grp", DataType::Str),
+                    ColumnDef::new("v", DataType::Int),
+                ],
+                &["id"],
+            ),
+            vec![
+                vec![0.into(), "a".into(), 99.into()],
+                vec![1.into(), "a".into(), 3.into()],
+            ],
+        );
+        let support = SupportSet::Neighborhood(vec![
+            // Full write-back: v[0] is already 99.
+            SupportUpdate::Row {
+                table: 0,
+                row: 0,
+                changes: vec![(2, Value::Int(99))],
+            },
+            // Partial write-back: grp[1] is already 'a', v really changes.
+            SupportUpdate::Row {
+                table: 0,
+                row: 1,
+                changes: vec![(1, "a".into()), (2, Value::Int(7))],
+            },
+        ]);
+        for sql in [
+            "select v from T",
+            "select grp, sum(v) from T group by grp",
+            "select distinct v from T",
+        ] {
+            let q = prepare_query(&database, sql).unwrap();
+            let base = bag_fp(execute(&q.plan, &ExecContext::new(&database)).unwrap());
+            for strategy in STRATEGIES {
+                let opts = with_strategy(strategy);
+                let bits = bundle_disagreements(&mut database, &[&q], &support, &opts, None);
+                assert_eq!(bits.unwrap(), [false, true], "{sql} under {strategy:?}");
+                let fps = query_fps(&mut database, &q, &support, &opts, None).unwrap();
+                assert_eq!(fps[0], base, "{sql} under {strategy:?}");
+                assert_ne!(fps[1], base, "{sql} under {strategy:?}");
+            }
         }
     }
 
@@ -726,36 +791,20 @@ mod tests {
     fn database_unchanged_after_pricing() {
         let mut database = db();
         let before = database.table("User").unwrap().rows.clone();
-        let support = SupportSet::Neighborhood(generate_support(
-            &database,
-            &SupportConfig {
-                size: 100,
-                ..Default::default()
-            },
-        ));
+        let support = support(&database, 100);
         let q = prepare_query(&database, "select avg(age) from User").unwrap();
-        bundle_disagreements(
-            &mut database,
-            &[&q],
-            &support,
-            &EngineOptions::default(),
-            None,
-        )
-        .unwrap();
-        bundle_partition(&mut database, &[&q], &support, &EngineOptions::default()).unwrap();
-        assert_eq!(database.table("User").unwrap().rows, before);
+        for strategy in STRATEGIES {
+            let opts = with_strategy(strategy);
+            bundle_disagreements(&mut database, &[&q], &support, &opts, None).unwrap();
+            bundle_partition(&mut database, &[&q], &support, &opts).unwrap();
+            assert_eq!(database.table("User").unwrap().rows, before);
+        }
     }
 
     #[test]
     fn skip_suppresses_evaluation() {
         let mut database = db();
-        let support = SupportSet::Neighborhood(generate_support(
-            &database,
-            &SupportConfig {
-                size: 50,
-                ..Default::default()
-            },
-        ));
+        let support = support(&database, 50);
         let q = prepare_query(&database, "select * from User").unwrap();
         let skip = vec![true; 50];
         let bits = bundle_disagreements(
@@ -769,16 +818,28 @@ mod tests {
         assert!(bits.iter().all(|&b| !b), "all skipped → all false");
     }
 
+    /// Regression: a skip bitmap of the wrong length used to `assert_eq!`
+    /// — a panic in library code reachable from `POST /v1/buy`.
+    #[test]
+    fn short_skip_bitmap_is_a_typed_error() {
+        let mut database = db();
+        let support = support(&database, 50);
+        let q = prepare_query(&database, "select * from User").unwrap();
+        let err = bundle_disagreements(
+            &mut database,
+            &[&q],
+            &support,
+            &EngineOptions::default(),
+            Some(&[true; 49]),
+        )
+        .unwrap_err();
+        assert!(matches!(err, EngineError::Internal(_)), "got {err:?}");
+    }
+
     #[test]
     fn full_dataset_query_disagrees_everywhere() {
         let mut database = db();
-        let support = SupportSet::Neighborhood(generate_support(
-            &database,
-            &SupportConfig {
-                size: 200,
-                ..Default::default()
-            },
-        ));
+        let support = support(&database, 200);
         let q = prepare_query(&database, "select * from User").unwrap();
         let bits = bundle_disagreements(
             &mut database,
@@ -808,13 +869,7 @@ mod tests {
             ),
             vec![vec![1.into(), 2.into()]],
         );
-        let support = SupportSet::Neighborhood(generate_support(
-            &database,
-            &SupportConfig {
-                size: 100,
-                ..Default::default()
-            },
-        ));
+        let support = support(&database, 100);
         let q = prepare_query(&database, "select 1 from Other where v = 2").unwrap();
         let bits = bundle_disagreements(
             &mut database,
@@ -837,15 +892,9 @@ mod tests {
     }
 
     #[test]
-    fn cached_paths_match_uncached_bitwise() {
+    fn cached_paths_count_one_miss_per_query_and_family() {
         let mut database = db();
-        let support = SupportSet::Neighborhood(generate_support(
-            &database,
-            &SupportConfig {
-                size: 250,
-                ..Default::default()
-            },
-        ));
+        let support = support(&database, 250);
         let queries = [
             "select count(*) from User where gender = 'f'",
             "select gender from User where age > 18",
@@ -858,110 +907,57 @@ mod tests {
         let bundle: Vec<&Prepared> = prepared.iter().collect();
         let opts = EngineOptions::default();
         let mut cache = PricingCache::new(64);
-
-        let bits = bundle_disagreements(&mut database, &bundle, &support, &opts, None).unwrap();
-        // Cold (all misses) and warm (all hits) must both agree bitwise.
-        for round in 0..2 {
-            let cached =
-                bundle_disagreements_cached(&mut database, &bundle, &support, &opts, &mut cache)
-                    .unwrap();
-            assert_eq!(cached, bits, "round {round}");
-        }
-        let part = bundle_partition(&mut database, &bundle, &support, &opts).unwrap();
-        for round in 0..2 {
-            let cached =
-                bundle_partition_cached(&mut database, &bundle, &support, &opts, &mut cache)
-                    .unwrap();
-            assert_eq!(cached, part, "round {round}");
+        for _ in 0..2 {
+            bundle_disagreements_cached(&mut database, &bundle, &support, &opts, &mut cache)
+                .unwrap();
+            bundle_partition_cached(&mut database, &bundle, &support, &opts, &mut cache).unwrap();
         }
         let s = cache.stats();
         assert_eq!(s.misses, 6, "3 bitmap + 3 blocks cold misses");
         assert_eq!(s.hits, 6, "warm rounds are pure hits");
     }
 
-    /// The delta evaluator is a pure accelerator: both families must be
-    /// bitwise identical with it on or off, sequentially and in parallel,
-    /// cached and uncached.
-    #[test]
-    fn delta_paths_match_full_bitwise() {
-        let mut database = db();
-        let support = SupportSet::Neighborhood(generate_support(
-            &database,
-            &SupportConfig {
-                size: 250,
-                ..Default::default()
-            },
-        ));
-        let queries = [
-            "select count(*) from User where gender = 'f'",
-            "select gender from User where age > 18",
-            "select gender, avg(age) from User group by gender",
-            "select distinct gender from User", // opaque: per-neighbor fallback path
-        ];
-        let prepared: Vec<_> = queries
-            .iter()
-            .map(|q| prepare_query(&database, q).unwrap())
-            .collect();
-        let bundle: Vec<&Prepared> = prepared.iter().collect();
-
-        let off = EngineOptions::default().with_delta(false);
-        let bits_full = bundle_disagreements(&mut database, &bundle, &support, &off, None).unwrap();
-        let part_full = bundle_partition(&mut database, &bundle, &support, &off).unwrap();
-
-        for par in [Parallelism::Sequential, Parallelism::Threads(4)] {
-            let on = EngineOptions::default().with_parallelism(par);
-            let bits = bundle_disagreements(&mut database, &bundle, &support, &on, None).unwrap();
-            assert_eq!(bits, bits_full, "coverage mismatch under {par:?}");
-            let part = bundle_partition(&mut database, &bundle, &support, &on).unwrap();
-            assert_eq!(part, part_full, "entropy mismatch under {par:?}");
-
-            let mut cache = PricingCache::new(64);
-            for round in 0..2 {
-                let cached =
-                    bundle_disagreements_cached(&mut database, &bundle, &support, &on, &mut cache)
-                        .unwrap();
-                assert_eq!(cached, bits_full, "cached coverage, round {round}");
-                let cached =
-                    bundle_partition_cached(&mut database, &bundle, &support, &on, &mut cache)
-                        .unwrap();
-                assert_eq!(cached, part_full, "cached entropy, round {round}");
-            }
-        }
-    }
-
-    /// The delta telemetry counters move, and cached delta states are
-    /// built once per plan rather than once per purchase.
+    /// The delta telemetry counters move on the entropy side only, and a
+    /// memoized delta state is reused instead of rebuilt.
     #[test]
     fn delta_counters_and_cached_builds() {
         let mut database = db();
-        let support = SupportSet::Neighborhood(generate_support(
-            &database,
-            &SupportConfig {
-                size: 120,
-                ..Default::default()
-            },
-        ));
+        let support = support(&database, 120);
         let q = prepare_query(&database, "select gender from User where age > 18").unwrap();
         let opts = EngineOptions::default().with_telemetry(Telemetry::enabled());
-        let mut cache = PricingCache::new(16);
-        for _ in 0..3 {
-            query_disagreements_cached(&mut database, &q, &support, &opts, &mut cache).unwrap();
-        }
         let sink = opts.telemetry.sink().map(Arc::clone).unwrap();
+        let mut cache = PricingCache::new(16);
+
+        query_disagreements_cached(&mut database, &q, &support, &opts, &mut cache).unwrap();
         assert_eq!(
             sink.counter("delta_builds_total"),
-            1,
-            "state reused from the cache after the first build"
+            0,
+            "coverage never builds"
         );
+        assert_eq!(
+            sink.counter("delta_probes_total"),
+            0,
+            "coverage never probes"
+        );
+
+        for _ in 0..3 {
+            query_fingerprints_cached(&mut database, &q, &support, &opts, &mut cache).unwrap();
+        }
+        assert_eq!(sink.counter("delta_builds_total"), 1);
         assert_eq!(sink.counter("delta_probes_total"), 120);
         assert!(
             sink.counter("delta_short_circuits_total") + sink.counter("delta_fallbacks_total")
                 <= sink.counter("delta_probes_total")
         );
-        // The delta artifact is counter-quiet: the three rounds above are
-        // 1 bitmap miss + 2 bitmap hits, exactly as without delta.
+        // The delta artifact is counter-quiet: 1 bitmap miss, then 1 blocks
+        // miss + 2 blocks hits, exactly as without delta.
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (2, 1));
+        assert_eq!((s.hits, s.misses), (2, 2));
+
+        // An uncached sweep finds the memoized state instead of rebuilding.
+        query_fps(&mut database, &q, &support, &opts, Some(&mut cache)).unwrap();
+        assert_eq!(sink.counter("delta_builds_total"), 1, "state reused");
+        assert_eq!(sink.counter("delta_probes_total"), 240);
     }
 
     #[test]

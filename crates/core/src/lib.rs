@@ -15,10 +15,24 @@
 //! databases represented as row/swap updates ([`support`]), weights them
 //! ([`weights`] — uniformly, or by entropy maximization honoring seller
 //! price points), and prices with one of four arbitrage-free functions
-//! ([`pricing`]). Disagreement checks are accelerated by static analysis
-//! and batched view-maintenance-style probes ([`optimized`], §4 of the
-//! paper), and per-buyer history makes repeated information free
+//! ([`pricing`]). Per-buyer history makes repeated information free
 //! ([`broker`], §3.5).
+//!
+//! ## One sweep, routed by what it can observe
+//!
+//! Every price comes from a *sweep*: per support instance, does the
+//! query's output change ([`engine::query_bits`], coverage family) or what
+//! does it become ([`engine::query_fps`], entropy family). [`engine`] is
+//! the one place an evaluation path is chosen, from the support kind, the
+//! plan's [`normal_form::Shape`], the primitive and whether a budget is
+//! set — never from a user-set switch: the paper's batched static/dynamic
+//! checks ([`optimized`], §4) for coverage sweeps over SPJ/aggregate
+//! plans, the incremental evaluator ([`delta`]) for entropy sweeps over
+//! them, per-instance execution ([`naive`]) everywhere else. One
+//! update-visibility test sits in front of every path, and every
+//! per-instance loop runs through one fan-out helper ([`parallel`]).
+//! [`Strategy`] pins a path for the paper's ablation and for the
+//! differential tests, which hold all of them bitwise equal.
 //!
 //! ## Quick start
 //!
@@ -83,7 +97,7 @@ pub use delta::DeltaState;
 pub use determinacy::{determines, Determinacy};
 pub use engine::{
     bundle_disagreements, bundle_disagreements_cached, bundle_partition, bundle_partition_cached,
-    EngineOptions,
+    EngineOptions, Strategy,
 };
 pub use ledger::{FsyncPolicy, Ledger, LedgerConfig, LedgerError, LedgerEvent, SnapshotState};
 pub use normal_form::{prepare_query, Prepared, Shape};

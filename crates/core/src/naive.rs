@@ -1,187 +1,65 @@
-//! Naive pricing evaluation: run the query on every support instance
+//! Per-instance evaluation: run the query on each support instance
 //! (Algorithms 1 and 2 verbatim), plus Appendix A's *instance reduction*
 //! optimization of that baseline.
+//!
+//! This is the reference every other evaluation path is held bitwise equal
+//! to, and the path [`crate::engine`] routes to whenever no faster one
+//! applies (uniform supports, opaque shapes, budget-limited entropy
+//! sweeps). The loops are written once against [`fan_out`], which runs
+//! them inline or on a worker pool.
 
-use crate::engine::{bag_fp, combine_bundle};
+use crate::engine::{bag_fp, EngineOptions, Visible};
 use crate::normal_form::{Prepared, Shape};
+use crate::parallel::fan_out;
 use crate::update::SupportUpdate;
 use qirana_sqlengine::update::apply_writes;
-use qirana_sqlengine::{execute, Database, EngineError, ExecBudget, ExecContext, Fingerprint, Row};
+use qirana_sqlengine::{
+    execute, Database, EngineError, ExecBudget, ExecContext, Fingerprint, ResolvedSelect, Row,
+};
 use std::collections::{BTreeMap, HashMap};
 
-/// Per-update naive disagreement bits over a neighborhood support set.
-///
-/// Every query execution — the base run and each per-instance re-run —
-/// happens under `budget`; a trip surfaces as
-/// [`EngineError::BudgetExceeded`] with the database already rolled back.
-pub fn disagreements_nbrs(
+/// The plan's output fingerprint on the neighbor `up` makes of `db`: apply
+/// the update, execute under `budget`, roll it back. A budget trip surfaces
+/// as [`EngineError::BudgetExceeded`] with the database already rolled back.
+pub(crate) fn neighbor_fp(
     db: &mut Database,
-    q: &Prepared,
-    updates: &[SupportUpdate],
-    active: &[bool],
-    budget: ExecBudget,
-) -> Result<Vec<bool>, EngineError> {
-    let refs = q.referenced_tables();
-    let base = bag_fp(execute(&q.plan, &ExecContext::new(db).with_budget(budget))?);
-    let mut bits = vec![false; updates.len()];
-    for (i, up) in updates.iter().enumerate() {
-        if !active[i] || !refs.contains(&up.table()) {
-            continue;
-        }
-        let undo = up.apply(db);
-        let fp = execute(&q.plan, &ExecContext::new(db).with_budget(budget)).map(bag_fp);
-        apply_writes(db, &undo);
-        bits[i] = fp? != base;
-    }
-    Ok(bits)
-}
-
-/// Naive disagreement bits over a uniform support set (whole databases).
-pub fn disagreements_uniform(
-    db: &Database,
-    q: &Prepared,
-    worlds: &[Database],
-    active: &[bool],
-    budget: ExecBudget,
-) -> Result<Vec<bool>, EngineError> {
-    let base = bag_fp(execute(&q.plan, &ExecContext::new(db).with_budget(budget))?);
-    let mut bits = vec![false; worlds.len()];
-    for (i, world) in worlds.iter().enumerate() {
-        if !active[i] {
-            continue;
-        }
-        let fp = bag_fp(execute(
-            &q.plan,
-            &ExecContext::new(world).with_budget(budget),
-        )?);
-        bits[i] = fp != base;
-    }
-    Ok(bits)
-}
-
-/// Bundle output fingerprints per neighborhood instance (Algorithm 2's
-/// dictionary keys).
-///
-/// An update touching a relation the bundle never references cannot change
-/// any member's output, so its instance fingerprints as the base — computed
-/// once and reused instead of re-executing the bundle (mirroring the
-/// unreferenced-relation short-circuit in [`disagreements_nbrs`]).
-pub fn partition_nbrs(
-    db: &mut Database,
-    bundle: &[&Prepared],
-    updates: &[SupportUpdate],
-    budget: ExecBudget,
-) -> Result<Vec<Fingerprint>, EngineError> {
-    let refs = bundle_refs(bundle);
-    let mut base: Option<Fingerprint> = None;
-    let mut out = Vec::with_capacity(updates.len());
-    for up in updates {
-        if !refs.contains(&up.table()) {
-            let fp = match base {
-                Some(fp) => fp,
-                None => {
-                    let fp = bundle_fps(db, bundle, budget)?;
-                    base = Some(fp);
-                    fp
-                }
-            };
-            out.push(fp);
-            continue;
-        }
-        let undo = up.apply(db);
-        let fps = bundle_fps(db, bundle, budget);
-        apply_writes(db, &undo);
-        out.push(fps?);
-    }
-    Ok(out)
-}
-
-/// Union of the relations referenced by any bundle member.
-pub(crate) fn bundle_refs(bundle: &[&Prepared]) -> std::collections::HashSet<usize> {
-    bundle.iter().flat_map(|q| q.referenced_tables()).collect()
-}
-
-/// A single query's output fingerprint per neighborhood instance — the
-/// memoizable building block of [`partition_nbrs`]: folding the per-query
-/// vectors of a bundle's members instance-by-instance with
-/// [`combine_bundle`] reproduces the bundle fingerprints bitwise, because
-/// an update that leaves a member's referenced tables untouched cannot
-/// change that member's output (its fingerprint *is* the base, whether
-/// short-circuited or executed).
-pub fn query_fps_nbrs(
-    db: &mut Database,
-    q: &Prepared,
-    updates: &[SupportUpdate],
-    budget: ExecBudget,
-) -> Result<Vec<Fingerprint>, EngineError> {
-    let refs = q.referenced_tables();
-    let base = bag_fp(execute(&q.plan, &ExecContext::new(db).with_budget(budget))?);
-    let mut out = Vec::with_capacity(updates.len());
-    for up in updates {
-        if !refs.contains(&up.table()) {
-            out.push(base);
-            continue;
-        }
-        let undo = up.apply(db);
-        let fp = execute(&q.plan, &ExecContext::new(db).with_budget(budget)).map(bag_fp);
-        apply_writes(db, &undo);
-        out.push(fp?);
-    }
-    Ok(out)
-}
-
-/// A single query's output fingerprint per uniform world (the per-query
-/// counterpart of [`partition_uniform`]).
-pub fn query_fps_uniform(
-    q: &Prepared,
-    worlds: &[Database],
-    budget: ExecBudget,
-) -> Result<Vec<Fingerprint>, EngineError> {
-    worlds
-        .iter()
-        .map(|w| {
-            Ok(bag_fp(execute(
-                &q.plan,
-                &ExecContext::new(w).with_budget(budget),
-            )?))
-        })
-        .collect()
-}
-
-/// Bundle output fingerprints per uniform instance.
-pub fn partition_uniform(
-    _db: &Database,
-    bundle: &[&Prepared],
-    worlds: &[Database],
-    budget: ExecBudget,
-) -> Result<Vec<Fingerprint>, EngineError> {
-    worlds
-        .iter()
-        .map(|w| bundle_fps_ref(w, bundle, budget))
-        .collect()
-}
-
-fn bundle_fps(
-    db: &Database,
-    bundle: &[&Prepared],
+    plan: &ResolvedSelect,
+    up: &SupportUpdate,
     budget: ExecBudget,
 ) -> Result<Fingerprint, EngineError> {
-    bundle_fps_ref(db, bundle, budget)
+    let undo = up.apply(db);
+    let fp = execute(plan, &ExecContext::new(db).with_budget(budget)).map(bag_fp);
+    apply_writes(db, &undo);
+    fp
 }
 
-fn bundle_fps_ref(
-    db: &Database,
-    bundle: &[&Prepared],
-    budget: ExecBudget,
-) -> Result<Fingerprint, EngineError> {
-    let mut fps = Vec::with_capacity(bundle.len());
-    for q in bundle {
-        fps.push(bag_fp(execute(
-            &q.plan,
-            &ExecContext::new(db).with_budget(budget),
-        )?));
-    }
-    Ok(combine_bundle(&fps))
+/// [`neighbor_fp`] on each neighbor `updates[idxs[j]]`, under `opts.budget`.
+pub(crate) fn neighbor_fps(
+    db: &mut Database,
+    plan: &ResolvedSelect,
+    updates: &[SupportUpdate],
+    idxs: &[usize],
+    opts: &EngineOptions,
+) -> Result<Vec<Fingerprint>, EngineError> {
+    let tel = &opts.telemetry;
+    fan_out(db, idxs.len(), opts.parallelism, tel, |local, j| {
+        neighbor_fp(local, plan, &updates[idxs[j]], opts.budget)
+    })
+}
+
+/// The plan's output fingerprint on each uniform world `worlds[idxs[j]]`.
+/// The worlds are read-only, so pool workers share them by reference.
+pub(crate) fn world_fps(
+    plan: &ResolvedSelect,
+    worlds: &[Database],
+    idxs: &[usize],
+    opts: &EngineOptions,
+) -> Result<Vec<Fingerprint>, EngineError> {
+    let tel = &opts.telemetry;
+    fan_out(&mut (), idxs.len(), opts.parallelism, tel, |_, j| {
+        let ctx = ExecContext::new(&worlds[idxs[j]]).with_budget(opts.budget);
+        Ok(bag_fp(execute(plan, &ctx)?))
+    })
 }
 
 /// Instance reduction (Appendix A, Lemma A.3): for an SPJ query, the
@@ -195,30 +73,26 @@ pub fn reduced_disagreements(
     db: &Database,
     q: &Prepared,
     updates: &[SupportUpdate],
-    active: &[bool],
+    visible: &[Visible],
     budget: ExecBudget,
 ) -> Result<Vec<bool>, EngineError> {
     // Callers route non-SPJ shapes through the full-execution path;
     // reaching here with one is a caller bug — but a routing bug must
     // degrade to a typed error the broker can fall back from (priced
     // slower via full execution), never a crash mid-purchase.
-    let Shape::Spj(shape) = &q.shape else {
+    let Shape::Spj(_) = &q.shape else {
         return Err(EngineError::Eval(
             "instance reduction requires an SPJ shape".into(),
         ));
     };
     let mut bits = vec![false; updates.len()];
 
-    // Group updates by touched relation (ignoring relations not in the
-    // query, which trivially agree).
+    // Group the visible updates by touched relation (the rest agree).
     // BTreeMap: iterated below; process relations in table order so
     // the probe sequence (and any budget cutoff) is deterministic.
     let mut by_rel: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     for (i, up) in updates.iter().enumerate() {
-        if !active[i] {
-            continue;
-        }
-        if shape.relations.iter().any(|r| r.table == up.table()) {
+        if visible[i].is_some() {
             by_rel.entry(up.table()).or_default().push(i);
         }
     }
@@ -295,8 +169,11 @@ pub fn reduced_disagreements(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{
+        bundle_disagreements, bundle_partition, combine_bundle, query_fps, Strategy,
+    };
     use crate::normal_form::prepare_query;
-    use crate::support::{generate_support, generate_uniform_worlds, SupportConfig};
+    use crate::support::{generate_support, generate_uniform_worlds, SupportConfig, SupportSet};
     use qirana_sqlengine::{ColumnDef, DataType, TableSchema};
 
     fn db() -> Database {
@@ -324,29 +201,62 @@ mod tests {
         db
     }
 
+    /// `db()` plus an unrelated table `U(id, w)`.
+    fn db_with_u() -> Database {
+        let mut database = db();
+        database.add_table(
+            TableSchema::new(
+                "U",
+                vec![
+                    ColumnDef::new("id", DataType::Int),
+                    ColumnDef::new("w", DataType::Int),
+                ],
+                &["id"],
+            ),
+            (0..10i64)
+                .map(|i| vec![i.into(), (i * 7).into()])
+                .collect::<Vec<_>>(),
+        );
+        database
+    }
+
+    fn support(db: &Database, size: usize) -> SupportSet {
+        SupportSet::Neighborhood(generate_support(
+            db,
+            &SupportConfig {
+                size,
+                ..Default::default()
+            },
+        ))
+    }
+
+    fn reduced() -> EngineOptions {
+        EngineOptions {
+            strategy: Strategy::NaiveReduced,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn reduction_matches_plain_naive() {
         let mut database = db();
-        let updates = generate_support(
-            &database,
-            &SupportConfig {
-                size: 200,
-                ..Default::default()
-            },
-        );
-        let active = vec![true; updates.len()];
+        let support = support(&database, 200);
         for sql in [
             "select v from T where grp = 'a'",
             "select id, grp from T where v > 12",
             "select * from T",
         ] {
             let q = prepare_query(&database, sql).unwrap();
-            let plain =
-                disagreements_nbrs(&mut database, &q, &updates, &active, ExecBudget::UNLIMITED)
-                    .unwrap();
+            let plain = bundle_disagreements(
+                &mut database,
+                &[&q],
+                &support,
+                &EngineOptions::naive(),
+                None,
+            )
+            .unwrap();
             let reduced =
-                reduced_disagreements(&database, &q, &updates, &active, ExecBudget::UNLIMITED)
-                    .unwrap();
+                bundle_disagreements(&mut database, &[&q], &support, &reduced(), None).unwrap();
             assert_eq!(plain, reduced, "reduction changed verdicts for {sql}");
         }
     }
@@ -354,36 +264,33 @@ mod tests {
     #[test]
     fn reduction_on_non_spj_shape_is_a_typed_error() {
         // Routing an aggregate (non-SPJ) query here used to panic; it must
-        // now surface as a recoverable EngineError so callers can fall back
-        // to full execution.
+        // surface as a recoverable EngineError instead.
         let mut database = db();
-        let updates = generate_support(
-            &database,
-            &SupportConfig {
-                size: 10,
-                ..Default::default()
-            },
-        );
-        let active = vec![true; updates.len()];
+        let support = support(&database, 10);
+        let SupportSet::Neighborhood(updates) = &support else {
+            unreachable!()
+        };
+        let visible = vec![Some(Vec::new()); updates.len()];
         let q = prepare_query(&database, "select grp, sum(v) from T group by grp").unwrap();
-        let err = reduced_disagreements(&database, &q, &updates, &active, ExecBudget::UNLIMITED)
+        let err = reduced_disagreements(&database, &q, updates, &visible, ExecBudget::UNLIMITED)
             .unwrap_err();
         assert!(matches!(err, EngineError::Eval(_)), "got {err:?}");
-        // The same query still prices through the full-execution path.
-        disagreements_nbrs(&mut database, &q, &updates, &active, ExecBudget::UNLIMITED).unwrap();
+        // The engine never routes it there: under `NaiveReduced` the same
+        // query prices through per-instance execution.
+        bundle_disagreements(&mut database, &[&q], &support, &reduced(), None).unwrap();
     }
 
     #[test]
     fn uniform_worlds_mostly_disagree_on_touching_queries() {
-        let database = db();
-        let worlds = generate_uniform_worlds(&database, 20, 3);
+        let mut database = db();
+        let support = SupportSet::Uniform(generate_uniform_worlds(&database, 20, 3));
         let q = prepare_query(&database, "select grp, v from T").unwrap();
-        let bits = disagreements_uniform(
-            &database,
-            &q,
-            &worlds,
-            &vec![true; worlds.len()],
-            ExecBudget::UNLIMITED,
+        let bits = bundle_disagreements(
+            &mut database,
+            &[&q],
+            &support,
+            &EngineOptions::naive(),
+            None,
         )
         .unwrap();
         let frac = bits.iter().filter(|&&b| b).count() as f64 / bits.len() as f64;
@@ -394,107 +301,62 @@ mod tests {
     }
 
     #[test]
-    fn partition_skips_unreferenced_tables() {
-        // A bundle over T only; updates touch both T and an unrelated
-        // table U. Unreferenced-table instances must fingerprint exactly
-        // as the brute-force apply-execute-undo loop says (the base).
-        let mut database = db();
-        database.add_table(
-            TableSchema::new(
-                "U",
-                vec![
-                    ColumnDef::new("id", DataType::Int),
-                    ColumnDef::new("w", DataType::Int),
-                ],
-                &["id"],
-            ),
-            (0..10i64)
-                .map(|i| vec![i.into(), (i * 7).into()])
-                .collect::<Vec<_>>(),
-        );
-        let updates = generate_support(
-            &database,
-            &SupportConfig {
-                size: 120,
-                ..Default::default()
-            },
-        );
+    fn invisible_updates_fingerprint_as_brute_force_says() {
+        // A query over T only; updates touch both T and an unrelated
+        // table U. Instances the sweep never executes must fingerprint
+        // exactly as the brute-force apply-execute-undo loop says (the
+        // base).
+        let mut database = db_with_u();
+        let support = support(&database, 120);
+        let SupportSet::Neighborhood(updates) = &support else {
+            unreachable!()
+        };
         assert!(
             updates.iter().any(|u| u.table() == 1),
             "support must touch U for this test to bite"
         );
         let q = prepare_query(&database, "select grp, v from T where v > 9").unwrap();
-        let fast = partition_nbrs(&mut database, &[&q], &updates, ExecBudget::UNLIMITED).unwrap();
-        // Brute force: always apply and re-execute.
-        let mut brute = Vec::with_capacity(updates.len());
-        for up in &updates {
-            let undo = up.apply(&mut database);
-            let fp = bundle_fps(&database, &[&q], ExecBudget::UNLIMITED);
-            apply_writes(&mut database, &undo);
-            brute.push(fp.unwrap());
-        }
+        let fast = query_fps(&mut database, &q, &support, &EngineOptions::naive(), None).unwrap();
+        let every: Vec<usize> = (0..updates.len()).collect();
+        let brute = neighbor_fps(
+            &mut database,
+            &q.plan,
+            updates,
+            &every,
+            &EngineOptions::naive(),
+        )
+        .unwrap();
         assert_eq!(fast, brute, "skip path changed partition fingerprints");
     }
 
     #[test]
-    fn per_query_fps_fold_to_bundle_partition() {
-        // The cache's reconstruction identity: folding per-query fingerprint
-        // vectors instance-by-instance must equal the monolithic bundle
-        // partition bitwise — including instances whose update touches a
-        // table only one member (or no member) references.
-        let mut database = db();
-        database.add_table(
-            TableSchema::new(
-                "U",
-                vec![
-                    ColumnDef::new("id", DataType::Int),
-                    ColumnDef::new("w", DataType::Int),
-                ],
-                &["id"],
-            ),
-            (0..10i64)
-                .map(|i| vec![i.into(), (i * 7).into()])
-                .collect::<Vec<_>>(),
-        );
-        let updates = generate_support(
-            &database,
-            &SupportConfig {
-                size: 150,
-                ..Default::default()
-            },
-        );
+    fn bundle_partition_is_the_fold_of_per_query_fps() {
+        // A bundle's partition is *defined* as the per-instance fold of its
+        // members' fingerprint vectors — including instances whose update
+        // touches a table only one member (or no member) references.
+        let mut database = db_with_u();
+        let support = support(&database, 150);
         let q1 = prepare_query(&database, "select count(*) from T where v > 30").unwrap();
         let q2 = prepare_query(&database, "select w from U where w > 14").unwrap();
-        let bundle = [&q1, &q2];
-        let whole =
-            partition_nbrs(&mut database, &bundle, &updates, ExecBudget::UNLIMITED).unwrap();
-        let f1 = query_fps_nbrs(&mut database, &q1, &updates, ExecBudget::UNLIMITED).unwrap();
-        let f2 = query_fps_nbrs(&mut database, &q2, &updates, ExecBudget::UNLIMITED).unwrap();
-        let folded: Vec<Fingerprint> = (0..updates.len())
+        let opts = EngineOptions::naive();
+        let whole = bundle_partition(&mut database, &[&q1, &q2], &support, &opts).unwrap();
+        let f1 = query_fps(&mut database, &q1, &support, &opts, None).unwrap();
+        let f2 = query_fps(&mut database, &q2, &support, &opts, None).unwrap();
+        let folded: Vec<Fingerprint> = (0..support.len())
             .map(|i| combine_bundle(&[f1[i], f2[i]]))
             .collect();
-        assert_eq!(whole, folded, "per-query fold diverged from bundle path");
+        assert_eq!(whole, folded, "bundle partition diverged from the fold");
     }
 
     #[test]
     fn partition_refines_disagreements() {
         let mut database = db();
-        let updates = generate_support(
-            &database,
-            &SupportConfig {
-                size: 100,
-                ..Default::default()
-            },
-        );
+        let support = support(&database, 100);
         let q = prepare_query(&database, "select count(*) from T where v > 30").unwrap();
-        let active = vec![true; updates.len()];
-        let bits = disagreements_nbrs(&mut database, &q, &updates, &active, ExecBudget::UNLIMITED)
-            .unwrap();
-        let fps = partition_nbrs(&mut database, &[&q], &updates, ExecBudget::UNLIMITED).unwrap();
-        let base = {
-            let out = execute(&q.plan, &ExecContext::new(&database)).unwrap();
-            combine_bundle(&[bag_fp(out)])
-        };
+        let opts = EngineOptions::naive();
+        let bits = bundle_disagreements(&mut database, &[&q], &support, &opts, None).unwrap();
+        let fps = query_fps(&mut database, &q, &support, &opts, None).unwrap();
+        let base = bag_fp(execute(&q.plan, &ExecContext::new(&database)).unwrap());
         for i in 0..bits.len() {
             assert_eq!(
                 bits[i],

@@ -6,8 +6,11 @@
 //! dynamic check:
 //!
 //! 1. **relation not referenced** → agrees;
-//! 2. **irrelevant update** (touches only columns the query never reads)
-//!    → agrees;
+//! 2. **irrelevant update** (effectively changes only columns the query
+//!    never reads) → agrees — both decided by the engine's shared
+//!    visibility test ([`crate::engine::visibility`]), which hands this
+//!    module the effective changed columns `B` of every update it lets
+//!    through;
 //! 3. for a *non-contributing* tuple: if no replacement tuple satisfies the
 //!    relation-local condition `C[u⁺]` → agrees; otherwise probe
 //!    `Q((D ∖ R) ∪ {u⁺})` for emptiness — batched across updates via the
@@ -38,14 +41,14 @@
 //! optimizer can be replayed for any buyer and masked with any charged
 //! bitmap, bit-for-bit as if recomputed.
 
-use crate::engine::{bag_fp, EngineOptions};
+use crate::engine::{bag_fp, EngineOptions, Visible};
+use crate::naive::neighbor_fps;
 use crate::normal_form::{AggShape, Prepared, RelShape, SpjShape};
-use crate::parallel::run_indexed;
+use crate::parallel::fan_out;
 use crate::update::SupportUpdate;
 use qirana_sqlengine::ast::AggFunc;
 use qirana_sqlengine::exec::eval_row_expr;
 use qirana_sqlengine::plan::AggSpec;
-use qirana_sqlengine::update::apply_writes;
 use qirana_sqlengine::{
     execute, Database, EngineError, ExecBudget, ExecContext, Fingerprint, PExpr, QueryOutput,
     ResolvedSelect, Row, Value,
@@ -115,6 +118,18 @@ fn run_probe(
     execute(&rel.probe, &ctx)
 }
 
+/// The unbatched probe: one update's rows, alone in the widened relation.
+fn run_probe_one(
+    db: &Database,
+    rel: &RelShape,
+    idx: usize,
+    rows: &[Row],
+    budget: ExecBudget,
+) -> Result<QueryOutput> {
+    let rows: Vec<Row> = with_upid(rows, idx).collect();
+    run_probe(db, rel, &rows, budget)
+}
+
 /// Groups probe output rows by their trailing `upid` column and bag-
 /// fingerprints each group.
 fn per_upid_fps(out: QueryOutput) -> Result<BTreeMap<i64, Fingerprint>> {
@@ -146,12 +161,14 @@ fn per_upid_fps(out: QueryOutput) -> Result<BTreeMap<i64, Fingerprint>> {
 // SPJ queries: Algorithms 4 & 6 with batching
 // ---------------------------------------------------------------------------
 
-/// Disagreement bits for an SPJ-shaped query over neighborhood updates.
+/// Disagreement bits for an SPJ-shaped query over the visible neighborhood
+/// updates; `batch` selects §4.2's batched dynamic checks.
 pub fn spj_disagreements(
     db: &mut Database,
     shape: &SpjShape,
     updates: &[SupportUpdate],
-    active: &[bool],
+    visible: &[Visible],
+    batch: bool,
     opts: &EngineOptions,
 ) -> Result<Vec<bool>> {
     let n = updates.len();
@@ -163,19 +180,12 @@ pub fn spj_disagreements(
     let mut check_cmp: CmpQueue = vec![Vec::new(); nrels];
 
     for (i, up) in updates.iter().enumerate() {
-        if !active[i] {
-            continue;
-        }
-        let Some(rel) = shape.relations.iter().find(|r| r.table == up.table()) else {
-            continue; // relation not in the query → agrees
+        let Some(changed) = &visible[i] else {
+            continue; // masked out, or invisible to the query → agrees
         };
-        if up
-            .changed_columns()
-            .iter()
-            .all(|c| !rel.referenced_cols.contains(c))
-        {
-            continue; // irrelevant update → agrees
-        }
+        let Some(rel) = shape.relations.iter().find(|r| r.table == up.table()) else {
+            continue;
+        };
         let (old_rows, new_rows) = up.old_new_rows(db);
         let contributes = old_rows
             .iter()
@@ -199,11 +209,10 @@ pub fn spj_disagreements(
                 continue;
             }
             if let SupportUpdate::Row { .. } = up {
-                // Exact: a changed identity-projected attribute of a
-                // contributing tuple always perturbs the output bag (the
-                // generator guarantees new ≠ old).
-                let hit = up
-                    .changed_columns()
+                // Exact: an effectively changed identity-projected
+                // attribute of a contributing tuple always perturbs the
+                // output bag.
+                let hit = changed
                     .iter()
                     .any(|&c| shape.identity_projected_slots.contains(&(rel.offset + c)));
                 if hit {
@@ -220,7 +229,7 @@ pub fn spj_disagreements(
         let news = &check_new[rel.rel_idx];
         let cmps = &check_cmp[rel.rel_idx];
 
-        if opts.batch {
+        if batch {
             if !news.is_empty() {
                 let rows: Vec<Row> = news
                     .iter()
@@ -255,54 +264,28 @@ pub fn spj_disagreements(
                 }
             }
         } else {
-            let total = news.len() + cmps.len();
-            let workers = opts.parallelism.workers(total);
-            if workers > 1 {
-                // The unbatched probes are read-only (table overrides, no
-                // writes), so workers share the base database by reference.
-                let shared: &Database = db;
-                let flags = run_indexed(
-                    total,
-                    workers,
-                    || (),
-                    |_, j| {
-                        if j < news.len() {
-                            let (i, rows) = &news[j];
-                            let rows: Vec<Row> = with_upid(rows, *i).collect();
-                            let out = run_probe(shared, rel, &rows, opts.budget)?;
-                            Ok((*i, !out.rows.is_empty()))
-                        } else {
+            // One probe (pair) per update. The probes are read-only (table
+            // overrides, no writes), so pool workers share the database.
+            let shared: &Database = db;
+            let flags = fan_out(
+                &mut (),
+                news.len() + cmps.len(),
+                opts.parallelism,
+                &opts.telemetry,
+                |_, j| {
+                    let probe = |i, rows| run_probe_one(shared, rel, i, rows, opts.budget);
+                    match news.get(j) {
+                        Some((i, rows)) => Ok((*i, !probe(*i, rows)?.rows.is_empty())),
+                        None => {
                             let (i, old, new) = &cmps[j - news.len()];
-                            let old_rows: Vec<Row> = with_upid(old, *i).collect();
-                            let new_rows: Vec<Row> = with_upid(new, *i).collect();
-                            let old_fp = bag_fp(run_probe(shared, rel, &old_rows, opts.budget)?);
-                            let new_fp = bag_fp(run_probe(shared, rel, &new_rows, opts.budget)?);
-                            Ok((*i, old_fp != new_fp))
+                            Ok((*i, bag_fp(probe(*i, old)?) != bag_fp(probe(*i, new)?)))
                         }
-                    },
-                    &opts.telemetry,
-                )?;
-                for (i, disagrees) in flags {
-                    if disagrees {
-                        bits[i] = true;
                     }
-                }
-            } else {
-                for (i, rows) in news {
-                    let rows: Vec<Row> = with_upid(rows, *i).collect();
-                    let out = run_probe(db, rel, &rows, opts.budget)?;
-                    if !out.rows.is_empty() {
-                        bits[*i] = true;
-                    }
-                }
-                for (i, old, new) in cmps {
-                    let old_rows: Vec<Row> = with_upid(old, *i).collect();
-                    let new_rows: Vec<Row> = with_upid(new, *i).collect();
-                    let old_fp = bag_fp(run_probe(db, rel, &old_rows, opts.budget)?);
-                    let new_fp = bag_fp(run_probe(db, rel, &new_rows, opts.budget)?);
-                    if old_fp != new_fp {
-                        bits[*i] = true;
-                    }
+                },
+            )?;
+            for (i, disagrees) in flags {
+                if disagrees {
+                    bits[i] = true;
                 }
             }
         }
@@ -322,13 +305,15 @@ enum Delta {
     Unknown,
 }
 
-/// Disagreement bits for an aggregate-shaped query.
+/// Disagreement bits for an aggregate-shaped query over the visible
+/// neighborhood updates; `batch` selects §4.2's batched dynamic checks.
 pub fn agg_disagreements(
     db: &mut Database,
     q: &Prepared,
     shape: &AggShape,
     updates: &[SupportUpdate],
-    active: &[bool],
+    visible: &[Visible],
+    batch: bool,
     opts: &EngineOptions,
 ) -> Result<Vec<bool>> {
     let n = updates.len();
@@ -354,16 +339,12 @@ pub fn agg_disagreements(
 
     let plan = &q.plan;
     for (i, up) in updates.iter().enumerate() {
-        if !active[i] {
-            continue;
-        }
+        let Some(changed) = &visible[i] else {
+            continue; // masked out, or invisible to the query → agrees
+        };
         let Some(rel) = shape.relations.iter().find(|r| r.table == up.table()) else {
             continue;
         };
-        let changed = up.changed_columns();
-        if changed.iter().all(|c| !rel.referenced_cols.contains(c)) {
-            continue; // irrelevant
-        }
         let (old_rows, new_rows) = up.old_new_rows(db);
         let contributes = old_rows
             .iter()
@@ -466,7 +447,7 @@ pub fn agg_disagreements(
         if news.is_empty() {
             continue;
         }
-        if opts.batch {
+        if batch {
             let rows: Vec<Row> = news
                 .iter()
                 .flat_map(|(i, rows)| with_upid(rows, *i))
@@ -474,70 +455,31 @@ pub fn agg_disagreements(
             let out = run_probe(db, rel, &rows, opts.budget)?;
             apply_addition_analysis(shape, &group_cache, out, &mut bits)?;
         } else {
-            let workers = opts.parallelism.workers(news.len());
-            if workers > 1 {
-                let shared: &Database = db;
-                let outs = run_indexed(
-                    news.len(),
-                    workers,
-                    || (),
-                    |_, j| {
-                        let (i, rows) = &news[j];
-                        let rows: Vec<Row> = with_upid(rows, *i).collect();
-                        run_probe(shared, rel, &rows, opts.budget)
-                    },
-                    &opts.telemetry,
-                )?;
-                for out in outs {
-                    apply_addition_analysis(shape, &group_cache, out, &mut bits)?;
-                }
-            } else {
-                for (i, rows) in news {
-                    let rows: Vec<Row> = with_upid(rows, *i).collect();
-                    let out = run_probe(db, rel, &rows, opts.budget)?;
-                    apply_addition_analysis(shape, &group_cache, out, &mut bits)?;
-                }
+            let shared: &Database = db;
+            let outs = fan_out(
+                &mut (),
+                news.len(),
+                opts.parallelism,
+                &opts.telemetry,
+                |_, j| run_probe_one(shared, rel, news[j].0, &news[j].1, opts.budget),
+            )?;
+            for out in outs {
+                apply_addition_analysis(shape, &group_cache, out, &mut bits)?;
             }
         }
     }
 
     // Full fallback: apply the update, rerun the query, compare (the paper
-    // notes this check cannot be batched).
+    // notes this check cannot be batched — it is still embarrassingly
+    // parallel across updates).
     if !check_full.is_empty() {
         let base = bag_fp(execute(
             plan,
             &ExecContext::new(db).with_budget(opts.budget),
         )?);
-        let workers = opts.parallelism.workers(check_full.len());
-        if workers > 1 {
-            // Apply/rerun/undo mutates the database, so each worker gets
-            // its own replica — the paper's "cannot be batched" check is
-            // still embarrassingly parallel across updates.
-            let shared: &Database = db;
-            let flags = run_indexed(
-                check_full.len(),
-                workers,
-                || shared.clone(),
-                |local: &mut Database, j| {
-                    let i = check_full[j];
-                    let undo = updates[i].apply(local);
-                    let fp = execute(plan, &ExecContext::new(local).with_budget(opts.budget))
-                        .map(bag_fp);
-                    apply_writes(local, &undo);
-                    Ok((i, fp? != base))
-                },
-                &opts.telemetry,
-            )?;
-            for (i, bit) in flags {
-                bits[i] = bit;
-            }
-        } else {
-            for i in check_full {
-                let undo = updates[i].apply(db);
-                let fp = execute(plan, &ExecContext::new(db).with_budget(opts.budget)).map(bag_fp);
-                apply_writes(db, &undo);
-                bits[i] = fp? != base;
-            }
+        let fps = neighbor_fps(db, plan, updates, &check_full, opts)?;
+        for (i, fp) in check_full.into_iter().zip(fps) {
+            bits[i] = fp != base;
         }
     }
     Ok(bits)

@@ -1,28 +1,33 @@
-//! Parallel pricing executor: fans per-support-instance query executions
-//! out across a scoped worker pool.
+//! The per-support-instance fan-out: one helper, [`fan_out`], that every
+//! per-instance loop in the engine is written against.
 //!
 //! The support loop is the system's single hottest path — O(|support| ×
-//! query cost), and every iteration is independent of the others. This
-//! module converts it into near-linear multicore speedup while preserving
-//! three guarantees the sequential path gives:
+//! query cost), and every iteration is independent of the others. Each
+//! such loop ([`crate::naive`]'s apply/execute/undo, the optimizer's
+//! unbatched probes and full re-checks, [`crate::delta`]'s probes) is a
+//! closure `f(ctx, i)` handed to [`fan_out`], which alone decides how it
+//! runs: **inline** on the caller's own context when one worker suffices
+//! (the default — no clone, no thread), or on a scoped worker pool with
+//! one context replica per worker. Either way three guarantees hold:
 //!
 //! * **Determinism.** Results are collected *index-ordered*: each support
 //!   instance's verdict lands in its own slot regardless of which worker
 //!   computed it or when, so disagreement bits — and therefore prices —
-//!   are bitwise identical to the sequential path for any worker count.
+//!   are bitwise identical for any worker count.
 //! * **Budget enforcement.** Every per-instance execution runs under the
-//!   same [`ExecBudget`] as sequentially (one fresh meter per execution,
-//!   deadline measured from that execution's start). The first
-//!   [`EngineError::BudgetExceeded`] — or any other error — raises a
-//!   cooperative stop flag; workers abandon their queues at the next
-//!   instance boundary and the lowest-index error is returned.
+//!   same [`qirana_sqlengine::ExecBudget`] as sequentially (one fresh
+//!   meter per execution, deadline measured from that execution's start).
+//!   The first [`EngineError::BudgetExceeded`] — or any other error —
+//!   raises a cooperative stop flag; workers abandon their queues at the
+//!   next instance boundary and the lowest-index error is returned.
 //! * **Replica isolation.** Neighborhood instances are evaluated by
-//!   applying an update and rolling it back; each worker does this against
-//!   its own deep [`Database`] clone (clone-on-spawn), so the caller's
-//!   database is never touched. Uniform worlds are read-only and shared by
-//!   reference — `Database` is `Sync` (asserted at compile time in
-//!   `qirana-sqlengine`), and all interior-mutable execution state lives
-//!   in per-execution `ExecContext`s.
+//!   applying an update and rolling it back; a pool worker does this
+//!   against its own deep [`qirana_sqlengine::Database`] clone, so the
+//!   caller's database is never touched by another thread. Read-only
+//!   loops (uniform worlds, table-override probes) pass `()` as context
+//!   and share the data by reference — `Database` is `Sync` (asserted at
+//!   compile time in `qirana-sqlengine`), and all interior-mutable
+//!   execution state lives in per-execution `ExecContext`s.
 //!
 //! Work is distributed by chunked atomic stealing: workers grab
 //! [`CHUNK`]-sized index ranges from a shared counter, which balances load
@@ -30,29 +35,24 @@
 //! joining relation) without affecting determinism — only *who* computes a
 //! slot varies, never *what* lands in it.
 
-use crate::engine::bag_fp;
-use crate::naive::bundle_refs;
-use crate::normal_form::Prepared;
 use crate::telemetry::Telemetry;
-use crate::update::SupportUpdate;
-use qirana_sqlengine::update::apply_writes;
-use qirana_sqlengine::{execute, Database, EngineError, ExecBudget, ExecContext, Fingerprint};
+use qirana_sqlengine::EngineError;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// How many support instances a worker claims per steal. Large enough to
 /// amortize the atomic, small enough to load-balance skewed instances.
 const CHUNK: usize = 16;
 
-/// Below this many instances the fan-out overhead (thread spawn + replica
-/// clone) outweighs the win; callers fall back to the sequential path.
+/// Below this many instances per worker the pool's overhead (thread spawn
+/// + replica clone) outweighs the win; [`fan_out`] then runs inline.
 const MIN_ITEMS_PER_WORKER: usize = 32;
 
 /// Degree of parallelism for the pricing executor, threaded through
-/// [`crate::EngineOptions`] and honored by every support-loop primitive.
+/// [`crate::EngineOptions`] and honored by every [`fan_out`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Parallelism {
-    /// Single-threaded (the default): identical code path to the
-    /// pre-parallel engine.
+    /// Single-threaded (the default): every loop runs inline on the
+    /// caller's context.
     #[default]
     Sequential,
     /// A fixed worker-pool size (values 0 and 1 mean sequential).
@@ -64,7 +64,7 @@ pub enum Parallelism {
 impl Parallelism {
     /// Worker count for a support loop of `items` instances: the
     /// configured cap, shrunk so each worker has at least
-    /// [`MIN_ITEMS_PER_WORKER`] instances (1 = run sequentially).
+    /// [`MIN_ITEMS_PER_WORKER`] instances (1 = run inline).
     pub fn workers(&self, items: usize) -> usize {
         let cap = match self {
             Parallelism::Sequential => return 1,
@@ -77,28 +77,34 @@ impl Parallelism {
     }
 }
 
-/// Runs `f(ctx, i)` for every `i in 0..n` across `workers` scoped threads
-/// and returns the results index-ordered.
+/// Runs `f(ctx, i)` for every `i in 0..n` and returns the results
+/// index-ordered — the one place that chooses between running inline and
+/// starting the worker pool.
 ///
-/// `make_ctx` builds one per-worker context (a database replica, or `()`
-/// for read-only work) on the worker's own thread. Any error raises the
-/// stop flag — remaining workers abandon their queues at the next chunk
-/// boundary — and the error with the lowest index wins deterministically
-/// among those raised.
-pub(crate) fn run_indexed<C, T, M, F>(
+/// With one worker (`parallelism` is sequential, or `n` is too small to
+/// pay for a pool) the loop runs inline on the caller's `ctx` and stops
+/// at the first error. Otherwise each scoped worker clones `ctx` on its
+/// own thread (a database replica, or `()` for read-only work) and steals
+/// chunks of indices; any error raises the stop flag — remaining workers
+/// abandon their queues at the next chunk boundary — and the error with
+/// the lowest index wins deterministically among those raised.
+pub(crate) fn fan_out<C, T, F>(
+    ctx: &mut C,
     n: usize,
-    workers: usize,
-    make_ctx: M,
-    f: F,
+    parallelism: Parallelism,
     tel: &Telemetry,
+    f: F,
 ) -> Result<Vec<T>, EngineError>
 where
-    C: Send,
+    C: Clone + Send + Sync,
     T: Send,
-    M: Fn() -> C + Sync,
     F: Fn(&mut C, usize) -> Result<T, EngineError> + Sync,
 {
-    debug_assert!(workers > 1, "sequential callers skip the pool");
+    let workers = parallelism.workers(n);
+    if workers == 1 {
+        return (0..n).map(|i| f(ctx, i)).collect();
+    }
+    let shared: &C = ctx;
     let next = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
     if tel.is_enabled() {
@@ -110,7 +116,7 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 s.spawn(|| {
-                    let mut ctx = make_ctx();
+                    let mut ctx = shared.clone();
                     let mut out: Vec<(usize, T)> = Vec::with_capacity(n / workers + CHUNK);
                     let mut err: Option<(usize, EngineError)> = None;
                     let mut chunks = 0u64;
@@ -181,193 +187,13 @@ where
 
 type WorkerResult<T> = (Vec<(usize, T)>, Option<(usize, EngineError)>);
 
-/// Parallel [`crate::naive::disagreements_nbrs`]: per-worker database
-/// replicas, apply/execute/undo per active instance.
-pub fn disagreements_nbrs(
-    db: &Database,
-    q: &Prepared,
-    updates: &[SupportUpdate],
-    active: &[bool],
-    budget: ExecBudget,
-    workers: usize,
-    tel: &Telemetry,
-) -> Result<Vec<bool>, EngineError> {
-    let refs = q.referenced_tables();
-    let base = bag_fp(execute(&q.plan, &ExecContext::new(db).with_budget(budget))?);
-    run_indexed(
-        updates.len(),
-        workers,
-        || db.clone(),
-        |local: &mut Database, i| {
-            if !active[i] || !refs.contains(&updates[i].table()) {
-                return Ok(false);
-            }
-            let undo = updates[i].apply(local);
-            let fp = execute(&q.plan, &ExecContext::new(local).with_budget(budget)).map(bag_fp);
-            apply_writes(local, &undo);
-            Ok(fp? != base)
-        },
-        tel,
-    )
-}
-
-/// Parallel [`crate::naive::disagreements_uniform`]: the worlds are
-/// read-only, so workers share them by reference — no replicas needed.
-pub fn disagreements_uniform(
-    db: &Database,
-    q: &Prepared,
-    worlds: &[Database],
-    active: &[bool],
-    budget: ExecBudget,
-    workers: usize,
-    tel: &Telemetry,
-) -> Result<Vec<bool>, EngineError> {
-    let base = bag_fp(execute(&q.plan, &ExecContext::new(db).with_budget(budget))?);
-    run_indexed(
-        worlds.len(),
-        workers,
-        || (),
-        |_, i| {
-            if !active[i] {
-                return Ok(false);
-            }
-            let fp = bag_fp(execute(
-                &q.plan,
-                &ExecContext::new(&worlds[i]).with_budget(budget),
-            )?);
-            Ok(fp != base)
-        },
-        tel,
-    )
-}
-
-/// Parallel [`crate::naive::partition_nbrs`]: per-worker replicas, with the
-/// same unreferenced-table short-circuit (those instances fingerprint as
-/// the base, computed once up front).
-pub fn partition_nbrs(
-    db: &Database,
-    bundle: &[&Prepared],
-    updates: &[SupportUpdate],
-    budget: ExecBudget,
-    workers: usize,
-    tel: &Telemetry,
-) -> Result<Vec<Fingerprint>, EngineError> {
-    let refs = bundle_refs(bundle);
-    let base = if updates.iter().any(|u| !refs.contains(&u.table())) {
-        Some(bundle_fps(db, bundle, budget)?)
-    } else {
-        None
-    };
-    run_indexed(
-        updates.len(),
-        workers,
-        || db.clone(),
-        |local: &mut Database, i| {
-            if let Some(fp) = base {
-                if !refs.contains(&updates[i].table()) {
-                    return Ok(fp);
-                }
-            }
-            let undo = updates[i].apply(local);
-            let fps = bundle_fps(local, bundle, budget);
-            apply_writes(local, &undo);
-            fps
-        },
-        tel,
-    )
-}
-
-/// Parallel [`crate::naive::query_fps_nbrs`]: per-worker replicas, base
-/// fingerprint reused for every instance whose update leaves the query's
-/// referenced tables untouched.
-pub fn query_fps_nbrs(
-    db: &Database,
-    q: &Prepared,
-    updates: &[SupportUpdate],
-    budget: ExecBudget,
-    workers: usize,
-    tel: &Telemetry,
-) -> Result<Vec<Fingerprint>, EngineError> {
-    let refs = q.referenced_tables();
-    let base = bag_fp(execute(&q.plan, &ExecContext::new(db).with_budget(budget))?);
-    run_indexed(
-        updates.len(),
-        workers,
-        || db.clone(),
-        |local: &mut Database, i| {
-            if !refs.contains(&updates[i].table()) {
-                return Ok(base);
-            }
-            let undo = updates[i].apply(local);
-            let fp = execute(&q.plan, &ExecContext::new(local).with_budget(budget)).map(bag_fp);
-            apply_writes(local, &undo);
-            fp
-        },
-        tel,
-    )
-}
-
-/// Parallel [`crate::naive::query_fps_uniform`]: read-only shared worlds.
-pub fn query_fps_uniform(
-    q: &Prepared,
-    worlds: &[Database],
-    budget: ExecBudget,
-    workers: usize,
-    tel: &Telemetry,
-) -> Result<Vec<Fingerprint>, EngineError> {
-    run_indexed(
-        worlds.len(),
-        workers,
-        || (),
-        |_, i| {
-            Ok(bag_fp(execute(
-                &q.plan,
-                &ExecContext::new(&worlds[i]).with_budget(budget),
-            )?))
-        },
-        tel,
-    )
-}
-
-/// Parallel [`crate::naive::partition_uniform`]: read-only shared worlds.
-pub fn partition_uniform(
-    bundle: &[&Prepared],
-    worlds: &[Database],
-    budget: ExecBudget,
-    workers: usize,
-    tel: &Telemetry,
-) -> Result<Vec<Fingerprint>, EngineError> {
-    run_indexed(
-        worlds.len(),
-        workers,
-        || (),
-        |_, i| bundle_fps(&worlds[i], bundle, budget),
-        tel,
-    )
-}
-
-fn bundle_fps(
-    db: &Database,
-    bundle: &[&Prepared],
-    budget: ExecBudget,
-) -> Result<Fingerprint, EngineError> {
-    let mut fps = Vec::with_capacity(bundle.len());
-    for q in bundle {
-        fps.push(bag_fp(execute(
-            &q.plan,
-            &ExecContext::new(db).with_budget(budget),
-        )?));
-    }
-    Ok(crate::engine::combine_bundle(&fps))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::naive;
+    use crate::engine::{bundle_disagreements, bundle_partition, EngineOptions};
     use crate::normal_form::prepare_query;
-    use crate::support::{generate_support, generate_uniform_worlds, SupportConfig};
-    use qirana_sqlengine::{ColumnDef, DataType, TableSchema};
+    use crate::support::{generate_support, generate_uniform_worlds, SupportConfig, SupportSet};
+    use qirana_sqlengine::{ColumnDef, DataType, Database, ExecBudget, TableSchema};
     use std::time::Duration;
 
     fn db() -> Database {
@@ -395,6 +221,21 @@ mod tests {
         db
     }
 
+    fn neighborhood(db: &Database, size: usize) -> SupportSet {
+        SupportSet::Neighborhood(generate_support(
+            db,
+            &SupportConfig {
+                size,
+                ..Default::default()
+            },
+        ))
+    }
+
+    /// The per-instance (`Naive`) strategy with a fixed worker-pool size.
+    fn naive(workers: usize) -> EngineOptions {
+        EngineOptions::naive().with_parallelism(Parallelism::Threads(workers))
+    }
+
     #[test]
     fn workers_respects_caps() {
         assert_eq!(Parallelism::Sequential.workers(1_000_000), 1);
@@ -406,196 +247,83 @@ mod tests {
     }
 
     #[test]
-    fn parallel_nbrs_matches_sequential() {
-        let mut database = db();
-        let updates = generate_support(
-            &database,
-            &SupportConfig {
-                size: 400,
-                ..Default::default()
-            },
-        );
-        let active = vec![true; updates.len()];
-        for sql in [
-            "select v from T where grp = 'a'",
-            "select grp, sum(v) from T group by grp",
-        ] {
-            let q = prepare_query(&database, sql).unwrap();
-            let seq = naive::disagreements_nbrs(
-                &mut database,
-                &q,
-                &updates,
-                &active,
-                ExecBudget::UNLIMITED,
-            )
-            .unwrap();
-            for workers in [2, 3, 8] {
-                let par = disagreements_nbrs(
-                    &database,
-                    &q,
-                    &updates,
-                    &active,
-                    ExecBudget::UNLIMITED,
-                    workers,
-                    &Telemetry::disabled(),
-                )
-                .unwrap();
-                assert_eq!(seq, par, "worker count {workers} changed bits for {sql}");
-            }
-        }
+    fn inline_runs_on_the_callers_context_and_the_pool_on_replicas() {
+        let tel = Telemetry::disabled();
+        let touch = |seen: &mut Vec<usize>, i: usize| {
+            seen.push(i);
+            Ok(i * 2)
+        };
+        let want: Vec<usize> = (0..200).map(|i| i * 2).collect();
+
+        let mut seen = Vec::new();
+        let got = fan_out(&mut seen, 200, Parallelism::Sequential, &tel, touch).unwrap();
+        assert_eq!(got, want);
+        assert_eq!(seen, (0..200).collect::<Vec<_>>(), "inline: caller's ctx");
+
+        let mut seen = Vec::new();
+        let got = fan_out(&mut seen, 200, Parallelism::Threads(4), &tel, touch).unwrap();
+        assert_eq!(got, want, "index-ordered for any worker count");
+        assert!(seen.is_empty(), "pool workers mutate their own replicas");
     }
 
     #[test]
-    fn parallel_uniform_matches_sequential() {
-        let database = db();
-        let worlds = generate_uniform_worlds(&database, 64, 9);
-        let active = vec![true; worlds.len()];
-        let q = prepare_query(&database, "select grp, v from T").unwrap();
-        let seq =
-            naive::disagreements_uniform(&database, &q, &worlds, &active, ExecBudget::UNLIMITED)
-                .unwrap();
-        let par = disagreements_uniform(
-            &database,
-            &q,
-            &worlds,
-            &active,
-            ExecBudget::UNLIMITED,
-            4,
-            &Telemetry::disabled(),
-        )
-        .unwrap();
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn parallel_partition_matches_sequential() {
+    fn pooled_neighborhood_sweeps_match_inline() {
         let mut database = db();
-        let updates = generate_support(
-            &database,
-            &SupportConfig {
-                size: 300,
-                ..Default::default()
-            },
-        );
-        let q1 = prepare_query(&database, "select count(*) from T where v > 40").unwrap();
-        let q2 = prepare_query(&database, "select grp from T").unwrap();
+        let support = neighborhood(&database, 400);
+        let q1 = prepare_query(&database, "select v from T where grp = 'a'").unwrap();
+        let q2 = prepare_query(&database, "select grp, sum(v) from T group by grp").unwrap();
         let bundle = [&q1, &q2];
-        let seq =
-            naive::partition_nbrs(&mut database, &bundle, &updates, ExecBudget::UNLIMITED).unwrap();
-        let par = partition_nbrs(
-            &database,
-            &bundle,
-            &updates,
-            ExecBudget::UNLIMITED,
-            4,
-            &Telemetry::disabled(),
-        )
-        .unwrap();
-        assert_eq!(seq, par);
-
-        let worlds = generate_uniform_worlds(&database, 64, 5);
-        let seq_u =
-            naive::partition_uniform(&database, &bundle, &worlds, ExecBudget::UNLIMITED).unwrap();
-        let par_u = partition_uniform(
-            &bundle,
-            &worlds,
-            ExecBudget::UNLIMITED,
-            4,
-            &Telemetry::disabled(),
-        )
-        .unwrap();
-        assert_eq!(seq_u, par_u);
+        let seq_opts = EngineOptions::naive();
+        let bits = bundle_disagreements(&mut database, &bundle, &support, &seq_opts, None).unwrap();
+        let fps = bundle_partition(&mut database, &bundle, &support, &seq_opts).unwrap();
+        for workers in [2, 3, 8] {
+            let opts = naive(workers);
+            let par = bundle_disagreements(&mut database, &bundle, &support, &opts, None).unwrap();
+            assert_eq!(bits, par, "worker count {workers} changed bits");
+            let par = bundle_partition(&mut database, &bundle, &support, &opts).unwrap();
+            assert_eq!(fps, par, "worker count {workers} changed fingerprints");
+        }
     }
 
     #[test]
-    fn parallel_query_fps_match_sequential() {
+    fn pooled_uniform_sweeps_match_inline() {
         let mut database = db();
-        let updates = generate_support(
-            &database,
-            &SupportConfig {
-                size: 300,
-                ..Default::default()
-            },
+        let support = SupportSet::Uniform(generate_uniform_worlds(&database, 64, 9));
+        let q = prepare_query(&database, "select grp, v from T").unwrap();
+        let seq_opts = EngineOptions::naive();
+        let bits = bundle_disagreements(&mut database, &[&q], &support, &seq_opts, None).unwrap();
+        let fps = bundle_partition(&mut database, &[&q], &support, &seq_opts).unwrap();
+        let opts = naive(4);
+        assert_eq!(
+            bits,
+            bundle_disagreements(&mut database, &[&q], &support, &opts, None).unwrap()
         );
-        let q = prepare_query(&database, "select grp, sum(v) from T group by grp").unwrap();
-        let seq =
-            naive::query_fps_nbrs(&mut database, &q, &updates, ExecBudget::UNLIMITED).unwrap();
-        for workers in [2, 4] {
-            let par = query_fps_nbrs(
-                &database,
-                &q,
-                &updates,
-                ExecBudget::UNLIMITED,
-                workers,
-                &Telemetry::disabled(),
-            )
-            .unwrap();
-            assert_eq!(seq, par, "worker count {workers} changed fingerprints");
-        }
-
-        let worlds = generate_uniform_worlds(&database, 64, 5);
-        let seq_u = naive::query_fps_uniform(&q, &worlds, ExecBudget::UNLIMITED).unwrap();
-        let par_u = query_fps_uniform(
-            &q,
-            &worlds,
-            ExecBudget::UNLIMITED,
-            4,
-            &Telemetry::disabled(),
-        )
-        .unwrap();
-        assert_eq!(seq_u, par_u);
+        assert_eq!(
+            fps,
+            bundle_partition(&mut database, &[&q], &support, &opts).unwrap()
+        );
     }
 
     #[test]
     fn caller_database_is_untouched() {
-        let database = db();
+        let mut database = db();
         let before = database.table("T").unwrap().rows.clone();
-        let updates = generate_support(
-            &database,
-            &SupportConfig {
-                size: 200,
-                ..Default::default()
-            },
-        );
+        let support = neighborhood(&database, 200);
         let q = prepare_query(&database, "select v from T where v > 10").unwrap();
-        disagreements_nbrs(
-            &database,
-            &q,
-            &updates,
-            &vec![true; updates.len()],
-            ExecBudget::UNLIMITED,
-            4,
-            &Telemetry::disabled(),
-        )
-        .unwrap();
+        bundle_disagreements(&mut database, &[&q], &support, &naive(4), None).unwrap();
         assert_eq!(database.table("T").unwrap().rows, before);
     }
 
     #[test]
     fn budget_trip_aborts_fan_out() {
-        let database = db();
-        let updates = generate_support(
-            &database,
-            &SupportConfig {
-                size: 300,
-                ..Default::default()
-            },
-        );
+        let mut database = db();
+        let support = neighborhood(&database, 300);
         let q = prepare_query(&database, "select * from T").unwrap();
         // An already-expired deadline trips on the first execution of
         // whichever worker gets there first; the pool must abort promptly
         // and surface BudgetExceeded rather than hang or panic.
-        let budget = ExecBudget::default().with_timeout(Duration::ZERO);
-        let err = disagreements_nbrs(
-            &database,
-            &q,
-            &updates,
-            &vec![true; updates.len()],
-            budget,
-            4,
-            &Telemetry::disabled(),
-        )
-        .unwrap_err();
+        let opts = naive(4).with_budget(ExecBudget::default().with_timeout(Duration::ZERO));
+        let err = bundle_disagreements(&mut database, &[&q], &support, &opts, None).unwrap_err();
         assert!(
             matches!(err, EngineError::BudgetExceeded { .. }),
             "expected BudgetExceeded, got {err:?}"
@@ -603,14 +331,15 @@ mod tests {
     }
 
     #[test]
-    fn run_indexed_returns_lowest_index_error() {
+    fn fan_out_returns_lowest_index_error() {
         // Deterministic error selection: index 7 and 200 both fail; the
         // lowest must win no matter which worker hits which first.
         for _ in 0..8 {
-            let err = run_indexed(
+            let err = fan_out(
+                &mut (),
                 256,
-                4,
-                || (),
+                Parallelism::Threads(4),
+                &Telemetry::disabled(),
                 |_, i| {
                     if i == 7 || i == 200 {
                         Err(EngineError::Eval(format!("boom {i}")))
@@ -618,7 +347,6 @@ mod tests {
                         Ok(i)
                     }
                 },
-                &Telemetry::disabled(),
             )
             .unwrap_err();
             // Index 7 is in the very first chunk, claimed before any

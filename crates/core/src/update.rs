@@ -62,10 +62,12 @@ impl SupportUpdate {
     /// The columns whose stored values actually change when the update is
     /// applied to `db` — the declared columns minus no-ops (a `Row` change
     /// writing back the stored value, or a `Swap` column on which both rows
-    /// agree). This is the footprint the delta evaluator's short-circuit
-    /// test must use: [`Self::changed_columns`] over-reports and would
-    /// defeat the "changed columns miss the query's column footprint"
-    /// optimization.
+    /// agree). This is what the engine's visibility test
+    /// ([`crate::engine::visibility`]) intersects with a query's column
+    /// footprint and hands to the §4 checks as `B`:
+    /// [`Self::changed_columns`] over-reports once a seller update has made
+    /// some declared change a write-back, which would both defeat the
+    /// short circuit and charge for neighbors that are the stored database.
     pub fn effective_changed_columns(&self, db: &Database) -> Vec<usize> {
         match self {
             SupportUpdate::Row {

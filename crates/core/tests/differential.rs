@@ -1,12 +1,15 @@
-//! Differential tests of the disagreement engine's evaluation strategies.
+//! Differential tests of the engine's evaluation strategies.
 //!
-//! The engine has five ways to compute the same semantics: the naive
-//! re-execution loop, the static/dynamic optimized checks (batched and
-//! unbatched), the incremental delta evaluator, and the parallel executor
-//! layered over each. On randomized databases, support sets, and
-//! SPJ/aggregate queries, every strategy must produce *identical*
-//! disagreement bits and partition fingerprints — and therefore
-//! bitwise-identical prices.
+//! The engine has several ways to compute the same semantics: per-instance
+//! re-execution, instance reduction, the static/dynamic optimized checks
+//! (batched and unbatched), the incremental delta evaluator for entropy
+//! sweeps — each inline or on the worker pool, cached or not. There is one
+//! reference — sequential, uncached [`Strategy::Naive`] — and one matrix:
+//! every [`Strategy`] × {sequential, 4 threads} × {cache on, off} ×
+//! {weighted coverage, Shannon entropy}. On randomized databases, support
+//! sets, seller updates and SPJ/aggregate queries, every cell must produce
+//! *identical* disagreement bits and partition fingerprints — and
+//! therefore bitwise-identical prices.
 
 use proptest::prelude::*;
 use qirana_core::{
@@ -14,8 +17,9 @@ use qirana_core::{
     prepare_query,
     pricing::{shannon_entropy, weighted_coverage},
     uniform_weights, CacheConfig, EngineOptions, Parallelism, PricingFunction, Qirana,
-    QiranaConfig, SupportConfig, SupportSet, SupportUpdate, Telemetry, TestClock,
+    QiranaConfig, Strategy, SupportConfig, SupportSet, SupportUpdate, Telemetry, TestClock,
 };
+use qirana_sqlengine::update::{apply_writes, CellWrite};
 use qirana_sqlengine::{
     ColumnDef, DataType, Database, EngineError, ExecBudget, TableSchema, Value,
 };
@@ -90,215 +94,184 @@ fn query_pool(c: i16) -> Vec<String> {
 
 const PAR: Parallelism = Parallelism::Threads(4);
 
+const STRATEGIES: [Strategy; 4] = [
+    Strategy::Auto,
+    Strategy::NoBatching,
+    Strategy::Naive,
+    Strategy::NaiveReduced,
+];
+
+const FUNCTIONS: [PricingFunction; 2] = [
+    PricingFunction::WeightedCoverage,
+    PricingFunction::ShannonEntropy,
+];
+
+/// One cell of the matrix. `(Naive, Sequential, disabled)` is the reference.
+fn engine(strategy: Strategy, parallelism: Parallelism, cache: CacheConfig) -> EngineOptions {
+    EngineOptions {
+        strategy,
+        ..Default::default()
+    }
+    .with_parallelism(parallelism)
+    .with_cache(cache)
+}
+
+fn support_config(seed: u64) -> SupportConfig {
+    SupportConfig {
+        size: 96,
+        seed,
+        ..Default::default()
+    }
+}
+
+/// The seller-update step: one cell write per pick, landing on a value the
+/// support set itself writes — a row update's own new value, or (for a
+/// swap) the partner row's value. The picked neighbors thereby become
+/// write-backs, fully or in part, which is what `commit_update` does to a
+/// live market's support set over time.
+fn seller_writes(db: &Database, updates: &[SupportUpdate], picks: &[usize]) -> Vec<CellWrite> {
+    picks
+        .iter()
+        .map(|&p| match &updates[p % updates.len()] {
+            SupportUpdate::Row {
+                table,
+                row,
+                changes,
+            } => CellWrite {
+                table: *table,
+                row: *row,
+                col: changes[0].0,
+                value: changes[0].1.clone(),
+            },
+            SupportUpdate::Swap {
+                table,
+                row_a,
+                row_b,
+                cols,
+            } => CellWrite {
+                table: *table,
+                row: *row_a,
+                col: cols[0],
+                value: db.tables()[*table].rows[*row_b][cols[0]].clone(),
+            },
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// Naive, unbatched-optimized, batched-optimized, and parallel
-    /// evaluation all yield identical disagreement bits — and identical
-    /// coverage prices, to the last bit of the f64.
+    /// Every strategy, inline and on the worker pool, yields the reference
+    /// disagreement bits and partition fingerprints — and identical
+    /// coverage and entropy prices, to the last bit of the f64 — on a
+    /// database the seller has updated since the support set was drawn.
     #[test]
-    fn all_strategies_agree_on_disagreement_bits(
+    fn all_strategies_agree_on_bits_and_fingerprints(
         t_rows in prop::collection::vec((0u8..3, -40i16..40), 8..20),
         u_rows in prop::collection::vec((any::<u8>(), -40i16..40), 4..12),
         c in -40i16..40,
         seed in any::<u64>(),
+        picks in prop::collection::vec(any::<usize>(), 1..4),
         query_idx in 0usize..7,
     ) {
         let mut db = build_db(&t_rows, &u_rows);
+        let updates = generate_support(&db, &support_config(seed));
+        let writes = seller_writes(&db, &updates, &picks);
+        apply_writes(&mut db, &writes);
+        let support = SupportSet::Neighborhood(updates);
         let sql = &query_pool(c)[query_idx];
         let q = prepare_query(&db, sql).unwrap();
-        let support = SupportSet::Neighborhood(generate_support(
-            &db,
-            &SupportConfig { size: 96, seed, ..Default::default() },
-        ));
 
-        // `default()` takes the delta path for SPJ/aggregate shapes;
-        // `default().with_delta(false)` keeps the batched optimizer
-        // covered now that it is no longer the default route.
-        let configs = [
-            EngineOptions::naive(),
-            EngineOptions::no_batching(),
-            EngineOptions::default().with_delta(false),
-            EngineOptions::default(),
-            EngineOptions::naive().with_parallelism(PAR),
-            EngineOptions::no_batching().with_parallelism(PAR),
-            EngineOptions::default().with_delta(false).with_parallelism(PAR),
-            EngineOptions::default().with_parallelism(PAR),
-        ];
-        let reference =
-            bundle_disagreements(&mut db, &[&q], &support, &configs[0], None).unwrap();
+        let reference = EngineOptions::naive();
+        let ref_bits = bundle_disagreements(&mut db, &[&q], &support, &reference, None).unwrap();
+        let ref_fps = bundle_partition(&mut db, &[&q], &support, &reference).unwrap();
         let weights = uniform_weights(support.len(), 100.0);
-        let ref_price = weighted_coverage(&weights, &reference);
-        for opts in &configs[1..] {
-            let bits = bundle_disagreements(&mut db, &[&q], &support, opts, None).unwrap();
-            prop_assert_eq!(&bits, &reference, "bits diverge for {} under {:?}", sql, opts);
-            prop_assert_eq!(
-                weighted_coverage(&weights, &bits).to_bits(),
-                ref_price.to_bits(),
-                "price diverges for {}", sql
-            );
-        }
-    }
-
-    /// Sequential and parallel partition refinement produce identical
-    /// fingerprint vectors, hence bitwise-identical entropy prices.
-    #[test]
-    fn parallel_partition_is_bitwise_identical(
-        t_rows in prop::collection::vec((0u8..3, -40i16..40), 8..20),
-        u_rows in prop::collection::vec((any::<u8>(), -40i16..40), 4..12),
-        c in -40i16..40,
-        seed in any::<u64>(),
-        query_idx in 0usize..7,
-    ) {
-        let mut db = build_db(&t_rows, &u_rows);
-        let sql = &query_pool(c)[query_idx];
-        let q = prepare_query(&db, sql).unwrap();
-        let support = SupportSet::Neighborhood(generate_support(
-            &db,
-            &SupportConfig { size: 96, seed, ..Default::default() },
-        ));
-
-        // Full execution (delta off) is the reference; the delta path must
-        // reproduce it bitwise, sequentially and in parallel.
-        let full = bundle_partition(
-            &mut db,
-            &[&q],
-            &support,
-            &EngineOptions::default().with_delta(false),
-        )
-        .unwrap();
-        let seq =
-            bundle_partition(&mut db, &[&q], &support, &EngineOptions::default()).unwrap();
-        prop_assert_eq!(&seq, &full, "delta partition diverges for {}", sql);
-        let par = bundle_partition(
-            &mut db,
-            &[&q],
-            &support,
-            &EngineOptions::default().with_parallelism(PAR),
-        )
-        .unwrap();
-        prop_assert_eq!(&seq, &par, "partition diverges for {}", sql);
-
-        let weights = uniform_weights(support.len(), 100.0);
-        prop_assert_eq!(
-            shannon_entropy(100.0, &weights, &seq).to_bits(),
-            shannon_entropy(100.0, &weights, &par).to_bits()
-        );
-    }
-
-    /// Incremental history-aware pricing: over a random purchase session
-    /// (repeats included), brokers with the pricing cache on and off — and
-    /// under sequential and parallel executors — charge bitwise-identical
-    /// prices at every step, for both pricing families. The cached broker
-    /// must actually exercise the memo (hits > 0 whenever the session
-    /// repeats a query).
-    #[test]
-    fn cached_and_uncached_sessions_are_bitwise_identical(
-        t_rows in prop::collection::vec((0u8..3, -40i16..40), 8..16),
-        u_rows in prop::collection::vec((any::<u8>(), -40i16..40), 4..10),
-        c in -40i16..40,
-        seed in any::<u64>(),
-        session in prop::collection::vec(0usize..7, 1..6),
-        entropy in any::<bool>(),
-    ) {
-        let function = if entropy {
-            PricingFunction::ShannonEntropy
-        } else {
-            PricingFunction::WeightedCoverage
-        };
-        let pool = query_pool(c);
-        let broker = |cache: CacheConfig, parallelism: Parallelism| {
-            Qirana::new(
-                build_db(&t_rows, &u_rows),
-                QiranaConfig {
-                    function,
-                    support: SupportConfig { size: 96, seed, ..Default::default() },
-                    engine: EngineOptions::default()
-                        .with_cache(cache)
-                        .with_parallelism(parallelism),
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-        };
-        let mut variants = [
-            broker(CacheConfig::default(), Parallelism::Sequential),
-            broker(CacheConfig::disabled(), Parallelism::Sequential),
-            broker(CacheConfig::default(), PAR),
-            broker(CacheConfig::disabled(), PAR),
-        ];
-        for &idx in &session {
-            let sql = &pool[idx];
-            let reference = variants[0].buy("p", sql).unwrap();
-            for (v, variant) in variants.iter_mut().enumerate().skip(1) {
-                let got = variant.buy("p", sql).unwrap();
+        for strategy in STRATEGIES {
+            for parallelism in [Parallelism::Sequential, PAR] {
+                let opts = engine(strategy, parallelism, CacheConfig::disabled());
+                let bits = bundle_disagreements(&mut db, &[&q], &support, &opts, None).unwrap();
+                prop_assert_eq!(&bits, &ref_bits, "bits diverge for {} under {:?}", sql, opts);
                 prop_assert_eq!(
-                    got.price.to_bits(),
-                    reference.price.to_bits(),
-                    "variant {} diverges on {} ({:?})", v, sql, function
+                    weighted_coverage(&weights, &bits).to_bits(),
+                    weighted_coverage(&weights, &ref_bits).to_bits(),
+                    "coverage price diverges for {}", sql
                 );
-                prop_assert_eq!(got.total_paid.to_bits(), reference.total_paid.to_bits());
+                let fps = bundle_partition(&mut db, &[&q], &support, &opts).unwrap();
+                prop_assert_eq!(&fps, &ref_fps, "partition diverges for {} under {:?}", sql, opts);
+                prop_assert_eq!(
+                    shannon_entropy(100.0, &weights, &fps).to_bits(),
+                    shannon_entropy(100.0, &weights, &ref_fps).to_bits(),
+                    "entropy price diverges for {}", sql
+                );
             }
         }
-        let repeats = session.len()
-            != session.iter().collect::<std::collections::HashSet<_>>().len();
-        if repeats {
-            prop_assert!(variants[0].cache_stats().hits > 0, "repeat session must hit");
-        }
-        prop_assert_eq!(variants[1].cache_stats().hits, 0, "disabled cache never hits");
     }
 
-    /// The incremental delta evaluator is observationally identical to full
-    /// re-execution: over a random purchase session, brokers with the delta
-    /// path on and off — crossed with sequential/parallel executors, with the
-    /// pricing cache enabled so delta state is built once and reused — charge
-    /// bitwise-identical prices at every step, for both pricing families.
+    /// The whole matrix, through the broker: after a seller update, over a
+    /// random purchase session (repeats included), every strategy ×
+    /// executor × cache setting charges what the reference charges, bit
+    /// for bit, at every step, for both pricing families. Cached brokers
+    /// must actually exercise the memo (hits > 0 whenever the session
+    /// repeats a query), uncached ones never.
     #[test]
-    fn delta_and_full_sessions_are_bitwise_identical(
+    fn sessions_are_bitwise_identical_across_the_matrix(
         t_rows in prop::collection::vec((0u8..3, -40i16..40), 8..16),
         u_rows in prop::collection::vec((any::<u8>(), -40i16..40), 4..10),
         c in -40i16..40,
         seed in any::<u64>(),
+        picks in prop::collection::vec(any::<usize>(), 1..4),
         session in prop::collection::vec(0usize..7, 1..6),
-        entropy in any::<bool>(),
     ) {
-        let function = if entropy {
-            PricingFunction::ShannonEntropy
-        } else {
-            PricingFunction::WeightedCoverage
-        };
         let pool = query_pool(c);
-        let broker = |delta: bool, parallelism: Parallelism| {
-            Qirana::new(
-                build_db(&t_rows, &u_rows),
-                QiranaConfig {
-                    function,
-                    support: SupportConfig { size: 96, seed, ..Default::default() },
-                    engine: EngineOptions::default()
-                        .with_delta(delta)
-                        .with_parallelism(parallelism),
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-        };
-        let mut variants = [
-            broker(false, Parallelism::Sequential),
-            broker(true, Parallelism::Sequential),
-            broker(false, PAR),
-            broker(true, PAR),
-        ];
-        for &idx in &session {
-            let sql = &pool[idx];
-            let reference = variants[0].buy("p", sql).unwrap();
-            for (v, variant) in variants.iter_mut().enumerate().skip(1) {
-                let got = variant.buy("p", sql).unwrap();
-                prop_assert_eq!(
-                    got.price.to_bits(),
-                    reference.price.to_bits(),
-                    "delta variant {} diverges on {} ({:?})", v, sql, function
-                );
-                prop_assert_eq!(got.total_paid.to_bits(), reference.total_paid.to_bits());
+        let db = build_db(&t_rows, &u_rows);
+        let writes = seller_writes(&db, &generate_support(&db, &support_config(seed)), &picks);
+        let repeats = session.len()
+            != session.iter().collect::<std::collections::HashSet<_>>().len();
+        for function in FUNCTIONS {
+            let broker = |opts: EngineOptions| {
+                let mut b = Qirana::new(
+                    db.clone(),
+                    QiranaConfig {
+                        function,
+                        support: support_config(seed),
+                        engine: opts,
+                        ..Default::default()
+                    },
+                )
+                .unwrap();
+                b.commit_writes(&writes).unwrap();
+                b
+            };
+            let mut reference =
+                broker(engine(Strategy::Naive, Parallelism::Sequential, CacheConfig::disabled()));
+            let mut cells = Vec::new();
+            for strategy in STRATEGIES {
+                for parallelism in [Parallelism::Sequential, PAR] {
+                    for cache in [CacheConfig::default(), CacheConfig::disabled()] {
+                        cells.push(broker(engine(strategy, parallelism, cache)));
+                    }
+                }
+            }
+            for &idx in &session {
+                let sql = &pool[idx];
+                let want = reference.buy("p", sql).unwrap();
+                for (k, cell) in cells.iter_mut().enumerate() {
+                    let got = cell.buy("p", sql).unwrap();
+                    prop_assert_eq!(
+                        got.price.to_bits(),
+                        want.price.to_bits(),
+                        "cell {} diverges on {} ({:?})", k, sql, function
+                    );
+                    prop_assert_eq!(got.total_paid.to_bits(), want.total_paid.to_bits());
+                }
+            }
+            for (k, cell) in cells.iter().enumerate() {
+                let hits = cell.cache_stats().hits;
+                if k % 2 == 1 {
+                    prop_assert_eq!(hits, 0, "disabled cache never hits");
+                } else if repeats {
+                    prop_assert!(hits > 0, "repeat session must hit");
+                }
             }
         }
     }
@@ -330,7 +303,7 @@ proptest! {
                 build_db(&t_rows, &u_rows),
                 QiranaConfig {
                     function,
-                    support: SupportConfig { size: 96, seed, ..Default::default() },
+                    support: support_config(seed),
                     engine: EngineOptions::default()
                         .with_telemetry(telemetry)
                         .with_parallelism(parallelism),
@@ -432,7 +405,7 @@ proptest! {
             build_db(&t_rows, &u_rows),
             QiranaConfig {
                 function,
-                support: SupportConfig { size: 96, seed, ..Default::default() },
+                support: support_config(seed),
                 engine: EngineOptions::default().with_cache(cache),
                 ..Default::default()
             },
@@ -523,13 +496,86 @@ fn pricing_detects_update_between_adjacent_large_ints() {
         row: 1,
         changes: vec![(1, Value::Int(BIG + 1))],
     }]);
-    for opts in [EngineOptions::naive(), EngineOptions::default()] {
+    for strategy in STRATEGIES {
+        let opts = engine(strategy, Parallelism::Sequential, CacheConfig::disabled());
         let bits = bundle_disagreements(&mut db, &[&q], &support, &opts, None).unwrap();
         assert_eq!(
             bits,
             vec![true],
             "2^53 -> 2^53+1 must be a visible disagreement ({opts:?})"
         );
+    }
+}
+
+/// Regression: `commit_update` keeps the support set while stored cells
+/// change, so a seller update can land exactly on a value some neighbor
+/// writes. That neighbor is then the stored database — it must cost
+/// nothing — but the §4 checks read its *declared* changed columns and
+/// charged it. Quotes and purchases must match the reference bit for bit
+/// under every strategy, for both families.
+#[test]
+fn commit_update_landing_on_a_support_value_prices_identically() {
+    let t_rows: Vec<(u8, i16)> = (0..12).map(|i| (i as u8, 3 * i as i16)).collect();
+    let u_rows: Vec<(u8, i16)> = (0..8).map(|i| (i as u8, 5 * i as i16 - 9)).collect();
+    let db = build_db(&t_rows, &u_rows);
+    // Some neighbor rewrites a `T.v` cell; the seller commits that value.
+    let (row, value) = generate_support(&db, &support_config(7))
+        .iter()
+        .find_map(|u| match u {
+            SupportUpdate::Row {
+                table: 0,
+                row,
+                changes,
+            } => changes
+                .iter()
+                .find(|(col, _)| *col == 2)
+                .map(|(_, v)| (*row, v.clone())),
+            _ => None,
+        })
+        .expect("a row update of T.v in the support set");
+    let seller_update = format!("UPDATE T SET v = {value} WHERE id = {row}");
+    // c = -41: every tuple contributes, so the write-back neighbor is one
+    // the static checks reason about.
+    let pool = query_pool(-41);
+
+    for function in FUNCTIONS {
+        let broker = |strategy: Strategy| {
+            let mut b = Qirana::new(
+                db.clone(),
+                QiranaConfig {
+                    function,
+                    support: support_config(7),
+                    engine: engine(strategy, Parallelism::Sequential, CacheConfig::default()),
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(b.commit_update(&seller_update).unwrap(), 1);
+            b
+        };
+        let mut reference = broker(Strategy::Naive);
+        let quotes: Vec<u64> = pool
+            .iter()
+            .map(|sql| reference.quote(sql).unwrap().to_bits())
+            .collect();
+        let buys: Vec<u64> = pool
+            .iter()
+            .map(|sql| reference.buy("p", sql).unwrap().price.to_bits())
+            .collect();
+        for strategy in STRATEGIES {
+            let mut b = broker(strategy);
+            for (sql, want) in pool.iter().zip(&quotes) {
+                let got = b.quote(sql).unwrap().to_bits();
+                assert_eq!(
+                    got, *want,
+                    "quote of {sql} under {strategy:?} ({function:?})"
+                );
+            }
+            for (sql, want) in pool.iter().zip(&buys) {
+                let got = b.buy("p", sql).unwrap().price.to_bits();
+                assert_eq!(got, *want, "buy of {sql} under {strategy:?} ({function:?})");
+            }
+        }
     }
 }
 

@@ -1,5 +1,5 @@
 //! Concurrency models for the work-distribution protocol of
-//! `qirana_core::parallel::run_indexed`, run under the vendored loom
+//! `qirana_core::parallel::fan_out`'s worker pool, run under the vendored loom
 //! stand-in's schedule perturbation (see `vendor/loom` for what that does
 //! and does not guarantee).
 //!
@@ -27,7 +27,7 @@ const CHUNK: usize = 4;
 
 /// One worker of the steal loop. `fail` marks indices whose "execution"
 /// errors; the worker records claims, raises `stop`, and reports its first
-/// error exactly as `run_indexed`'s closure loop does.
+/// error exactly as `fan_out`'s closure loop does.
 #[allow(clippy::type_complexity)]
 fn worker(
     n: usize,
@@ -57,7 +57,7 @@ fn worker(
 }
 
 /// Spawns `workers` threads over `0..n` and merges their results the way
-/// `run_indexed` does: slots by index, lowest-index error wins.
+/// `fan_out` does: slots by index, lowest-index error wins.
 #[allow(clippy::type_complexity)]
 fn run_model(
     n: usize,

@@ -1,10 +1,16 @@
 //! Property-based cross-check of the §4 optimizer: for *every* query shape
-//! and every engine configuration, the disagreement bits must equal the
-//! naive engine's (Theorems 4.1 / 4.2 made executable).
+//! and every evaluation strategy, the disagreement bits and partition
+//! fingerprints must equal the naive engine's (Theorems 4.1 / 4.2 made
+//! executable). Sequential, uncached `Strategy::Naive` is the reference;
+//! the matrix is every `Strategy` × {sequential, 4 threads} for each query,
+//! × {cache on, off} for the whole pool as one bundle, over both
+//! primitives (coverage bits, entropy fingerprints).
 //!
-//! Random databases, random support sets, and a query pool spanning the
-//! SPJ shape (static checks, probes, batching), the aggregate shape (delta
-//! analysis, group movement, fallbacks), and opaque queries.
+//! Random databases, random support sets, a seller update landing on the
+//! support set's own values (so write-back neighbors occur), and a query
+//! pool spanning the SPJ shape (static checks, probes, batching), the
+//! aggregate shape (delta analysis, group movement, fallbacks), and opaque
+//! queries.
 
 // CLI/bench/demo target: aborting with a clear message on bad input or a
 // broken fixture is the intended failure mode here, unlike in the library
@@ -13,9 +19,11 @@
 
 use proptest::prelude::*;
 use qirana::core::{
-    bundle_disagreements, generate_support, prepare_query, EngineOptions, Prepared, SupportConfig,
-    SupportSet,
+    bundle_disagreements, bundle_disagreements_cached, bundle_partition, bundle_partition_cached,
+    generate_support, prepare_query, EngineOptions, Parallelism, Prepared, PricingCache, Strategy,
+    SupportConfig, SupportSet, SupportUpdate,
 };
+use qirana::sqlengine::update::{apply_writes, CellWrite};
 use qirana::sqlengine::{ColumnDef, DataType, Database, TableSchema, Value};
 
 /// Builds a two-table database whose content is driven by the proptest
@@ -100,39 +108,103 @@ const QUERIES: &[&str] = &[
     "select count(*) from User U where exists (select 1 from Tweet T where T.uid = U.uid)",
 ];
 
+/// Builds the support set, then lets the seller overwrite one cell per
+/// pick with the value a neighbor writes there (a row update's own new
+/// value, or a swap partner's value): those neighbors become full or
+/// partial write-backs.
+fn support_after_seller_update(
+    db: &mut Database,
+    cfg: &SupportConfig,
+    picks: &[usize],
+) -> SupportSet {
+    let updates = generate_support(db, cfg);
+    let writes: Vec<CellWrite> = picks
+        .iter()
+        .map(|&p| match &updates[p % updates.len()] {
+            SupportUpdate::Row {
+                table,
+                row,
+                changes,
+            } => CellWrite {
+                table: *table,
+                row: *row,
+                col: changes[0].0,
+                value: changes[0].1.clone(),
+            },
+            SupportUpdate::Swap {
+                table,
+                row_a,
+                row_b,
+                cols,
+            } => CellWrite {
+                table: *table,
+                row: *row_a,
+                col: cols[0],
+                value: db.tables()[*table].rows[*row_b][cols[0]].clone(),
+            },
+        })
+        .collect();
+    apply_writes(db, &writes);
+    SupportSet::Neighborhood(updates)
+}
+
 fn check_all_configs(db: &mut Database, support: &SupportSet) {
     let prepared: Vec<Prepared> = QUERIES
         .iter()
         .map(|q| prepare_query(db, q).expect("prepare"))
         .collect();
+    let naive = EngineOptions::naive();
+    let configs: Vec<EngineOptions> = [
+        Strategy::Auto,
+        Strategy::NoBatching,
+        Strategy::Naive,
+        Strategy::NaiveReduced,
+    ]
+    .into_iter()
+    .flat_map(|strategy| {
+        [Parallelism::Sequential, Parallelism::Threads(4)].map(|par| {
+            EngineOptions {
+                strategy,
+                ..Default::default()
+            }
+            .with_parallelism(par)
+        })
+    })
+    .collect();
     for q in &prepared {
         let bundle = [q];
-        let naive =
-            bundle_disagreements(db, &bundle, support, &EngineOptions::naive(), None).unwrap();
-        for opts in [
-            EngineOptions::default(),
-            EngineOptions::no_batching(),
-            EngineOptions {
-                optimize: false,
-                batch: false,
-                reduce: true,
-                ..Default::default()
-            },
-        ] {
-            let got = bundle_disagreements(db, &bundle, support, &opts, None).unwrap();
-            assert_eq!(got, naive, "engine mismatch for {:?} under {opts:?}", q.sql);
+        let bits = bundle_disagreements(db, &bundle, support, &naive, None).unwrap();
+        let fps = bundle_partition(db, &bundle, support, &naive).unwrap();
+        for opts in &configs {
+            let got = bundle_disagreements(db, &bundle, support, opts, None).unwrap();
+            assert_eq!(got, bits, "bits mismatch for {:?} under {opts:?}", q.sql);
+            let got = bundle_partition(db, &bundle, support, opts).unwrap();
+            assert_eq!(got, fps, "fps mismatch for {:?} under {opts:?}", q.sql);
         }
     }
-    // Whole pool as one bundle, too.
+    // Whole pool as one bundle, too — uncached (shrinking active set) and
+    // through the cache (members' full artifacts, cold then warm).
     let bundle: Vec<&Prepared> = prepared.iter().collect();
-    let naive = bundle_disagreements(db, &bundle, support, &EngineOptions::naive(), None).unwrap();
-    let opt = bundle_disagreements(db, &bundle, support, &EngineOptions::default(), None).unwrap();
-    assert_eq!(opt, naive, "bundle mismatch");
+    let bits = bundle_disagreements(db, &bundle, support, &naive, None).unwrap();
+    let fps = bundle_partition(db, &bundle, support, &naive).unwrap();
+    for opts in &configs {
+        let got = bundle_disagreements(db, &bundle, support, opts, None).unwrap();
+        assert_eq!(got, bits, "bundle bits mismatch under {opts:?}");
+        let got = bundle_partition(db, &bundle, support, opts).unwrap();
+        assert_eq!(got, fps, "bundle fps mismatch under {opts:?}");
+        let mut cache = PricingCache::new(64);
+        for round in ["cold", "warm"] {
+            let got = bundle_disagreements_cached(db, &bundle, support, opts, &mut cache).unwrap();
+            assert_eq!(got, bits, "{round} cached bits mismatch under {opts:?}");
+            let got = bundle_partition_cached(db, &bundle, support, opts, &mut cache).unwrap();
+            assert_eq!(got, fps, "{round} cached fps mismatch under {opts:?}");
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 12,
+        cases: 8,
         .. ProptestConfig::default()
     })]
 
@@ -142,17 +214,16 @@ proptest! {
         tweets in prop::collection::vec((0i64..10, 0i64..10, 0u8..3), 2..12),
         seed in 0u64..1000,
         swap_fraction in 0.0f64..1.0,
+        picks in prop::collection::vec(any::<usize>(), 1..4),
     ) {
         let mut db = build_db(&users, &tweets);
-        let support = SupportSet::Neighborhood(generate_support(
-            &db,
-            &SupportConfig {
-                size: 120,
-                swap_fraction,
-                seed,
-                ..Default::default()
-            },
-        ));
+        let cfg = SupportConfig {
+            size: 120,
+            swap_fraction,
+            seed,
+            ..Default::default()
+        };
+        let support = support_after_seller_update(&mut db, &cfg, &picks);
         check_all_configs(&mut db, &support);
     }
 }
@@ -164,20 +235,16 @@ fn optimizer_equals_naive_fixed_corpus() {
         .map(|i| (i, (i % 2) as u8, 12 + (i * 7) % 50))
         .collect();
     let tweets: Vec<(i64, i64, u8)> = (0..20).map(|i| (i, i * 3 % 12, (i % 3) as u8)).collect();
-    let mut db = build_db(&users, &tweets);
-    for seed in [1, 2, 3] {
-        for swap_fraction in [0.0, 0.5, 1.0] {
-            let support = SupportSet::Neighborhood(generate_support(
-                &db,
-                &SupportConfig {
-                    size: 250,
-                    swap_fraction,
-                    seed,
-                    ..Default::default()
-                },
-            ));
-            check_all_configs(&mut db, &support);
-        }
+    for (seed, swap_fraction) in [(1, 0.0), (2, 0.5), (3, 1.0)] {
+        let mut db = build_db(&users, &tweets);
+        let cfg = SupportConfig {
+            size: 250,
+            swap_fraction,
+            seed,
+            ..Default::default()
+        };
+        let support = support_after_seller_update(&mut db, &cfg, &[3, 14, 15]);
+        check_all_configs(&mut db, &support);
     }
 }
 

@@ -3,9 +3,11 @@
 //! unbounded runtime — and the broker must degrade or recover exactly as
 //! documented (README "Robustness & degradation").
 //!
-//! Every test that arms a failpoint holds the [`fault::serialize_tests`]
-//! guard: the fault registry is process-global and `cargo test` runs tests
-//! concurrently.
+//! Every test holds the [`fault::serialize_tests`] guard — those that arm
+//! a failpoint and those that merely build or drive a broker: the fault
+//! registry is process-global, `cargo test` runs tests concurrently, and
+//! every broker call passes failpoints, so an unguarded test would consume
+//! (and fail on) a one-shot fault another test armed for itself.
 
 // CLI/bench/demo target: aborting with a clear message on bad input or a
 // broken fixture is the intended failure mode here, unlike in the library
@@ -73,6 +75,7 @@ fn small_support() -> SupportConfig {
 
 #[test]
 fn row_budget_trips_mid_join_as_structured_error() {
+    let _guard = fault::serialize_tests();
     let broker = Qirana::new(
         twitter_db(),
         QiranaConfig {
@@ -107,6 +110,7 @@ fn row_budget_trips_mid_join_as_structured_error() {
 
 #[test]
 fn expired_deadline_trips_immediately_and_is_bounded() {
+    let _guard = fault::serialize_tests();
     let broker = Qirana::new(
         twitter_db(),
         QiranaConfig {
@@ -134,6 +138,7 @@ fn expired_deadline_trips_immediately_and_is_bounded() {
 
 #[test]
 fn failed_purchase_does_not_charge_the_buyer() {
+    let _guard = fault::serialize_tests();
     let mut broker = Qirana::new(
         twitter_db(),
         QiranaConfig {
@@ -162,6 +167,7 @@ fn failed_purchase_does_not_charge_the_buyer() {
 
 #[test]
 fn solver_timeout_degrades_to_uniform_weights() {
+    let _guard = fault::serialize_tests();
     let cfg = QiranaConfig {
         support: small_support(),
         price_points: vec![PricePoint::new("SELECT * FROM User", 70.0)],
@@ -194,6 +200,7 @@ fn solver_timeout_degrades_to_uniform_weights() {
 
 #[test]
 fn solver_timeout_without_fallback_is_a_typed_error() {
+    let _guard = fault::serialize_tests();
     let cfg = QiranaConfig {
         support: small_support(),
         price_points: vec![PricePoint::new("SELECT * FROM User", 70.0)],
@@ -216,6 +223,7 @@ fn solver_timeout_without_fallback_is_a_typed_error() {
 
 #[test]
 fn infeasible_price_points_degrade_with_flag() {
+    let _guard = fault::serialize_tests();
     // A subset priced above the whole dataset: infeasible on every support
     // set, so after the retry/backoff ladder the broker must degrade.
     let cfg = QiranaConfig {

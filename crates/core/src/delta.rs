@@ -49,7 +49,7 @@
 //! declines ([`DeltaState::Ineligible`]) on any mismatch.
 
 use crate::engine::{bag_fp, EngineOptions, Visible};
-use crate::naive::neighbor_fp;
+use crate::naive::neighbor_fps;
 use crate::normal_form::{Prepared, Shape};
 use crate::parallel::fan_out;
 use crate::update::SupportUpdate;
@@ -1229,28 +1229,37 @@ pub(crate) fn query_fps_nbrs(
         return Err(EngineError::Eval("delta probe on ineligible state".into()));
     };
     let n = updates.len();
-    // (fingerprint, fell back) per neighbor.
-    let outcomes = fan_out(db, n, opts.parallelism, &opts.telemetry, |local, i| {
-        let up = &updates[i];
+    // Probes only read (table overrides, prebuilt indexes), so pool workers
+    // share the database; `None` marks a tripped guard.
+    let shared: &Database = db;
+    let probed = fan_out(&mut (), n, opts.parallelism, &opts.telemetry, |_, i| {
         if visible[i].is_none() {
-            return Ok((base, false));
+            return Ok(Some(base));
         }
         let inner = match state {
-            DeltaState::Spj(d) => d.try_probe(local, &q.plan, up),
-            DeltaState::Agg(d) => d.try_probe(local, up),
+            DeltaState::Spj(d) => d.try_probe(shared, &q.plan, &updates[i]),
+            DeltaState::Agg(d) => d.try_probe(shared, &updates[i]),
             DeltaState::Ineligible => InnerProbe::NeedFallback,
         };
-        match inner {
-            InnerProbe::Fp(fp) => Ok((fp, false)),
-            InnerProbe::NeedFallback => Ok((neighbor_fp(local, &q.plan, up, opts.budget)?, true)),
-        }
+        Ok(match inner {
+            InnerProbe::Fp(fp) => Some(fp),
+            InnerProbe::NeedFallback => None,
+        })
     })?;
+    // Only the fallbacks write (apply / execute / undo), so replicas are
+    // cloned only when there are enough of them to pay for a pool.
+    let fallbacks: Vec<usize> = (0..n).filter(|&i| probed[i].is_none()).collect();
+    let full = neighbor_fps(db, &q.plan, updates, &fallbacks, opts)?;
+    let mut fps: Vec<Fingerprint> = probed.into_iter().map(|p| p.unwrap_or(base)).collect();
+    for (&i, fp) in fallbacks.iter().zip(full) {
+        fps[i] = fp;
+    }
     let stats = ProbeStats {
         probes: n as u64,
         short_circuits: visible.iter().filter(|v| v.is_none()).count() as u64,
-        fallbacks: outcomes.iter().filter(|(_, fell_back)| *fell_back).count() as u64,
+        fallbacks: fallbacks.len() as u64,
     };
-    Ok((outcomes.into_iter().map(|(fp, _)| fp).collect(), stats))
+    Ok((fps, stats))
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ use crate::cache::{CacheConfig, PricingCache};
 use crate::delta::{self, DeltaState};
 use crate::fault;
 use crate::naive;
-use crate::normal_form::{AggShape, Prepared, Shape, SpjShape};
+use crate::normal_form::{Prepared, Shape};
 use crate::optimized;
 use crate::parallel::Parallelism;
 use crate::support::SupportSet;
@@ -150,8 +150,10 @@ impl EngineOptions {
     }
 }
 
-/// The engine's failpoint: every public entry point passes it before any
-/// execution.
+/// The engine's failpoint. Every sweep passes it ([`query_bits`],
+/// [`query_fps`]), so every public entry point does before any execution;
+/// the cached bundle entry points also check it at their head, so an armed
+/// fault aborts a warm (all-hit) request like a cold one.
 fn failpoint() -> Result<(), EngineError> {
     fault::check(fault::ENGINE_EXECUTE)
         .map_err(|f| EngineError::Eval(format!("injected fault: {f}")))
@@ -242,8 +244,10 @@ pub fn visibility(
 }
 
 /// Opens a sweep's `Disagreement` span, labelled `<family>/<path>`, and
-/// counts the sweep's deterministic work measure: instances still active
-/// going in — identical sequential vs parallel.
+/// records the sweep's deterministic work measures (identical sequential vs
+/// parallel): the span counts the instances still active going in, the
+/// `neighbors_evaluated_total` counter adds the support size S — once per
+/// sweep, so once per member query of a bundle, cached or not.
 fn sweep_span(tel: &Telemetry, label: &str, active: &[bool]) -> SpanGuard {
     if !tel.is_enabled() {
         return tel.span(Stage::Disagreement);
@@ -284,30 +288,6 @@ fn per_instance(
     Ok((base, fps))
 }
 
-/// The coverage paths of the routing table. The `bool` is §4.2's batching:
-/// one widened probe per relation (`true`) or one probe per update.
-enum BitsPath<'a> {
-    /// Execute the query on each visible instance.
-    PerInstance,
-    /// §4's static + dynamic checks for SPJ shapes (Algorithms 4, 6).
-    Spj(&'a SpjShape, &'a [SupportUpdate], bool),
-    /// §4's checks for aggregate shapes (Algorithm 5).
-    Agg(&'a AggShape, &'a [SupportUpdate], bool),
-    /// Per-instance execution on Appendix A's reduced instances.
-    Reduced(&'a [SupportUpdate]),
-}
-
-impl BitsPath<'_> {
-    fn label(&self) -> &'static str {
-        match self {
-            BitsPath::PerInstance => "coverage/per-instance",
-            BitsPath::Spj(.., true) | BitsPath::Agg(.., true) => "coverage/batched",
-            BitsPath::Spj(.., false) | BitsPath::Agg(.., false) => "coverage/unbatched",
-            BitsPath::Reduced(_) => "coverage/reduced",
-        }
-    }
-}
-
 /// The coverage primitive: for every support instance, whether `q`'s
 /// output on it differs from the output on the stored database.
 /// `active[i] = false` excludes instance `i` (its bit stays `false`).
@@ -326,33 +306,36 @@ pub fn query_bits(
     failpoint()?;
     let tel = &opts.telemetry;
     let visible = visibility(db, q, support, active);
-    // The routing table (DESIGN.md §9), coverage rows.
-    let path = match (support, opts.strategy, &q.shape) {
-        (Uniform(_), ..) => BitsPath::PerInstance,
-        (Neighborhood(ups), Auto, Spj(s)) => BitsPath::Spj(s, ups, true),
-        (Neighborhood(ups), Auto, Agg(s)) => BitsPath::Agg(s, ups, true),
-        (Neighborhood(ups), NoBatching, Spj(s)) => BitsPath::Spj(s, ups, false),
-        (Neighborhood(ups), NoBatching, Agg(s)) => BitsPath::Agg(s, ups, false),
-        (Neighborhood(ups), NaiveReduced, Spj(_)) => BitsPath::Reduced(ups),
-        (Neighborhood(_), ..) => BitsPath::PerInstance,
+    // §4.2's batching: one widened probe per relation, or one per update.
+    let batch = opts.strategy == Auto;
+    let checks = if batch {
+        "coverage/batched"
+    } else {
+        "coverage/unbatched"
     };
-    let span = sweep_span(tel, path.label(), active);
-    let bits = meter_trips(
-        tel,
-        match path {
-            BitsPath::Spj(s, ups, batch) => {
-                optimized::spj_disagreements(db, s, ups, &visible, batch, opts)
-            }
-            BitsPath::Agg(s, ups, batch) => {
-                optimized::agg_disagreements(db, q, s, ups, &visible, batch, opts)
-            }
-            BitsPath::Reduced(ups) => {
-                naive::reduced_disagreements(db, q, ups, &visible, opts.budget)
-            }
-            BitsPath::PerInstance => per_instance(db, q, support, &visible, opts)
-                .map(|(base, fps)| fps.iter().map(|fp| *fp != base).collect()),
-        },
-    )?;
+    let span;
+    // The routing table (DESIGN.md §9), coverage rows.
+    let bits = match (support, opts.strategy, &q.shape) {
+        (Neighborhood(ups), Auto | NoBatching, Spj(s)) => {
+            span = sweep_span(tel, checks, active);
+            optimized::spj_disagreements(db, s, ups, &visible, batch, opts)
+        }
+        (Neighborhood(ups), Auto | NoBatching, Agg(s)) => {
+            span = sweep_span(tel, checks, active);
+            optimized::agg_disagreements(db, q, s, ups, &visible, batch, opts)
+        }
+        (Neighborhood(ups), NaiveReduced, Spj(_)) => {
+            span = sweep_span(tel, "coverage/reduced", active);
+            naive::reduced_disagreements(db, q, ups, &visible, opts.budget)
+        }
+        // Uniform worlds, opaque shapes, `Naive`.
+        (Uniform(_), ..) | (Neighborhood(_), ..) => {
+            span = sweep_span(tel, "coverage/per-instance", active);
+            per_instance(db, q, support, &visible, opts)
+                .map(|(base, fps)| fps.iter().map(|fp| *fp != base).collect())
+        }
+    };
+    let bits = meter_trips(tel, bits)?;
     if tel.is_enabled() {
         let found = bits.iter().filter(|&&b| b).count() as u64;
         span.count("disagreements", found);
@@ -377,7 +360,9 @@ pub fn bundle_disagreements(
     opts: &EngineOptions,
     skip: Option<&[bool]>,
 ) -> Result<Vec<bool>, EngineError> {
-    failpoint()?;
+    if bundle.is_empty() {
+        failpoint()?; // no member sweep will pass it
+    }
     let n = support.len();
     // active[i]: still needs evaluation for the remaining queries.
     let mut active: Vec<bool> = match skip {
@@ -511,7 +496,9 @@ pub fn bundle_partition(
     support: &SupportSet,
     opts: &EngineOptions,
 ) -> Result<Vec<Fingerprint>, EngineError> {
-    failpoint()?;
+    if bundle.is_empty() {
+        failpoint()?; // no member sweep will pass it
+    }
     fold_partition(bundle, support.len(), |q| {
         query_fps(db, q, support, opts, None).map(Arc::new)
     })

@@ -18,22 +18,10 @@ use qirana_sqlengine::{
 };
 use std::collections::{BTreeMap, HashMap};
 
-/// The plan's output fingerprint on the neighbor `up` makes of `db`: apply
-/// the update, execute under `budget`, roll it back. A budget trip surfaces
-/// as [`EngineError::BudgetExceeded`] with the database already rolled back.
-pub(crate) fn neighbor_fp(
-    db: &mut Database,
-    plan: &ResolvedSelect,
-    up: &SupportUpdate,
-    budget: ExecBudget,
-) -> Result<Fingerprint, EngineError> {
-    let undo = up.apply(db);
-    let fp = execute(plan, &ExecContext::new(db).with_budget(budget)).map(bag_fp);
-    apply_writes(db, &undo);
-    fp
-}
-
-/// [`neighbor_fp`] on each neighbor `updates[idxs[j]]`, under `opts.budget`.
+/// The plan's output fingerprint on each neighbor `updates[idxs[j]]`: apply
+/// the update, execute under `opts.budget`, roll it back. A budget trip
+/// surfaces as [`EngineError::BudgetExceeded`] with the database already
+/// rolled back.
 pub(crate) fn neighbor_fps(
     db: &mut Database,
     plan: &ResolvedSelect,
@@ -43,7 +31,10 @@ pub(crate) fn neighbor_fps(
 ) -> Result<Vec<Fingerprint>, EngineError> {
     let tel = &opts.telemetry;
     fan_out(db, idxs.len(), opts.parallelism, tel, |local, j| {
-        neighbor_fp(local, plan, &updates[idxs[j]], opts.budget)
+        let undo = updates[idxs[j]].apply(local);
+        let fp = execute(plan, &ExecContext::new(local).with_budget(opts.budget)).map(bag_fp);
+        apply_writes(local, &undo);
+        fp
     })
 }
 

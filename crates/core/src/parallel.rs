@@ -24,10 +24,11 @@
 //!   applying an update and rolling it back; a pool worker does this
 //!   against its own deep [`qirana_sqlengine::Database`] clone, so the
 //!   caller's database is never touched by another thread. Read-only
-//!   loops (uniform worlds, table-override probes) pass `()` as context
-//!   and share the data by reference — `Database` is `Sync` (asserted at
-//!   compile time in `qirana-sqlengine`), and all interior-mutable
-//!   execution state lives in per-execution `ExecContext`s.
+//!   loops (uniform worlds, table-override and delta probes) pass `()` as
+//!   context and share the data by reference — `Database` is `Sync`
+//!   (asserted at compile time in `qirana-sqlengine`), and all
+//!   interior-mutable execution state lives in per-execution
+//!   `ExecContext`s.
 //!
 //! Work is distributed by chunked atomic stealing: workers grab
 //! [`CHUNK`]-sized index ranges from a shared counter, which balances load

@@ -9,9 +9,11 @@
 //! {weighted coverage, Shannon entropy}. On randomized databases, support
 //! sets, seller updates and SPJ/aggregate queries, every cell must produce
 //! *identical* disagreement bits and partition fingerprints — and
-//! therefore bitwise-identical prices.
+//! therefore bitwise-identical prices. The reference in turn is held to an
+//! unfiltered apply/execute/undo oracle that shares no code with it.
 
 use proptest::prelude::*;
+use qirana_core::engine::{bag_fp, query_bits, query_fps};
 use qirana_core::{
     bundle_disagreements, bundle_partition, generate_support, generate_uniform_worlds,
     prepare_query,
@@ -21,7 +23,8 @@ use qirana_core::{
 };
 use qirana_sqlengine::update::{apply_writes, CellWrite};
 use qirana_sqlengine::{
-    ColumnDef, DataType, Database, EngineError, ExecBudget, TableSchema, Value,
+    execute, ColumnDef, DataType, Database, EngineError, ExecBudget, ExecContext, Fingerprint,
+    TableSchema, Value,
 };
 use std::time::Duration;
 
@@ -160,6 +163,51 @@ fn seller_writes(db: &Database, updates: &[SupportUpdate], picks: &[usize]) -> V
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+    /// The reference has an oracle of its own. `Strategy::Naive` runs behind
+    /// the same visibility test as every path compared against it, so a
+    /// defect there (a column a clause reads missing from the footprint, a
+    /// wrong effective-column diff) would make every cell of the matrix
+    /// wrong the same way. The oracle shares none of that: apply, execute,
+    /// undo on *every* instance, nothing filtered — over the whole pool
+    /// (column-miss, join and aggregate shapes) plus an opaque query, after
+    /// the seller update.
+    #[test]
+    fn naive_reference_matches_unfiltered_brute_force(
+        t_rows in prop::collection::vec((0u8..3, -40i16..40), 8..20),
+        u_rows in prop::collection::vec((any::<u8>(), -40i16..40), 4..12),
+        c in -40i16..40,
+        seed in any::<u64>(),
+        picks in prop::collection::vec(any::<usize>(), 1..4),
+    ) {
+        let mut db = build_db(&t_rows, &u_rows);
+        let updates = generate_support(&db, &support_config(seed));
+        let writes = seller_writes(&db, &updates, &picks);
+        apply_writes(&mut db, &writes);
+        let support = SupportSet::Neighborhood(updates.clone());
+        let all = vec![true; updates.len()];
+        let reference = EngineOptions::naive();
+        let mut pool = query_pool(c);
+        pool.push("SELECT DISTINCT grp FROM T".to_string());
+        for sql in &pool {
+            let q = prepare_query(&db, sql).unwrap();
+            let base = bag_fp(execute(&q.plan, &ExecContext::new(&db)).unwrap());
+            let brute: Vec<Fingerprint> = updates
+                .iter()
+                .map(|up| {
+                    let undo = up.apply(&mut db);
+                    let fp = bag_fp(execute(&q.plan, &ExecContext::new(&db)).unwrap());
+                    apply_writes(&mut db, &undo);
+                    fp
+                })
+                .collect();
+            let fps = query_fps(&mut db, &q, &support, &reference, None).unwrap();
+            prop_assert_eq!(&fps, &brute, "reference fingerprints diverge for {}", sql);
+            let bits = query_bits(&mut db, &q, &support, &all, &reference).unwrap();
+            let brute_bits: Vec<bool> = brute.iter().map(|fp| *fp != base).collect();
+            prop_assert_eq!(bits, brute_bits, "reference bits diverge for {}", sql);
+        }
+    }
 
     /// Every strategy, inline and on the worker pool, yields the reference
     /// disagreement bits and partition fingerprints — and identical

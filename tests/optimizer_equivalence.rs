@@ -1,7 +1,8 @@
 //! Property-based cross-check of the §4 optimizer: for *every* query shape
 //! and every evaluation strategy, the disagreement bits and partition
 //! fingerprints must equal the naive engine's (Theorems 4.1 / 4.2 made
-//! executable). Sequential, uncached `Strategy::Naive` is the reference;
+//! executable). Sequential, uncached `Strategy::Naive` is the reference
+//! (itself held to an unfiltered apply/execute/undo oracle per query);
 //! the matrix is every `Strategy` × {sequential, 4 threads} for each query,
 //! × {cache on, off} for the whole pool as one bundle, over both
 //! primitives (coverage bits, entropy fingerprints).
@@ -18,13 +19,16 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use proptest::prelude::*;
+use qirana::core::engine::{bag_fp, combine_bundle};
 use qirana::core::{
     bundle_disagreements, bundle_disagreements_cached, bundle_partition, bundle_partition_cached,
     generate_support, prepare_query, EngineOptions, Parallelism, Prepared, PricingCache, Strategy,
     SupportConfig, SupportSet, SupportUpdate,
 };
 use qirana::sqlengine::update::{apply_writes, CellWrite};
-use qirana::sqlengine::{ColumnDef, DataType, Database, TableSchema, Value};
+use qirana::sqlengine::{
+    execute, ColumnDef, DataType, Database, ExecContext, Fingerprint, TableSchema, Value,
+};
 
 /// Builds a two-table database whose content is driven by the proptest
 /// parameters.
@@ -148,6 +152,31 @@ fn support_after_seller_update(
     SupportSet::Neighborhood(updates)
 }
 
+/// The reference's own oracle: `q`'s base fingerprint and its fingerprint on
+/// every neighbor by apply / execute / undo, no visibility test in front —
+/// so a defect in the filter `Strategy::Naive` shares with every other path
+/// cannot hide.
+fn brute_force(
+    db: &mut Database,
+    q: &Prepared,
+    support: &SupportSet,
+) -> (Fingerprint, Vec<Fingerprint>) {
+    let SupportSet::Neighborhood(updates) = support else {
+        panic!("neighborhood support expected");
+    };
+    let base = bag_fp(execute(&q.plan, &ExecContext::new(db)).unwrap());
+    let fps = updates
+        .iter()
+        .map(|up| {
+            let undo = up.apply(db);
+            let fp = bag_fp(execute(&q.plan, &ExecContext::new(db)).unwrap());
+            apply_writes(db, &undo);
+            fp
+        })
+        .collect();
+    (base, fps)
+}
+
 fn check_all_configs(db: &mut Database, support: &SupportSet) {
     let prepared: Vec<Prepared> = QUERIES
         .iter()
@@ -175,6 +204,11 @@ fn check_all_configs(db: &mut Database, support: &SupportSet) {
         let bundle = [q];
         let bits = bundle_disagreements(db, &bundle, support, &naive, None).unwrap();
         let fps = bundle_partition(db, &bundle, support, &naive).unwrap();
+        let (base, brute) = brute_force(db, q, support);
+        let brute_bits: Vec<bool> = brute.iter().map(|fp| *fp != base).collect();
+        assert_eq!(bits, brute_bits, "reference bits wrong for {:?}", q.sql);
+        let brute_fps: Vec<Fingerprint> = brute.iter().map(|fp| combine_bundle(&[*fp])).collect();
+        assert_eq!(fps, brute_fps, "reference fps wrong for {:?}", q.sql);
         for opts in &configs {
             let got = bundle_disagreements(db, &bundle, support, opts, None).unwrap();
             assert_eq!(got, bits, "bits mismatch for {:?} under {opts:?}", q.sql);
@@ -204,7 +238,7 @@ fn check_all_configs(db: &mut Database, support: &SupportSet) {
 
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 8,
+        cases: 12,
         .. ProptestConfig::default()
     })]
 
@@ -235,16 +269,19 @@ fn optimizer_equals_naive_fixed_corpus() {
         .map(|i| (i, (i % 2) as u8, 12 + (i * 7) % 50))
         .collect();
     let tweets: Vec<(i64, i64, u8)> = (0..20).map(|i| (i, i * 3 % 12, (i % 3) as u8)).collect();
-    for (seed, swap_fraction) in [(1, 0.0), (2, 0.5), (3, 1.0)] {
-        let mut db = build_db(&users, &tweets);
-        let cfg = SupportConfig {
-            size: 250,
-            swap_fraction,
-            seed,
-            ..Default::default()
-        };
-        let support = support_after_seller_update(&mut db, &cfg, &[3, 14, 15]);
-        check_all_configs(&mut db, &support);
+    for seed in [1, 2, 3] {
+        for swap_fraction in [0.0, 0.5, 1.0] {
+            // Rebuilt per support set: the seller update changes stored cells.
+            let mut db = build_db(&users, &tweets);
+            let cfg = SupportConfig {
+                size: 250,
+                swap_fraction,
+                seed,
+                ..Default::default()
+            };
+            let support = support_after_seller_update(&mut db, &cfg, &[3, 14, 15]);
+            check_all_configs(&mut db, &support);
+        }
     }
 }
 

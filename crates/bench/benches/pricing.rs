@@ -5,6 +5,8 @@
 //! * SPJ disagreement detection — one rung per `Strategy` value: `Naive`
 //!   vs. `NaiveReduced` (instance reduction) vs. `NoBatching` (static
 //!   checks, per-update probes) vs. `Auto` (full batching) — the §4 ladder;
+//! * SPJ entropy sweeps on the same join: `Naive` vs. `Auto` (the batched
+//!   delta evaluator);
 //! * aggregate disagreement detection (Algorithm 5 + delta analysis);
 //! * entropy-family partition pricing (Algorithm 2);
 //! * history-aware repricing (the shrinking-support effect of §5.3);
@@ -16,12 +18,14 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use qirana_core::engine::query_fps;
 use qirana_core::{
     bundle_disagreements, bundle_partition, generate_support, prepare_query, EngineOptions,
-    PricePoint, Strategy, SupportConfig, SupportSet,
+    Prepared, PricePoint, Strategy, SupportConfig, SupportSet,
 };
 use qirana_datagen::world;
 use qirana_solver::{solve, MaxEntProblem};
+use qirana_sqlengine::Database;
 
 fn support_generation(c: &mut Criterion) {
     let db = world::generate(7);
@@ -42,8 +46,10 @@ fn support_generation(c: &mut Criterion) {
     g.finish();
 }
 
-fn spj_engine_ladder(c: &mut Criterion) {
-    let mut db = world::generate(7);
+/// `world`, S = 2000 and one Country ⋈ CountryLanguage join: the fixture
+/// of both SPJ groups.
+fn spj_fixture() -> (Database, SupportSet, Prepared) {
+    let db = world::generate(7);
     let support = SupportSet::Neighborhood(generate_support(
         &db,
         &SupportConfig {
@@ -57,6 +63,11 @@ fn spj_engine_ladder(c: &mut Criterion) {
          WHERE C.Code = L.CountryCode AND L.Percentage < 30 AND C.Population > 1000000",
     )
     .unwrap();
+    (db, support, q)
+}
+
+fn spj_engine_ladder(c: &mut Criterion) {
+    let (mut db, support, q) = spj_fixture();
     let mut g = c.benchmark_group("spj_disagreements_S2000");
     // The §4 ladder, one rung per `Strategy` value.
     for strategy in [
@@ -71,6 +82,22 @@ fn spj_engine_ladder(c: &mut Criterion) {
         };
         g.bench_function(format!("{strategy:?}"), |b| {
             b.iter(|| bundle_disagreements(&mut db, &[&q], &support, &opts, None).unwrap())
+        });
+    }
+    g.finish();
+}
+
+/// The entropy primitive on the same join: per-instance execution against
+/// the batched delta evaluator.
+fn spj_entropy(c: &mut Criterion) {
+    let (mut db, support, q) = spj_fixture();
+    let mut g = c.benchmark_group("query_fps_S2000");
+    for (name, opts) in [
+        ("Naive", EngineOptions::naive()),
+        ("Auto", EngineOptions::default()),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| query_fps(&mut db, &q, &support, &opts).unwrap())
         });
     }
     g.finish();
@@ -205,7 +232,7 @@ fn maxent_solver(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = support_generation, spj_engine_ladder, agg_engine,
+    targets = support_generation, spj_engine_ladder, spj_entropy, agg_engine,
               entropy_partition, history_shrinks_work, weight_assignment,
               maxent_solver
 }

@@ -1,10 +1,16 @@
 //! Figure 5: scalability — time to price each SSB / TPC-H query with the
 //! per-update optimizer ("no batching", `Strategy::NoBatching`), the
 //! batched optimizer ("with batching" — `Strategy::Auto`, the default
-//! coverage path), and, for reference, the plain query execution time;
-//! `--naive 1` adds `Strategy::Naive`.
+//! path), and, for reference, the plain query execution time; `--naive 1`
+//! adds `Strategy::Naive`.
 //!
-//! `cargo run -p qirana-bench --bin fig5 --release -- <ssb|tpch> [--sf F] [--support N] [--naive 1] [--threads N]`
+//! `cargo run -p qirana-bench --bin fig5 --release -- <ssb|tpch|world> [--function coverage|shannon] [--sf F] [--support N] [--naive 1] [--threads N]`
+//!
+//! `--function shannon` times the entropy primitive (per-instance output
+//! fingerprints) instead of the coverage bitmap: there `NoBatching` is
+//! per-instance execution and `Auto` the batched delta evaluator. The
+//! `world` arm prices the join queries of `WORLD_QUERIES` (`--sf` does not
+//! apply) — the SPJ joins the SSB/TPC-H flights lack.
 //!
 //! The paper runs SF = 1 with S = 100 000; defaults here are scaled down
 //! (see EXPERIMENTS.md) — the *ratios* between the three columns are the
@@ -18,11 +24,12 @@
 use qirana_bench::{Args, Harness};
 use qirana_core::generate_support;
 use qirana_core::{
-    bundle_disagreements, prepare_query, EngineOptions, Parallelism, SupportConfig, SupportSet,
+    bundle_disagreements, bundle_partition, prepare_query, EngineOptions, Parallelism, Prepared,
+    SupportConfig, SupportSet,
 };
-use qirana_datagen::queries::{ssb_queries, tpch_queries};
-use qirana_datagen::{ssb, tpch};
-use qirana_sqlengine::{execute, ExecContext};
+use qirana_datagen::queries::{ssb_queries, tpch_queries, WORLD_QUERIES};
+use qirana_datagen::{ssb, tpch, world};
+use qirana_sqlengine::{execute, Database, ExecContext};
 
 fn main() {
     let args = Args::parse();
@@ -34,6 +41,15 @@ fn main() {
     let sf: f64 = args.get("sf", 0.01);
     let support: usize = args.get("support", 2000);
     let include_naive: usize = args.get("naive", 0);
+    let function: String = args.get("function", "coverage".to_string());
+    let shannon = match function.as_str() {
+        "coverage" => false,
+        "shannon" => true,
+        other => {
+            eprintln!("unknown function {other}; use coverage or shannon");
+            return;
+        }
+    };
     let threads: usize = args.get("threads", 1);
     let par = if threads > 1 {
         Parallelism::Threads(threads)
@@ -56,20 +72,43 @@ fn main() {
                 .map(|(n, q)| (n.to_string(), q))
                 .collect(),
         ),
+        "world" => {
+            let db = world::generate(7);
+            let joins = WORLD_QUERIES
+                .iter()
+                .enumerate()
+                .filter(|(_, q)| prepare_query(&db, q).is_ok_and(|p| p.plan.relations.len() > 1))
+                .map(|(i, q)| (format!("Qw{}", i + 1), q.to_string()))
+                .collect();
+            (db, joins)
+        }
         other => {
-            eprintln!("unknown dataset {other}; use ssb or tpch");
+            eprintln!("unknown dataset {other}; use ssb, tpch or world");
             return;
+        }
+    };
+    // One sweep of the timed primitive: the coverage bitmap, or the
+    // per-instance fingerprints an entropy price is a function of.
+    let sweep = |db: &mut Database, q: &Prepared, support: &SupportSet, opts: EngineOptions| {
+        let opts = opts.with_parallelism(par);
+        if shannon {
+            bundle_partition(db, &[q], support, &opts).unwrap().len()
+        } else {
+            bundle_disagreements(db, &[q], support, &opts, None)
+                .unwrap()
+                .len()
         }
     };
 
     let mut h = Harness::from_args("fig5", &args, None);
     h.param("dataset", &which);
+    h.param("function", &function);
     h.param("sf", sf);
     h.param("support", support);
     h.param("threads", threads);
 
     println!(
-        "== Figure 5 ({which}, sf={sf}, S={support}, threads={threads}): pricing time in seconds =="
+        "== Figure 5 ({which}, {function}, sf={sf}, S={support}, threads={threads}): pricing time in seconds =="
     );
     let support_set = SupportSet::Neighborhood(generate_support(
         &db,
@@ -101,36 +140,15 @@ fn main() {
             execute(&q.plan, &ExecContext::new(&db)).unwrap()
         });
         let (_, t_nobatch) = h.time("no_batching", &name, || {
-            bundle_disagreements(
-                &mut db,
-                &[&q],
-                &support_set,
-                &EngineOptions::no_batching().with_parallelism(par),
-                None,
-            )
-            .unwrap()
+            sweep(&mut db, &q, &support_set, EngineOptions::no_batching())
         });
         let (_, t_batch) = h.time("with_batching", &name, || {
-            bundle_disagreements(
-                &mut db,
-                &[&q],
-                &support_set,
-                &EngineOptions::default().with_parallelism(par),
-                None,
-            )
-            .unwrap()
+            sweep(&mut db, &q, &support_set, EngineOptions::default())
         });
         print!("{name:<6} {t_nobatch:>14.4} {t_batch:>14.4} {t_exec:>14.4}");
         if include_naive == 1 {
             let (_, t_naive) = h.time("naive", &name, || {
-                bundle_disagreements(
-                    &mut db,
-                    &[&q],
-                    &support_set,
-                    &EngineOptions::naive().with_parallelism(par),
-                    None,
-                )
-                .unwrap()
+                sweep(&mut db, &q, &support_set, EngineOptions::naive())
             });
             print!(" {t_naive:>14.4}");
         }

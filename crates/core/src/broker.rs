@@ -852,8 +852,8 @@ impl Qirana {
             }
             lookup.count("miss", 1);
         }
-        let fps = self
-            .with_scratch_db(|db| Ok(query_fps(db, q, &self.support, &self.cfg.engine, None)?))?;
+        let fps =
+            self.with_scratch_db(|db| Ok(query_fps(db, q, &self.support, &self.cfg.engine)?))?;
         Ok(Arc::new(fps))
     }
 

@@ -38,7 +38,6 @@
 //! Hit/miss/eviction/invalidation counters are exposed via [`CacheStats`]
 //! and surfaced on every [`crate::Purchase`].
 
-use crate::delta::DeltaState;
 use qirana_sqlengine::Fingerprint;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -104,9 +103,6 @@ enum Kind {
     Bits,
     /// Entropy family: per-instance output fingerprints.
     Blocks,
-    /// Incremental evaluator state ([`crate::delta`]): base execution plus
-    /// per-operator intermediates, for the entropy family's sweeps.
-    Delta,
 }
 
 /// A memoized artifact. `Arc`-shared: lookups hand out cheap clones, so a
@@ -117,7 +113,6 @@ enum Kind {
 enum Artifact {
     Bits(Arc<Vec<bool>>),
     Blocks(Arc<Vec<Fingerprint>>),
-    Delta(Arc<DeltaState>),
 }
 
 #[derive(Debug)]
@@ -269,27 +264,6 @@ impl PricingCache {
         self.insert(plan_fp, Kind::Blocks, Artifact::Blocks(blocks));
     }
 
-    /// Looks up a query's memoized delta-evaluator state.
-    ///
-    /// Delta state is an *accelerator* artifact, not a pricing result:
-    /// its presence or absence never changes a price, only how fast the
-    /// per-neighbor evidence is produced. Lookups therefore bypass the
-    /// hit/miss counters (which report pricing-artifact reuse to buyers on
-    /// every [`crate::Purchase`]) while still honoring the generation
-    /// check and refreshing LRU recency.
-    pub fn get_delta(&mut self, plan_fp: Fingerprint) -> Option<Arc<DeltaState>> {
-        match self.get_quiet(plan_fp, Kind::Delta) {
-            Some(Artifact::Delta(d)) => Some(d),
-            _ => None,
-        }
-    }
-
-    /// Memoizes a query's delta-evaluator state under the current
-    /// generation (counter-quiet, like [`Self::get_delta`]).
-    pub fn insert_delta(&mut self, plan_fp: Fingerprint, state: Arc<DeltaState>) {
-        self.insert(plan_fp, Kind::Delta, Artifact::Delta(state));
-    }
-
     fn get(&mut self, plan_fp: Fingerprint, kind: Kind) -> Option<Artifact> {
         let key = (plan_fp.0, kind);
         match self.entries.get_mut(&key) {
@@ -311,25 +285,6 @@ impl PricingCache {
                 self.stats.misses += 1;
                 None
             }
-        }
-    }
-
-    /// [`Self::get`] without the hit/miss accounting: generation staleness
-    /// still invalidates, and a live entry still refreshes its LRU tick.
-    fn get_quiet(&mut self, plan_fp: Fingerprint, kind: Kind) -> Option<Artifact> {
-        let key = (plan_fp.0, kind);
-        match self.entries.get_mut(&key) {
-            Some(e) if e.generation == self.generation => {
-                self.tick += 1;
-                e.last_used = self.tick;
-                Some(e.artifact.clone())
-            }
-            Some(_) => {
-                self.entries.remove(&key);
-                self.stats.invalidations += 1;
-                None
-            }
-            None => None,
         }
     }
 
@@ -430,30 +385,6 @@ mod tests {
         assert!(c.is_empty());
         assert!(c.get_bits(fp(1)).is_none());
         assert_eq!(c.stats().evictions, 0);
-    }
-
-    #[test]
-    fn delta_entries_are_counter_quiet_but_generation_checked() {
-        let mut c = PricingCache::new(4);
-        assert!(c.get_delta(fp(1)).is_none());
-        c.insert_delta(fp(1), Arc::new(DeltaState::Ineligible));
-        assert!(c.get_delta(fp(1)).is_some());
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses), (0, 0), "delta lookups are quiet");
-        c.bump_generation();
-        assert!(c.get_delta(fp(1)).is_none(), "stale generation invalidates");
-        assert_eq!(c.stats().hits, 0);
-    }
-
-    #[test]
-    fn delta_entries_count_toward_capacity() {
-        let mut c = PricingCache::new(2);
-        c.insert_delta(fp(1), Arc::new(DeltaState::Ineligible));
-        c.insert_bits(fp(2), Arc::new(vec![true]));
-        c.insert_blocks(fp(3), Arc::new(vec![fp(9)]));
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.stats().evictions, 1);
-        assert!(c.get_delta(fp(1)).is_none(), "oldest entry was the victim");
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //! one row/swap update, yet an entropy sweep needs the query's *output
 //! fingerprint* on each of them — which the baseline gets by re-executing
 //! the full plan once per neighbor. This module executes the plan **once**
-//! on the base instance, materializes per-operator intermediate state, and
-//! then fingerprints each neighbor as a *delta* against the memoized base.
-//! [`crate::engine::query_fps`] routes here for SPJ/aggregate shapes over
-//! neighborhood supports with no budget set; coverage sweeps never do
-//! (§4's batched checks answer the one-bit question cheaper — DESIGN.md §9
-//! has the measurements).
+//! on the base instance, memoizes what a one-row change can move, and then
+//! fingerprints *all* neighbors of a relation from **one** further
+//! execution: §4.2's `upid`-widened probe, which the coverage checks
+//! already batch with. A sweep therefore costs O(relations) plan
+//! executions, independent of the support size and of how many neighbors
+//! are visible. [`crate::engine::query_fps`] routes here for SPJ/aggregate
+//! shapes over neighborhood supports with no budget set; coverage sweeps
+//! never do (DESIGN.md §9).
 //!
 //! * **Fingerprint arithmetic.** An unordered result fingerprint is
 //!   `header(N, C) + Σ row_hash(r)` under wrapping `u128` addition
@@ -18,46 +20,51 @@
 //!   added rows' hashes, with the header adjusted for the new row count.
 //!   Prices compare fingerprints, never row orders, so `ORDER BY` is
 //!   transparent to the delta.
-//! * **SPJ contributions.** SPJ(-shape) queries have no self-joins, `
-//!   DISTINCT`, or `LIMIT`, so the output bag is the disjoint union of
-//!   each tuple's contribution: executing the plan with the updated
-//!   relation overridden to *just* the changed tuples yields exactly the
-//!   rows those tuples produce (the `naive::reduced_disagreements`
-//!   override trick, turned per-neighbor). For two-relation equi-joins a
-//!   prebuilt join-match index over the partner relation answers the same
-//!   question without re-scanning the partner (validated at build time
-//!   against the override path, falling back to it on any mismatch).
+//! * **The batched probe** ([`probe_batched`]). Per relation with a
+//!   visible neighbor, the relation is overridden with every such
+//!   neighbor's `old_new_rows`, each row tagged with a trailing `upid`
+//!   (`2k` for a u⁻ row of batch member `k`, `2k + 1` for a u⁺ row, so
+//!   old and new ride in one execution), the widened plan runs once, and
+//!   the output is bucketed by `upid`. SPJ(-shape) queries have no
+//!   self-joins, `DISTINCT`, or `LIMIT`, so the output bag is the disjoint
+//!   union of each tuple's contribution and a bucket is exactly the rows
+//!   its member's tuples produce: `base − Σh(old) + Σh(new)`.
 //! * **Aggregate accumulators.** Aggregate-shape queries memoize one
 //!   group state per output row: the executor's representative row, exact
 //!   (order-independent) accumulators with the executor's float shadows,
-//!   and the output-row hash. A neighbor removes the changed tuples' core
-//!   rows and adds their replacements, recomputing only affected groups.
-//!   Guards detect every order-dependent case (float sums, `AVG` beyond
-//!   the 2⁵³ exact-integer range, `MIN`/`MAX` ties with mixed value
-//!   representations, representative-dependent projections) and fall
-//!   back to full execution for that neighbor.
+//!   and the output-row hash. The batched probe runs the *unrolled core*
+//!   (same FROM/WHERE, no grouping); a neighbor removes its u⁻ core rows
+//!   and adds its u⁺ ones, recomputing only affected groups. Guards detect
+//!   every order-dependent case (float sums, `AVG` beyond the 2⁵³
+//!   exact-integer range, `MIN`/`MAX` ties with mixed value
+//!   representations, representative-dependent projections) and fall back
+//!   to full execution for that neighbor — so the fold never depends on
+//!   the order in which one `upid`'s rows arrive.
 //! * **Short circuits.** A neighbor the engine's shared visibility test
 //!   ([`crate::engine::visibility`]) rules out — unreferenced relation, no
 //!   *effective* change inside the query's column footprint — agrees with
-//!   the base by construction: no probe, no execution at all.
+//!   the base by construction and never enters a batch.
 //!
-//! Fallback policy: any guard trip, eval error, or modeling doubt routes
-//! that one neighbor through full plan execution (apply, execute, roll
-//! back), so the delta path can never invent or suppress a result the
-//! full-execution path wouldn't produce. A build-time self-check
-//! reconstructs the base fingerprint from the materialized state and
-//! declines ([`DeltaState::Ineligible`]) on any mismatch.
+//! Fallback policy: a guard trip or eval error in one neighbor's fold
+//! routes that one neighbor through full plan execution (apply, execute,
+//! roll back). **Error parity:** a batched execution that errs routes
+//! *every* member of that batch there — full execution reproduces the
+//! error for the neighbor that owns it and answers the healthy ones
+//! exactly — so the delta path can never invent or suppress a result the
+//! full-execution path wouldn't produce, and a batch never turns one
+//! neighbor's error into another's wrong fingerprint. A build-time
+//! self-check reconstructs the aggregate base fingerprint from the
+//! materialized state and declines ([`DeltaState::Ineligible`]) on any
+//! mismatch.
 
 use crate::engine::{bag_fp, EngineOptions, Visible};
 use crate::naive::neighbor_fps;
-use crate::normal_form::{Prepared, Shape};
-use crate::parallel::fan_out;
+use crate::normal_form::{widened, Prepared, RelShape, Shape};
 use crate::update::SupportUpdate;
-use qirana_sqlengine::ast::BinaryOp;
-use qirana_sqlengine::exec::eval_row_expr;
+use qirana_sqlengine::exec::{eval_group_expr, eval_row_expr};
 use qirana_sqlengine::plan::{AggSpec, Projection};
 use qirana_sqlengine::{
-    execute, output_row_hash, Database, EngineError, ExecContext, Fingerprint, PExpr, PRelation,
+    execute, output_row_hash, Database, EngineError, ExecContext, Fingerprint, PExpr, QueryOutput,
     ResolvedSelect, Row, Value,
 };
 use std::collections::BTreeMap;
@@ -87,96 +94,98 @@ fn strict_value_eq(a: &Value, b: &Value) -> bool {
 // State
 // ---------------------------------------------------------------------------
 
-/// Materialized per-plan delta state, cacheable under the plan fingerprint
-/// and database generation.
-// Built once per plan and always held behind an `Arc`, so the by-value
-// size gap between `Ineligible` and the populated variants never moves.
+/// Materialized per-plan delta state.
+// Built once per sweep and only ever borrowed, so the by-value size gap
+// between the variants never moves.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum DeltaState {
-    /// SPJ shape: per-relation contribution probes.
-    Spj(SpjDelta),
+    /// SPJ shape: the output bag is the sum of per-tuple contributions, so
+    /// the base summary and the widened plans are the whole state.
+    Spj(Base),
     /// Aggregate shape: per-group accumulators over the unrolled core.
     Agg(AggDelta),
     /// The build declined (unsupported shape detail or a failed base
-    /// self-check). Cached so the decision isn't re-derived per call.
+    /// self-check); the sweep runs per instance.
     Ineligible,
 }
 
 impl DeltaState {
     /// True iff the state can answer probes.
     pub fn is_usable(&self) -> bool {
-        !matches!(self, DeltaState::Ineligible)
+        self.base().is_some()
     }
 
-    fn base_fp(&self) -> Option<Fingerprint> {
+    fn base(&self) -> Option<&Base> {
         match self {
-            DeltaState::Spj(d) => Some(d.base_fp),
-            DeltaState::Agg(d) => Some(d.base_fp),
+            DeltaState::Spj(base) => Some(base),
+            DeltaState::Agg(d) => Some(&d.base),
             DeltaState::Ineligible => None,
         }
     }
 }
 
-/// Delta state for an SPJ-shape plan.
+/// What both shapes keep of the base execution, and what they probe with.
 #[derive(Debug)]
-pub struct SpjDelta {
-    base_fp: Fingerprint,
-    base_rows: u64,
+pub struct Base {
+    /// Fingerprint, row count and column count of the plan's base output.
+    fp: Fingerprint,
+    rows: u64,
     cols: u64,
-    /// Probe strategy per referenced catalog table (SPJ shapes have no
-    /// self-joins, so each table maps to exactly one relation).
-    rels: BTreeMap<usize, Strategy>,
+    /// Per referenced catalog table (these shapes have no self-joins, so a
+    /// table is exactly one relation): the probed plan with that relation
+    /// [`widened`]. The probed plan is the plan itself for SPJ shapes
+    /// (not `RelShape::probe`, which drops `ORDER BY`: sort keys are
+    /// evaluated and can error, as in full execution) and, for aggregates,
+    /// its unrolled core (same FROM/WHERE, identity projections, no
+    /// grouping) — overriding the relation yields exactly the rows the
+    /// batched tuples contribute.
+    probes: BTreeMap<usize, ResolvedSelect>,
 }
 
-#[derive(Debug)]
-enum Strategy {
-    /// Execute the plan with the relation overridden to the probed rows.
-    Override,
-    /// Prebuilt partner join-match index (two-relation equi-join).
-    Indexed(IndexedJoin),
-}
+impl Base {
+    fn new(out: QueryOutput, probed: &ResolvedSelect, relations: &[RelShape]) -> Base {
+        Base {
+            rows: out.rows.len() as u64,
+            cols: out.columns.len() as u64,
+            fp: bag_fp(out),
+            probes: relations
+                .iter()
+                .map(|rel| (rel.table, widened(probed, rel.rel_idx)))
+                .collect(),
+        }
+    }
 
-/// Join-match index for one side of a two-relation equi-join: partner rows
-/// that survive the partner's local conjuncts, bucketed by the composite
-/// equi-edge key — mirroring the executor's hash-join build side (NULL
-/// keys never join and are skipped).
-#[derive(Debug)]
-struct IndexedJoin {
-    self_offset: usize,
-    self_arity: usize,
-    partner_offset: usize,
-    width: usize,
-    /// Conjuncts local to the probed relation, rebased to local slots.
-    self_local: Vec<PExpr>,
-    /// Self-side equi-edge key expressions (local slots), conjunct order.
-    self_keys: Vec<PExpr>,
-    /// Partner rows passing partner-local conjuncts, by composite key.
-    buckets: BTreeMap<Vec<Value>, Vec<Row>>,
-    /// Non-edge, non-local conjuncts (global slots), conjunct order.
-    residuals: Vec<PExpr>,
-    /// Output expressions (global slots).
-    projections: Vec<PExpr>,
-    /// Sort-key expressions, evaluated and discarded (error parity with
-    /// full execution; the bag fingerprint ignores order).
-    order_by: Vec<PExpr>,
+    /// The base fingerprint re-anchored on a neighbor: `rows_delta` output
+    /// rows net, `removed` / `added` the hash sums of the rows that left
+    /// and arrived.
+    fn shifted(&self, rows_delta: i64, removed: u128, added: u128) -> Fingerprint {
+        let rows = self.rows.wrapping_add(rows_delta as u64);
+        Fingerprint(
+            self.fp
+                .0
+                .wrapping_sub(header(self.rows, self.cols))
+                .wrapping_add(header(rows, self.cols))
+                .wrapping_sub(removed)
+                .wrapping_add(added),
+        )
+    }
 }
 
 /// Delta state for an aggregate-shape plan.
 #[derive(Debug)]
 pub struct AggDelta {
-    base_fp: Fingerprint,
-    base_out_rows: u64,
-    cols: u64,
-    width: usize,
+    base: Base,
+    /// The all-NULL core row the executor evaluates an empty global
+    /// group's output on.
+    null_row: Row,
     /// Global aggregate (empty GROUP BY): always exactly one output row.
     global: bool,
-    /// The unrolled core: same FROM/WHERE, identity projections, no
-    /// grouping — overriding the updated relation yields exactly the core
-    /// rows the changed tuples contribute.
-    core: ResolvedSelect,
     group_by: Vec<PExpr>,
     specs: Vec<AggSpec>,
+    /// One empty accumulator per spec: the state of a group before its
+    /// first row.
+    fresh: Vec<DAcc>,
     /// Raw output expressions (may mix `AggRef`s and row slots).
     out_exprs: Vec<PExpr>,
     order_exprs: Vec<PExpr>,
@@ -515,178 +524,18 @@ impl DAcc {
 /// self-check fails; errors only when the base execution itself errors —
 /// exactly when every full-execution path errors too.
 pub fn build(db: &Database, q: &Prepared) -> Result<DeltaState, EngineError> {
-    match &q.shape {
-        Shape::Spj(shape) => build_spj(db, q, &shape.relations),
-        Shape::Agg(_) => build_agg(db, q),
-        Shape::Opaque { .. } => Ok(DeltaState::Ineligible),
-    }
-}
-
-fn build_spj(
-    db: &Database,
-    q: &Prepared,
-    relations: &[crate::normal_form::RelShape],
-) -> Result<DeltaState, EngineError> {
-    let out = execute(&q.plan, &ExecContext::new(db))?;
-    let base_rows = out.rows.len() as u64;
-    let cols = out.columns.len() as u64;
-    let base_fp = bag_fp(out);
-
-    let mut rels = BTreeMap::new();
-    for rel in relations {
-        let strategy = match build_indexed(db, &q.plan, rel.rel_idx) {
-            Some(ix) => {
-                // Validate the index against the override path on one real
-                // row before trusting it; any divergence (or error skew)
-                // demotes this side to the override strategy.
-                let sample = db.table_at(rel.table).rows.first().cloned();
-                let valid = match sample {
-                    None => true,
-                    Some(r0) => {
-                        let probe = [r0];
-                        match (
-                            indexed_contrib(db, &ix, &probe),
-                            override_contrib(db, &q.plan, rel.table, &probe),
-                        ) {
-                            (Ok(a), Ok(b)) => a == b,
-                            _ => false,
-                        }
-                    }
-                };
-                if valid {
-                    Strategy::Indexed(ix)
-                } else {
-                    Strategy::Override
-                }
-            }
-            None => Strategy::Override,
-        };
-        rels.insert(rel.table, strategy);
-    }
-    Ok(DeltaState::Spj(SpjDelta {
-        base_fp,
-        base_rows,
-        cols,
-        rels,
-    }))
-}
-
-/// Relation bitmask of an expression — mirrors the executor's `rels_of`.
-fn rels_of(e: &PExpr, plan: &ResolvedSelect) -> u64 {
-    let mut slots = Vec::new();
-    e.collect_slots(&mut slots);
-    let mut mask = 0u64;
-    for s in slots {
-        if let Some(rel) = plan.offsets.iter().rposition(|&o| o <= s) {
-            mask |= 1 << rel;
-        }
-    }
-    mask
-}
-
-/// Builds the join-match index for relation `s` of a two-base-relation
-/// equi-join plan, mirroring the executor's conjunct classification
-/// (prefilter / equi-edge / residual) so probe results match hash-join
-/// execution exactly. `None` when the plan doesn't fit the pattern.
-fn build_indexed(db: &Database, plan: &ResolvedSelect, s: usize) -> Option<IndexedJoin> {
-    if plan.relations.len() != 2 || s > 1 {
-        return None;
-    }
-    let p = 1 - s;
-    let (PRelation::Base { .. }, PRelation::Base { table: p_table, .. }) =
-        (&plan.relations[s], &plan.relations[p])
-    else {
-        return None;
+    let (relations, grouped) = match &q.shape {
+        Shape::Spj(shape) => (&shape.relations, false),
+        Shape::Agg(shape) => (&shape.relations, true),
+        Shape::Opaque { .. } => return Ok(DeltaState::Ineligible),
     };
-
-    let mut self_local = Vec::new();
-    let mut partner_local = Vec::new();
-    let mut self_keys = Vec::new();
-    let mut partner_keys = Vec::new();
-    let mut residuals = Vec::new();
-    let conjs = plan
-        .filter
-        .clone()
-        .map(PExpr::conjuncts)
-        .unwrap_or_default();
-    for c in conjs {
-        if c.has_subquery() {
-            residuals.push(c);
-            continue;
-        }
-        let rels = rels_of(&c, plan);
-        if rels.count_ones() == 1 {
-            let r = rels.trailing_zeros() as usize;
-            let off = plan.offsets[r];
-            let mut local = c;
-            local.map_slots(&mut |sl| sl - off);
-            if r == s {
-                self_local.push(local);
-            } else {
-                partner_local.push(local);
-            }
-            continue;
-        }
-        if let PExpr::Binary {
-            left,
-            op: BinaryOp::Eq,
-            right,
-        } = &c
-        {
-            let lr = rels_of(left, plan);
-            let rr = rels_of(right, plan);
-            if lr.count_ones() == 1 && rr.count_ones() == 1 && lr != rr {
-                let (mut se, mut pe) = if lr.trailing_zeros() as usize == s {
-                    ((**left).clone(), (**right).clone())
-                } else {
-                    ((**right).clone(), (**left).clone())
-                };
-                se.map_slots(&mut |sl| sl - plan.offsets[s]);
-                pe.map_slots(&mut |sl| sl - plan.offsets[p]);
-                self_keys.push(se);
-                partner_keys.push(pe);
-                continue;
-            }
-        }
-        residuals.push(c);
+    let out = execute(&q.plan, &ExecContext::new(db))?;
+    if !grouped {
+        return Ok(DeltaState::Spj(Base::new(out, &q.plan, relations)));
     }
-    if self_keys.is_empty() {
-        return None; // cartesian: the override strategy handles it
-    }
-
-    // Index the partner rows that survive the partner's local conjuncts,
-    // skipping NULL keys (they never join in the executor either).
-    let ctx = ExecContext::new(db);
-    let mut buckets: BTreeMap<Vec<Value>, Vec<Row>> = BTreeMap::new();
-    'rows: for row in &db.table_at(*p_table).rows {
-        for e in &partner_local {
-            if eval_row_expr(e, row, &ctx).ok()?.as_bool3() != Some(true) {
-                continue 'rows;
-            }
-        }
-        let mut key = Vec::with_capacity(partner_keys.len());
-        for e in &partner_keys {
-            let v = eval_row_expr(e, row, &ctx).ok()?;
-            if matches!(v, Value::Null) {
-                continue 'rows;
-            }
-            key.push(v);
-        }
-        buckets.entry(key).or_default().push(row.clone());
-    }
-
-    Some(IndexedJoin {
-        self_offset: plan.offsets[s],
-        self_arity: plan.relations[s].arity(),
-        partner_offset: plan.offsets[p],
-        width: plan.width,
-        self_local,
-        self_keys,
-        buckets,
-        residuals,
-        projections: plan.projections.iter().map(|pr| pr.expr.clone()).collect(),
-        order_by: plan.order_by.iter().map(|(e, _)| e.clone()).collect(),
-    })
+    let core = core_identity(&q.plan);
+    let base = Base::new(out, &core, relations);
+    Ok(build_agg(db, &q.plan, &core, base).map_or(DeltaState::Ineligible, DeltaState::Agg))
 }
 
 /// The unrolled core of an aggregate plan: same FROM/WHERE, identity
@@ -709,76 +558,6 @@ fn core_identity(plan: &ResolvedSelect) -> ResolvedSelect {
     core
 }
 
-/// Replaces `AggRef`s with finalized literals so output expressions can be
-/// evaluated in plain row context.
-fn subst_aggs(e: &PExpr, aggs: &[Value]) -> PExpr {
-    let sub = |b: &PExpr| Box::new(subst_aggs(b, aggs));
-    match e {
-        PExpr::AggRef(j) => PExpr::Literal(aggs.get(*j).cloned().unwrap_or(Value::Null)),
-        PExpr::Literal(_)
-        | PExpr::Interval { .. }
-        | PExpr::Slot(_)
-        | PExpr::OuterSlot { .. }
-        | PExpr::InSubquery { .. }
-        | PExpr::Exists { .. }
-        | PExpr::ScalarSubquery(_) => e.clone(),
-        PExpr::Unary { op, expr } => PExpr::Unary {
-            op: *op,
-            expr: sub(expr),
-        },
-        PExpr::Binary { left, op, right } => PExpr::Binary {
-            left: sub(left),
-            op: *op,
-            right: sub(right),
-        },
-        PExpr::Like {
-            expr,
-            pattern,
-            negated,
-        } => PExpr::Like {
-            expr: sub(expr),
-            pattern: pattern.clone(),
-            negated: *negated,
-        },
-        PExpr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => PExpr::Between {
-            expr: sub(expr),
-            low: sub(low),
-            high: sub(high),
-            negated: *negated,
-        },
-        PExpr::InList {
-            expr,
-            list,
-            negated,
-        } => PExpr::InList {
-            expr: sub(expr),
-            list: list.iter().map(|x| subst_aggs(x, aggs)).collect(),
-            negated: *negated,
-        },
-        PExpr::IsNull { expr, negated } => PExpr::IsNull {
-            expr: sub(expr),
-            negated: *negated,
-        },
-        PExpr::Case {
-            operand,
-            branches,
-            else_expr,
-        } => PExpr::Case {
-            operand: operand.as_ref().map(|o| sub(o)),
-            branches: branches
-                .iter()
-                .map(|(w, t)| (subst_aggs(w, aggs), subst_aggs(t, aggs)))
-                .collect(),
-            else_expr: else_expr.as_ref().map(|o| sub(o)),
-        },
-    }
-}
-
 fn watched_vals(row: &[Value], watched: &[usize]) -> Vec<Value> {
     watched.iter().map(|&s| row[s].clone()).collect()
 }
@@ -790,64 +569,48 @@ fn watched_agree(vals: &[Value], row: &[Value], watched: &[usize]) -> bool {
         .all(|(&s, v)| strict_value_eq(v, &row[s]))
 }
 
-fn build_agg(db: &Database, q: &Prepared) -> Result<DeltaState, EngineError> {
-    let out = execute(&q.plan, &ExecContext::new(db))?;
-    let base_out_rows = out.rows.len() as u64;
-    let cols = out.columns.len() as u64;
-    let base_fp = bag_fp(out);
+/// Folds the base core rows into per-group state. `None` declines: an
+/// unsupported aggregate, an eval error the base execution did not hit, or
+/// a failed self-check.
+fn build_agg(
+    db: &Database,
+    plan: &ResolvedSelect,
+    core: &ResolvedSelect,
+    base: Base,
+) -> Option<AggDelta> {
+    let specs = plan.aggregates.clone();
+    let fresh: Vec<DAcc> = specs.iter().map(DAcc::new).collect::<Option<_>>()?;
+    let core_out = execute(core, &ExecContext::new(db)).ok()?;
 
-    let specs = q.plan.aggregates.clone();
-    if specs.iter().any(|s| DAcc::new(s).is_none()) {
-        return Ok(DeltaState::Ineligible);
-    }
-    let core = core_identity(&q.plan);
-    let Ok(core_out) = execute(&core, &ExecContext::new(db)) else {
-        return Ok(DeltaState::Ineligible);
-    };
-
-    let out_exprs: Vec<PExpr> = q.plan.projections.iter().map(|p| p.expr.clone()).collect();
-    let order_exprs: Vec<PExpr> = q.plan.order_by.iter().map(|(e, _)| e.clone()).collect();
+    let out_exprs: Vec<PExpr> = plan.projections.iter().map(|p| p.expr.clone()).collect();
+    let order_exprs: Vec<PExpr> = plan.order_by.iter().map(|(e, _)| e.clone()).collect();
     let mut watched = Vec::new();
     for e in out_exprs.iter().chain(order_exprs.iter()) {
         e.collect_slots(&mut watched);
     }
     watched.sort_unstable();
     watched.dedup();
+    let group_of = |row: &Row, synthetic| GroupState {
+        first_row: row.clone(),
+        watched_vals: watched_vals(row, &watched),
+        watched_clean: true,
+        synthetic,
+        count: 0,
+        accums: fresh.clone(),
+        out_hash: 0,
+    };
 
     // Fold the core rows in the executor's own scan order: representatives
     // and float shadows come out bitwise identical to `run_grouped`.
     let ctx = ExecContext::new(db);
-    let group_by = q.plan.group_by.clone();
+    let group_by = plan.group_by.clone();
     let mut groups: BTreeMap<Vec<Value>, GroupState> = BTreeMap::new();
     for row in &core_out.rows {
         let mut key = Vec::with_capacity(group_by.len());
         for g in &group_by {
-            match eval_row_expr(g, row, &ctx) {
-                Ok(v) => key.push(v),
-                Err(_) => return Ok(DeltaState::Ineligible),
-            }
+            key.push(eval_row_expr(g, row, &ctx).ok()?);
         }
-        if !groups.contains_key(&key) {
-            let accums = match specs.iter().map(DAcc::new).collect::<Option<Vec<_>>>() {
-                Some(a) => a,
-                None => return Ok(DeltaState::Ineligible),
-            };
-            groups.insert(
-                key.clone(),
-                GroupState {
-                    first_row: row.clone(),
-                    watched_vals: watched_vals(row, &watched),
-                    watched_clean: true,
-                    synthetic: false,
-                    count: 0,
-                    accums,
-                    out_hash: 0,
-                },
-            );
-        }
-        let Some(st) = groups.get_mut(&key) else {
-            return Ok(DeltaState::Ineligible);
-        };
+        let st = groups.entry(key).or_insert_with(|| group_of(row, false));
         if st.watched_clean && !watched_agree(&st.watched_vals, row, &watched) {
             st.watched_clean = false;
         }
@@ -855,32 +618,14 @@ fn build_agg(db: &Database, q: &Prepared) -> Result<DeltaState, EngineError> {
         for (acc, spec) in st.accums.iter_mut().zip(&specs) {
             match &spec.arg {
                 None => acc.add_star(),
-                Some(a) => match eval_row_expr(a, row, &ctx) {
-                    Ok(v) => acc.add(v),
-                    Err(_) => return Ok(DeltaState::Ineligible),
-                },
+                Some(a) => acc.add(eval_row_expr(a, row, &ctx).ok()?),
             }
         }
     }
     let global = group_by.is_empty();
+    let null_row = vec![Value::Null; plan.width];
     if groups.is_empty() && global {
-        let accums = match specs.iter().map(DAcc::new).collect::<Option<Vec<_>>>() {
-            Some(a) => a,
-            None => return Ok(DeltaState::Ineligible),
-        };
-        let null_row = vec![Value::Null; q.plan.width];
-        groups.insert(
-            Vec::new(),
-            GroupState {
-                watched_vals: watched_vals(&null_row, &watched),
-                first_row: null_row,
-                watched_clean: true,
-                synthetic: true,
-                count: 0,
-                accums,
-                out_hash: 0,
-            },
-        );
+        groups.insert(Vec::new(), group_of(&null_row, true));
     }
 
     // Output-row hashes + base self-check: the reconstructed fingerprint
@@ -890,310 +635,235 @@ fn build_agg(db: &Database, q: &Prepared) -> Result<DeltaState, EngineError> {
         let aggs: Vec<Value> = st.accums.iter().map(DAcc::finalize_base).collect();
         let mut out_row = Vec::with_capacity(out_exprs.len());
         for e in &out_exprs {
-            match eval_row_expr(&subst_aggs(e, &aggs), &st.first_row, &ctx) {
-                Ok(v) => out_row.push(v),
-                Err(_) => return Ok(DeltaState::Ineligible),
-            }
+            out_row.push(eval_group_expr(e, &st.first_row, &aggs, &ctx).ok()?);
         }
         st.out_hash = output_row_hash(&out_row);
         sum = sum.wrapping_add(st.out_hash);
     }
-    let reconstructed = header(groups.len() as u64, cols).wrapping_add(sum);
-    if Fingerprint(reconstructed) != base_fp {
-        return Ok(DeltaState::Ineligible);
+    if header(groups.len() as u64, base.cols).wrapping_add(sum) != base.fp.0 {
+        return None;
     }
 
-    Ok(DeltaState::Agg(AggDelta {
-        base_fp,
-        base_out_rows,
-        cols,
-        width: q.plan.width,
+    Some(AggDelta {
+        base,
+        null_row,
         global,
-        core,
         group_by,
         specs,
+        fresh,
         out_exprs,
         order_exprs,
         watched,
         groups,
-    }))
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Probes
 // ---------------------------------------------------------------------------
 
-enum InnerProbe {
-    /// Delta-computed neighbor fingerprint.
-    Fp(Fingerprint),
-    /// A guard tripped — this neighbor needs full execution.
-    NeedFallback,
-}
+/// What one batch member's tuples contribute to the probed plan: the
+/// output rows of its u⁻ rows and of its u⁺ rows, `upid` stripped.
+type Moved = [Vec<Row>; 2];
 
-/// Sum of output-row hashes and row count contributed by `rows` of
-/// relation `table`, via plan execution with a table override.
-fn override_contrib(
+/// One execution for every neighbor in `members` (all updating `table`):
+/// the relation is overridden with each member's old and new rows, tagged
+/// `2k` (u⁻) and `2k + 1` (u⁺) for member `k`, and the output is bucketed
+/// by tag. `None` when the execution errs — one member's bad row fails the
+/// whole batch, and which member it was is not recoverable from here.
+fn run_batch(
     db: &Database,
-    plan: &ResolvedSelect,
+    probe: &ResolvedSelect,
     table: usize,
-    rows: &[Row],
-) -> Result<(u128, u64), EngineError> {
-    let ctx = ExecContext::with_override(db, table, rows);
-    let out = execute(plan, &ctx)?;
-    let mut sum = 0u128;
-    for r in &out.rows {
-        sum = sum.wrapping_add(output_row_hash(r));
-    }
-    Ok((sum, out.rows.len() as u64))
-}
-
-/// Same contribution, answered from the prebuilt join-match index.
-fn indexed_contrib(
-    db: &Database,
-    ix: &IndexedJoin,
-    rows: &[Row],
-) -> Result<(u128, u64), EngineError> {
-    let ctx = ExecContext::new(db);
-    let mut sum = 0u128;
-    let mut count = 0u64;
-    let mut scratch: Row = vec![Value::Null; ix.width];
-    'rows: for row in rows {
-        for e in &ix.self_local {
-            if eval_row_expr(e, row, &ctx)?.as_bool3() != Some(true) {
-                continue 'rows;
+    updates: &[SupportUpdate],
+    members: &[usize],
+) -> Option<Vec<Moved>> {
+    let mut batch: Vec<Row> = Vec::with_capacity(members.len() * 2);
+    for (k, &i) in members.iter().enumerate() {
+        let (old_rows, new_rows) = updates[i].old_new_rows(db);
+        for (tag, rows) in [(2 * k, old_rows), (2 * k + 1, new_rows)] {
+            for mut row in rows {
+                row.push(Value::Int(tag as i64));
+                batch.push(row);
             }
-        }
-        let mut key = Vec::with_capacity(ix.self_keys.len());
-        for e in &ix.self_keys {
-            let v = eval_row_expr(e, row, &ctx)?;
-            if matches!(v, Value::Null) {
-                continue 'rows;
-            }
-            key.push(v);
-        }
-        let Some(bucket) = ix.buckets.get(&key) else {
-            continue;
-        };
-        'cands: for prow in bucket {
-            scratch[ix.self_offset..ix.self_offset + ix.self_arity].clone_from_slice(row);
-            scratch[ix.partner_offset..ix.partner_offset + prow.len()].clone_from_slice(prow);
-            for rc in &ix.residuals {
-                if eval_row_expr(rc, &scratch, &ctx)?.as_bool3() != Some(true) {
-                    continue 'cands;
-                }
-            }
-            let mut out = Vec::with_capacity(ix.projections.len());
-            for p in &ix.projections {
-                out.push(eval_row_expr(p, &scratch, &ctx)?);
-            }
-            for oe in &ix.order_by {
-                eval_row_expr(oe, &scratch, &ctx)?;
-            }
-            sum = sum.wrapping_add(output_row_hash(&out));
-            count += 1;
         }
     }
-    Ok((sum, count))
+    let out = execute(probe, &ExecContext::with_override(db, table, &batch)).ok()?;
+    let mut moved: Vec<Moved> = vec![Moved::default(); members.len()];
+    for mut row in out.rows {
+        let tag = usize::try_from(row.pop()?.as_i64()?).ok()?;
+        moved.get_mut(tag / 2)?[tag % 2].push(row);
+    }
+    Some(moved)
 }
 
-impl SpjDelta {
-    fn try_probe(&self, db: &Database, plan: &ResolvedSelect, up: &SupportUpdate) -> InnerProbe {
-        let Some(strategy) = self.rels.get(&up.table()) else {
-            return InnerProbe::NeedFallback; // visible updates hit a relation
+impl Base {
+    /// `base − Σh(old) + Σh(new)`: an SPJ output bag is the disjoint union
+    /// of each tuple's contribution.
+    fn fold_spj(&self, [removed, added]: &Moved) -> Fingerprint {
+        let hashes = |rows: &[Row]| {
+            rows.iter()
+                .fold(0u128, |sum, r| sum.wrapping_add(output_row_hash(r)))
         };
-        let (old_rows, new_rows) = up.old_new_rows(db);
-        let contrib = |rows: &[Row]| match strategy {
-            Strategy::Override => override_contrib(db, plan, up.table(), rows),
-            Strategy::Indexed(ix) => indexed_contrib(db, ix, rows),
-        };
-        match (contrib(&old_rows), contrib(&new_rows)) {
-            (Ok((h_rem, k_rem)), Ok((h_add, k_add))) => {
-                let n2 = self.base_rows.wrapping_sub(k_rem).wrapping_add(k_add);
-                let fp = self
-                    .base_fp
-                    .0
-                    .wrapping_sub(header(self.base_rows, self.cols))
-                    .wrapping_add(header(n2, self.cols))
-                    .wrapping_sub(h_rem)
-                    .wrapping_add(h_add);
-                InnerProbe::Fp(Fingerprint(fp))
-            }
-            // Full execution reproduces (or resolves) the error.
-            _ => InnerProbe::NeedFallback,
-        }
+        self.shifted(
+            added.len() as i64 - removed.len() as i64,
+            hashes(removed),
+            hashes(added),
+        )
     }
 }
 
 impl AggDelta {
-    fn try_probe(&self, db: &Database, up: &SupportUpdate) -> InnerProbe {
-        let (old_rows, new_rows) = up.old_new_rows(db);
-        let (Ok((removed, _)), Ok((added, _))) = (
-            core_rows(db, &self.core, up.table(), &old_rows),
-            core_rows(db, &self.core, up.table(), &new_rows),
-        ) else {
-            return InnerProbe::NeedFallback;
-        };
-
-        let ctx = ExecContext::new(db);
-        // Group the moved core rows by key; any eval error → fallback
-        // (full execution reproduces genuine errors).
-        let mut touched: BTreeMap<Vec<Value>, (Vec<&Row>, Vec<&Row>)> = BTreeMap::new();
-        for (rows, slot) in [(&removed, 0usize), (&added, 1usize)] {
+    /// Recomputes the groups the moved core rows touch; `None` when a
+    /// guard trips (this neighbor needs full execution). Nothing here
+    /// depends on the order of `removed` or of `added`: integer sums and
+    /// class counts commute, and a result that would depend on which row
+    /// came first (a differing representative, a mixed-representation
+    /// `MIN`/`MAX` class, float accumulation) is a tripped guard.
+    fn fold(&self, ctx: &ExecContext<'_>, moved: &Moved) -> Option<Fingerprint> {
+        // Group the moved core rows by key, `[u⁻ rows, u⁺ rows]` each; any
+        // eval error → fallback (full execution reproduces genuine errors).
+        let mut touched: BTreeMap<Vec<Value>, [Vec<&Row>; 2]> = BTreeMap::new();
+        for (sign, rows) in moved.iter().enumerate() {
             for row in rows {
                 let mut key = Vec::with_capacity(self.group_by.len());
                 for g in &self.group_by {
-                    match eval_row_expr(g, row, &ctx) {
-                        Ok(v) => key.push(v),
-                        Err(_) => return InnerProbe::NeedFallback,
-                    }
+                    key.push(eval_row_expr(g, row, ctx).ok()?);
                 }
-                let e = touched.entry(key).or_default();
-                if slot == 0 {
-                    e.0.push(row);
-                } else {
-                    e.1.push(row);
-                }
+                touched.entry(key).or_default()[sign].push(row);
             }
         }
 
         let mut d_sub = 0u128;
         let mut d_add = 0u128;
         let mut d_rows = 0i64;
-        let null_row = vec![Value::Null; self.width];
-        for (key, (rem, add)) in &touched {
-            let base_g = self.groups.get(key);
-            let is_real = base_g.map(|g| !g.synthetic).unwrap_or(false);
-            if !rem.is_empty() && !is_real {
-                return InnerProbe::NeedFallback; // inconsistent with base
+        for (key, [rem, add]) in &touched {
+            let base_g = self.groups.get(key).filter(|g| !g.synthetic);
+            if !rem.is_empty() && base_g.is_none() {
+                return None; // inconsistent with base
             }
-            if let Some(g) = base_g {
-                if !g.synthetic && !g.watched_clean {
-                    return InnerProbe::NeedFallback;
-                }
+            if base_g.is_some_and(|g| !g.watched_clean) {
+                return None;
             }
             let (mut count, mut accums, mut rep, mut rep_watched) = match base_g {
-                Some(g) if !g.synthetic => (
+                Some(g) => (
                     g.count,
                     g.accums.clone(),
-                    Some(g.first_row.clone()),
+                    Some(&g.first_row),
                     g.watched_vals.clone(),
                 ),
-                _ => {
-                    let Some(fresh) = self
-                        .specs
-                        .iter()
-                        .map(DAcc::new)
-                        .collect::<Option<Vec<DAcc>>>()
-                    else {
-                        return InnerProbe::NeedFallback;
-                    };
-                    (0, fresh, None, Vec::new())
-                }
+                None => (0, self.fresh.clone(), None, Vec::new()),
             };
             if (count as usize) < rem.len() {
-                return InnerProbe::NeedFallback;
+                return None;
             }
             for row in rem {
                 count -= 1;
                 for (acc, spec) in accums.iter_mut().zip(&self.specs) {
                     match &spec.arg {
                         None => acc.sub_star(),
-                        Some(a) => match eval_row_expr(a, row, &ctx) {
-                            Ok(v) => acc.sub(&v),
-                            Err(_) => return InnerProbe::NeedFallback,
-                        },
+                        Some(a) => acc.sub(&eval_row_expr(a, row, ctx).ok()?),
                     }
                 }
             }
-            for row in add {
+            for &row in add {
                 count += 1;
-                match &rep {
+                match rep {
+                    // A new member whose watched slots differ could become
+                    // the neighbor's representative — only a bitwise-
+                    // agreeing member is provably invisible.
                     Some(_) => {
-                        // A new member whose watched slots differ could
-                        // become the neighbor's representative — only a
-                        // bitwise-agreeing member is provably invisible.
                         if !watched_agree(&rep_watched, row, &self.watched) {
-                            return InnerProbe::NeedFallback;
+                            return None;
                         }
                     }
                     None => {
-                        rep = Some((*row).clone());
+                        rep = Some(row);
                         rep_watched = watched_vals(row, &self.watched);
                     }
                 }
                 for (acc, spec) in accums.iter_mut().zip(&self.specs) {
                     match &spec.arg {
                         None => acc.add_star(),
-                        Some(a) => match eval_row_expr(a, row, &ctx) {
-                            Ok(v) => acc.add(v),
-                            Err(_) => return InnerProbe::NeedFallback,
-                        },
+                        Some(a) => acc.add(eval_row_expr(a, row, ctx).ok()?),
                     }
                 }
             }
-            // Base output row disappears…
-            if let Some(g) = base_g {
+            // Base output row disappears (the synthesized empty global
+            // group's too)…
+            if let Some(g) = self.groups.get(key) {
                 d_sub = d_sub.wrapping_add(g.out_hash);
                 d_rows -= 1;
             }
             // …and the recomputed one appears (unless the keyed group died).
             if count > 0 || self.global {
                 let rep_row: &[Value] = if count == 0 {
-                    &null_row // empty global group: the executor synthesizes
+                    &self.null_row // empty global group: the executor synthesizes
                 } else {
-                    match &rep {
-                        Some(r) => r,
-                        None => return InnerProbe::NeedFallback,
-                    }
+                    rep?
                 };
-                let Some(aggs) = accums
+                let aggs: Vec<Value> = accums
                     .iter()
                     .map(DAcc::finalize_probe)
-                    .collect::<Option<Vec<Value>>>()
-                else {
-                    return InnerProbe::NeedFallback;
-                };
+                    .collect::<Option<_>>()?;
                 let mut out_row = Vec::with_capacity(self.out_exprs.len());
                 for e in &self.out_exprs {
-                    match eval_row_expr(&subst_aggs(e, &aggs), rep_row, &ctx) {
-                        Ok(v) => out_row.push(v),
-                        Err(_) => return InnerProbe::NeedFallback,
-                    }
+                    out_row.push(eval_group_expr(e, rep_row, &aggs, ctx).ok()?);
                 }
                 for e in &self.order_exprs {
-                    if eval_row_expr(&subst_aggs(e, &aggs), rep_row, &ctx).is_err() {
-                        return InnerProbe::NeedFallback;
-                    }
+                    eval_group_expr(e, rep_row, &aggs, ctx).ok()?;
                 }
                 d_add = d_add.wrapping_add(output_row_hash(&out_row));
                 d_rows += 1;
             }
         }
-
-        let n2 = self.base_out_rows.wrapping_add(d_rows as u64);
-        let fp = self
-            .base_fp
-            .0
-            .wrapping_sub(header(self.base_out_rows, self.cols))
-            .wrapping_add(header(n2, self.cols))
-            .wrapping_sub(d_sub)
-            .wrapping_add(d_add);
-        InnerProbe::Fp(Fingerprint(fp))
+        Some(self.base.shifted(d_rows, d_sub, d_add))
     }
 }
 
-/// Core rows contributed by `rows` of `table` (plus the count, unused but
-/// kept for symmetry with [`override_contrib`]).
-fn core_rows(
+/// The batched delta fold: the fingerprint of every neighbor
+/// `updates[live[j]]` — each visible to the query — or `None` where that
+/// neighbor needs full execution, plus the number of plan executions
+/// issued: one per relation with a live neighbor, however many there are.
+///
+/// Error parity: a batch that errs sends *all* its members to full
+/// execution (which reproduces or resolves the error per neighbor), and a
+/// member's answer is folded from the rows carrying its own `upid` alone,
+/// so one neighbor's bad row can cost the others time, never correctness.
+pub(crate) fn probe_batched(
     db: &Database,
-    core: &ResolvedSelect,
-    table: usize,
-    rows: &[Row],
-) -> Result<(Vec<Row>, u64), EngineError> {
-    let ctx = ExecContext::with_override(db, table, rows);
-    let out = execute(core, &ctx)?;
-    let n = out.rows.len() as u64;
-    Ok((out.rows, n))
+    state: &DeltaState,
+    updates: &[SupportUpdate],
+    live: &[usize],
+) -> (Vec<Option<Fingerprint>>, u64) {
+    // Positions into `live`, per updated table, in table order.
+    let mut by_table: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    for (pos, &i) in live.iter().enumerate() {
+        by_table.entry(updates[i].table()).or_default().push(pos);
+    }
+    let ctx = ExecContext::new(db);
+    let mut fps = vec![None; live.len()];
+    let mut execs = 0;
+    for (table, positions) in by_table {
+        // SPJ/aggregate shapes have no self-joins, so a table is one
+        // relation; a visible update always hits one.
+        let Some(probe) = state.base().and_then(|b| b.probes.get(&table)) else {
+            continue;
+        };
+        let members: Vec<usize> = positions.iter().map(|&pos| live[pos]).collect();
+        execs += 1;
+        let Some(moved) = run_batch(db, probe, table, updates, &members) else {
+            continue;
+        };
+        for (pos, moved) in positions.into_iter().zip(&moved) {
+            fps[pos] = match state {
+                DeltaState::Spj(base) => Some(base.fold_spj(moved)),
+                DeltaState::Agg(d) => d.fold(&ctx, moved),
+                DeltaState::Ineligible => None,
+            };
+        }
+    }
+    (fps, execs)
 }
 
 // ---------------------------------------------------------------------------
@@ -1210,13 +880,15 @@ pub struct ProbeStats {
     pub short_circuits: u64,
     /// Neighbors that tripped a guard and ran full execution.
     pub fallbacks: u64,
+    /// Plan executions the batched probes issued (fallbacks excluded).
+    pub execs: u64,
 }
 
 /// Per-neighbor output fingerprints through the delta path (the
 /// incremental counterpart of [`crate::naive::neighbor_fps`]): the base
-/// fingerprint where the update is invisible, a delta probe elsewhere, and
-/// full plan execution — apply, execute, roll back — for any neighbor
-/// whose probe trips a guard.
+/// fingerprint where the update is invisible, the batched delta fold
+/// elsewhere, and full plan execution — apply, execute, roll back — for
+/// any neighbor the fold declines.
 pub(crate) fn query_fps_nbrs(
     db: &mut Database,
     q: &Prepared,
@@ -1225,39 +897,30 @@ pub(crate) fn query_fps_nbrs(
     visible: &[Visible],
     opts: &EngineOptions,
 ) -> Result<(Vec<Fingerprint>, ProbeStats), EngineError> {
-    let Some(base) = state.base_fp() else {
+    let Some(base) = state.base().map(|b| b.fp) else {
         return Err(EngineError::Eval("delta probe on ineligible state".into()));
     };
     let n = updates.len();
-    // Probes only read (table overrides, prebuilt indexes), so pool workers
-    // share the database; `None` marks a tripped guard.
-    let shared: &Database = db;
-    let probed = fan_out(&mut (), n, opts.parallelism, &opts.telemetry, |_, i| {
-        if visible[i].is_none() {
-            return Ok(Some(base));
+    let live: Vec<usize> = (0..n).filter(|&i| visible[i].is_some()).collect();
+    let (probed, execs) = probe_batched(db, state, updates, &live);
+    let mut fps = vec![base; n];
+    let mut fallbacks = Vec::new();
+    for (&i, fp) in live.iter().zip(probed) {
+        match fp {
+            Some(fp) => fps[i] = fp,
+            None => fallbacks.push(i),
         }
-        let inner = match state {
-            DeltaState::Spj(d) => d.try_probe(shared, &q.plan, &updates[i]),
-            DeltaState::Agg(d) => d.try_probe(shared, &updates[i]),
-            DeltaState::Ineligible => InnerProbe::NeedFallback,
-        };
-        Ok(match inner {
-            InnerProbe::Fp(fp) => Some(fp),
-            InnerProbe::NeedFallback => None,
-        })
-    })?;
-    // Only the fallbacks write (apply / execute / undo), so replicas are
-    // cloned only when there are enough of them to pay for a pool.
-    let fallbacks: Vec<usize> = (0..n).filter(|&i| probed[i].is_none()).collect();
+    }
+    // Only the fallbacks write (apply / execute / undo) and fan out.
     let full = neighbor_fps(db, &q.plan, updates, &fallbacks, opts)?;
-    let mut fps: Vec<Fingerprint> = probed.into_iter().map(|p| p.unwrap_or(base)).collect();
     for (&i, fp) in fallbacks.iter().zip(full) {
         fps[i] = fp;
     }
     let stats = ProbeStats {
         probes: n as u64,
-        short_circuits: visible.iter().filter(|v| v.is_none()).count() as u64,
+        short_circuits: (n - live.len()) as u64,
         fallbacks: fallbacks.len() as u64,
+        execs,
     };
     Ok((fps, stats))
 }
@@ -1340,8 +1003,7 @@ mod tests {
         let opts = EngineOptions::default().with_parallelism(Parallelism::Threads(workers));
         let (fps, stats) =
             query_fps_nbrs(&mut database, &q, &state, updates, &visible, &opts).unwrap();
-        let naive_fps =
-            query_fps(&mut database, &q, &support, &EngineOptions::naive(), None).unwrap();
+        let naive_fps = query_fps(&mut database, &q, &support, &EngineOptions::naive()).unwrap();
         assert_eq!(fps, naive_fps, "fps diverged for {sql}");
         (fps, stats)
     }
@@ -1397,6 +1059,7 @@ mod tests {
         let sql = "select T.grp, U.w from T, U where T.id = U.t_id";
         let (_, stats) = probe_checked(db(), sql, updates, 1);
         assert_eq!(stats.probes, 10);
+        assert_eq!((stats.execs, stats.fallbacks), (1, 0), "one batch for U");
     }
 
     #[test]
@@ -1415,6 +1078,7 @@ mod tests {
         );
         assert_eq!(stats.short_circuits, 6);
         assert_eq!(stats.fallbacks, 0);
+        assert_eq!(stats.execs, 0, "no live neighbor, no execution");
     }
 
     #[test]
@@ -1471,6 +1135,124 @@ mod tests {
         probe_checked(database, sql, updates, 1);
     }
 
+    fn row_up(table: usize, row: usize, col: usize, v: Value) -> SupportUpdate {
+        SupportUpdate::Row {
+            table,
+            row,
+            changes: vec![(col, v)],
+        }
+    }
+
+    fn swap(row_a: usize, row_b: usize, cols: &[usize]) -> SupportUpdate {
+        SupportUpdate::Swap {
+            table: 0,
+            row_a,
+            row_b,
+            cols: cols.to_vec(),
+        }
+    }
+
+    const ADVERSARIAL_QUERIES: [&str; 4] = [
+        "select grp, count(*), sum(v), min(v), max(v), avg(v) from T group by grp",
+        "select T.grp, sum(U.w), count(*) from T, U where T.id = U.t_id group by T.grp",
+        "select id, v from T where grp = 'a' order by v",
+        "select T.grp, T.v, U.w from T, U where T.id = U.t_id",
+    ];
+
+    /// Members of one batch that overlap: the same base row updated by
+    /// several neighbors (one of them twice), swaps whose rows share a
+    /// group, and swaps whose rows trade groups. Every answer comes from
+    /// the fold — an integer workload trips no guard.
+    #[test]
+    fn overlapping_batch_members_match_naive() {
+        let updates = vec![
+            row_up(0, 3, 2, 100.into()),
+            row_up(0, 3, 2, 200.into()),
+            row_up(0, 3, 2, 100.into()),
+            row_up(0, 3, 1, "b".into()),
+            swap(0, 3, &[2]),    // both 'a': v trades places inside one group
+            swap(0, 1, &[1]),    // 'a' ↔ 'b': the rows trade groups
+            swap(3, 4, &[1, 2]), // group and value move together
+            row_up(1, 3, 1, 6.into()),
+            row_up(1, 3, 1, 0.into()),
+        ];
+        for sql in ADVERSARIAL_QUERIES {
+            let (_, stats) = probe_checked(db(), sql, updates.clone(), 1);
+            assert_eq!(stats.fallbacks, 0, "{sql}");
+            assert!(stats.execs <= 2, "{sql}: one execution per relation");
+        }
+    }
+
+    /// A neighbor that empties a keyed group (its output row vanishes) and
+    /// one that empties the global group (the executor synthesizes a row).
+    #[test]
+    fn emptied_groups_match_naive() {
+        let mut database = Database::new();
+        database.add_table(
+            db().table_at(0).schema.clone(),
+            vec![
+                vec![0.into(), "x".into(), 5.into()],
+                vec![1.into(), "y".into(), 6.into()],
+                vec![2.into(), "y".into(), 7.into()],
+            ],
+        );
+        let updates = vec![row_up(0, 0, 1, "y".into()), row_up(0, 0, 2, 9.into())];
+        for sql in [
+            "select grp, count(*), max(v) from T group by grp",
+            "select count(*), sum(v), min(v) from T where v < 6",
+        ] {
+            let (fps, stats) = probe_checked(database.clone(), sql, updates.clone(), 1);
+            assert_ne!(fps[0], fps[1], "{sql}");
+            assert_eq!(stats.fallbacks, 0, "{sql}");
+        }
+    }
+
+    /// Error parity. A neighbor writes a string where `v + 1` expects a
+    /// number, so full execution errs on it. In an aggregate the error
+    /// surfaces in that neighbor's own fold: it alone is declined, and its
+    /// batch mates get exactly the fingerprints they get without it. In an
+    /// SPJ plan it surfaces inside the batched execution (`ORDER BY` keys
+    /// included), which declines the whole batch; the sweep then errs
+    /// exactly as the reference does.
+    #[test]
+    fn poisoned_neighbor_never_shifts_its_batch_mates() {
+        let mut database = db();
+        let healthy = vec![
+            row_up(0, 1, 2, 50.into()),
+            swap(0, 1, &[1, 2]),
+            row_up(0, 2, 2, 60.into()),
+        ];
+        let mut updates = healthy.clone();
+        updates.insert(1, row_up(0, 1, 2, "boom".into()));
+        let naive = EngineOptions::naive();
+
+        let q = prepare_query(&database, "select grp, sum(v + 1) from T group by grp").unwrap();
+        let state = build(&database, &q).unwrap();
+        let (fps, execs) = probe_batched(&database, &state, &updates, &[0, 1, 2, 3]);
+        let alone = SupportSet::Neighborhood(healthy);
+        let expect = query_fps(&mut database, &q, &alone, &naive).unwrap();
+        assert_eq!(
+            fps,
+            [Some(expect[0]), None, Some(expect[1]), Some(expect[2])]
+        );
+        assert_eq!(execs, 1);
+
+        // The second query reads the bad cell only in its sort key (which
+        // the visibility test in front of a real sweep does not count).
+        for sql in ["select v + 1 from T", "select id from T order by v + 1"] {
+            let q = prepare_query(&database, sql).unwrap();
+            let state = build(&database, &q).unwrap();
+            let (fps, execs) = probe_batched(&database, &state, &updates, &[0, 1, 2, 3]);
+            assert_eq!((fps, execs), (vec![None; 4], 1), "{sql}");
+        }
+        let q = prepare_query(&database, "select v + 1 from T").unwrap();
+        let support = SupportSet::Neighborhood(updates);
+        for opts in [EngineOptions::default(), naive] {
+            let err = query_fps(&mut database, &q, &support, &opts).unwrap_err();
+            assert!(matches!(err, EngineError::Eval(_)), "{err:?}");
+        }
+    }
+
     #[test]
     fn float_sums_fall_back_not_diverge() {
         // Float aggregate arguments make the executor's accumulation
@@ -1491,15 +1273,14 @@ mod tests {
                 .map(|i| vec![i.into(), (i % 2).into(), Value::Float(i as f64 + 0.25)])
                 .collect::<Vec<_>>(),
         );
-        let updates: Vec<SupportUpdate> = (0..8)
-            .map(|i| SupportUpdate::Row {
-                table: 0,
-                row: i,
-                changes: vec![(2, Value::Float(100.5 + i as f64))],
-            })
+        // Enough of them that `Threads(4)` really starts a pool.
+        let updates: Vec<SupportUpdate> = (0..160)
+            .map(|i| row_up(0, i % 12, 2, Value::Float(100.5 + i as f64)))
             .collect();
         let sql = "select g, sum(x), avg(x) from F group by g";
-        let (_, stats) = probe_checked(database, sql, updates, 1);
-        assert_eq!(stats.fallbacks, 8, "float sums must route to fallback");
+        let (fps, stats) = probe_checked(database.clone(), sql, updates.clone(), 1);
+        assert_eq!(stats.fallbacks, 160, "float sums must route to fallback");
+        let pooled = probe_checked(database, sql, updates, 4);
+        assert_eq!(pooled, (fps, stats), "Threads(4) equals sequential bitwise");
     }
 }

@@ -307,7 +307,7 @@ mod tests {
             "support must touch U for this test to bite"
         );
         let q = prepare_query(&database, "select grp, v from T where v > 9").unwrap();
-        let fast = query_fps(&mut database, &q, &support, &EngineOptions::naive(), None).unwrap();
+        let fast = query_fps(&mut database, &q, &support, &EngineOptions::naive()).unwrap();
         let every: Vec<usize> = (0..updates.len()).collect();
         let brute = neighbor_fps(
             &mut database,
@@ -331,8 +331,8 @@ mod tests {
         let q2 = prepare_query(&database, "select w from U where w > 14").unwrap();
         let opts = EngineOptions::naive();
         let whole = bundle_partition(&mut database, &[&q1, &q2], &support, &opts).unwrap();
-        let f1 = query_fps(&mut database, &q1, &support, &opts, None).unwrap();
-        let f2 = query_fps(&mut database, &q2, &support, &opts, None).unwrap();
+        let f1 = query_fps(&mut database, &q1, &support, &opts).unwrap();
+        let f2 = query_fps(&mut database, &q2, &support, &opts).unwrap();
         let folded: Vec<Fingerprint> = (0..support.len())
             .map(|i| combine_bundle(&[f1[i], f2[i]]))
             .collect();
@@ -346,7 +346,7 @@ mod tests {
         let q = prepare_query(&database, "select count(*) from T where v > 30").unwrap();
         let opts = EngineOptions::naive();
         let bits = bundle_disagreements(&mut database, &[&q], &support, &opts, None).unwrap();
-        let fps = query_fps(&mut database, &q, &support, &opts, None).unwrap();
+        let fps = query_fps(&mut database, &q, &support, &opts).unwrap();
         let base = bag_fp(execute(&q.plan, &ExecContext::new(&database)).unwrap());
         for i in 0..bits.len() {
             assert_eq!(

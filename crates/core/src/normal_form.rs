@@ -382,6 +382,19 @@ fn local_conditions(plan: &ResolvedSelect) -> Vec<Vec<PExpr>> {
     out
 }
 
+/// `plan` with relation `rel_idx` widened by a trailing `upid` column that
+/// is also projected last — the `R⁺` of §4.2, over which one execution
+/// answers for every update batched into the relation's override rows.
+pub(crate) fn widened(plan: &ResolvedSelect, rel_idx: usize) -> ResolvedSelect {
+    let mut probe = plan.clone();
+    let upid = probe.append_column(rel_idx);
+    probe.projections.push(Projection {
+        expr: PExpr::Slot(upid),
+        name: "upid".into(),
+    });
+    probe
+}
+
 fn rel_shapes(
     plan: &ResolvedSelect,
     tables: &[usize],
@@ -425,12 +438,7 @@ fn rel_shapes(
         .iter()
         .enumerate()
         .map(|(rel_idx, &table)| {
-            let mut probe = probe_template.clone();
-            let upid = probe.append_column(rel_idx);
-            probe.projections.push(Projection {
-                expr: PExpr::Slot(upid),
-                name: "upid".into(),
-            });
+            let probe = widened(probe_template, rel_idx);
             let offset = plan.offsets[rel_idx];
             let arity = plan.relations[rel_idx].arity();
             let referenced_cols: HashSet<usize> = read_slots

@@ -306,7 +306,8 @@ enum Delta {
 }
 
 /// Disagreement bits for an aggregate-shaped query over the visible
-/// neighborhood updates; `batch` selects §4.2's batched dynamic checks.
+/// neighborhood updates, and how many of those the static analyses left to
+/// full re-execution; `batch` selects §4.2's batched dynamic checks.
 pub fn agg_disagreements(
     db: &mut Database,
     q: &Prepared,
@@ -315,7 +316,7 @@ pub fn agg_disagreements(
     visible: &[Visible],
     batch: bool,
     opts: &EngineOptions,
-) -> Result<Vec<bool>> {
+) -> Result<(Vec<bool>, u64)> {
     let n = updates.len();
     let mut bits = vec![false; n];
     let contrib = contributing_sets(db, &shape.keyed, &shape.keyed_ranges, opts.budget)?;
@@ -472,6 +473,7 @@ pub fn agg_disagreements(
     // Full fallback: apply the update, rerun the query, compare (the paper
     // notes this check cannot be batched — it is still embarrassingly
     // parallel across updates).
+    let fallbacks = check_full.len() as u64;
     if !check_full.is_empty() {
         let base = bag_fp(execute(
             plan,
@@ -482,7 +484,7 @@ pub fn agg_disagreements(
             bits[i] = fp != base;
         }
     }
-    Ok(bits)
+    Ok((bits, fallbacks))
 }
 
 /// Exact per-aggregate analysis of a multiplicity-preserving row update on

@@ -4,7 +4,7 @@
 //! The support loop is the system's single hottest path — O(|support| ×
 //! query cost), and every iteration is independent of the others. Each
 //! such loop ([`crate::naive`]'s apply/execute/undo, the optimizer's
-//! unbatched probes and full re-checks, [`crate::delta`]'s probes) is a
+//! unbatched probes and full re-checks, [`crate::delta`]'s fallbacks) is a
 //! closure `f(ctx, i)` handed to [`fan_out`], which alone decides how it
 //! runs: **inline** on the caller's own context when one worker suffices
 //! (the default — no clone, no thread), or on a scoped worker pool with
@@ -24,7 +24,7 @@
 //!   applying an update and rolling it back; a pool worker does this
 //!   against its own deep [`qirana_sqlengine::Database`] clone, so the
 //!   caller's database is never touched by another thread. Read-only
-//!   loops (uniform worlds, table-override and delta probes) pass `()` as
+//!   loops (uniform worlds, table-override probes) pass `()` as
 //!   context and share the data by reference — `Database` is `Sync`
 //!   (asserted at compile time in `qirana-sqlengine`), and all
 //!   interior-mutable execution state lives in per-execution

@@ -120,8 +120,8 @@ pub enum Stage {
     /// Delta-state construction: base execution + per-operator
     /// intermediate state for the incremental evaluator.
     DeltaBuild,
-    /// Per-neighbor delta probes over a built delta state; `detail`
-    /// carries the family.
+    /// The batched delta probes over a built delta state, their fold and
+    /// the per-neighbor fallbacks; `detail` carries the family.
     DeltaProbe,
     /// Weight assignment / entropy-maximization solve.
     Solve,

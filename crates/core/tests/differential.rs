@@ -201,7 +201,7 @@ proptest! {
                     fp
                 })
                 .collect();
-            let fps = query_fps(&mut db, &q, &support, &reference, None).unwrap();
+            let fps = query_fps(&mut db, &q, &support, &reference).unwrap();
             prop_assert_eq!(&fps, &brute, "reference fingerprints diverge for {}", sql);
             let bits = query_bits(&mut db, &q, &support, &all, &reference).unwrap();
             let brute_bits: Vec<bool> = brute.iter().map(|fp| *fp != base).collect();

@@ -265,12 +265,33 @@ pub fn execute(plan: &ResolvedSelect, ctx: &ExecContext<'_>) -> Result<QueryOutp
 /// (evaluating `C[u⁺]` on a candidate tuple without running the query).
 /// Subqueries inside `e` execute against `ctx`.
 pub fn eval_row_expr(e: &PExpr, row: &[Value], ctx: &ExecContext<'_>) -> Result<Value> {
+    eval_in(e, row, None, ctx)
+}
+
+/// [`eval_row_expr`] in group context: `row` is the group's representative
+/// and `AggRef(j)` reads `aggs[j]`, which must hold one finalized value per
+/// aggregate of the plan `e` came from.
+pub fn eval_group_expr(
+    e: &PExpr,
+    row: &[Value],
+    aggs: &[Value],
+    ctx: &ExecContext<'_>,
+) -> Result<Value> {
+    eval_in(e, row, Some(aggs), ctx)
+}
+
+fn eval_in(
+    e: &PExpr,
+    row: &[Value],
+    aggs: Option<&[Value]>,
+    ctx: &ExecContext<'_>,
+) -> Result<Value> {
     let cache: SubCache = RefCell::new(HashMap::new());
     eval(
         e,
         &Env {
             row,
-            aggs: None,
+            aggs,
             outer: &[],
             ctx,
             cache: &cache,

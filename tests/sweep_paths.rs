@@ -26,20 +26,25 @@ use std::sync::Arc;
 const S: u64 = 64;
 
 /// The counters the routing table pins.
-const COUNTERS: [&str; 3] = [
+const COUNTERS: [&str; 5] = [
     "neighbors_evaluated_total",
     "delta_builds_total",
     "delta_probes_total",
+    "delta_probe_execs_total",
+    "coverage_fallbacks_total",
 ];
 
-/// The counter increments a request with the given sweep must show: one
-/// sweep looks at all `S` neighbors; only the entropy family's delta path
-/// builds delta state (once) and probes it (once per neighbor).
-fn golden_counters(sweep: Option<&str>) -> [u64; 3] {
+/// The counter increments a request that ran `case`'s sweep under `path`
+/// must show: one sweep looks at all `S` neighbors; only the entropy
+/// family's delta path builds delta state (once), probes it (once per
+/// neighbor) and issues batched executions; only coverage's batched checks
+/// can leave neighbors to full re-execution.
+fn golden_counters(sweep: Option<(&Case, &str)>) -> [u64; 5] {
     match sweep {
-        None => [0, 0, 0],
-        Some("entropy/delta") => [S, 1, S],
-        Some(_) => [S, 0, 0],
+        None => [0; 5],
+        Some((case, "entropy/delta")) => [S, 1, S, case.probe_execs, 0],
+        Some((case, "coverage/batched")) => [S, 0, 0, 0, case.coverage_fallbacks],
+        Some(_) => [S, 0, 0, 0, 0],
     }
 }
 
@@ -47,33 +52,43 @@ fn golden_counters(sweep: Option<&str>) -> [u64; 3] {
 struct Tape {
     sink: Arc<TelemetrySink>,
     spans_seen: usize,
-    counters_seen: [u64; 3],
+    counters_seen: [u64; 5],
 }
 
 impl Tape {
-    /// The sweep labels and counter increments since the previous call.
-    fn advance(&mut self) -> (Vec<String>, [u64; 3]) {
+    /// The sweep labels, the `fallbacks` count their spans carry, and the
+    /// counter increments since the previous call.
+    fn advance(&mut self) -> (Vec<String>, u64, [u64; 5]) {
         let spans = self.sink.spans();
         let sweeps = spans[self.spans_seen..]
             .iter()
-            .filter(|s| s.stage == Stage::Disagreement)
-            .map(|s| s.detail.clone())
-            .collect();
+            .filter(|s| s.stage == Stage::Disagreement);
+        let on_spans = sweeps
+            .clone()
+            .filter_map(|s| s.counts.get("fallbacks"))
+            .sum();
+        let sweeps = sweeps.map(|s| s.detail.clone()).collect();
         self.spans_seen = spans.len();
         let now = COUNTERS.map(|c| self.sink.counter(c));
-        let added = [0, 1, 2].map(|k| now[k] - self.counters_seen[k]);
+        let added = std::array::from_fn(|k| now[k] - self.counters_seen[k]);
         self.counters_seen = now;
-        (sweeps, added)
+        (sweeps, on_spans, added)
     }
 
-    /// Asserts the request just made ran exactly `sweep` (or none).
-    fn expect(&mut self, what: &str, sweep: Option<&str>) {
-        let (sweeps, added) = self.advance();
-        assert_eq!(sweeps, Vec::from_iter(sweep), "sweep paths of {what}");
+    /// Asserts the request just made ran exactly `case`'s sweep under
+    /// `path` (or none).
+    fn expect(&mut self, what: &str, sweep: Option<(&Case, &str)>) {
+        let (sweeps, on_spans, added) = self.advance();
+        let path = sweep.map(|(_, path)| path);
+        assert_eq!(sweeps, Vec::from_iter(path), "sweep paths of {what}");
         assert_eq!(
             added,
             golden_counters(sweep),
             "{COUNTERS:?} added by {what}"
+        );
+        assert_eq!(
+            on_spans, added[4],
+            "coverage fallbacks on the span of {what}"
         );
     }
 }
@@ -85,6 +100,15 @@ struct Case {
     sql: &'static str,
     coverage: &'static str,
     entropy: &'static str,
+    /// Relations of the plan (0 for the opaque one, which has no shape).
+    relations: u64,
+    /// `delta_probe_execs_total` per `entropy/delta` sweep: one batched
+    /// execution per relation that has a visible neighbor.
+    probe_execs: u64,
+    /// `coverage_fallbacks_total` per `coverage/batched` sweep: neighbors
+    /// Algorithm 5's static analyses leave to full re-execution — the
+    /// number ROADMAP item 1(b) has to bring to zero.
+    coverage_fallbacks: u64,
 }
 
 const WORLD: [Case; 3] = [
@@ -94,18 +118,27 @@ const WORLD: [Case; 3] = [
               WHERE C.Code = T.CountryCode AND T.Population > 1000000",
         coverage: "coverage/batched",
         entropy: "entropy/delta",
+        relations: 2,
+        probe_execs: 2,
+        coverage_fallbacks: 0,
     },
     Case {
         shape: "agg",
         sql: "SELECT Continent, COUNT(*), SUM(Population) FROM Country GROUP BY Continent",
         coverage: "coverage/batched",
         entropy: "entropy/delta",
+        relations: 1,
+        probe_execs: 1,
+        coverage_fallbacks: 0,
     },
     Case {
         shape: "opaque",
         sql: "SELECT DISTINCT Continent FROM Country",
         coverage: "coverage/per-instance",
         entropy: "entropy/per-instance",
+        relations: 0,
+        probe_execs: 0,
+        coverage_fallbacks: 0,
     },
 ];
 
@@ -116,6 +149,9 @@ const SSB: [Case; 3] = [
               WHERE lo_orderdate = d_datekey AND d_year = 1993 AND lo_quantity < 5",
         coverage: "coverage/batched",
         entropy: "entropy/delta",
+        relations: 2,
+        probe_execs: 2,
+        coverage_fallbacks: 0,
     },
     Case {
         shape: "agg",
@@ -124,38 +160,48 @@ const SSB: [Case; 3] = [
               AND lo_discount BETWEEN 1 AND 3 AND lo_quantity < 25",
         coverage: "coverage/batched",
         entropy: "entropy/delta",
+        relations: 2,
+        probe_execs: 2,
+        coverage_fallbacks: 1,
     },
     Case {
         shape: "opaque",
         sql: "SELECT DISTINCT lo_shipmode FROM lineorder",
         coverage: "coverage/per-instance",
         entropy: "entropy/per-instance",
+        relations: 0,
+        probe_execs: 0,
+        coverage_fallbacks: 0,
     },
 ];
+
+/// A broker over `db` with `size` support instances, default engine options
+/// and telemetry on a deterministic clock, plus the sink it records into.
+fn broker(db: Database, function: PricingFunction, size: u64) -> (Qirana, Arc<TelemetrySink>) {
+    let telemetry = Telemetry::with_clock(Box::new(TestClock::stepping(10)));
+    let sink = Arc::clone(telemetry.sink().unwrap());
+    let config = QiranaConfig {
+        function,
+        support: SupportConfig {
+            size: size as usize,
+            ..Default::default()
+        },
+        engine: EngineOptions::default().with_telemetry(telemetry),
+        ..Default::default()
+    };
+    (Qirana::new(db, config).unwrap(), sink)
+}
 
 /// Prices the session under `function`: a quote is one cold sweep (quotes
 /// never fill the cache), the purchase one more, and a repeat quote is
 /// answered from the memo with no sweep at all.
 fn drive(db: Database, session: &[Case; 3], function: PricingFunction) {
-    let telemetry = Telemetry::with_clock(Box::new(TestClock::stepping(10)));
+    let (mut broker, sink) = broker(db, function, S);
     let mut tape = Tape {
-        sink: Arc::clone(telemetry.sink().unwrap()),
+        sink,
         spans_seen: 0,
-        counters_seen: [0; 3],
+        counters_seen: [0; 5],
     };
-    let mut broker = Qirana::new(
-        db,
-        QiranaConfig {
-            function,
-            support: SupportConfig {
-                size: S as usize,
-                ..Default::default()
-            },
-            engine: EngineOptions::default().with_telemetry(telemetry),
-            ..Default::default()
-        },
-    )
-    .unwrap();
     for case in session {
         let shape = match prepare_query(broker.db(), case.sql).unwrap().shape {
             Shape::Spj(_) => "spj",
@@ -169,9 +215,9 @@ fn drive(db: Database, session: &[Case; 3], function: PricingFunction) {
         };
         tape.advance(); // set-up and the shape check are not requests
         broker.quote(case.sql).unwrap();
-        tape.expect(&format!("quote of {}", case.sql), Some(path));
+        tape.expect(&format!("quote of {}", case.sql), Some((case, path)));
         broker.buy("golden", case.sql).unwrap();
-        tape.expect(&format!("buy of {}", case.sql), Some(path));
+        tape.expect(&format!("buy of {}", case.sql), Some((case, path)));
         broker.quote(case.sql).unwrap();
         tape.expect(&format!("repeat quote of {}", case.sql), None);
     }
@@ -199,4 +245,29 @@ fn entropy_sweeps_take_delta_for_normal_forms_and_execute_opaque_plans() {
         &SSB,
         PricingFunction::ShannonEntropy,
     );
+}
+
+/// §4.2's claim, for the entropy family: a delta sweep issues one batched
+/// execution per relation with a visible neighbor, so its executions are
+/// bounded by the plan's relations whatever the support size.
+#[test]
+fn delta_probe_executions_do_not_grow_with_the_support() {
+    for size in [S, 8 * S] {
+        for (db, session) in [
+            (world::generate(7), &WORLD),
+            (ssb::generate(0.0005, 5), &SSB),
+        ] {
+            let (broker, sink) = broker(db, PricingFunction::ShannonEntropy, size);
+            for case in session.iter().filter(|c| c.entropy == "entropy/delta") {
+                let before = sink.counter("delta_probe_execs_total");
+                broker.quote(case.sql).unwrap();
+                let execs = sink.counter("delta_probe_execs_total") - before;
+                assert!(
+                    (1..=case.relations).contains(&execs),
+                    "{execs} executions at S = {size} for {}",
+                    case.sql
+                );
+            }
+        }
+    }
 }

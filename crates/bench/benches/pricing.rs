@@ -117,7 +117,7 @@ fn agg_engine(c: &mut Criterion) {
         "SELECT Region, AVG(LifeExpectancy), COUNT(*) FROM Country GROUP BY Region",
     )
     .unwrap();
-    let mut g = c.benchmark_group("agg_disagreements_S2000");
+    let mut g = c.benchmark_group("agg_coverage_S2000");
     for (name, opts) in [
         ("Naive", EngineOptions::naive()),
         ("Auto", EngineOptions::default()),

@@ -2,15 +2,20 @@
 //! per-update optimizer ("no batching", `Strategy::NoBatching`), the
 //! batched optimizer ("with batching" — `Strategy::Auto`, the default
 //! path), and, for reference, the plain query execution time; `--naive 1`
-//! adds `Strategy::Naive`.
+//! adds `Strategy::Naive`. The last column counts the neighbors the
+//! default path re-executed in full (`coverage_fallbacks_total`,
+//! respectively `delta_fallbacks_total` under `--function shannon`).
 //!
 //! `cargo run -p qirana-bench --bin fig5 --release -- <ssb|tpch|world> [--function coverage|shannon] [--sf F] [--support N] [--naive 1] [--threads N]`
 //!
-//! `--function shannon` times the entropy primitive (per-instance output
-//! fingerprints) instead of the coverage bitmap: there `NoBatching` is
-//! per-instance execution and `Auto` the batched delta evaluator. The
-//! `world` arm prices the join queries of `WORLD_QUERIES` (`--sf` does not
-//! apply) — the SPJ joins the SSB/TPC-H flights lack.
+//! Both flights are aggregates, which have no unbatched static checks: for
+//! them `NoBatching` is per-instance execution behind the visibility test
+//! and `Auto` the batched delta evaluator, whichever primitive is timed —
+//! the coverage bitmap, or with `--function shannon` the entropy
+//! primitive's per-instance output fingerprints. The `world` arm prices
+//! the join queries of `WORLD_QUERIES` (`--sf` does not apply) — the SPJ
+//! joins the SSB/TPC-H flights lack, for which coverage's two columns are
+//! §4.1's checks with one dynamic query per update and §4.2's batches.
 //!
 //! The paper runs SF = 1 with S = 100 000; defaults here are scaled down
 //! (see EXPERIMENTS.md) — the *ratios* between the three columns are the
@@ -89,8 +94,10 @@ fn main() {
     };
     // One sweep of the timed primitive: the coverage bitmap, or the
     // per-instance fingerprints an entropy price is a function of.
+    let mut h = Harness::from_args("fig5", &args, None);
+    let tel = h.telemetry();
     let sweep = |db: &mut Database, q: &Prepared, support: &SupportSet, opts: EngineOptions| {
-        let opts = opts.with_parallelism(par);
+        let opts = opts.with_parallelism(par).with_telemetry(tel.clone());
         if shannon {
             bundle_partition(db, &[q], support, &opts).unwrap().len()
         } else {
@@ -100,7 +107,12 @@ fn main() {
         }
     };
 
-    let mut h = Harness::from_args("fig5", &args, None);
+    let fallbacks_counter = if shannon {
+        "delta_fallbacks_total"
+    } else {
+        "coverage_fallbacks_total"
+    };
+    let fallbacks = || tel.sink().map_or(0, |sink| sink.counter(fallbacks_counter));
     h.param("dataset", &which);
     h.param("function", &function);
     h.param("sf", sf);
@@ -126,7 +138,7 @@ fn main() {
     if include_naive == 1 {
         print!(" {:>14}", "naive");
     }
-    println!();
+    println!(" {:>10}", "fallbacks");
 
     for (name, sql) in queries {
         let q = match prepare_query(&db, &sql) {
@@ -142,9 +154,11 @@ fn main() {
         let (_, t_nobatch) = h.time("no_batching", &name, || {
             sweep(&mut db, &q, &support_set, EngineOptions::no_batching())
         });
+        let fell_back = fallbacks();
         let (_, t_batch) = h.time("with_batching", &name, || {
             sweep(&mut db, &q, &support_set, EngineOptions::default())
         });
+        let fell_back = fallbacks() - fell_back;
         print!("{name:<6} {t_nobatch:>14.4} {t_batch:>14.4} {t_exec:>14.4}");
         if include_naive == 1 {
             let (_, t_naive) = h.time("naive", &name, || {
@@ -152,7 +166,7 @@ fn main() {
             });
             print!(" {t_naive:>14.4}");
         }
-        println!();
+        println!(" {fell_back:>10}");
     }
     if let Some(path) = h.finish().expect("bench artifact") {
         println!("wrote {}", path.display());

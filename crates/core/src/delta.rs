@@ -1,17 +1,19 @@
-//! Incremental (delta) support evaluation for the entropy family.
+//! Incremental (delta) support evaluation.
 //!
 //! Every neighborhood support instance is the base database plus exactly
-//! one row/swap update, yet an entropy sweep needs the query's *output
-//! fingerprint* on each of them — which the baseline gets by re-executing
-//! the full plan once per neighbor. This module executes the plan **once**
-//! on the base instance, memoizes what a one-row change can move, and then
-//! fingerprints *all* neighbors of a relation from **one** further
-//! execution: §4.2's `upid`-widened probe, which the coverage checks
-//! already batch with. A sweep therefore costs O(relations) plan
-//! executions, independent of the support size and of how many neighbors
-//! are visible. [`crate::engine::query_fps`] routes here for SPJ/aggregate
-//! shapes over neighborhood supports with no budget set; coverage sweeps
-//! never do (DESIGN.md §9).
+//! one row/swap update, yet a sweep needs the query's *output fingerprint*
+//! on each of them — which the baseline gets by re-executing the full plan
+//! once per neighbor. This module executes the plan **once** on the base
+//! instance, memoizes what a one-row change can move, and then fingerprints
+//! *all* neighbors of a relation from **one** further execution: §4.2's
+//! `upid`-widened probe, which the SPJ coverage checks also batch with. A
+//! sweep therefore costs O(relations) plan executions, independent of the
+//! support size and of how many neighbors are visible. With no budget set,
+//! [`crate::engine::query_fps`] routes here for SPJ/aggregate shapes over
+//! neighborhood supports and [`crate::engine::query_bits`] for aggregate
+//! shapes (bit = fingerprint ≠ base; DESIGN.md §9) — the paper's Algorithm
+//! 5 re-executes an aggregate per contributing-tuple update, the exact
+//! accumulators below decide those neighbors without.
 //!
 //! * **Fingerprint arithmetic.** An unordered result fingerprint is
 //!   `header(N, C) + Σ row_hash(r)` under wrapping `u128` addition
@@ -111,9 +113,10 @@ pub enum DeltaState {
 }
 
 impl DeltaState {
-    /// True iff the state can answer probes.
-    pub fn is_usable(&self) -> bool {
-        self.base().is_some()
+    /// The plan's output fingerprint on the stored database; `None` when
+    /// the build declined and the state cannot answer probes.
+    pub fn base_fp(&self) -> Option<Fingerprint> {
+        self.base().map(|b| b.fp)
     }
 
     fn base(&self) -> Option<&Base> {
@@ -897,7 +900,7 @@ pub(crate) fn query_fps_nbrs(
     visible: &[Visible],
     opts: &EngineOptions,
 ) -> Result<(Vec<Fingerprint>, ProbeStats), EngineError> {
-    let Some(base) = state.base().map(|b| b.fp) else {
+    let Some(base) = state.base_fp() else {
         return Err(EngineError::Eval("delta probe on ineligible state".into()));
     };
     let n = updates.len();
@@ -994,7 +997,7 @@ mod tests {
     ) -> (Vec<Fingerprint>, ProbeStats) {
         let q = prepare_query(&database, sql).unwrap();
         let state = build(&database, &q).unwrap();
-        assert!(state.is_usable(), "delta build declined for {sql}");
+        assert!(state.base_fp().is_some(), "delta build declined for {sql}");
         let support = SupportSet::Neighborhood(updates);
         let SupportSet::Neighborhood(updates) = &support else {
             unreachable!()
@@ -1118,7 +1121,7 @@ mod tests {
         // classifier routes them to Opaque and the build must decline.
         let q = prepare_query(&database, "select a.v from T a, T b where a.id = b.id").unwrap();
         let state = build(&database, &q).unwrap();
-        assert!(!state.is_usable());
+        assert!(state.base_fp().is_none());
         let opts = EngineOptions::default();
         let err = query_fps_nbrs(&mut database, &q, &state, &[], &[], &opts).unwrap_err();
         assert!(matches!(err, EngineError::Eval(_)));

@@ -5,7 +5,8 @@
 //!
 //! * [`query_bits`] — for the coverage-family functions: one bit per
 //!   support instance, "does the query's output change on `Dᵢ`?"
-//!   (Algorithm 1 / 3). This is where §4's optimizations apply.
+//!   (Algorithm 1 / 3). This is where §4's optimizations apply to SPJ
+//!   plans; for aggregates a bit is "fingerprint ≠ base".
 //! * [`query_fps`] — for the entropy-family functions: the query's output
 //!   fingerprint per instance (Algorithm 2). This inherently requires the
 //!   outputs per instance — the paper's reason weighted coverage is the
@@ -45,14 +46,16 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Strategy {
     /// Route by primitive × plan shape (DESIGN.md §9): §4's batched checks
-    /// for coverage sweeps over SPJ/aggregate shapes, the incremental
-    /// evaluator ([`crate::delta`]) for unbudgeted entropy sweeps over
-    /// them, per-instance execution everywhere else.
+    /// for coverage sweeps over SPJ shapes, the incremental evaluator
+    /// ([`crate::delta`]) for unbudgeted coverage sweeps over aggregate
+    /// shapes and unbudgeted entropy sweeps over both, per-instance
+    /// execution everywhere else.
     #[default]
     Auto,
-    /// The paper's "no batching" configuration: §4.1's static checks with
-    /// one dynamic query per update instead of §4.2's batches. Entropy
-    /// sweeps run per instance.
+    /// The paper's "no batching" configuration: for coverage sweeps over
+    /// SPJ shapes, §4.1's static checks with one dynamic query per update
+    /// instead of §4.2's batches. Aggregate and entropy sweeps run per
+    /// instance.
     NoBatching,
     /// The unoptimized baseline (Algorithms 1–2 verbatim): execute the
     /// query on every instance the visibility test lets through. The
@@ -199,7 +202,7 @@ pub type Visible = Option<Vec<usize>>;
 /// instance needs evaluation only if it is still active, its update
 /// touches a table the query references and — for SPJ/aggregate shapes,
 /// which record it — at least one *effectively* changed column lies in
-/// that relation's footprint (referenced ∪ join columns). This is the
+/// that relation's footprint (`RelShape::referenced_cols`). This is the
 /// column-level form of Algorithm 4's static check; opaque shapes get the
 /// table-level form, uniform worlds only the mask.
 ///
@@ -229,9 +232,7 @@ pub fn visibility(
         let changed = up.effective_changed_columns(db);
         let footprint = relations.and_then(|rs| rs.iter().find(|r| r.table == up.table()));
         let seen = match footprint {
-            Some(rel) => changed
-                .iter()
-                .any(|c| rel.referenced_cols.contains(c) || rel.join_cols.contains(c)),
+            Some(rel) => changed.iter().any(|c| rel.referenced_cols.contains(c)),
             None => !changed.is_empty(),
         };
         seen.then_some(changed)
@@ -258,6 +259,10 @@ fn sweep_span(tel: &Telemetry, label: &str, active: &[bool]) -> SpanGuard {
     span
 }
 
+/// What a fingerprinting sweep yields: the query's fingerprint on the
+/// stored database, and on every support instance.
+type Swept = (Fingerprint, Vec<Fingerprint>);
+
 /// Per-instance execution (Algorithms 1–2 verbatim): the base fingerprint,
 /// and the query's fingerprint on every instance — executed where visible,
 /// the base elsewhere.
@@ -267,7 +272,7 @@ fn per_instance(
     support: &SupportSet,
     visible: &[Visible],
     opts: &EngineOptions,
-) -> Result<(Fingerprint, Vec<Fingerprint>), EngineError> {
+) -> Result<Swept, EngineError> {
     let base = bag_fp(execute(
         &q.plan,
         &ExecContext::new(db).with_budget(opts.budget),
@@ -288,13 +293,52 @@ fn per_instance(
     Ok((base, fps))
 }
 
+/// The incremental sweep (DESIGN.md §9) both primitives run over
+/// neighborhood supports: `q`'s fingerprints from one [`delta::build`] plus
+/// one batched probe per relation, and how many neighbors the fold left to
+/// full execution. A
+/// declined build (failed self-check, unsupported detail) leaves the whole
+/// sweep to per-instance execution, like any other guard.
+fn delta_sweep(
+    db: &mut Database,
+    q: &Prepared,
+    support: &SupportSet,
+    updates: &[SupportUpdate],
+    visible: &[Visible],
+    opts: &EngineOptions,
+) -> Result<(Swept, u64), EngineError> {
+    let tel = &opts.telemetry;
+    // Build errors are base-execution errors, which every full path
+    // reproduces.
+    let build_span = tel.span(Stage::DeltaBuild);
+    let state = delta::build(db, q)?;
+    drop(build_span);
+    tel.counter_add("delta_builds_total", 1);
+    let Some(base) = state.base_fp() else {
+        return per_instance(db, q, support, visible, opts).map(|swept| (swept, 0));
+    };
+    let probe_span = tel.span(Stage::DeltaProbe);
+    let (fps, stats) = delta::query_fps_nbrs(db, q, &state, updates, visible, opts)?;
+    if tel.is_enabled() {
+        probe_span.count("probes", stats.probes);
+        probe_span.count("short_circuits", stats.short_circuits);
+        probe_span.count("fallbacks", stats.fallbacks);
+        probe_span.count("execs", stats.execs);
+        tel.counter_add("delta_probes_total", stats.probes);
+        tel.counter_add("delta_short_circuits_total", stats.short_circuits);
+        tel.counter_add("delta_fallbacks_total", stats.fallbacks);
+        tel.counter_add("delta_probe_execs_total", stats.execs);
+    }
+    Ok(((base, fps), stats.fallbacks))
+}
+
 /// The coverage primitive: for every support instance, whether `q`'s
 /// output on it differs from the output on the stored database.
 /// `active[i] = false` excludes instance `i` (its bit stays `false`).
 ///
-/// `db` is `&mut` because the per-instance and aggregate-fallback paths
-/// apply each update and roll it back; the database is unchanged on
-/// return.
+/// `db` is `&mut` because per-instance execution — as a path of its own or
+/// for the neighbors the incremental fold declines — applies each update
+/// and rolls it back; the database is unchanged on return.
 pub fn query_bits(
     db: &mut Database,
     q: &Prepared,
@@ -306,39 +350,43 @@ pub fn query_bits(
     failpoint()?;
     let tel = &opts.telemetry;
     let visible = visibility(db, q, support, active);
-    // §4.2's batching: one widened probe per relation, or one per update.
-    let batch = opts.strategy == Auto;
-    let checks = if batch {
-        "coverage/batched"
-    } else {
-        "coverage/unbatched"
-    };
+    let disagreeing =
+        |(base, fps): Swept| -> Vec<bool> { fps.iter().map(|fp| *fp != base).collect() };
     let span;
     // The routing table (DESIGN.md §9), coverage rows.
     let bits = match (support, opts.strategy, &q.shape) {
         (Neighborhood(ups), Auto | NoBatching, Spj(s)) => {
+            // §4.2's batching: one widened probe per relation, or one per
+            // update.
+            let batch = opts.strategy == Auto;
+            let checks = if batch {
+                "coverage/batched"
+            } else {
+                "coverage/unbatched"
+            };
             span = sweep_span(tel, checks, active);
             optimized::spj_disagreements(db, s, ups, &visible, batch, opts)
         }
-        (Neighborhood(ups), Auto | NoBatching, Agg(s)) => {
-            span = sweep_span(tel, checks, active);
-            optimized::agg_disagreements(db, q, s, ups, &visible, batch, opts).map(
-                |(bits, fallbacks)| {
-                    span.count("fallbacks", fallbacks);
-                    tel.counter_add("coverage_fallbacks_total", fallbacks);
-                    bits
-                },
-            )
+        // Delta probes skip whole executions, so under a budget — whose
+        // trips must fire exactly where per-instance execution trips —
+        // they do not apply.
+        (Neighborhood(ups), Auto, Agg(_)) if opts.budget.is_unlimited() => {
+            span = sweep_span(tel, "coverage/delta", active);
+            delta_sweep(db, q, support, ups, &visible, opts).map(|(swept, fallbacks)| {
+                span.count("fallbacks", fallbacks);
+                tel.counter_add("coverage_fallbacks_total", fallbacks);
+                disagreeing(swept)
+            })
         }
         (Neighborhood(ups), NaiveReduced, Spj(_)) => {
             span = sweep_span(tel, "coverage/reduced", active);
             naive::reduced_disagreements(db, q, ups, &visible, opts.budget)
         }
-        // Uniform worlds, opaque shapes, `Naive`.
+        // Uniform worlds, opaque shapes, aggregates unbatched or under a
+        // budget, `Naive`.
         (Uniform(_), ..) | (Neighborhood(_), ..) => {
             span = sweep_span(tel, "coverage/per-instance", active);
-            per_instance(db, q, support, &visible, opts)
-                .map(|(base, fps)| fps.iter().map(|fp| *fp != base).collect())
+            per_instance(db, q, support, &visible, opts).map(disagreeing)
         }
     };
     let bits = meter_trips(tel, bits)?;
@@ -408,45 +456,20 @@ pub fn query_fps(
     let tel = &opts.telemetry;
     let active = vec![true; support.len()];
     let visible = visibility(db, q, support, &active);
-    // The routing table (DESIGN.md §9), entropy rows. Delta probes skip
-    // whole executions, so under a budget — whose trips must fire exactly
-    // where per-instance execution trips — they do not apply.
-    let delta_updates = match (support, opts.strategy, &q.shape) {
-        (Uniform(_), ..) => None,
-        (Neighborhood(ups), Auto, Spj(_) | Agg(_)) if opts.budget.is_unlimited() => Some(ups),
-        (Neighborhood(_), ..) => None,
-    };
-    let label = match delta_updates {
-        Some(_) => "entropy/delta",
-        None => "entropy/per-instance",
-    };
-    let _span = sweep_span(tel, label, &active);
-    if let Some(updates) = delta_updates {
-        // Build errors are base-execution errors, which every full path
-        // reproduces.
-        let build_span = tel.span(Stage::DeltaBuild);
-        let state = delta::build(db, q)?;
-        drop(build_span);
-        tel.counter_add("delta_builds_total", 1);
-        // A declined build (failed self-check, unsupported detail) leaves
-        // the sweep to per-instance execution, like any other guard.
-        if state.is_usable() {
-            let probe_span = tel.span_with(Stage::DeltaProbe, "entropy".into());
-            let (fps, stats) = delta::query_fps_nbrs(db, q, &state, updates, &visible, opts)?;
-            if tel.is_enabled() {
-                probe_span.count("probes", stats.probes);
-                probe_span.count("short_circuits", stats.short_circuits);
-                probe_span.count("fallbacks", stats.fallbacks);
-                probe_span.count("execs", stats.execs);
-                tel.counter_add("delta_probes_total", stats.probes);
-                tel.counter_add("delta_short_circuits_total", stats.short_circuits);
-                tel.counter_add("delta_fallbacks_total", stats.fallbacks);
-                tel.counter_add("delta_probe_execs_total", stats.execs);
-            }
-            return Ok(fps);
+    let _span;
+    // The routing table (DESIGN.md §9), entropy rows; the budget rule is
+    // the coverage rows'.
+    let swept = match (support, opts.strategy, &q.shape) {
+        (Neighborhood(ups), Auto, Spj(_) | Agg(_)) if opts.budget.is_unlimited() => {
+            _span = sweep_span(tel, "entropy/delta", &active);
+            delta_sweep(db, q, support, ups, &visible, opts).map(|(swept, _)| swept)
         }
-    }
-    meter_trips(tel, per_instance(db, q, support, &visible, opts)).map(|(_, fps)| fps)
+        (Uniform(_), ..) | (Neighborhood(_), ..) => {
+            _span = sweep_span(tel, "entropy/per-instance", &active);
+            per_instance(db, q, support, &visible, opts)
+        }
+    };
+    meter_trips(tel, swept).map(|(_, fps)| fps)
 }
 
 /// A bundle's partition from its members' per-query fingerprint vectors:
@@ -890,8 +913,9 @@ mod tests {
         assert_eq!(s.hits, 6, "warm rounds are pure hits");
     }
 
-    /// The delta telemetry counters move on the entropy side only, once per
-    /// sweep that actually runs: memoized blocks answer without building.
+    /// For an SPJ plan the delta telemetry counters move on the entropy side
+    /// only, once per sweep that actually runs: memoized blocks answer
+    /// without building.
     #[test]
     fn delta_counters_move_once_per_entropy_sweep() {
         let mut database = db();
@@ -903,7 +927,7 @@ mod tests {
 
         query_disagreements_cached(&mut database, &q, &support, &opts, &mut cache).unwrap();
         for name in ["delta_builds_total", "delta_probes_total"] {
-            assert_eq!(sink.counter(name), 0, "coverage never touches delta");
+            assert_eq!(sink.counter(name), 0, "SPJ coverage never touches delta");
         }
 
         for _ in 0..3 {

@@ -26,9 +26,10 @@
 //! the one place an evaluation path is chosen, from the support kind, the
 //! plan's [`normal_form::Shape`], the primitive and whether a budget is
 //! set — never from a user-set switch: the paper's batched static/dynamic
-//! checks ([`optimized`], §4) for coverage sweeps over SPJ/aggregate
-//! plans, the incremental evaluator ([`delta`]) for entropy sweeps over
-//! them, per-instance execution ([`naive`]) everywhere else. One
+//! checks ([`optimized`], §4) for coverage sweeps over SPJ plans, the
+//! incremental evaluator ([`delta`]) for coverage sweeps over aggregate
+//! plans and entropy sweeps over both, per-instance execution ([`naive`])
+//! everywhere else. One
 //! update-visibility test sits in front of every path, and every
 //! per-instance loop runs through one fan-out helper ([`parallel`]).
 //! [`Strategy`] pins a path for the paper's ablation and for the

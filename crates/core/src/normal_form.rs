@@ -6,22 +6,26 @@
 //!   subqueries, `DISTINCT`, `LIMIT`, or aggregation: eligible for
 //!   Algorithm 4/6 static checks and §4.2 batching;
 //! * [`Shape::Agg`] — `γ_{G, agg…}(SPJ core)` without `HAVING`, `LIMIT`, or
-//!   `DISTINCT` aggregates: eligible for Algorithm 5;
+//!   `DISTINCT` aggregates: eligible for the incremental evaluator
+//!   ([`crate::delta`]);
 //! * [`Shape::Opaque`] — anything else: priced by re-executing the query per
 //!   support instance (Algorithms 1–3 verbatim).
 //!
-//! Shape extraction happens once per query at prepare time; it derives the
-//! auxiliary plans the optimizer executes:
+//! Shape extraction happens once per query at prepare time. Both normal
+//! forms record each relation's column **footprint** — what the engine's
+//! visibility test ([`crate::engine::visibility`]) intersects an update's
+//! changed columns with. The SPJ shape also derives the auxiliary plans the
+//! optimizer executes:
 //!
 //! * the **keyed query** `Q̂` projecting every base relation's primary key —
 //!   one execution per pricing call yields the *contributing tuple* sets
-//!   (line 7 of Algorithm 4, line 9 of Algorithm 5);
+//!   (line 7 of Algorithm 4);
 //! * per-relation **probe plans** with a synthetic trailing `upid` column —
 //!   the widened `R⁺` relation of §4.2 over which batched dynamic checks
-//!   run;
-//! * for aggregates, the **group table** `(group key → aggregate values)`
-//!   and the **unrolled probe** projecting group keys and aggregate
-//!   arguments.
+//!   run.
+//!
+//! The aggregate shape needs no plan of its own: the incremental evaluator
+//! derives the unrolled core from the plan at sweep time.
 //!
 //! All agreement in this crate is **bag agreement of the projected rows**:
 //! the fingerprint ignores display order (`ORDER BY` cannot change content
@@ -75,19 +79,13 @@ pub struct RelShape {
     /// WHERE conjuncts that reference only this relation, rebased to
     /// local (0-based) slots — the `C[u]` of Algorithm 4's static check.
     pub local_condition: Vec<PExpr>,
-    /// Local columns the query reads at all (filter + output expressions).
-    /// An update confined to other columns is *irrelevant* — the query
-    /// cannot observe it (Blakeley et al.'s irrelevant-update test, which
-    /// §6 cites as the inspiration for the static checks).
+    /// Local columns the query reads at all: the filter and the output
+    /// expressions, and for an aggregate shape also the group keys, the
+    /// aggregate arguments and the sort keys — every raw slot an execution
+    /// evaluates. An update confined to other columns is *irrelevant* — the
+    /// query cannot observe it (Blakeley et al.'s irrelevant-update test,
+    /// which §6 cites as the inspiration for the static checks).
     pub referenced_cols: HashSet<usize>,
-    /// Local columns appearing in WHERE conjuncts that span more than one
-    /// relation. An update avoiding these preserves every tuple's join
-    /// multiplicity, unlocking the exact aggregate delta analysis.
-    pub join_cols: HashSet<usize>,
-    /// Probe plan with this relation widened by a trailing `upid` column,
-    /// projecting the original output columns plus `upid` (§4.2). The
-    /// `upid` is the last projection.
-    pub probe: ResolvedSelect,
 }
 
 /// SPJ shape (Algorithm 4/6 + batching).
@@ -99,48 +97,21 @@ pub struct SpjShape {
     pub keyed_ranges: Vec<std::ops::Range<usize>>,
     /// Per-relation shapes, in FROM order.
     pub relations: Vec<RelShape>,
+    /// Per relation, in FROM order: the probe plan with that relation
+    /// widened by a trailing `upid` column, projecting the original output
+    /// columns plus `upid` (§4.2). The `upid` is the last projection.
+    pub probes: Vec<ResolvedSelect>,
     /// Global slots projected *verbatim* (bare `Slot` projections) — the
     /// `A` of the exact `B ∩ A ≠ ∅` static disagreement for row updates.
     pub identity_projected_slots: HashSet<usize>,
 }
 
-/// Aggregate shape (Algorithm 5).
+/// Aggregate shape: the relations' footprints are all a sweep needs — the
+/// incremental evaluator ([`crate::delta`]) works from the plan itself.
 #[derive(Debug, Clone)]
 pub struct AggShape {
-    /// The keyed query over the unrolled core (same FROM/WHERE).
-    pub keyed: ResolvedSelect,
-    /// Output-column ranges of each relation's key within `keyed`.
-    pub keyed_ranges: Vec<std::ops::Range<usize>>,
-    /// Per-relation shapes. `RelShape::probe` here is the *unrolled* probe:
-    /// it projects the group-key expressions, then the aggregate argument
-    /// expressions, then `upid`.
+    /// Per-relation shapes, in FROM order.
     pub relations: Vec<RelShape>,
-    /// The group table plan: `SELECT group keys, agg values ... GROUP BY`.
-    pub group_table: ResolvedSelect,
-    /// Number of group-by expressions.
-    pub num_group_keys: usize,
-    /// For each aggregate spec `j`, the index of its argument among the
-    /// probe's argument columns (`None` for `COUNT(*)`).
-    pub agg_arg_cols: Vec<Option<usize>>,
-    /// Global slots referenced by the group-key expressions — the `G` of
-    /// Algorithm 5's `B ∩ G` check.
-    pub group_slots: HashSet<usize>,
-    /// True iff the query computes `COUNT(*)`, which makes several static
-    /// checks exact (any row movement changes a count).
-    pub has_count_star: bool,
-    /// Aggregate functions, aligned with `agg_arg_cols`.
-    pub agg_funcs: Vec<qirana_sqlengine::ast::AggFunc>,
-    /// Per relation (by `rel_idx`): the group-key expressions rebased to
-    /// that relation's local slots, when *every* group expression reads
-    /// only that relation — then a tuple's group is a pure function of the
-    /// tuple and group-key movement can be decided statically.
-    pub local_group_exprs: Vec<Option<Vec<PExpr>>>,
-    /// Index (within a group-cache value vector) of the hidden `COUNT(*)`
-    /// bookkeeping aggregate appended to `group_table`.
-    pub hidden_count_col: usize,
-    /// For each visible aggregate `j` with an argument, the index of its
-    /// hidden `COUNT(arg)` (non-null count) bookkeeping column.
-    pub hidden_nonnull_cols: Vec<Option<usize>>,
 }
 
 impl Prepared {
@@ -395,58 +366,23 @@ pub(crate) fn widened(plan: &ResolvedSelect, rel_idx: usize) -> ResolvedSelect {
     probe
 }
 
+/// Per-relation shapes of `plan`; `read_slots` are the global slots the
+/// query reads, each relation's share of which is its `referenced_cols`.
 fn rel_shapes(
     plan: &ResolvedSelect,
     tables: &[usize],
     pk_cols: &[Vec<usize>],
-    probe_template: &ResolvedSelect,
+    read_slots: &[usize],
 ) -> Vec<RelShape> {
     let locals = local_conditions(plan);
-
-    // Global slots the template reads (filter + output expressions). The
-    // template's projections already include group keys and aggregate
-    // arguments for the aggregate shape.
-    let mut read_slots: Vec<usize> = Vec::new();
-    if let Some(f) = &probe_template.filter {
-        f.collect_slots(&mut read_slots);
-    }
-    for p in &probe_template.projections {
-        p.expr.collect_slots(&mut read_slots);
-    }
-
-    // Global slots appearing in conjuncts that span multiple relations.
-    let mut multi_rel_slots: Vec<usize> = Vec::new();
-    if let Some(f) = plan.filter.clone() {
-        // `offsets` always contains 0, so every slot has a home relation.
-        #[allow(clippy::unwrap_used)]
-        let rel_of = |s: usize| plan.offsets.iter().rposition(|&o| o <= s).unwrap(); // qirana-lint::allow(QL007): offsets[0] == 0 gives every slot a home
-        for c in f.conjuncts() {
-            if c.has_subquery() {
-                continue;
-            }
-            let mut slots = Vec::new();
-            c.collect_slots(&mut slots);
-            if let Some(&first) = slots.first() {
-                if slots.iter().any(|&s| rel_of(s) != rel_of(first)) {
-                    multi_rel_slots.extend(slots);
-                }
-            }
-        }
-    }
 
     tables
         .iter()
         .enumerate()
         .map(|(rel_idx, &table)| {
-            let probe = widened(probe_template, rel_idx);
             let offset = plan.offsets[rel_idx];
             let arity = plan.relations[rel_idx].arity();
             let referenced_cols: HashSet<usize> = read_slots
-                .iter()
-                .filter(|&&s| s >= offset && s < offset + arity)
-                .map(|&s| s - offset)
-                .collect();
-            let join_cols: HashSet<usize> = multi_rel_slots
                 .iter()
                 .filter(|&&s| s >= offset && s < offset + arity)
                 .map(|&s| s - offset)
@@ -459,8 +395,6 @@ fn rel_shapes(
                 pk_cols: pk_cols[rel_idx].clone(),
                 local_condition: locals[rel_idx].clone(),
                 referenced_cols,
-                join_cols,
-                probe,
             }
         })
         .collect()
@@ -473,7 +407,19 @@ fn classify_spj(plan: &ResolvedSelect, tables: &[usize], pk_cols: &[Vec<usize>])
     let mut probe_template = plan.clone();
     probe_template.order_by.clear();
 
-    let relations = rel_shapes(plan, tables, pk_cols, &probe_template);
+    let probes = (0..tables.len())
+        .map(|rel_idx| widened(&probe_template, rel_idx))
+        .collect();
+
+    let mut read_slots = Vec::new();
+    for e in plan
+        .filter
+        .iter()
+        .chain(plan.projections.iter().map(|p| &p.expr))
+    {
+        e.collect_slots(&mut read_slots);
+    }
+    let relations = rel_shapes(plan, tables, pk_cols, &read_slots);
 
     // Slots projected verbatim — exact `B ∩ A` carrier for row updates.
     let identity_projected_slots: HashSet<usize> = plan
@@ -489,160 +435,29 @@ fn classify_spj(plan: &ResolvedSelect, tables: &[usize], pk_cols: &[Vec<usize>])
         keyed,
         keyed_ranges,
         relations,
+        probes,
         identity_projected_slots,
     }))
 }
 
 fn classify_agg(plan: &ResolvedSelect, tables: &[usize], pk_cols: &[Vec<usize>]) -> Shape {
-    let (keyed, keyed_ranges) = build_keyed(plan, pk_cols);
-
-    // Group table: group keys followed by every aggregate's value.
-    let mut group_table = plan.clone();
-    group_table.having = None;
-    group_table.order_by.clear();
-    group_table.limit = None;
-    group_table.distinct = false;
-    group_table.projections = plan
-        .group_by
+    // The aggregate footprint: what the core reads (filter, group keys,
+    // aggregate arguments) and the raw slots the output and sort
+    // expressions read off a group's representative row — a change there
+    // moves no accumulator and still shows (`delta::build`'s `watched`).
+    let exprs = plan
+        .filter
         .iter()
-        .enumerate()
-        .map(|(i, g)| Projection {
-            expr: g.clone(),
-            name: format!("g{i}"),
-        })
-        .collect();
-    for (j, _) in plan.aggregates.iter().enumerate() {
-        group_table.projections.push(Projection {
-            expr: PExpr::AggRef(j),
-            name: format!("agg{j}"),
-        });
+        .chain(plan.group_by.iter())
+        .chain(plan.aggregates.iter().filter_map(|a| a.arg.as_ref()))
+        .chain(plan.projections.iter().map(|p| &p.expr))
+        .chain(plan.order_by.iter().map(|(e, _)| e));
+    let mut read_slots = Vec::new();
+    for e in exprs {
+        e.collect_slots(&mut read_slots);
     }
-
-    // Hidden bookkeeping aggregates: group row count + per-argument
-    // non-null counts, consumed by the exact delta analyses in
-    // `crate::optimized` (they decide NULL transitions and group
-    // disappearance without rerunning the query).
-    let hidden_count_col = group_table.aggregates.len();
-    group_table
-        .aggregates
-        .push(qirana_sqlengine::plan::AggSpec {
-            func: qirana_sqlengine::ast::AggFunc::Count,
-            arg: None,
-            distinct: false,
-        });
-    group_table.projections.push(Projection {
-        expr: PExpr::AggRef(hidden_count_col),
-        name: "_rows".into(),
-    });
-    let mut hidden_nonnull_cols = Vec::with_capacity(plan.aggregates.len());
-    for spec in &plan.aggregates {
-        match &spec.arg {
-            Some(a) => {
-                let idx = group_table.aggregates.len();
-                group_table
-                    .aggregates
-                    .push(qirana_sqlengine::plan::AggSpec {
-                        func: qirana_sqlengine::ast::AggFunc::Count,
-                        arg: Some(a.clone()),
-                        distinct: false,
-                    });
-                group_table.projections.push(Projection {
-                    expr: PExpr::AggRef(idx),
-                    name: format!("_nn{idx}"),
-                });
-                hidden_nonnull_cols.push(Some(idx));
-            }
-            None => hidden_nonnull_cols.push(None),
-        }
-    }
-
-    // Unrolled probe template: group keys then aggregate arguments, as a
-    // plain SPJ projection (arguments are row-context expressions).
-    let mut unrolled = plan.clone();
-    unrolled.grouped = false;
-    unrolled.group_by.clear();
-    unrolled.aggregates.clear();
-    unrolled.having = None;
-    unrolled.order_by.clear();
-    unrolled.limit = None;
-    unrolled.distinct = false;
-    unrolled.projections = plan
-        .group_by
-        .iter()
-        .enumerate()
-        .map(|(i, g)| Projection {
-            expr: g.clone(),
-            name: format!("g{i}"),
-        })
-        .collect();
-    let mut agg_arg_cols = Vec::with_capacity(plan.aggregates.len());
-    let mut next_arg = 0usize;
-    for spec in &plan.aggregates {
-        match &spec.arg {
-            Some(a) => {
-                unrolled.projections.push(Projection {
-                    expr: a.clone(),
-                    name: format!("arg{next_arg}"),
-                });
-                agg_arg_cols.push(Some(next_arg));
-                next_arg += 1;
-            }
-            None => agg_arg_cols.push(None),
-        }
-    }
-
-    let relations = rel_shapes(plan, tables, pk_cols, &unrolled);
-
-    let mut group_slots = HashSet::new();
-    for g in &plan.group_by {
-        let mut slots = Vec::new();
-        g.collect_slots(&mut slots);
-        group_slots.extend(slots);
-    }
-
-    let has_count_star = plan
-        .aggregates
-        .iter()
-        .any(|a| a.func == qirana_sqlengine::ast::AggFunc::Count && a.arg.is_none());
-
-    let local_group_exprs = relations
-        .iter()
-        .map(|rel| {
-            let in_rel = |s: usize| s >= rel.offset && s < rel.offset + rel.arity;
-            let all_local = plan.group_by.iter().all(|g| {
-                let mut slots = Vec::new();
-                g.collect_slots(&mut slots);
-                slots.iter().all(|&s| in_rel(s))
-            });
-            if !all_local {
-                return None;
-            }
-            Some(
-                plan.group_by
-                    .iter()
-                    .map(|g| {
-                        let mut local = g.clone();
-                        local.map_slots(&mut |s| s - rel.offset);
-                        local
-                    })
-                    .collect(),
-            )
-        })
-        .collect();
-
     Shape::Agg(Box::new(AggShape {
-        keyed,
-        keyed_ranges,
-        relations,
-        group_table,
-        num_group_keys: plan.group_by.len(),
-        agg_arg_cols,
-        group_slots,
-        has_count_star,
-        agg_funcs: plan.aggregates.iter().map(|a| a.func).collect(),
-        local_group_exprs,
-        hidden_count_col,
-        hidden_nonnull_cols,
+        relations: rel_shapes(plan, tables, pk_cols, &read_slots),
     }))
 }
 
@@ -707,34 +522,46 @@ mod tests {
         // local condition on Tweet: location = 'CA'.
         assert_eq!(s.relations[1].local_condition.len(), 1);
         // probe for User carries upid as last projection.
-        assert_eq!(
-            s.relations[0].probe.projections.last().unwrap().name,
-            "upid"
-        );
+        assert_eq!(s.probes[0].projections.last().unwrap().name, "upid");
     }
 
     #[test]
     fn agg_classification() {
         let db = db();
-        let p = prepare_query(
-            &db,
-            "select gender, count(*), avg(age) from User group by gender",
-        )
-        .unwrap();
-        let Shape::Agg(a) = &p.shape else {
-            panic!("expected Agg, got {:?}", p.shape)
+        let footprints = |sql: &str| -> Vec<Vec<usize>> {
+            let p = prepare_query(&db, sql).unwrap();
+            let Shape::Agg(a) = &p.shape else {
+                panic!("expected Agg, got {:?}", p.shape)
+            };
+            let sorted = |cols: &HashSet<usize>| {
+                let mut v: Vec<usize> = cols.iter().copied().collect();
+                v.sort_unstable();
+                v
+            };
+            a.relations
+                .iter()
+                .map(|r| sorted(&r.referenced_cols))
+                .collect()
         };
-        assert!(a.has_count_star);
-        assert_eq!(a.num_group_keys, 1);
-        assert_eq!(a.agg_arg_cols, vec![None, Some(0)]);
-        assert!(a.group_slots.contains(&1));
-        // group table: gender, count, avg, plus hidden row count and the
-        // avg argument's non-null count.
-        assert_eq!(a.group_table.projections.len(), 5);
-        assert_eq!(a.hidden_count_col, 2);
-        assert_eq!(a.hidden_nonnull_cols, vec![None, Some(3)]);
-        // unrolled probe projects gender, age, upid.
-        assert_eq!(a.relations[0].probe.projections.len(), 3);
+        // Group key (gender) and aggregate argument (age); uid is unread.
+        assert_eq!(
+            footprints("select gender, count(*), avg(age) from User group by gender"),
+            [[1, 2]]
+        );
+        // Regression: raw slots the output and the sort read off the
+        // representative row belong to the footprint too.
+        assert_eq!(
+            footprints("select age, count(*) from User group by gender order by uid"),
+            [[0, 1, 2]]
+        );
+        // A join: each relation gets its own share, join columns included.
+        assert_eq!(
+            footprints(
+                "select U.gender, count(*) from User U, Tweet T \
+                 where U.uid = T.uid and T.location = 'CA' group by U.age"
+            ),
+            [vec![0, 1, 2], vec![1, 2]]
+        );
     }
 
     #[test]
@@ -806,7 +633,7 @@ mod tests {
         let Shape::Spj(s) = &p.shape else { panic!() };
         // User and Tweet both have 3 columns; widening User (rel 0) shifts
         // Tweet's slots by 1.
-        let probe = &s.relations[0].probe;
+        let probe = &s.probes[0];
         assert_eq!(probe.offsets, vec![0, 4]);
         assert_eq!(probe.width, 7);
         // location was global slot 5, now 6.

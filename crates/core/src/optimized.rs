@@ -1,4 +1,5 @@
-//! Optimized disagreement detection (§4: Algorithms 4, 5, 6 + batching).
+//! Optimized disagreement detection for SPJ shapes (§4: Algorithms 4 and
+//! 6 + batching).
 //!
 //! For each support update the checks proceed from cheapest to most
 //! expensive, and every verdict produced is **exact** (equal to what the
@@ -16,13 +17,9 @@
 //!    `Q((D ∖ R) ∪ {u⁺})` for emptiness — batched across updates via the
 //!    widened `R⁺` relation (§4.2);
 //! 4. for a *contributing* tuple: static disagreement when the update hits
-//!    an identity-projected column (row updates), when every replacement
-//!    fails `C[u⁺]`, or — for aggregates with `COUNT(*)` — when group keys
-//!    move; an exact **delta analysis** decides pure aggregate-argument
-//!    changes without touching the database; the remainder compares
-//!    `Q((D ∖ R) ∪ {u⁻})` against `Q((D ∖ R) ∪ {u⁺})` (batched), or for
-//!    aggregates re-runs the query on the updated instance (the paper notes
-//!    this check cannot be batched).
+//!    an identity-projected column (row updates) or when every replacement
+//!    fails `C[u⁺]`; the remainder compares `Q((D ∖ R) ∪ {u⁻})` against
+//!    `Q((D ∖ R) ∪ {u⁺})` (batched).
 //!
 //! Note the printed Algorithm 6 declares a disagreement whenever a swap
 //! touches a projected attribute; that is *not* exact (swapping a projected
@@ -30,6 +27,13 @@
 //! unchanged — the paper's own `SELECT age FROM User` discussion in §3.2
 //! relies on this). We use the dynamic comparison instead, which Lemma A.2
 //! makes exact.
+//!
+//! Aggregate shapes are not handled here. The paper's Algorithm 5 adds
+//! static group-key and aggregate-argument checks and re-executes the query
+//! for every contributing-tuple update they leave open ("cannot be
+//! batched"); [`crate::delta`]'s per-group accumulators decide those
+//! neighbors exactly from one batched execution per relation, so coverage
+//! sweeps over aggregates read them instead (DESIGN.md §4, §9).
 //!
 //! **Exactness is also what makes the per-query verdicts memoizable.** The
 //! bitmap this module produces for a query is a pure function of the query
@@ -42,18 +46,15 @@
 //! bitmap, bit-for-bit as if recomputed.
 
 use crate::engine::{bag_fp, EngineOptions, Visible};
-use crate::naive::neighbor_fps;
-use crate::normal_form::{AggShape, Prepared, RelShape, SpjShape};
+use crate::normal_form::{RelShape, SpjShape};
 use crate::parallel::fan_out;
 use crate::update::SupportUpdate;
-use qirana_sqlengine::ast::AggFunc;
 use qirana_sqlengine::exec::eval_row_expr;
-use qirana_sqlengine::plan::AggSpec;
 use qirana_sqlengine::{
-    execute, Database, EngineError, ExecBudget, ExecContext, Fingerprint, PExpr, QueryOutput,
+    execute, Database, EngineError, ExecBudget, ExecContext, Fingerprint, QueryOutput,
     ResolvedSelect, Row, Value,
 };
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 type Result<T> = std::result::Result<T, EngineError>;
 
@@ -62,7 +63,7 @@ type Result<T> = std::result::Result<T, EngineError>;
 type CmpQueue = Vec<Vec<(usize, Vec<Row>, Vec<Row>)>>;
 
 // ---------------------------------------------------------------------------
-// Shared helpers
+// Helpers
 // ---------------------------------------------------------------------------
 
 fn key_of(row: &Row, pk_cols: &[usize]) -> Vec<Value> {
@@ -105,29 +106,6 @@ fn with_upid(rows: &[Row], idx: usize) -> impl Iterator<Item = Row> + '_ {
         w.push(Value::Int(idx as i64));
         w
     })
-}
-
-/// Runs a relation's widened probe over the given override rows.
-fn run_probe(
-    db: &Database,
-    rel: &RelShape,
-    rows: &[Row],
-    budget: ExecBudget,
-) -> Result<QueryOutput> {
-    let ctx = ExecContext::with_override(db, rel.table, rows).with_budget(budget);
-    execute(&rel.probe, &ctx)
-}
-
-/// The unbatched probe: one update's rows, alone in the widened relation.
-fn run_probe_one(
-    db: &Database,
-    rel: &RelShape,
-    idx: usize,
-    rows: &[Row],
-    budget: ExecBudget,
-) -> Result<QueryOutput> {
-    let rows: Vec<Row> = with_upid(rows, idx).collect();
-    run_probe(db, rel, &rows, budget)
 }
 
 /// Groups probe output rows by their trailing `upid` column and bag-
@@ -228,6 +206,13 @@ pub fn spj_disagreements(
     for rel in &shape.relations {
         let news = &check_new[rel.rel_idx];
         let cmps = &check_cmp[rel.rel_idx];
+        // The probes are read-only (table overrides, no writes), so the
+        // unbatched path's pool workers share the database.
+        let shared: &Database = db;
+        let probe = |rows: &[Row]| {
+            let ctx = ExecContext::with_override(shared, rel.table, rows).with_budget(opts.budget);
+            execute(&shape.probes[rel.rel_idx], &ctx)
+        };
 
         if batch {
             if !news.is_empty() {
@@ -235,7 +220,7 @@ pub fn spj_disagreements(
                     .iter()
                     .flat_map(|(i, rows)| with_upid(rows, *i))
                     .collect();
-                let out = run_probe(db, rel, &rows, opts.budget)?;
+                let out = probe(&rows)?;
                 let ncols = out.columns.len();
                 for row in &out.rows {
                     // The probe plan appends upid as an integer column.
@@ -254,8 +239,8 @@ pub fn spj_disagreements(
                     .iter()
                     .flat_map(|(i, _, new)| with_upid(new, *i))
                     .collect();
-                let old_fps = per_upid_fps(run_probe(db, rel, &old_rows, opts.budget)?)?;
-                let new_fps = per_upid_fps(run_probe(db, rel, &new_rows, opts.budget)?)?;
+                let old_fps = per_upid_fps(probe(&old_rows)?)?;
+                let new_fps = per_upid_fps(probe(&new_rows)?)?;
                 for (i, _, _) in cmps {
                     let key = *i as i64;
                     if old_fps.get(&key) != new_fps.get(&key) {
@@ -264,21 +249,19 @@ pub fn spj_disagreements(
                 }
             }
         } else {
-            // One probe (pair) per update. The probes are read-only (table
-            // overrides, no writes), so pool workers share the database.
-            let shared: &Database = db;
+            // One probe (pair) per update, alone in the widened relation.
             let flags = fan_out(
                 &mut (),
                 news.len() + cmps.len(),
                 opts.parallelism,
                 &opts.telemetry,
                 |_, j| {
-                    let probe = |i, rows| run_probe_one(shared, rel, i, rows, opts.budget);
+                    let alone = |i, rows| probe(&with_upid(rows, i).collect::<Vec<Row>>());
                     match news.get(j) {
-                        Some((i, rows)) => Ok((*i, !probe(*i, rows)?.rows.is_empty())),
+                        Some((i, rows)) => Ok((*i, !alone(*i, rows)?.rows.is_empty())),
                         None => {
                             let (i, old, new) = &cmps[j - news.len()];
-                            Ok((*i, bag_fp(probe(*i, old)?) != bag_fp(probe(*i, new)?)))
+                            Ok((*i, bag_fp(alone(*i, old)?) != bag_fp(alone(*i, new)?)))
                         }
                     }
                 },
@@ -291,635 +274,4 @@ pub fn spj_disagreements(
         }
     }
     Ok(bits)
-}
-
-// ---------------------------------------------------------------------------
-// Aggregate queries: Algorithm 5 (+ swap handling, + exact delta analysis)
-// ---------------------------------------------------------------------------
-
-/// Verdict of a per-aggregate static analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Delta {
-    NoChange,
-    Change,
-    Unknown,
-}
-
-/// Disagreement bits for an aggregate-shaped query over the visible
-/// neighborhood updates, and how many of those the static analyses left to
-/// full re-execution; `batch` selects §4.2's batched dynamic checks.
-pub fn agg_disagreements(
-    db: &mut Database,
-    q: &Prepared,
-    shape: &AggShape,
-    updates: &[SupportUpdate],
-    visible: &[Visible],
-    batch: bool,
-    opts: &EngineOptions,
-) -> Result<(Vec<bool>, u64)> {
-    let n = updates.len();
-    let mut bits = vec![false; n];
-    let contrib = contributing_sets(db, &shape.keyed, &shape.keyed_ranges, opts.budget)?;
-
-    // Group table: group key -> aggregate values (Q_γ(D) bookkeeping).
-    let group_out = execute(
-        &shape.group_table,
-        &ExecContext::new(db).with_budget(opts.budget),
-    )?;
-    let mut group_cache: HashMap<Vec<Value>, Vec<Value>> =
-        HashMap::with_capacity(group_out.rows.len());
-    for row in group_out.rows {
-        let key = row[..shape.num_group_keys].to_vec();
-        let vals = row[shape.num_group_keys..].to_vec();
-        group_cache.insert(key, vals);
-    }
-
-    let nrels = shape.relations.len();
-    let mut check_new: Vec<Vec<(usize, Vec<Row>)>> = vec![Vec::new(); nrels];
-    let mut check_full: Vec<usize> = Vec::new();
-
-    let plan = &q.plan;
-    for (i, up) in updates.iter().enumerate() {
-        let Some(changed) = &visible[i] else {
-            continue; // masked out, or invisible to the query → agrees
-        };
-        let Some(rel) = shape.relations.iter().find(|r| r.table == up.table()) else {
-            continue;
-        };
-        let (old_rows, new_rows) = up.old_new_rows(db);
-        let contributes = old_rows
-            .iter()
-            .any(|r| contrib[rel.rel_idx].contains(&key_of(r, &rel.pk_cols)));
-        let mut sat_new = Vec::new();
-        for r in &new_rows {
-            if local_sat(db, rel, r)? {
-                sat_new.push(r.clone());
-            }
-        }
-
-        if !contributes {
-            if sat_new.is_empty() {
-                continue;
-            }
-            check_new[rel.rel_idx].push((i, sat_new));
-            continue;
-        }
-
-        // Contributing tuple. Single-relation queries admit a fully exact
-        // delta analysis for both row and swap updates (join multiplicity
-        // is always 1, group keys and aggregate arguments are pure tuple
-        // functions, and the hidden bookkeeping counts decide NULL
-        // transitions and group disappearance) — no fallback needed except
-        // for MIN/MAX ties.
-        if shape.relations.len() == 1 && shape.local_group_exprs[rel.rel_idx].is_some() {
-            match single_relation_delta(db, plan, shape, rel, &old_rows, &new_rows, &group_cache)? {
-                Delta::Change => bits[i] = true,
-                Delta::NoChange => {}
-                Delta::Unknown => check_full.push(i),
-            }
-            continue;
-        }
-
-        if sat_new.is_empty() {
-            if shape.has_count_star {
-                bits[i] = true; // a group count definitely shrinks
-            } else {
-                check_full.push(i);
-            }
-            continue;
-        }
-        let hits_group = changed
-            .iter()
-            .any(|&c| shape.group_slots.contains(&(rel.offset + c)));
-        let hits_join = changed.iter().any(|&c| rel.join_cols.contains(&c));
-
-        if !matches!(up, SupportUpdate::Row { .. }) {
-            // Swap on contributing tuples of a join: the exchange can
-            // cancel out in ways no cheap static test captures; fall back.
-            check_full.push(i);
-            continue;
-        }
-
-        // Decide whether the tuple's group key actually moves. Slot overlap
-        // is not enough — `GROUP BY age % 2` is untouched by 25 → 27.
-        let group_moved: Option<bool> = if !hits_group {
-            Some(false)
-        } else if let Some(gexprs) = &shape.local_group_exprs[rel.rel_idx] {
-            let ctx = ExecContext::new(db);
-            let mut moved = false;
-            for g in gexprs {
-                let ko = eval_row_expr(g, &old_rows[0], &ctx)?;
-                let kn = eval_row_expr(g, &sat_new[0], &ctx)?;
-                if !ko.sql_eq(&kn) {
-                    moved = true;
-                    break;
-                }
-            }
-            Some(moved)
-        } else {
-            None // key depends on join partners: undecidable here
-        };
-
-        match group_moved {
-            Some(false) if !hits_join => {
-                // Multiplicity- and group-preserving row update: exact
-                // delta analysis per aggregate.
-                match delta_analysis(db, plan, rel, &old_rows[0], &sat_new[0])? {
-                    Delta::Change => bits[i] = true,
-                    Delta::NoChange => {}
-                    Delta::Unknown => check_full.push(i),
-                }
-            }
-            Some(true) if shape.has_count_star => {
-                // The tuple's ≥1 copies leave their group (whose key is a
-                // pure function of the tuple, different from the new key),
-                // so that group's COUNT(*) shrinks or the group vanishes
-                // while a distinct key absorbs the copies.
-                bits[i] = true;
-            }
-            _ => check_full.push(i),
-        }
-    }
-
-    // Non-contributing probes: exact aggregate-effect analysis on the rows
-    // u⁺ would add.
-    for rel in &shape.relations {
-        let news = &check_new[rel.rel_idx];
-        if news.is_empty() {
-            continue;
-        }
-        if batch {
-            let rows: Vec<Row> = news
-                .iter()
-                .flat_map(|(i, rows)| with_upid(rows, *i))
-                .collect();
-            let out = run_probe(db, rel, &rows, opts.budget)?;
-            apply_addition_analysis(shape, &group_cache, out, &mut bits)?;
-        } else {
-            let shared: &Database = db;
-            let outs = fan_out(
-                &mut (),
-                news.len(),
-                opts.parallelism,
-                &opts.telemetry,
-                |_, j| run_probe_one(shared, rel, news[j].0, &news[j].1, opts.budget),
-            )?;
-            for out in outs {
-                apply_addition_analysis(shape, &group_cache, out, &mut bits)?;
-            }
-        }
-    }
-
-    // Full fallback: apply the update, rerun the query, compare (the paper
-    // notes this check cannot be batched — it is still embarrassingly
-    // parallel across updates).
-    let fallbacks = check_full.len() as u64;
-    if !check_full.is_empty() {
-        let base = bag_fp(execute(
-            plan,
-            &ExecContext::new(db).with_budget(opts.budget),
-        )?);
-        let fps = neighbor_fps(db, plan, updates, &check_full, opts)?;
-        for (i, fp) in check_full.into_iter().zip(fps) {
-            bits[i] = fp != base;
-        }
-    }
-    Ok((bits, fallbacks))
-}
-
-/// Exact per-aggregate analysis of a multiplicity-preserving row update on
-/// a contributing tuple: the update replaces each joined copy's aggregate
-/// argument `f(u⁻)` with `f(u⁺)` within the same group(s).
-fn delta_analysis(
-    db: &Database,
-    plan: &ResolvedSelect,
-    rel: &RelShape,
-    old: &Row,
-    new: &Row,
-) -> Result<Delta> {
-    let mut verdict = Delta::NoChange;
-    for spec in &plan.aggregates {
-        let d = one_agg_delta(db, rel, spec, old, new)?;
-        match d {
-            Delta::Change => return Ok(Delta::Change),
-            Delta::Unknown => verdict = Delta::Unknown,
-            Delta::NoChange => {}
-        }
-    }
-    Ok(verdict)
-}
-
-fn one_agg_delta(
-    db: &Database,
-    rel: &RelShape,
-    spec: &AggSpec,
-    old: &Row,
-    new: &Row,
-) -> Result<Delta> {
-    let Some(arg) = &spec.arg else {
-        return Ok(Delta::NoChange); // COUNT(*): multiplicity preserved
-    };
-    if spec.distinct {
-        return Ok(Delta::Unknown); // excluded by shape, but stay safe
-    }
-    let mut slots = Vec::new();
-    arg.collect_slots(&mut slots);
-    let in_rel = |s: usize| s >= rel.offset && s < rel.offset + rel.arity;
-    if slots.iter().all(|&s| !in_rel(s)) {
-        // Argument read entirely from other relations; the same join
-        // partners produce the same values.
-        return Ok(Delta::NoChange);
-    }
-    if !slots.iter().all(|&s| in_rel(s)) {
-        return Ok(Delta::Unknown); // mixed: value depends on partners
-    }
-    // Fully local argument: evaluate on both tuples.
-    let mut local = arg.clone();
-    local.map_slots(&mut |s| s - rel.offset);
-    let ctx = ExecContext::new(db);
-    let vo = eval_row_expr(&local, old, &ctx)?;
-    let vn = eval_row_expr(&local, new, &ctx)?;
-    let nullity_same = vo.is_null() == vn.is_null();
-    Ok(match spec.func {
-        AggFunc::Count => {
-            if nullity_same {
-                Delta::NoChange
-            } else {
-                Delta::Change
-            }
-        }
-        AggFunc::Sum | AggFunc::Avg => {
-            if vo.is_null() && vn.is_null() {
-                Delta::NoChange
-            } else if nullity_same {
-                if vo.sql_eq(&vn) {
-                    Delta::NoChange
-                } else {
-                    Delta::Change
-                }
-            } else {
-                // Nullity flip: SUM/AVG shift in count or representation —
-                // needs group context.
-                Delta::Unknown
-            }
-        }
-        AggFunc::Min | AggFunc::Max => {
-            if vo.sql_eq(&vn) || (vo.is_null() && vn.is_null()) {
-                Delta::NoChange
-            } else {
-                Delta::Unknown // needs the group's current extremum
-            }
-        }
-    })
-}
-
-/// Exact per-aggregate delta for a row *or swap* update on a
-/// single-relation aggregate query: the removed tuples are the locally
-/// satisfying old rows, the added tuples the satisfying new rows, and every
-/// group-key / argument expression is a pure function of the tuple (join
-/// multiplicity is 1). The hidden bookkeeping counts in the group cache
-/// decide NULL transitions and group disappearance, so the only remaining
-/// `Unknown` is a MIN/MAX tie on a removed extremum.
-///
-/// Exactness here (as in [`one_agg_delta`]) is modulo `f64` rounding: the
-/// naive engine re-folds each group's sum in row order, so a swap of two
-/// float values can in principle perturb the last ulp of a sum this
-/// analysis calls unchanged. Integer aggregates are exact.
-fn single_relation_delta(
-    db: &Database,
-    plan: &ResolvedSelect,
-    shape: &AggShape,
-    rel: &RelShape,
-    old_rows: &[Row],
-    new_rows: &[Row],
-    group_cache: &HashMap<Vec<Value>, Vec<Value>>,
-) -> Result<Delta> {
-    // `single_relation_delta` is only entered for relations whose local
-    // group keys were precomputed by `analyze_spja`.
-    let gexprs = shape.local_group_exprs[rel.rel_idx]
-        .as_ref()
-        .ok_or_else(|| {
-            EngineError::internal("single_relation_delta entered without local group keys")
-        })?;
-    // Localize the visible aggregates' argument expressions.
-    let in_rel = |s: usize| s >= rel.offset && s < rel.offset + rel.arity;
-    let mut arg_local: Vec<Option<PExpr>> = Vec::with_capacity(plan.aggregates.len());
-    for spec in &plan.aggregates {
-        match &spec.arg {
-            Some(a) => {
-                let mut slots = Vec::new();
-                a.collect_slots(&mut slots);
-                if !slots.iter().all(|&s| in_rel(s)) {
-                    return Ok(Delta::Unknown); // unreachable single-relation
-                }
-                let mut local = a.clone();
-                local.map_slots(&mut |s| s - rel.offset);
-                arg_local.push(Some(local));
-            }
-            None => arg_local.push(None),
-        }
-    }
-
-    // Per-group removal/addition accumulation.
-    struct GroupDelta {
-        rows: i64,
-        removed: Vec<Vec<Value>>,
-        added: Vec<Vec<Value>>,
-    }
-    let ctx = ExecContext::new(db);
-    // BTreeMap: iterated below to reach the verdict; `Value`'s total
-    // order keeps the walk deterministic across runs.
-    let mut groups: BTreeMap<Vec<Value>, GroupDelta> = BTreeMap::new();
-    for (rows, add) in [(old_rows, false), (new_rows, true)] {
-        for r in rows {
-            if !local_sat(db, rel, r)? {
-                continue;
-            }
-            let mut key = Vec::with_capacity(gexprs.len());
-            for g in gexprs {
-                key.push(eval_row_expr(g, r, &ctx)?);
-            }
-            let mut args = Vec::with_capacity(arg_local.len());
-            for a in &arg_local {
-                args.push(match a {
-                    Some(e) => eval_row_expr(e, r, &ctx)?,
-                    None => Value::Null,
-                });
-            }
-            let e = groups.entry(key).or_insert(GroupDelta {
-                rows: 0,
-                removed: Vec::new(),
-                added: Vec::new(),
-            });
-            if add {
-                e.rows += 1;
-                e.added.push(args);
-            } else {
-                e.rows -= 1;
-                e.removed.push(args);
-            }
-        }
-    }
-
-    let mut verdict = Delta::NoChange;
-    for (key, d) in &groups {
-        if d.added.is_empty() && d.removed.is_empty() {
-            continue;
-        }
-        let Some(cached) = group_cache.get(key) else {
-            if !d.added.is_empty() {
-                return Ok(Delta::Change); // a brand-new group appears
-            }
-            continue;
-        };
-        // Group disappearance: every row leaves.
-        let total = cached[shape.hidden_count_col].as_i64().unwrap_or(0);
-        if total + d.rows == 0 {
-            return Ok(Delta::Change);
-        }
-        for (j, func) in shape.agg_funcs.iter().enumerate() {
-            let one = match func {
-                AggFunc::Count if plan.aggregates[j].arg.is_none() => {
-                    if d.rows != 0 {
-                        Delta::Change
-                    } else {
-                        Delta::NoChange
-                    }
-                }
-                _ => {
-                    let rm: Vec<&Value> = d.removed.iter().map(|a| &a[j]).collect();
-                    let ad: Vec<&Value> = d.added.iter().map(|a| &a[j]).collect();
-                    one_group_value_delta(shape, cached, j, *func, &rm, &ad)
-                }
-            };
-            match one {
-                Delta::Change => return Ok(Delta::Change),
-                Delta::Unknown => verdict = Delta::Unknown,
-                Delta::NoChange => {}
-            }
-        }
-    }
-    Ok(verdict)
-}
-
-/// Decides one aggregate's fate given the exact multiset of removed and
-/// added argument values for a single group.
-fn one_group_value_delta(
-    shape: &AggShape,
-    cached: &[Value],
-    j: usize,
-    func: AggFunc,
-    removed: &[&Value],
-    added: &[&Value],
-) -> Delta {
-    let nn_col = match shape.hidden_nonnull_cols[j] {
-        Some(c) => c,
-        None => {
-            return if removed.len() != added.len() {
-                Delta::Change
-            } else {
-                Delta::NoChange
-            }
-        }
-    };
-    let nn = cached[nn_col].as_i64().unwrap_or(0);
-    let rm_nonnull: Vec<&&Value> = removed.iter().filter(|v| !v.is_null()).collect();
-    let ad_nonnull: Vec<&&Value> = added.iter().filter(|v| !v.is_null()).collect();
-    let dn = ad_nonnull.len() as i64 - rm_nonnull.len() as i64;
-    let numeric_sum = |vals: &[&&Value]| -> Option<f64> {
-        let mut s = 0.0;
-        for v in vals {
-            s += v.as_f64()?;
-        }
-        Some(s)
-    };
-
-    match func {
-        AggFunc::Count => {
-            if dn != 0 {
-                Delta::Change
-            } else {
-                Delta::NoChange
-            }
-        }
-        AggFunc::Sum => {
-            if nn == 0 {
-                if dn > 0 {
-                    Delta::Change // NULL → a value
-                } else {
-                    Delta::NoChange
-                }
-            } else if nn + dn == 0 {
-                Delta::Change // a value → NULL
-            } else {
-                match (numeric_sum(&ad_nonnull), numeric_sum(&rm_nonnull)) {
-                    (Some(a), Some(r)) => {
-                        if a != r {
-                            Delta::Change
-                        } else {
-                            Delta::NoChange
-                        }
-                    }
-                    _ => Delta::Unknown,
-                }
-            }
-        }
-        AggFunc::Avg => {
-            if nn == 0 {
-                if dn > 0 {
-                    Delta::Change
-                } else {
-                    Delta::NoChange
-                }
-            } else if nn + dn == 0 {
-                Delta::Change
-            } else {
-                let (Some(a), Some(r)) = (numeric_sum(&ad_nonnull), numeric_sum(&rm_nonnull))
-                else {
-                    return Delta::Unknown;
-                };
-                let Some(avg) = cached[j].as_f64() else {
-                    return Delta::Unknown;
-                };
-                // (S + Δs) / (n + Δn) == S/n  ⇔  Δs == avg · Δn.
-                // qirana-lint::allow(QL002): dn is a per-group row-count delta
-                if (a - r) != avg * dn as f64 {
-                    Delta::Change
-                } else {
-                    Delta::NoChange
-                }
-            }
-        }
-        AggFunc::Min | AggFunc::Max => {
-            let cur = &cached[j];
-            if cur.is_null() {
-                return if dn > 0 {
-                    Delta::Change
-                } else {
-                    Delta::NoChange
-                };
-            }
-            if nn + dn == 0 {
-                return Delta::Change; // extremum → NULL
-            }
-            let better = |v: &Value| {
-                if func == AggFunc::Min {
-                    v.total_cmp(cur).is_lt()
-                } else {
-                    v.total_cmp(cur).is_gt()
-                }
-            };
-            if ad_nonnull.iter().any(|v| better(v)) {
-                return Delta::Change; // a strictly better value arrives
-            }
-            // All additions are no better than the current extremum; the
-            // extremum changes only if every copy of it is removed, which
-            // we can rule out when removals of it are covered by additions.
-            let rm_ties = rm_nonnull.iter().filter(|v| v.sql_eq(cur)).count();
-            let ad_ties = ad_nonnull.iter().filter(|v| v.sql_eq(cur)).count();
-            if rm_ties <= ad_ties {
-                Delta::NoChange
-            } else {
-                Delta::Unknown
-            }
-        }
-    }
-}
-
-/// Exact analysis of pure additions: the unrolled probe rows a previously
-/// non-contributing tuple would add. Any row in a new group, or any
-/// aggregate provably perturbed in an existing group, flags a disagreement.
-fn apply_addition_analysis(
-    shape: &AggShape,
-    group_cache: &HashMap<Vec<Value>, Vec<Value>>,
-    out: QueryOutput,
-    bits: &mut [bool],
-) -> Result<()> {
-    let g = shape.num_group_keys;
-    let ncols = out.columns.len();
-    // upid -> (group key -> arg rows). BTreeMaps: both levels are
-    // iterated below and the inner walk can short-circuit per group, so
-    // ordered iteration keeps the analysis deterministic.
-    let mut per_update: BTreeMap<i64, BTreeMap<Vec<Value>, Vec<Vec<Value>>>> = BTreeMap::new();
-    for row in out.rows {
-        // The probe plan appends upid as an integer literal column.
-        let upid = row[ncols - 1]
-            .as_i64()
-            .ok_or_else(|| EngineError::internal("probe upid column was not an integer"))?;
-        let key = row[..g].to_vec();
-        let args = row[g..ncols - 1].to_vec();
-        per_update
-            .entry(upid)
-            .or_default()
-            .entry(key)
-            .or_default()
-            .push(args);
-    }
-    for (upid, groups) in per_update {
-        let mut change = false;
-        'groups: for (key, rows) in &groups {
-            let Some(cached) = group_cache.get(key) else {
-                change = true; // brand-new group appears
-                break;
-            };
-            for (j, maybe_col) in shape.agg_arg_cols.iter().enumerate() {
-                let spec_func = shape.agg_funcs[j];
-                let vals: Vec<&Value> = match maybe_col {
-                    None => {
-                        // COUNT(*): any added row increments the count.
-                        change = true;
-                        break 'groups;
-                    }
-                    Some(c) => rows.iter().map(|r| &r[*c]).collect(),
-                };
-                let nonnull: Vec<f64> = vals.iter().filter_map(|v| v.as_f64()).collect();
-                let cached_val = &cached[j];
-                let perturbed = match spec_func {
-                    AggFunc::Count => vals.iter().any(|v| !v.is_null()),
-                    AggFunc::Sum => {
-                        if cached_val.is_null() {
-                            vals.iter().any(|v| !v.is_null())
-                        } else {
-                            nonnull.iter().sum::<f64>() != 0.0
-                                || vals.iter().any(|v| !v.is_null() && v.as_f64().is_none())
-                        }
-                    }
-                    AggFunc::Avg => {
-                        if cached_val.is_null() {
-                            vals.iter().any(|v| !v.is_null())
-                        } else {
-                            let k = nonnull.len();
-                            let avg = cached_val.as_f64().unwrap_or(0.0);
-                            // qirana-lint::allow(QL002): k counts rows in one group
-                            k > 0 && (nonnull.iter().sum::<f64>() - avg * k as f64).abs() > 0.0
-                        }
-                    }
-                    AggFunc::Min => {
-                        if cached_val.is_null() {
-                            vals.iter().any(|v| !v.is_null())
-                        } else {
-                            vals.iter()
-                                .any(|v| !v.is_null() && v.total_cmp(cached_val).is_lt())
-                        }
-                    }
-                    AggFunc::Max => {
-                        if cached_val.is_null() {
-                            vals.iter().any(|v| !v.is_null())
-                        } else {
-                            vals.iter()
-                                .any(|v| !v.is_null() && v.total_cmp(cached_val).is_gt())
-                        }
-                    }
-                };
-                if perturbed {
-                    change = true;
-                    break 'groups;
-                }
-            }
-        }
-        if change {
-            bits[upid as usize] = true;
-        }
-    }
-    Ok(())
 }

@@ -10,8 +10,9 @@
 //! Random databases, random support sets, a seller update landing on the
 //! support set's own values (so write-back neighbors occur), and a query
 //! pool spanning the SPJ shape (static checks, probes, batching), the
-//! aggregate shape (delta analysis, group movement, fallbacks), and opaque
-//! queries.
+//! aggregate shape (accumulator folds, group movement, guard fallbacks),
+//! and opaque queries — plus fixed pools of `world` aggregates that were
+//! once mispriced.
 
 // CLI/bench/demo target: aborting with a clear message on bad input or a
 // broken fixture is the intended failure mode here, unlike in the library
@@ -25,6 +26,7 @@ use qirana::core::{
     generate_support, prepare_query, EngineOptions, Parallelism, Prepared, PricingCache, Strategy,
     SupportConfig, SupportSet, SupportUpdate,
 };
+use qirana::datagen::world;
 use qirana::sqlengine::update::{apply_writes, CellWrite};
 use qirana::sqlengine::{
     execute, ColumnDef, DataType, Database, ExecContext, Fingerprint, TableSchema, Value,
@@ -112,6 +114,28 @@ const QUERIES: &[&str] = &[
     "select count(*) from User U where exists (select 1 from Tweet T where T.uid = U.uid)",
 ];
 
+/// Aggregates over `world` that were mispriced before coverage read the
+/// delta accumulators. Float `SUM`/`AVG`: the static verdicts compared
+/// float sums the executor re-folds in row order. Raw output columns: the
+/// footprint left out slots the output reads off a group's representative
+/// row, so the shared visibility test hid those updates from every
+/// strategy, the reference included — only the brute-force oracle saw them.
+const WORLD_AGGREGATES: &[&str] = &[
+    "select sum(GNP) from Country",
+    "select Continent, sum(GNP), avg(GNP) from Country group by Continent",
+    "select Region, avg(LifeExpectancy) from Country group by Region",
+    "select GNP, max(Population) from Country group by Region",
+    "select Name, count(*) from Country group by Continent",
+    "select Continent, LifeExpectancy, count(*) from Country group by Continent",
+    "select Region, sum(SurfaceArea) from Country group by Region",
+];
+
+/// The footprint defect over a join (one execution costs some forty scans
+/// of `Country`, so this one gets a smaller support set).
+const WORLD_JOIN_AGGREGATE: &[&str] = &[
+    "select C.Name, count(*) from Country C, City T where C.Code = T.CountryCode group by C.Code",
+];
+
 /// Builds the support set, then lets the seller overwrite one cell per
 /// pick with the value a neighbor writes there (a row update's own new
 /// value, or a swap partner's value): those neighbors become full or
@@ -177,8 +201,8 @@ fn brute_force(
     (base, fps)
 }
 
-fn check_all_configs(db: &mut Database, support: &SupportSet) {
-    let prepared: Vec<Prepared> = QUERIES
+fn check_all_configs(db: &mut Database, support: &SupportSet, queries: &[&str]) {
+    let prepared: Vec<Prepared> = queries
         .iter()
         .map(|q| prepare_query(db, q).expect("prepare"))
         .collect();
@@ -258,7 +282,7 @@ proptest! {
             ..Default::default()
         };
         let support = support_after_seller_update(&mut db, &cfg, &picks);
-        check_all_configs(&mut db, &support);
+        check_all_configs(&mut db, &support, QUERIES);
     }
 }
 
@@ -280,8 +304,19 @@ fn optimizer_equals_naive_fixed_corpus() {
                 ..Default::default()
             };
             let support = support_after_seller_update(&mut db, &cfg, &[3, 14, 15]);
-            check_all_configs(&mut db, &support);
+            check_all_configs(&mut db, &support, QUERIES);
         }
+    }
+    // Support sets on which every one of these queries used to be wrong.
+    let mut db = world::generate(7);
+    for (size, seed, pool) in [(500, 2, WORLD_AGGREGATES), (40, 3, WORLD_JOIN_AGGREGATE)] {
+        let cfg = SupportConfig {
+            size,
+            seed,
+            ..Default::default()
+        };
+        let support = SupportSet::Neighborhood(generate_support(&db, &cfg));
+        check_all_configs(&mut db, &support, pool);
     }
 }
 

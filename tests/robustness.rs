@@ -106,6 +106,24 @@ fn row_budget_trips_mid_join_as_structured_error() {
         matches!(again, BrokerError::Engine(e) if e.is_budget_exceeded()),
         "deterministic repeat trip expected"
     );
+    // An aggregate over the same join: under a budget its coverage sweep
+    // leaves the delta evaluator for per-instance execution, whose base
+    // execution trips the same way.
+    let agg = broker
+        .quote(
+            "SELECT gender, count(*) FROM User, Tweet WHERE User.uid = Tweet.uid GROUP BY gender",
+        )
+        .unwrap_err();
+    assert!(
+        matches!(
+            agg,
+            BrokerError::Engine(EngineError::BudgetExceeded {
+                resource: BudgetResource::Rows,
+                limit: 3
+            })
+        ),
+        "got {agg}"
+    );
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! aggregate and one opaque query per pricing family and asserts, per
 //! request, the path label on the sweep's `Disagreement` span and the
 //! exact, machine-independent work counters. A change that silently
-//! reroutes the default path (a coverage sweep through the delta
+//! reroutes the default path (an SPJ coverage sweep through the delta
 //! evaluator, say) or does more sweeps per purchase fails here, in tier-1,
 //! instead of in a benchmark three changes later.
 
@@ -25,26 +25,28 @@ use std::sync::Arc;
 
 const S: u64 = 64;
 
-/// The counters the routing table pins.
-const COUNTERS: [&str; 5] = [
+/// The counters the routing table pins. The last two count neighbors the
+/// delta fold declined and re-executed in full: `delta_fallbacks_total`
+/// for both families, `coverage_fallbacks_total` on coverage sweeps only.
+const COUNTERS: [&str; 6] = [
     "neighbors_evaluated_total",
     "delta_builds_total",
     "delta_probes_total",
     "delta_probe_execs_total",
+    "delta_fallbacks_total",
     "coverage_fallbacks_total",
 ];
 
 /// The counter increments a request that ran `case`'s sweep under `path`
-/// must show: one sweep looks at all `S` neighbors; only the entropy
-/// family's delta path builds delta state (once), probes it (once per
-/// neighbor) and issues batched executions; only coverage's batched checks
-/// can leave neighbors to full re-execution.
-fn golden_counters(sweep: Option<(&Case, &str)>) -> [u64; 5] {
+/// must show: one sweep looks at all `S` neighbors; only a delta path —
+/// either family's — builds delta state (once), probes it (once per
+/// neighbor) and issues batched executions; no query of the session (all
+/// integer aggregates) trips a guard of the fold.
+fn golden_counters(sweep: Option<(&Case, &str)>) -> [u64; 6] {
     match sweep {
-        None => [0; 5],
-        Some((case, "entropy/delta")) => [S, 1, S, case.probe_execs, 0],
-        Some((case, "coverage/batched")) => [S, 0, 0, 0, case.coverage_fallbacks],
-        Some(_) => [S, 0, 0, 0, 0],
+        None => [0; 6],
+        Some((case, "entropy/delta" | "coverage/delta")) => [S, 1, S, case.probe_execs, 0, 0],
+        Some(_) => [S, 0, 0, 0, 0, 0],
     }
 }
 
@@ -52,13 +54,13 @@ fn golden_counters(sweep: Option<(&Case, &str)>) -> [u64; 5] {
 struct Tape {
     sink: Arc<TelemetrySink>,
     spans_seen: usize,
-    counters_seen: [u64; 5],
+    counters_seen: [u64; 6],
 }
 
 impl Tape {
     /// The sweep labels, the `fallbacks` count their spans carry, and the
     /// counter increments since the previous call.
-    fn advance(&mut self) -> (Vec<String>, u64, [u64; 5]) {
+    fn advance(&mut self) -> (Vec<String>, u64, [u64; 6]) {
         let spans = self.sink.spans();
         let sweeps = spans[self.spans_seen..]
             .iter()
@@ -87,7 +89,7 @@ impl Tape {
             "{COUNTERS:?} added by {what}"
         );
         assert_eq!(
-            on_spans, added[4],
+            on_spans, added[5],
             "coverage fallbacks on the span of {what}"
         );
     }
@@ -102,13 +104,9 @@ struct Case {
     entropy: &'static str,
     /// Relations of the plan (0 for the opaque one, which has no shape).
     relations: u64,
-    /// `delta_probe_execs_total` per `entropy/delta` sweep: one batched
-    /// execution per relation that has a visible neighbor.
+    /// `delta_probe_execs_total` per delta sweep: one batched execution
+    /// per relation that has a visible neighbor.
     probe_execs: u64,
-    /// `coverage_fallbacks_total` per `coverage/batched` sweep: neighbors
-    /// Algorithm 5's static analyses leave to full re-execution — the
-    /// number ROADMAP item 1(b) has to bring to zero.
-    coverage_fallbacks: u64,
 }
 
 const WORLD: [Case; 3] = [
@@ -120,16 +118,14 @@ const WORLD: [Case; 3] = [
         entropy: "entropy/delta",
         relations: 2,
         probe_execs: 2,
-        coverage_fallbacks: 0,
     },
     Case {
         shape: "agg",
         sql: "SELECT Continent, COUNT(*), SUM(Population) FROM Country GROUP BY Continent",
-        coverage: "coverage/batched",
+        coverage: "coverage/delta",
         entropy: "entropy/delta",
         relations: 1,
         probe_execs: 1,
-        coverage_fallbacks: 0,
     },
     Case {
         shape: "opaque",
@@ -138,7 +134,6 @@ const WORLD: [Case; 3] = [
         entropy: "entropy/per-instance",
         relations: 0,
         probe_execs: 0,
-        coverage_fallbacks: 0,
     },
 ];
 
@@ -151,18 +146,16 @@ const SSB: [Case; 3] = [
         entropy: "entropy/delta",
         relations: 2,
         probe_execs: 2,
-        coverage_fallbacks: 0,
     },
     Case {
         shape: "agg",
         sql: "SELECT sum(lo_extendedprice * lo_discount) AS revenue FROM lineorder, dwdate \
               WHERE lo_orderdate = d_datekey AND d_year = 1993 \
               AND lo_discount BETWEEN 1 AND 3 AND lo_quantity < 25",
-        coverage: "coverage/batched",
+        coverage: "coverage/delta",
         entropy: "entropy/delta",
         relations: 2,
         probe_execs: 2,
-        coverage_fallbacks: 1,
     },
     Case {
         shape: "opaque",
@@ -171,7 +164,6 @@ const SSB: [Case; 3] = [
         entropy: "entropy/per-instance",
         relations: 0,
         probe_execs: 0,
-        coverage_fallbacks: 0,
     },
 ];
 
@@ -200,7 +192,7 @@ fn drive(db: Database, session: &[Case; 3], function: PricingFunction) {
     let mut tape = Tape {
         sink,
         spans_seen: 0,
-        counters_seen: [0; 5],
+        counters_seen: [0; 6],
     };
     for case in session {
         let shape = match prepare_query(broker.db(), case.sql).unwrap().shape {
@@ -224,7 +216,7 @@ fn drive(db: Database, session: &[Case; 3], function: PricingFunction) {
 }
 
 #[test]
-fn coverage_sweeps_take_the_papers_paths_and_never_touch_delta() {
+fn coverage_sweeps_batch_spj_checks_and_read_delta_for_aggregates() {
     drive(
         world::generate(7),
         &WORLD,
@@ -247,26 +239,35 @@ fn entropy_sweeps_take_delta_for_normal_forms_and_execute_opaque_plans() {
     );
 }
 
-/// §4.2's claim, for the entropy family: a delta sweep issues one batched
-/// execution per relation with a visible neighbor, so its executions are
-/// bounded by the plan's relations whatever the support size.
+/// §4.2's claim, for every sweep the delta evaluator serves: it issues one
+/// batched execution per relation with a visible neighbor, so its
+/// executions are bounded by the plan's relations whatever the support size.
 #[test]
 fn delta_probe_executions_do_not_grow_with_the_support() {
     for size in [S, 8 * S] {
-        for (db, session) in [
-            (world::generate(7), &WORLD),
-            (ssb::generate(0.0005, 5), &SSB),
+        for function in [
+            PricingFunction::ShannonEntropy,
+            PricingFunction::WeightedCoverage,
         ] {
-            let (broker, sink) = broker(db, PricingFunction::ShannonEntropy, size);
-            for case in session.iter().filter(|c| c.entropy == "entropy/delta") {
-                let before = sink.counter("delta_probe_execs_total");
-                broker.quote(case.sql).unwrap();
-                let execs = sink.counter("delta_probe_execs_total") - before;
-                assert!(
-                    (1..=case.relations).contains(&execs),
-                    "{execs} executions at S = {size} for {}",
-                    case.sql
-                );
+            for (db, session) in [
+                (world::generate(7), &WORLD),
+                (ssb::generate(0.0005, 5), &SSB),
+            ] {
+                let (broker, sink) = broker(db, function, size);
+                let on_delta = |c: &&Case| match function {
+                    PricingFunction::ShannonEntropy => c.entropy == "entropy/delta",
+                    _ => c.coverage == "coverage/delta",
+                };
+                for case in session.iter().filter(on_delta) {
+                    let before = sink.counter("delta_probe_execs_total");
+                    broker.quote(case.sql).unwrap();
+                    let execs = sink.counter("delta_probe_execs_total") - before;
+                    assert!(
+                        (1..=case.relations).contains(&execs),
+                        "{execs} executions at S = {size} under {function:?} for {}",
+                        case.sql
+                    );
+                }
             }
         }
     }

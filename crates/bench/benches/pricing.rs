@@ -10,6 +10,8 @@
 //! * aggregate disagreement detection (Algorithm 5 + delta analysis);
 //! * entropy-family partition pricing (Algorithm 2);
 //! * history-aware repricing (the shrinking-support effect of §5.3);
+//! * a quote followed by the buy of the same query, with and without the
+//!   broker's quote-to-buy handoff;
 //! * weight assignment with price points (the max-entropy solve).
 
 // CLI/bench/demo target: aborting with a clear message on bad input or a
@@ -21,11 +23,15 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qirana_core::engine::query_fps;
 use qirana_core::{
     bundle_disagreements, bundle_partition, generate_support, prepare_query, EngineOptions,
-    Prepared, PricePoint, Strategy, SupportConfig, SupportSet,
+    Prepared, PricePoint, PricingFunction, Qirana, QiranaConfig, Strategy, SupportConfig,
+    SupportSet,
 };
-use qirana_datagen::world;
+use qirana_datagen::queries::ssb_q11_instance;
+use qirana_datagen::{ssb, world};
 use qirana_solver::{solve, MaxEntProblem};
 use qirana_sqlengine::Database;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn support_generation(c: &mut Criterion) {
     let db = world::generate(7);
@@ -181,6 +187,47 @@ fn history_shrinks_work(c: &mut Criterion) {
     g.finish();
 }
 
+/// `history_entropy`'s market (SSB sf 0.001, Shannon, S = 256, support
+/// seed 11) pricing a fresh SSB Q1.1 instance per iteration, quote then
+/// buy. `handoff`: one broker, whose buy takes the quote's sweep. `parent
+/// shape`: the quote on one broker and the buy on a twin that never saw
+/// it — two sweeps, what every quote-then-buy cost before the handoff.
+fn quote_then_buy(c: &mut Criterion) {
+    let market = || {
+        let config = QiranaConfig {
+            function: PricingFunction::ShannonEntropy,
+            support: SupportConfig {
+                size: 256,
+                seed: 11,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        Qirana::new(ssb::generate(0.001, 5), config).unwrap()
+    };
+    let mut g = c.benchmark_group("quote_then_buy_S256");
+    for arm in ["parent_shape", "handoff"] {
+        let quoter = market();
+        let mut seller = market();
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut buyer = 0u32;
+        g.bench_function(arm, |b| {
+            b.iter(|| {
+                let sql = ssb_q11_instance(&mut rng);
+                buyer += 1;
+                let name = format!("b{buyer}");
+                if arm == "handoff" {
+                    seller.quote(&sql).unwrap();
+                } else {
+                    quoter.quote(&sql).unwrap();
+                }
+                seller.buy(&name, &sql).unwrap()
+            })
+        });
+    }
+    g.finish();
+}
+
 fn weight_assignment(c: &mut Criterion) {
     let mut db = world::generate(7);
     let support = SupportSet::Neighborhood(generate_support(
@@ -233,7 +280,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = support_generation, spj_engine_ladder, spj_entropy, agg_engine,
-              entropy_partition, history_shrinks_work, weight_assignment,
-              maxent_solver
+              entropy_partition, history_shrinks_work, quote_then_buy,
+              weight_assignment, maxent_solver
 }
 criterion_main!(benches);

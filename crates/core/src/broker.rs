@@ -10,11 +10,8 @@
 //! repeated information is never charged twice and a buyer who has paid for
 //! everything gets all further queries free.
 
-use crate::cache::{CacheStats, PricingCache};
-use crate::engine::{
-    bundle_disagreements, bundle_partition, bundle_partition_cached, fold_partition,
-    query_disagreements_cached, query_fps, EngineOptions,
-};
+use crate::cache::{Artifact, CacheStats, Kind, PricingCache};
+use crate::engine::{failpoint, fold_partition, query_bits, query_fps, EngineOptions};
 use crate::fault;
 use crate::ledger::{
     self, BuyerSnapshot, Ledger, LedgerConfig, LedgerError, LedgerEvent, SnapshotState,
@@ -246,6 +243,28 @@ enum AccountUpdate {
     Coverage { charged: Vec<bool> },
 }
 
+/// Which side of the market reads a pricing artifact (see
+/// `Qirana::artifact`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Reader {
+    /// Leaves a missed sweep in the handoff memo; never reads it.
+    Quote,
+    /// Takes what a quote left before sweeping.
+    Buy,
+}
+
+/// Phase 1 of a purchase ([`Qirana::stage_buy`]): the new query prepared,
+/// answered and swept — everything that does not depend on the buyer —
+/// plus the cache generation it describes. [`Qirana::commit_staged`]
+/// charges it.
+#[derive(Debug)]
+pub struct StagedBuy {
+    prepared: Arc<Prepared>,
+    output: QueryOutput,
+    artifact: Artifact,
+    generation: u64,
+}
+
 /// The QIRANA pricing broker.
 pub struct Qirana {
     db: Database,
@@ -270,15 +289,15 @@ pub struct Qirana {
     /// across buyers: the artifacts depend only on the query and the
     /// support set, never on the account.
     ///
-    /// Behind a `Mutex` so the `&self` quote path can peek concurrently
-    /// (read-only: no recency ticks, no inserts — see
-    /// [`PricingCache::peek_bits`]); every `&mut self` commit path goes
-    /// through `Mutex::get_mut`, which is lock-free by the aliasing rules.
+    /// Behind a `Mutex` so the `&self` read path can peek (no recency
+    /// ticks, no counters — see [`PricingCache::peek`]) and use the
+    /// handoff concurrently; every `&mut self` commit path goes through
+    /// `Mutex::get_mut`, which is lock-free by the aliasing rules.
     cache: Mutex<PricingCache>,
-    /// Pool of scratch database replicas backing concurrent `&self`
-    /// quotes: the engine primitives take `&mut Database` (the naive and
-    /// fallback paths apply each support update in place and roll it
-    /// back), so each in-flight quote checks a replica out, prices
+    /// Pool of scratch database replicas backing the `&self` read path
+    /// of quotes and buys: the engine primitives take `&mut Database` (the
+    /// naive and fallback paths apply each support update in place and
+    /// roll it back), so each in-flight sweep checks a replica out, prices
     /// against it, and returns it on success. A replica that saw an error
     /// is dropped — a failed evaluation may have died mid-rollback — and
     /// the whole pool is discarded whenever a commit changes the stored
@@ -414,9 +433,9 @@ impl Qirana {
         }
     }
 
-    /// Locks the pricing cache for a read-side peek. Contention is
-    /// bounded: quote-path critical sections are a `BTreeMap` lookup plus
-    /// an `Arc` clone, never an engine evaluation. A poisoned mutex is
+    /// Locks the pricing cache for the read path. Contention is bounded:
+    /// its critical sections are a `BTreeMap` lookup, a handoff scan of at
+    /// most 32 entries and an `Arc` clone, never an engine evaluation. A poisoned mutex is
     /// recovered — the cache is a memo whose worst corruption is a wrong
     /// recency tick, never a wrong price.
     fn cache_guard(&self) -> MutexGuard<'_, PricingCache> {
@@ -424,7 +443,8 @@ impl Qirana {
     }
 
     /// Checks a scratch database replica out of the pool (cloning the
-    /// stored database when the pool is dry), runs `f` against it, and
+    /// stored database when the pool is dry), runs `f` — a sweep of the
+    /// read path — against it, and
     /// returns the replica for reuse on success. See the field docs for
     /// why errors drop the replica instead.
     fn with_scratch_db<T>(
@@ -676,11 +696,13 @@ impl Qirana {
 
     /// History-oblivious price of a single query.
     ///
-    /// Quoting is a *read*: it takes `&self`, never mutates the pricing
-    /// cache (not even recency ticks — see [`PricingCache::peek_bits`]),
-    /// and therefore any number of quote sessions may run concurrently
-    /// with each other. An abandoned quote leaves the broker bit-identical
-    /// to one that never happened.
+    /// Quoting is a *read*: it takes `&self`, never moves the pricing
+    /// cache's LRU state or counters (not even recency ticks — see
+    /// [`PricingCache::peek`]), and therefore any number of quote sessions
+    /// may run concurrently with each other. An abandoned quote leaves
+    /// prices, LRU state and counters identical to a quote that never
+    /// happened; only the bounded handoff memo differs (a missed sweep is
+    /// left there for a following buy, see [`crate::cache`]).
     pub fn quote(&self, sql: &str) -> Result<f64, BrokerError> {
         Ok(self.quote_ex(sql)?.price)
     }
@@ -722,76 +744,88 @@ impl Qirana {
         }
     }
 
-    /// The read-only pricing kernel behind the quote family. Works through
-    /// `&self`: cache consultation is peek-only (no recency ticks, no
-    /// insertions, no counter bumps — see [`PricingCache::peek_bits`]) and
-    /// engine evaluation runs against a pooled scratch replica of the
-    /// stored database, so concurrent quoters never contend on engine
-    /// state.
-    ///
-    /// Bitwise identical to the commit-side cached pricing:
-    ///
-    /// * coverage — the OR of per-query *full* bitmaps equals the
-    ///   active-set short-circuit path (a skipped instance's bit is
-    ///   already `true` in the OR; see `bundle_disagreements_cached`);
-    /// * entropy — per-query fingerprint vectors folded instance-by-
-    ///   instance by [`fold_partition`] *are* the bundle partition (see
-    ///   `bundle_partition_cached`).
+    /// The read-only pricing kernel behind the quote family: every member's
+    /// artifact from the one read path ([`Self::artifact`]), priced as a
+    /// bundle ([`Self::bundle_price`]). The failpoint at its head makes a
+    /// warm (all-hit) quote abortable like a cold one.
     fn price_bundle_readonly(&self, bundle: &[&Prepared]) -> Result<f64, BrokerError> {
-        let total = self.cfg.total_price;
-        let use_cache = self.cfg.engine.cache.enabled;
-        if self.cfg.function.needs_partition() {
-            let partition = if use_cache {
-                self.bundle_partition_peeked(bundle)?
-            } else {
-                self.with_scratch_db(|db| {
-                    Ok(bundle_partition(
-                        db,
-                        bundle,
-                        &self.support,
-                        &self.cfg.engine,
-                    )?)
-                })?
-            };
-            Ok(
-                partition_price(self.cfg.function, total, &self.weights, &partition)?
-                    * self.entropy_factor(),
-            )
-        } else {
-            let bits = if use_cache {
-                self.bundle_disagreements_peeked(bundle)?
-            } else {
-                self.with_scratch_db(|db| {
-                    Ok(bundle_disagreements(
-                        db,
-                        bundle,
-                        &self.support,
-                        &self.cfg.engine,
-                        None,
-                    )?)
-                })?
-            };
-            Ok(coverage_price(
-                self.cfg.function,
-                total,
-                &self.weights,
-                &bits,
-            )?)
-        }
+        failpoint()?;
+        let members = bundle
+            .iter()
+            .map(|q| self.artifact(q, Reader::Quote))
+            .collect::<Result<Vec<_>, _>>()?;
+        self.bundle_price(&members)
     }
 
-    /// Peek-only counterpart of `bundle_disagreements_cached`: ORs each
-    /// member's full bitmap, serving hits from the memo without touching
-    /// recency and computing misses on a scratch replica without inserting
-    /// them (only buys populate the cache). The top-of-path failpoint
-    /// mirrors the cached engine entry point.
-    fn bundle_disagreements_peeked(&self, bundle: &[&Prepared]) -> Result<Vec<bool>, BrokerError> {
-        fault::check(fault::ENGINE_EXECUTE)
-            .map_err(|f| EngineError::Eval(format!("injected fault: {f}")))?;
-        let n = self.support.len();
-        let mut disagree = vec![false; n];
-        for q in bundle {
-            let bits = self.query_disagreements_peeked(q)?;
+    /// The one read path to the pricing memo, for quotes and buys alike:
+    /// `q`'s artifact — full disagreement bitmap or per-instance
+    /// fingerprints, per the pricing family — from an LRU peek, else (buys
+    /// only) the handoff a quote left, else a sweep on a scratch replica,
+    /// which a quote then leaves in the handoff. Never moves LRU state or
+    /// [`CacheStats`]; only a buy's commit step does
+    /// ([`PricingCache::touch_or_insert`]).
+    fn artifact(&self, q: &Prepared, reader: Reader) -> Result<Artifact, BrokerError> {
+        let kind = if self.cfg.function.needs_partition() {
+            Kind::Blocks
+        } else {
+            Kind::Bits
+        };
+        if self.cfg.engine.cache.enabled {
+            let lookup = self
+                .cfg
+                .engine
+                .telemetry
+                .span_with(Stage::CacheLookup, String::new());
+            let mut cache = self.cache_guard();
+            if let Some(hit) = cache.peek(q.plan_fp, kind) {
+                lookup.count("hit", 1);
+                return Ok(hit);
+            }
+            if reader == Reader::Buy {
+                if let Some(handed) = cache.take_handoff(q.plan_fp, kind) {
+                    lookup.count("handoff", 1);
+                    return Ok(handed);
+                }
+            }
+            lookup.count("miss", 1);
+        }
+        let (support, opts) = (&self.support, &self.cfg.engine);
+        let artifact = self.with_scratch_db(|db| {
+            Ok(match kind {
+                Kind::Bits => {
+                    let all = vec![true; support.len()];
+                    Artifact::Bits(Arc::new(query_bits(db, q, support, &all, opts)?))
+                }
+                Kind::Blocks => Artifact::Blocks(Arc::new(query_fps(db, q, support, opts)?)),
+            })
+        })?;
+        if reader == Reader::Quote {
+            self.cache_guard().hand_off(q.plan_fp, artifact.clone());
+        }
+        Ok(artifact)
+    }
+
+    /// The history-oblivious price of a bundle from its members' artifacts.
+    fn bundle_price(&self, members: &[Artifact]) -> Result<f64, BrokerError> {
+        let (function, total, weights) = (self.cfg.function, self.cfg.total_price, &self.weights);
+        Ok(if function.needs_partition() {
+            partition_price(function, total, weights, &self.partition(members)?)?
+                * self.entropy_factor()
+        } else {
+            coverage_price(function, total, weights, &self.union_bits(members)?)?
+        })
+    }
+
+    /// The OR of the members' full bitmaps: bitwise what the engine's
+    /// shrinking active set yields, since a skipped instance already
+    /// disagrees.
+    fn union_bits(&self, members: &[Artifact]) -> Result<Vec<bool>, BrokerError> {
+        let mut disagree = vec![false; self.support.len()];
+        for m in members {
+            let Artifact::Bits(bits) = m else {
+                return Err(self.wrong_family());
+            };
+            self.check_len(bits.len())?;
             for (d, &b) in disagree.iter_mut().zip(bits.iter()) {
                 *d |= b;
             }
@@ -799,133 +833,153 @@ impl Qirana {
         Ok(disagree)
     }
 
-    /// One query's full disagreement bitmap: peek the memo, else evaluate
-    /// on a scratch replica. Never writes the cache.
-    fn query_disagreements_peeked(&self, q: &Prepared) -> Result<Arc<Vec<bool>>, BrokerError> {
-        let tel = &self.cfg.engine.telemetry;
-        {
-            let lookup = tel.span_with(Stage::CacheLookup, String::new());
-            if let Some(bits) = self.cache_guard().peek_bits(q.plan_fp) {
-                lookup.count("hit", 1);
-                return Ok(bits);
-            }
-            lookup.count("miss", 1);
-        }
-        let bits = self.with_scratch_db(|db| {
-            Ok(bundle_disagreements(
-                db,
-                &[q],
-                &self.support,
-                &self.cfg.engine,
-                None,
-            )?)
-        })?;
-        Ok(Arc::new(bits))
+    /// The [`fold_partition`] of the members' fingerprint vectors, which
+    /// *is* the bundle partition.
+    fn partition(&self, members: &[Artifact]) -> Result<Vec<Fingerprint>, BrokerError> {
+        let per_query = members
+            .iter()
+            .map(|m| match m {
+                Artifact::Blocks(fps) => self.check_len(fps.len()).map(|()| fps.as_slice()),
+                Artifact::Bits(_) => Err(self.wrong_family()),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(fold_partition(&per_query, self.support.len()))
     }
 
-    /// Peek-only counterpart of `bundle_partition_cached`: per-query
-    /// fingerprint vectors (memo peek or scratch-replica evaluation)
-    /// folded instance-by-instance by [`fold_partition`].
-    fn bundle_partition_peeked(
-        &self,
-        bundle: &[&Prepared],
-    ) -> Result<Vec<Fingerprint>, BrokerError> {
-        fault::check(fault::ENGINE_EXECUTE)
-            .map_err(|f| EngineError::Eval(format!("injected fault: {f}")))?;
-        fold_partition(bundle, self.support.len(), |q| {
-            self.query_fingerprints_peeked(q)
+    /// Never zip-truncate a per-instance vector: dropping trailing entries
+    /// would silently under-charge every later purchase.
+    fn check_len(&self, actual: usize) -> Result<(), BrokerError> {
+        let expected = self.support.len();
+        if actual == expected {
+            Ok(())
+        } else {
+            Err(BrokerError::BitmapLength { expected, actual })
+        }
+    }
+
+    /// An artifact of the other family reached pricing (a broker bug).
+    fn wrong_family(&self) -> BrokerError {
+        BrokerError::Pricing(PricingError {
+            function: self.cfg.function,
+            needs_partition: self.cfg.function.needs_partition(),
         })
-    }
-
-    /// One query's per-instance output fingerprints: peek the memo, else
-    /// evaluate on a scratch replica. Never writes the cache.
-    fn query_fingerprints_peeked(
-        &self,
-        q: &Prepared,
-    ) -> Result<Arc<Vec<Fingerprint>>, BrokerError> {
-        let tel = &self.cfg.engine.telemetry;
-        {
-            let lookup = tel.span_with(Stage::CacheLookup, String::new());
-            if let Some(fps) = self.cache_guard().peek_blocks(q.plan_fp) {
-                lookup.count("hit", 1);
-                return Ok(fps);
-            }
-            lookup.count("miss", 1);
-        }
-        let fps =
-            self.with_scratch_db(|db| Ok(query_fps(db, q, &self.support, &self.cfg.engine)?))?;
-        Ok(Arc::new(fps))
     }
 
     /// History-aware purchase: prices the query against the buyer's
     /// account, charges only for new information, and returns the answer.
     ///
     /// With the pricing cache enabled (the default), only the one new query
-    /// is evaluated against the support set — O(S) — while every history
+    /// is evaluated against the support set — O(S), and not at all when a
+    /// quote of it just left its sweep in the handoff — while every history
     /// entry's disagreement bitmap or partition blocks come from the shared
     /// memo; with it disabled the whole accumulated bundle is re-evaluated
     /// (O(H·S)). The two paths produce bitwise-identical prices.
+    ///
+    /// [`Qirana::stage_buy`] followed by [`Qirana::commit_staged`]; a
+    /// service runs the first under its read lock.
     pub fn buy(&mut self, buyer: &str, sql: &str) -> Result<Purchase, BrokerError> {
         self.buy_inner(buyer, sql, true)
     }
 
-    /// The purchase pipeline. Phase 1 computes the answer, the price, and
-    /// the account mutation without touching any account state; phase 2
-    /// appends the event to the ledger (when `log` and one is attached);
-    /// phase 3 applies the mutation. A crash between phases 2 and 3 is
-    /// healed by replay — the logged price is authoritative. `log = false`
-    /// is the recovery replay path itself.
     fn buy_inner(&mut self, buyer: &str, sql: &str, log: bool) -> Result<Purchase, BrokerError> {
+        let staged = self.stage_buy(sql)?;
+        self.settle(buyer, staged, log)
+    }
+
+    /// Phase 1 of a purchase, under `&self`: prepares `sql`, answers it and
+    /// reads its pricing artifact through the one read path — everything
+    /// about the new query that does not depend on the buyer. Touches no
+    /// account, ledger or LRU state; [`Qirana::commit_staged`] charges it.
+    pub fn stage_buy(&self, sql: &str) -> Result<StagedBuy, BrokerError> {
         fault::check(fault::BROKER_BUY).map_err(BrokerError::Injected)?;
         let prepared = {
             let _span = self.cfg.engine.telemetry.span(Stage::Prepare);
             Arc::new(prepare_query(&self.db, sql)?)
         };
-        let s = self.support.len();
-        let use_cache = self.cfg.engine.cache.enabled;
-
-        // Phase 1: answer and price, mutating no account state. A failed
-        // purchase (budget trip, injected fault, ledger append failure)
-        // must not charge the buyer or corrupt their history. Pricing
-        // leaves the database unchanged, so answering before pricing is
-        // equivalent. The pricing cache may retain artifacts computed
-        // before a later failure — that is safe: they are buyer-independent
-        // facts about query × support set, not account state.
         let output = {
             let ctx = ExecContext::new(&self.db).with_budget(self.cfg.engine.budget);
             execute(&prepared.plan, &ctx)?
         };
+        failpoint()?;
+        Ok(StagedBuy {
+            artifact: self.artifact(&prepared, Reader::Buy)?,
+            generation: self.cache_guard().generation(),
+            prepared,
+            output,
+        })
+    }
+
+    /// Phase 2 of a purchase, under `&mut self`: charges `buyer` for a
+    /// staged query. A commit that moved the cache generation since
+    /// [`Qirana::stage_buy`] makes it restage in place first.
+    pub fn commit_staged(
+        &mut self,
+        buyer: &str,
+        staged: StagedBuy,
+    ) -> Result<Purchase, BrokerError> {
+        self.settle(buyer, staged, true)
+    }
+
+    /// The charging pipeline. Step 1 reads the buyer's history artifacts
+    /// (entropy family), passes every member of the purchase through the
+    /// commit step in bundle order, and computes the price and the account
+    /// mutation without touching any account state; step 2 appends the
+    /// event to the ledger (when `log` and one is attached); step 3 applies
+    /// the mutation. A crash between steps 2 and 3 is healed by replay —
+    /// the logged price is authoritative. `log = false` is the recovery
+    /// replay path itself.
+    fn settle(
+        &mut self,
+        buyer: &str,
+        mut staged: StagedBuy,
+        log: bool,
+    ) -> Result<Purchase, BrokerError> {
+        if staged.generation != self.cache_generation() {
+            // The answer and the artifact describe a database a commit has
+            // since replaced.
+            staged = self.stage_buy(&staged.prepared.sql)?;
+        }
+        let StagedBuy {
+            prepared,
+            output,
+            artifact,
+            ..
+        } = staged;
+        let s = self.support.len();
+        let entropy = self.cfg.function.needs_partition();
+
+        // Step 1: price, mutating no account state. A failed purchase
+        // (budget trip, injected fault, ledger append failure) must not
+        // charge the buyer or corrupt their history. The pricing cache may
+        // retain artifacts committed before a later failure — that is
+        // safe: they are buyer-independent facts about query × support
+        // set, not account state.
+        //
+        // Entropy family: the bundle is the buyer's history plus the new
+        // query (§2.2's bundle formulation of history-aware pricing);
+        // coverage keeps no per-query history.
+        let history: Vec<Arc<Prepared>> = match self.buyers.get(buyer) {
+            Some(st) if entropy => st.history.clone(),
+            _ => Vec::new(),
+        };
+        let mut members = history
+            .iter()
+            .map(|h| self.artifact(h, Reader::Buy))
+            .collect::<Result<Vec<_>, _>>()?;
+        members.push(artifact);
+        let commit = self.cfg.engine.telemetry.span(Stage::BrokerCommit);
+        if self.cfg.engine.cache.enabled {
+            // The commit step, in bundle order: the counters, ticks and
+            // evictions a get-then-insert per member always produced.
+            let cache = self.cache.get_mut().unwrap_or_else(PoisonError::into_inner);
+            let plans = history.iter().chain([&prepared]);
+            for (q, member) in plans.zip(&mut members) {
+                *member = cache.touch_or_insert(q.plan_fp, member.clone());
+            }
+        }
         let old_paid = self.buyers.get(buyer).map(|b| b.paid).unwrap_or(0.0);
-        let (price, total_after, update) = if self.cfg.function.needs_partition() {
-            // Entropy family: price the accumulated bundle and charge the
-            // increment (bundle formulation of §2.2's history-aware mode).
-            let mut history: Vec<Arc<Prepared>> = self
-                .buyers
-                .get(buyer)
-                .map(|st| st.history.clone())
-                .unwrap_or_default();
-            history.push(Arc::clone(&prepared));
-            let bundle: Vec<&Prepared> = history.iter().map(Arc::as_ref).collect();
-            let factor = self.entropy_factor();
-            let partition = if use_cache {
-                bundle_partition_cached(
-                    &mut self.db,
-                    &bundle,
-                    &self.support,
-                    &self.cfg.engine,
-                    // `get_mut` is lock-free: `&mut self` proves no quote
-                    // session holds the peek lock concurrently.
-                    self.cache.get_mut().unwrap_or_else(PoisonError::into_inner),
-                )?
-            } else {
-                bundle_partition(&mut self.db, &bundle, &self.support, &self.cfg.engine)?
-            };
-            let total_now = partition_price(
-                self.cfg.function,
-                self.cfg.total_price,
-                &self.weights,
-                &partition,
-            )? * factor;
+        let (price, total_after, update) = if entropy {
+            let total_now = self.bundle_price(&members)?;
             let mut delta = total_now - old_paid;
             let anchor = if delta <= 0.0 {
                 delta = 0.0; // also normalizes -0.0 from float cancellation
@@ -943,53 +997,17 @@ impl Qirana {
                 AccountUpdate::Entropy { anchor },
             )
         } else {
-            // Coverage family: Algorithm 3's bitmap.
+            // Coverage family: Algorithm 3's bitmap. The memo holds the
+            // query's *full* bitmap (shared across buyers); masking it with
+            // the charged bits is bitwise identical to skip-evaluating,
+            // since per-instance verdicts are independent.
+            let full = self.union_bits(&members)?;
             let charged = match self.buyers.get(buyer) {
-                Some(st) if !st.charged.is_empty() => {
-                    if st.charged.len() != s {
-                        return Err(BrokerError::BitmapLength {
-                            expected: s,
-                            actual: st.charged.len(),
-                        });
-                    }
-                    st.charged.clone()
-                }
+                Some(st) if !st.charged.is_empty() => st.charged.clone(),
                 _ => vec![false; s],
             };
-            let bits: Vec<bool> = if use_cache {
-                // The memo holds the query's *full* bitmap (shared across
-                // buyers); masking it with the charged bits afterwards is
-                // bitwise identical to skip-evaluating, since per-instance
-                // verdicts are independent.
-                let full = query_disagreements_cached(
-                    &mut self.db,
-                    &prepared,
-                    &self.support,
-                    &self.cfg.engine,
-                    self.cache.get_mut().unwrap_or_else(PoisonError::into_inner),
-                )?;
-                if full.len() != s {
-                    return Err(BrokerError::BitmapLength {
-                        expected: s,
-                        actual: full.len(),
-                    });
-                }
-                full.iter().zip(&charged).map(|(&b, &c)| b && !c).collect()
-            } else {
-                bundle_disagreements(
-                    &mut self.db,
-                    &[&prepared],
-                    &self.support,
-                    &self.cfg.engine,
-                    Some(&charged),
-                )?
-            };
-            if bits.len() != s {
-                return Err(BrokerError::BitmapLength {
-                    expected: s,
-                    actual: bits.len(),
-                });
-            }
+            self.check_len(charged.len())?;
+            let bits: Vec<bool> = full.iter().zip(&charged).map(|(&b, &c)| b && !c).collect();
             let mut delta = coverage_price(
                 self.cfg.function,
                 self.cfg.total_price,
@@ -1000,14 +1018,6 @@ impl Qirana {
                 delta = 0.0; // normalize -0.0
             }
             let mut merged = charged;
-            if merged.len() != bits.len() {
-                // Never zip-truncate: dropping trailing bits would silently
-                // under-charge every later purchase.
-                return Err(BrokerError::BitmapLength {
-                    expected: merged.len(),
-                    actual: bits.len(),
-                });
-            }
             for (c, b) in merged.iter_mut().zip(&bits) {
                 *c |= b;
             }
@@ -1018,22 +1028,21 @@ impl Qirana {
             )
         };
 
-        // Phase 2: append-then-apply. The event must be durable before the
+        // Step 2: append-then-apply. The event must be durable before the
         // account mutates, so a crash can never leave a charged buyer the
         // log knows nothing about. On append failure nothing was applied.
-        let commit = self.cfg.engine.telemetry.span(Stage::BrokerCommit);
         if log {
             if let Some(led) = self.ledger.as_mut() {
                 led.append(&LedgerEvent::PurchaseCommitted {
                     buyer: buyer.to_string(),
-                    sql: sql.to_string(),
+                    sql: prepared.sql.clone(),
                     price,
                     total_paid: total_after,
                 })?;
             }
         }
 
-        // Phase 3: apply the planned mutation.
+        // Step 3: apply the planned mutation.
         let state = self.buyers.entry(buyer.to_string()).or_default();
         match update {
             AccountUpdate::Entropy { anchor } => {
@@ -1240,15 +1249,16 @@ impl Qirana {
         if !tel.is_enabled() {
             return;
         }
-        let (s, entries) = {
+        let (s, entries, handoffs) = {
             let cache = self.cache_guard();
-            (cache.stats(), cache.len())
+            (cache.stats(), cache.len(), cache.handoffs_taken())
         };
         tel.gauge_set("cache_hits", s.hits);
         tel.gauge_set("cache_misses", s.misses);
         tel.gauge_set("cache_evictions", s.evictions);
         tel.gauge_set("cache_invalidations", s.invalidations);
         tel.gauge_set("cache_entries", entries as u64);
+        tel.gauge_set("cache_handoffs_total", handoffs);
         for fp in [
             fault::SUPPORT_GENERATE,
             fault::WEIGHTS_ASSIGN,
@@ -1330,6 +1340,7 @@ fn world_fingerprint(db: &Database) -> qirana_sqlengine::Fingerprint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{CacheConfig, HANDOFF_CAPACITY};
     use qirana_sqlengine::{ColumnDef, DataType, TableSchema};
 
     fn twitter_db() -> Database {
@@ -1675,6 +1686,123 @@ mod tests {
                 "{function:?}: quotes must be counter-quiet"
             );
         }
+    }
+
+    fn broker_with(function: PricingFunction, cache: CacheConfig) -> Qirana {
+        Qirana::new(
+            twitter_db(),
+            QiranaConfig {
+                function,
+                support: SupportConfig {
+                    size: 200,
+                    ..Default::default()
+                },
+                engine: EngineOptions::default().with_cache(cache),
+                ..Default::default()
+            },
+        )
+        .unwrap()
+    }
+
+    /// The handoff changes time, nothing else: `quote q; buy q` leaves the
+    /// prices, counters, eviction state and generation of a bare `buy q`,
+    /// for both families — with a warm memo and a buyer history in place,
+    /// so the commit step's member order is exercised too.
+    #[test]
+    fn quote_then_buy_equals_a_bare_buy() {
+        for function in [
+            PricingFunction::WeightedCoverage,
+            PricingFunction::ShannonEntropy,
+        ] {
+            let make = || {
+                let mut b = broker_with(function, CacheConfig::default());
+                b.buy("alice", "SELECT * FROM User WHERE age > 20").unwrap();
+                b
+            };
+            let (mut quoted, mut bare) = (make(), make());
+            for sql in [
+                "SELECT name FROM User WHERE gender = 'f'",
+                "SELECT location FROM Tweet",
+                "SELECT * FROM User WHERE age > 20",
+            ] {
+                quoted.quote(sql).unwrap();
+                let got = quoted.buy("alice", sql).unwrap();
+                let want = bare.buy("alice", sql).unwrap();
+                assert_eq!(got.price.to_bits(), want.price.to_bits(), "{function:?}");
+                assert_eq!(got.total_paid.to_bits(), want.total_paid.to_bits());
+                assert_eq!(quoted.cache_stats(), bare.cache_stats(), "{function:?}");
+                assert_eq!(
+                    quoted.cache_recency_snapshot(),
+                    bare.cache_recency_snapshot(),
+                    "{function:?}: {sql}"
+                );
+                assert_eq!(quoted.cache_generation(), bare.cache_generation());
+            }
+            // The memoized third query's quote hit the LRU instead.
+            assert_eq!(quoted.cache_guard().handoffs_taken(), 2, "{function:?}");
+            assert_eq!(bare.cache_guard().handoffs_taken(), 0);
+        }
+    }
+
+    /// Phase 1, a commit, then phase 2: the charge sees the generation
+    /// move, restages, and prices bitwise like a fresh buy on the updated
+    /// database.
+    #[test]
+    fn a_commit_between_the_phases_restages_the_buy() {
+        let sql = "SELECT age FROM User WHERE uid = 1";
+        let update = "UPDATE User SET age = 26 WHERE uid = 1";
+        for function in [
+            PricingFunction::WeightedCoverage,
+            PricingFunction::ShannonEntropy,
+        ] {
+            let mut split = broker_with(function, CacheConfig::default());
+            let mut fresh = broker_with(function, CacheConfig::default());
+            split.quote(sql).unwrap(); // a handoff the commit must discard
+            let staged = split.stage_buy(sql).unwrap();
+            split.commit_update(update).unwrap();
+            fresh.commit_update(update).unwrap();
+            let got = split.commit_staged("erin", staged).unwrap();
+            let want = fresh.buy("erin", sql).unwrap();
+            assert_eq!(got.output.rows, vec![vec![26i64.into()]], "{function:?}");
+            assert_eq!(got.price.to_bits(), want.price.to_bits(), "{function:?}");
+            assert_eq!(got.total_paid.to_bits(), want.total_paid.to_bits());
+            assert_eq!(split.cache_stats(), fresh.cache_stats(), "{function:?}");
+        }
+    }
+
+    #[test]
+    fn the_handoff_keeps_the_latest_quotes_of_one_generation() {
+        let mut q = broker();
+        let sqls: Vec<String> = (0..=HANDOFF_CAPACITY)
+            .map(|k| format!("SELECT uid FROM User WHERE age > {k}"))
+            .collect();
+        for sql in &sqls {
+            q.quote(sql).unwrap();
+        }
+        assert_eq!(q.cache_guard().handoff_len(), HANDOFF_CAPACITY);
+        assert_eq!(q.cache_len(), 0, "quotes fill the handoff, not the LRU");
+        q.buy("bob", &sqls[0]).unwrap();
+        assert_eq!(q.cache_guard().handoffs_taken(), 0, "the oldest left first");
+        q.buy("bob", &sqls[HANDOFF_CAPACITY]).unwrap();
+        assert_eq!(q.cache_guard().handoffs_taken(), 1);
+        q.commit_update("UPDATE User SET age = 26 WHERE uid = 1")
+            .unwrap();
+        assert_eq!(
+            q.cache_guard().handoff_len(),
+            0,
+            "a generation bump empties it"
+        );
+    }
+
+    #[test]
+    fn a_disabled_cache_hands_nothing_off() {
+        let sql = "SELECT name FROM User WHERE gender = 'f'";
+        let mut q = broker_with(PricingFunction::WeightedCoverage, CacheConfig::disabled());
+        q.quote(sql).unwrap();
+        assert_eq!(q.cache_guard().handoff_len(), 0);
+        q.buy("dana", sql).unwrap();
+        assert_eq!(q.cache_guard().handoffs_taken(), 0);
+        assert_eq!(q.cache_stats(), CacheStats::default());
     }
 
     /// The concurrent-session design rests on `&self` quotes being safe to

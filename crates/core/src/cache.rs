@@ -19,18 +19,37 @@
 //!   entry serves every buyer.
 //! * **partition blocks** (entropy family): the query's own output
 //!   fingerprint per support instance. A bundle's partition is recovered by
-//!   folding the members' cached vectors per instance with the same
-//!   order-sensitive combiner the uncached path uses — bitwise-identical
-//!   prices by construction.
+//!   folding the members' vectors per instance with the same
+//!   order-sensitive combiner the engine uses — bitwise-identical prices by
+//!   construction.
+//!
+//! **One read path, one commit step.** The broker reaches the memo in
+//! exactly two places. Its read function (`&self`, quotes and buys alike)
+//! [`PricingCache::peek`]s the LRU — no recency tick, no counter — and on a
+//! miss sweeps on a scratch replica. Its commit step (`&mut self`, buys
+//! only) hands every member artifact of the purchase to
+//! [`PricingCache::touch_or_insert`]: a `get` on a hit, otherwise a counted
+//! miss and an insert — the member order, ticks, counters and evictions a
+//! get-then-insert buy always produced. Quotes therefore never move LRU
+//! state.
+//!
+//! **The handoff.** A quote's missed sweep is not thrown away: the read
+//! function leaves it in a small first-in-first-out side memo
+//! ([`PricingCache::hand_off`], [`HANDOFF_CAPACITY`] entries), and only a
+//! buy's read may [`PricingCache::take_handoff`] it — so quote-then-buy
+//! sweeps once. Quotes never read the handoff (a repeated cold quote still
+//! sweeps in full), it is not part of [`CacheStats`], [`PricingCache::len`] or the
+//! recency snapshot, and a generation change empties it: prices, LRU state
+//! and counters are identical with or without it; only time differs.
 //!
 //! **Keying and invalidation.** Entries are keyed by the query's structural
-//! plan fingerprint ([`crate::normal_form::Prepared::plan_fp`]) *plus* a
-//! database generation counter. The broker bumps the generation on every
-//! committed update to the stored database ([`crate::Qirana::commit_update`]),
-//! which atomically invalidates every memoized artifact: a stale entry can
-//! never satisfy a lookup because its recorded generation no longer matches.
-//! (The bump also purges eagerly, so stale artifacts do not occupy
-//! capacity.)
+//! plan fingerprint ([`crate::normal_form::Prepared::plan_fp`]) and the
+//! artifact [`Kind`], *plus* a database generation counter. The broker
+//! bumps the generation on every committed update to the stored database
+//! ([`crate::Qirana::commit_update`]), which atomically invalidates every
+//! memoized artifact: a stale entry can never satisfy a lookup because its
+//! recorded generation no longer matches. (The bump also purges eagerly,
+//! so stale artifacts do not occupy capacity.)
 //!
 //! **Bounding.** The cache holds at most [`CacheConfig::capacity`]
 //! artifacts; inserting beyond that evicts the least-recently-used entry.
@@ -39,7 +58,7 @@
 //! and surfaced on every [`crate::Purchase`].
 
 use qirana_sqlengine::Fingerprint;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// Pricing-cache knobs, threaded through [`crate::EngineOptions`].
@@ -95,10 +114,14 @@ pub struct CacheStats {
     pub invalidations: u64,
 }
 
+/// Artifacts the quote path leaves for a following buy. Fixed: the
+/// handoff only has to bridge one quote-to-buy gap per concurrent buyer.
+pub const HANDOFF_CAPACITY: usize = 32;
+
 /// The two artifact families, part of the cache key: a query's bitmap and
 /// its partition blocks are distinct entries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Kind {
+pub enum Kind {
     /// Coverage family: full disagreement bitmap.
     Bits,
     /// Entropy family: per-instance output fingerprints.
@@ -106,13 +129,25 @@ enum Kind {
 }
 
 /// A memoized artifact. `Arc`-shared: lookups hand out cheap clones, so a
-/// hit never copies the O(S) payload and concurrent consumers (the
-/// parallel executor's merge results, multiple buyers' charges) alias one
+/// hit never copies the O(S) payload and concurrent consumers (multiple
+/// buyers' charges, a quote's handoff and the buy that takes it) alias one
 /// allocation.
-#[derive(Debug, Clone)]
-enum Artifact {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Artifact {
+    /// A query's full disagreement bitmap.
     Bits(Arc<Vec<bool>>),
+    /// A query's output fingerprint per support instance.
     Blocks(Arc<Vec<Fingerprint>>),
+}
+
+impl Artifact {
+    /// The family this artifact belongs to (its half of the cache key).
+    pub fn kind(&self) -> Kind {
+        match self {
+            Artifact::Bits(_) => Kind::Bits,
+            Artifact::Blocks(_) => Kind::Blocks,
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -135,6 +170,10 @@ pub struct PricingCache {
     // and iteration order must be deterministic (qirana-lint QL001).
     entries: BTreeMap<(u128, Kind), Entry>,
     stats: CacheStats,
+    /// Current-generation artifacts quotes computed, oldest first.
+    handoff: VecDeque<((u128, Kind), Artifact)>,
+    /// Artifacts buys took from the handoff (monotone).
+    handoffs: u64,
 }
 
 impl PricingCache {
@@ -146,6 +185,8 @@ impl PricingCache {
             tick: 0,
             entries: BTreeMap::new(),
             stats: CacheStats::default(),
+            handoff: VecDeque::new(),
+            handoffs: 0,
         }
     }
 
@@ -155,12 +196,10 @@ impl PricingCache {
     }
 
     /// Advances the database generation, invalidating (and purging) every
-    /// memoized artifact. Called by the broker when an update is committed
-    /// to the stored database.
+    /// memoized artifact and the handoff. Called by the broker when an
+    /// update is committed to the stored database.
     pub fn bump_generation(&mut self) {
-        self.generation += 1;
-        self.stats.invalidations += self.entries.len() as u64;
-        self.entries.clear();
+        self.restore_generation(self.generation + 1);
     }
 
     /// Re-anchors the generation counter after crash recovery so cache
@@ -170,6 +209,7 @@ impl PricingCache {
         self.generation = generation;
         self.stats.invalidations += self.entries.len() as u64;
         self.entries.clear();
+        self.handoff.clear();
     }
 
     /// Cumulative counters.
@@ -177,46 +217,77 @@ impl PricingCache {
         self.stats
     }
 
-    /// Artifacts currently held.
+    /// Artifacts currently held by the LRU (the handoff is not counted).
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// True when no artifact is held.
+    /// True when the LRU holds no artifact.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
-    /// Read-only lookup of a query's full disagreement bitmap: honors the
-    /// generation check but moves **nothing** — no recency tick, no
-    /// hit/miss counters, no purge of a stale entry. The broker's `&self`
-    /// quote path peeks so that an abandoned or rejected quote leaves the
-    /// shared eviction order bit-identical for every other buyer; only
-    /// committed work ([`crate::Qirana::buy`]) touches recency.
-    pub fn peek_bits(&self, plan_fp: Fingerprint) -> Option<Arc<Vec<bool>>> {
-        match self.peek(plan_fp, Kind::Bits) {
-            Some(Artifact::Bits(b)) => Some(b),
-            _ => None,
-        }
-    }
-
-    /// Read-only lookup of a query's partition fingerprints (see
-    /// [`Self::peek_bits`] for the no-mutation contract).
-    pub fn peek_blocks(&self, plan_fp: Fingerprint) -> Option<Arc<Vec<Fingerprint>>> {
-        match self.peek(plan_fp, Kind::Blocks) {
-            Some(Artifact::Blocks(b)) => Some(b),
-            _ => None,
-        }
-    }
-
-    fn peek(&self, plan_fp: Fingerprint, kind: Kind) -> Option<Artifact> {
+    /// Read-only lookup: honors the generation check but moves
+    /// **nothing** — no recency tick, no hit/miss counters, no purge of a
+    /// stale entry — so a read that is abandoned or rejected leaves the
+    /// shared eviction order bit-identical for every other buyer; only a
+    /// committed buy ([`Self::touch_or_insert`]) touches recency.
+    pub fn peek(&self, plan_fp: Fingerprint, kind: Kind) -> Option<Artifact> {
         match self.entries.get(&(plan_fp.0, kind)) {
             Some(e) if e.generation == self.generation => Some(e.artifact.clone()),
             _ => None,
         }
     }
 
-    /// The current touch tick (monotone; advances on every counted lookup
+    /// The commit step of a buy: a counted `get` (hit, recency touch) when
+    /// the memo holds `plan_fp`'s artifact of the same kind, otherwise a
+    /// counted miss and an insert of `artifact` under the current
+    /// generation. Returns the memoized artifact (on a miss, `artifact`).
+    pub fn touch_or_insert(&mut self, plan_fp: Fingerprint, artifact: Artifact) -> Artifact {
+        let key = (plan_fp.0, artifact.kind());
+        if let Some(hit) = self.get(key) {
+            return hit;
+        }
+        self.insert(key, artifact.clone());
+        artifact
+    }
+
+    /// Leaves a quote's freshly swept artifact for a following buy. A key
+    /// already waiting is kept; beyond [`HANDOFF_CAPACITY`] the oldest
+    /// entry goes. Stores nothing when the cache has no capacity (disabled).
+    pub fn hand_off(&mut self, plan_fp: Fingerprint, artifact: Artifact) {
+        let key = (plan_fp.0, artifact.kind());
+        if self.capacity == 0 || self.handoff.iter().any(|(k, _)| *k == key) {
+            return;
+        }
+        if self.handoff.len() == HANDOFF_CAPACITY {
+            self.handoff.pop_front();
+        }
+        self.handoff.push_back((key, artifact));
+    }
+
+    /// Removes and returns the artifact a quote left for `plan_fp`, if any
+    /// (the buy side of [`Self::hand_off`]).
+    pub fn take_handoff(&mut self, plan_fp: Fingerprint, kind: Kind) -> Option<Artifact> {
+        let at = self
+            .handoff
+            .iter()
+            .position(|(k, _)| *k == (plan_fp.0, kind))?;
+        self.handoffs += 1;
+        self.handoff.remove(at).map(|(_, artifact)| artifact)
+    }
+
+    /// Artifacts waiting in the handoff.
+    pub fn handoff_len(&self) -> usize {
+        self.handoff.len()
+    }
+
+    /// How many artifacts buys have taken from the handoff (monotone).
+    pub fn handoffs_taken(&self) -> u64 {
+        self.handoffs
+    }
+
+    /// The current touch tick (monotone; advances on every counted hit
     /// and insert). Exposed so tests can pin that read-only paths leave
     /// recency untouched.
     pub fn tick(&self) -> u64 {
@@ -236,36 +307,7 @@ impl PricingCache {
             .collect()
     }
 
-    /// Looks up a query's full disagreement bitmap.
-    pub fn get_bits(&mut self, plan_fp: Fingerprint) -> Option<Arc<Vec<bool>>> {
-        match self.get(plan_fp, Kind::Bits) {
-            Some(Artifact::Bits(b)) => Some(b),
-            _ => None,
-        }
-    }
-
-    /// Memoizes a query's full disagreement bitmap under the current
-    /// generation.
-    pub fn insert_bits(&mut self, plan_fp: Fingerprint, bits: Arc<Vec<bool>>) {
-        self.insert(plan_fp, Kind::Bits, Artifact::Bits(bits));
-    }
-
-    /// Looks up a query's per-instance partition fingerprints.
-    pub fn get_blocks(&mut self, plan_fp: Fingerprint) -> Option<Arc<Vec<Fingerprint>>> {
-        match self.get(plan_fp, Kind::Blocks) {
-            Some(Artifact::Blocks(b)) => Some(b),
-            _ => None,
-        }
-    }
-
-    /// Memoizes a query's per-instance partition fingerprints under the
-    /// current generation.
-    pub fn insert_blocks(&mut self, plan_fp: Fingerprint, blocks: Arc<Vec<Fingerprint>>) {
-        self.insert(plan_fp, Kind::Blocks, Artifact::Blocks(blocks));
-    }
-
-    fn get(&mut self, plan_fp: Fingerprint, kind: Kind) -> Option<Artifact> {
-        let key = (plan_fp.0, kind);
+    fn get(&mut self, key: (u128, Kind)) -> Option<Artifact> {
         match self.entries.get_mut(&key) {
             Some(e) if e.generation == self.generation => {
                 self.tick += 1;
@@ -288,13 +330,13 @@ impl PricingCache {
         }
     }
 
-    fn insert(&mut self, plan_fp: Fingerprint, kind: Kind, artifact: Artifact) {
+    fn insert(&mut self, key: (u128, Kind), artifact: Artifact) {
         if self.capacity == 0 {
             return;
         }
         self.tick += 1;
         self.entries.insert(
-            (plan_fp.0, kind),
+            key,
             Entry {
                 artifact,
                 generation: self.generation,
@@ -326,97 +368,158 @@ mod tests {
         Fingerprint(x)
     }
 
+    fn bits(b: &[bool]) -> Artifact {
+        Artifact::Bits(Arc::new(b.to_vec()))
+    }
+
+    fn blocks(b: &[u128]) -> Artifact {
+        Artifact::Blocks(Arc::new(b.iter().map(|&x| fp(x)).collect()))
+    }
+
     #[test]
-    fn hit_and_miss_counting() {
+    fn touch_or_insert_counts_a_miss_then_hits() {
         let mut c = PricingCache::new(8);
-        assert!(c.get_bits(fp(1)).is_none());
-        c.insert_bits(fp(1), Arc::new(vec![true, false]));
-        let got = c.get_bits(fp(1)).unwrap();
-        assert_eq!(*got, vec![true, false]);
+        assert_eq!(
+            c.touch_or_insert(fp(1), bits(&[true, false])),
+            bits(&[true, false])
+        );
+        // A hit returns the memoized artifact, not the one offered.
+        assert_eq!(
+            c.touch_or_insert(fp(1), bits(&[false])),
+            bits(&[true, false])
+        );
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
+        assert_eq!(c.tick(), 2, "one insert tick, one touch tick");
     }
 
     #[test]
     fn kinds_do_not_collide() {
         let mut c = PricingCache::new(8);
-        c.insert_bits(fp(1), Arc::new(vec![true]));
-        assert!(c.get_blocks(fp(1)).is_none(), "bits must not answer blocks");
-        c.insert_blocks(fp(1), Arc::new(vec![fp(9)]));
+        c.touch_or_insert(fp(1), bits(&[true]));
+        assert!(
+            c.peek(fp(1), Kind::Blocks).is_none(),
+            "bits must not answer blocks"
+        );
+        c.touch_or_insert(fp(1), blocks(&[9]));
         assert_eq!(c.len(), 2);
-        assert_eq!(*c.get_blocks(fp(1)).unwrap(), vec![fp(9)]);
-        assert_eq!(*c.get_bits(fp(1)).unwrap(), vec![true]);
+        assert_eq!(c.peek(fp(1), Kind::Blocks), Some(blocks(&[9])));
+        assert_eq!(c.peek(fp(1), Kind::Bits), Some(bits(&[true])));
     }
 
     #[test]
     fn lru_evicts_least_recently_touched() {
         let mut c = PricingCache::new(2);
-        c.insert_bits(fp(1), Arc::new(vec![true]));
-        c.insert_bits(fp(2), Arc::new(vec![false]));
+        c.touch_or_insert(fp(1), bits(&[true]));
+        c.touch_or_insert(fp(2), bits(&[false]));
         // Touch 1 so 2 becomes the LRU victim.
-        assert!(c.get_bits(fp(1)).is_some());
-        c.insert_bits(fp(3), Arc::new(vec![true]));
+        c.touch_or_insert(fp(1), bits(&[true]));
+        c.touch_or_insert(fp(3), bits(&[true]));
         assert_eq!(c.len(), 2);
         assert_eq!(c.stats().evictions, 1);
-        assert!(c.get_bits(fp(1)).is_some(), "recently touched survives");
-        assert!(c.get_bits(fp(2)).is_none(), "LRU entry evicted");
-        assert!(c.get_bits(fp(3)).is_some());
+        assert!(
+            c.peek(fp(1), Kind::Bits).is_some(),
+            "recently touched survives"
+        );
+        assert!(c.peek(fp(2), Kind::Bits).is_none(), "LRU entry evicted");
+        assert!(c.peek(fp(3), Kind::Bits).is_some());
     }
 
     #[test]
     fn generation_bump_invalidates_everything() {
         let mut c = PricingCache::new(8);
-        c.insert_bits(fp(1), Arc::new(vec![true]));
-        c.insert_blocks(fp(2), Arc::new(vec![fp(5)]));
+        c.touch_or_insert(fp(1), bits(&[true]));
+        c.touch_or_insert(fp(2), blocks(&[5]));
+        c.hand_off(fp(3), bits(&[true]));
         c.bump_generation();
         assert_eq!(c.generation(), 1);
         assert!(c.is_empty());
+        assert_eq!(c.handoff_len(), 0, "the handoff is per generation");
         assert_eq!(c.stats().invalidations, 2);
-        assert!(c.get_bits(fp(1)).is_none());
+        assert!(c.peek(fp(1), Kind::Bits).is_none());
         // Re-inserted artifacts live under the new generation.
-        c.insert_bits(fp(1), Arc::new(vec![false]));
-        assert_eq!(*c.get_bits(fp(1)).unwrap(), vec![false]);
+        c.touch_or_insert(fp(1), bits(&[false]));
+        assert_eq!(c.peek(fp(1), Kind::Bits), Some(bits(&[false])));
+        c.hand_off(fp(3), bits(&[true]));
+        c.restore_generation(7);
+        assert_eq!(c.handoff_len(), 0, "a restore empties the handoff too");
     }
 
     #[test]
     fn zero_capacity_never_stores() {
         let mut c = PricingCache::new(0);
-        c.insert_bits(fp(1), Arc::new(vec![true]));
+        c.touch_or_insert(fp(1), bits(&[true]));
+        c.hand_off(fp(2), bits(&[true]));
         assert!(c.is_empty());
-        assert!(c.get_bits(fp(1)).is_none());
+        assert_eq!(c.handoff_len(), 0);
+        assert!(c.peek(fp(1), Kind::Bits).is_none());
+        assert!(c.take_handoff(fp(2), Kind::Bits).is_none());
         assert_eq!(c.stats().evictions, 0);
     }
 
     #[test]
     fn peeks_move_nothing() {
         let mut c = PricingCache::new(4);
-        c.insert_bits(fp(1), Arc::new(vec![true]));
-        c.insert_blocks(fp(2), Arc::new(vec![fp(9)]));
+        c.touch_or_insert(fp(1), bits(&[true]));
+        c.touch_or_insert(fp(2), blocks(&[9]));
         let stats = c.stats();
         let tick = c.tick();
         let recency = c.recency_snapshot();
-        assert_eq!(*c.peek_bits(fp(1)).unwrap(), vec![true]);
-        assert_eq!(*c.peek_blocks(fp(2)).unwrap(), vec![fp(9)]);
-        assert!(c.peek_bits(fp(99)).is_none());
+        assert_eq!(c.peek(fp(1), Kind::Bits), Some(bits(&[true])));
+        assert_eq!(c.peek(fp(2), Kind::Blocks), Some(blocks(&[9])));
+        assert!(c.peek(fp(99), Kind::Bits).is_none());
         assert_eq!(c.stats(), stats, "peeks never count");
         assert_eq!(c.tick(), tick, "peeks never tick");
         assert_eq!(c.recency_snapshot(), recency, "peeks never touch recency");
         // A stale-generation entry is invisible to peeks but NOT purged.
         c.bump_generation();
-        c.insert_bits(fp(3), Arc::new(vec![false]));
-        assert!(c.peek_bits(fp(1)).is_none());
-        assert!(c.peek_blocks(fp(2)).is_none());
-        assert!(c.peek_bits(fp(3)).is_some());
+        c.touch_or_insert(fp(3), bits(&[false]));
+        assert!(c.peek(fp(1), Kind::Bits).is_none());
+        assert!(c.peek(fp(2), Kind::Blocks).is_none());
+        assert!(c.peek(fp(3), Kind::Bits).is_some());
+    }
+
+    #[test]
+    fn handoff_is_fifo_bounded_and_moves_no_lru_state() {
+        let mut c = PricingCache::new(4);
+        c.touch_or_insert(fp(0), bits(&[true]));
+        let (stats, tick, recency) = (c.stats(), c.tick(), c.recency_snapshot());
+        for k in 1..=HANDOFF_CAPACITY as u128 + 1 {
+            c.hand_off(fp(k), bits(&[k % 2 == 0]));
+        }
+        c.hand_off(fp(5), bits(&[false])); // already waiting: kept once
+        assert_eq!(c.handoff_len(), HANDOFF_CAPACITY);
+        assert!(
+            c.take_handoff(fp(1), Kind::Bits).is_none(),
+            "oldest left first"
+        );
+        assert!(
+            c.take_handoff(fp(5), Kind::Blocks).is_none(),
+            "kind is keyed"
+        );
+        assert_eq!(c.take_handoff(fp(5), Kind::Bits), Some(bits(&[false])));
+        assert!(c.take_handoff(fp(5), Kind::Bits).is_none(), "taken once");
+        assert_eq!(c.handoffs_taken(), 1);
+        assert_eq!(c.handoff_len(), HANDOFF_CAPACITY - 1);
+        assert_eq!(
+            (c.stats(), c.tick(), c.recency_snapshot(), c.len()),
+            (stats, tick, recency, 1),
+            "the handoff is invisible to the LRU"
+        );
     }
 
     #[test]
     fn lookups_share_one_allocation() {
         let mut c = PricingCache::new(4);
-        let bits = Arc::new(vec![true; 3]);
-        c.insert_bits(fp(7), Arc::clone(&bits));
-        let a = c.get_bits(fp(7)).unwrap();
-        let b = c.get_bits(fp(7)).unwrap();
+        let stored = Arc::new(vec![true; 3]);
+        c.touch_or_insert(fp(7), Artifact::Bits(Arc::clone(&stored)));
+        let (Some(Artifact::Bits(a)), Artifact::Bits(b)) = (
+            c.peek(fp(7), Kind::Bits),
+            c.touch_or_insert(fp(7), bits(&[true; 3])),
+        ) else {
+            panic!("bits expected");
+        };
         assert!(Arc::ptr_eq(&a, &b), "hits alias the stored allocation");
-        assert!(Arc::ptr_eq(&a, &bits));
+        assert!(Arc::ptr_eq(&a, &stored));
     }
 }

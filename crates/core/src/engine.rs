@@ -22,7 +22,7 @@
 //! shrinking active set ([`bundle_disagreements`]), respectively the
 //! per-instance [`combine_bundle`] fold ([`fold_partition`]).
 
-use crate::cache::{CacheConfig, PricingCache};
+use crate::cache::CacheConfig;
 use crate::delta;
 use crate::fault;
 use crate::naive;
@@ -35,7 +35,6 @@ use crate::update::SupportUpdate;
 use qirana_sqlengine::{
     execute, Database, EngineError, ExecBudget, ExecContext, Fingerprint, QueryOutput,
 };
-use std::sync::Arc;
 
 /// How a sweep is evaluated — the ablation axis of the paper's Figure 5.
 ///
@@ -86,7 +85,8 @@ pub struct EngineOptions {
     /// [`crate::parallel`].
     pub parallelism: Parallelism,
     /// Incremental history-aware pricing: memoize per-query disagreement
-    /// bitmaps and partition blocks in the broker's [`PricingCache`], so a
+    /// bitmaps and partition blocks in the broker's
+    /// [`PricingCache`](crate::PricingCache), so a
     /// purchase evaluates only the new query (O(S)) instead of the whole
     /// accumulated bundle (O(H·S)). Prices are bitwise identical with the
     /// cache on or off; see [`crate::cache`].
@@ -155,9 +155,9 @@ impl EngineOptions {
 
 /// The engine's failpoint. Every sweep passes it ([`query_bits`],
 /// [`query_fps`]), so every public entry point does before any execution;
-/// the cached bundle entry points also check it at their head, so an armed
-/// fault aborts a warm (all-hit) request like a cold one.
-fn failpoint() -> Result<(), EngineError> {
+/// the broker also checks it at the head of every quote and buy, so an
+/// armed fault aborts a warm (all-hit) request like a cold one.
+pub(crate) fn failpoint() -> Result<(), EngineError> {
     fault::check(fault::ENGINE_EXECUTE)
         .map_err(|f| EngineError::Eval(format!("injected fault: {f}")))
 }
@@ -472,28 +472,21 @@ pub fn query_fps(
     meter_trips(tel, swept).map(|(_, fps)| fps)
 }
 
-/// A bundle's partition from its members' per-query fingerprint vectors:
-/// per instance, the order-sensitive [`combine_bundle`] of the members'
-/// fingerprints there. `member` produces one query's vector (computed,
-/// memoized or peeked — the three callers differ only in that).
-pub(crate) fn fold_partition<E>(
-    bundle: &[&Prepared],
-    n: usize,
-    mut member: impl FnMut(&Prepared) -> Result<Arc<Vec<Fingerprint>>, E>,
-) -> Result<Vec<Fingerprint>, E> {
-    let mut per_query = Vec::with_capacity(bundle.len());
-    for q in bundle {
-        per_query.push(member(q)?);
-    }
-    let mut row = vec![Fingerprint(0); bundle.len()];
+/// A bundle's partition from its members' per-query fingerprint vectors
+/// (each of length `n`, in bundle order): per instance, the
+/// order-sensitive [`combine_bundle`] of the members' fingerprints there.
+/// Shared by [`bundle_partition`] and the broker, which reads members from
+/// its memo.
+pub(crate) fn fold_partition(per_query: &[&[Fingerprint]], n: usize) -> Vec<Fingerprint> {
+    let mut row = vec![Fingerprint(0); per_query.len()];
     let mut out = Vec::with_capacity(n);
     for i in 0..n {
-        for (slot, fps) in row.iter_mut().zip(&per_query) {
+        for (slot, fps) in row.iter_mut().zip(per_query) {
             *slot = fps[i];
         }
         out.push(combine_bundle(&row));
     }
-    Ok(out)
+    out
 }
 
 /// Computes the bundle output fingerprint on every support instance
@@ -508,106 +501,12 @@ pub fn bundle_partition(
     if bundle.is_empty() {
         failpoint()?; // no member sweep will pass it
     }
-    fold_partition(bundle, support.len(), |q| {
-        query_fps(db, q, support, opts).map(Arc::new)
-    })
-}
-
-/// A single query's full (unmasked) disagreement bitmap, memoized in
-/// `cache` under the query's plan fingerprint.
-///
-/// This is the coverage-family cache primitive: history-aware `buy` masks
-/// the shared full bitmap with the buyer's charged bits *after* lookup,
-/// which is bitwise identical to passing the charged bits as `skip` to
-/// [`bundle_disagreements`] — per-instance verdicts are independent, so
-/// skipping an instance only suppresses its evaluation, never changes
-/// another's bit.
-pub fn query_disagreements_cached(
-    db: &mut Database,
-    q: &Prepared,
-    support: &SupportSet,
-    opts: &EngineOptions,
-    cache: &mut PricingCache,
-) -> Result<Arc<Vec<bool>>, EngineError> {
-    let tel = &opts.telemetry;
-    {
-        let lookup = tel.span_with(Stage::CacheLookup, String::new());
-        if let Some(bits) = cache.get_bits(q.plan_fp) {
-            lookup.count("hit", 1);
-            return Ok(bits);
-        }
-        lookup.count("miss", 1);
-    }
-    let active = vec![true; support.len()];
-    let bits = Arc::new(query_bits(db, q, support, &active, opts)?);
-    cache.insert_bits(q.plan_fp, Arc::clone(&bits));
-    Ok(bits)
-}
-
-/// Cache-aware [`bundle_disagreements`]: the OR of the members' memoized
-/// full bitmaps.
-///
-/// Bitwise identical to the uncached path: the uncached active-set
-/// short-circuit only skips instances already known to disagree, and a
-/// skipped instance's bit is already `true` in the OR.
-pub fn bundle_disagreements_cached(
-    db: &mut Database,
-    bundle: &[&Prepared],
-    support: &SupportSet,
-    opts: &EngineOptions,
-    cache: &mut PricingCache,
-) -> Result<Vec<bool>, EngineError> {
-    failpoint()?;
-    let n = support.len();
-    let mut disagree = vec![false; n];
-    for q in bundle {
-        let bits = query_disagreements_cached(db, q, support, opts, cache)?;
-        for (d, &b) in disagree.iter_mut().zip(bits.iter()) {
-            *d |= b;
-        }
-    }
-    Ok(disagree)
-}
-
-/// [`query_fps`], memoized in `cache` under the query's plan fingerprint
-/// (the entropy-family cache primitive).
-pub fn query_fingerprints_cached(
-    db: &mut Database,
-    q: &Prepared,
-    support: &SupportSet,
-    opts: &EngineOptions,
-    cache: &mut PricingCache,
-) -> Result<Arc<Vec<Fingerprint>>, EngineError> {
-    let tel = &opts.telemetry;
-    {
-        let lookup = tel.span_with(Stage::CacheLookup, String::new());
-        if let Some(fps) = cache.get_blocks(q.plan_fp) {
-            lookup.count("hit", 1);
-            return Ok(fps);
-        }
-        lookup.count("miss", 1);
-    }
-    let fps = Arc::new(query_fps(db, q, support, opts)?);
-    cache.insert_blocks(q.plan_fp, Arc::clone(&fps));
-    Ok(fps)
-}
-
-/// Cache-aware [`bundle_partition`]: the [`fold_partition`] of the members'
-/// memoized per-query fingerprint vectors.
-///
-/// Bitwise identical to the uncached path: the same fold over the same
-/// vectors, whether computed now or replayed from the memo.
-pub fn bundle_partition_cached(
-    db: &mut Database,
-    bundle: &[&Prepared],
-    support: &SupportSet,
-    opts: &EngineOptions,
-    cache: &mut PricingCache,
-) -> Result<Vec<Fingerprint>, EngineError> {
-    failpoint()?;
-    fold_partition(bundle, support.len(), |q| {
-        query_fingerprints_cached(db, q, support, opts, cache)
-    })
+    let per_query = bundle
+        .iter()
+        .map(|q| query_fps(db, q, support, opts))
+        .collect::<Result<Vec<_>, _>>()?;
+    let members: Vec<&[Fingerprint]> = per_query.iter().map(Vec::as_slice).collect();
+    Ok(fold_partition(&members, support.len()))
 }
 
 #[cfg(test)]
@@ -616,6 +515,7 @@ mod tests {
     use crate::normal_form::prepare_query;
     use crate::support::{generate_support, SupportConfig};
     use qirana_sqlengine::{ColumnDef, DataType, TableSchema, Value};
+    use std::sync::Arc;
 
     const STRATEGIES: [Strategy; 4] = [
         Strategy::Auto,
@@ -664,9 +564,10 @@ mod tests {
     }
 
     /// The core cross-check: every strategy, sequential and parallel,
-    /// cached and uncached, must reproduce sequential uncached
-    /// `Strategy::Naive` bitwise for both primitives — SPJ, aggregate and
-    /// opaque members alike.
+    /// bundle-wise and member-wise (the full per-member artifacts the
+    /// broker memoizes), must reproduce sequential `Strategy::Naive`
+    /// bitwise for both primitives — SPJ, aggregate and opaque members
+    /// alike.
     #[test]
     fn every_strategy_matches_naive_bitwise() {
         let mut database = db();
@@ -703,28 +604,17 @@ mod tests {
                     "entropy mismatch under {strategy:?}/{par:?}"
                 );
 
-                // Cold (all misses) and warm (all hits) must both agree.
-                let mut cache = PricingCache::new(64);
-                for round in 0..2 {
-                    let cached = bundle_disagreements_cached(
-                        &mut database,
-                        &bundle,
-                        &support,
-                        &opts,
-                        &mut cache,
-                    )
-                    .unwrap();
-                    assert_eq!(cached, bits_ref, "cached coverage, round {round}");
-                    let cached = bundle_partition_cached(
-                        &mut database,
-                        &bundle,
-                        &support,
-                        &opts,
-                        &mut cache,
-                    )
-                    .unwrap();
-                    assert_eq!(cached, part_ref, "cached entropy, round {round}");
+                // The OR of full member bitmaps equals the shrinking
+                // active set: a skipped instance already disagrees.
+                let all = vec![true; support.len()];
+                let mut ored = vec![false; support.len()];
+                for q in &bundle {
+                    let bits = query_bits(&mut database, q, &support, &all, &opts).unwrap();
+                    for (o, b) in ored.iter_mut().zip(bits) {
+                        *o |= b;
+                    }
                 }
+                assert_eq!(ored, bits_ref, "member-wise coverage under {strategy:?}");
             }
         }
     }
@@ -887,35 +777,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cached_paths_count_one_miss_per_query_and_family() {
-        let mut database = db();
-        let support = support(&database, 250);
-        let queries = [
-            "select count(*) from User where gender = 'f'",
-            "select gender from User where age > 18",
-            "select gender, avg(age) from User group by gender",
-        ];
-        let prepared: Vec<_> = queries
-            .iter()
-            .map(|q| prepare_query(&database, q).unwrap())
-            .collect();
-        let bundle: Vec<&Prepared> = prepared.iter().collect();
-        let opts = EngineOptions::default();
-        let mut cache = PricingCache::new(64);
-        for _ in 0..2 {
-            bundle_disagreements_cached(&mut database, &bundle, &support, &opts, &mut cache)
-                .unwrap();
-            bundle_partition_cached(&mut database, &bundle, &support, &opts, &mut cache).unwrap();
-        }
-        let s = cache.stats();
-        assert_eq!(s.misses, 6, "3 bitmap + 3 blocks cold misses");
-        assert_eq!(s.hits, 6, "warm rounds are pure hits");
-    }
-
     /// For an SPJ plan the delta telemetry counters move on the entropy side
-    /// only, once per sweep that actually runs: memoized blocks answer
-    /// without building.
+    /// only, once per sweep: delta state lives for one sweep.
     #[test]
     fn delta_counters_move_once_per_entropy_sweep() {
         let mut database = db();
@@ -923,16 +786,13 @@ mod tests {
         let q = prepare_query(&database, "select gender from User where age > 18").unwrap();
         let opts = EngineOptions::default().with_telemetry(Telemetry::enabled());
         let sink = opts.telemetry.sink().map(Arc::clone).unwrap();
-        let mut cache = PricingCache::new(16);
 
-        query_disagreements_cached(&mut database, &q, &support, &opts, &mut cache).unwrap();
+        query_bits(&mut database, &q, &support, &[true; 120], &opts).unwrap();
         for name in ["delta_builds_total", "delta_probes_total"] {
             assert_eq!(sink.counter(name), 0, "SPJ coverage never touches delta");
         }
 
-        for _ in 0..3 {
-            query_fingerprints_cached(&mut database, &q, &support, &opts, &mut cache).unwrap();
-        }
+        query_fps(&mut database, &q, &support, &opts).unwrap();
         assert_eq!(sink.counter("delta_builds_total"), 1);
         assert_eq!(sink.counter("delta_probes_total"), 120);
         assert_eq!(sink.counter("delta_probe_execs_total"), 1, "one relation");
@@ -940,11 +800,7 @@ mod tests {
             sink.counter("delta_short_circuits_total") + sink.counter("delta_fallbacks_total")
                 <= sink.counter("delta_probes_total")
         );
-        // 1 bitmap miss, then 1 blocks miss + 2 blocks hits.
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (2, 2));
 
-        // Delta state lives for one sweep: an uncached sweep builds again.
         query_fps(&mut database, &q, &support, &opts).unwrap();
         assert_eq!(sink.counter("delta_builds_total"), 2);
         assert_eq!(sink.counter("delta_probes_total"), 240);

@@ -92,14 +92,13 @@ pub mod telemetry;
 pub mod update;
 pub mod weights;
 
-pub use broker::{BrokerError, Purchase, Qirana, QiranaConfig, Quote, RetryPolicy, SupportType};
+pub use broker::{
+    BrokerError, Purchase, Qirana, QiranaConfig, Quote, RetryPolicy, StagedBuy, SupportType,
+};
 pub use cache::{CacheConfig, CacheStats, PricingCache};
 pub use delta::DeltaState;
 pub use determinacy::{determines, Determinacy};
-pub use engine::{
-    bundle_disagreements, bundle_disagreements_cached, bundle_partition, bundle_partition_cached,
-    EngineOptions, Strategy,
-};
+pub use engine::{bundle_disagreements, bundle_partition, EngineOptions, Strategy};
 pub use ledger::{FsyncPolicy, Ledger, LedgerConfig, LedgerError, LedgerEvent, SnapshotState};
 pub use normal_form::{prepare_query, Prepared, Shape};
 pub use parallel::Parallelism;

@@ -5,16 +5,17 @@
 //!
 //! ## The read/commit split
 //!
-//! The broker's quote path is `&self` (peek-only pricing-cache probes,
+//! The broker's read path is `&self` (peek-only pricing-cache probes,
 //! scratch databases from an internal pool), so the service wraps one
-//! [`Qirana`] in an [`RwLock`] and runs every quote under the *read*
-//! lock: any number of buyer sessions price concurrently without
-//! serializing on each other. State changes — purchases and seller-side
-//! updates — go through [`commit`], which takes the *write* lock and
-//! preserves the broker's append-then-apply WAL discipline as one atomic
-//! step. A quote therefore observes the market either entirely before or
-//! entirely after any commit, and prices are bitwise independent of how
-//! concurrent sessions interleave.
+//! [`Qirana`] in an [`RwLock`] and runs every quote — and the sweep half
+//! of every buy — under the *read* lock: any number of buyer sessions
+//! price concurrently without serializing on each other. State changes —
+//! the charge half of a purchase and seller-side updates — go through
+//! [`commit`], which takes the *write* lock and preserves the broker's
+//! append-then-apply WAL discipline as one atomic step. A quote therefore
+//! observes the market either entirely before or entirely after any
+//! commit, and prices are bitwise independent of how concurrent sessions
+//! interleave.
 //!
 //! ## Backpressure
 //!

@@ -20,17 +20,18 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use proptest::prelude::*;
-use qirana::core::engine::{bag_fp, combine_bundle};
+use qirana::core::cache::{Artifact, Kind};
+use qirana::core::engine::{bag_fp, combine_bundle, query_fps};
 use qirana::core::{
-    bundle_disagreements, bundle_disagreements_cached, bundle_partition, bundle_partition_cached,
-    generate_support, prepare_query, EngineOptions, Parallelism, Prepared, PricingCache, Strategy,
-    SupportConfig, SupportSet, SupportUpdate,
+    bundle_disagreements, bundle_partition, generate_support, prepare_query, EngineOptions,
+    Parallelism, Prepared, PricingCache, Strategy, SupportConfig, SupportSet, SupportUpdate,
 };
 use qirana::datagen::world;
 use qirana::sqlengine::update::{apply_writes, CellWrite};
 use qirana::sqlengine::{
     execute, ColumnDef, DataType, Database, ExecContext, Fingerprint, TableSchema, Value,
 };
+use std::sync::Arc;
 
 /// Builds a two-table database whose content is driven by the proptest
 /// parameters.
@@ -201,6 +202,25 @@ fn brute_force(
     (base, fps)
 }
 
+/// `q`'s full artifact of `kind` the way the broker reaches it: the memo's
+/// entry, or an uncached sweep, then the buy's commit step.
+fn memoized(
+    cache: &mut PricingCache,
+    db: &mut Database,
+    q: &Prepared,
+    support: &SupportSet,
+    opts: &EngineOptions,
+    kind: Kind,
+) -> Artifact {
+    let artifact = cache.peek(q.plan_fp, kind).unwrap_or_else(|| match kind {
+        Kind::Bits => Artifact::Bits(Arc::new(
+            bundle_disagreements(db, &[q], support, opts, None).unwrap(),
+        )),
+        Kind::Blocks => Artifact::Blocks(Arc::new(query_fps(db, q, support, opts).unwrap())),
+    });
+    cache.touch_or_insert(q.plan_fp, artifact)
+}
+
 fn check_all_configs(db: &mut Database, support: &SupportSet, queries: &[&str]) {
     let prepared: Vec<Prepared> = queries
         .iter()
@@ -241,7 +261,8 @@ fn check_all_configs(db: &mut Database, support: &SupportSet, queries: &[&str]) 
         }
     }
     // Whole pool as one bundle, too — uncached (shrinking active set) and
-    // through the cache (members' full artifacts, cold then warm).
+    // through a `PricingCache` (members' full artifacts, cold then warm,
+    // OR'd and folded as the broker does).
     let bundle: Vec<&Prepared> = prepared.iter().collect();
     let bits = bundle_disagreements(db, &bundle, support, &naive, None).unwrap();
     let fps = bundle_partition(db, &bundle, support, &naive).unwrap();
@@ -252,9 +273,24 @@ fn check_all_configs(db: &mut Database, support: &SupportSet, queries: &[&str]) 
         assert_eq!(got, fps, "bundle fps mismatch under {opts:?}");
         let mut cache = PricingCache::new(64);
         for round in ["cold", "warm"] {
-            let got = bundle_disagreements_cached(db, &bundle, support, opts, &mut cache).unwrap();
+            let mut got = vec![false; support.len()];
+            let mut members = Vec::new();
+            for q in &bundle {
+                let Artifact::Bits(b) = memoized(&mut cache, db, q, support, opts, Kind::Bits)
+                else {
+                    panic!("bits expected");
+                };
+                got.iter_mut().zip(b.iter()).for_each(|(g, &b)| *g |= b);
+                let Artifact::Blocks(f) = memoized(&mut cache, db, q, support, opts, Kind::Blocks)
+                else {
+                    panic!("blocks expected");
+                };
+                members.push(f);
+            }
             assert_eq!(got, bits, "{round} cached bits mismatch under {opts:?}");
-            let got = bundle_partition_cached(db, &bundle, support, opts, &mut cache).unwrap();
+            let got: Vec<Fingerprint> = (0..support.len())
+                .map(|i| combine_bundle(&members.iter().map(|f| f[i]).collect::<Vec<_>>()))
+                .collect();
             assert_eq!(got, fps, "{round} cached fps mismatch under {opts:?}");
         }
     }

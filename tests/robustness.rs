@@ -372,8 +372,8 @@ fn injected_buy_failure_charges_nothing_then_recovers() {
 /// and charged bitmap exactly as they were — for the coverage family and
 /// the entropy family alike, whether the fault fires at the broker entry
 /// point (`BROKER_BUY`) or inside pricing itself (`ENGINE_EXECUTE`; the
-/// cached entry points check the same failpoint at their head, so an armed
-/// fault aborts cached buys exactly like uncached ones). Solver weights are
+/// broker checks the same failpoint at the head of every buy, so an armed
+/// fault aborts a warm buy exactly like a cold one). Solver weights are
 /// fixed at broker construction and cannot abort mid-buy, so the engine
 /// abort stands in for every mid-purchase failure source.
 ///

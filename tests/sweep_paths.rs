@@ -58,6 +58,14 @@ struct Tape {
 }
 
 impl Tape {
+    fn new(sink: Arc<TelemetrySink>) -> Self {
+        Tape {
+            sink,
+            spans_seen: 0,
+            counters_seen: [0; 6],
+        }
+    }
+
     /// The sweep labels, the `fallbacks` count their spans carry, and the
     /// counter increments since the previous call.
     fn advance(&mut self) -> (Vec<String>, u64, [u64; 6]) {
@@ -185,15 +193,16 @@ fn broker(db: Database, function: PricingFunction, size: u64) -> (Qirana, Arc<Te
 }
 
 /// Prices the session under `function`: a quote is one cold sweep (quotes
-/// never fill the cache), the purchase one more, and a repeat quote is
-/// answered from the memo with no sweep at all.
+/// never fill the cache), the purchase that follows takes that sweep from
+/// the handoff and runs none, and a repeat quote is answered from the memo
+/// with no sweep at all. On a second market built the same way, a second
+/// buyer's cold buy of a query nobody quoted sweeps once on the same path,
+/// so the buy's own read path stays pinned.
 fn drive(db: Database, session: &[Case; 3], function: PricingFunction) {
+    let (mut unquoted, unquoted_sink) = broker(db.clone(), function, S);
     let (mut broker, sink) = broker(db, function, S);
-    let mut tape = Tape {
-        sink,
-        spans_seen: 0,
-        counters_seen: [0; 6],
-    };
+    let mut tape = Tape::new(sink);
+    let mut unquoted_tape = Tape::new(unquoted_sink);
     for case in session {
         let shape = match prepare_query(broker.db(), case.sql).unwrap().shape {
             Shape::Spj(_) => "spj",
@@ -209,9 +218,13 @@ fn drive(db: Database, session: &[Case; 3], function: PricingFunction) {
         broker.quote(case.sql).unwrap();
         tape.expect(&format!("quote of {}", case.sql), Some((case, path)));
         broker.buy("golden", case.sql).unwrap();
-        tape.expect(&format!("buy of {}", case.sql), Some((case, path)));
+        tape.expect(&format!("buy after quote of {}", case.sql), None);
         broker.quote(case.sql).unwrap();
         tape.expect(&format!("repeat quote of {}", case.sql), None);
+
+        unquoted_tape.advance();
+        unquoted.buy("second", case.sql).unwrap();
+        unquoted_tape.expect(&format!("unquoted buy of {}", case.sql), Some((case, path)));
     }
 }
 

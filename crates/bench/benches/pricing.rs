@@ -73,7 +73,7 @@ fn spj_fixture() -> (Database, SupportSet, Prepared) {
 }
 
 fn spj_engine_ladder(c: &mut Criterion) {
-    let (mut db, support, q) = spj_fixture();
+    let (db, support, q) = spj_fixture();
     let mut g = c.benchmark_group("spj_disagreements_S2000");
     // The §4 ladder, one rung per `Strategy` value.
     for strategy in [
@@ -87,7 +87,7 @@ fn spj_engine_ladder(c: &mut Criterion) {
             ..Default::default()
         };
         g.bench_function(format!("{strategy:?}"), |b| {
-            b.iter(|| bundle_disagreements(&mut db, &[&q], &support, &opts, None).unwrap())
+            b.iter(|| bundle_disagreements(&db, &[&q], &support, &opts, None).unwrap())
         });
     }
     g.finish();
@@ -96,21 +96,21 @@ fn spj_engine_ladder(c: &mut Criterion) {
 /// The entropy primitive on the same join: per-instance execution against
 /// the batched delta evaluator.
 fn spj_entropy(c: &mut Criterion) {
-    let (mut db, support, q) = spj_fixture();
+    let (db, support, q) = spj_fixture();
     let mut g = c.benchmark_group("query_fps_S2000");
     for (name, opts) in [
         ("Naive", EngineOptions::naive()),
         ("Auto", EngineOptions::default()),
     ] {
         g.bench_function(name, |b| {
-            b.iter(|| query_fps(&mut db, &q, &support, &opts).unwrap())
+            b.iter(|| query_fps(&db, &q, &support, &opts).unwrap())
         });
     }
     g.finish();
 }
 
 fn agg_engine(c: &mut Criterion) {
-    let mut db = world::generate(7);
+    let db = world::generate(7);
     let support = SupportSet::Neighborhood(generate_support(
         &db,
         &SupportConfig {
@@ -129,14 +129,14 @@ fn agg_engine(c: &mut Criterion) {
         ("Auto", EngineOptions::default()),
     ] {
         g.bench_function(name, |b| {
-            b.iter(|| bundle_disagreements(&mut db, &[&q], &support, &opts, None).unwrap())
+            b.iter(|| bundle_disagreements(&db, &[&q], &support, &opts, None).unwrap())
         });
     }
     g.finish();
 }
 
 fn entropy_partition(c: &mut Criterion) {
-    let mut db = world::generate(7);
+    let db = world::generate(7);
     let support = SupportSet::Neighborhood(generate_support(
         &db,
         &SupportConfig {
@@ -150,12 +150,12 @@ fn entropy_partition(c: &mut Criterion) {
     )
     .unwrap();
     c.bench_function("bundle_partition_S300", |b| {
-        b.iter(|| bundle_partition(&mut db, &[&q], &support, &EngineOptions::default()).unwrap())
+        b.iter(|| bundle_partition(&db, &[&q], &support, &EngineOptions::default()).unwrap())
     });
 }
 
 fn history_shrinks_work(c: &mut Criterion) {
-    let mut db = world::generate(7);
+    let db = world::generate(7);
     let support = SupportSet::Neighborhood(generate_support(
         &db,
         &SupportConfig {
@@ -169,13 +169,13 @@ fn history_shrinks_work(c: &mut Criterion) {
     let mut g = c.benchmark_group("history_aware_S2000");
     g.bench_function("fresh_buyer", |b| {
         b.iter(|| {
-            bundle_disagreements(&mut db, &[&q], &support, &EngineOptions::default(), None).unwrap()
+            bundle_disagreements(&db, &[&q], &support, &EngineOptions::default(), None).unwrap()
         })
     });
     g.bench_function("buyer_with_90pct_history", |b| {
         b.iter(|| {
             bundle_disagreements(
-                &mut db,
+                &db,
                 &[&q],
                 &support,
                 &EngineOptions::default(),
@@ -229,7 +229,7 @@ fn quote_then_buy(c: &mut Criterion) {
 }
 
 fn weight_assignment(c: &mut Criterion) {
-    let mut db = world::generate(7);
+    let db = world::generate(7);
     let support = SupportSet::Neighborhood(generate_support(
         &db,
         &SupportConfig {
@@ -244,14 +244,8 @@ fn weight_assignment(c: &mut Criterion) {
     ];
     c.bench_function("assign_weights_3_points_S2000", |b| {
         b.iter(|| {
-            qirana_core::assign_weights(
-                &mut db,
-                &support,
-                100.0,
-                &points,
-                &EngineOptions::default(),
-            )
-            .unwrap()
+            qirana_core::assign_weights(&db, &support, 100.0, &points, &EngineOptions::default())
+                .unwrap()
         })
     });
 }

@@ -62,7 +62,7 @@ fn main() {
         Parallelism::Sequential
     };
 
-    let (mut db, queries): (_, Vec<(String, String)>) = match which.as_str() {
+    let (db, queries): (_, Vec<(String, String)>) = match which.as_str() {
         "ssb" => (
             ssb::generate(sf, 5),
             ssb_queries()
@@ -96,7 +96,7 @@ fn main() {
     // per-instance fingerprints an entropy price is a function of.
     let mut h = Harness::from_args("fig5", &args, None);
     let tel = h.telemetry();
-    let sweep = |db: &mut Database, q: &Prepared, support: &SupportSet, opts: EngineOptions| {
+    let sweep = |db: &Database, q: &Prepared, support: &SupportSet, opts: EngineOptions| {
         let opts = opts.with_parallelism(par).with_telemetry(tel.clone());
         if shannon {
             bundle_partition(db, &[q], support, &opts).unwrap().len()
@@ -152,17 +152,17 @@ fn main() {
             execute(&q.plan, &ExecContext::new(&db)).unwrap()
         });
         let (_, t_nobatch) = h.time("no_batching", &name, || {
-            sweep(&mut db, &q, &support_set, EngineOptions::no_batching())
+            sweep(&db, &q, &support_set, EngineOptions::no_batching())
         });
         let fell_back = fallbacks();
         let (_, t_batch) = h.time("with_batching", &name, || {
-            sweep(&mut db, &q, &support_set, EngineOptions::default())
+            sweep(&db, &q, &support_set, EngineOptions::default())
         });
         let fell_back = fallbacks() - fell_back;
         print!("{name:<6} {t_nobatch:>14.4} {t_batch:>14.4} {t_exec:>14.4}");
         if include_naive == 1 {
             let (_, t_naive) = h.time("naive", &name, || {
-                sweep(&mut db, &q, &support_set, EngineOptions::naive())
+                sweep(&db, &q, &support_set, EngineOptions::naive())
             });
             print!(" {t_naive:>14.4}");
         }

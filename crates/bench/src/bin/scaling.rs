@@ -1,7 +1,7 @@
 //! Thread-scaling of the per-instance fan-out (`core::parallel::fan_out`):
 //! wall-clock time of a coverage sweep (disagreement bits) and an entropy
 //! sweep (partition fingerprints) over a large support set, at increasing
-//! worker counts. Both pin `Strategy::Naive` — one apply/execute/undo per
+//! worker counts. Both pin `Strategy::Naive` — one patched execution per
 //! support instance — so the rows time the fan-out, not the §4 checks or
 //! the delta evaluator that `Strategy::Auto` would route these shapes to.
 //!
@@ -35,7 +35,7 @@ fn main() {
     h.param("seed", seed);
     h.param("max-threads", max_threads);
 
-    let mut db = world::generate(7);
+    let db = world::generate(7);
     let support_set = SupportSet::Neighborhood(generate_support(
         &db,
         &SupportConfig {
@@ -80,7 +80,7 @@ fn main() {
                 .with_parallelism(Parallelism::Threads(n))
                 .with_telemetry(h.telemetry());
             let (bits, secs) = h.time(&format!("{name}_naive"), &format!("threads={n}"), || {
-                bundle_disagreements(&mut db, &[&q], &support_set, &opts, None).unwrap()
+                bundle_disagreements(&db, &[&q], &support_set, &opts, None).unwrap()
             });
             if n == 1 {
                 baseline = secs;
@@ -111,7 +111,7 @@ fn main() {
             let (fps, secs) = h.time(
                 &format!("{name}_partition"),
                 &format!("threads={n}"),
-                || bundle_partition(&mut db, &[&q], &support_set, &opts).unwrap(),
+                || bundle_partition(&db, &[&q], &support_set, &opts).unwrap(),
             );
             if n == 1 {
                 baseline = secs;

@@ -294,15 +294,6 @@ pub struct Qirana {
     /// handoff concurrently; every `&mut self` commit path goes through
     /// `Mutex::get_mut`, which is lock-free by the aliasing rules.
     cache: Mutex<PricingCache>,
-    /// Pool of scratch database replicas backing the `&self` read path
-    /// of quotes and buys: the engine primitives take `&mut Database` (the
-    /// naive and fallback paths apply each support update in place and
-    /// roll it back), so each in-flight sweep checks a replica out, prices
-    /// against it, and returns it on success. A replica that saw an error
-    /// is dropped — a failed evaluation may have died mid-rollback — and
-    /// the whole pool is discarded whenever a commit changes the stored
-    /// database.
-    scratch: Mutex<Vec<Database>>,
     /// Durable write-ahead log of market events. `None` for an in-memory
     /// broker ([`Qirana::new`]); set by [`Qirana::open`] and
     /// [`Qirana::recover`]. Every purchase and commit is appended (and
@@ -349,7 +340,6 @@ impl Qirana {
     /// degrades to uniform weights and flags itself — and every quote —
     /// [`Quote::degraded`].
     pub fn new(db: Database, cfg: QiranaConfig) -> Result<Self, BrokerError> {
-        let mut db = db;
         let attempts = cfg.retry.max_attempts.max(1);
         let mut last_err: Option<BrokerError> = None;
         for attempt in 0..attempts {
@@ -375,7 +365,7 @@ impl Qirana {
             };
             let _solve = cfg.engine.telemetry.span(Stage::Solve);
             match assign_weights_with(
-                &mut db,
+                &db,
                 &support,
                 cfg.total_price,
                 &cfg.price_points,
@@ -428,7 +418,6 @@ impl Qirana {
             tsallis_factor,
             degraded,
             cache: Mutex::new(cache),
-            scratch: Mutex::new(Vec::new()),
             ledger: None,
         }
     }
@@ -440,31 +429,6 @@ impl Qirana {
     /// recency tick, never a wrong price.
     fn cache_guard(&self) -> MutexGuard<'_, PricingCache> {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Checks a scratch database replica out of the pool (cloning the
-    /// stored database when the pool is dry), runs `f` — a sweep of the
-    /// read path — against it, and
-    /// returns the replica for reuse on success. See the field docs for
-    /// why errors drop the replica instead.
-    fn with_scratch_db<T>(
-        &self,
-        f: impl FnOnce(&mut Database) -> Result<T, BrokerError>,
-    ) -> Result<T, BrokerError> {
-        /// Bound on pooled replicas: enough for a server's worth of
-        /// concurrent quoters without letting a burst pin memory forever.
-        const MAX_POOLED: usize = 32;
-        let pooled = {
-            let mut pool = self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
-            pool.pop()
-        };
-        let mut db = pooled.unwrap_or_else(|| self.db.clone());
-        let out = f(&mut db)?;
-        let mut pool = self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
-        if pool.len() < MAX_POOLED {
-            pool.push(db);
-        }
-        Ok(out)
     }
 
     /// Builds a broker like [`Qirana::new`] and starts a **fresh** durable
@@ -593,12 +557,6 @@ impl Qirana {
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner)
             .restore_generation(snap.generation);
-        // Restored rows may differ from the ones the replicas were cloned
-        // from.
-        self.scratch
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
         let (shannon, tsallis) =
             entropy_factors(&self.db, &self.support, &self.weights, self.cfg.total_price);
         self.shannon_factor = shannon;
@@ -760,8 +718,9 @@ impl Qirana {
     /// The one read path to the pricing memo, for quotes and buys alike:
     /// `q`'s artifact — full disagreement bitmap or per-instance
     /// fingerprints, per the pricing family — from an LRU peek, else (buys
-    /// only) the handoff a quote left, else a sweep on a scratch replica,
-    /// which a quote then leaves in the handoff. Never moves LRU state or
+    /// only) the handoff a quote left, else a sweep of the stored database
+    /// (the caller's read lock keeps it still), which a quote then leaves
+    /// in the handoff. Never moves LRU state or
     /// [`CacheStats`]; only a buy's commit step does
     /// ([`PricingCache::touch_or_insert`]).
     fn artifact(&self, q: &Prepared, reader: Reader) -> Result<Artifact, BrokerError> {
@@ -789,16 +748,14 @@ impl Qirana {
             }
             lookup.count("miss", 1);
         }
-        let (support, opts) = (&self.support, &self.cfg.engine);
-        let artifact = self.with_scratch_db(|db| {
-            Ok(match kind {
-                Kind::Bits => {
-                    let all = vec![true; support.len()];
-                    Artifact::Bits(Arc::new(query_bits(db, q, support, &all, opts)?))
-                }
-                Kind::Blocks => Artifact::Blocks(Arc::new(query_fps(db, q, support, opts)?)),
-            })
-        })?;
+        let (db, support, opts) = (&self.db, &self.support, &self.cfg.engine);
+        let artifact = match kind {
+            Kind::Bits => {
+                let all = vec![true; support.len()];
+                Artifact::Bits(Arc::new(query_bits(db, q, support, &all, opts)?))
+            }
+            Kind::Blocks => Artifact::Blocks(Arc::new(query_fps(db, q, support, opts)?)),
+        };
         if reader == Reader::Quote {
             self.cache_guard().hand_off(q.plan_fp, artifact.clone());
         }
@@ -1188,12 +1145,6 @@ impl Qirana {
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner)
             .bump_generation();
-        // Scratch replicas mirror the *old* rows; quoting against one
-        // after a commit would price the stale database.
-        self.scratch
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
         let (shannon, tsallis) =
             entropy_factors(&self.db, &self.support, &self.weights, self.cfg.total_price);
         self.shannon_factor = shannon;

@@ -26,7 +26,7 @@
 //! **One read path, one commit step.** The broker reaches the memo in
 //! exactly two places. Its read function (`&self`, quotes and buys alike)
 //! [`PricingCache::peek`]s the LRU — no recency tick, no counter — and on a
-//! miss sweeps on a scratch replica. Its commit step (`&mut self`, buys
+//! miss sweeps the stored database, read-only. Its commit step (`&mut self`, buys
 //! only) hands every member artifact of the purchase to
 //! [`PricingCache::touch_or_insert`]: a `get` on a hit, otherwise a counted
 //! miss and an insert — the member order, ticks, counters and evictions a

@@ -48,8 +48,8 @@
 //!   the base by construction and never enters a batch.
 //!
 //! Fallback policy: a guard trip or eval error in one neighbor's fold
-//! routes that one neighbor through full plan execution (apply, execute,
-//! roll back). **Error parity:** a batched execution that errs routes
+//! routes that one neighbor through full plan execution (the stored
+//! database read through the neighbor's row patch). **Error parity:** a batched execution that errs routes
 //! *every* member of that batch there — full execution reproduces the
 //! error for the neighbor that owns it and answers the healthy ones
 //! exactly — so the delta path can never invent or suppress a result the
@@ -890,10 +890,10 @@ pub struct ProbeStats {
 /// Per-neighbor output fingerprints through the delta path (the
 /// incremental counterpart of [`crate::naive::neighbor_fps`]): the base
 /// fingerprint where the update is invisible, the batched delta fold
-/// elsewhere, and full plan execution — apply, execute, roll back — for
+/// elsewhere, and full plan execution under the neighbor's row patch for
 /// any neighbor the fold declines.
 pub(crate) fn query_fps_nbrs(
-    db: &mut Database,
+    db: &Database,
     q: &Prepared,
     state: &DeltaState,
     updates: &[SupportUpdate],
@@ -914,7 +914,7 @@ pub(crate) fn query_fps_nbrs(
             None => fallbacks.push(i),
         }
     }
-    // Only the fallbacks write (apply / execute / undo) and fan out.
+    // Only the fallbacks execute in full and fan out.
     let full = neighbor_fps(db, &q.plan, updates, &fallbacks, opts)?;
     for (&i, fp) in fallbacks.iter().zip(full) {
         fps[i] = fp;
@@ -990,7 +990,7 @@ mod tests {
     /// checking the fingerprints against per-instance execution
     /// (`Strategy::Naive`) on the way out.
     fn probe_checked(
-        mut database: Database,
+        database: Database,
         sql: &str,
         updates: Vec<SupportUpdate>,
         workers: usize,
@@ -1004,9 +1004,8 @@ mod tests {
         };
         let visible = visibility(&database, &q, &support, &vec![true; updates.len()]);
         let opts = EngineOptions::default().with_parallelism(Parallelism::Threads(workers));
-        let (fps, stats) =
-            query_fps_nbrs(&mut database, &q, &state, updates, &visible, &opts).unwrap();
-        let naive_fps = query_fps(&mut database, &q, &support, &EngineOptions::naive()).unwrap();
+        let (fps, stats) = query_fps_nbrs(&database, &q, &state, updates, &visible, &opts).unwrap();
+        let naive_fps = query_fps(&database, &q, &support, &EngineOptions::naive()).unwrap();
         assert_eq!(fps, naive_fps, "fps diverged for {sql}");
         (fps, stats)
     }
@@ -1116,14 +1115,14 @@ mod tests {
 
     #[test]
     fn self_join_is_ineligible() {
-        let mut database = db();
+        let database = db();
         // Self-joins break per-tuple contribution additivity; the shape
         // classifier routes them to Opaque and the build must decline.
         let q = prepare_query(&database, "select a.v from T a, T b where a.id = b.id").unwrap();
         let state = build(&database, &q).unwrap();
         assert!(state.base_fp().is_none());
         let opts = EngineOptions::default();
-        let err = query_fps_nbrs(&mut database, &q, &state, &[], &[], &opts).unwrap_err();
+        let err = query_fps_nbrs(&database, &q, &state, &[], &[], &opts).unwrap_err();
         assert!(matches!(err, EngineError::Eval(_)));
     }
 
@@ -1219,7 +1218,7 @@ mod tests {
     /// exactly as the reference does.
     #[test]
     fn poisoned_neighbor_never_shifts_its_batch_mates() {
-        let mut database = db();
+        let database = db();
         let healthy = vec![
             row_up(0, 1, 2, 50.into()),
             swap(0, 1, &[1, 2]),
@@ -1233,7 +1232,7 @@ mod tests {
         let state = build(&database, &q).unwrap();
         let (fps, execs) = probe_batched(&database, &state, &updates, &[0, 1, 2, 3]);
         let alone = SupportSet::Neighborhood(healthy);
-        let expect = query_fps(&mut database, &q, &alone, &naive).unwrap();
+        let expect = query_fps(&database, &q, &alone, &naive).unwrap();
         assert_eq!(
             fps,
             [Some(expect[0]), None, Some(expect[1]), Some(expect[2])]
@@ -1251,7 +1250,7 @@ mod tests {
         let q = prepare_query(&database, "select v + 1 from T").unwrap();
         let support = SupportSet::Neighborhood(updates);
         for opts in [EngineOptions::default(), naive] {
-            let err = query_fps(&mut database, &q, &support, &opts).unwrap_err();
+            let err = query_fps(&database, &q, &support, &opts).unwrap_err();
             assert!(matches!(err, EngineError::Eval(_)), "{err:?}");
         }
     }

@@ -37,7 +37,7 @@ pub enum Determinacy {
 /// exist outside `S`); `Refuted` is definitive — the two differing worlds
 /// are real members of `I`.
 pub fn determines(
-    db: &mut Database,
+    db: &Database,
     support: &SupportSet,
     q1: &str,
     q2: &str,
@@ -49,7 +49,7 @@ pub fn determines(
 
 /// [`determines`] over already-prepared queries.
 pub fn determines_prepared(
-    db: &mut Database,
+    db: &Database,
     support: &SupportSet,
     q1: &Prepared,
     q2: &Prepared,
@@ -127,11 +127,11 @@ mod tests {
 
     #[test]
     fn projection_determines_subprojection() {
-        let mut db = db();
+        let db = db();
         let s = support(&db);
         assert_eq!(
             determines(
-                &mut db,
+                &db,
                 &s,
                 "select gender, age from User",
                 "select age from User"
@@ -143,11 +143,11 @@ mod tests {
 
     #[test]
     fn subprojection_does_not_determine_projection() {
-        let mut db = db();
+        let db = db();
         let s = support(&db);
         assert_eq!(
             determines(
-                &mut db,
+                &db,
                 &s,
                 "select age from User",
                 "select gender, age from User"
@@ -159,11 +159,11 @@ mod tests {
 
     #[test]
     fn group_counts_determine_filtered_count() {
-        let mut db = db();
+        let db = db();
         let s = support(&db);
         assert_eq!(
             determines(
-                &mut db,
+                &db,
                 &s,
                 "select gender, count(*) from User group by gender",
                 "select count(*) from User where gender = 'f'",
@@ -175,12 +175,12 @@ mod tests {
 
     #[test]
     fn raw_column_determines_aggregates() {
-        let mut db = db();
+        let db = db();
         let s = support(&db);
         for agg in ["avg(age)", "sum(age)", "min(age)", "max(age)"] {
             assert_eq!(
                 determines(
-                    &mut db,
+                    &db,
                     &s,
                     "select uid, age from User",
                     &format!("select {agg} from User"),
@@ -194,11 +194,11 @@ mod tests {
 
     #[test]
     fn aggregate_does_not_determine_column() {
-        let mut db = db();
+        let db = db();
         let s = support(&db);
         assert_eq!(
             determines(
-                &mut db,
+                &db,
                 &s,
                 "select avg(age) from User",
                 "select uid, age from User"
@@ -210,16 +210,10 @@ mod tests {
 
     #[test]
     fn everything_determines_a_constant() {
-        let mut db = db();
+        let db = db();
         let s = support(&db);
         assert_eq!(
-            determines(
-                &mut db,
-                &s,
-                "select age from User",
-                "select count(*) from User"
-            )
-            .unwrap(),
+            determines(&db, &s, "select age from User", "select count(*) from User").unwrap(),
             Determinacy::Determines,
             "cardinality is constant over I"
         );
@@ -230,7 +224,7 @@ mod tests {
         // The module-level claim: support-relative determinacy forces
         // p_wc(Q2) <= p_wc(Q1).
         use crate::pricing::weighted_coverage;
-        let mut db = db();
+        let db = db();
         let s = support(&db);
         let pairs = [
             ("select gender, age from User", "select gender from User"),
@@ -244,13 +238,13 @@ mod tests {
             let p1 = prepare_query(&db, q1).unwrap();
             let p2 = prepare_query(&db, q2).unwrap();
             assert_eq!(
-                determines_prepared(&mut db, &s, &p1, &p2).unwrap(),
+                determines_prepared(&db, &s, &p1, &p2).unwrap(),
                 Determinacy::Determines
             );
             let d1 =
-                bundle_disagreements(&mut db, &[&p1], &s, &EngineOptions::default(), None).unwrap();
+                bundle_disagreements(&db, &[&p1], &s, &EngineOptions::default(), None).unwrap();
             let d2 =
-                bundle_disagreements(&mut db, &[&p2], &s, &EngineOptions::default(), None).unwrap();
+                bundle_disagreements(&db, &[&p2], &s, &EngineOptions::default(), None).unwrap();
             assert!(weighted_coverage(&w, &d2) <= weighted_coverage(&w, &d1));
         }
     }

@@ -267,7 +267,7 @@ type Swept = (Fingerprint, Vec<Fingerprint>);
 /// and the query's fingerprint on every instance — executed where visible,
 /// the base elsewhere.
 fn per_instance(
-    db: &mut Database,
+    db: &Database,
     q: &Prepared,
     support: &SupportSet,
     visible: &[Visible],
@@ -300,7 +300,7 @@ fn per_instance(
 /// declined build (failed self-check, unsupported detail) leaves the whole
 /// sweep to per-instance execution, like any other guard.
 fn delta_sweep(
-    db: &mut Database,
+    db: &Database,
     q: &Prepared,
     support: &SupportSet,
     updates: &[SupportUpdate],
@@ -335,12 +335,8 @@ fn delta_sweep(
 /// The coverage primitive: for every support instance, whether `q`'s
 /// output on it differs from the output on the stored database.
 /// `active[i] = false` excludes instance `i` (its bit stays `false`).
-///
-/// `db` is `&mut` because per-instance execution — as a path of its own or
-/// for the neighbors the incremental fold declines — applies each update
-/// and rolls it back; the database is unchanged on return.
 pub fn query_bits(
-    db: &mut Database,
+    db: &Database,
     q: &Prepared,
     support: &SupportSet,
     active: &[bool],
@@ -408,7 +404,7 @@ pub fn query_bits(
 /// (Algorithm 3), which also makes repeat pricing *faster*, as §5.3
 /// observes.
 pub fn bundle_disagreements(
-    db: &mut Database,
+    db: &Database,
     bundle: &[&Prepared],
     support: &SupportSet,
     opts: &EngineOptions,
@@ -446,7 +442,7 @@ pub fn bundle_disagreements(
 /// The entropy primitive: `q`'s output fingerprint on every support
 /// instance (Algorithm 2's dictionary keys, per query).
 pub fn query_fps(
-    db: &mut Database,
+    db: &Database,
     q: &Prepared,
     support: &SupportSet,
     opts: &EngineOptions,
@@ -493,7 +489,7 @@ pub(crate) fn fold_partition(per_query: &[&[Fingerprint]], n: usize) -> Vec<Fing
 /// (Algorithm 2's dictionary keys): the [`fold_partition`] of the members'
 /// [`query_fps`].
 pub fn bundle_partition(
-    db: &mut Database,
+    db: &Database,
     bundle: &[&Prepared],
     support: &SupportSet,
     opts: &EngineOptions,
@@ -570,7 +566,7 @@ mod tests {
     /// alike.
     #[test]
     fn every_strategy_matches_naive_bitwise() {
-        let mut database = db();
+        let database = db();
         let support = support(&database, 300);
         let queries = [
             "select count(*) from User where gender = 'f'",
@@ -585,20 +581,18 @@ mod tests {
         let bundle: Vec<&Prepared> = prepared.iter().collect();
 
         let naive = EngineOptions::naive();
-        let bits_ref =
-            bundle_disagreements(&mut database, &bundle, &support, &naive, None).unwrap();
-        let part_ref = bundle_partition(&mut database, &bundle, &support, &naive).unwrap();
+        let bits_ref = bundle_disagreements(&database, &bundle, &support, &naive, None).unwrap();
+        let part_ref = bundle_partition(&database, &bundle, &support, &naive).unwrap();
 
         for strategy in STRATEGIES {
             for par in [Parallelism::Sequential, Parallelism::Threads(4)] {
                 let opts = with_strategy(strategy).with_parallelism(par);
-                let bits =
-                    bundle_disagreements(&mut database, &bundle, &support, &opts, None).unwrap();
+                let bits = bundle_disagreements(&database, &bundle, &support, &opts, None).unwrap();
                 assert_eq!(
                     bits, bits_ref,
                     "coverage mismatch under {strategy:?}/{par:?}"
                 );
-                let part = bundle_partition(&mut database, &bundle, &support, &opts).unwrap();
+                let part = bundle_partition(&database, &bundle, &support, &opts).unwrap();
                 assert_eq!(
                     part, part_ref,
                     "entropy mismatch under {strategy:?}/{par:?}"
@@ -609,7 +603,7 @@ mod tests {
                 let all = vec![true; support.len()];
                 let mut ored = vec![false; support.len()];
                 for q in &bundle {
-                    let bits = query_bits(&mut database, q, &support, &all, &opts).unwrap();
+                    let bits = query_bits(&database, q, &support, &all, &opts).unwrap();
                     for (o, b) in ored.iter_mut().zip(bits) {
                         *o |= b;
                     }
@@ -664,9 +658,9 @@ mod tests {
             let base = bag_fp(execute(&q.plan, &ExecContext::new(&database)).unwrap());
             for strategy in STRATEGIES {
                 let opts = with_strategy(strategy);
-                let bits = bundle_disagreements(&mut database, &[&q], &support, &opts, None);
+                let bits = bundle_disagreements(&database, &[&q], &support, &opts, None);
                 assert_eq!(bits.unwrap(), [false, true], "{sql} under {strategy:?}");
-                let fps = query_fps(&mut database, &q, &support, &opts).unwrap();
+                let fps = query_fps(&database, &q, &support, &opts).unwrap();
                 assert_eq!(fps[0], base, "{sql} under {strategy:?}");
                 assert_ne!(fps[1], base, "{sql} under {strategy:?}");
             }
@@ -675,26 +669,26 @@ mod tests {
 
     #[test]
     fn database_unchanged_after_pricing() {
-        let mut database = db();
+        let database = db();
         let before = database.table("User").unwrap().rows.clone();
         let support = support(&database, 100);
         let q = prepare_query(&database, "select avg(age) from User").unwrap();
         for strategy in STRATEGIES {
             let opts = with_strategy(strategy);
-            bundle_disagreements(&mut database, &[&q], &support, &opts, None).unwrap();
-            bundle_partition(&mut database, &[&q], &support, &opts).unwrap();
+            bundle_disagreements(&database, &[&q], &support, &opts, None).unwrap();
+            bundle_partition(&database, &[&q], &support, &opts).unwrap();
             assert_eq!(database.table("User").unwrap().rows, before);
         }
     }
 
     #[test]
     fn skip_suppresses_evaluation() {
-        let mut database = db();
+        let database = db();
         let support = support(&database, 50);
         let q = prepare_query(&database, "select * from User").unwrap();
         let skip = vec![true; 50];
         let bits = bundle_disagreements(
-            &mut database,
+            &database,
             &[&q],
             &support,
             &EngineOptions::default(),
@@ -708,11 +702,11 @@ mod tests {
     /// — a panic in library code reachable from `POST /v1/buy`.
     #[test]
     fn short_skip_bitmap_is_a_typed_error() {
-        let mut database = db();
+        let database = db();
         let support = support(&database, 50);
         let q = prepare_query(&database, "select * from User").unwrap();
         let err = bundle_disagreements(
-            &mut database,
+            &database,
             &[&q],
             &support,
             &EngineOptions::default(),
@@ -724,17 +718,12 @@ mod tests {
 
     #[test]
     fn full_dataset_query_disagrees_everywhere() {
-        let mut database = db();
+        let database = db();
         let support = support(&database, 200);
         let q = prepare_query(&database, "select * from User").unwrap();
-        let bits = bundle_disagreements(
-            &mut database,
-            &[&q],
-            &support,
-            &EngineOptions::default(),
-            None,
-        )
-        .unwrap();
+        let bits =
+            bundle_disagreements(&database, &[&q], &support, &EngineOptions::default(), None)
+                .unwrap();
         assert!(
             bits.iter().all(|&b| b),
             "every neighbor differs from D, so Q_all must disagree everywhere"
@@ -757,14 +746,9 @@ mod tests {
         );
         let support = support(&database, 100);
         let q = prepare_query(&database, "select 1 from Other where v = 2").unwrap();
-        let bits = bundle_disagreements(
-            &mut database,
-            &[&q],
-            &support,
-            &EngineOptions::default(),
-            None,
-        )
-        .unwrap();
+        let bits =
+            bundle_disagreements(&database, &[&q], &support, &EngineOptions::default(), None)
+                .unwrap();
         // Only updates touching Other can flip bits; verify against which
         // updates touch table index 1.
         let SupportSet::Neighborhood(updates) = &support else {
@@ -781,18 +765,18 @@ mod tests {
     /// only, once per sweep: delta state lives for one sweep.
     #[test]
     fn delta_counters_move_once_per_entropy_sweep() {
-        let mut database = db();
+        let database = db();
         let support = support(&database, 120);
         let q = prepare_query(&database, "select gender from User where age > 18").unwrap();
         let opts = EngineOptions::default().with_telemetry(Telemetry::enabled());
         let sink = opts.telemetry.sink().map(Arc::clone).unwrap();
 
-        query_bits(&mut database, &q, &support, &[true; 120], &opts).unwrap();
+        query_bits(&database, &q, &support, &[true; 120], &opts).unwrap();
         for name in ["delta_builds_total", "delta_probes_total"] {
             assert_eq!(sink.counter(name), 0, "SPJ coverage never touches delta");
         }
 
-        query_fps(&mut database, &q, &support, &opts).unwrap();
+        query_fps(&database, &q, &support, &opts).unwrap();
         assert_eq!(sink.counter("delta_builds_total"), 1);
         assert_eq!(sink.counter("delta_probes_total"), 120);
         assert_eq!(sink.counter("delta_probe_execs_total"), 1, "one relation");
@@ -801,7 +785,7 @@ mod tests {
                 <= sink.counter("delta_probes_total")
         );
 
-        query_fps(&mut database, &q, &support, &opts).unwrap();
+        query_fps(&database, &q, &support, &opts).unwrap();
         assert_eq!(sink.counter("delta_builds_total"), 2);
         assert_eq!(sink.counter("delta_probes_total"), 240);
     }

@@ -1,6 +1,6 @@
 //! # qirana-core
 //!
-//! A from-scratch Rust implementation of **QIRANA** (Deep & Koutris,
+//! A self-contained Rust implementation of **QIRANA** (Deep & Koutris,
 //! SIGMOD 2017): a query-based data-pricing broker that sits between a
 //! buyer and a DBMS and charges for SQL queries according to the
 //! information they disclose, with formal arbitrage-freeness guarantees.

@@ -6,48 +6,45 @@
 //! to, and the path [`crate::engine`] routes to whenever no faster one
 //! applies (uniform supports, opaque shapes, budget-limited entropy
 //! sweeps). The loops are written once against [`fan_out`], which runs
-//! them inline or on a worker pool.
+//! them inline or on a worker pool. Nothing here writes: a neighbor is the
+//! stored database read through its update's row patch.
 
 use crate::engine::{bag_fp, EngineOptions, Visible};
 use crate::normal_form::{Prepared, Shape};
 use crate::parallel::fan_out;
 use crate::update::SupportUpdate;
-use qirana_sqlengine::update::apply_writes;
 use qirana_sqlengine::{
     execute, Database, EngineError, ExecBudget, ExecContext, Fingerprint, ResolvedSelect, Row,
 };
 use std::collections::{BTreeMap, HashMap};
 
-/// The plan's output fingerprint on each neighbor `updates[idxs[j]]`: apply
-/// the update, execute under `opts.budget`, roll it back. A budget trip
-/// surfaces as [`EngineError::BudgetExceeded`] with the database already
-/// rolled back.
+/// The plan's output fingerprint on each neighbor `updates[idxs[j]]`:
+/// execute under `opts.budget` with the update's row patch.
 pub(crate) fn neighbor_fps(
-    db: &mut Database,
+    db: &Database,
     plan: &ResolvedSelect,
     updates: &[SupportUpdate],
     idxs: &[usize],
     opts: &EngineOptions,
 ) -> Result<Vec<Fingerprint>, EngineError> {
-    let tel = &opts.telemetry;
-    fan_out(db, idxs.len(), opts.parallelism, tel, |local, j| {
-        let undo = updates[idxs[j]].apply(local);
-        let fp = execute(plan, &ExecContext::new(local).with_budget(opts.budget)).map(bag_fp);
-        apply_writes(local, &undo);
-        fp
+    fan_out(idxs.len(), opts.parallelism, &opts.telemetry, |j| {
+        let up = &updates[idxs[j]];
+        let patch = up.patch(db);
+        let ctx = ExecContext::new(db)
+            .with_patch(up.table(), &patch)
+            .with_budget(opts.budget);
+        execute(plan, &ctx).map(bag_fp)
     })
 }
 
 /// The plan's output fingerprint on each uniform world `worlds[idxs[j]]`.
-/// The worlds are read-only, so pool workers share them by reference.
 pub(crate) fn world_fps(
     plan: &ResolvedSelect,
     worlds: &[Database],
     idxs: &[usize],
     opts: &EngineOptions,
 ) -> Result<Vec<Fingerprint>, EngineError> {
-    let tel = &opts.telemetry;
-    fan_out(&mut (), idxs.len(), opts.parallelism, tel, |_, j| {
+    fan_out(idxs.len(), opts.parallelism, &opts.telemetry, |j| {
         let ctx = ExecContext::new(&worlds[idxs[j]]).with_budget(opts.budget);
         Ok(bag_fp(execute(plan, &ctx)?))
     })
@@ -58,8 +55,9 @@ pub(crate) fn world_fps(
 /// `R` is first restricted to just the tuples the support set touches. The
 /// naive loop then runs over a much smaller relation.
 ///
-/// Implemented with table overrides — no copy of the full database is made;
-/// only the touched rows of each relation are materialized.
+/// Implemented with a table override plus each update's row patch — no
+/// copy of the full database is made; only the touched rows of each
+/// relation are materialized.
 pub fn reduced_disagreements(
     db: &Database,
     q: &Prepared,
@@ -89,14 +87,9 @@ pub fn reduced_disagreements(
     }
 
     for (table, idxs) in by_rel {
-        // Collect the touched row indices of this relation, in order.
-        let mut touched: Vec<usize> = idxs
-            .iter()
-            .flat_map(|&i| match &updates[i] {
-                SupportUpdate::Row { row, .. } => vec![*row],
-                SupportUpdate::Swap { row_a, row_b, .. } => vec![*row_a, *row_b],
-            })
-            .collect();
+        // The touched rows of this relation, in order, are the reduced
+        // instance; each update's patch is remapped onto it.
+        let mut touched: Vec<usize> = idxs.iter().flat_map(|&i| updates[i].rows()).collect();
         touched.sort_unstable();
         touched.dedup();
         let remap: HashMap<usize, usize> = touched
@@ -104,54 +97,25 @@ pub fn reduced_disagreements(
             .enumerate()
             .map(|(new, &orig)| (orig, new))
             .collect();
-        let mut reduced: Vec<Row> = touched
+        let reduced: Vec<Row> = touched
             .iter()
             .map(|&r| db.table_at(table).rows[r].clone())
             .collect();
-
-        // Base fingerprint on the reduced instance.
-        let base = {
-            let ctx = ExecContext::with_override(db, table, &reduced).with_budget(budget);
-            bag_fp(execute(&q.plan, &ctx)?)
+        let run = |patch: &[(usize, Row)]| {
+            let ctx = ExecContext::with_override(db, table, &reduced)
+                .with_patch(table, patch)
+                .with_budget(budget);
+            execute(&q.plan, &ctx).map(bag_fp)
         };
-
+        let base = run(&[])?;
         for &i in &idxs {
-            // Apply the update to the reduced rows in place.
-            let restore: Vec<(usize, usize, qirana_sqlengine::Value)>;
-            match &updates[i] {
-                SupportUpdate::Row { row, changes, .. } => {
-                    let r = remap[row];
-                    restore = changes
-                        .iter()
-                        .map(|(c, v)| {
-                            let old = std::mem::replace(&mut reduced[r][*c], v.clone());
-                            (r, *c, old)
-                        })
-                        .collect();
-                }
-                SupportUpdate::Swap {
-                    row_a, row_b, cols, ..
-                } => {
-                    let (a, b) = (remap[row_a], remap[row_b]);
-                    let mut saved = Vec::with_capacity(cols.len() * 2);
-                    for &c in cols {
-                        saved.push((a, c, reduced[a][c].clone()));
-                        saved.push((b, c, reduced[b][c].clone()));
-                        let tmp = reduced[a][c].clone();
-                        reduced[a][c] = reduced[b][c].clone();
-                        reduced[b][c] = tmp;
-                    }
-                    restore = saved;
-                }
-            }
-            let fp = {
-                let ctx = ExecContext::with_override(db, table, &reduced).with_budget(budget);
-                bag_fp(execute(&q.plan, &ctx)?)
-            };
-            for (r, c, v) in restore.into_iter().rev() {
-                reduced[r][c] = v;
-            }
-            bits[i] = fp != base;
+            // `remap` is monotone, so the patch stays sorted.
+            let patch: Vec<(usize, Row)> = updates[i]
+                .patch(db)
+                .into_iter()
+                .map(|(r, row)| (remap[&r], row))
+                .collect();
+            bits[i] = run(&patch)? != base;
         }
     }
     Ok(bits)
@@ -230,7 +194,7 @@ mod tests {
 
     #[test]
     fn reduction_matches_plain_naive() {
-        let mut database = db();
+        let database = db();
         let support = support(&database, 200);
         for sql in [
             "select v from T where grp = 'a'",
@@ -238,16 +202,11 @@ mod tests {
             "select * from T",
         ] {
             let q = prepare_query(&database, sql).unwrap();
-            let plain = bundle_disagreements(
-                &mut database,
-                &[&q],
-                &support,
-                &EngineOptions::naive(),
-                None,
-            )
-            .unwrap();
+            let plain =
+                bundle_disagreements(&database, &[&q], &support, &EngineOptions::naive(), None)
+                    .unwrap();
             let reduced =
-                bundle_disagreements(&mut database, &[&q], &support, &reduced(), None).unwrap();
+                bundle_disagreements(&database, &[&q], &support, &reduced(), None).unwrap();
             assert_eq!(plain, reduced, "reduction changed verdicts for {sql}");
         }
     }
@@ -256,7 +215,7 @@ mod tests {
     fn reduction_on_non_spj_shape_is_a_typed_error() {
         // Routing an aggregate (non-SPJ) query here used to panic; it must
         // surface as a recoverable EngineError instead.
-        let mut database = db();
+        let database = db();
         let support = support(&database, 10);
         let SupportSet::Neighborhood(updates) = &support else {
             unreachable!()
@@ -268,22 +227,16 @@ mod tests {
         assert!(matches!(err, EngineError::Eval(_)), "got {err:?}");
         // The engine never routes it there: under `NaiveReduced` the same
         // query prices through per-instance execution.
-        bundle_disagreements(&mut database, &[&q], &support, &reduced(), None).unwrap();
+        bundle_disagreements(&database, &[&q], &support, &reduced(), None).unwrap();
     }
 
     #[test]
     fn uniform_worlds_mostly_disagree_on_touching_queries() {
-        let mut database = db();
+        let database = db();
         let support = SupportSet::Uniform(generate_uniform_worlds(&database, 20, 3));
         let q = prepare_query(&database, "select grp, v from T").unwrap();
-        let bits = bundle_disagreements(
-            &mut database,
-            &[&q],
-            &support,
-            &EngineOptions::naive(),
-            None,
-        )
-        .unwrap();
+        let bits = bundle_disagreements(&database, &[&q], &support, &EngineOptions::naive(), None)
+            .unwrap();
         let frac = bits.iter().filter(|&&b| b).count() as f64 / bits.len() as f64;
         assert!(
             frac > 0.9,
@@ -295,9 +248,9 @@ mod tests {
     fn invisible_updates_fingerprint_as_brute_force_says() {
         // A query over T only; updates touch both T and an unrelated
         // table U. Instances the sweep never executes must fingerprint
-        // exactly as the brute-force apply-execute-undo loop says (the
+        // exactly as executing every neighbor, unfiltered, says (the
         // base).
-        let mut database = db_with_u();
+        let database = db_with_u();
         let support = support(&database, 120);
         let SupportSet::Neighborhood(updates) = &support else {
             unreachable!()
@@ -307,16 +260,10 @@ mod tests {
             "support must touch U for this test to bite"
         );
         let q = prepare_query(&database, "select grp, v from T where v > 9").unwrap();
-        let fast = query_fps(&mut database, &q, &support, &EngineOptions::naive()).unwrap();
+        let fast = query_fps(&database, &q, &support, &EngineOptions::naive()).unwrap();
         let every: Vec<usize> = (0..updates.len()).collect();
-        let brute = neighbor_fps(
-            &mut database,
-            &q.plan,
-            updates,
-            &every,
-            &EngineOptions::naive(),
-        )
-        .unwrap();
+        let brute =
+            neighbor_fps(&database, &q.plan, updates, &every, &EngineOptions::naive()).unwrap();
         assert_eq!(fast, brute, "skip path changed partition fingerprints");
     }
 
@@ -325,14 +272,14 @@ mod tests {
         // A bundle's partition is *defined* as the per-instance fold of its
         // members' fingerprint vectors — including instances whose update
         // touches a table only one member (or no member) references.
-        let mut database = db_with_u();
+        let database = db_with_u();
         let support = support(&database, 150);
         let q1 = prepare_query(&database, "select count(*) from T where v > 30").unwrap();
         let q2 = prepare_query(&database, "select w from U where w > 14").unwrap();
         let opts = EngineOptions::naive();
-        let whole = bundle_partition(&mut database, &[&q1, &q2], &support, &opts).unwrap();
-        let f1 = query_fps(&mut database, &q1, &support, &opts).unwrap();
-        let f2 = query_fps(&mut database, &q2, &support, &opts).unwrap();
+        let whole = bundle_partition(&database, &[&q1, &q2], &support, &opts).unwrap();
+        let f1 = query_fps(&database, &q1, &support, &opts).unwrap();
+        let f2 = query_fps(&database, &q2, &support, &opts).unwrap();
         let folded: Vec<Fingerprint> = (0..support.len())
             .map(|i| combine_bundle(&[f1[i], f2[i]]))
             .collect();
@@ -341,12 +288,12 @@ mod tests {
 
     #[test]
     fn partition_refines_disagreements() {
-        let mut database = db();
+        let database = db();
         let support = support(&database, 100);
         let q = prepare_query(&database, "select count(*) from T where v > 30").unwrap();
         let opts = EngineOptions::naive();
-        let bits = bundle_disagreements(&mut database, &[&q], &support, &opts, None).unwrap();
-        let fps = query_fps(&mut database, &q, &support, &opts).unwrap();
+        let bits = bundle_disagreements(&database, &[&q], &support, &opts, None).unwrap();
+        let fps = query_fps(&database, &q, &support, &opts).unwrap();
         let base = bag_fp(execute(&q.plan, &ExecContext::new(&database)).unwrap());
         for i in 0..bits.len() {
             assert_eq!(

@@ -142,7 +142,7 @@ fn per_upid_fps(out: QueryOutput) -> Result<BTreeMap<i64, Fingerprint>> {
 /// Disagreement bits for an SPJ-shaped query over the visible neighborhood
 /// updates; `batch` selects §4.2's batched dynamic checks.
 pub fn spj_disagreements(
-    db: &mut Database,
+    db: &Database,
     shape: &SpjShape,
     updates: &[SupportUpdate],
     visible: &[Visible],
@@ -206,11 +206,8 @@ pub fn spj_disagreements(
     for rel in &shape.relations {
         let news = &check_new[rel.rel_idx];
         let cmps = &check_cmp[rel.rel_idx];
-        // The probes are read-only (table overrides, no writes), so the
-        // unbatched path's pool workers share the database.
-        let shared: &Database = db;
         let probe = |rows: &[Row]| {
-            let ctx = ExecContext::with_override(shared, rel.table, rows).with_budget(opts.budget);
+            let ctx = ExecContext::with_override(db, rel.table, rows).with_budget(opts.budget);
             execute(&shape.probes[rel.rel_idx], &ctx)
         };
 
@@ -251,11 +248,10 @@ pub fn spj_disagreements(
         } else {
             // One probe (pair) per update, alone in the widened relation.
             let flags = fan_out(
-                &mut (),
                 news.len() + cmps.len(),
                 opts.parallelism,
                 &opts.telemetry,
-                |_, j| {
+                |j| {
                     let alone = |i, rows| probe(&with_upid(rows, i).collect::<Vec<Row>>());
                     match news.get(j) {
                         Some((i, rows)) => Ok((*i, !alone(*i, rows)?.rows.is_empty())),

@@ -3,12 +3,12 @@
 //!
 //! The support loop is the system's single hottest path — O(|support| ×
 //! query cost), and every iteration is independent of the others. Each
-//! such loop ([`crate::naive`]'s apply/execute/undo, the optimizer's
+//! such loop ([`crate::naive`]'s patched executions, the optimizer's
 //! unbatched probes and full re-checks, [`crate::delta`]'s fallbacks) is a
-//! closure `f(ctx, i)` handed to [`fan_out`], which alone decides how it
-//! runs: **inline** on the caller's own context when one worker suffices
-//! (the default — no clone, no thread), or on a scoped worker pool with
-//! one context replica per worker. Either way three guarantees hold:
+//! closure `f(i)` handed to [`fan_out`], which alone decides how it runs:
+//! **inline** on the caller's thread when one worker suffices (the
+//! default — no thread), or on a scoped worker pool. Either way three
+//! guarantees hold:
 //!
 //! * **Determinism.** Results are collected *index-ordered*: each support
 //!   instance's verdict lands in its own slot regardless of which worker
@@ -20,12 +20,10 @@
 //!   The first [`EngineError::BudgetExceeded`] — or any other error —
 //!   raises a cooperative stop flag; workers abandon their queues at the
 //!   next instance boundary and the lowest-index error is returned.
-//! * **Replica isolation.** Neighborhood instances are evaluated by
-//!   applying an update and rolling it back; a pool worker does this
-//!   against its own deep [`qirana_sqlengine::Database`] clone, so the
-//!   caller's database is never touched by another thread. Read-only
-//!   loops (uniform worlds, table-override probes) pass `()` as
-//!   context and share the data by reference — `Database` is `Sync`
+//! * **Shared `&Database`.** No loop writes: a neighborhood instance is
+//!   the stored database read through its update's row patch
+//!   ([`qirana_sqlengine::ExecContext::with_patch`]), so every worker
+//!   shares the caller's data by reference — `Database` is `Sync`
 //!   (asserted at compile time in `qirana-sqlengine`), and all
 //!   interior-mutable execution state lives in per-execution
 //!   `ExecContext`s.
@@ -45,7 +43,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 const CHUNK: usize = 16;
 
 /// Below this many instances per worker the pool's overhead (thread spawn
-/// + replica clone) outweighs the win; [`fan_out`] then runs inline.
+/// and join) outweighs the win; [`fan_out`] then runs inline.
 const MIN_ITEMS_PER_WORKER: usize = 32;
 
 /// Degree of parallelism for the pricing executor, threaded through
@@ -53,7 +51,7 @@ const MIN_ITEMS_PER_WORKER: usize = 32;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Parallelism {
     /// Single-threaded (the default): every loop runs inline on the
-    /// caller's context.
+    /// caller's thread.
     #[default]
     Sequential,
     /// A fixed worker-pool size (values 0 and 1 mean sequential).
@@ -78,34 +76,30 @@ impl Parallelism {
     }
 }
 
-/// Runs `f(ctx, i)` for every `i in 0..n` and returns the results
+/// Runs `f(i)` for every `i in 0..n` and returns the results
 /// index-ordered — the one place that chooses between running inline and
 /// starting the worker pool.
 ///
 /// With one worker (`parallelism` is sequential, or `n` is too small to
-/// pay for a pool) the loop runs inline on the caller's `ctx` and stops
-/// at the first error. Otherwise each scoped worker clones `ctx` on its
-/// own thread (a database replica, or `()` for read-only work) and steals
-/// chunks of indices; any error raises the stop flag — remaining workers
-/// abandon their queues at the next chunk boundary — and the error with
-/// the lowest index wins deterministically among those raised.
-pub(crate) fn fan_out<C, T, F>(
-    ctx: &mut C,
+/// pay for a pool) the loop runs inline and stops at the first error.
+/// Otherwise scoped workers steal chunks of indices; any error raises the
+/// stop flag — remaining workers abandon their queues at the next chunk
+/// boundary — and the error with the lowest index wins deterministically
+/// among those raised.
+pub(crate) fn fan_out<T, F>(
     n: usize,
     parallelism: Parallelism,
     tel: &Telemetry,
     f: F,
 ) -> Result<Vec<T>, EngineError>
 where
-    C: Clone + Send + Sync,
     T: Send,
-    F: Fn(&mut C, usize) -> Result<T, EngineError> + Sync,
+    F: Fn(usize) -> Result<T, EngineError> + Sync,
 {
     let workers = parallelism.workers(n);
     if workers == 1 {
-        return (0..n).map(|i| f(ctx, i)).collect();
+        return (0..n).map(f).collect();
     }
-    let shared: &C = ctx;
     let next = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
     if tel.is_enabled() {
@@ -117,7 +111,6 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 s.spawn(|| {
-                    let mut ctx = shared.clone();
                     let mut out: Vec<(usize, T)> = Vec::with_capacity(n / workers + CHUNK);
                     let mut err: Option<(usize, EngineError)> = None;
                     let mut chunks = 0u64;
@@ -128,7 +121,7 @@ where
                         }
                         chunks += 1;
                         for i in start..(start + CHUNK).min(n) {
-                            match f(&mut ctx, i) {
+                            match f(i) {
                                 Ok(v) => out.push((i, v)),
                                 Err(e) => {
                                     stop.store(true, Ordering::Relaxed);
@@ -194,7 +187,7 @@ mod tests {
     use crate::engine::{bundle_disagreements, bundle_partition, EngineOptions};
     use crate::normal_form::prepare_query;
     use crate::support::{generate_support, generate_uniform_worlds, SupportConfig, SupportSet};
-    use qirana_sqlengine::{ColumnDef, DataType, Database, ExecBudget, TableSchema};
+    use qirana_sqlengine::{ColumnDef, DataType, Database, ExecBudget, TableSchema, Value};
     use std::time::Duration;
 
     fn db() -> Database {
@@ -248,83 +241,65 @@ mod tests {
     }
 
     #[test]
-    fn inline_runs_on_the_callers_context_and_the_pool_on_replicas() {
+    fn inline_and_pooled_runs_share_the_callers_database() {
+        let database = db();
         let tel = Telemetry::disabled();
-        let touch = |seen: &mut Vec<usize>, i: usize| {
-            seen.push(i);
-            Ok(i * 2)
-        };
-        let want: Vec<usize> = (0..200).map(|i| i * 2).collect();
-
-        let mut seen = Vec::new();
-        let got = fan_out(&mut seen, 200, Parallelism::Sequential, &tel, touch).unwrap();
-        assert_eq!(got, want);
-        assert_eq!(seen, (0..200).collect::<Vec<_>>(), "inline: caller's ctx");
-
-        let mut seen = Vec::new();
-        let got = fan_out(&mut seen, 200, Parallelism::Threads(4), &tel, touch).unwrap();
-        assert_eq!(got, want, "index-ordered for any worker count");
-        assert!(seen.is_empty(), "pool workers mutate their own replicas");
+        let read = |i: usize| Ok(database.table_at(0).rows[i % 30][2].clone());
+        let want: Vec<Value> = (0..200).map(|i| Value::Int((i % 30) * 5)).collect();
+        for par in [Parallelism::Sequential, Parallelism::Threads(4)] {
+            let got = fan_out(200, par, &tel, read).unwrap();
+            assert_eq!(got, want, "index-ordered under {par:?}");
+        }
     }
 
     #[test]
     fn pooled_neighborhood_sweeps_match_inline() {
-        let mut database = db();
+        let database = db();
         let support = neighborhood(&database, 400);
         let q1 = prepare_query(&database, "select v from T where grp = 'a'").unwrap();
         let q2 = prepare_query(&database, "select grp, sum(v) from T group by grp").unwrap();
         let bundle = [&q1, &q2];
         let seq_opts = EngineOptions::naive();
-        let bits = bundle_disagreements(&mut database, &bundle, &support, &seq_opts, None).unwrap();
-        let fps = bundle_partition(&mut database, &bundle, &support, &seq_opts).unwrap();
+        let bits = bundle_disagreements(&database, &bundle, &support, &seq_opts, None).unwrap();
+        let fps = bundle_partition(&database, &bundle, &support, &seq_opts).unwrap();
         for workers in [2, 3, 8] {
             let opts = naive(workers);
-            let par = bundle_disagreements(&mut database, &bundle, &support, &opts, None).unwrap();
+            let par = bundle_disagreements(&database, &bundle, &support, &opts, None).unwrap();
             assert_eq!(bits, par, "worker count {workers} changed bits");
-            let par = bundle_partition(&mut database, &bundle, &support, &opts).unwrap();
+            let par = bundle_partition(&database, &bundle, &support, &opts).unwrap();
             assert_eq!(fps, par, "worker count {workers} changed fingerprints");
         }
     }
 
     #[test]
     fn pooled_uniform_sweeps_match_inline() {
-        let mut database = db();
+        let database = db();
         let support = SupportSet::Uniform(generate_uniform_worlds(&database, 64, 9));
         let q = prepare_query(&database, "select grp, v from T").unwrap();
         let seq_opts = EngineOptions::naive();
-        let bits = bundle_disagreements(&mut database, &[&q], &support, &seq_opts, None).unwrap();
-        let fps = bundle_partition(&mut database, &[&q], &support, &seq_opts).unwrap();
+        let bits = bundle_disagreements(&database, &[&q], &support, &seq_opts, None).unwrap();
+        let fps = bundle_partition(&database, &[&q], &support, &seq_opts).unwrap();
         let opts = naive(4);
         assert_eq!(
             bits,
-            bundle_disagreements(&mut database, &[&q], &support, &opts, None).unwrap()
+            bundle_disagreements(&database, &[&q], &support, &opts, None).unwrap()
         );
         assert_eq!(
             fps,
-            bundle_partition(&mut database, &[&q], &support, &opts).unwrap()
+            bundle_partition(&database, &[&q], &support, &opts).unwrap()
         );
-    }
-
-    #[test]
-    fn caller_database_is_untouched() {
-        let mut database = db();
-        let before = database.table("T").unwrap().rows.clone();
-        let support = neighborhood(&database, 200);
-        let q = prepare_query(&database, "select v from T where v > 10").unwrap();
-        bundle_disagreements(&mut database, &[&q], &support, &naive(4), None).unwrap();
-        assert_eq!(database.table("T").unwrap().rows, before);
     }
 
     #[test]
     fn budget_trip_aborts_fan_out() {
-        let mut database = db();
+        let database = db();
         let support = neighborhood(&database, 300);
         let q = prepare_query(&database, "select * from T").unwrap();
         // An already-expired deadline trips on the first execution of
         // whichever worker gets there first; the pool must abort promptly
         // and surface BudgetExceeded rather than hang or panic.
         let opts = naive(4).with_budget(ExecBudget::default().with_timeout(Duration::ZERO));
-        let err = bundle_disagreements(&mut database, &[&q], &support, &opts, None).unwrap_err();
+        let err = bundle_disagreements(&database, &[&q], &support, &opts, None).unwrap_err();
         assert!(
             matches!(err, EngineError::BudgetExceeded { .. }),
             "expected BudgetExceeded, got {err:?}"
@@ -336,19 +311,13 @@ mod tests {
         // Deterministic error selection: index 7 and 200 both fail; the
         // lowest must win no matter which worker hits which first.
         for _ in 0..8 {
-            let err = fan_out(
-                &mut (),
-                256,
-                Parallelism::Threads(4),
-                &Telemetry::disabled(),
-                |_, i| {
-                    if i == 7 || i == 200 {
-                        Err(EngineError::Eval(format!("boom {i}")))
-                    } else {
-                        Ok(i)
-                    }
-                },
-            )
+            let err = fan_out(256, Parallelism::Threads(4), &Telemetry::disabled(), |i| {
+                if i == 7 || i == 200 {
+                    Err(EngineError::Eval(format!("boom {i}")))
+                } else {
+                    Ok(i)
+                }
+            })
             .unwrap_err();
             // Index 7 is in the very first chunk, claimed before any
             // worker can reach 200 and stop the pool.

@@ -140,7 +140,30 @@ impl SupportUpdate {
         }
     }
 
-    /// Applies the update (`up↑`), returning the undo writes (`up↓`).
+    /// The row indices the update touches: one for a row update, two for
+    /// a swap.
+    pub fn rows(&self) -> Vec<usize> {
+        match self {
+            SupportUpdate::Row { row, .. } => vec![*row],
+            SupportUpdate::Swap { row_a, row_b, .. } => vec![*row_a, *row_b],
+        }
+    }
+
+    /// The update as a row patch over `db`: each touched row index with its
+    /// `u⁺` row ([`Self::old_new_rows`]), sorted by index. Executing under
+    /// [`qirana_sqlengine::ExecContext::with_patch`] with it executes on the
+    /// neighboring instance without writing the stored one.
+    pub fn patch(&self, db: &Database) -> Vec<(usize, Row)> {
+        let (_, new) = self.old_new_rows(db);
+        let mut patch: Vec<(usize, Row)> = self.rows().into_iter().zip(new).collect();
+        patch.sort_by_key(|(i, _)| *i);
+        patch.dedup_by_key(|(i, _)| *i);
+        patch
+    }
+
+    /// Applies the update (`up↑`), returning the undo writes (`up↓`). Only
+    /// commits and the brute-force test oracles write; sweeps read the
+    /// update as a [`Self::patch`].
     pub fn apply(&self, db: &mut Database) -> Vec<CellWrite> {
         let writes = self.to_writes(db);
         apply_writes(db, &writes)

@@ -88,7 +88,7 @@ pub fn uniform_weights(support_size: usize, total_price: f64) -> Vec<f64> {
 /// points. With no price points this returns the uniform assignment
 /// directly (the program's closed-form optimum).
 pub fn assign_weights(
-    db: &mut Database,
+    db: &Database,
     support: &SupportSet,
     total_price: f64,
     points: &[PricePoint],
@@ -108,7 +108,7 @@ pub fn assign_weights(
 /// iteration cap) — the broker's retry loop threads its per-attempt time
 /// limit through here.
 pub fn assign_weights_with(
-    db: &mut Database,
+    db: &Database,
     support: &SupportSet,
     total_price: f64,
     points: &[PricePoint],
@@ -218,25 +218,24 @@ mod tests {
 
     #[test]
     fn no_points_gives_uniform() {
-        let mut database = db();
+        let database = db();
         let s = support(&database, 50);
-        let w = assign_weights(&mut database, &s, 100.0, &[], &EngineOptions::default()).unwrap();
+        let w = assign_weights(&database, &s, 100.0, &[], &EngineOptions::default()).unwrap();
         assert_eq!(w, vec![2.0; 50]);
     }
 
     #[test]
     fn relation_price_point_honored() {
-        let mut database = db();
+        let database = db();
         let s = support(&database, 400);
         let points = [PricePoint::new("SELECT * FROM User", 70.0)];
-        let w =
-            assign_weights(&mut database, &s, 100.0, &points, &EngineOptions::default()).unwrap();
+        let w = assign_weights(&database, &s, 100.0, &points, &EngineOptions::default()).unwrap();
         assert_eq!(w.len(), 400);
         assert!((w.iter().sum::<f64>() - 100.0).abs() < 1e-5);
         // Re-derive the constraint: User-touching updates must carry 70.
         let q = prepare_query(&database, "SELECT * FROM User").unwrap();
-        let bits = bundle_disagreements(&mut database, &[&q], &s, &EngineOptions::default(), None)
-            .unwrap();
+        let bits =
+            bundle_disagreements(&database, &[&q], &s, &EngineOptions::default(), None).unwrap();
         let user_mass: f64 = w
             .iter()
             .zip(&bits)
@@ -248,35 +247,34 @@ mod tests {
 
     #[test]
     fn infeasible_point_detected() {
-        let mut database = db();
+        let database = db();
         let s = support(&database, 100);
         // A subset of the data priced above the whole dataset.
         let points = [PricePoint::new("SELECT * FROM User", 170.0)];
-        let err = assign_weights(&mut database, &s, 100.0, &points, &EngineOptions::default())
-            .unwrap_err();
+        let err =
+            assign_weights(&database, &s, 100.0, &points, &EngineOptions::default()).unwrap_err();
         assert!(matches!(err, WeightError::Infeasible { .. }), "{err}");
     }
 
     #[test]
     fn bad_sql_reported() {
-        let mut database = db();
+        let database = db();
         let s = support(&database, 10);
         let points = [PricePoint::new("SELECT nope FROM User", 10.0)];
-        let err = assign_weights(&mut database, &s, 100.0, &points, &EngineOptions::default())
-            .unwrap_err();
+        let err =
+            assign_weights(&database, &s, 100.0, &points, &EngineOptions::default()).unwrap_err();
         assert!(matches!(err, WeightError::BadPricePoint { .. }));
     }
 
     #[test]
     fn attribute_level_point() {
-        let mut database = db();
+        let database = db();
         let s = support(&database, 400);
         let points = [
             PricePoint::new("SELECT uid, age FROM User", 50.0),
             PricePoint::new("SELECT * FROM User", 70.0),
         ];
-        let w =
-            assign_weights(&mut database, &s, 100.0, &points, &EngineOptions::default()).unwrap();
+        let w = assign_weights(&database, &s, 100.0, &points, &EngineOptions::default()).unwrap();
         assert!((w.iter().sum::<f64>() - 100.0).abs() < 1e-5);
         assert!(w.iter().all(|&x| x >= -1e-12), "weights nonnegative");
     }

@@ -10,7 +10,8 @@
 //! sets, seller updates and SPJ/aggregate queries, every cell must produce
 //! *identical* disagreement bits and partition fingerprints — and
 //! therefore bitwise-identical prices. The reference in turn is held to an
-//! unfiltered apply/execute/undo oracle that shares no code with it.
+//! unfiltered apply/execute/undo oracle that shares no code with it: sweeps
+//! read each neighbor through a row patch, the oracle writes it.
 
 use proptest::prelude::*;
 use qirana_core::engine::{bag_fp, query_bits, query_fps};
@@ -189,6 +190,10 @@ proptest! {
         let reference = EngineOptions::naive();
         let mut pool = query_pool(c);
         pool.push("SELECT DISTINCT grp FROM T".to_string());
+        // Both bindings of a self-join, and a correlated subquery, read the
+        // updated relation.
+        pool.push("SELECT a.v, b.v FROM T a, T b WHERE a.grp = b.grp AND a.id < b.id".to_string());
+        pool.push("SELECT id FROM T x WHERE v > (SELECT avg(v) FROM T y WHERE y.grp = x.grp)".to_string());
         for sql in &pool {
             let q = prepare_query(&db, sql).unwrap();
             let base = bag_fp(execute(&q.plan, &ExecContext::new(&db)).unwrap());
@@ -201,9 +206,9 @@ proptest! {
                     fp
                 })
                 .collect();
-            let fps = query_fps(&mut db, &q, &support, &reference).unwrap();
+            let fps = query_fps(&db, &q, &support, &reference).unwrap();
             prop_assert_eq!(&fps, &brute, "reference fingerprints diverge for {}", sql);
-            let bits = query_bits(&mut db, &q, &support, &all, &reference).unwrap();
+            let bits = query_bits(&db, &q, &support, &all, &reference).unwrap();
             let brute_bits: Vec<bool> = brute.iter().map(|fp| *fp != base).collect();
             prop_assert_eq!(bits, brute_bits, "reference bits diverge for {}", sql);
         }
@@ -231,20 +236,20 @@ proptest! {
         let q = prepare_query(&db, sql).unwrap();
 
         let reference = EngineOptions::naive();
-        let ref_bits = bundle_disagreements(&mut db, &[&q], &support, &reference, None).unwrap();
-        let ref_fps = bundle_partition(&mut db, &[&q], &support, &reference).unwrap();
+        let ref_bits = bundle_disagreements(&db, &[&q], &support, &reference, None).unwrap();
+        let ref_fps = bundle_partition(&db, &[&q], &support, &reference).unwrap();
         let weights = uniform_weights(support.len(), 100.0);
         for strategy in STRATEGIES {
             for parallelism in [Parallelism::Sequential, PAR] {
                 let opts = engine(strategy, parallelism, CacheConfig::disabled());
-                let bits = bundle_disagreements(&mut db, &[&q], &support, &opts, None).unwrap();
+                let bits = bundle_disagreements(&db, &[&q], &support, &opts, None).unwrap();
                 prop_assert_eq!(&bits, &ref_bits, "bits diverge for {} under {:?}", sql, opts);
                 prop_assert_eq!(
                     weighted_coverage(&weights, &bits).to_bits(),
                     weighted_coverage(&weights, &ref_bits).to_bits(),
                     "coverage price diverges for {}", sql
                 );
-                let fps = bundle_partition(&mut db, &[&q], &support, &opts).unwrap();
+                let fps = bundle_partition(&db, &[&q], &support, &opts).unwrap();
                 prop_assert_eq!(&fps, &ref_fps, "partition diverges for {} under {:?}", sql, opts);
                 prop_assert_eq!(
                     shannon_entropy(100.0, &weights, &fps).to_bits(),
@@ -406,16 +411,16 @@ proptest! {
         seed in any::<u64>(),
         query_idx in 0usize..5,
     ) {
-        let mut db = build_db(&t_rows, &[]);
+        let db = build_db(&t_rows, &[]);
         let sql = &query_pool(0)[query_idx];
         let q = prepare_query(&db, sql).unwrap();
         let support = SupportSet::Uniform(generate_uniform_worlds(&db, 80, seed));
 
         let seq = bundle_disagreements(
-            &mut db, &[&q], &support, &EngineOptions::default(), None,
+            &db, &[&q], &support, &EngineOptions::default(), None,
         ).unwrap();
         let par = bundle_disagreements(
-            &mut db, &[&q], &support, &EngineOptions::default().with_parallelism(PAR), None,
+            &db, &[&q], &support, &EngineOptions::default().with_parallelism(PAR), None,
         ).unwrap();
         prop_assert_eq!(seq, par, "uniform bits diverge for {}", sql);
     }
@@ -546,7 +551,7 @@ fn pricing_detects_update_between_adjacent_large_ints() {
     }]);
     for strategy in STRATEGIES {
         let opts = engine(strategy, Parallelism::Sequential, CacheConfig::disabled());
-        let bits = bundle_disagreements(&mut db, &[&q], &support, &opts, None).unwrap();
+        let bits = bundle_disagreements(&db, &[&q], &support, &opts, None).unwrap();
         assert_eq!(
             bits,
             vec![true],
@@ -661,9 +666,9 @@ fn tpch_q1_default_path_matches_naive_and_brute_force() {
     let all = vec![true; support.len()];
     for strategy in [Strategy::Auto, Strategy::Naive] {
         let opts = engine(strategy, Parallelism::Sequential, CacheConfig::disabled());
-        let bits = query_bits(&mut db, &q, &support, &all, &opts).unwrap();
+        let bits = query_bits(&db, &q, &support, &all, &opts).unwrap();
         assert_eq!(bits, brute_bits, "Q1 bits under {strategy:?}");
-        let fps = query_fps(&mut db, &q, &support, &opts).unwrap();
+        let fps = query_fps(&db, &q, &support, &opts).unwrap();
         assert_eq!(fps, brute, "Q1 fingerprints under {strategy:?}");
     }
 }
@@ -673,7 +678,7 @@ fn tpch_q1_default_path_matches_naive_and_brute_force() {
 #[test]
 fn budget_trip_propagates_through_parallel_path() {
     let t_rows: Vec<(u8, i16)> = (0..16).map(|i| (i as u8, i as i16)).collect();
-    let mut db = build_db(&t_rows, &[]);
+    let db = build_db(&t_rows, &[]);
     let q = prepare_query(&db, "SELECT grp, sum(v) FROM T GROUP BY grp").unwrap();
     let support = SupportSet::Neighborhood(generate_support(
         &db,
@@ -685,7 +690,7 @@ fn budget_trip_propagates_through_parallel_path() {
     let opts = EngineOptions::naive()
         .with_parallelism(PAR)
         .with_budget(ExecBudget::default().with_timeout(Duration::ZERO));
-    let err = bundle_disagreements(&mut db, &[&q], &support, &opts, None).unwrap_err();
+    let err = bundle_disagreements(&db, &[&q], &support, &opts, None).unwrap_err();
     assert!(
         matches!(err, EngineError::BudgetExceeded { .. }),
         "expected BudgetExceeded, got {err:?}"

@@ -20,8 +20,8 @@
 //! price from the concurrent phase must equal the sequential phase's
 //! price down to the last mantissa bit. Quotes run concurrently on the
 //! broker's read lock and buys serialize on the write lock, so any
-//! interleaving sensitivity — a torn cache probe, a scratch database
-//! leaking state, an account update racing a quote — shows up here as a
+//! interleaving sensitivity — a torn cache probe, a sweep reading
+//! a database a commit is writing, an account update racing a quote — shows up here as a
 //! flipped bit. Prices travel as JSON numbers; the emitter is
 //! shortest-round-trip, so the wire does not quantize.
 //!

@@ -6,7 +6,7 @@
 //! ## The read/commit split
 //!
 //! The broker's read path is `&self` (peek-only pricing-cache probes,
-//! scratch databases from an internal pool), so the service wraps one
+//! sweeps that only read the stored database), so the service wraps one
 //! [`Qirana`] in an [`RwLock`] and runs every quote — and the sweep half
 //! of every buy — under the *read* lock: any number of buyer sessions
 //! price concurrently without serializing on each other. State changes —

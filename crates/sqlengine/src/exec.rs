@@ -7,12 +7,18 @@
 //! bound), then grouping/aggregation, HAVING, projection, DISTINCT,
 //! ORDER BY, and LIMIT run as bulk passes.
 //!
-//! Two features exist specifically for the pricing layer:
+//! Three features exist specifically for the pricing layer:
 //!
 //! * **Table overrides** ([`ExecContext::with_override`]): execute a plan as
 //!   if relation `R` contained different rows — this is how QIRANA evaluates
 //!   `Q((D ∖ R) ∪ {u⁺})` without touching the stored instance (§4.1) and how
 //!   batch queries run over the synthetic `R⁺` relation (§4.2).
+//! * **Row patches** ([`ExecContext::with_patch`]): execute a plan as if a
+//!   few rows of `R` held other values — one support instance, a row or
+//!   swap edit of the stored database (§3.1). Scans read a patched row in
+//!   place of the stored one at the same index, so row order, every float
+//!   fold and every fingerprint are bitwise those of the edited database;
+//!   unpatched tables are still borrowed, never copied.
 //! * **Open plans**: the executor accepts programmatically modified
 //!   [`ResolvedSelect`] values (key-augmented, unrolled, widened).
 
@@ -158,12 +164,13 @@ impl BudgetMeter {
     }
 }
 
-/// Execution context: the database, optional per-table row overrides, and
-/// an optional resource budget.
+/// Execution context: the database, optional per-table row overrides and
+/// row patches, and an optional resource budget.
 #[derive(Clone)]
 pub struct ExecContext<'a> {
     db: &'a Database,
     overrides: Vec<(usize, &'a [Row])>,
+    patches: Vec<(usize, &'a [(usize, Row)])>,
     meter: BudgetMeter,
 }
 
@@ -173,6 +180,7 @@ impl<'a> ExecContext<'a> {
         ExecContext {
             db,
             overrides: Vec::new(),
+            patches: Vec::new(),
             meter: BudgetMeter::new(ExecBudget::UNLIMITED),
         }
     }
@@ -180,10 +188,21 @@ impl<'a> ExecContext<'a> {
     /// Context where table `table_idx`'s rows are replaced by `rows`.
     pub fn with_override(db: &'a Database, table_idx: usize, rows: &'a [Row]) -> Self {
         ExecContext {
-            db,
             overrides: vec![(table_idx, rows)],
-            meter: BudgetMeter::new(ExecBudget::UNLIMITED),
+            ..ExecContext::new(db)
         }
+    }
+
+    /// Builder: scans of table `table_idx` read `patch`'s row in place of
+    /// the row at its index — a row update is one pair, a swap two. The
+    /// indices must be strictly increasing and address the table's rows,
+    /// or its override rows when it has one; a malformed patch surfaces as
+    /// [`EngineError::Internal`] from the execution. Replaces any earlier
+    /// patch of the same table.
+    pub fn with_patch(mut self, table_idx: usize, patch: &'a [(usize, Row)]) -> Self {
+        self.patches.retain(|(t, _)| *t != table_idx);
+        self.patches.push((table_idx, patch));
+        self
     }
 
     /// Installs a resource budget; the wall-clock deadline starts now.
@@ -219,26 +238,47 @@ impl<'a> ExecContext<'a> {
             .charge(n, n * (row_width * std::mem::size_of::<Value>()) as u64)
     }
 
-    /// Adds (or replaces) an override.
-    pub fn add_override(&mut self, table_idx: usize, rows: &'a [Row]) {
-        if let Some(e) = self.overrides.iter_mut().find(|(t, _)| *t == table_idx) {
-            e.1 = rows;
-        } else {
-            self.overrides.push((table_idx, rows));
-        }
-    }
-
     /// The database under execution.
     pub fn db(&self) -> &'a Database {
         self.db
     }
 
-    fn rows_for(&self, table_idx: usize) -> &'a [Row] {
-        self.overrides
-            .iter()
-            .find(|(t, _)| *t == table_idx)
-            .map(|(_, r)| *r)
-            .unwrap_or(&self.db.table_at(table_idx).rows)
+    /// Table `table_idx` as a scan source for a plan relation of `arity`
+    /// columns. Override and patch rows come from the caller, so each is
+    /// checked here: a malformed one is a typed error, not a panic on a
+    /// slot read.
+    fn scan(&self, table_idx: usize, arity: usize) -> Result<Source<'a>> {
+        let malformed = |what: String| {
+            Err(EngineError::internal(format!(
+                "{what} of table {table_idx} does not fit the plan's {arity}-column relation"
+            )))
+        };
+        let rows: &'a [Row] = match self.overrides.iter().find(|(t, _)| *t == table_idx) {
+            Some((_, rows)) => {
+                if let Some(i) = rows.iter().position(|r| r.len() != arity) {
+                    return malformed(format!("override row {i}"));
+                }
+                rows
+            }
+            None => {
+                let rows = &self.db.table_at(table_idx).rows;
+                if rows.first().is_some_and(|r| r.len() != arity) {
+                    return malformed("stored row 0".into());
+                }
+                rows
+            }
+        };
+        let Some((_, patch)) = self.patches.iter().find(|(t, _)| *t == table_idx) else {
+            return Ok(Source::Borrowed(rows));
+        };
+        let mut next = 0;
+        for (i, row) in patch.iter() {
+            if *i < next || *i >= rows.len() || row.len() != arity {
+                return malformed(format!("patch row {i}"));
+            }
+            next = i + 1;
+        }
+        Ok(Source::Patched { rows, patch })
     }
 }
 
@@ -696,17 +736,38 @@ impl Accum {
 // FROM evaluation (joins)
 // ---------------------------------------------------------------------------
 
+/// One relation's rows as the join reads them.
 enum Source<'a> {
     Borrowed(&'a [Row]),
+    /// Borrowed rows with a validated, index-sorted row patch read in place.
+    Patched {
+        rows: &'a [Row],
+        patch: &'a [(usize, Row)],
+    },
     Owned(Vec<Row>),
 }
 
 impl Source<'_> {
-    fn as_slice(&self) -> &[Row] {
+    fn len(&self) -> usize {
         match self {
-            Source::Borrowed(r) => r,
-            Source::Owned(r) => r,
+            Source::Borrowed(rows) | Source::Patched { rows, .. } => rows.len(),
+            Source::Owned(rows) => rows.len(),
         }
+    }
+
+    /// The rows in stored order, each patched index yielding its patch row.
+    fn iter(&self) -> impl Iterator<Item = &Row> {
+        let (rows, patch): (&[Row], &[(usize, Row)]) = match self {
+            Source::Borrowed(rows) => (rows, &[]),
+            Source::Patched { rows, patch } => (rows, patch),
+            Source::Owned(rows) => (rows, &[]),
+        };
+        let mut pending = patch.iter().peekable();
+        rows.iter().enumerate().map(move |(i, row)| {
+            pending
+                .next_if(|(j, _)| *j == i)
+                .map_or(row, |(_, patched)| patched)
+        })
     }
 }
 
@@ -822,18 +883,7 @@ fn run_from(
     let mut sources: Vec<Source<'_>> = Vec::with_capacity(n);
     for (i, rel) in plan.relations.iter().enumerate() {
         let raw: Source<'_> = match rel {
-            PRelation::Base { table, arity, .. } => {
-                let rows = ctx.rows_for(*table);
-                if let Some(r0) = rows.first() {
-                    assert_eq!(
-                        r0.len(),
-                        *arity,
-                        "override rows must match the plan's arity for {}",
-                        rel.binding()
-                    );
-                }
-                Source::Borrowed(rows)
-            }
+            PRelation::Base { table, arity, .. } => ctx.scan(*table, *arity)?,
             PRelation::Derived { plan: sub, .. } => {
                 Source::Owned(execute_nested(sub, ctx, &[])?.rows)
             }
@@ -852,7 +902,7 @@ fn run_from(
             })
             .collect();
         let mut kept = Vec::new();
-        for row in raw.as_slice() {
+        for row in raw.iter() {
             let env = Env {
                 row,
                 aggs: None,
@@ -879,13 +929,12 @@ fn run_from(
     // connected relation (falling back to cartesian product).
     // The planner rejects SELECTs with an empty FROM list, so n >= 1.
     let start = (0..n)
-        .min_by_key(|&i| sources[i].as_slice().len())
+        .min_by_key(|&i| sources[i].len())
         .ok_or_else(|| EngineError::internal("greedy join started with an empty FROM list"))?;
     let mut bound: u64 = 1 << start;
     let width = plan.width;
-    let start_rows = sources[start].as_slice();
-    let mut inter: Vec<Row> = Vec::with_capacity(start_rows.len());
-    for r in start_rows {
+    let mut inter: Vec<Row> = Vec::with_capacity(sources[start].len());
+    for r in sources[start].iter() {
         ctx.charge_rows(1, width)?;
         inter.push(widen(r, plan.offsets[start], width));
     }
@@ -905,7 +954,7 @@ fn run_from(
             });
             if connected
                 && candidate
-                    .map(|c| sources[r].as_slice().len() < sources[c].as_slice().len())
+                    .map(|c| sources[r].len() < sources[c].len())
                     .unwrap_or(true)
             {
                 candidate = Some(r);
@@ -937,9 +986,9 @@ fn run_from(
                     })
                     .collect();
                 // Build.
-                let rows_r = sources[r].as_slice();
-                let mut ht: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(rows_r.len());
-                'build: for (i, row) in rows_r.iter().enumerate() {
+                let mut ht: HashMap<Vec<Value>, Vec<&Row>> =
+                    HashMap::with_capacity(sources[r].len());
+                'build: for row in sources[r].iter() {
                     let env = Env {
                         row,
                         aggs: None,
@@ -956,7 +1005,7 @@ fn run_from(
                         key.push(v);
                     }
                     ctx.charge_rows(1, key.len())?;
-                    ht.entry(key).or_default().push(i);
+                    ht.entry(key).or_default().push(row);
                 }
                 // Probe.
                 let mut next = Vec::new();
@@ -977,10 +1026,10 @@ fn run_from(
                         key.push(v);
                     }
                     if let Some(matches) = ht.get(&key) {
-                        for &mi in matches {
+                        for &matched in matches {
                             ctx.charge_rows(1, width)?;
                             let mut merged = irow.clone();
-                            fill(&mut merged, &rows_r[mi], offset);
+                            fill(&mut merged, matched, offset);
                             next.push(merged);
                         }
                     }
@@ -993,15 +1042,14 @@ fn run_from(
                 // The loop runs only while some relation is unbound.
                 let r = (0..n)
                     .filter(|&i| bound & (1 << i) == 0)
-                    .min_by_key(|&i| sources[i].as_slice().len())
+                    .min_by_key(|&i| sources[i].len())
                     .ok_or_else(|| {
                         EngineError::internal("greedy join loop ran with every relation bound")
                     })?;
                 let offset = plan.offsets[r];
-                let rows_r = sources[r].as_slice();
-                let mut next = Vec::with_capacity(inter.len() * rows_r.len().max(1));
+                let mut next = Vec::with_capacity(inter.len() * sources[r].len().max(1));
                 for irow in &inter {
-                    for row in rows_r {
+                    for row in sources[r].iter() {
                         ctx.charge_rows(1, width)?;
                         let mut merged = irow.clone();
                         fill(&mut merged, row, offset);
@@ -1904,6 +1952,165 @@ mod tests {
         let ctx = ExecContext::with_override(&db, user_idx, &singleton);
         let out = execute(&plan, &ctx).unwrap();
         assert_eq!(out.rows, vec![vec![Value::Int(1)]]);
+    }
+
+    // -- row patches -----------------------------------------------------------
+
+    /// `sql` under `patch` on `table`, next to `sql` on a copy of `db` with
+    /// the patched rows written in place — the two must be equal. Returns
+    /// both with the unpatched output, so a caller can check the edit bit.
+    fn patched_and_edited(
+        db: &Database,
+        table: &str,
+        patch: &[(usize, Row)],
+        sql: &str,
+    ) -> (QueryOutput, QueryOutput) {
+        let plan = plan_select(&parse_select(sql).unwrap(), db).unwrap();
+        let t = db.table_index(table).unwrap();
+        let patched = execute(&plan, &ExecContext::new(db).with_patch(t, patch)).unwrap();
+        let mut edited = db.clone();
+        for (i, row) in patch {
+            edited.table_at_mut(t).rows[*i] = row.clone();
+        }
+        let direct = execute(&plan, &ExecContext::new(&edited)).unwrap();
+        assert_eq!(patched, direct, "patch is not the edit for {sql}");
+        (patched, execute(&plan, &ExecContext::new(db)).unwrap())
+    }
+
+    /// Asserts the patch equals the edit and changes `sql`'s output.
+    fn check_patch(db: &Database, table: &str, patch: &[(usize, Row)], sql: &str) {
+        let (patched, stored) = patched_and_edited(db, table, patch, sql);
+        assert_ne!(patched, stored, "the patch must bite for {sql}");
+    }
+
+    fn user(uid: i64, name: &str, gender: &str, age: i64) -> Row {
+        vec![uid.into(), name.into(), gender.into(), age.into()]
+    }
+
+    fn tweet(tid: i64, uid: i64, location: &str) -> Row {
+        vec![tid.into(), uid.into(), location.into()]
+    }
+
+    #[test]
+    fn patch_is_seen_by_prefiltered_and_unfiltered_scans() {
+        let db = db();
+        let alice_at_30 = [(1, user(2, "Alice", "f", 30))];
+        check_patch(
+            &db,
+            "User",
+            &alice_at_30,
+            "select name from User where age > 20",
+        );
+        check_patch(&db, "User", &alice_at_30, "select name, age from User");
+    }
+
+    #[test]
+    fn patch_is_seen_on_both_join_sides_and_in_a_cartesian_product() {
+        let db = db();
+        let join = "select name, location from User, Tweet where User.uid = Tweet.uid";
+        // User starts the greedy join (probe side); Tweet is hashed.
+        check_patch(&db, "Tweet", &[(0, tweet(1, 4, "CA"))], join);
+        check_patch(&db, "User", &[(2, user(3, "Rob", "m", 45))], join);
+        let product = "select name, location from User, Tweet";
+        check_patch(&db, "Tweet", &[(3, tweet(4, 2, "NV"))], product);
+        check_patch(&db, "User", &[(0, user(1, "Jon", "m", 25))], product);
+    }
+
+    #[test]
+    fn patch_is_seen_by_both_bindings_of_a_self_join() {
+        let db = db();
+        check_patch(
+            &db,
+            "User",
+            &[(1, user(2, "Alice", "m", 13))],
+            "select a.name, b.name from User a, User b where a.gender = b.gender and a.uid < b.uid",
+        );
+    }
+
+    #[test]
+    fn patch_is_seen_inside_derived_tables_and_subqueries() {
+        let db = db();
+        check_patch(
+            &db,
+            "Tweet",
+            &[(0, tweet(1, 4, "CA"))],
+            "select avg(c) from (select uid, count(*) as c from Tweet group by uid) as t",
+        );
+        check_patch(
+            &db,
+            "Tweet",
+            &[(1, tweet(2, 3, "CA"))],
+            "select name from User U where exists \
+             (select 1 from Tweet T where T.uid = U.uid and T.location = 'WA')",
+        );
+        check_patch(
+            &db,
+            "Tweet",
+            &[(3, tweet(4, 2, "OR"))],
+            "select name from User U where U.uid in \
+             (select T.uid from Tweet T where T.uid = U.uid and T.location = 'CA')",
+        );
+        // The scalar subquery scans the patched table the outer block scans.
+        check_patch(
+            &db,
+            "User",
+            &[(1, user(2, "Alice", "f", 40))],
+            "select name from User U where age > \
+             (select avg(age) from User V where V.gender = U.gender)",
+        );
+    }
+
+    #[test]
+    fn swap_patch_keeps_the_float_fold_order() {
+        let mut db = Database::new();
+        db.add_table(
+            TableSchema::new(
+                "F",
+                vec![
+                    ColumnDef::new("id", DataType::Int),
+                    ColumnDef::new("grp", DataType::Str),
+                    ColumnDef::new("x", DataType::Float),
+                ],
+                &["id"],
+            ),
+            [(0, "a", 0.1), (1, "a", 0.2), (2, "a", 0.3), (3, "b", 1.0)]
+                .into_iter()
+                .map(|(id, g, x)| vec![Value::Int(id), g.into(), Value::Float(x)])
+                .collect::<Vec<_>>(),
+        );
+        // Swapping x between rows 0 and 2 keeps group a's bag, but the sum
+        // folds 0.3 + 0.2 + 0.1 instead of 0.1 + 0.2 + 0.3.
+        let swap = [
+            (0, vec![Value::Int(0), "a".into(), Value::Float(0.3)]),
+            (2, vec![Value::Int(2), "a".into(), Value::Float(0.1)]),
+        ];
+        let sql = "select grp, sum(x) from F group by grp order by grp";
+        let (patched, stored) = patched_and_edited(&db, "F", &swap, sql);
+        let bits = |out: &QueryOutput| match out.rows[0][1] {
+            Value::Float(f) => f.to_bits(),
+            ref other => panic!("float sum expected, got {other:?}"),
+        };
+        assert_eq!(bits(&patched), 0.6f64.to_bits());
+        assert_eq!(bits(&stored), (0.1f64 + 0.2 + 0.3).to_bits());
+    }
+
+    #[test]
+    fn malformed_patch_or_override_rows_are_typed_errors() {
+        let db = db();
+        let plan = plan_select(&parse_select("select name from User").unwrap(), &db).unwrap();
+        let short: Vec<Row> = vec![vec![9.into()]];
+        let run = |ctx: ExecContext<'_>| execute(&plan, &ctx).unwrap_err();
+        let narrow = [(1, vec![Value::Int(2)])];
+        let unsorted = [(2, user(3, "Bob", "m", 45)), (1, user(2, "Al", "f", 13))];
+        let beyond = [(4, user(5, "Eve", "f", 30))];
+        for err in [
+            run(ExecContext::with_override(&db, 0, &short)),
+            run(ExecContext::new(&db).with_patch(0, &narrow)),
+            run(ExecContext::new(&db).with_patch(0, &unsorted)),
+            run(ExecContext::new(&db).with_patch(0, &beyond)),
+        ] {
+            assert!(matches!(err, EngineError::Internal(_)), "got {err:?}");
+        }
     }
 
     #[test]

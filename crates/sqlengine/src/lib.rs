@@ -14,9 +14,11 @@
 //!   scalar subqueries including correlated ones;
 //! * `UPDATE` statements and primitive cell writes with undo.
 //!
-//! Two pricing-specific capabilities distinguish it from a generic engine:
+//! Three pricing-specific capabilities distinguish it from a generic engine:
 //! **table overrides** (execute a plan as if a relation contained different
-//! rows) and **open plans** ([`plan::ResolvedSelect`] exposes its structure
+//! rows), **row patches** (execute as if a few rows held other values —
+//! one support instance, read without writing the stored database) and
+//! **open plans** ([`plan::ResolvedSelect`] exposes its structure
 //! and slot-rewriting helpers so the pricing optimizer can derive augmented,
 //! unrolled, and batch queries programmatically).
 //!

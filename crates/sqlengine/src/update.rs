@@ -1,11 +1,12 @@
 //! Primitive cell-level updates with undo.
 //!
 //! QIRANA represents each support-set instance as an update over the stored
-//! database (§3.2) and needs to apply and roll back such updates millions of
-//! times. The engine-level primitive is a [`CellWrite`]; applying a batch of
-//! writes returns the inverse batch. SQL `UPDATE` statements are also
-//! supported for updates expressed as text (the paper stores them in an
-//! `UpdateQueries` table).
+//! database (§3.2). Pricing sweeps read such an update as a row patch
+//! ([`crate::ExecContext::with_patch`]) and never write; committed seller
+//! updates and test oracles write through the engine-level primitive, a
+//! [`CellWrite`]: applying a batch of writes returns the inverse batch.
+//! SQL `UPDATE` statements are also supported for updates expressed as
+//! text (the paper stores them in an `UpdateQueries` table).
 
 use crate::ast::{SelectItem, SelectStmt, Statement, UpdateStmt};
 use crate::database::Database;

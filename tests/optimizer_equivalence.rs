@@ -113,6 +113,10 @@ const QUERIES: &[&str] = &[
     "select gender, count(*) as c from User group by gender having c > 1",
     "select uid from User where uid in (select uid from Tweet where location = 'CA')",
     "select count(*) from User U where exists (select 1 from Tweet T where T.uid = U.uid)",
+    // Both bindings of a self-join, and a correlated subquery, read the
+    // updated relation.
+    "select U1.uid, U2.uid from User U1, User U2 where U1.age = U2.age and U1.uid < U2.uid",
+    "select uid from User U where age > (select avg(age) from User V where V.gender = U.gender)",
 ];
 
 /// Aggregates over `world` that were mispriced before coverage read the
@@ -206,7 +210,7 @@ fn brute_force(
 /// entry, or an uncached sweep, then the buy's commit step.
 fn memoized(
     cache: &mut PricingCache,
-    db: &mut Database,
+    db: &Database,
     q: &Prepared,
     support: &SupportSet,
     opts: &EngineOptions,
@@ -362,7 +366,7 @@ fn skip_bitmap_consistency() {
     // non-skipped positions and be false elsewhere.
     let users: Vec<(i64, u8, i64)> = (0..8).map(|i| (i, (i % 2) as u8, 20 + i)).collect();
     let tweets: Vec<(i64, i64, u8)> = (0..10).map(|i| (i, i, (i % 3) as u8)).collect();
-    let mut db = build_db(&users, &tweets);
+    let db = build_db(&users, &tweets);
     let support = SupportSet::Neighborhood(generate_support(
         &db,
         &SupportConfig {
@@ -371,17 +375,10 @@ fn skip_bitmap_consistency() {
         },
     ));
     let q = prepare_query(&db, "select gender, avg(age) from User group by gender").unwrap();
-    let full =
-        bundle_disagreements(&mut db, &[&q], &support, &EngineOptions::default(), None).unwrap();
+    let full = bundle_disagreements(&db, &[&q], &support, &EngineOptions::default(), None).unwrap();
     let skip: Vec<bool> = (0..200).map(|i| i % 3 == 0).collect();
-    let masked = bundle_disagreements(
-        &mut db,
-        &[&q],
-        &support,
-        &EngineOptions::default(),
-        Some(&skip),
-    )
-    .unwrap();
+    let masked =
+        bundle_disagreements(&db, &[&q], &support, &EngineOptions::default(), Some(&skip)).unwrap();
     for i in 0..200 {
         if skip[i] {
             assert!(!masked[i], "skipped position {i} must stay false");

@@ -10,8 +10,8 @@
 //! repeated information is never charged twice and a buyer who has paid for
 //! everything gets all further queries free.
 
-use crate::cache::{Artifact, CacheStats, Kind, PricingCache};
-use crate::engine::{failpoint, fold_partition, query_bits, query_fps, EngineOptions};
+use crate::cache::{Artifact, CacheStats, Handed, Kind, PricingCache};
+use crate::engine::{failpoint, fold_partition, run_plan, sweep_bits, sweep_fps, EngineOptions};
 use crate::fault;
 use crate::ledger::{
     self, BuyerSnapshot, Ledger, LedgerConfig, LedgerError, LedgerEvent, SnapshotState,
@@ -25,7 +25,7 @@ use crate::telemetry::Stage;
 use crate::weights::{assign_weights_with, uniform_weights, PricePoint, WeightError};
 use qirana_solver::SolverOptions;
 use qirana_sqlengine::update::{apply_update_sql, apply_writes, CellWrite};
-use qirana_sqlengine::{execute, Database, EngineError, ExecContext, Fingerprint, QueryOutput};
+use qirana_sqlengine::{Database, EngineError, ExecContext, Fingerprint, QueryOutput};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -247,7 +247,8 @@ enum AccountUpdate {
 /// `Qirana::artifact`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Reader {
-    /// Leaves a missed sweep in the handoff memo; never reads it.
+    /// Leaves a missed sweep, answer included, in the handoff memo; never
+    /// reads it.
     Quote,
     /// Takes what a quote left before sweeping.
     Buy,
@@ -648,8 +649,14 @@ impl Qirana {
     /// budget).
     pub fn answer(&self, sql: &str) -> Result<QueryOutput, BrokerError> {
         let plan = qirana_sqlengine::prepare(&self.db, sql)?;
+        Ok(self.execute(&plan)?)
+    }
+
+    /// Executes `plan` on the stored database under the configured
+    /// execution budget, counted like every engine execution.
+    fn execute(&self, plan: &qirana_sqlengine::ResolvedSelect) -> Result<QueryOutput, EngineError> {
         let ctx = ExecContext::new(&self.db).with_budget(self.cfg.engine.budget);
-        Ok(execute(&plan, &ctx)?)
+        run_plan(&self.cfg.engine.telemetry, plan, &ctx)
     }
 
     /// History-oblivious price of a single query.
@@ -710,7 +717,10 @@ impl Qirana {
         failpoint()?;
         let members = bundle
             .iter()
-            .map(|q| self.artifact(q, Reader::Quote))
+            .map(|q| {
+                self.artifact(q, Reader::Quote)
+                    .map(|(artifact, _)| artifact)
+            })
             .collect::<Result<Vec<_>, _>>()?;
         self.bundle_price(&members)
     }
@@ -720,10 +730,13 @@ impl Qirana {
     /// fingerprints, per the pricing family — from an LRU peek, else (buys
     /// only) the handoff a quote left, else a sweep of the stored database
     /// (the caller's read lock keeps it still), which a quote then leaves
-    /// in the handoff. Never moves LRU state or
-    /// [`CacheStats`]; only a buy's commit step does
+    /// in the handoff. Next to the artifact comes `q`'s answer on the
+    /// stored database whenever the sweep that produced it executed the
+    /// plan (a buy's own sweep, or the quote's it took from the handoff);
+    /// a quote hands its answer off instead of returning it. Never moves
+    /// LRU state or [`CacheStats`]; only a buy's commit step does
     /// ([`PricingCache::touch_or_insert`]).
-    fn artifact(&self, q: &Prepared, reader: Reader) -> Result<Artifact, BrokerError> {
+    fn artifact(&self, q: &Prepared, reader: Reader) -> Result<Handed, BrokerError> {
         let kind = if self.cfg.function.needs_partition() {
             Kind::Blocks
         } else {
@@ -738,7 +751,7 @@ impl Qirana {
             let mut cache = self.cache_guard();
             if let Some(hit) = cache.peek(q.plan_fp, kind) {
                 lookup.count("hit", 1);
-                return Ok(hit);
+                return Ok((hit, None));
             }
             if reader == Reader::Buy {
                 if let Some(handed) = cache.take_handoff(q.plan_fp, kind) {
@@ -749,17 +762,23 @@ impl Qirana {
             lookup.count("miss", 1);
         }
         let (db, support, opts) = (&self.db, &self.support, &self.cfg.engine);
-        let artifact = match kind {
+        let (artifact, answer) = match kind {
             Kind::Bits => {
                 let all = vec![true; support.len()];
-                Artifact::Bits(Arc::new(query_bits(db, q, support, &all, opts)?))
+                let (bits, answer) = sweep_bits(db, q, support, &all, opts)?;
+                (Artifact::Bits(Arc::new(bits)), answer)
             }
-            Kind::Blocks => Artifact::Blocks(Arc::new(query_fps(db, q, support, opts)?)),
+            Kind::Blocks => {
+                let (fps, answer) = sweep_fps(db, q, support, opts)?;
+                (Artifact::Blocks(Arc::new(fps)), answer)
+            }
         };
         if reader == Reader::Quote {
-            self.cache_guard().hand_off(q.plan_fp, artifact.clone());
+            self.cache_guard()
+                .hand_off(q.plan_fp, (artifact.clone(), answer));
+            return Ok((artifact, None));
         }
-        Ok(artifact)
+        Ok((artifact, answer))
     }
 
     /// The history-oblivious price of a bundle from its members' artifacts.
@@ -843,9 +862,13 @@ impl Qirana {
         self.settle(buyer, staged, log)
     }
 
-    /// Phase 1 of a purchase, under `&self`: prepares `sql`, answers it and
-    /// reads its pricing artifact through the one read path — everything
-    /// about the new query that does not depend on the buyer. Touches no
+    /// Phase 1 of a purchase, under `&self`: prepares `sql`, reads its
+    /// pricing artifact through the one read path and answers it —
+    /// everything about the new query that does not depend on the buyer.
+    /// The answer is the one the artifact's sweep computed, whether this
+    /// buy's own sweep or a quote's taken from the handoff; only when the
+    /// read path returned none (an LRU hit, or §4's batched checks, which
+    /// never run the plan itself) is the plan executed here. Touches no
     /// account, ledger or LRU state; [`Qirana::commit_staged`] charges it.
     pub fn stage_buy(&self, sql: &str) -> Result<StagedBuy, BrokerError> {
         fault::check(fault::BROKER_BUY).map_err(BrokerError::Injected)?;
@@ -853,13 +876,14 @@ impl Qirana {
             let _span = self.cfg.engine.telemetry.span(Stage::Prepare);
             Arc::new(prepare_query(&self.db, sql)?)
         };
-        let output = {
-            let ctx = ExecContext::new(&self.db).with_budget(self.cfg.engine.budget);
-            execute(&prepared.plan, &ctx)?
-        };
         failpoint()?;
+        let (artifact, answer) = self.artifact(&prepared, Reader::Buy)?;
+        let output = match answer {
+            Some(out) => out,
+            None => self.execute(&prepared.plan)?,
+        };
         Ok(StagedBuy {
-            artifact: self.artifact(&prepared, Reader::Buy)?,
+            artifact,
             generation: self.cache_guard().generation(),
             prepared,
             output,
@@ -921,7 +945,7 @@ impl Qirana {
         };
         let mut members = history
             .iter()
-            .map(|h| self.artifact(h, Reader::Buy))
+            .map(|h| self.artifact(h, Reader::Buy).map(|(artifact, _)| artifact))
             .collect::<Result<Vec<_>, _>>()?;
         members.push(artifact);
         let commit = self.cfg.engine.telemetry.span(Stage::BrokerCommit);

@@ -37,10 +37,15 @@
 //! function leaves it in a small first-in-first-out side memo
 //! ([`PricingCache::hand_off`], [`HANDOFF_CAPACITY`] entries), and only a
 //! buy's read may [`PricingCache::take_handoff`] it — so quote-then-buy
-//! sweeps once. Quotes never read the handoff (a repeated cold quote still
-//! sweeps in full), it is not part of [`CacheStats`], [`PricingCache::len`] or the
-//! recency snapshot, and a generation change empties it: prices, LRU state
-//! and counters are identical with or without it; only time differs.
+//! sweeps once. An entry carries the artifact and, when the sweep's path
+//! executed the plan itself, the query's answer on the stored database,
+//! so such a buy executes nothing at all. Quotes never read the handoff (a
+//! repeated cold quote still sweeps in full), it is not part of
+//! [`CacheStats`], [`PricingCache::len`] or the recency snapshot, and a
+//! generation change empties it: prices, answers, LRU state and counters
+//! are identical with or without it; only time differs. The LRU keeps
+//! artifacts only: an answer is O(output), and the handoff's cap bounds
+//! how many wait.
 //!
 //! **Keying and invalidation.** Entries are keyed by the query's structural
 //! plan fingerprint ([`crate::normal_form::Prepared::plan_fp`]) and the
@@ -57,7 +62,7 @@
 //! Hit/miss/eviction/invalidation counters are exposed via [`CacheStats`]
 //! and surfaced on every [`crate::Purchase`].
 
-use qirana_sqlengine::Fingerprint;
+use qirana_sqlengine::{Fingerprint, QueryOutput};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -118,6 +123,10 @@ pub struct CacheStats {
 /// handoff only has to bridge one quote-to-buy gap per concurrent buyer.
 pub const HANDOFF_CAPACITY: usize = 32;
 
+/// A handoff entry: a quote's artifact, and the query's answer on the
+/// stored database when the quote's sweep computed one.
+pub type Handed = (Artifact, Option<QueryOutput>);
+
 /// The two artifact families, part of the cache key: a query's bitmap and
 /// its partition blocks are distinct entries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -170,8 +179,9 @@ pub struct PricingCache {
     // and iteration order must be deterministic (qirana-lint QL001).
     entries: BTreeMap<(u128, Kind), Entry>,
     stats: CacheStats,
-    /// Current-generation artifacts quotes computed, oldest first.
-    handoff: VecDeque<((u128, Kind), Artifact)>,
+    /// Current-generation artifacts quotes computed, with the answers
+    /// their sweeps computed, oldest first.
+    handoff: VecDeque<((u128, Kind), Handed)>,
     /// Artifacts buys took from the handoff (monotone).
     handoffs: u64,
 }
@@ -252,10 +262,11 @@ impl PricingCache {
         artifact
     }
 
-    /// Leaves a quote's freshly swept artifact for a following buy. A key
-    /// already waiting is kept; beyond [`HANDOFF_CAPACITY`] the oldest
-    /// entry goes. Stores nothing when the cache has no capacity (disabled).
-    pub fn hand_off(&mut self, plan_fp: Fingerprint, artifact: Artifact) {
+    /// Leaves a quote's freshly swept artifact, and the answer its sweep
+    /// computed if any, for a following buy. A key already waiting is
+    /// kept; beyond [`HANDOFF_CAPACITY`] the oldest entry goes. Stores
+    /// nothing when the cache has no capacity (disabled).
+    pub fn hand_off(&mut self, plan_fp: Fingerprint, (artifact, answer): Handed) {
         let key = (plan_fp.0, artifact.kind());
         if self.capacity == 0 || self.handoff.iter().any(|(k, _)| *k == key) {
             return;
@@ -263,18 +274,18 @@ impl PricingCache {
         if self.handoff.len() == HANDOFF_CAPACITY {
             self.handoff.pop_front();
         }
-        self.handoff.push_back((key, artifact));
+        self.handoff.push_back((key, (artifact, answer)));
     }
 
-    /// Removes and returns the artifact a quote left for `plan_fp`, if any
+    /// Removes and returns what a quote left for `plan_fp`, if anything
     /// (the buy side of [`Self::hand_off`]).
-    pub fn take_handoff(&mut self, plan_fp: Fingerprint, kind: Kind) -> Option<Artifact> {
+    pub fn take_handoff(&mut self, plan_fp: Fingerprint, kind: Kind) -> Option<Handed> {
         let at = self
             .handoff
             .iter()
             .position(|(k, _)| *k == (plan_fp.0, kind))?;
         self.handoffs += 1;
-        self.handoff.remove(at).map(|(_, artifact)| artifact)
+        self.handoff.remove(at).map(|(_, handed)| handed)
     }
 
     /// Artifacts waiting in the handoff.
@@ -430,7 +441,7 @@ mod tests {
         let mut c = PricingCache::new(8);
         c.touch_or_insert(fp(1), bits(&[true]));
         c.touch_or_insert(fp(2), blocks(&[5]));
-        c.hand_off(fp(3), bits(&[true]));
+        c.hand_off(fp(3), (bits(&[true]), None));
         c.bump_generation();
         assert_eq!(c.generation(), 1);
         assert!(c.is_empty());
@@ -440,7 +451,7 @@ mod tests {
         // Re-inserted artifacts live under the new generation.
         c.touch_or_insert(fp(1), bits(&[false]));
         assert_eq!(c.peek(fp(1), Kind::Bits), Some(bits(&[false])));
-        c.hand_off(fp(3), bits(&[true]));
+        c.hand_off(fp(3), (bits(&[true]), None));
         c.restore_generation(7);
         assert_eq!(c.handoff_len(), 0, "a restore empties the handoff too");
     }
@@ -449,7 +460,7 @@ mod tests {
     fn zero_capacity_never_stores() {
         let mut c = PricingCache::new(0);
         c.touch_or_insert(fp(1), bits(&[true]));
-        c.hand_off(fp(2), bits(&[true]));
+        c.hand_off(fp(2), (bits(&[true]), None));
         assert!(c.is_empty());
         assert_eq!(c.handoff_len(), 0);
         assert!(c.peek(fp(1), Kind::Bits).is_none());
@@ -485,9 +496,9 @@ mod tests {
         c.touch_or_insert(fp(0), bits(&[true]));
         let (stats, tick, recency) = (c.stats(), c.tick(), c.recency_snapshot());
         for k in 1..=HANDOFF_CAPACITY as u128 + 1 {
-            c.hand_off(fp(k), bits(&[k % 2 == 0]));
+            c.hand_off(fp(k), (bits(&[k % 2 == 0]), None));
         }
-        c.hand_off(fp(5), bits(&[false])); // already waiting: kept once
+        c.hand_off(fp(5), (bits(&[true]), None)); // already waiting: kept once
         assert_eq!(c.handoff_len(), HANDOFF_CAPACITY);
         assert!(
             c.take_handoff(fp(1), Kind::Bits).is_none(),
@@ -497,7 +508,11 @@ mod tests {
             c.take_handoff(fp(5), Kind::Blocks).is_none(),
             "kind is keyed"
         );
-        assert_eq!(c.take_handoff(fp(5), Kind::Bits), Some(bits(&[false])));
+        assert_eq!(
+            c.take_handoff(fp(5), Kind::Bits),
+            Some((bits(&[false]), None)),
+            "the first entry for a key stays"
+        );
         assert!(c.take_handoff(fp(5), Kind::Bits).is_none(), "taken once");
         assert_eq!(c.handoffs_taken(), 1);
         assert_eq!(c.handoff_len(), HANDOFF_CAPACITY - 1);
@@ -506,6 +521,22 @@ mod tests {
             (stats, tick, recency, 1),
             "the handoff is invisible to the LRU"
         );
+    }
+
+    #[test]
+    fn handoff_carries_the_answer_next_to_the_artifact() {
+        let mut c = PricingCache::new(4);
+        let answer = QueryOutput {
+            columns: vec!["n".into()],
+            rows: vec![vec![7i64.into()]],
+            ordered: false,
+        };
+        c.hand_off(fp(1), (blocks(&[9]), Some(answer.clone())));
+        assert_eq!(
+            c.take_handoff(fp(1), Kind::Blocks),
+            Some((blocks(&[9]), Some(answer)))
+        );
+        assert!(c.is_empty(), "the LRU never holds an answer");
     }
 
     #[test]

@@ -34,11 +34,14 @@
 //! * **Aggregate accumulators.** Aggregate-shape queries memoize one
 //!   group state per output row: the executor's representative row, exact
 //!   (order-independent) accumulators with the executor's float shadows,
-//!   and the output-row hash. The batched probe runs the *unrolled core*
-//!   (same FROM/WHERE, no grouping); a neighbor removes its u⁻ core rows
-//!   and adds its u⁺ ones, recomputing only affected groups. Guards detect
-//!   every order-dependent case (float sums, `AVG` beyond the 2⁵³
-//!   exact-integer range, `MIN`/`MAX` ties with mixed value
+//!   and the output-row hash. The build folds the rows the base execution
+//!   grouped — its input, handed back by
+//!   [`qirana_sqlengine::execute_with_input`] — so the *unrolled core*
+//!   (same FROM/WHERE, no grouping) never executes on the base instance;
+//!   only the batched probe runs it, widened. A neighbor removes its u⁻
+//!   core rows and adds its u⁺ ones, recomputing only affected groups.
+//!   Guards detect every order-dependent case (float sums, `AVG` beyond
+//!   the 2⁵³ exact-integer range, `MIN`/`MAX` ties with mixed value
 //!   representations, representative-dependent projections) and fall back
 //!   to full execution for that neighbor — so the fold never depends on
 //!   the order in which one `upid`'s rows arrive.
@@ -56,17 +59,20 @@
 //! full-execution path wouldn't produce, and a batch never turns one
 //! neighbor's error into another's wrong fingerprint. A build-time
 //! self-check reconstructs the aggregate base fingerprint from the
-//! materialized state and declines ([`DeltaState::Ineligible`]) on any
-//! mismatch.
+//! materialized state, compares it with the hash of the base output, and
+//! declines ([`DeltaState::Ineligible`]) on any mismatch. The base output
+//! itself leaves the build with the state: it is the query's answer, which
+//! the broker returns to a buyer without executing the plan again.
 
-use crate::engine::{bag_fp, EngineOptions, Visible};
+use crate::engine::{bag_fp, run_plan, run_plan_with_input, EngineOptions, Visible};
 use crate::naive::neighbor_fps;
 use crate::normal_form::{widened, Prepared, RelShape, Shape};
+use crate::telemetry::Telemetry;
 use crate::update::SupportUpdate;
 use qirana_sqlengine::exec::{eval_group_expr, eval_row_expr};
 use qirana_sqlengine::plan::{AggSpec, Projection};
 use qirana_sqlengine::{
-    execute, output_row_hash, Database, EngineError, ExecContext, Fingerprint, PExpr, QueryOutput,
+    output_row_hash, Database, EngineError, ExecContext, Fingerprint, PExpr, QueryOutput,
     ResolvedSelect, Row, Value,
 };
 use std::collections::BTreeMap;
@@ -147,7 +153,7 @@ pub struct Base {
 }
 
 impl Base {
-    fn new(out: QueryOutput, probed: &ResolvedSelect, relations: &[RelShape]) -> Base {
+    fn new(out: &QueryOutput, probed: &ResolvedSelect, relations: &[RelShape]) -> Base {
         Base {
             rows: out.rows.len() as u64,
             cols: out.columns.len() as u64,
@@ -521,28 +527,37 @@ impl DAcc {
 // Build
 // ---------------------------------------------------------------------------
 
-/// Builds delta state for a prepared query, executing the plan once on the
-/// base instance. Returns [`DeltaState::Ineligible`] (not an error) when
-/// the shape is opaque, a shape detail is unsupported, or the base
-/// self-check fails; errors only when the base execution itself errors —
-/// exactly when every full-execution path errors too.
-pub fn build(db: &Database, q: &Prepared) -> Result<DeltaState, EngineError> {
-    let (relations, grouped) = match &q.shape {
-        Shape::Spj(shape) => (&shape.relations, false),
-        Shape::Agg(shape) => (&shape.relations, true),
-        Shape::Opaque { .. } => return Ok(DeltaState::Ineligible),
+/// Builds delta state for a prepared query from **one** execution of its
+/// plan on the base instance, and returns that execution's output with it.
+/// An aggregate's state folds the execution's input rows — its unrolled
+/// core — so the core never executes on its own. Returns
+/// [`DeltaState::Ineligible`] (not an error) when the shape is opaque, a
+/// shape detail is unsupported, or the base self-check fails; errors only
+/// when the base execution itself errors — exactly when every
+/// full-execution path errors too.
+pub fn build(
+    db: &Database,
+    q: &Prepared,
+    tel: &Telemetry,
+) -> Result<(DeltaState, QueryOutput), EngineError> {
+    let ctx = ExecContext::new(db);
+    let (out, core_rows) = run_plan_with_input(tel, &q.plan, &ctx)?;
+    let state = match &q.shape {
+        Shape::Spj(shape) => DeltaState::Spj(Base::new(&out, &q.plan, &shape.relations)),
+        Shape::Agg(shape) => {
+            let core = core_identity(&q.plan);
+            let base = Base::new(&out, &core, &shape.relations);
+            build_agg(&ctx, &q.plan, &core_rows, base)
+                .map_or(DeltaState::Ineligible, DeltaState::Agg)
+        }
+        Shape::Opaque { .. } => DeltaState::Ineligible,
     };
-    let out = execute(&q.plan, &ExecContext::new(db))?;
-    if !grouped {
-        return Ok(DeltaState::Spj(Base::new(out, &q.plan, relations)));
-    }
-    let core = core_identity(&q.plan);
-    let base = Base::new(out, &core, relations);
-    Ok(build_agg(db, &q.plan, &core, base).map_or(DeltaState::Ineligible, DeltaState::Agg))
+    Ok((state, out))
 }
 
 /// The unrolled core of an aggregate plan: same FROM/WHERE, identity
-/// projections, no grouping — its output is the joined core rows.
+/// projections, no grouping — its output is the plan's input rows. Only
+/// the batched probes execute it, [`widened`] by one relation.
 fn core_identity(plan: &ResolvedSelect) -> ResolvedSelect {
     let mut core = plan.clone();
     core.grouped = false;
@@ -572,18 +587,18 @@ fn watched_agree(vals: &[Value], row: &[Value], watched: &[usize]) -> bool {
         .all(|(&s, v)| strict_value_eq(v, &row[s]))
 }
 
-/// Folds the base core rows into per-group state. `None` declines: an
+/// Folds the base core rows — the plan's input rows, in the order its
+/// execution read them — into per-group state. `None` declines: an
 /// unsupported aggregate, an eval error the base execution did not hit, or
 /// a failed self-check.
 fn build_agg(
-    db: &Database,
+    ctx: &ExecContext<'_>,
     plan: &ResolvedSelect,
-    core: &ResolvedSelect,
+    core_rows: &[Row],
     base: Base,
 ) -> Option<AggDelta> {
     let specs = plan.aggregates.clone();
     let fresh: Vec<DAcc> = specs.iter().map(DAcc::new).collect::<Option<_>>()?;
-    let core_out = execute(core, &ExecContext::new(db)).ok()?;
 
     let out_exprs: Vec<PExpr> = plan.projections.iter().map(|p| p.expr.clone()).collect();
     let order_exprs: Vec<PExpr> = plan.order_by.iter().map(|(e, _)| e.clone()).collect();
@@ -605,13 +620,12 @@ fn build_agg(
 
     // Fold the core rows in the executor's own scan order: representatives
     // and float shadows come out bitwise identical to `run_grouped`.
-    let ctx = ExecContext::new(db);
     let group_by = plan.group_by.clone();
     let mut groups: BTreeMap<Vec<Value>, GroupState> = BTreeMap::new();
-    for row in &core_out.rows {
+    for row in core_rows {
         let mut key = Vec::with_capacity(group_by.len());
         for g in &group_by {
-            key.push(eval_row_expr(g, row, &ctx).ok()?);
+            key.push(eval_row_expr(g, row, ctx).ok()?);
         }
         let st = groups.entry(key).or_insert_with(|| group_of(row, false));
         if st.watched_clean && !watched_agree(&st.watched_vals, row, &watched) {
@@ -621,7 +635,7 @@ fn build_agg(
         for (acc, spec) in st.accums.iter_mut().zip(&specs) {
             match &spec.arg {
                 None => acc.add_star(),
-                Some(a) => acc.add(eval_row_expr(a, row, &ctx).ok()?),
+                Some(a) => acc.add(eval_row_expr(a, row, ctx).ok()?),
             }
         }
     }
@@ -631,14 +645,15 @@ fn build_agg(
         groups.insert(Vec::new(), group_of(&null_row, true));
     }
 
-    // Output-row hashes + base self-check: the reconstructed fingerprint
-    // must equal the executed one, or the state models the plan wrongly.
+    // Output-row hashes + base self-check, a hash comparison: the
+    // fingerprint reconstructed from the groups must equal the executed
+    // output's, or the state models the plan wrongly.
     let mut sum = 0u128;
     for st in groups.values_mut() {
         let aggs: Vec<Value> = st.accums.iter().map(DAcc::finalize_base).collect();
         let mut out_row = Vec::with_capacity(out_exprs.len());
         for e in &out_exprs {
-            out_row.push(eval_group_expr(e, &st.first_row, &aggs, &ctx).ok()?);
+            out_row.push(eval_group_expr(e, &st.first_row, &aggs, ctx).ok()?);
         }
         st.out_hash = output_row_hash(&out_row);
         sum = sum.wrapping_add(st.out_hash);
@@ -676,6 +691,7 @@ type Moved = [Vec<Row>; 2];
 /// whole batch, and which member it was is not recoverable from here.
 fn run_batch(
     db: &Database,
+    tel: &Telemetry,
     probe: &ResolvedSelect,
     table: usize,
     updates: &[SupportUpdate],
@@ -691,7 +707,7 @@ fn run_batch(
             }
         }
     }
-    let out = execute(probe, &ExecContext::with_override(db, table, &batch)).ok()?;
+    let out = run_plan(tel, probe, &ExecContext::with_override(db, table, &batch)).ok()?;
     let mut moved: Vec<Moved> = vec![Moved::default(); members.len()];
     for mut row in out.rows {
         let tag = usize::try_from(row.pop()?.as_i64()?).ok()?;
@@ -835,6 +851,7 @@ impl AggDelta {
 /// so one neighbor's bad row can cost the others time, never correctness.
 pub(crate) fn probe_batched(
     db: &Database,
+    tel: &Telemetry,
     state: &DeltaState,
     updates: &[SupportUpdate],
     live: &[usize],
@@ -855,7 +872,7 @@ pub(crate) fn probe_batched(
         };
         let members: Vec<usize> = positions.iter().map(|&pos| live[pos]).collect();
         execs += 1;
-        let Some(moved) = run_batch(db, probe, table, updates, &members) else {
+        let Some(moved) = run_batch(db, tel, probe, table, updates, &members) else {
             continue;
         };
         for (pos, moved) in positions.into_iter().zip(&moved) {
@@ -905,7 +922,7 @@ pub(crate) fn query_fps_nbrs(
     };
     let n = updates.len();
     let live: Vec<usize> = (0..n).filter(|&i| visible[i].is_some()).collect();
-    let (probed, execs) = probe_batched(db, state, updates, &live);
+    let (probed, execs) = probe_batched(db, &opts.telemetry, state, updates, &live);
     let mut fps = vec![base; n];
     let mut fallbacks = Vec::new();
     for (&i, fp) in live.iter().zip(probed) {
@@ -935,7 +952,7 @@ mod tests {
     use crate::normal_form::prepare_query;
     use crate::parallel::Parallelism;
     use crate::support::{generate_support, SupportConfig, SupportSet};
-    use qirana_sqlengine::{ColumnDef, DataType, TableSchema};
+    use qirana_sqlengine::{execute, ColumnDef, DataType, TableSchema};
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -996,7 +1013,7 @@ mod tests {
         workers: usize,
     ) -> (Vec<Fingerprint>, ProbeStats) {
         let q = prepare_query(&database, sql).unwrap();
-        let state = build(&database, &q).unwrap();
+        let (state, _) = build(&database, &q, &Telemetry::disabled()).unwrap();
         assert!(state.base_fp().is_some(), "delta build declined for {sql}");
         let support = SupportSet::Neighborhood(updates);
         let SupportSet::Neighborhood(updates) = &support else {
@@ -1119,11 +1136,37 @@ mod tests {
         // Self-joins break per-tuple contribution additivity; the shape
         // classifier routes them to Opaque and the build must decline.
         let q = prepare_query(&database, "select a.v from T a, T b where a.id = b.id").unwrap();
-        let state = build(&database, &q).unwrap();
+        let (state, _) = build(&database, &q, &Telemetry::disabled()).unwrap();
         assert!(state.base_fp().is_none());
         let opts = EngineOptions::default();
         let err = query_fps_nbrs(&database, &q, &state, &[], &[], &opts).unwrap_err();
         assert!(matches!(err, EngineError::Eval(_)));
+    }
+
+    /// One execution per build, whatever the shape, and its output is the
+    /// plan's answer bit for bit (row order included).
+    #[test]
+    fn build_executes_the_plan_once_and_returns_its_output() {
+        let database = db();
+        for sql in [
+            "select T.grp, U.w from T, U where T.id = U.t_id order by U.w",
+            "select grp, count(*), avg(v) from T group by grp order by grp",
+            "select count(*), sum(v) from T where v > 1000",
+            "select a.v from T a, T b where a.id = b.id",
+        ] {
+            let q = prepare_query(&database, sql).unwrap();
+            let tel = Telemetry::enabled();
+            let (_, out) = build(&database, &q, &tel).unwrap();
+            let sink = tel.sink().unwrap();
+            assert_eq!(sink.counter("plan_executions_total"), 1, "{sql}");
+            let alone = execute(&q.plan, &ExecContext::new(&database)).unwrap();
+            assert_eq!(
+                qirana_sqlengine::fingerprint(&out),
+                qirana_sqlengine::fingerprint(&alone),
+                "{sql}"
+            );
+            assert_eq!((out.columns, out.ordered), (alone.columns, alone.ordered));
+        }
     }
 
     #[test]
@@ -1227,10 +1270,11 @@ mod tests {
         let mut updates = healthy.clone();
         updates.insert(1, row_up(0, 1, 2, "boom".into()));
         let naive = EngineOptions::naive();
+        let off = Telemetry::disabled();
 
         let q = prepare_query(&database, "select grp, sum(v + 1) from T group by grp").unwrap();
-        let state = build(&database, &q).unwrap();
-        let (fps, execs) = probe_batched(&database, &state, &updates, &[0, 1, 2, 3]);
+        let (state, _) = build(&database, &q, &off).unwrap();
+        let (fps, execs) = probe_batched(&database, &off, &state, &updates, &[0, 1, 2, 3]);
         let alone = SupportSet::Neighborhood(healthy);
         let expect = query_fps(&database, &q, &alone, &naive).unwrap();
         assert_eq!(
@@ -1243,8 +1287,8 @@ mod tests {
         // the visibility test in front of a real sweep does not count).
         for sql in ["select v + 1 from T", "select id from T order by v + 1"] {
             let q = prepare_query(&database, sql).unwrap();
-            let state = build(&database, &q).unwrap();
-            let (fps, execs) = probe_batched(&database, &state, &updates, &[0, 1, 2, 3]);
+            let (state, _) = build(&database, &q, &off).unwrap();
+            let (fps, execs) = probe_batched(&database, &off, &state, &updates, &[0, 1, 2, 3]);
             assert_eq!((fps, execs), (vec![None; 4], 1), "{sql}");
         }
         let q = prepare_query(&database, "select v + 1 from T").unwrap();

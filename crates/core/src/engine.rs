@@ -33,8 +33,10 @@ use crate::support::SupportSet;
 use crate::telemetry::{SpanGuard, Stage, Telemetry};
 use crate::update::SupportUpdate;
 use qirana_sqlengine::{
-    execute, Database, EngineError, ExecBudget, ExecContext, Fingerprint, QueryOutput,
+    execute_with_input, Database, EngineError, ExecBudget, ExecContext, Fingerprint, QueryOutput,
+    ResolvedSelect, Row,
 };
+use std::borrow::Borrow;
 
 /// How a sweep is evaluated — the ablation axis of the paper's Figure 5.
 ///
@@ -175,11 +177,36 @@ fn meter_trips<T>(t: &Telemetry, r: Result<T, EngineError>) -> Result<T, EngineE
     r
 }
 
+/// Every plan execution the pricing engine issues goes through here. It
+/// adds one to the `plan_executions_total` counter and to the `execs`
+/// count of the innermost open span, then executes `plan` and hands back
+/// its output and its input rows ([`execute_with_input`]).
+pub(crate) fn run_plan_with_input(
+    tel: &Telemetry,
+    plan: &ResolvedSelect,
+    ctx: &ExecContext<'_>,
+) -> Result<(QueryOutput, Vec<Row>), EngineError> {
+    if tel.is_enabled() {
+        tel.counter_add("plan_executions_total", 1);
+        tel.count_innermost("execs", 1);
+    }
+    execute_with_input(plan, ctx)
+}
+
+/// [`run_plan_with_input`], output only.
+pub(crate) fn run_plan(
+    tel: &Telemetry,
+    plan: &ResolvedSelect,
+    ctx: &ExecContext<'_>,
+) -> Result<QueryOutput, EngineError> {
+    run_plan_with_input(tel, plan, ctx).map(|(out, _)| out)
+}
+
 /// Bag fingerprint of an output: display order ignored (see
-/// [`crate::normal_form`] for why agreement is bag-based).
-pub fn bag_fp(mut out: QueryOutput) -> Fingerprint {
-    out.ordered = false;
-    qirana_sqlengine::fingerprint(&out)
+/// [`crate::normal_form`] for why agreement is bag-based). Takes the
+/// output by value or by reference.
+pub fn bag_fp(out: impl Borrow<QueryOutput>) -> Fingerprint {
+    qirana_sqlengine::bag_fingerprint(out.borrow())
 }
 
 /// Combines per-query fingerprints into a bundle fingerprint
@@ -259,24 +286,39 @@ fn sweep_span(tel: &Telemetry, label: &str, active: &[bool]) -> SpanGuard {
     span
 }
 
-/// What a fingerprinting sweep yields: the query's fingerprint on the
-/// stored database, and on every support instance.
-type Swept = (Fingerprint, Vec<Fingerprint>);
+/// What a fingerprinting sweep yields: the query's output on the stored
+/// database, its bag fingerprint, and the query's fingerprint on every
+/// support instance.
+struct Swept {
+    out: QueryOutput,
+    base: Fingerprint,
+    fps: Vec<Fingerprint>,
+}
 
-/// Per-instance execution (Algorithms 1–2 verbatim): the base fingerprint,
-/// and the query's fingerprint on every instance — executed where visible,
-/// the base elsewhere.
+/// A sweep's per-instance result, plus the query's output on the stored
+/// database when the sweep's path computed it.
+pub(crate) type Answered<T> = (T, Option<QueryOutput>);
+
+/// Per-instance execution (Algorithms 1–2 verbatim): the base output —
+/// `base` when the caller already executed it, else executed here — and
+/// the query's fingerprint on every instance, executed where visible, the
+/// base elsewhere.
 fn per_instance(
     db: &Database,
     q: &Prepared,
     support: &SupportSet,
     visible: &[Visible],
     opts: &EngineOptions,
+    base: Option<QueryOutput>,
 ) -> Result<Swept, EngineError> {
-    let base = bag_fp(execute(
-        &q.plan,
-        &ExecContext::new(db).with_budget(opts.budget),
-    )?);
+    let out = match base {
+        Some(out) => out,
+        None => {
+            let ctx = ExecContext::new(db).with_budget(opts.budget);
+            run_plan(&opts.telemetry, &q.plan, &ctx)?
+        }
+    };
+    let base = bag_fp(&out);
     let idxs: Vec<usize> = (0..visible.len())
         .filter(|&i| visible[i].is_some())
         .collect();
@@ -290,15 +332,15 @@ fn per_instance(
     for (i, fp) in idxs.into_iter().zip(executed) {
         fps[i] = fp;
     }
-    Ok((base, fps))
+    Ok(Swept { out, base, fps })
 }
 
 /// The incremental sweep (DESIGN.md §9) both primitives run over
 /// neighborhood supports: `q`'s fingerprints from one [`delta::build`] plus
 /// one batched probe per relation, and how many neighbors the fold left to
-/// full execution. A
-/// declined build (failed self-check, unsupported detail) leaves the whole
-/// sweep to per-instance execution, like any other guard.
+/// full execution. A declined build (failed self-check, unsupported
+/// detail) leaves the whole sweep to per-instance execution, like any
+/// other guard, which reuses the build's base output.
 fn delta_sweep(
     db: &Database,
     q: &Prepared,
@@ -311,11 +353,11 @@ fn delta_sweep(
     // Build errors are base-execution errors, which every full path
     // reproduces.
     let build_span = tel.span(Stage::DeltaBuild);
-    let state = delta::build(db, q)?;
+    let (state, out) = delta::build(db, q, tel)?;
     drop(build_span);
     tel.counter_add("delta_builds_total", 1);
     let Some(base) = state.base_fp() else {
-        return per_instance(db, q, support, visible, opts).map(|swept| (swept, 0));
+        return per_instance(db, q, support, visible, opts, Some(out)).map(|swept| (swept, 0));
     };
     let probe_span = tel.span(Stage::DeltaProbe);
     let (fps, stats) = delta::query_fps_nbrs(db, q, &state, updates, visible, opts)?;
@@ -323,13 +365,12 @@ fn delta_sweep(
         probe_span.count("probes", stats.probes);
         probe_span.count("short_circuits", stats.short_circuits);
         probe_span.count("fallbacks", stats.fallbacks);
-        probe_span.count("execs", stats.execs);
         tel.counter_add("delta_probes_total", stats.probes);
         tel.counter_add("delta_short_circuits_total", stats.short_circuits);
         tel.counter_add("delta_fallbacks_total", stats.fallbacks);
         tel.counter_add("delta_probe_execs_total", stats.execs);
     }
-    Ok(((base, fps), stats.fallbacks))
+    Ok((Swept { out, base, fps }, stats.fallbacks))
 }
 
 /// The coverage primitive: for every support instance, whether `q`'s
@@ -342,15 +383,29 @@ pub fn query_bits(
     active: &[bool],
     opts: &EngineOptions,
 ) -> Result<Vec<bool>, EngineError> {
+    sweep_bits(db, q, support, active, opts).map(|(bits, _)| bits)
+}
+
+/// [`query_bits`], plus `q`'s output on the stored database where the
+/// path executed the plan itself: the delta and per-instance rows of the
+/// routing table. §4's batched checks and the reduced instances never do.
+pub(crate) fn sweep_bits(
+    db: &Database,
+    q: &Prepared,
+    support: &SupportSet,
+    active: &[bool],
+    opts: &EngineOptions,
+) -> Result<Answered<Vec<bool>>, EngineError> {
     use {Shape::*, Strategy::*, SupportSet::*};
     failpoint()?;
     let tel = &opts.telemetry;
     let visible = visibility(db, q, support, active);
-    let disagreeing =
-        |(base, fps): Swept| -> Vec<bool> { fps.iter().map(|fp| *fp != base).collect() };
+    let disagreeing = |Swept { out, base, fps }: Swept| -> Answered<Vec<bool>> {
+        (fps.iter().map(|fp| *fp != base).collect(), Some(out))
+    };
     let span;
     // The routing table (DESIGN.md §9), coverage rows.
-    let bits = match (support, opts.strategy, &q.shape) {
+    let swept = match (support, opts.strategy, &q.shape) {
         (Neighborhood(ups), Auto | NoBatching, Spj(s)) => {
             // §4.2's batching: one widened probe per relation, or one per
             // update.
@@ -361,7 +416,7 @@ pub fn query_bits(
                 "coverage/unbatched"
             };
             span = sweep_span(tel, checks, active);
-            optimized::spj_disagreements(db, s, ups, &visible, batch, opts)
+            optimized::spj_disagreements(db, s, ups, &visible, batch, opts).map(|bits| (bits, None))
         }
         // Delta probes skip whole executions, so under a budget — whose
         // trips must fire exactly where per-instance execution trips —
@@ -376,22 +431,22 @@ pub fn query_bits(
         }
         (Neighborhood(ups), NaiveReduced, Spj(_)) => {
             span = sweep_span(tel, "coverage/reduced", active);
-            naive::reduced_disagreements(db, q, ups, &visible, opts.budget)
+            naive::reduced_disagreements(db, q, ups, &visible, opts).map(|bits| (bits, None))
         }
         // Uniform worlds, opaque shapes, aggregates unbatched or under a
         // budget, `Naive`.
         (Uniform(_), ..) | (Neighborhood(_), ..) => {
             span = sweep_span(tel, "coverage/per-instance", active);
-            per_instance(db, q, support, &visible, opts).map(disagreeing)
+            per_instance(db, q, support, &visible, opts, None).map(disagreeing)
         }
     };
-    let bits = meter_trips(tel, bits)?;
+    let swept = meter_trips(tel, swept)?;
     if tel.is_enabled() {
-        let found = bits.iter().filter(|&&b| b).count() as u64;
+        let found = swept.0.iter().filter(|&&b| b).count() as u64;
         span.count("disagreements", found);
         tel.counter_add("disagreements_found_total", found);
     }
-    Ok(bits)
+    Ok(swept)
 }
 
 /// Computes, for every support instance, whether the bundle's output on it
@@ -447,6 +502,17 @@ pub fn query_fps(
     support: &SupportSet,
     opts: &EngineOptions,
 ) -> Result<Vec<Fingerprint>, EngineError> {
+    sweep_fps(db, q, support, opts).map(|(fps, _)| fps)
+}
+
+/// [`query_fps`], plus `q`'s output on the stored database: every entropy
+/// path executes the plan itself.
+pub(crate) fn sweep_fps(
+    db: &Database,
+    q: &Prepared,
+    support: &SupportSet,
+    opts: &EngineOptions,
+) -> Result<Answered<Vec<Fingerprint>>, EngineError> {
     use {Shape::*, Strategy::*, SupportSet::*};
     failpoint()?;
     let tel = &opts.telemetry;
@@ -462,10 +528,10 @@ pub fn query_fps(
         }
         (Uniform(_), ..) | (Neighborhood(_), ..) => {
             _span = sweep_span(tel, "entropy/per-instance", &active);
-            per_instance(db, q, support, &visible, opts)
+            per_instance(db, q, support, &visible, opts, None)
         }
     };
-    meter_trips(tel, swept).map(|(_, fps)| fps)
+    meter_trips(tel, swept).map(|Swept { out, fps, .. }| (fps, Some(out)))
 }
 
 /// A bundle's partition from its members' per-query fingerprint vectors
@@ -510,7 +576,7 @@ mod tests {
     use super::*;
     use crate::normal_form::prepare_query;
     use crate::support::{generate_support, SupportConfig};
-    use qirana_sqlengine::{ColumnDef, DataType, TableSchema, Value};
+    use qirana_sqlengine::{execute, ColumnDef, DataType, TableSchema, Value};
     use std::sync::Arc;
 
     const STRATEGIES: [Strategy; 4] = [
@@ -788,6 +854,35 @@ mod tests {
         query_fps(&database, &q, &support, &opts).unwrap();
         assert_eq!(sink.counter("delta_builds_total"), 2);
         assert_eq!(sink.counter("delta_probes_total"), 240);
+    }
+
+    /// A build that declines leaves the sweep to per-instance execution,
+    /// which takes the build's base output instead of executing it again:
+    /// one base execution, then one per visible neighbor.
+    #[test]
+    fn a_declined_build_hands_its_output_to_the_per_instance_sweep() {
+        let database = db();
+        let support = support(&database, 60);
+        let SupportSet::Neighborhood(ups) = &support else {
+            unreachable!()
+        };
+        // Opaque, so the build declines.
+        let q = prepare_query(&database, "select distinct gender from User").unwrap();
+        let visible = visibility(&database, &q, &support, &[true; 60]);
+        let live = visible.iter().filter(|v| v.is_some()).count() as u64;
+        assert!(live > 0, "some neighbor must be visible");
+        let opts = EngineOptions::default().with_telemetry(Telemetry::enabled());
+        let (swept, fallbacks) =
+            delta_sweep(&database, &q, &support, ups, &visible, &opts).unwrap();
+        let sink = opts.telemetry.sink().unwrap();
+        assert_eq!(sink.counter("plan_executions_total"), 1 + live);
+        assert_eq!(fallbacks, 0);
+        let alone = execute(&q.plan, &ExecContext::new(&database)).unwrap();
+        assert_eq!(swept.out, alone);
+        assert_eq!(
+            swept.fps,
+            query_fps(&database, &q, &support, &EngineOptions::naive()).unwrap()
+        );
     }
 
     #[test]

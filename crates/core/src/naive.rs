@@ -9,13 +9,11 @@
 //! them inline or on a worker pool. Nothing here writes: a neighbor is the
 //! stored database read through its update's row patch.
 
-use crate::engine::{bag_fp, EngineOptions, Visible};
+use crate::engine::{bag_fp, run_plan, EngineOptions, Visible};
 use crate::normal_form::{Prepared, Shape};
 use crate::parallel::fan_out;
 use crate::update::SupportUpdate;
-use qirana_sqlengine::{
-    execute, Database, EngineError, ExecBudget, ExecContext, Fingerprint, ResolvedSelect, Row,
-};
+use qirana_sqlengine::{Database, EngineError, ExecContext, Fingerprint, ResolvedSelect, Row};
 use std::collections::{BTreeMap, HashMap};
 
 /// The plan's output fingerprint on each neighbor `updates[idxs[j]]`:
@@ -33,7 +31,7 @@ pub(crate) fn neighbor_fps(
         let ctx = ExecContext::new(db)
             .with_patch(up.table(), &patch)
             .with_budget(opts.budget);
-        execute(plan, &ctx).map(bag_fp)
+        run_plan(&opts.telemetry, plan, &ctx).map(bag_fp)
     })
 }
 
@@ -46,7 +44,7 @@ pub(crate) fn world_fps(
 ) -> Result<Vec<Fingerprint>, EngineError> {
     fan_out(idxs.len(), opts.parallelism, &opts.telemetry, |j| {
         let ctx = ExecContext::new(&worlds[idxs[j]]).with_budget(opts.budget);
-        Ok(bag_fp(execute(plan, &ctx)?))
+        run_plan(&opts.telemetry, plan, &ctx).map(bag_fp)
     })
 }
 
@@ -63,7 +61,7 @@ pub fn reduced_disagreements(
     q: &Prepared,
     updates: &[SupportUpdate],
     visible: &[Visible],
-    budget: ExecBudget,
+    opts: &EngineOptions,
 ) -> Result<Vec<bool>, EngineError> {
     // Callers route non-SPJ shapes through the full-execution path;
     // reaching here with one is a caller bug — but a routing bug must
@@ -104,8 +102,8 @@ pub fn reduced_disagreements(
         let run = |patch: &[(usize, Row)]| {
             let ctx = ExecContext::with_override(db, table, &reduced)
                 .with_patch(table, patch)
-                .with_budget(budget);
-            execute(&q.plan, &ctx).map(bag_fp)
+                .with_budget(opts.budget);
+            run_plan(&opts.telemetry, &q.plan, &ctx).map(bag_fp)
         };
         let base = run(&[])?;
         for &i in &idxs {
@@ -129,7 +127,7 @@ mod tests {
     };
     use crate::normal_form::prepare_query;
     use crate::support::{generate_support, generate_uniform_worlds, SupportConfig, SupportSet};
-    use qirana_sqlengine::{ColumnDef, DataType, TableSchema};
+    use qirana_sqlengine::{execute, ColumnDef, DataType, TableSchema};
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -222,8 +220,8 @@ mod tests {
         };
         let visible = vec![Some(Vec::new()); updates.len()];
         let q = prepare_query(&database, "select grp, sum(v) from T group by grp").unwrap();
-        let err = reduced_disagreements(&database, &q, updates, &visible, ExecBudget::UNLIMITED)
-            .unwrap_err();
+        let opts = EngineOptions::default();
+        let err = reduced_disagreements(&database, &q, updates, &visible, &opts).unwrap_err();
         assert!(matches!(err, EngineError::Eval(_)), "got {err:?}");
         // The engine never routes it there: under `NaiveReduced` the same
         // query prices through per-instance execution.

@@ -45,14 +45,13 @@
 //! optimizer can be replayed for any buyer and masked with any charged
 //! bitmap, bit-for-bit as if recomputed.
 
-use crate::engine::{bag_fp, EngineOptions, Visible};
+use crate::engine::{bag_fp, run_plan, EngineOptions, Visible};
 use crate::normal_form::{RelShape, SpjShape};
 use crate::parallel::fan_out;
 use crate::update::SupportUpdate;
 use qirana_sqlengine::exec::eval_row_expr;
 use qirana_sqlengine::{
-    execute, Database, EngineError, ExecBudget, ExecContext, Fingerprint, QueryOutput,
-    ResolvedSelect, Row, Value,
+    Database, EngineError, ExecContext, Fingerprint, QueryOutput, ResolvedSelect, Row, Value,
 };
 use std::collections::{BTreeMap, HashSet};
 
@@ -76,9 +75,10 @@ fn contributing_sets(
     db: &Database,
     keyed: &ResolvedSelect,
     ranges: &[std::ops::Range<usize>],
-    budget: ExecBudget,
+    opts: &EngineOptions,
 ) -> Result<Vec<HashSet<Vec<Value>>>> {
-    let out = execute(keyed, &ExecContext::new(db).with_budget(budget))?;
+    let ctx = ExecContext::new(db).with_budget(opts.budget);
+    let out = run_plan(&opts.telemetry, keyed, &ctx)?;
     let mut sets: Vec<HashSet<Vec<Value>>> = vec![HashSet::new(); ranges.len()];
     for row in &out.rows {
         for (set, range) in sets.iter_mut().zip(ranges) {
@@ -151,7 +151,7 @@ pub fn spj_disagreements(
 ) -> Result<Vec<bool>> {
     let n = updates.len();
     let mut bits = vec![false; n];
-    let contrib = contributing_sets(db, &shape.keyed, &shape.keyed_ranges, opts.budget)?;
+    let contrib = contributing_sets(db, &shape.keyed, &shape.keyed_ranges, opts)?;
 
     let nrels = shape.relations.len();
     let mut check_new: Vec<Vec<(usize, Vec<Row>)>> = vec![Vec::new(); nrels];
@@ -208,7 +208,7 @@ pub fn spj_disagreements(
         let cmps = &check_cmp[rel.rel_idx];
         let probe = |rows: &[Row]| {
             let ctx = ExecContext::with_override(db, rel.table, rows).with_budget(opts.budget);
-            execute(&shape.probes[rel.rel_idx], &ctx)
+            run_plan(&opts.telemetry, &shape.probes[rel.rel_idx], &ctx)
         };
 
         if batch {

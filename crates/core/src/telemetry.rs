@@ -362,6 +362,15 @@ impl TelemetrySink {
         }
     }
 
+    fn innermost_count(&self, key: &'static str, delta: u64) {
+        let mut t = lock(&self.trace);
+        if let Some(idx) = t.stack.last().copied() {
+            if let Some(span) = t.spans.get_mut(idx) {
+                *span.counts.entry(key).or_insert(0) += delta;
+            }
+        }
+    }
+
     pub fn counter_add(&self, name: &str, delta: u64) {
         let mut r = lock(&self.registry);
         if let Some(c) = r.counters.get_mut(name) {
@@ -682,6 +691,17 @@ impl Telemetry {
         }
     }
 
+    /// Bumps a named count on the innermost open span, whichever stage it
+    /// is — for work counted where it happens, by code that holds no span
+    /// guard (plan executions). A worker thread's count lands on the span
+    /// its orchestrating thread has open. No-op when disabled or when no
+    /// span is open.
+    pub fn count_innermost(&self, key: &'static str, delta: u64) {
+        if let Some(sink) = &self.sink {
+            sink.innermost_count(key, delta);
+        }
+    }
+
     pub fn gauge_set(&self, name: &str, value: u64) {
         if let Some(sink) = &self.sink {
             sink.gauge_set(name, value);
@@ -843,6 +863,30 @@ mod tests {
         assert_eq!(spans[0].end_ns, Some(300));
         assert_eq!(sink.histogram_count("stage_prepare_ns"), 1);
         assert_eq!(sink.histogram_count("stage_disagreement_ns"), 1);
+    }
+
+    #[test]
+    fn innermost_counts_land_on_the_open_leaf() {
+        let t = Telemetry::with_clock(Box::new(TestClock::stepping(1)));
+        t.count_innermost("execs", 1); // no span open: dropped
+        {
+            let _outer = t.span(Stage::Disagreement);
+            {
+                let _inner = t.span(Stage::DeltaBuild);
+                t.count_innermost("execs", 1);
+            }
+            t.count_innermost("execs", 2);
+        }
+        let sink = match t.sink() {
+            Some(s) => Arc::clone(s),
+            None => unreachable!("enabled telemetry has a sink"),
+        };
+        let execs: Vec<_> = sink
+            .spans()
+            .iter()
+            .map(|s| s.counts.get("execs").copied())
+            .collect();
+        assert_eq!(execs, [Some(2), Some(1)]);
     }
 
     #[test]

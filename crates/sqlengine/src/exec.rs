@@ -20,7 +20,9 @@
 //!   fold and every fingerprint are bitwise those of the edited database;
 //!   unpatched tables are still borrowed, never copied.
 //! * **Open plans**: the executor accepts programmatically modified
-//!   [`ResolvedSelect`] values (key-augmented, unrolled, widened).
+//!   [`ResolvedSelect`] values (key-augmented, unrolled, widened), and
+//!   [`execute_with_input`] hands back the rows a plan's aggregates fold
+//!   next to its output.
 
 use crate::ast::{AggFunc, BinaryOp, UnaryOp};
 use crate::database::Database;
@@ -299,6 +301,19 @@ pub fn execute(plan: &ResolvedSelect, ctx: &ExecContext<'_>) -> Result<QueryOutp
     execute_nested(plan, ctx, &[])
 }
 
+/// [`execute`], also handing back the plan's input: the rows FROM and
+/// WHERE produced, each `plan.width` slots wide, in the order grouping
+/// and projection read them. For a grouped plan these are the rows its
+/// aggregates fold, so a caller that needs both the output and the
+/// ungrouped core (the pricing layer's incremental evaluator) executes
+/// once. The output is exactly [`execute`]'s.
+pub fn execute_with_input(
+    plan: &ResolvedSelect,
+    ctx: &ExecContext<'_>,
+) -> Result<(QueryOutput, Vec<Row>)> {
+    execute_input(plan, ctx, &[])
+}
+
 /// Evaluates a row-context expression against a single row.
 ///
 /// Used by the update machinery and by QIRANA's static disagreement checks
@@ -383,6 +398,14 @@ fn execute_nested(
     ctx: &ExecContext<'_>,
     outer: &[&[Value]],
 ) -> Result<QueryOutput> {
+    execute_input(plan, ctx, outer).map(|(out, _)| out)
+}
+
+fn execute_input(
+    plan: &ResolvedSelect,
+    ctx: &ExecContext<'_>,
+    outer: &[&[Value]],
+) -> Result<(QueryOutput, Vec<Row>)> {
     // Catch an already-expired deadline before doing any work (the periodic
     // in-loop checks only fire once enough rows have been charged).
     ctx.meter.check_deadline()?;
@@ -393,7 +416,7 @@ fn execute_nested(
     let mut rows: Vec<Row>;
 
     if plan.grouped {
-        rows = run_grouped(plan, ctx, outer, &cache, joined)?;
+        rows = run_grouped(plan, ctx, outer, &cache, &joined)?;
     } else {
         rows = Vec::with_capacity(joined.len());
         for r in &joined {
@@ -441,11 +464,12 @@ fn execute_nested(
     if let Some(limit) = plan.limit {
         rows.truncate(limit as usize);
     }
-    Ok(QueryOutput {
+    let out = QueryOutput {
         columns,
         rows,
         ordered: !plan.order_by.is_empty(),
-    })
+    };
+    Ok((out, joined))
 }
 
 fn sort_keyed(keyed: &mut [(Vec<Value>, Row)], order_by: &[(PExpr, bool)]) {
@@ -470,7 +494,7 @@ fn run_grouped(
     ctx: &ExecContext<'_>,
     outer: &[&[Value]],
     cache: &SubCache,
-    joined: Vec<Row>,
+    joined: &[Row],
 ) -> Result<Vec<Row>> {
     struct Group {
         first_row: Row,
@@ -479,7 +503,7 @@ fn run_grouped(
     let mut order: Vec<Vec<Value>> = Vec::new();
     let mut groups: HashMap<Vec<Value>, Group> = HashMap::new();
 
-    for row in &joined {
+    for row in joined {
         let env = Env {
             row,
             aggs: None,
@@ -1817,6 +1841,60 @@ mod tests {
             out.rows,
             vec![vec![Value::Int(0), Value::Null, Value::Null]]
         );
+    }
+
+    /// A value as its variant and exact bits: `Int(3)` and `Float(3.0)`
+    /// compare equal as values but differ here, and so do two floats one
+    /// rounding apart.
+    fn image(rows: &[Row]) -> Vec<Vec<String>> {
+        let cell = |v: &Value| match v {
+            Value::Float(f) => format!("Float({:#x})", f.to_bits()),
+            other => format!("{other:?}"),
+        };
+        rows.iter().map(|r| r.iter().map(cell).collect()).collect()
+    }
+
+    /// The plan's ungrouped core: same FROM/WHERE, one identity projection
+    /// per joined slot, no grouping, sorting or limit.
+    fn core_of(plan: &ResolvedSelect) -> ResolvedSelect {
+        let mut core = plan.clone();
+        core.grouped = false;
+        core.group_by.clear();
+        core.aggregates.clear();
+        core.having = None;
+        core.order_by.clear();
+        core.limit = None;
+        core.distinct = false;
+        core.projections = (0..plan.width)
+            .map(|sl| crate::plan::Projection {
+                expr: PExpr::Slot(sl),
+                name: format!("c{sl}"),
+            })
+            .collect();
+        core
+    }
+
+    #[test]
+    fn execute_with_input_returns_the_output_and_the_core_rows() {
+        let db = db();
+        for sql in [
+            "select count(*), sum(age), min(age) from User where age > 100",
+            "select gender, count(*), max(tid) from User, Tweet where User.uid = Tweet.uid \
+             group by gender having count(*) > 1 order by gender desc limit 1",
+            "select gender, sum(age * 0.1), avg(age / 3.0) from User group by gender",
+        ] {
+            let plan = plan_select(&parse_select(sql).unwrap(), &db).unwrap();
+            let ctx = ExecContext::new(&db);
+            let (out, input) = execute_with_input(&plan, &ctx).unwrap();
+            let alone = execute(&plan, &ctx).unwrap();
+            assert_eq!(
+                (&out.columns, out.ordered, image(&out.rows)),
+                (&alone.columns, alone.ordered, image(&alone.rows)),
+                "{sql}"
+            );
+            let core = execute(&core_of(&plan), &ctx).unwrap();
+            assert_eq!(image(&input), image(&core.rows), "{sql}");
+        }
     }
 
     #[test]

@@ -134,24 +134,32 @@ pub fn output_row_hash(row: &[Value]) -> u128 {
     row_hash(row)
 }
 
+fn header(out: &QueryOutput) -> u128 {
+    out.rows.len() as u128 ^ ((out.columns.len() as u128) << 64)
+}
+
 /// Fingerprints a query output (bag-equality for unordered results,
 /// sequence-equality for ordered ones).
 pub fn fingerprint(out: &QueryOutput) -> Fingerprint {
-    let mut acc: u128 = out.rows.len() as u128 ^ ((out.columns.len() as u128) << 64);
-    if out.ordered {
-        for r in &out.rows {
-            // Sequential chaining: order-sensitive.
-            acc = acc
-                .rotate_left(1)
-                .wrapping_mul(0x1000_0000_0000_0000_0000_0000_0000_0159)
-                ^ row_hash(r);
-        }
-    } else {
-        for r in &out.rows {
-            acc = acc.wrapping_add(row_hash(r));
-        }
+    if !out.ordered {
+        return bag_fingerprint(out);
+    }
+    let mut acc = header(out);
+    for r in &out.rows {
+        // Sequential chaining: order-sensitive.
+        acc = acc
+            .rotate_left(1)
+            .wrapping_mul(0x1000_0000_0000_0000_0000_0000_0000_0159)
+            ^ row_hash(r);
     }
     Fingerprint(acc)
+}
+
+/// The unordered [`fingerprint`] of an output whatever its `ordered` flag:
+/// equal exactly when the two outputs hold the same bag of rows.
+pub fn bag_fingerprint(out: &QueryOutput) -> Fingerprint {
+    let sum = out.rows.iter().map(|r| row_hash(r));
+    Fingerprint(sum.fold(header(out), u128::wrapping_add))
 }
 
 /// Fingerprints several outputs as one bundle: the bundle fingerprint is the

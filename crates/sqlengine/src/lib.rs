@@ -64,8 +64,10 @@ pub mod value;
 pub use ast::{SelectStmt, Statement};
 pub use database::Database;
 pub use error::{BudgetResource, EngineError, Result};
-pub use exec::{execute, ExecBudget, ExecContext, QueryOutput};
-pub use fingerprint::{fingerprint, fingerprint_bundle, output_row_hash, Fingerprint};
+pub use exec::{execute, execute_with_input, ExecBudget, ExecContext, QueryOutput};
+pub use fingerprint::{
+    bag_fingerprint, fingerprint, fingerprint_bundle, output_row_hash, Fingerprint,
+};
 pub use parser::{parse_select, parse_statement};
 pub use plan::{plan_select, PExpr, PRelation, ResolvedSelect};
 pub use schema::{ColumnDef, DataType, Domain, ForeignKey, TableSchema};

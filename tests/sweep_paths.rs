@@ -25,36 +25,51 @@ use std::sync::Arc;
 
 const S: u64 = 64;
 
-/// The counters the routing table pins. The last two count neighbors the
-/// delta fold declined and re-executed in full: `delta_fallbacks_total`
-/// for both families, `coverage_fallbacks_total` on coverage sweeps only.
-const COUNTERS: [&str; 6] = [
+/// The counters the routing table pins. The fifth and sixth count
+/// neighbors the delta fold declined and re-executed in full:
+/// `delta_fallbacks_total` for both families, `coverage_fallbacks_total`
+/// on coverage sweeps only. The last counts every plan execution.
+const COUNTERS: [&str; 7] = [
     "neighbors_evaluated_total",
     "delta_builds_total",
     "delta_probes_total",
     "delta_probe_execs_total",
     "delta_fallbacks_total",
     "coverage_fallbacks_total",
+    "plan_executions_total",
 ];
 
 /// The counter increments a request that ran `case`'s sweep under `path`
-/// must show: one sweep looks at all `S` neighbors; only a delta path —
-/// either family's — builds delta state (once), probes it (once per
-/// neighbor) and issues batched executions; no query of the session (all
-/// integer aggregates) trips a guard of the fold.
-fn golden_counters(sweep: Option<(&Case, &str)>) -> [u64; 6] {
-    match sweep {
-        None => [0; 6],
-        Some((case, "entropy/delta" | "coverage/delta")) => [S, 1, S, case.probe_execs, 0, 0],
-        Some(_) => [S, 0, 0, 0, 0, 0],
-    }
+/// (or none) and executed `answers` answers outside any sweep must show:
+/// one sweep looks at all `S` neighbors; only a delta path — either
+/// family's — builds delta state (once), probes it (once per neighbor) and
+/// issues batched executions; no query of the session (all integer
+/// aggregates) trips a guard of the fold. A delta sweep executes the plan
+/// once to build and once per batch, no more.
+fn golden_counters(sweep: Option<(&Case, &str)>, answers: u64) -> [u64; 7] {
+    let mut golden = match sweep {
+        None => [0; 7],
+        Some((case, path @ ("entropy/delta" | "coverage/delta"))) => {
+            assert_eq!(case.execs(path), 1 + case.probe_execs, "{}", case.sql);
+            [S, 1, S, case.probe_execs, 0, 0, case.execs(path)]
+        }
+        Some((case, path)) => [S, 0, 0, 0, 0, 0, case.execs(path)],
+    };
+    golden[6] += answers;
+    golden
+}
+
+/// A buy executes its answer itself only when the sweep that priced it
+/// never ran the plan: §4's batched SPJ checks.
+fn answered_by(path: &str) -> u64 {
+    u64::from(path == "coverage/batched")
 }
 
 /// Reads what the sink recorded since the last call.
 struct Tape {
     sink: Arc<TelemetrySink>,
     spans_seen: usize,
-    counters_seen: [u64; 6],
+    counters_seen: [u64; 7],
 }
 
 impl Tape {
@@ -62,13 +77,13 @@ impl Tape {
         Tape {
             sink,
             spans_seen: 0,
-            counters_seen: [0; 6],
+            counters_seen: [0; 7],
         }
     }
 
     /// The sweep labels, the `fallbacks` count their spans carry, and the
     /// counter increments since the previous call.
-    fn advance(&mut self) -> (Vec<String>, u64, [u64; 6]) {
+    fn advance(&mut self) -> (Vec<String>, u64, [u64; 7]) {
         let spans = self.sink.spans();
         let sweeps = spans[self.spans_seen..]
             .iter()
@@ -86,14 +101,14 @@ impl Tape {
     }
 
     /// Asserts the request just made ran exactly `case`'s sweep under
-    /// `path` (or none).
-    fn expect(&mut self, what: &str, sweep: Option<(&Case, &str)>) {
+    /// `path` (or none) and executed `answers` answers besides.
+    fn expect(&mut self, what: &str, sweep: Option<(&Case, &str)>, answers: u64) {
         let (sweeps, on_spans, added) = self.advance();
         let path = sweep.map(|(_, path)| path);
         assert_eq!(sweeps, Vec::from_iter(path), "sweep paths of {what}");
         assert_eq!(
             added,
-            golden_counters(sweep),
+            golden_counters(sweep, answers),
             "{COUNTERS:?} added by {what}"
         );
         assert_eq!(
@@ -115,6 +130,15 @@ struct Case {
     /// `delta_probe_execs_total` per delta sweep: one batched execution
     /// per relation that has a visible neighbor.
     probe_execs: u64,
+    /// `plan_executions_total` of one cold sweep under each family,
+    /// coverage then entropy.
+    sweep_execs: [u64; 2],
+}
+
+impl Case {
+    fn execs(&self, path: &str) -> u64 {
+        self.sweep_execs[usize::from(path.starts_with("entropy/"))]
+    }
 }
 
 const WORLD: [Case; 3] = [
@@ -126,6 +150,7 @@ const WORLD: [Case; 3] = [
         entropy: "entropy/delta",
         relations: 2,
         probe_execs: 2,
+        sweep_execs: [7, 3],
     },
     Case {
         shape: "agg",
@@ -134,6 +159,7 @@ const WORLD: [Case; 3] = [
         entropy: "entropy/delta",
         relations: 1,
         probe_execs: 1,
+        sweep_execs: [2, 2],
     },
     Case {
         shape: "opaque",
@@ -142,6 +168,7 @@ const WORLD: [Case; 3] = [
         entropy: "entropy/per-instance",
         relations: 0,
         probe_execs: 0,
+        sweep_execs: [24, 24],
     },
 ];
 
@@ -154,6 +181,7 @@ const SSB: [Case; 3] = [
         entropy: "entropy/delta",
         relations: 2,
         probe_execs: 2,
+        sweep_execs: [2, 3],
     },
     Case {
         shape: "agg",
@@ -164,6 +192,7 @@ const SSB: [Case; 3] = [
         entropy: "entropy/delta",
         relations: 2,
         probe_execs: 2,
+        sweep_execs: [3, 3],
     },
     Case {
         shape: "opaque",
@@ -172,6 +201,7 @@ const SSB: [Case; 3] = [
         entropy: "entropy/per-instance",
         relations: 0,
         probe_execs: 0,
+        sweep_execs: [9, 9],
     },
 ];
 
@@ -193,11 +223,13 @@ fn broker(db: Database, function: PricingFunction, size: u64) -> (Qirana, Arc<Te
 }
 
 /// Prices the session under `function`: a quote is one cold sweep (quotes
-/// never fill the cache), the purchase that follows takes that sweep from
-/// the handoff and runs none, and a repeat quote is answered from the memo
-/// with no sweep at all. On a second market built the same way, a second
-/// buyer's cold buy of a query nobody quoted sweeps once on the same path,
-/// so the buy's own read path stays pinned.
+/// never fill the cache), the purchase that follows takes that sweep and
+/// its answer from the handoff and executes nothing, a repeat quote is
+/// answered from the memo with no sweep at all, and a second buyer's buy
+/// reads the memo and executes only its answer. On a second market built
+/// the same way, a buyer's cold buy of a query nobody quoted sweeps once on
+/// the same path and answers from that sweep, so the buy's own read path
+/// stays pinned.
 fn drive(db: Database, session: &[Case; 3], function: PricingFunction) {
     let (mut unquoted, unquoted_sink) = broker(db.clone(), function, S);
     let (mut broker, sink) = broker(db, function, S);
@@ -214,17 +246,24 @@ fn drive(db: Database, session: &[Case; 3], function: PricingFunction) {
             PricingFunction::ShannonEntropy => case.entropy,
             _ => case.coverage,
         };
+        let answers = answered_by(path);
         tape.advance(); // set-up and the shape check are not requests
         broker.quote(case.sql).unwrap();
-        tape.expect(&format!("quote of {}", case.sql), Some((case, path)));
+        tape.expect(&format!("quote of {}", case.sql), Some((case, path)), 0);
         broker.buy("golden", case.sql).unwrap();
-        tape.expect(&format!("buy after quote of {}", case.sql), None);
+        tape.expect(&format!("buy after quote of {}", case.sql), None, answers);
         broker.quote(case.sql).unwrap();
-        tape.expect(&format!("repeat quote of {}", case.sql), None);
+        tape.expect(&format!("repeat quote of {}", case.sql), None, 0);
+        broker.buy("memo", case.sql).unwrap();
+        tape.expect(&format!("memo-hit buy of {}", case.sql), None, 1);
 
         unquoted_tape.advance();
         unquoted.buy("second", case.sql).unwrap();
-        unquoted_tape.expect(&format!("unquoted buy of {}", case.sql), Some((case, path)));
+        unquoted_tape.expect(
+            &format!("unquoted buy of {}", case.sql),
+            Some((case, path)),
+            answers,
+        );
     }
 }
 

@@ -13,7 +13,7 @@
 // crates where the workspace lints deny panicking calls.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use qirana_bench::{combos, subset_db, Args, Harness};
+use qirana_bench::{combos, subset_db, Args};
 use qirana_core::{Qirana, QiranaConfig, SupportConfig, SupportType};
 use qirana_datagen::queries::{q_gamma, q_join, q_pi, q_sigma};
 use qirana_datagen::world;
@@ -27,11 +27,6 @@ fn main() {
     // Q⋈) with uniformly valued attributes — $100 per relation, so the
     // Qσ/Qπ sweeps span 0..100 as in the figure.
     let db = subset_db(&world::generate(7), &["Country", "CountryLanguage"]);
-
-    let mut h = Harness::from_args("fig2", &args, None);
-    h.param("support", support);
-    h.param("uniform-support", uniform_support);
-    h.param("seed", seed);
 
     let sigma_us = [1i64, 32, 64, 128, 239];
     let pi_us: Vec<usize> = (1..=13).collect();
@@ -65,31 +60,19 @@ fn main() {
         };
 
         println!("== {label} (S = {size}) ==");
-        let record = |h: &mut Harness, series_name: &str, us: &[String], prices: &[f64]| {
-            for (u, p) in us.iter().zip(prices) {
-                h.record(series_name, &format!("{label} u={u}"), *p);
-            }
-        };
         let p = series(&mut b, sigma_us.iter().map(|&u| q_sigma(u)).collect());
         let labels = sigma_us.map(|u| u.to_string());
         print_series("Qs (u=1,32,64,128,239)", &labels, &p);
-        record(&mut h, "sigma_price", &labels, &p);
         let p = series(&mut b, pi_us.iter().map(|&u| q_pi(u)).collect());
         let labels: Vec<String> = pi_us.iter().map(|u| u.to_string()).collect();
         print_series("Qp (u=1..13)", &labels, &p);
-        record(&mut h, "pi_price", &labels, &p);
         let p = series(&mut b, join_us.iter().map(|&u| q_join(u)).collect());
         let labels = join_us.map(|u| u.to_string());
         print_series("Qj (u=.01,.1,1,10,100)", &labels, &p);
-        record(&mut h, "join_price", &labels, &p);
         let p = series(&mut b, gamma_us.iter().map(|&u| q_gamma(u)).collect());
         let labels: Vec<String> = gamma_us.iter().map(|u| u.to_string()).collect();
         print_series("Qg (u=1..25)", &labels, &p);
-        record(&mut h, "gamma_price", &labels, &p);
         println!();
-    }
-    if let Some(path) = h.finish().expect("bench artifact") {
-        println!("wrote {}", path.display());
     }
 }
 

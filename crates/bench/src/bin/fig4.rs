@@ -15,7 +15,7 @@
 // crates where the workspace lints deny panicking calls.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use qirana_bench::{broker, subset_db, Args, Harness};
+use qirana_bench::{broker, subset_db, time, usage_error, Args};
 use qirana_core::{PricingFunction, Qirana, QiranaConfig, SupportConfig, SupportType};
 use qirana_datagen::queries::{
     q_gamma, q_join, q_pi, q_sigma, ssb_q11_instance, ssb_queries, QR1, QR2,
@@ -53,32 +53,24 @@ fn main() {
         .first()
         .cloned()
         .unwrap_or_else(|| "all".to_string());
-    let mut h = Harness::from_args("fig4", &args, None);
-    h.param("subfigure", &which);
     match which.as_str() {
         "a" => fig4a(&args),
         "b" => fig4b(&args),
         "c" => fig4c(&args),
-        "d" => fig4d(&args, &mut h),
-        "e" => fig4ef(&args, &mut h, false),
-        "f" => fig4ef(&args, &mut h, true),
+        "d" => fig4d(&args),
+        "e" => fig4ef(&args, false),
+        "f" => fig4ef(&args, true),
         "g" => fig4g(&args),
         "all" => {
             fig4a(&args);
             fig4b(&args);
             fig4c(&args);
-            fig4d(&args, &mut h);
-            fig4ef(&args, &mut h, false);
-            fig4ef(&args, &mut h, true);
+            fig4d(&args);
+            fig4ef(&args, false);
+            fig4ef(&args, true);
             fig4g(&args);
         }
-        other => {
-            eprintln!("unknown sub-figure {other}; use a..g or all");
-            return;
-        }
-    }
-    if let Some(path) = h.finish().expect("bench artifact") {
-        println!("wrote {}", path.display());
+        other => usage_error(&format!("unknown sub-figure {other}; use a..g or all")),
     }
 }
 
@@ -191,7 +183,7 @@ fn fig4c(args: &Args) {
 }
 
 /// 4d: pricing time vs. support size for the four benchmark queries.
-fn fig4d(args: &Args, h: &mut Harness) {
+fn fig4d(args: &Args) {
     println!("== Figure 4d: pricing time (s) vs support size ==");
     let db = world::generate(7);
     let queries = [
@@ -214,12 +206,10 @@ fn fig4d(args: &Args, h: &mut Harness) {
             args.get("seed", 1),
         );
         print!("{size:<10}");
-        for (name, sql) in &queries {
+        for (_, sql) in &queries {
             // Warm once, then time.
             b.quote(sql).unwrap();
-            let (_, t) = h.time(&format!("quote_{name}"), &format!("S={size}"), || {
-                b.quote(sql).unwrap()
-            });
+            let (_, t) = time(|| b.quote(sql).unwrap());
             print!("{t:>10.4}");
         }
         println!();
@@ -229,7 +219,7 @@ fn fig4d(args: &Args, h: &mut Harness) {
 
 /// 4e (prices) and 4f (runtimes): the 13 SSB queries priced in sequence,
 /// history-oblivious vs. history-aware.
-fn fig4ef(args: &Args, h: &mut Harness, runtimes: bool) {
+fn fig4ef(args: &Args, runtimes: bool) {
     let sf: f64 = args.get("sf", 0.002);
     let support: usize = args.get("support", 1000);
     let seed: u64 = args.get("seed", 1);
@@ -256,14 +246,8 @@ fn fig4ef(args: &Args, h: &mut Harness, runtimes: bool) {
     println!("{:<6} {:>12} {:>12}", "query", "oblivious", "aware");
     let (mut sum_o, mut sum_a) = (0.0, 0.0);
     for (name, sql) in ssb_queries() {
-        let (po, to) =
-            h.time_with_value("oblivious", name, || oblivious.quote(sql).unwrap(), |p| *p);
-        let (pa, ta) = h.time_with_value(
-            "aware",
-            name,
-            || aware.buy("buyer", sql).unwrap().price,
-            |p| *p,
-        );
+        let (po, to) = time(|| oblivious.quote(sql).unwrap());
+        let (pa, ta) = time(|| aware.buy("buyer", sql).unwrap().price);
         if runtimes {
             println!("{name:<6} {to:>12.4} {ta:>12.4}");
             sum_o += to;

@@ -26,11 +26,11 @@
 // crates where the workspace lints deny panicking calls.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use qirana_bench::{Args, Harness};
+use qirana_bench::{time, usage_error, Args};
 use qirana_core::generate_support;
 use qirana_core::{
     bundle_disagreements, bundle_partition, prepare_query, EngineOptions, Parallelism, Prepared,
-    SupportConfig, SupportSet,
+    SupportConfig, SupportSet, Telemetry,
 };
 use qirana_datagen::queries::{ssb_queries, tpch_queries, WORLD_QUERIES};
 use qirana_datagen::{ssb, tpch, world};
@@ -50,10 +50,9 @@ fn main() {
     let shannon = match function.as_str() {
         "coverage" => false,
         "shannon" => true,
-        other => {
-            eprintln!("unknown function {other}; use coverage or shannon");
-            return;
-        }
+        other => usage_error(&format!(
+            "--function: unknown `{other}`; use coverage or shannon"
+        )),
     };
     let threads: usize = args.get("threads", 1);
     let par = if threads > 1 {
@@ -87,15 +86,12 @@ fn main() {
                 .collect();
             (db, joins)
         }
-        other => {
-            eprintln!("unknown dataset {other}; use ssb, tpch or world");
-            return;
-        }
+        other => usage_error(&format!("unknown dataset {other}; use ssb, tpch or world")),
     };
     // One sweep of the timed primitive: the coverage bitmap, or the
-    // per-instance fingerprints an entropy price is a function of.
-    let mut h = Harness::from_args("fig5", &args, None);
-    let tel = h.telemetry();
+    // per-instance fingerprints an entropy price is a function of. The
+    // sweeps report to an enabled sink, which the fallbacks column reads.
+    let tel = Telemetry::enabled();
     let sweep = |db: &Database, q: &Prepared, support: &SupportSet, opts: EngineOptions| {
         let opts = opts.with_parallelism(par).with_telemetry(tel.clone());
         if shannon {
@@ -113,11 +109,6 @@ fn main() {
         "coverage_fallbacks_total"
     };
     let fallbacks = || tel.sink().map_or(0, |sink| sink.counter(fallbacks_counter));
-    h.param("dataset", &which);
-    h.param("function", &function);
-    h.param("sf", sf);
-    h.param("support", support);
-    h.param("threads", threads);
 
     println!(
         "== Figure 5 ({which}, {function}, sf={sf}, S={support}, threads={threads}): pricing time in seconds =="
@@ -148,27 +139,16 @@ fn main() {
                 continue;
             }
         };
-        let (_, t_exec) = h.time("query_exec", &name, || {
-            execute(&q.plan, &ExecContext::new(&db)).unwrap()
-        });
-        let (_, t_nobatch) = h.time("no_batching", &name, || {
-            sweep(&db, &q, &support_set, EngineOptions::no_batching())
-        });
+        let (_, t_exec) = time(|| execute(&q.plan, &ExecContext::new(&db)).unwrap());
+        let (_, t_nobatch) = time(|| sweep(&db, &q, &support_set, EngineOptions::no_batching()));
         let fell_back = fallbacks();
-        let (_, t_batch) = h.time("with_batching", &name, || {
-            sweep(&db, &q, &support_set, EngineOptions::default())
-        });
+        let (_, t_batch) = time(|| sweep(&db, &q, &support_set, EngineOptions::default()));
         let fell_back = fallbacks() - fell_back;
         print!("{name:<6} {t_nobatch:>14.4} {t_batch:>14.4} {t_exec:>14.4}");
         if include_naive == 1 {
-            let (_, t_naive) = h.time("naive", &name, || {
-                sweep(&db, &q, &support_set, EngineOptions::naive())
-            });
+            let (_, t_naive) = time(|| sweep(&db, &q, &support_set, EngineOptions::naive()));
             print!(" {t_naive:>14.4}");
         }
         println!(" {fell_back:>10}");
-    }
-    if let Some(path) = h.finish().expect("bench artifact") {
-        println!("wrote {}", path.display());
     }
 }

@@ -9,7 +9,7 @@
 // crates where the workspace lints deny panicking calls.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use qirana_bench::{broker, Args, Harness};
+use qirana_bench::{broker, Args};
 use qirana_core::{PricingFunction, SupportType};
 use qirana_datagen::queries::WORLD_QUERIES;
 use qirana_datagen::world;
@@ -20,11 +20,6 @@ fn main() {
     let uniform_support: usize = args.get("uniform-support", 150);
     let seed: u64 = args.get("seed", 4);
     let db = world::generate(7);
-
-    let mut h = Harness::from_args("fig6", &args, None);
-    h.param("support", support);
-    h.param("uniform-support", uniform_support);
-    h.param("seed", seed);
 
     // 6a: weighted coverage across support types.
     println!("== Figure 6a: weighted coverage, price distribution by support type ==");
@@ -43,7 +38,6 @@ fn main() {
             .iter()
             .map(|q| b.quote(q).expect("price"))
             .collect();
-        record_prices(&mut h, "fig6a_price", label, &prices);
         summarize(label, &prices);
     }
 
@@ -60,7 +54,6 @@ fn main() {
             .iter()
             .map(|q| b.quote(q).expect("price"))
             .collect();
-        record_prices(&mut h, "fig6b_price", f.name(), &prices);
         summarize(f.name(), &prices);
     }
 
@@ -72,7 +65,6 @@ fn main() {
             .iter()
             .map(|q| b.quote(q).expect("price"))
             .collect();
-        record_prices(&mut h, "fig6c_price", f.name(), &prices);
         summarize(f.name(), &prices);
     }
 
@@ -87,19 +79,7 @@ fn main() {
     );
     for (i, q) in WORLD_QUERIES.iter().enumerate() {
         let p = b.quote(q).unwrap();
-        h.record("per_query_price", &format!("Qw{}", i + 1), p);
         println!("Qw{:<3} {p:>8.2}  {q}", i + 1);
-    }
-    if let Some(path) = h.finish().expect("bench artifact") {
-        println!("wrote {}", path.display());
-    }
-}
-
-/// Records one sample per query so the artifact carries the full
-/// distribution each summary row collapses.
-fn record_prices(h: &mut Harness, series: &str, group: &str, prices: &[f64]) {
-    for (i, p) in prices.iter().enumerate() {
-        h.record(series, &format!("{group}/Qw{}", i + 1), *p);
     }
 }
 

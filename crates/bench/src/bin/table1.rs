@@ -11,7 +11,7 @@
 // crates where the workspace lints deny panicking calls.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use qirana_bench::{broker, Args, Harness};
+use qirana_bench::{broker, Args};
 use qirana_core::{PricingFunction, Qirana, SupportType};
 use qirana_datagen::world;
 
@@ -75,11 +75,6 @@ fn main() {
     let seed: u64 = args.get("seed", 2);
     let db = world::generate(7);
 
-    let mut h = Harness::from_args("table1", &args, None);
-    h.param("support", support);
-    h.param("uniform-support", uniform_support);
-    h.param("seed", seed);
-
     println!("Table 1: pricing-function properties (empirical check on world)");
     println!(
         "{:<22} {:<9} {:<6} {:>12} {:>12}",
@@ -98,9 +93,6 @@ fn main() {
             let mut b = broker(db.clone(), f, ty, size, seed);
             let info = check_info_arbitrage(&mut b);
             let bundle = check_bundle_arbitrage(&mut b);
-            let combo = format!("{}+{}", f.name(), label);
-            h.record("info_arbitrage_free", &combo, f64::from(u8::from(info)));
-            h.record("bundle_arbitrage_free", &combo, f64::from(u8::from(bundle)));
             let kind = if ty == SupportType::Uniform {
                 match f {
                     PricingFunction::WeightedCoverage | PricingFunction::UniformEntropyGain => {
@@ -127,7 +119,4 @@ fn main() {
          log-count sum — absence above is not a proof). All are information-\n\
          arbitrage-free (coverage/gain strongly, entropies weakly)."
     );
-    if let Some(path) = h.finish().expect("bench artifact") {
-        println!("wrote {}", path.display());
-    }
 }

@@ -7,7 +7,7 @@
 // crates where the workspace lints deny panicking calls.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use qirana_bench::{Args, Harness};
+use qirana_bench::Args;
 use qirana_datagen::{carcrash, dblp, ssb, tpch, world};
 
 fn main() {
@@ -15,11 +15,6 @@ fn main() {
     let sf: f64 = args.get("sf", 0.01);
     let rows: usize = args.get("rows", 71_115);
     let nodes: usize = args.get("nodes", 31_708);
-
-    let mut h = Harness::from_args("table2", &args, None);
-    h.param("sf", sf);
-    h.param("rows", rows);
-    h.param("nodes", nodes);
 
     println!("Table 2: dataset characteristics (generated)");
     println!("paper values: world 3/5302/21, car crash 1/71115/14, DBLP 1/1049866/2,");
@@ -37,12 +32,6 @@ fn main() {
         ("SSB", ssb::generate(sf, 1)),
     ];
     for (name, db) in datasets {
-        // qirana-lint::allow(QL002): generated dataset sizes, far below 2^53
-        h.record("relations", name, db.num_tables() as f64);
-        // qirana-lint::allow(QL002): generated dataset sizes, far below 2^53
-        h.record("tuples", name, db.total_rows() as f64);
-        // qirana-lint::allow(QL002): generated dataset sizes, far below 2^53
-        h.record("attributes", name, db.total_attributes() as f64);
         println!(
             "{:<12} {:>10} {:>12} {:>12}",
             name,
@@ -52,7 +41,4 @@ fn main() {
         );
     }
     println!("\n(TPC-H/SSB at --sf {sf}; DBLP at --nodes {nodes}; car crash at --rows {rows})");
-    if let Some(path) = h.finish().expect("bench artifact") {
-        println!("wrote {}", path.display());
-    }
 }

@@ -9,7 +9,7 @@
 // crates where the workspace lints deny panicking calls.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use qirana_bench::{broker, Args, Harness};
+use qirana_bench::{broker, Args};
 use qirana_core::{PricingFunction, SupportType};
 use qirana_datagen::queries::{dblp_queries, CARCRASH_QUERIES};
 use qirana_datagen::{carcrash, dblp};
@@ -21,13 +21,6 @@ fn main() {
     let support: usize = args.get("support", 1000);
     let entropy_support: usize = args.get("entropy-support", 400);
     let seed: u64 = args.get("seed", 3);
-
-    let mut h = Harness::from_args("table3", &args, None);
-    h.param("nodes", nodes);
-    h.param("rows", rows);
-    h.param("support", support);
-    h.param("entropy-support", entropy_support);
-    h.param("seed", seed);
 
     println!("Table 3: prices for DBLP (Qd) and US car crash (Qc)");
     println!(
@@ -55,8 +48,6 @@ fn main() {
     for (i, sql) in dqs.iter().enumerate() {
         let p_wc = wc.quote(sql).unwrap_or(f64::NAN);
         let p_sh = sh.quote(sql).unwrap_or(f64::NAN);
-        h.record("dblp_pwc", &format!("Qd{}", i + 1), p_wc);
-        h.record("dblp_ph", &format!("Qd{}", i + 1), p_sh);
         println!("Qd{:<9} {:>10.3} {:>10.3}", i + 1, p_wc, p_sh);
     }
 
@@ -80,12 +71,7 @@ fn main() {
     for (i, sql) in CARCRASH_QUERIES.iter().enumerate() {
         let p_wc = wc.quote(sql).unwrap_or(f64::NAN);
         let p_sh = sh.quote(sql).unwrap_or(f64::NAN);
-        h.record("carcrash_pwc", &format!("Qc{}", i + 1), p_wc);
-        h.record("carcrash_ph", &format!("Qc{}", i + 1), p_sh);
         println!("Qc{:<9} {:>10.3} {:>10.3}", i + 1, p_wc, p_sh);
     }
     println!("\n(DBLP at --nodes {nodes}, car crash at --rows {rows}, S = {support})");
-    if let Some(path) = h.finish().expect("bench artifact") {
-        println!("wrote {}", path.display());
-    }
 }

@@ -1,20 +1,16 @@
-//! A minimal JSON reader and writer for bench artifacts.
+//! A minimal JSON reader and writer, with no serde stack.
 //!
-//! The harness emits JSON by hand (deterministic field order, no
-//! dependency); this module holds the matching reader — so the schema
-//! check in [`crate::harness::validate_bench_json`] and the CI smoke step
-//! can parse what was written without pulling in a serde stack — and the
-//! one number serializer every emitter must share, [`write_f64`]. The
-//! reader accepts exactly RFC 8259 JSON — no comments, no trailing
-//! commas.
+//! It is the wire format of `qirana-server`: request bodies go through
+//! [`parse`], responses through [`render`], and the server's tests read
+//! responses back the same way. The reader accepts exactly RFC 8259 JSON —
+//! no comments, no trailing commas.
 //!
-//! Numbers are the round-trip-critical piece: `BENCH_*.json` artifacts
-//! feed the perf trajectory, so a value written, validated, and rewritten
-//! must stay byte-identical. [`write_f64`] leans on Rust's shortest-
-//! round-trip `Display` (never exponent form, always re-parses to the
-//! same bits) and the reader's `str::parse::<f64>` (correctly rounded),
-//! which together make serialize → parse → serialize a fixpoint for
-//! every finite `f64`; `render` + [`parse`] extend that to whole
+//! Numbers are the round-trip-critical piece: prices travel as JSON
+//! numbers and must arrive bit for bit. [`write_f64`] leans on Rust's
+//! shortest-round-trip `Display` (never exponent form, always re-parses to
+//! the same bits) and the reader's `str::parse::<f64>` (correctly
+//! rounded), which together make serialize → parse → serialize a fixpoint
+//! for every finite `f64`; `render` + [`parse`] extend that to whole
 //! documents. The proptest in this module pins the invariant.
 
 use std::fmt;
@@ -99,7 +95,7 @@ impl fmt::Display for ParseError {
 /// no NaN/Infinity). Rust's `Display` is shortest-round-trip and never
 /// uses exponent form, so the emitted text re-parses to the identical
 /// bits and re-serializes to the identical bytes — including `-0.0`
-/// (`"-0"`). Every harness emitter funnels floats through here.
+/// (`"-0"`). Every emitter funnels floats through here.
 pub fn write_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         let _ = write!(out, "{v}");
@@ -165,7 +161,7 @@ pub fn parse(text: &str) -> Result<Json, ParseError> {
     Ok(v)
 }
 
-/// Nesting bound: bench artifacts are a few levels deep; a pathological
+/// Nesting bound: wire documents are a few levels deep; a pathological
 /// input must not blow the stack.
 const MAX_DEPTH: usize = 64;
 
@@ -306,7 +302,7 @@ impl Parser<'_> {
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| self.err("bad \\u escape"))?;
-                            // Surrogate pairs are not emitted by the harness;
+                            // Surrogate pairs are not emitted by `render`;
                             // map lone surrogates to the replacement char.
                             out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
                             self.pos += 4;
@@ -404,7 +400,7 @@ mod tests {
     #[test]
     fn renders_documents_parse_back_exactly() {
         let doc = Json::Obj(vec![
-            ("schema".into(), Json::Str("qirana-bench/v1".into())),
+            ("sql".into(), Json::Str("SELECT * FROM T".into())),
             (
                 "samples".into(),
                 Json::Arr(vec![
@@ -432,7 +428,7 @@ mod tests {
         );
     }
 
-    /// The satellite audit's checker: serialize → parse must reproduce
+    /// The round-trip checker: serialize → parse must reproduce
     /// the exact bits, and re-serializing must reproduce the exact bytes.
     fn check_f64_round_trip(x: f64) {
         if !x.is_finite() {

@@ -1,9 +1,11 @@
 //! # qirana-bench
 //!
-//! Harnesses that regenerate every table and figure of the QIRANA paper's
+//! Printers that regenerate every table and figure of the QIRANA paper's
 //! evaluation (§2.4 and §5). Each binary prints the same rows/series the
 //! paper plots; `EXPERIMENTS.md` at the repository root records a
-//! paper-vs-measured comparison for each.
+//! paper-vs-measured comparison for each. End-to-end and per-layer
+//! performance is measured by the frozen repository benchmark
+//! (`benchmark/`), not here.
 //!
 //! | Binary | Reproduces |
 //! |---|---|
@@ -17,12 +19,12 @@
 //!
 //! Every binary accepts `--support N` and `--seed N`, and (where
 //! applicable) `--sf F` / `--rows N` / `--nodes N` to scale up toward the
-//! paper's exact parameters.
+//! paper's exact parameters. A flag value that does not parse stops the
+//! run. Only `fig4` and `fig5` time anything, through [`time`].
+//!
+//! [`json`] is the JSON reader/writer of `qirana-server`'s wire format.
 
-pub mod harness;
 pub mod json;
-
-pub use harness::{validate_bench_json, Harness, SCHEMA};
 
 use qirana_core::{PricingFunction, Qirana, QiranaConfig, SupportConfig, SupportType};
 use qirana_sqlengine::Database;
@@ -34,8 +36,8 @@ pub struct Args {
 }
 
 impl Args {
-    /// Builds args from explicit values (tests, programmatic drivers).
-    pub fn from_parts(positional: Vec<String>, flags: Vec<(String, String)>) -> Args {
+    #[cfg(test)]
+    fn from_parts(positional: Vec<String>, flags: Vec<(String, String)>) -> Args {
         Args { positional, flags }
     }
 
@@ -55,18 +57,42 @@ impl Args {
         Args { positional, flags }
     }
 
-    /// Typed flag lookup with a default.
+    /// Typed flag lookup with a default. A value that does not parse as
+    /// `T` stops the run through [`usage_error`].
     pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.flags
-            .iter()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, v)| v.parse().ok())
-            .unwrap_or(default)
+        self.try_get(name, default)
+            .unwrap_or_else(|msg| usage_error(&msg))
+    }
+
+    /// [`Args::get`] without the exit: the error names the flag.
+    fn try_get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        match self.flags.iter().find(|(n, _)| n == name) {
+            None => Ok(default),
+            Some((_, v)) => v
+                .parse()
+                .map_err(|_| format!("--{name}: cannot parse `{v}`")),
+        }
     }
 }
 
+/// Reports a bad command line on stderr and exits with status 2.
+pub fn usage_error(msg: &str) -> ! {
+    // qirana-lint::allow(QL006): a usage error is the printer's own output
+    eprintln!("{msg}");
+    std::process::exit(2)
+}
+
+/// Runs `f` once and returns its output with the wall-clock seconds it
+/// took.
+pub fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    // qirana-lint::allow(QL004): wall-clock time is what the timed figures print
+    let t0 = std::time::Instant::now();
+    let out = f();
+    (out, t0.elapsed().as_secs_f64())
+}
+
 /// Builds a broker with the common experiment defaults ($100 dataset).
-#[allow(clippy::expect_used)] // bench harness: setup failure is fatal
+#[allow(clippy::expect_used)] // printer setup: failure is fatal
 pub fn broker(
     db: Database,
     function: PricingFunction,
@@ -88,17 +114,17 @@ pub fn broker(
             ..Default::default()
         },
     )
-    .expect("broker construction") // qirana-lint::allow(QL007): bench harness constructs a known-good broker
+    .expect("broker construction") // qirana-lint::allow(QL007): the printers construct known-good brokers
 }
 
 /// Builds a database containing only the named tables of `db` (used by the
-/// Figure 2/4a/4b harnesses, whose benchmark instance is Country +
+/// Figure 2/4a/4b printers, whose benchmark instance is Country +
 /// CountryLanguage priced at $100 per relation).
 pub fn subset_db(db: &Database, names: &[&str]) -> Database {
     let mut out = Database::new();
     for name in names {
-        #[allow(clippy::expect_used)] // harness passes known table names
-        let t = db.table(name).expect("table exists"); // qirana-lint::allow(QL007): harness passes known table names
+        #[allow(clippy::expect_used)] // callers pass known table names
+        let t = db.table(name).expect("table exists"); // qirana-lint::allow(QL007): callers pass known table names
         out.add_table(t.schema.clone(), t.rows.iter().cloned());
     }
     out
@@ -144,11 +170,23 @@ mod tests {
     }
 
     #[test]
-    fn harness_timing_is_positive() {
-        let mut h = Harness::from_args("unit", &Args::from_parts(Vec::new(), Vec::new()), None);
-        let (_, t) = h.time("sleep", "2ms", || {
-            std::thread::sleep(std::time::Duration::from_millis(2))
-        });
-        assert!(t > 0.0);
+    fn a_flag_value_that_does_not_parse_is_an_error_naming_the_flag() {
+        let args = Args::from_parts(
+            Vec::new(),
+            vec![
+                ("support".to_string(), "1e5".to_string()),
+                ("sf".to_string(), "0.5".to_string()),
+            ],
+        );
+        assert_eq!(
+            args.try_get("support", 2000usize),
+            Err("--support: cannot parse `1e5`".to_string())
+        );
+        assert_eq!(args.try_get("sf", 0.01), Ok(0.5));
+        assert_eq!(
+            args.try_get("seed", 7u64),
+            Ok(7),
+            "an absent flag is its default"
+        );
     }
 }

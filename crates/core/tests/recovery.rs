@@ -15,8 +15,8 @@
 use proptest::prelude::*;
 use qirana_core::ledger::scan_log;
 use qirana_core::{
-    ledger, BrokerError, LedgerConfig, LedgerError, LedgerEvent, PricingFunction, Qirana,
-    QiranaConfig, SupportConfig,
+    ledger, BrokerError, FsyncPolicy, LedgerConfig, LedgerError, LedgerEvent, PricingFunction,
+    Qirana, QiranaConfig, SupportConfig,
 };
 use qirana_sqlengine::{ColumnDef, DataType, Database, TableSchema};
 use std::collections::BTreeMap;
@@ -334,8 +334,10 @@ fn tampered_logged_price_is_replay_divergence() {
 }
 
 // ---------------------------------------------------------------------------
-// Property: random sessions recover bitwise-identically at EVERY record
-// boundary, for both pricing families.
+// Property: under every fsync policy, a durable market prices random
+// sessions bitwise like a ledger-less one and recovers to its live state;
+// and it recovers bitwise-identically at EVERY record boundary, for both
+// pricing families.
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -351,21 +353,46 @@ proptest! {
         } else {
             PricingFunction::WeightedCoverage
         };
-        let dir = market_dir("prop");
-        // Checkpoint the control market after every purchase; cadence 0
-        // keeps the log a pure WAL so record k ↔ checkpoint k.
-        let mut checkpoints = Vec::new();
-        {
-            let ledger_cfg = LedgerConfig::new(&dir).with_snapshot_every(0);
-            let mut broker = Qirana::open(db(), cfg(function), ledger_cfg).unwrap();
-            checkpoints.push(state_of(&broker));
-            for &(qi, second_buyer) in &session {
-                let buyer = if second_buyer { "bob" } else { "alice" };
-                broker.buy(buyer, POOL[qi]).unwrap();
-                checkpoints.push(state_of(&broker));
-            }
+        let buyer = |second_buyer: bool| if second_buyer { "bob" } else { "alice" };
+        // Checkpoint a ledger-less control market after every purchase.
+        let mut control = Qirana::new(db(), cfg(function)).unwrap();
+        let mut prices = Vec::new();
+        let mut checkpoints = vec![state_of(&control)];
+        for &(qi, second_buyer) in &session {
+            prices.push(control.buy(buyer(second_buyer), POOL[qi]).unwrap().price.to_bits());
+            checkpoints.push(state_of(&control));
         }
-        let bytes = fs::read(LedgerConfig::new(&dir).log_path()).unwrap();
+
+        // Cadence 0 keeps each log a pure WAL, so record k ↔ checkpoint k.
+        let policies = [FsyncPolicy::Always, FsyncPolicy::EveryN(8), FsyncPolicy::Never];
+        let dirs: Vec<PathBuf> = policies.iter().map(|_| market_dir("prop")).collect();
+        for (&policy, dir) in policies.iter().zip(&dirs) {
+            let ledger_cfg = LedgerConfig::new(dir).with_fsync(policy).with_snapshot_every(0);
+            let mut broker = Qirana::open(db(), cfg(function), ledger_cfg).unwrap();
+            for (k, &(qi, second_buyer)) in session.iter().enumerate() {
+                let price = broker.buy(buyer(second_buyer), POOL[qi]).unwrap().price;
+                prop_assert_eq!(
+                    price.to_bits(),
+                    prices[k],
+                    "{:?}: purchase {} priced apart from the ledger-less market",
+                    policy,
+                    k
+                );
+                prop_assert_eq!(&state_of(&broker), &checkpoints[k + 1]);
+            }
+            drop(broker);
+            let recovered =
+                Qirana::recover(db(), cfg(function), LedgerConfig::new(dir)).unwrap();
+            prop_assert_eq!(
+                &state_of(&recovered),
+                &checkpoints[session.len()],
+                "{:?}: recovery differs from the live market",
+                policy
+            );
+        }
+
+        let dir = &dirs[0];
+        let bytes = fs::read(LedgerConfig::new(dir).log_path()).unwrap();
         let scan = scan_log(&bytes).unwrap();
         prop_assert_eq!(scan.records.len(), session.len());
 
@@ -388,7 +415,9 @@ proptest! {
                 function
             );
         }
-        fs::remove_dir_all(&dir).ok();
+        for dir in &dirs {
+            fs::remove_dir_all(dir).ok();
+        }
         fs::remove_dir_all(&replay_dir).ok();
     }
 }

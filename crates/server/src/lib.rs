@@ -45,6 +45,10 @@
 //! malformed requests and unpriceable SQL, 404 for unknown routes and
 //! buyers, 503 for backpressure/budget/ledger trouble, 500 for broken
 //! invariants.
+//!
+//! Bodies are read and written with `qirana_bench::json`: the frozen
+//! `benchmark/Cargo.lock` records this crate's dependency on
+//! `qirana-bench`, so the JSON module stays where it is.
 
 pub mod commit;
 pub mod http;

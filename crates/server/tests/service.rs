@@ -355,51 +355,83 @@ fn connection_cap_rejects_excess_sessions_at_accept() {
     server.shutdown();
 }
 
+/// The query pool of the concurrency test's request log.
+const POOL: [&str; 5] = [
+    "SELECT * FROM User",
+    "SELECT count(*) FROM User WHERE gender = 'f'",
+    "SELECT age FROM User WHERE uid = 3",
+    "SELECT uid FROM User WHERE age > 18",
+    "SELECT gender, count(*) FROM User GROUP BY gender",
+];
+
+/// Request `j` of session `s`: `(is_buy, sql)`. Every 4th request is a buy;
+/// the pair alone fixes the query, so any replay issues the same log.
+fn logged_request(s: usize, j: usize) -> (bool, &'static str) {
+    (j % 4 == 3, POOL[(s * 31 + j * 7) % POOL.len()])
+}
+
 #[test]
 fn concurrent_sessions_price_identically_to_a_sequential_broker() {
-    let server = serve(PricingFunction::ShannonEntropy);
-    let direct = broker(PricingFunction::ShannonEntropy);
-    let sqls = [
-        "SELECT * FROM User",
-        "SELECT count(*) FROM User WHERE gender = 'f'",
-        "SELECT age FROM User WHERE uid = 3",
-        "SELECT uid FROM User WHERE age > 18",
-    ];
-
-    let wire_prices: Vec<Vec<u64>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let server = &server;
-                scope.spawn(move || {
-                    let mut client = Client::connect(server);
-                    sqls.iter()
-                        .map(|sql| {
-                            let (status, doc) =
-                                client.request("POST", "/v1/quote", &quote_req(sql));
-                            assert_eq!(status, 200);
-                            num(&doc, "price").to_bits()
-                        })
-                        .collect::<Vec<u64>>()
+    const SESSIONS: usize = 8;
+    const REQUESTS: usize = 8;
+    for function in [
+        PricingFunction::WeightedCoverage,
+        PricingFunction::ShannonEntropy,
+    ] {
+        // Quotes share the read lock while buys, each under its session's
+        // own buyer id, commit through the write lock between them. Every
+        // session connects before any sends, so all of them overlap.
+        let server = serve(function);
+        let start = std::sync::Barrier::new(SESSIONS);
+        let wire_prices: Vec<Vec<u64>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..SESSIONS)
+                .map(|s| {
+                    let (server, start) = (&server, &start);
+                    scope.spawn(move || {
+                        let mut client = Client::connect(server);
+                        start.wait();
+                        (0..REQUESTS)
+                            .map(|j| {
+                                let (buy, sql) = logged_request(s, j);
+                                let (status, doc) = if buy {
+                                    client.request(
+                                        "POST",
+                                        "/v1/buy",
+                                        &buy_req(&format!("s{s}"), sql),
+                                    )
+                                } else {
+                                    client.request("POST", "/v1/quote", &quote_req(sql))
+                                };
+                                assert_eq!(status, 200, "{function:?} s{s} request {j}: {doc:?}");
+                                num(&doc, "price").to_bits()
+                            })
+                            .collect::<Vec<u64>>()
+                    })
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("session"))
-            .collect()
-    });
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("session"))
+                .collect()
+        });
+        server.shutdown();
 
-    let expected: Vec<u64> = sqls
-        .iter()
-        .map(|sql| direct.quote(sql).expect("direct").to_bits())
-        .collect();
-    for session in &wire_prices {
-        assert_eq!(
-            session, &expected,
-            "a concurrent session saw drifted prices"
-        );
+        // The same log, one session and one request at a time.
+        let mut direct = broker(function);
+        for (s, session) in wire_prices.iter().enumerate() {
+            let replay: Vec<u64> = (0..REQUESTS)
+                .map(|j| match logged_request(s, j) {
+                    (true, sql) => direct.buy(&format!("s{s}"), sql).expect("direct buy").price,
+                    (false, sql) => direct.quote(sql).expect("direct quote"),
+                })
+                .map(f64::to_bits)
+                .collect();
+            assert_eq!(
+                session, &replay,
+                "{function:?}: concurrent session s{s} drifted from the sequential replay"
+            );
+        }
     }
-    server.shutdown();
 }
 
 #[test]

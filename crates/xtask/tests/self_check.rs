@@ -2,8 +2,9 @@
 //! enforces with `cargo xtask lint`, kept in `cargo test` so a violation
 //! cannot land through a path that skips the lint step. Alongside it:
 //! the item parser must account for every `fn` token in the workspace
-//! (round-trip smoke) and the call-graph artifacts must be byte-identical
-//! across rebuilds (the CI `graph` lane's determinism contract).
+//! (round-trip smoke), the call-graph artifacts must be byte-identical
+//! across rebuilds (the CI `graph` lane's determinism contract), and every
+//! bin or example the docs and CI name must exist.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::path::{Path, PathBuf};
@@ -85,5 +86,49 @@ fn workspace_graph_lints_are_clean() {
             .map(|d| d.to_string())
             .collect::<Vec<_>>()
             .join("\n")
+    );
+}
+
+/// Every `--bin <name>` and `--example <name>` the docs and CI name must
+/// resolve to a target in the tree — `crates/*/src/bin/<name>.rs` or
+/// `examples/<name>.rs` — so deleting a bin cannot leave a command behind
+/// that no longer runs.
+#[test]
+fn docs_and_ci_name_only_targets_that_exist() {
+    let root = workspace_root();
+    let crates: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+        .expect("crates dir")
+        .map(|e| e.expect("crates entry").path())
+        .collect();
+    let exists = |flag: &str, name: &str| match flag {
+        "--bin" => crates
+            .iter()
+            .any(|c| c.join("src/bin").join(format!("{name}.rs")).is_file()),
+        _ => root.join("examples").join(format!("{name}.rs")).is_file(),
+    };
+    let trim = |w: &str| -> String {
+        w.trim_matches(|c: char| !(c.is_ascii_alphanumeric() || c == '-' || c == '_'))
+            .to_string()
+    };
+    let mut dangling = Vec::new();
+    for doc in [
+        "README.md",
+        "DESIGN.md",
+        "EXPERIMENTS.md",
+        ".github/workflows/ci.yml",
+    ] {
+        let text = std::fs::read_to_string(root.join(doc)).expect("doc readable");
+        let words: Vec<String> = text.split_whitespace().map(trim).collect();
+        for pair in words.windows(2) {
+            let (flag, name) = (pair[0].as_str(), pair[1].as_str());
+            if matches!(flag, "--bin" | "--example") && !exists(flag, name) {
+                dangling.push(format!("{doc}: {flag} {name}"));
+            }
+        }
+    }
+    assert!(
+        dangling.is_empty(),
+        "docs/CI name targets the tree lacks:\n{}",
+        dangling.join("\n")
     );
 }

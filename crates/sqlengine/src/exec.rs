@@ -16,23 +16,27 @@
 //! * **Row patches** ([`ExecContext::with_patch`]): execute a plan as if a
 //!   few rows of `R` held other values — one support instance, a row or
 //!   swap edit of the stored database (§3.1). Scans read a patched row in
-//!   place of the stored one at the same index, so row order, every float
-//!   fold and every fingerprint are bitwise those of the edited database;
-//!   unpatched tables are still borrowed, never copied.
+//!   place of the stored one at the same index, so row order and every
+//!   fingerprint are bitwise those of the edited database; unpatched
+//!   tables are still borrowed, never copied.
 //! * **Open plans**: the executor accepts programmatically modified
 //!   [`ResolvedSelect`] values (key-augmented, unrolled, widened), and
 //!   [`execute_with_input`] hands back the rows a plan's aggregates fold
 //!   next to its output.
+//!
+//! `SUM`/`AVG` are exact ([`crate::exact`]): each is a function of its
+//! group's bag of values, not of the order its rows arrive in.
 
 use crate::ast::{AggFunc, BinaryOp, UnaryOp};
 use crate::database::Database;
 use crate::error::{BudgetResource, EngineError, Result};
+use crate::exact::SumAcc;
 use crate::expr::{binary_op, date_interval, like_match};
 use crate::plan::{AggSpec, PExpr, PRelation, ResolvedSelect};
 use crate::table::Row;
 use crate::value::Value;
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 /// Resource limits for one execution context.
@@ -588,28 +592,21 @@ fn run_grouped(
     Ok(out_rows)
 }
 
-/// Streaming aggregate accumulator.
+/// Streaming aggregate accumulator. `SUM`/`AVG` are exact ([`SumAcc`]):
+/// their result depends on the bag of values, not on the order of rows.
 enum Accum {
     Count {
         n: i64,
     },
+    /// `COUNT`/`SUM`/`AVG(DISTINCT …)`: a value is folded on its first
+    /// arrival only.
     Distinct {
         func: AggFunc,
-        // A `BTreeSet`, not a `HashSet`: `finalize` folds the set with
-        // float addition, which is non-associative, so iteration order is
-        // part of the result. `Value`'s total order keeps it stable.
-        vals: BTreeSet<Value>,
+        seen: HashSet<Value>,
+        acc: SumAcc,
     },
-    Sum {
-        i: i64,
-        f: f64,
-        any_float: bool,
-        seen: bool,
-    },
-    Avg {
-        sum: f64,
-        n: i64,
-    },
+    Sum(SumAcc),
+    Avg(SumAcc),
     MinMax {
         best: Option<Value>,
         is_min: bool,
@@ -627,18 +624,14 @@ impl Accum {
                 best: None,
                 is_min: false,
             },
-            (f, true) => Accum::Distinct {
-                func: f,
-                vals: BTreeSet::new(),
+            (func, true) => Accum::Distinct {
+                func,
+                seen: HashSet::new(),
+                acc: SumAcc::default(),
             },
             (AggFunc::Count, false) => Accum::Count { n: 0 },
-            (AggFunc::Sum, false) => Accum::Sum {
-                i: 0,
-                f: 0.0,
-                any_float: false,
-                seen: false,
-            },
-            (AggFunc::Avg, false) => Accum::Avg { sum: 0.0, n: 0 },
+            (AggFunc::Sum, false) => Accum::Sum(SumAcc::default()),
+            (AggFunc::Avg, false) => Accum::Avg(SumAcc::default()),
         }
     }
 
@@ -659,32 +652,13 @@ impl Accum {
         }
         match self {
             Accum::Count { n } => *n += 1,
-            Accum::Distinct { vals, .. } => {
-                vals.insert(v);
-            }
-            Accum::Sum {
-                i,
-                f,
-                any_float,
-                seen,
-            } => {
-                *seen = true;
-                match v {
-                    Value::Int(x) => {
-                        *i = i.wrapping_add(x);
-                        // qirana-lint::allow(QL002): float shadow-sum, only
-                        *f += x as f64; // consulted under SQL double semantics
-                    }
-                    other => {
-                        *any_float = true;
-                        *f += other.as_f64().unwrap_or(0.0);
-                    }
+            Accum::Distinct { seen, acc, .. } => {
+                if !seen.contains(&v) {
+                    acc.add(&v);
+                    seen.insert(v);
                 }
             }
-            Accum::Avg { sum, n } => {
-                *sum += v.as_f64().unwrap_or(0.0);
-                *n += 1;
-            }
+            Accum::Sum(acc) | Accum::Avg(acc) => acc.add(&v),
             Accum::MinMax { best, is_min } => {
                 let better = match best {
                     None => true,
@@ -706,51 +680,15 @@ impl Accum {
     fn finalize(&self) -> Value {
         match self {
             Accum::Count { n } => Value::Int(*n),
-            Accum::Distinct { func, vals } => match func {
-                AggFunc::Count => Value::Int(vals.len() as i64),
-                AggFunc::Sum => {
-                    if vals.is_empty() {
-                        Value::Null
-                    } else if vals.iter().all(|v| matches!(v, Value::Int(_))) {
-                        Value::Int(vals.iter().filter_map(Value::as_i64).sum())
-                    } else {
-                        Value::Float(vals.iter().filter_map(Value::as_f64).sum())
-                    }
-                }
-                AggFunc::Avg => {
-                    if vals.is_empty() {
-                        Value::Null
-                    } else {
-                        let s: f64 = vals.iter().filter_map(Value::as_f64).sum();
-                        // qirana-lint::allow(QL002): distinct-value count
-                        Value::Float(s / vals.len() as f64)
-                    }
-                }
+            Accum::Distinct { func, seen, acc } => match func {
+                AggFunc::Count => Value::Int(seen.len() as i64),
+                AggFunc::Sum => acc.sum(),
+                AggFunc::Avg => acc.avg(),
                 // qirana-lint::allow(QL003, QL007): Accum::new maps MIN/MAX to MinMax
                 AggFunc::Min | AggFunc::Max => unreachable!("MIN/MAX use MinMax"),
             },
-            Accum::Sum {
-                i,
-                f,
-                any_float,
-                seen,
-            } => {
-                if !*seen {
-                    Value::Null
-                } else if *any_float {
-                    Value::Float(*f)
-                } else {
-                    Value::Int(*i)
-                }
-            }
-            Accum::Avg { sum, n } => {
-                if *n == 0 {
-                    Value::Null
-                } else {
-                    // qirana-lint::allow(QL002): n is a row count, < 2^53
-                    Value::Float(*sum / *n as f64)
-                }
-            }
+            Accum::Sum(acc) => acc.sum(),
+            Accum::Avg(acc) => acc.avg(),
             Accum::MinMax { best, .. } => best.clone().unwrap_or(Value::Null),
         }
     }
@@ -2139,7 +2077,7 @@ mod tests {
     }
 
     #[test]
-    fn swap_patch_keeps_the_float_fold_order() {
+    fn a_swap_inside_a_group_keeps_its_float_sum() {
         let mut db = Database::new();
         db.add_table(
             TableSchema::new(
@@ -2156,8 +2094,10 @@ mod tests {
                 .map(|(id, g, x)| vec![Value::Int(id), g.into(), Value::Float(x)])
                 .collect::<Vec<_>>(),
         );
-        // Swapping x between rows 0 and 2 keeps group a's bag, but the sum
-        // folds 0.3 + 0.2 + 0.1 instead of 0.1 + 0.2 + 0.3.
+        // Swapping x between rows 0 and 2 keeps group a's bag, so it keeps
+        // the sum: the double nearest the exact 0.1 + 0.2 + 0.3, which is
+        // 0.6 — where a left fold gives 0.6000000000000001 in one row order
+        // and 0.6 in the other.
         let swap = [
             (0, vec![Value::Int(0), "a".into(), Value::Float(0.3)]),
             (2, vec![Value::Int(2), "a".into(), Value::Float(0.1)]),
@@ -2169,7 +2109,7 @@ mod tests {
             ref other => panic!("float sum expected, got {other:?}"),
         };
         assert_eq!(bits(&patched), 0.6f64.to_bits());
-        assert_eq!(bits(&stored), (0.1f64 + 0.2 + 0.3).to_bits());
+        assert_eq!(bits(&stored), 0.6f64.to_bits());
     }
 
     #[test]

@@ -49,6 +49,7 @@
 pub mod ast;
 pub mod database;
 pub mod error;
+pub mod exact;
 pub mod exec;
 pub mod expr;
 pub mod fingerprint;
@@ -64,6 +65,7 @@ pub mod value;
 pub use ast::{SelectStmt, Statement};
 pub use database::Database;
 pub use error::{BudgetResource, EngineError, Result};
+pub use exact::SumAcc;
 pub use exec::{execute, execute_with_input, ExecBudget, ExecContext, QueryOutput};
 pub use fingerprint::{
     bag_fingerprint, fingerprint, fingerprint_bundle, output_row_hash, Fingerprint,

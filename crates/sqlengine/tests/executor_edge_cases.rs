@@ -1,8 +1,8 @@
 //! Executor edge cases not covered by the module unit tests: deep
-//! correlation, CASE forms, NULL propagation through predicates, and
-//! multi-key ordering.
+//! correlation, CASE forms, NULL propagation through predicates,
+//! multi-key ordering, and `DISTINCT` aggregates at the numeric edges.
 
-use qirana_sqlengine::{query, ColumnDef, DataType, Database, TableSchema, Value};
+use qirana_sqlengine::{fingerprint, query, ColumnDef, DataType, Database, TableSchema, Value};
 
 fn db() -> Database {
     let mut db = Database::new();
@@ -234,4 +234,69 @@ fn like_against_non_string_column_uses_display_form() {
     let db = db();
     let out = query(&db, "select count(*) from T where v like '2%'").unwrap();
     assert_eq!(out.rows[0][0], Value::Int(2));
+}
+
+/// One column of values, `D(id, v)`, next to the fixture tables.
+fn with_values(values: Vec<Value>, ty: DataType) -> Database {
+    let mut db = db();
+    db.add_table(
+        TableSchema::new(
+            "D",
+            vec![ColumnDef::new("id", DataType::Int), ColumnDef::new("v", ty)],
+            &["id"],
+        ),
+        values
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| vec![Value::Int(i as i64), v])
+            .collect::<Vec<_>>(),
+    );
+    db
+}
+
+#[test]
+fn sum_distinct_over_integers_wraps_like_sum() {
+    let db = with_values(
+        vec![Value::Int(i64::MAX), Value::Int(1), Value::Int(1)],
+        DataType::Int,
+    );
+    for sql in [
+        "select sum(distinct v) from D",
+        "select sum(v) from D where id < 2",
+    ] {
+        let out = query(&db, sql).unwrap();
+        assert!(matches!(out.rows[0][0], Value::Int(i64::MIN)), "{sql}");
+    }
+}
+
+#[test]
+fn distinct_float_aggregates_are_exact() {
+    // Distinct {0.3, 0.2, 0.1}: the double nearest their exact sum is 0.6,
+    // where a left fold in ascending order gives 0.6000000000000001.
+    let xs = [0.3, 0.2, 0.1, 0.2];
+    let db = with_values(
+        xs.iter().map(|&x| Value::Float(x)).collect(),
+        DataType::Float,
+    );
+    let out = query(
+        &db,
+        "select sum(distinct v), avg(distinct v), count(distinct v) from D",
+    )
+    .unwrap();
+    assert!(matches!(out.rows[0][0], Value::Float(s) if s.to_bits() == 0.6f64.to_bits()));
+    assert!(matches!(out.rows[0][1], Value::Float(a) if a.to_bits() == (0.6f64 / 3.0).to_bits()));
+    assert_eq!(out.rows[0][2], Value::Int(3));
+    // The same bag stored in another order sums to the same bits.
+    let mut reversed = xs;
+    reversed.reverse();
+    let db = with_values(
+        reversed.iter().map(|&x| Value::Float(x)).collect(),
+        DataType::Float,
+    );
+    let again = query(
+        &db,
+        "select sum(distinct v), avg(distinct v), count(distinct v) from D",
+    )
+    .unwrap();
+    assert_eq!(fingerprint(&out), fingerprint(&again));
 }

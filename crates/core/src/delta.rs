@@ -44,6 +44,13 @@
 //!   mixed value representations, representative-dependent projections)
 //!   and fall back to full execution for that neighbor — so the fold never
 //!   depends on the order in which one `upid`'s rows arrive.
+//! * **Semi-joins.** An aggregate whose `WHERE` holds top-level
+//!   `[NOT] EXISTS` conjuncts ([`SemiJoin`]) also keeps, per conjunct, the
+//!   inner key counts, and the rows of its stripped core (the plan without
+//!   those conjuncts) by correlation value. An outer relation's probe runs
+//!   the stripped core and the base counts admit its rows; an inner
+//!   relation's probe yields keys, and a key whose count crosses zero moves
+//!   its rows into or out of the core. Both feed the same fold.
 //! * **Short circuits.** A neighbor the engine's shared visibility test
 //!   ([`crate::engine::visibility`]) rules out — unreferenced relation, no
 //!   *effective* change inside the query's column footprint — agrees with
@@ -65,7 +72,7 @@
 
 use crate::engine::{bag_fp, run_plan, run_plan_with_input, EngineOptions, Visible};
 use crate::naive::neighbor_fps;
-use crate::normal_form::{widened, Prepared, RelShape, Shape};
+use crate::normal_form::{widened, Prepared, RelShape, SemiJoin, Shape};
 use crate::telemetry::Telemetry;
 use crate::update::SupportUpdate;
 use qirana_sqlengine::exec::{eval_group_expr, eval_row_expr};
@@ -74,7 +81,7 @@ use qirana_sqlengine::{
     output_row_hash, Database, EngineError, ExecContext, Fingerprint, PExpr, QueryOutput,
     ResolvedSelect, Row, SumAcc, Value,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// The unordered-fingerprint header term (`N ^ (C << 64)`).
 fn header(rows: u64, cols: u64) -> u128 {
@@ -140,27 +147,26 @@ pub struct Base {
     fp: Fingerprint,
     rows: u64,
     cols: u64,
-    /// Per referenced catalog table (these shapes have no self-joins, so a
-    /// table is exactly one relation): the probed plan with that relation
+    /// Per referenced catalog table (these shapes read no table twice, so
+    /// a table is exactly one relation): the probed plan with that relation
     /// [`widened`]. The probed plan is the plan itself for SPJ shapes
     /// (not `RelShape::probe`, which drops `ORDER BY`: sort keys are
     /// evaluated and can error, as in full execution) and, for aggregates,
     /// its unrolled core (same FROM/WHERE, identity projections, no
     /// grouping) — overriding the relation yields exactly the rows the
-    /// batched tuples contribute.
+    /// batched tuples contribute. A semi-join's inner relations probe its
+    /// key plan ([`SemiJoin::keys`]) instead, which yields the keys they
+    /// contribute.
     probes: BTreeMap<usize, ResolvedSelect>,
 }
 
 impl Base {
-    fn new(out: &QueryOutput, probed: &ResolvedSelect, relations: &[RelShape]) -> Base {
+    fn new(out: &QueryOutput, probes: BTreeMap<usize, ResolvedSelect>) -> Base {
         Base {
             rows: out.rows.len() as u64,
             cols: out.columns.len() as u64,
             fp: bag_fp(out),
-            probes: relations
-                .iter()
-                .map(|rel| (rel.table, widened(probed, rel.rel_idx)))
-                .collect(),
+            probes,
         }
     }
 
@@ -201,6 +207,46 @@ pub struct AggDelta {
     /// only matters through these.
     watched: Vec<usize>,
     groups: BTreeMap<Vec<Value>, GroupState>,
+    /// One per `[NOT] EXISTS` conjunct; empty for a subquery-free plan.
+    semi: Vec<SemiState>,
+    /// With semi-joins: the core rows before them — every row of the
+    /// stripped core on the base, in scan order, which the counts admit
+    /// into the plan's core or keep out.
+    candidates: Vec<Row>,
+}
+
+/// Base state of one semi-join conjunct ([`SemiJoin`]).
+#[derive(Debug)]
+struct SemiState {
+    negated: bool,
+    outer_slot: usize,
+    /// The inner block's catalog tables.
+    tables: Vec<usize>,
+    /// Inner key → inner rows carrying it (NULL keys skipped: they equal
+    /// no outer value).
+    counts: HashMap<Value, i64>,
+    /// Outer key → the candidates carrying it (NULL keys skipped: their
+    /// conjunct never changes).
+    by_key: HashMap<Value, Vec<usize>>,
+}
+
+impl SemiState {
+    /// Whether the conjunct holds for an outer key with `count` matches.
+    fn holds(&self, count: i64) -> bool {
+        (count > 0) != self.negated
+    }
+
+    /// Whether the conjunct holds for `row` on the base — the executor's
+    /// rule: a NULL outer key matches nothing.
+    fn admits(&self, row: &[Value]) -> bool {
+        let key = &row[self.outer_slot];
+        let count = if key.is_null() {
+            0
+        } else {
+            self.counts.get(key).copied().unwrap_or(0)
+        };
+        self.holds(count)
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -366,9 +412,12 @@ impl DAcc {
 /// Builds delta state for a prepared query from **one** execution of its
 /// plan on the base instance, and returns that execution's output with it.
 /// An aggregate's state folds the execution's input rows — its unrolled
-/// core — so the core never executes on its own. Returns
-/// [`DeltaState::Ineligible`] (not an error) when the shape is opaque, a
-/// shape detail is unsupported, or the base self-check fails; errors only
+/// core — so the core never executes on its own. An aggregate with
+/// semi-joins executes two more plans, neither of them the plan: its
+/// stripped core for the candidates, and each inner key plan for the
+/// counts ([`build_semi`]). Returns [`DeltaState::Ineligible`] (not an
+/// error) when the shape is opaque, a shape detail is unsupported, one of
+/// those extra executions errs, or a base self-check fails; errors only
 /// when the base execution itself errors — exactly when every
 /// full-execution path errors too.
 pub fn build(
@@ -379,11 +428,21 @@ pub fn build(
     let ctx = ExecContext::new(db);
     let (out, core_rows) = run_plan_with_input(tel, &q.plan, &ctx)?;
     let state = match &q.shape {
-        Shape::Spj(shape) => DeltaState::Spj(Base::new(&out, &q.plan, &shape.relations)),
+        Shape::Spj(shape) => DeltaState::Spj(Base::new(
+            &out,
+            widen_each(&q.plan, &shape.relations).collect(),
+        )),
         Shape::Agg(shape) => {
             let core = core_identity(&q.plan);
-            let base = Base::new(&out, &core, &shape.relations);
-            build_agg(&ctx, &q.plan, &core_rows, base)
+            let mut probes: BTreeMap<_, _> = widen_each(&core, &shape.relations).collect();
+            for sj in &shape.semi_joins {
+                probes.extend(widen_each(&sj.keys, &sj.relations));
+            }
+            let base = Base::new(&out, probes);
+            build_semi(&ctx, tel, &core, &shape.semi_joins, &core_rows)
+                .and_then(|(semi, candidates)| {
+                    build_agg(&ctx, &q.plan, &core_rows, base, semi, candidates)
+                })
                 .map_or(DeltaState::Ineligible, DeltaState::Agg)
         }
         Shape::Opaque { .. } => DeltaState::Ineligible,
@@ -391,11 +450,32 @@ pub fn build(
     Ok((state, out))
 }
 
+/// `probed` [`widened`] by each of `relations` in turn, by catalog table.
+fn widen_each<'a>(
+    probed: &'a ResolvedSelect,
+    relations: &'a [RelShape],
+) -> impl Iterator<Item = (usize, ResolvedSelect)> + 'a {
+    relations
+        .iter()
+        .map(|rel| (rel.table, widened(probed, rel.rel_idx)))
+}
+
 /// The unrolled core of an aggregate plan: same FROM/WHERE, identity
 /// projections, no grouping — its output is the plan's input rows. Only
-/// the batched probes execute it, [`widened`] by one relation.
+/// the batched probes execute it, [`widened`] by one relation. The
+/// `[NOT] EXISTS` conjuncts of a semi-join plan leave it (the *stripped*
+/// core, whose rows the counts then admit or not), so it is subquery-free,
+/// as [`widened`] requires.
 fn core_identity(plan: &ResolvedSelect) -> ResolvedSelect {
     let mut core = plan.clone();
+    if let Some(f) = plan.filter.as_ref().filter(|f| f.has_subquery()) {
+        let kept = f
+            .clone()
+            .conjuncts()
+            .into_iter()
+            .filter(|c| !c.has_subquery());
+        core.filter = PExpr::conjoin(kept.collect());
+    }
     core.grouped = false;
     core.group_by.clear();
     core.aggregates.clear();
@@ -423,6 +503,61 @@ fn watched_agree(vals: &[Value], row: &[Value], watched: &[usize]) -> bool {
         .all(|(&s, v)| strict_value_eq(v, &row[s]))
 }
 
+/// The semi-join state of an aggregate plan with `[NOT] EXISTS` conjuncts:
+/// the stripped `core`'s rows on the base (the candidates, in scan order),
+/// and per conjunct its inner key counts and the candidates by outer key.
+/// The executor applies subquery conjuncts once every relation is joined,
+/// and a filter keeps row order, so the plan's core rows are exactly the
+/// candidates every conjunct admits, in the same order; the self-check
+/// compares the two. `None` declines: an execution errs (the plan itself
+/// may never have evaluated an inner block, if no row reached it) or the
+/// self-check fails. Subquery-free plans execute nothing here.
+fn build_semi(
+    ctx: &ExecContext<'_>,
+    tel: &Telemetry,
+    core: &ResolvedSelect,
+    joins: &[SemiJoin],
+    core_rows: &[Row],
+) -> Option<(Vec<SemiState>, Vec<Row>)> {
+    if joins.is_empty() {
+        return Some((Vec::new(), Vec::new()));
+    }
+    let candidates = run_plan(tel, core, ctx).ok()?.rows;
+    let mut semi = Vec::with_capacity(joins.len());
+    for sj in joins {
+        let mut counts: HashMap<Value, i64> = HashMap::new();
+        for mut row in run_plan(tel, &sj.keys, ctx).ok()?.rows {
+            let key = row.pop()?;
+            if !key.is_null() {
+                *counts.entry(key).or_default() += 1;
+            }
+        }
+        let mut by_key: HashMap<Value, Vec<usize>> = HashMap::new();
+        for (i, row) in candidates.iter().enumerate() {
+            let key = &row[sj.outer_slot];
+            if !key.is_null() {
+                by_key.entry(key.clone()).or_default().push(i);
+            }
+        }
+        semi.push(SemiState {
+            negated: sj.negated,
+            outer_slot: sj.outer_slot,
+            tables: sj.relations.iter().map(|r| r.table).collect(),
+            counts,
+            by_key,
+        });
+    }
+    let admitted: Vec<&Row> = candidates
+        .iter()
+        .filter(|row| semi.iter().all(|s| s.admits(row)))
+        .collect();
+    let same = admitted.len() == core_rows.len()
+        && admitted.iter().zip(core_rows).all(|(a, b)| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| strict_value_eq(x, y))
+        });
+    same.then_some((semi, candidates))
+}
+
 /// Folds the base core rows — the plan's input rows, in the order its
 /// execution read them — into per-group state. `None` declines: an
 /// unsupported aggregate, an eval error the base execution did not hit, or
@@ -432,6 +567,8 @@ fn build_agg(
     plan: &ResolvedSelect,
     core_rows: &[Row],
     base: Base,
+    semi: Vec<SemiState>,
+    candidates: Vec<Row>,
 ) -> Option<AggDelta> {
     let specs = plan.aggregates.clone();
     let fresh: Vec<DAcc> = specs.iter().map(DAcc::new).collect::<Option<_>>()?;
@@ -509,6 +646,8 @@ fn build_agg(
         order_exprs,
         watched,
         groups,
+        semi,
+        candidates,
     })
 }
 
@@ -674,6 +813,74 @@ impl AggDelta {
         }
         Some(self.base.shifted(d_rows, d_sub, d_add))
     }
+
+    /// [`AggDelta::fold`] for one batch member of `table`'s probe. Without
+    /// semi-joins the probe's rows are core rows. With them, an outer
+    /// relation's probe yields candidate rows, of which the base counts
+    /// admit the core's; an inner relation's yields the member's old and
+    /// new inner keys ([`AggDelta::flipped`]).
+    fn fold_table(
+        &self,
+        ctx: &ExecContext<'_>,
+        table: usize,
+        moved: &Moved,
+    ) -> Option<Fingerprint> {
+        if self.semi.is_empty() {
+            return self.fold(ctx, moved);
+        }
+        match self.semi.iter().position(|s| s.tables.contains(&table)) {
+            None => {
+                let admitted = |rows: &[Row]| -> Vec<Row> {
+                    rows.iter()
+                        .filter(|row| self.semi.iter().all(|s| s.admits(row)))
+                        .cloned()
+                        .collect()
+                };
+                self.fold(ctx, &[admitted(&moved[0]), admitted(&moved[1])])
+            }
+            Some(j) => self.fold(ctx, &self.flipped(j, moved)?),
+        }
+    }
+
+    /// The core rows an inner neighbor of semi-join `j` moves: its old keys
+    /// leave the counts and its new keys arrive, and every key whose
+    /// conjunct flips takes its candidates — those the other conjuncts
+    /// admit — out of the core or into it. The outer relations are
+    /// untouched (no table is read twice), so the candidates and the other
+    /// conjuncts' counts are the base's. `None` when the old keys are not
+    /// the base's (a count would go negative).
+    fn flipped(&self, j: usize, [old, new]: &Moved) -> Option<Moved> {
+        let s = &self.semi[j];
+        let mut shift: BTreeMap<&Value, i64> = BTreeMap::new();
+        for (rows, d) in [(old, -1), (new, 1)] {
+            for row in rows {
+                let key = row.first()?;
+                if !key.is_null() {
+                    *shift.entry(key).or_default() += d;
+                }
+            }
+        }
+        let mut moved = Moved::default();
+        for (key, d) in shift {
+            let before = s.counts.get(key).copied().unwrap_or(0);
+            let after = before + d;
+            if after < 0 {
+                return None;
+            }
+            if s.holds(before) == s.holds(after) {
+                continue;
+            }
+            let side = usize::from(s.holds(after));
+            for &i in s.by_key.get(key).into_iter().flatten() {
+                let row = &self.candidates[i];
+                let others = self.semi.iter().enumerate();
+                if others.filter(|&(k, _)| k != j).all(|(_, o)| o.admits(row)) {
+                    moved[side].push(row.clone());
+                }
+            }
+        }
+        Some(moved)
+    }
 }
 
 /// The batched delta fold: the fingerprint of every neighbor
@@ -701,7 +908,7 @@ pub(crate) fn probe_batched(
     let mut fps = vec![None; live.len()];
     let mut execs = 0;
     for (table, positions) in by_table {
-        // SPJ/aggregate shapes have no self-joins, so a table is one
+        // SPJ/aggregate shapes read no table twice, so a table is one
         // relation; a visible update always hits one.
         let Some(probe) = state.base().and_then(|b| b.probes.get(&table)) else {
             continue;
@@ -714,7 +921,7 @@ pub(crate) fn probe_batched(
         for (pos, moved) in positions.into_iter().zip(&moved) {
             fps[pos] = match state {
                 DeltaState::Spj(base) => Some(base.fold_spj(moved)),
-                DeltaState::Agg(d) => d.fold(&ctx, moved),
+                DeltaState::Agg(d) => d.fold_table(&ctx, table, moved),
                 DeltaState::Ineligible => None,
             };
         }
@@ -1169,12 +1376,115 @@ mod tests {
         let (fps, stats) = probe_checked(database.clone(), sql, updates.clone(), 1);
         assert_eq!(stats.fallbacks, 0, "float sums fold exactly");
         let pooled = probe_checked(database.clone(), sql, updates.clone(), 4);
-        assert_eq!(pooled, (fps.clone(), stats), "Threads(4) equals sequential bitwise");
+        assert_eq!(
+            pooled,
+            (fps.clone(), stats),
+            "Threads(4) equals sequential bitwise"
+        );
         // With no fallbacks the pool above has nothing to run; per-instance
         // execution on it folds every neighbor's float groups on workers.
         let q = prepare_query(&database, sql).unwrap();
         let opts = EngineOptions::naive().with_parallelism(Parallelism::Threads(4));
         let support = SupportSet::Neighborhood(updates);
         assert_eq!(query_fps(&database, &q, &support, &opts).unwrap(), fps);
+    }
+
+    /// `T.id` 0..19 each have one `U` row (`t_id = uid`), 20..29 none.
+    const SEMI_JOINS: [&str; 2] = [
+        "select grp, count(*), sum(v) from T \
+         where v > 1 and exists (select 1 from U where U.t_id = T.id and U.w > 2) group by grp",
+        "select grp, count(*), sum(v) from T \
+         where v > 1 and not exists (select 1 from U where U.t_id = T.id and U.w > 2) group by grp",
+    ];
+
+    fn swap_u(row_a: usize, row_b: usize, cols: &[usize]) -> SupportUpdate {
+        SupportUpdate::Swap {
+            table: 1,
+            row_a,
+            row_b,
+            cols: cols.to_vec(),
+        }
+    }
+
+    #[test]
+    fn semi_joins_match_naive() {
+        for sql in SEMI_JOINS {
+            let q = prepare_query(&db(), sql).unwrap();
+            assert!(matches!(q.shape, Shape::Agg(_)), "{sql}");
+            assert_delta_matches_naive(sql, 1);
+            assert_delta_matches_naive(sql, 4);
+        }
+    }
+
+    /// Inner neighbors that move key counts across zero, each way, and a
+    /// swap that moves a qualifying row from one outer key to another —
+    /// all folded, none re-executed, one execution per relation.
+    #[test]
+    fn semi_join_counts_flip_both_ways() {
+        let updates = vec![
+            row_up(1, 3, 1, 25.into()), // key 3: 1 → 0, key 25: 0 → 1
+            row_up(1, 4, 2, 0.into()),  // w fails the inner filter: key 4 1 → 0
+            row_up(1, 5, 2, 9.into()),  // w = 2 → 9: key 5 0 → 1
+            swap_u(3, 5, &[1]),         // the qualifying match moves: key 3 → key 5
+            swap_u(6, 7, &[1]),         // both qualify: every count stays
+            row_up(0, 3, 2, 0.into()),  // an outer row leaves `v > 1`
+            row_up(0, 25, 0, 4.into()), // an outer key moves onto a matched one
+        ];
+        for sql in SEMI_JOINS {
+            let (fps, stats) = probe_checked(db(), sql, updates.clone(), 1);
+            assert_eq!(stats.fallbacks, 0, "{sql}");
+            assert_eq!(stats.execs, 2, "{sql}: one execution per relation");
+            assert_ne!(fps[0], fps[4], "{sql}: a flip moves the output");
+        }
+    }
+
+    /// An inner neighbor writes a string where the inner filter computes
+    /// `w + 1`: the inner batch's execution errs, so every member of it
+    /// falls back, while the outer batch folds as usual. Full execution
+    /// then errs on that neighbor under every strategy alike.
+    #[test]
+    fn a_poisoned_inner_neighbor_sends_its_batch_to_full_execution() {
+        let database = db();
+        let sql = "select grp, count(*) from T \
+                   where exists (select 1 from U where U.t_id = T.id and U.w + 1 > 3) group by grp";
+        let q = prepare_query(&database, sql).unwrap();
+        let off = Telemetry::disabled();
+        let (state, _) = build(&database, &q, &off).unwrap();
+        let updates = vec![
+            row_up(0, 2, 2, 50.into()),
+            row_up(1, 3, 1, 25.into()),
+            row_up(1, 4, 2, "boom".into()),
+            row_up(1, 5, 2, 9.into()),
+        ];
+        let (fps, execs) = probe_batched(&database, &off, &state, &updates, &[0, 1, 2, 3]);
+        let alone = SupportSet::Neighborhood(updates[..1].to_vec());
+        let expect = query_fps(&database, &q, &alone, &EngineOptions::naive()).unwrap();
+        assert_eq!((fps, execs), (vec![Some(expect[0]), None, None, None], 2));
+        let support = SupportSet::Neighborhood(updates);
+        for opts in [EngineOptions::default(), EngineOptions::naive()] {
+            let err = query_fps(&database, &q, &support, &opts).unwrap_err();
+            assert!(matches!(err, EngineError::Eval(_)), "{err:?}");
+        }
+    }
+
+    /// No outer row reaches the `EXISTS`, so the plan never runs its inner
+    /// block, which errs on the base: the plan succeeds, the build
+    /// declines, and the sweep prices per instance — as `Naive` does.
+    #[test]
+    fn an_inner_block_that_errs_on_the_base_declines_the_build() {
+        let database = db();
+        let sql = "select count(*) from T \
+                   where v > 1000 and exists (select 1 from U where U.t_id = T.id and U.w + 'x' > 0)";
+        let q = prepare_query(&database, sql).unwrap();
+        assert!(matches!(q.shape, Shape::Agg(_)));
+        let (state, _) = build(&database, &q, &Telemetry::disabled()).unwrap();
+        assert!(state.base_fp().is_none(), "the build must decline");
+        let support = SupportSet::Neighborhood(support(&database, 40));
+        let naive = query_fps(&database, &q, &support, &EngineOptions::naive());
+        let auto = query_fps(&database, &q, &support, &EngineOptions::default());
+        assert_eq!(auto.is_ok(), naive.is_ok());
+        if let (Ok(auto), Ok(naive)) = (auto, naive) {
+            assert_eq!(auto, naive);
+        }
     }
 }

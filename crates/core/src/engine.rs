@@ -246,18 +246,17 @@ pub fn visibility(
     let SupportSet::Neighborhood(updates) = support else {
         return active.iter().map(|&a| a.then(Vec::new)).collect();
     };
-    let relations = match &q.shape {
-        Shape::Spj(s) => Some(&s.relations),
-        Shape::Agg(s) => Some(&s.relations),
-        Shape::Opaque { .. } => None,
-    };
     let refs = q.referenced_tables();
     let sees = |up: &SupportUpdate| -> Visible {
         if !refs.contains(&up.table()) {
             return None;
         }
         let changed = up.effective_changed_columns(db);
-        let footprint = relations.and_then(|rs| rs.iter().find(|r| r.table == up.table()));
+        let footprint = match &q.shape {
+            Shape::Spj(s) => s.relations.iter().find(|r| r.table == up.table()),
+            Shape::Agg(s) => s.footprints().find(|r| r.table == up.table()),
+            Shape::Opaque { .. } => None,
+        };
         let seen = match footprint {
             Some(rel) => changed.iter().any(|c| rel.referenced_cols.contains(c)),
             None => !changed.is_empty(),

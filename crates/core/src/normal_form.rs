@@ -6,7 +6,8 @@
 //!   subqueries, `DISTINCT`, `LIMIT`, or aggregation: eligible for
 //!   Algorithm 4/6 static checks and §4.2 batching;
 //! * [`Shape::Agg`] — `γ_{G, agg…}(SPJ core)` without `HAVING`, `LIMIT`, or
-//!   `DISTINCT` aggregates: eligible for the incremental evaluator
+//!   `DISTINCT` aggregates, whose `WHERE` may add top-level `[NOT] EXISTS`
+//!   semi-joins over other tables: eligible for the incremental evaluator
 //!   ([`crate::delta`]);
 //! * [`Shape::Opaque`] — anything else: priced by re-executing the query per
 //!   support instance (Algorithms 1–3 verbatim).
@@ -24,14 +25,16 @@
 //!   the widened `R⁺` relation of §4.2 over which batched dynamic checks
 //!   run.
 //!
-//! The aggregate shape needs no plan of its own: the incremental evaluator
-//! derives the unrolled core from the plan at sweep time.
+//! The aggregate shape needs no plan of its own beyond each semi-join's
+//! inner key plan: the incremental evaluator derives the unrolled core from
+//! the plan at sweep time.
 //!
 //! All agreement in this crate is **bag agreement of the projected rows**:
 //! the fingerprint ignores display order (`ORDER BY` cannot change content
 //! without changing the bag), matching the paper's `h(Q(D))` treatment.
 
-use qirana_sqlengine::plan::Projection;
+use qirana_sqlengine::ast::UnaryOp;
+use qirana_sqlengine::plan::{decorrelate, Projection};
 use qirana_sqlengine::{Database, EngineError, Fingerprint, PExpr, PRelation, ResolvedSelect};
 use std::collections::HashSet;
 
@@ -55,7 +58,7 @@ pub struct Prepared {
 pub enum Shape {
     /// SPJ normal form `π_A σ_C (R₁ × … × R_ℓ)`.
     Spj(Box<SpjShape>),
-    /// Aggregate normal form `γ_{G, aggs}(SPJ core)`.
+    /// Aggregate normal form `γ_{G, aggs}(SPJ core ⋉ semi-joins)`.
     Agg(Box<AggShape>),
     /// No normal form; priced naively. Carries the set of base tables the
     /// query (transitively) references so untouched relations still short-
@@ -107,11 +110,43 @@ pub struct SpjShape {
 }
 
 /// Aggregate shape: the relations' footprints are all a sweep needs — the
-/// incremental evaluator ([`crate::delta`]) works from the plan itself.
+/// incremental evaluator ([`crate::delta`]) works from the plan itself —
+/// plus, for a block with top-level `[NOT] EXISTS` conjuncts, their
+/// decorrelated semi-joins.
 #[derive(Debug, Clone)]
 pub struct AggShape {
-    /// Per-relation shapes, in FROM order.
+    /// Per-relation shapes of the outer block, in FROM order.
     pub relations: Vec<RelShape>,
+    /// One per `[NOT] EXISTS` conjunct of the outer `WHERE`, in conjunct
+    /// order; empty for a subquery-free plan. The plan without these
+    /// conjuncts is itself an aggregate shape.
+    pub semi_joins: Vec<SemiJoin>,
+}
+
+/// A top-level `[NOT] EXISTS (… WHERE inner_key = outer_slot …)` conjunct,
+/// decorrelated: an outer row passes iff `(count[key] > 0) != negated`,
+/// where `count[k]` is the number of inner rows with key `k` and a NULL
+/// outer key has count 0.
+#[derive(Debug, Clone)]
+pub struct SemiJoin {
+    /// `NOT EXISTS`.
+    pub negated: bool,
+    /// Outer-row slot the correlation equality compares with.
+    pub outer_slot: usize,
+    /// The inner block without its correlation conjunct, projecting only
+    /// the inner key (bag, not `DISTINCT`: the counts need multiplicity).
+    pub keys: ResolvedSelect,
+    /// Per-relation shapes of `keys`: its filter and key slots.
+    pub relations: Vec<RelShape>,
+}
+
+impl AggShape {
+    /// Every relation's footprint: the outer block's, then each semi-join's.
+    pub fn footprints(&self) -> impl Iterator<Item = &RelShape> {
+        self.relations
+            .iter()
+            .chain(self.semi_joins.iter().flat_map(|s| &s.relations))
+    }
 }
 
 impl Prepared {
@@ -120,7 +155,7 @@ impl Prepared {
     pub fn referenced_tables(&self) -> HashSet<usize> {
         match &self.shape {
             Shape::Spj(s) => s.relations.iter().map(|r| r.table).collect(),
-            Shape::Agg(s) => s.relations.iter().map(|r| r.table).collect(),
+            Shape::Agg(s) => s.footprints().map(|r| r.table).collect(),
             Shape::Opaque { referenced_tables } => referenced_tables.clone(),
         }
     }
@@ -250,48 +285,164 @@ fn collect_expr_tables(e: &PExpr, out: &mut HashSet<usize>) {
     }
 }
 
-/// Classifies a plan into its optimizer shape.
+/// Classifies a plan into its optimizer shape. Only a plan with a subquery
+/// pays for semi-join detection ([`semi_join_agg`]).
 pub fn classify(db: &Database, plan: &ResolvedSelect) -> Shape {
-    let opaque = || Shape::Opaque {
-        referenced_tables: referenced_tables(plan),
+    let shape = if plan.has_subquery() {
+        semi_join_agg(db, plan)
+    } else {
+        normal_form(db, plan)
     };
+    shape.unwrap_or_else(|| Shape::Opaque {
+        referenced_tables: referenced_tables(plan),
+    })
+}
 
+/// The shape of a subquery-free plan; `None` when it has no normal form.
+fn normal_form(db: &Database, plan: &ResolvedSelect) -> Option<Shape> {
     // Structural exclusions shared by both normal forms.
-    if plan.relations.is_empty() || plan.has_subquery() || plan.distinct || plan.limit.is_some() {
-        return opaque();
+    if plan.relations.is_empty() || plan.distinct || plan.limit.is_some() {
+        return None;
     }
-    let mut tables = Vec::new();
-    for rel in &plan.relations {
-        match rel {
-            PRelation::Base { table, .. } => tables.push(*table),
-            PRelation::Derived { .. } => return opaque(),
-        }
-    }
+    let tables = base_tables(plan)?;
     // Self-joins are outside the paper's optimized class.
-    let mut uniq = tables.clone();
-    uniq.sort_unstable();
-    uniq.dedup();
-    if uniq.len() != tables.len() {
-        return opaque();
+    if !all_distinct(tables.iter()) {
+        return None;
     }
     // Primary keys per relation: needed to identify tuples.
-    let pk_cols: Vec<Vec<usize>> = tables
-        .iter()
-        .map(|&t| db.table_at(t).schema.primary_key.clone())
-        .collect();
+    let pk_cols = primary_keys(db, &tables);
     if pk_cols.iter().any(|p| p.is_empty()) {
-        return opaque();
+        return None;
     }
 
     if !plan.grouped {
-        return classify_spj(plan, &tables, &pk_cols);
+        return Some(classify_spj(plan, &tables, &pk_cols));
     }
 
     // Aggregate shape exclusions.
     if plan.having.is_some() || plan.aggregates.iter().any(|a| a.distinct) {
-        return opaque();
+        return None;
     }
-    classify_agg(plan, &tables, &pk_cols)
+    Some(classify_agg(plan, &tables, &pk_cols))
+}
+
+/// The catalog table of every relation, or `None` if one is derived.
+fn base_tables(plan: &ResolvedSelect) -> Option<Vec<usize>> {
+    plan.relations
+        .iter()
+        .map(|rel| match rel {
+            PRelation::Base { table, .. } => Some(*table),
+            PRelation::Derived { .. } => None,
+        })
+        .collect()
+}
+
+fn all_distinct<'a>(tables: impl Iterator<Item = &'a usize>) -> bool {
+    let mut sorted: Vec<usize> = tables.copied().collect();
+    sorted.sort_unstable();
+    sorted.windows(2).all(|w| w[0] != w[1])
+}
+
+fn primary_keys(db: &Database, tables: &[usize]) -> Vec<Vec<usize>> {
+    tables
+        .iter()
+        .map(|&t| db.table_at(t).schema.primary_key.clone())
+        .collect()
+}
+
+/// A conjunct `[NOT] EXISTS (inner)` as `(inner, negated)`, else the
+/// conjunct back. The parser spells `NOT EXISTS` as `NOT` over `EXISTS`;
+/// `EXISTS` never yields NULL, so the two forms filter alike.
+fn exists_conjunct(c: PExpr) -> Result<(ResolvedSelect, bool), PExpr> {
+    match c {
+        PExpr::Exists { plan, negated } => Ok((*plan, negated)),
+        PExpr::Unary {
+            op: UnaryOp::Not,
+            expr,
+        } => match *expr {
+            PExpr::Exists { plan, negated } => Ok((*plan, !negated)),
+            other => Err(PExpr::Unary {
+                op: UnaryOp::Not,
+                expr: Box::new(other),
+            }),
+        },
+        other => Err(other),
+    }
+}
+
+/// An aggregate block whose `WHERE` holds top-level `[NOT] EXISTS`
+/// conjuncts: `Agg` with one [`SemiJoin`] per conjunct, when
+///
+/// * each conjunct decorrelates by the executor's own rule
+///   ([`decorrelate`]) over an SPJ inner block — no grouping, `DISTINCT`,
+///   `LIMIT`, derived table or nested subquery;
+/// * the plan without those conjuncts classifies as `Agg` by itself;
+/// * no catalog table appears twice across the outer and inner blocks, so
+///   a neighbor moves either the outer rows or one inner block's counts,
+///   never both.
+///
+/// `None` for every other plan with a subquery: `IN`, scalar subqueries,
+/// subqueries outside `WHERE`'s top-level conjuncts, SPJ blocks.
+fn semi_join_agg(db: &Database, plan: &ResolvedSelect) -> Option<Shape> {
+    if !plan.grouped {
+        return None;
+    }
+    let mut stripped = plan.clone();
+    let mut inners = Vec::new();
+    let mut kept = Vec::new();
+    for c in plan.filter.clone()?.conjuncts() {
+        match exists_conjunct(c) {
+            Ok(inner) => inners.push(inner),
+            Err(other) => kept.push(other),
+        }
+    }
+    stripped.filter = PExpr::conjoin(kept);
+    if inners.is_empty() || stripped.has_subquery() {
+        return None;
+    }
+    let Some(Shape::Agg(mut shape)) = normal_form(db, &stripped) else {
+        return None;
+    };
+    for (inner, negated) in inners {
+        let spj = !inner.grouped && inner.having.is_none() && !inner.distinct;
+        if !spj || inner.relations.is_empty() || inner.has_subquery() {
+            return None;
+        }
+        let dec = decorrelate(&inner)?;
+        let mut keys = dec.inner;
+        keys.projections = vec![Projection {
+            expr: dec.inner_key,
+            name: "k".into(),
+        }];
+        keys.order_by.clear();
+        let tables = base_tables(&keys)?;
+        let mut read_slots = Vec::new();
+        for e in keys
+            .filter
+            .iter()
+            .chain(keys.projections.iter().map(|p| &p.expr))
+        {
+            e.collect_slots(&mut read_slots);
+        }
+        let relations = rel_shapes(&keys, &tables, &primary_keys(db, &tables), &read_slots);
+        // The correlation column decides membership: it joins the outer
+        // relation's footprint.
+        let outer = shape
+            .relations
+            .iter_mut()
+            .rfind(|r| r.offset <= dec.outer_slot)?;
+        outer.referenced_cols.insert(dec.outer_slot - outer.offset);
+        shape.semi_joins.push(SemiJoin {
+            negated,
+            outer_slot: dec.outer_slot,
+            keys,
+            relations,
+        });
+    }
+    if !all_distinct(shape.footprints().map(|r| &r.table)) {
+        return None;
+    }
+    Some(Shape::Agg(shape))
 }
 
 /// Builds the keyed plan (project all primary keys) plus per-relation output
@@ -458,6 +609,7 @@ fn classify_agg(plan: &ResolvedSelect, tables: &[usize], pk_cols: &[Vec<usize>])
     }
     Shape::Agg(Box::new(AggShape {
         relations: rel_shapes(plan, tables, pk_cols, &read_slots),
+        semi_joins: Vec::new(),
     }))
 }
 
@@ -533,11 +685,6 @@ mod tests {
             let Shape::Agg(a) = &p.shape else {
                 panic!("expected Agg, got {:?}", p.shape)
             };
-            let sorted = |cols: &HashSet<usize>| {
-                let mut v: Vec<usize> = cols.iter().copied().collect();
-                v.sort_unstable();
-                v
-            };
             a.relations
                 .iter()
                 .map(|r| sorted(&r.referenced_cols))
@@ -581,6 +728,82 @@ mod tests {
             assert!(
                 matches!(p.shape, Shape::Opaque { .. }),
                 "{sql} should be opaque"
+            );
+        }
+    }
+
+    fn sorted(cols: &HashSet<usize>) -> Vec<usize> {
+        let mut v: Vec<usize> = cols.iter().copied().collect();
+        v.sort_unstable();
+        v
+    }
+
+    #[test]
+    fn exists_conjuncts_of_an_aggregate_are_semi_joins() {
+        let db = db();
+        for (sql, negated) in [
+            (
+                "select gender, count(*) from User U where age > 3 and exists \
+                 (select 1 from Tweet T where T.uid = U.uid and T.location = 'CA') group by gender",
+                false,
+            ),
+            (
+                "select gender, count(*) from User U where age > 3 and not exists \
+                 (select 1 from Tweet T where T.location = 'CA' and U.uid = T.uid) group by gender",
+                true,
+            ),
+        ] {
+            let p = prepare_query(&db, sql).unwrap();
+            let Shape::Agg(a) = &p.shape else {
+                panic!("expected Agg, got {:?}", p.shape)
+            };
+            // The outer footprint gains the correlation column (uid).
+            assert_eq!(a.relations.len(), 1);
+            assert_eq!(sorted(&a.relations[0].referenced_cols), [0, 1, 2]);
+            let [sj] = a.semi_joins.as_slice() else {
+                panic!("one semi-join expected")
+            };
+            assert_eq!((sj.negated, sj.outer_slot), (negated, 0));
+            // The inner footprint: the key (uid) and the filter (location).
+            assert_eq!(sj.relations.len(), 1);
+            assert_eq!(sj.relations[0].table, 1);
+            assert_eq!(sorted(&sj.relations[0].referenced_cols), [1, 2]);
+            assert!(!sj.keys.has_subquery() && !sj.keys.distinct);
+            assert_eq!(sj.keys.projections.len(), 1);
+            let refs = p.referenced_tables();
+            assert!(refs.contains(&0) && refs.contains(&1));
+        }
+    }
+
+    #[test]
+    fn subqueries_outside_the_semi_join_form_stay_opaque() {
+        let db = db();
+        for sql in [
+            // A table shared across levels.
+            "select count(*) from User U where exists (select 1 from User V where V.uid = U.uid)",
+            // An SPJ block.
+            "select gender from User U where exists (select 1 from Tweet T where T.uid = U.uid)",
+            // Not a top-level conjunct.
+            "select count(*) from User U where age > 3 or exists \
+             (select 1 from Tweet T where T.uid = U.uid)",
+            // Uncorrelated, and correlated other than by one equality.
+            "select count(*) from User U where exists (select 1 from Tweet T)",
+            "select count(*) from User U where exists (select 1 from Tweet T where T.uid < U.uid)",
+            // A grouped or limited inner block, and `IN`.
+            "select count(*) from User U where exists \
+             (select T.uid from Tweet T where T.uid = U.uid group by T.uid)",
+            "select count(*) from User U where exists \
+             (select 1 from Tweet T where T.uid = U.uid limit 1)",
+            "select count(*) from User where uid in (select uid from Tweet)",
+            // The stripped plan is no aggregate shape (`HAVING`).
+            "select gender, count(*) as c from User U where exists \
+             (select 1 from Tweet T where T.uid = U.uid) group by gender having c > 1",
+        ] {
+            let p = prepare_query(&db, sql).unwrap();
+            assert!(
+                matches!(p.shape, Shape::Opaque { .. }),
+                "{sql} should be opaque, got {:?}",
+                p.shape
             );
         }
     }

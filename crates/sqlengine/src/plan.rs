@@ -386,6 +386,133 @@ impl ResolvedSelect {
 }
 
 // ---------------------------------------------------------------------------
+// Decorrelation
+// ---------------------------------------------------------------------------
+
+/// True iff any expression inside `plan` references a row more than `level`
+/// scopes above it (i.e. escapes the plan and depends on the current row).
+pub fn plan_escapes(plan: &ResolvedSelect, level: usize) -> bool {
+    let exprs = plan
+        .filter
+        .iter()
+        .chain(plan.group_by.iter())
+        .chain(plan.aggregates.iter().filter_map(|a| a.arg.as_ref()))
+        .chain(plan.having.iter())
+        .chain(plan.projections.iter().map(|p| &p.expr))
+        .chain(plan.order_by.iter().map(|(e, _)| e));
+    for e in exprs {
+        if expr_escapes(e, level) {
+            return true;
+        }
+    }
+    false
+}
+
+/// [`plan_escapes`] for one expression of a plan at nesting `level`.
+pub fn expr_escapes(e: &PExpr, level: usize) -> bool {
+    match e {
+        PExpr::OuterSlot { depth, .. } => *depth >= level,
+        PExpr::Literal(_) | PExpr::Interval { .. } | PExpr::Slot(_) | PExpr::AggRef(_) => false,
+        PExpr::Unary { expr, .. } | PExpr::Like { expr, .. } | PExpr::IsNull { expr, .. } => {
+            expr_escapes(expr, level)
+        }
+        PExpr::Binary { left, right, .. } => {
+            expr_escapes(left, level) || expr_escapes(right, level)
+        }
+        PExpr::Between {
+            expr, low, high, ..
+        } => expr_escapes(expr, level) || expr_escapes(low, level) || expr_escapes(high, level),
+        PExpr::InList { expr, list, .. } => {
+            expr_escapes(expr, level) || list.iter().any(|e| expr_escapes(e, level))
+        }
+        PExpr::InSubquery { expr, plan, .. } => {
+            expr_escapes(expr, level) || plan_escapes(plan, level + 1)
+        }
+        PExpr::Exists { plan, .. } => plan_escapes(plan, level + 1),
+        PExpr::ScalarSubquery(plan) => plan_escapes(plan, level + 1),
+        PExpr::Case {
+            operand,
+            branches,
+            else_expr,
+        } => {
+            operand.as_deref().is_some_and(|o| expr_escapes(o, level))
+                || branches
+                    .iter()
+                    .any(|(w, t)| expr_escapes(w, level) || expr_escapes(t, level))
+                || else_expr.as_deref().is_some_and(|e| expr_escapes(e, level))
+        }
+    }
+}
+
+/// A correlated subquery reducible to one keyed index build.
+///
+/// Applies when the *only* reference to enclosing rows is a single
+/// equality conjunct `inner_expr = OuterSlot{depth: 0}`. TPC-H Q4's
+/// `EXISTS (… WHERE l_orderkey = o_orderkey …)` and Q17's
+/// `(SELECT 0.2 * avg(l_quantity) … WHERE l2.l_partkey = p_partkey)` both
+/// fit; without this rewrite every outer row rescans the inner relation.
+/// The executor builds its subquery indexes from this form, and the
+/// pricing layer's shape analysis reads the same form, so the two agree
+/// on what "decorrelatable" means.
+#[derive(Debug)]
+pub struct Decorrelated {
+    /// The subquery with the correlated conjunct removed (no outer refs).
+    pub inner: ResolvedSelect,
+    /// Key expression over the subquery's own joined row.
+    pub inner_key: PExpr,
+    /// The parent-row slot the removed conjunct compared against.
+    pub outer_slot: usize,
+}
+
+/// Rewrites a correlated subquery into [`Decorrelated`] form, or `None` if
+/// it has a `LIMIT` or references enclosing rows other than through one
+/// equality conjunct.
+pub fn decorrelate(plan: &ResolvedSelect) -> Option<Decorrelated> {
+    if plan.limit.is_some() {
+        return None; // LIMIT interacts with per-key row counts
+    }
+    let filter = plan.filter.clone()?;
+    let conjuncts = filter.conjuncts();
+    let mut found: Option<(usize, PExpr, usize)> = None;
+    for (i, c) in conjuncts.iter().enumerate() {
+        let PExpr::Binary {
+            left,
+            op: BinaryOp::Eq,
+            right,
+        } = c
+        else {
+            continue;
+        };
+        let pick = |inner: &PExpr, outer: &PExpr| -> Option<(PExpr, usize)> {
+            if let PExpr::OuterSlot { depth: 0, slot } = outer {
+                if !expr_escapes(inner, 0) && !inner.has_subquery() {
+                    return Some((inner.clone(), *slot));
+                }
+            }
+            None
+        };
+        if let Some((k, s)) = pick(left, right).or_else(|| pick(right, left)) {
+            found = Some((i, k, s));
+            break;
+        }
+    }
+    let (idx, inner_key, outer_slot) = found?;
+    let mut rest = conjuncts;
+    rest.remove(idx);
+    let mut inner = plan.clone();
+    inner.filter = PExpr::conjoin(rest);
+    // Everything else must be outer-free, or the rewrite is unsound.
+    if plan_escapes(&inner, 0) {
+        return None;
+    }
+    Some(Decorrelated {
+        inner,
+        inner_key,
+        outer_slot,
+    })
+}
+
+// ---------------------------------------------------------------------------
 // Resolution
 // ---------------------------------------------------------------------------
 

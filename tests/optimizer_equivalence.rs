@@ -24,9 +24,10 @@ use qirana::core::cache::{Artifact, Kind};
 use qirana::core::engine::{bag_fp, combine_bundle, query_fps};
 use qirana::core::{
     bundle_disagreements, bundle_partition, generate_support, prepare_query, EngineOptions,
-    Parallelism, Prepared, PricingCache, Strategy, SupportConfig, SupportSet, SupportUpdate,
+    Parallelism, Prepared, PricingCache, Shape, Strategy, SupportConfig, SupportSet, SupportUpdate,
 };
-use qirana::datagen::world;
+use qirana::datagen::queries::tpch_queries;
+use qirana::datagen::{tpch, world};
 use qirana::sqlengine::update::{apply_writes, CellWrite};
 use qirana::sqlengine::{
     execute, ColumnDef, DataType, Database, ExecContext, Fingerprint, TableSchema, Value,
@@ -113,6 +114,7 @@ const QUERIES: &[&str] = &[
     "select gender, count(*) as c from User group by gender having c > 1",
     "select uid from User where uid in (select uid from Tweet where location = 'CA')",
     "select count(*) from User U where exists (select 1 from Tweet T where T.uid = U.uid)",
+    "select count(*) from User U where not exists (select 1 from Tweet T where T.uid = U.uid)",
     // Both bindings of a self-join, and a correlated subquery, read the
     // updated relation.
     "select U1.uid, U2.uid from User U1, User U2 where U1.age = U2.age and U1.uid < U2.uid",
@@ -140,6 +142,51 @@ const WORLD_AGGREGATES: &[&str] = &[
 const WORLD_JOIN_AGGREGATE: &[&str] = &[
     "select C.Name, count(*) from Country C, City T where C.Code = T.CountryCode group by C.Code",
 ];
+
+/// Semi-join aggregates over [`semi_join_db`]: `[NOT] EXISTS` each way
+/// round, NULL correlation keys on either side, and inner blocks that join
+/// two tables.
+const SEMI_JOINS: &[&str] = &[
+    "select gender, count(*) from User U where exists \
+     (select 1 from Tweet T where T.uid = U.uid) group by gender",
+    "select location, count(*) from Tweet T where exists \
+     (select 1 from User U where U.uid = T.uid and U.age > 20) group by location",
+    "select location, count(*) from Tweet T where not exists \
+     (select 1 from User U where U.uid = T.uid and U.age > 20) group by location",
+    "select region, count(*) from Place P where exists \
+     (select 1 from Tweet T, User U where T.uid = U.uid and U.gender = 'f' \
+      and T.location = P.location) group by region",
+    "select count(*), min(region) from Place P where not exists \
+     (select 1 from Tweet T, User U where T.uid = U.uid and U.age < 30 \
+      and T.location = P.location)",
+];
+
+/// [`build_db`] plus a `Place` table keyed by location, and one tweet whose
+/// `uid` is NULL.
+fn semi_join_db(users: &[(i64, u8, i64)], tweets: &[(i64, i64, u8)]) -> Database {
+    let mut db = build_db(users, tweets);
+    let tid = tweets.len() as i64 + 1;
+    let tweet = db.table_mut("Tweet").unwrap();
+    tweet.push(vec![Value::Int(tid), Value::Null, Value::str("WA")]);
+    db.add_table(
+        TableSchema::new(
+            "Place",
+            vec![
+                ColumnDef::new("location", DataType::Str),
+                ColumnDef::new("region", DataType::Str),
+            ],
+            &["location"],
+        ),
+        [
+            ("CA", "west"),
+            ("WA", "north"),
+            ("OR", "west"),
+            ("NV", "west"),
+        ]
+        .map(|(l, r)| vec![Value::str(l), Value::str(r)]),
+    );
+    db
+}
 
 /// Builds the support set, then lets the seller overwrite one cell per
 /// pick with the value a neighbor writes there (a row update's own new
@@ -358,6 +405,51 @@ fn optimizer_equals_naive_fixed_corpus() {
         let support = SupportSet::Neighborhood(generate_support(&db, &cfg));
         check_all_configs(&mut db, &support, pool);
     }
+}
+
+#[test]
+fn semi_joins_match_naive_and_brute_force() {
+    let users: Vec<(i64, u8, i64)> = (0..12)
+        .map(|i| (i, (i % 2) as u8, 12 + (i * 7) % 50))
+        .collect();
+    let tweets: Vec<(i64, i64, u8)> = (0..20).map(|i| (i, i * 3 % 12, (i % 3) as u8)).collect();
+    for (seed, swap_fraction) in [(4, 0.0), (5, 0.5), (6, 1.0)] {
+        let mut db = semi_join_db(&users, &tweets);
+        for sql in SEMI_JOINS {
+            let shape = prepare_query(&db, sql).unwrap().shape;
+            assert!(matches!(shape, Shape::Agg(_)), "{sql} folds as a semi-join");
+        }
+        let cfg = SupportConfig {
+            size: 250,
+            swap_fraction,
+            seed,
+            ..Default::default()
+        };
+        let support = support_after_seller_update(&mut db, &cfg, &[2, 9]);
+        check_all_configs(&mut db, &support, SEMI_JOINS);
+    }
+}
+
+/// TPC-H Q4's correlated `EXISTS`, folded as a semi-join by default.
+#[test]
+fn tpch_q4_matches_naive_and_brute_force() {
+    let sf = 0.0005;
+    let mut db = tpch::generate(sf, 5);
+    let (_, q4) = tpch_queries(sf)
+        .into_iter()
+        .find(|(n, _)| *n == "Q4")
+        .unwrap();
+    assert!(matches!(
+        prepare_query(&db, &q4).unwrap().shape,
+        Shape::Agg(_)
+    ));
+    let cfg = SupportConfig {
+        size: 48,
+        seed: 3,
+        ..Default::default()
+    };
+    let support = SupportSet::Neighborhood(generate_support(&db, &cfg));
+    check_all_configs(&mut db, &support, &[q4.as_str()]);
 }
 
 #[test]

@@ -1,11 +1,11 @@
 //! Golden test of the sweep routing table (DESIGN.md §9): which evaluation
 //! path prices which query, and how much work it does.
 //!
-//! A fixed session — `world` and a tiny SSB, S = 64, default engine
-//! options, telemetry on a deterministic clock — prices one SPJ, one
-//! aggregate and one opaque query per pricing family and asserts, per
-//! request, the path label on the sweep's `Disagreement` span and the
-//! exact, machine-independent work counters. A change that silently
+//! A fixed session — `world`, a tiny SSB and a tiny TPC-H, S = 64, default
+//! engine options, telemetry on a deterministic clock — prices one SPJ (an
+//! `EXISTS` aggregate for TPC-H), one aggregate and one opaque query per
+//! pricing family and asserts, per request, the path label on the sweep's
+//! `Disagreement` span and the exact, machine-independent work counters. A change that silently
 //! reroutes the default path (an SPJ coverage sweep through the delta
 //! evaluator, say) or does more sweeps per purchase fails here, in tier-1,
 //! instead of in a benchmark three changes later.
@@ -16,7 +16,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use qirana::core::{prepare_query, Shape, Stage, TestClock};
-use qirana::datagen::{ssb, world};
+use qirana::datagen::queries::tpch_queries;
+use qirana::datagen::{ssb, tpch, world};
 use qirana::{
     Database, EngineOptions, PricingFunction, Qirana, QiranaConfig, SupportConfig, Telemetry,
     TelemetrySink,
@@ -43,14 +44,17 @@ const COUNTERS: [&str; 7] = [
 /// (or none) and executed `answers` answers outside any sweep must show:
 /// one sweep looks at all `S` neighbors; only a delta path — either
 /// family's — builds delta state (once), probes it (once per neighbor) and
-/// issues batched executions; no query of the session (all integer
-/// aggregates) trips a guard of the fold. A delta sweep executes the plan
-/// once to build and once per batch, no more.
+/// issues batched executions; no query of the session trips a guard of
+/// the fold. A delta sweep executes what its
+/// build needs — the plan, plus for semi-joins the stripped core and the
+/// inner keys — and once per batch, no more.
 fn golden_counters(sweep: Option<(&Case, &str)>, answers: u64) -> [u64; 7] {
     let mut golden = match sweep {
         None => [0; 7],
         Some((case, path @ ("entropy/delta" | "coverage/delta"))) => {
-            assert_eq!(case.execs(path), 1 + case.probe_execs, "{}", case.sql);
+            assert!((1..=3).contains(&case.build_execs), "{}", case.sql);
+            let execs = case.build_execs + case.probe_execs;
+            assert_eq!(case.execs(path), execs, "{}", case.sql);
             [S, 1, S, case.probe_execs, 0, 0, case.execs(path)]
         }
         Some((case, path)) => [S, 0, 0, 0, 0, 0, case.execs(path)],
@@ -125,8 +129,11 @@ struct Case {
     sql: &'static str,
     coverage: &'static str,
     entropy: &'static str,
-    /// Relations of the plan (0 for the opaque one, which has no shape).
+    /// Relations of the plan, a semi-join's inner ones included (0 for the
+    /// opaque one, which has no shape).
     relations: u64,
+    /// Plan executions of a delta build: 1, or 3 for one `EXISTS`.
+    build_execs: u64,
     /// `delta_probe_execs_total` per delta sweep: one batched execution
     /// per relation that has a visible neighbor.
     probe_execs: u64,
@@ -149,6 +156,7 @@ const WORLD: [Case; 3] = [
         coverage: "coverage/batched",
         entropy: "entropy/delta",
         relations: 2,
+        build_execs: 1,
         probe_execs: 2,
         sweep_execs: [7, 3],
     },
@@ -158,6 +166,7 @@ const WORLD: [Case; 3] = [
         coverage: "coverage/delta",
         entropy: "entropy/delta",
         relations: 1,
+        build_execs: 1,
         probe_execs: 1,
         sweep_execs: [2, 2],
     },
@@ -167,6 +176,7 @@ const WORLD: [Case; 3] = [
         coverage: "coverage/per-instance",
         entropy: "entropy/per-instance",
         relations: 0,
+        build_execs: 0,
         probe_execs: 0,
         sweep_execs: [24, 24],
     },
@@ -180,6 +190,7 @@ const SSB: [Case; 3] = [
         coverage: "coverage/batched",
         entropy: "entropy/delta",
         relations: 2,
+        build_execs: 1,
         probe_execs: 2,
         sweep_execs: [2, 3],
     },
@@ -191,6 +202,7 @@ const SSB: [Case; 3] = [
         coverage: "coverage/delta",
         entropy: "entropy/delta",
         relations: 2,
+        build_execs: 1,
         probe_execs: 2,
         sweep_execs: [3, 3],
     },
@@ -200,10 +212,74 @@ const SSB: [Case; 3] = [
         coverage: "coverage/per-instance",
         entropy: "entropy/per-instance",
         relations: 0,
+        build_execs: 0,
         probe_execs: 0,
         sweep_execs: [9, 9],
     },
 ];
+
+/// TPC-H at sf [`TPCH_SF`]: Q4's correlated `EXISTS` folds as a semi-join
+/// (3 build executions: the plan, its stripped core, the inner keys; then
+/// one batch for `orders` and one for `lineitem`), Q6 is a plain
+/// aggregate, and Q17's correlated scalar subquery stays opaque.
+const TPCH: [Case; 3] = [
+    Case {
+        shape: "agg",
+        sql: "select o_orderpriority, count(*) as order_count from orders \
+              where o_orderdate >= date '1993-07-01' \
+              and o_orderdate < date '1993-07-01' + interval '3' month \
+              and exists (select 1 from lineitem where l_orderkey = o_orderkey \
+              and l_commitdate < l_receiptdate) \
+              group by o_orderpriority order by o_orderpriority",
+        coverage: "coverage/delta",
+        entropy: "entropy/delta",
+        relations: 2,
+        build_execs: 3,
+        probe_execs: 2,
+        sweep_execs: [5, 5],
+    },
+    Case {
+        shape: "agg",
+        sql: "select sum(l_extendedprice * l_discount) as revenue from lineitem \
+              where l_shipdate >= date '1994-01-01' \
+              and l_shipdate < date '1994-01-01' + interval '1' year \
+              and l_discount between 0.05 and 0.07 and l_quantity < 24",
+        coverage: "coverage/delta",
+        entropy: "entropy/delta",
+        relations: 1,
+        build_execs: 1,
+        probe_execs: 1,
+        sweep_execs: [2, 2],
+    },
+    Case {
+        shape: "opaque",
+        sql: "select sum(l_extendedprice) / 7.0 as avg_yearly from lineitem, part \
+              where p_partkey = l_partkey and p_brand = 'Brand#23' and p_container = 'MED BOX' \
+              and l_quantity < (select 0.2 * avg(l2.l_quantity) from lineitem l2 \
+              where l2.l_partkey = p_partkey)",
+        coverage: "coverage/per-instance",
+        entropy: "entropy/per-instance",
+        relations: 0,
+        build_execs: 0,
+        probe_execs: 0,
+        sweep_execs: [16, 16],
+    },
+];
+
+const TPCH_SF: f64 = 0.0005;
+
+/// The TPC-H session prices the flight's own query text.
+#[test]
+fn tpch_cases_are_flight_queries() {
+    let flight = tpch_queries(TPCH_SF);
+    for case in &TPCH {
+        assert!(
+            flight.iter().any(|(_, sql)| sql == case.sql),
+            "not a flight query: {}",
+            case.sql
+        );
+    }
+}
 
 /// A broker over `db` with `size` support instances, default engine options
 /// and telemetry on a deterministic clock, plus the sink it records into.
@@ -279,6 +355,11 @@ fn coverage_sweeps_batch_spj_checks_and_read_delta_for_aggregates() {
         &SSB,
         PricingFunction::WeightedCoverage,
     );
+    drive(
+        tpch::generate(TPCH_SF, 5),
+        &TPCH,
+        PricingFunction::WeightedCoverage,
+    );
 }
 
 #[test]
@@ -287,6 +368,11 @@ fn entropy_sweeps_take_delta_for_normal_forms_and_execute_opaque_plans() {
     drive(
         ssb::generate(0.0005, 5),
         &SSB,
+        PricingFunction::ShannonEntropy,
+    );
+    drive(
+        tpch::generate(TPCH_SF, 5),
+        &TPCH,
         PricingFunction::ShannonEntropy,
     );
 }
@@ -304,6 +390,7 @@ fn delta_probe_executions_do_not_grow_with_the_support() {
             for (db, session) in [
                 (world::generate(7), &WORLD),
                 (ssb::generate(0.0005, 5), &SSB),
+                (tpch::generate(TPCH_SF, 5), &TPCH),
             ] {
                 let (broker, sink) = broker(db, function, size);
                 let on_delta = |c: &&Case| match function {

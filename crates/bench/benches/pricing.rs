@@ -2,12 +2,13 @@
 //! ablations DESIGN.md calls out:
 //!
 //! * support-set generation;
-//! * SPJ disagreement detection — one rung per `Strategy` value: `Naive`
-//!   vs. `NaiveReduced` (instance reduction) vs. `NoBatching` (static
-//!   checks, per-update probes) vs. `Auto` (full batching) — the §4 ladder;
+//! * SPJ coverage sweeps — one rung per `Strategy` value: `Naive` vs.
+//!   `NaiveReduced` (instance reduction) vs. `Auto` (the batched delta
+//!   evaluator) — the §4 ladder;
 //! * SPJ entropy sweeps on the same join: `Naive` vs. `Auto` (the batched
 //!   delta evaluator);
-//! * aggregate disagreement detection (Algorithm 5 + delta analysis);
+//! * aggregate coverage sweeps (Algorithm 5's job, done by the delta
+//!   evaluator);
 //! * entropy-family partition pricing (Algorithm 2);
 //! * history-aware repricing (the shrinking-support effect of §5.3);
 //! * a quote followed by the buy of the same query, with and without the
@@ -74,14 +75,9 @@ fn spj_fixture() -> (Database, SupportSet, Prepared) {
 
 fn spj_engine_ladder(c: &mut Criterion) {
     let (db, support, q) = spj_fixture();
-    let mut g = c.benchmark_group("spj_disagreements_S2000");
+    let mut g = c.benchmark_group("spj_coverage_S2000");
     // The §4 ladder, one rung per `Strategy` value.
-    for strategy in [
-        Strategy::Naive,
-        Strategy::NaiveReduced,
-        Strategy::NoBatching,
-        Strategy::Auto,
-    ] {
+    for strategy in [Strategy::Naive, Strategy::NaiveReduced, Strategy::Auto] {
         let opts = EngineOptions {
             strategy,
             ..Default::default()

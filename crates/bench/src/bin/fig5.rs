@@ -1,21 +1,18 @@
-//! Figure 5: scalability — time to price each SSB / TPC-H query with the
-//! per-update optimizer ("no batching", `Strategy::NoBatching`), the
-//! batched optimizer ("with batching" — `Strategy::Auto`, the default
-//! path), and, for reference, the plain query execution time; `--naive 1`
-//! adds `Strategy::Naive`. The last column counts the neighbors the
-//! default path re-executed in full (`coverage_fallbacks_total`,
-//! respectively `delta_fallbacks_total` under `--function shannon`).
+//! Figure 5: scalability — time to price each SSB / TPC-H query without
+//! batching ("no batching", `Strategy::Naive`: one execution per support
+//! instance the visibility test lets through), with batching ("with
+//! batching" — `Strategy::Auto`, the default path, the batched delta
+//! evaluator), and, for reference, the plain query execution time. The last
+//! column counts the neighbors the default path re-executed in full
+//! (`coverage_fallbacks_total`, respectively `delta_fallbacks_total` under
+//! `--function shannon`).
 //!
-//! `cargo run -p qirana-bench --bin fig5 --release -- <ssb|tpch|world> [--function coverage|shannon] [--sf F] [--support N] [--naive 1] [--threads N]`
+//! `cargo run -p qirana-bench --bin fig5 --release -- <ssb|tpch|world> [--function coverage|shannon] [--sf F] [--support N] [--threads N]`
 //!
-//! Both flights are aggregates, which have no unbatched static checks: for
-//! them `NoBatching` is per-instance execution behind the visibility test
-//! and `Auto` the batched delta evaluator, whichever primitive is timed —
-//! the coverage bitmap, or with `--function shannon` the entropy
-//! primitive's per-instance output fingerprints. The `world` arm prices
-//! the join queries of `WORLD_QUERIES` (`--sf` does not apply) — the SPJ
-//! joins the SSB/TPC-H flights lack, for which coverage's two columns are
-//! §4.1's checks with one dynamic query per update and §4.2's batches.
+//! The timed primitive is the coverage bitmap, or with `--function
+//! shannon` the entropy primitive's per-instance output fingerprints. The
+//! `world` arm prices the join queries of `WORLD_QUERIES` (`--sf` does not
+//! apply) — the SPJ joins the SSB/TPC-H flights lack.
 //!
 //! The paper runs SF = 1 with S = 100 000; defaults here are scaled down
 //! (see EXPERIMENTS.md) — the *ratios* between the three columns are the
@@ -45,7 +42,6 @@ fn main() {
         .unwrap_or_else(|| "ssb".to_string());
     let sf: f64 = args.get("sf", 0.01);
     let support: usize = args.get("support", 2000);
-    let include_naive: usize = args.get("naive", 0);
     let function: String = args.get("function", "coverage".to_string());
     let shannon = match function.as_str() {
         "coverage" => false,
@@ -122,14 +118,10 @@ fn main() {
         },
     ));
 
-    print!(
-        "{:<6} {:>14} {:>14} {:>14}",
-        "query", "no batching", "with batching", "query exec"
+    println!(
+        "{:<6} {:>14} {:>14} {:>14} {:>10}",
+        "query", "no batching", "with batching", "query exec", "fallbacks"
     );
-    if include_naive == 1 {
-        print!(" {:>14}", "naive");
-    }
-    println!(" {:>10}", "fallbacks");
 
     for (name, sql) in queries {
         let q = match prepare_query(&db, &sql) {
@@ -140,15 +132,10 @@ fn main() {
             }
         };
         let (_, t_exec) = time(|| execute(&q.plan, &ExecContext::new(&db)).unwrap());
-        let (_, t_nobatch) = time(|| sweep(&db, &q, &support_set, EngineOptions::no_batching()));
+        let (_, t_naive) = time(|| sweep(&db, &q, &support_set, EngineOptions::naive()));
         let fell_back = fallbacks();
         let (_, t_batch) = time(|| sweep(&db, &q, &support_set, EngineOptions::default()));
         let fell_back = fallbacks() - fell_back;
-        print!("{name:<6} {t_nobatch:>14.4} {t_batch:>14.4} {t_exec:>14.4}");
-        if include_naive == 1 {
-            let (_, t_naive) = time(|| sweep(&db, &q, &support_set, EngineOptions::naive()));
-            print!(" {t_naive:>14.4}");
-        }
-        println!(" {fell_back:>10}");
+        println!("{name:<6} {t_naive:>14.4} {t_batch:>14.4} {t_exec:>14.4} {fell_back:>10}");
     }
 }

@@ -867,9 +867,10 @@ impl Qirana {
     /// everything about the new query that does not depend on the buyer.
     /// The answer is the one the artifact's sweep computed, whether this
     /// buy's own sweep or a quote's taken from the handoff; only when the
-    /// read path returned none (an LRU hit, or §4's batched checks, which
-    /// never run the plan itself) is the plan executed here. Touches no
-    /// account, ledger or LRU state; [`Qirana::commit_staged`] charges it.
+    /// read path returned none (an LRU hit, or a sweep over reduced
+    /// instances under `Strategy::NaiveReduced`) is the plan executed
+    /// here. Touches no account, ledger or LRU state;
+    /// [`Qirana::commit_staged`] charges it.
     pub fn stage_buy(&self, sql: &str) -> Result<StagedBuy, BrokerError> {
         fault::check(fault::BROKER_BUY).map_err(BrokerError::Injected)?;
         let prepared = {

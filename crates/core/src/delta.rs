@@ -6,14 +6,13 @@
 //! once per neighbor. This module executes the plan **once** on the base
 //! instance, memoizes what a one-row change can move, and then fingerprints
 //! *all* neighbors of a relation from **one** further execution: §4.2's
-//! `upid`-widened probe, which the SPJ coverage checks also batch with. A
-//! sweep therefore costs O(relations) plan executions, independent of the
-//! support size and of how many neighbors are visible. With no budget set,
-//! [`crate::engine::query_fps`] routes here for SPJ/aggregate shapes over
-//! neighborhood supports and [`crate::engine::query_bits`] for aggregate
-//! shapes (bit = fingerprint ≠ base; DESIGN.md §9) — the paper's Algorithm
-//! 5 re-executes an aggregate per contributing-tuple update, the exact
-//! accumulators below decide those neighbors without.
+//! `upid`-widened probe. A sweep therefore costs O(relations) plan
+//! executions, independent of the support size and of how many neighbors
+//! are visible. With no budget set, both [`crate::engine::query_fps`] and
+//! [`crate::engine::query_bits`] (bit = fingerprint ≠ base) route here for
+//! SPJ/aggregate shapes over neighborhood supports (DESIGN.md §9) — the
+//! paper's Algorithm 5 re-executes an aggregate per contributing-tuple
+//! update, the exact accumulators below decide those neighbors without.
 //!
 //! * **Fingerprint arithmetic.** An unordered result fingerprint is
 //!   `header(N, C) + Σ row_hash(r)` under wrapping `u128` addition
@@ -70,7 +69,7 @@
 //! itself leaves the build with the state: it is the query's answer, which
 //! the broker returns to a buyer without executing the plan again.
 
-use crate::engine::{bag_fp, run_plan, run_plan_with_input, EngineOptions, Visible};
+use crate::engine::{bag_fp, run_plan, run_plan_with_input, EngineOptions};
 use crate::naive::neighbor_fps;
 use crate::normal_form::{widened, Prepared, RelShape, SemiJoin, Shape};
 use crate::telemetry::Telemetry;
@@ -150,8 +149,8 @@ pub struct Base {
     /// Per referenced catalog table (these shapes read no table twice, so
     /// a table is exactly one relation): the probed plan with that relation
     /// [`widened`]. The probed plan is the plan itself for SPJ shapes
-    /// (not `RelShape::probe`, which drops `ORDER BY`: sort keys are
-    /// evaluated and can error, as in full execution) and, for aggregates,
+    /// (`ORDER BY` included: sort keys are evaluated and can error, as in
+    /// full execution) and, for aggregates,
     /// its unrolled core (same FROM/WHERE, identity projections, no
     /// grouping) — overriding the relation yields exactly the rows the
     /// batched tuples contribute. A semi-join's inner relations probe its
@@ -957,14 +956,14 @@ pub(crate) fn query_fps_nbrs(
     q: &Prepared,
     state: &DeltaState,
     updates: &[SupportUpdate],
-    visible: &[Visible],
+    visible: &[bool],
     opts: &EngineOptions,
 ) -> Result<(Vec<Fingerprint>, ProbeStats), EngineError> {
     let Some(base) = state.base_fp() else {
         return Err(EngineError::Eval("delta probe on ineligible state".into()));
     };
     let n = updates.len();
-    let live: Vec<usize> = (0..n).filter(|&i| visible[i].is_some()).collect();
+    let live: Vec<usize> = (0..n).filter(|&i| visible[i]).collect();
     let (probed, execs) = probe_batched(db, &opts.telemetry, state, updates, &live);
     let mut fps = vec![base; n];
     let mut fallbacks = Vec::new();

@@ -5,8 +5,7 @@
 //!
 //! * [`query_bits`] — for the coverage-family functions: one bit per
 //!   support instance, "does the query's output change on `Dᵢ`?"
-//!   (Algorithm 1 / 3). This is where §4's optimizations apply to SPJ
-//!   plans; for aggregates a bit is "fingerprint ≠ base".
+//!   (Algorithm 1 / 3): "fingerprint ≠ base" for every shape.
 //! * [`query_fps`] — for the entropy-family functions: the query's output
 //!   fingerprint per instance (Algorithm 2). This inherently requires the
 //!   outputs per instance — the paper's reason weighted coverage is the
@@ -16,7 +15,7 @@
 //! time, on what it can observe — support kind, [`Prepared::shape`], the
 //! primitive itself, whether a budget is set — per the routing table in
 //! DESIGN.md §9; no user-set switch takes part ([`Strategy`] exists for the
-//! paper's ablation and the differential suites only). In front of every
+//! paper's baselines and the differential suites only). In front of every
 //! path sits one update-visibility test ([`visibility`]). A bundle is
 //! always derived from its members' per-query results: the OR with a
 //! shrinking active set ([`bundle_disagreements`]), respectively the
@@ -27,7 +26,6 @@ use crate::delta;
 use crate::fault;
 use crate::naive;
 use crate::normal_form::{Prepared, Shape};
-use crate::optimized;
 use crate::parallel::Parallelism;
 use crate::support::SupportSet;
 use crate::telemetry::{SpanGuard, Stage, Telemetry};
@@ -46,18 +44,12 @@ use std::borrow::Borrow;
 /// suites can pin one path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Strategy {
-    /// Route by primitive × plan shape (DESIGN.md §9): §4's batched checks
-    /// for coverage sweeps over SPJ shapes, the incremental evaluator
-    /// ([`crate::delta`]) for unbudgeted coverage sweeps over aggregate
-    /// shapes and unbudgeted entropy sweeps over both, per-instance
-    /// execution everywhere else.
+    /// Route by primitive × plan shape (DESIGN.md §9): the incremental
+    /// evaluator ([`crate::delta`]) for unbudgeted sweeps of either
+    /// primitive over SPJ and aggregate shapes, per-instance execution
+    /// everywhere else.
     #[default]
     Auto,
-    /// The paper's "no batching" configuration: for coverage sweeps over
-    /// SPJ shapes, §4.1's static checks with one dynamic query per update
-    /// instead of §4.2's batches. Aggregate and entropy sweeps run per
-    /// instance.
-    NoBatching,
     /// The unoptimized baseline (Algorithms 1–2 verbatim): execute the
     /// query on every instance the visibility test lets through. The
     /// reference every other value is tested against.
@@ -113,15 +105,6 @@ impl Default for EngineOptions {
 }
 
 impl EngineOptions {
-    /// The paper's "no batching" configuration (Figure 5): static checks
-    /// on, per-update dynamic queries.
-    pub fn no_batching() -> Self {
-        EngineOptions {
-            strategy: Strategy::NoBatching,
-            ..Default::default()
-        }
-    }
-
     /// The unoptimized baseline: run the query per support instance.
     pub fn naive() -> Self {
         EngineOptions {
@@ -219,37 +202,28 @@ pub fn combine_bundle(fps: &[Fingerprint]) -> Fingerprint {
     Fingerprint(acc)
 }
 
-/// One support instance as a sweep sees it: `None` when the instance is
-/// masked out or provably agrees with the base (no path evaluates it);
-/// otherwise the update's *effective* changed columns — the `B` of
-/// Algorithms 4–6 (empty for a uniform world, which has no update).
-pub type Visible = Option<Vec<usize>>;
-
-/// The update-visibility test, in front of every evaluation path: an
-/// instance needs evaluation only if it is still active, its update
-/// touches a table the query references and — for SPJ/aggregate shapes,
-/// which record it — at least one *effectively* changed column lies in
-/// that relation's footprint (`RelShape::referenced_cols`). This is the
-/// column-level form of Algorithm 4's static check; opaque shapes get the
-/// table-level form, uniform worlds only the mask.
+/// The update-visibility test, in front of every evaluation path: per
+/// support instance, whether any path evaluates it. An instance needs
+/// evaluation only if it is still active, its update touches a table the
+/// query references and — for SPJ/aggregate shapes, which record it — at
+/// least one *effectively* changed column lies in that relation's
+/// footprint (`RelShape::referenced_cols`). This is the column-level form
+/// of Algorithm 4's irrelevant-update check; opaque shapes get the
+/// table-level form, uniform worlds only the mask. Every other instance
+/// agrees with the base.
 ///
 /// Effective, not declared: [`crate::Qirana::commit_update`] keeps the
 /// support set while stored cells change, so an update may write a value
-/// back (in some or all of its columns); paths that reason about `B` get
-/// the columns that really differ.
-pub fn visibility(
-    db: &Database,
-    q: &Prepared,
-    support: &SupportSet,
-    active: &[bool],
-) -> Vec<Visible> {
+/// back (in some or all of its columns), and only the columns that really
+/// differ count.
+pub fn visibility(db: &Database, q: &Prepared, support: &SupportSet, active: &[bool]) -> Vec<bool> {
     let SupportSet::Neighborhood(updates) = support else {
-        return active.iter().map(|&a| a.then(Vec::new)).collect();
+        return active.to_vec();
     };
     let refs = q.referenced_tables();
-    let sees = |up: &SupportUpdate| -> Visible {
+    let sees = |up: &SupportUpdate| -> bool {
         if !refs.contains(&up.table()) {
-            return None;
+            return false;
         }
         let changed = up.effective_changed_columns(db);
         let footprint = match &q.shape {
@@ -257,16 +231,15 @@ pub fn visibility(
             Shape::Agg(s) => s.footprints().find(|r| r.table == up.table()),
             Shape::Opaque { .. } => None,
         };
-        let seen = match footprint {
+        match footprint {
             Some(rel) => changed.iter().any(|c| rel.referenced_cols.contains(c)),
             None => !changed.is_empty(),
-        };
-        seen.then_some(changed)
+        }
     };
     updates
         .iter()
         .zip(active)
-        .map(|(up, &a)| if a { sees(up) } else { None })
+        .map(|(up, &a)| a && sees(up))
         .collect()
 }
 
@@ -306,7 +279,7 @@ fn per_instance(
     db: &Database,
     q: &Prepared,
     support: &SupportSet,
-    visible: &[Visible],
+    visible: &[bool],
     opts: &EngineOptions,
     base: Option<QueryOutput>,
 ) -> Result<Swept, EngineError> {
@@ -318,9 +291,7 @@ fn per_instance(
         }
     };
     let base = bag_fp(&out);
-    let idxs: Vec<usize> = (0..visible.len())
-        .filter(|&i| visible[i].is_some())
-        .collect();
+    let idxs: Vec<usize> = (0..visible.len()).filter(|&i| visible[i]).collect();
     let executed = match support {
         SupportSet::Neighborhood(updates) => {
             naive::neighbor_fps(db, &q.plan, updates, &idxs, opts)?
@@ -345,7 +316,7 @@ fn delta_sweep(
     q: &Prepared,
     support: &SupportSet,
     updates: &[SupportUpdate],
-    visible: &[Visible],
+    visible: &[bool],
     opts: &EngineOptions,
 ) -> Result<(Swept, u64), EngineError> {
     let tel = &opts.telemetry;
@@ -386,8 +357,8 @@ pub fn query_bits(
 }
 
 /// [`query_bits`], plus `q`'s output on the stored database where the
-/// path executed the plan itself: the delta and per-instance rows of the
-/// routing table. §4's batched checks and the reduced instances never do.
+/// path executed the plan itself: every row of the routing table but the
+/// reduced instances.
 pub(crate) fn sweep_bits(
     db: &Database,
     q: &Prepared,
@@ -405,22 +376,10 @@ pub(crate) fn sweep_bits(
     let span;
     // The routing table (DESIGN.md §9), coverage rows.
     let swept = match (support, opts.strategy, &q.shape) {
-        (Neighborhood(ups), Auto | NoBatching, Spj(s)) => {
-            // §4.2's batching: one widened probe per relation, or one per
-            // update.
-            let batch = opts.strategy == Auto;
-            let checks = if batch {
-                "coverage/batched"
-            } else {
-                "coverage/unbatched"
-            };
-            span = sweep_span(tel, checks, active);
-            optimized::spj_disagreements(db, s, ups, &visible, batch, opts).map(|bits| (bits, None))
-        }
         // Delta probes skip whole executions, so under a budget — whose
         // trips must fire exactly where per-instance execution trips —
         // they do not apply.
-        (Neighborhood(ups), Auto, Agg(_)) if opts.budget.is_unlimited() => {
+        (Neighborhood(ups), Auto, Spj(_) | Agg(_)) if opts.budget.is_unlimited() => {
             span = sweep_span(tel, "coverage/delta", active);
             delta_sweep(db, q, support, ups, &visible, opts).map(|(swept, fallbacks)| {
                 span.count("fallbacks", fallbacks);
@@ -432,8 +391,7 @@ pub(crate) fn sweep_bits(
             span = sweep_span(tel, "coverage/reduced", active);
             naive::reduced_disagreements(db, q, ups, &visible, opts).map(|bits| (bits, None))
         }
-        // Uniform worlds, opaque shapes, aggregates unbatched or under a
-        // budget, `Naive`.
+        // Uniform worlds, opaque shapes, sweeps under a budget, `Naive`.
         (Uniform(_), ..) | (Neighborhood(_), ..) => {
             span = sweep_span(tel, "coverage/per-instance", active);
             per_instance(db, q, support, &visible, opts, None).map(disagreeing)
@@ -578,12 +536,7 @@ mod tests {
     use qirana_sqlengine::{execute, ColumnDef, DataType, TableSchema, Value};
     use std::sync::Arc;
 
-    const STRATEGIES: [Strategy; 4] = [
-        Strategy::Auto,
-        Strategy::NoBatching,
-        Strategy::Naive,
-        Strategy::NaiveReduced,
-    ];
+    const STRATEGIES: [Strategy; 3] = [Strategy::Auto, Strategy::Naive, Strategy::NaiveReduced];
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -826,10 +779,10 @@ mod tests {
         }
     }
 
-    /// For an SPJ plan the delta telemetry counters move on the entropy side
-    /// only, once per sweep: delta state lives for one sweep.
+    /// For an SPJ plan the delta telemetry counters move once per sweep of
+    /// either primitive: delta state lives for one sweep.
     #[test]
-    fn delta_counters_move_once_per_entropy_sweep() {
+    fn delta_counters_move_once_per_sweep() {
         let database = db();
         let support = support(&database, 120);
         let q = prepare_query(&database, "select gender from User where age > 18").unwrap();
@@ -837,11 +790,6 @@ mod tests {
         let sink = opts.telemetry.sink().map(Arc::clone).unwrap();
 
         query_bits(&database, &q, &support, &[true; 120], &opts).unwrap();
-        for name in ["delta_builds_total", "delta_probes_total"] {
-            assert_eq!(sink.counter(name), 0, "SPJ coverage never touches delta");
-        }
-
-        query_fps(&database, &q, &support, &opts).unwrap();
         assert_eq!(sink.counter("delta_builds_total"), 1);
         assert_eq!(sink.counter("delta_probes_total"), 120);
         assert_eq!(sink.counter("delta_probe_execs_total"), 1, "one relation");
@@ -868,7 +816,7 @@ mod tests {
         // Opaque, so the build declines.
         let q = prepare_query(&database, "select distinct gender from User").unwrap();
         let visible = visibility(&database, &q, &support, &[true; 60]);
-        let live = visible.iter().filter(|v| v.is_some()).count() as u64;
+        let live = visible.iter().filter(|&&v| v).count() as u64;
         assert!(live > 0, "some neighbor must be visible");
         let opts = EngineOptions::default().with_telemetry(Telemetry::enabled());
         let (swept, fallbacks) =

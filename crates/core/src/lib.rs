@@ -25,14 +25,13 @@
 //! does it become ([`engine::query_fps`], entropy family). [`engine`] is
 //! the one place an evaluation path is chosen, from the support kind, the
 //! plan's [`normal_form::Shape`], the primitive and whether a budget is
-//! set — never from a user-set switch: the paper's batched static/dynamic
-//! checks ([`optimized`], §4) for coverage sweeps over SPJ plans, the
-//! incremental evaluator ([`delta`]) for coverage sweeps over aggregate
-//! plans and entropy sweeps over both, per-instance execution ([`naive`])
-//! everywhere else. One
-//! update-visibility test sits in front of every path, and every
+//! set — never from a user-set switch: the incremental evaluator
+//! ([`delta`]) for unbudgeted sweeps of either family over SPJ and
+//! aggregate plans, which carries §4.2's batching, per-instance execution
+//! ([`naive`]) everywhere else. One update-visibility test — Algorithm 4's
+//! irrelevant-update check — sits in front of every path, and every
 //! per-instance loop runs through one fan-out helper ([`parallel`]).
-//! [`Strategy`] pins a path for the paper's ablation and for the
+//! [`Strategy`] pins a path for the paper's baselines and for the
 //! differential tests, which hold all of them bitwise equal.
 //!
 //! ## Quick start
@@ -84,7 +83,6 @@ pub mod fault;
 pub mod ledger;
 pub mod naive;
 pub mod normal_form;
-pub mod optimized;
 pub mod parallel;
 pub mod pricing;
 pub mod support;

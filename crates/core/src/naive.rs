@@ -4,12 +4,11 @@
 //!
 //! This is the reference every other evaluation path is held bitwise equal
 //! to, and the path [`crate::engine`] routes to whenever no faster one
-//! applies (uniform supports, opaque shapes, budget-limited entropy
-//! sweeps). The loops are written once against [`fan_out`], which runs
+//! applies (uniform supports, opaque shapes, budget-limited sweeps). The loops are written once against [`fan_out`], which runs
 //! them inline or on a worker pool. Nothing here writes: a neighbor is the
 //! stored database read through its update's row patch.
 
-use crate::engine::{bag_fp, run_plan, EngineOptions, Visible};
+use crate::engine::{bag_fp, run_plan, EngineOptions};
 use crate::normal_form::{Prepared, Shape};
 use crate::parallel::fan_out;
 use crate::update::SupportUpdate;
@@ -60,7 +59,7 @@ pub fn reduced_disagreements(
     db: &Database,
     q: &Prepared,
     updates: &[SupportUpdate],
-    visible: &[Visible],
+    visible: &[bool],
     opts: &EngineOptions,
 ) -> Result<Vec<bool>, EngineError> {
     // Callers route non-SPJ shapes through the full-execution path;
@@ -79,7 +78,7 @@ pub fn reduced_disagreements(
     // the probe sequence (and any budget cutoff) is deterministic.
     let mut by_rel: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     for (i, up) in updates.iter().enumerate() {
-        if visible[i].is_some() {
+        if visible[i] {
             by_rel.entry(up.table()).or_default().push(i);
         }
     }
@@ -218,7 +217,7 @@ mod tests {
         let SupportSet::Neighborhood(updates) = &support else {
             unreachable!()
         };
-        let visible = vec![Some(Vec::new()); updates.len()];
+        let visible = vec![true; updates.len()];
         let q = prepare_query(&database, "select grp, sum(v) from T group by grp").unwrap();
         let opts = EngineOptions::default();
         let err = reduced_disagreements(&database, &q, updates, &visible, &opts).unwrap_err();

@@ -1,33 +1,22 @@
-//! Query-shape analysis for the disagreement optimizer (§4).
+//! Query-shape analysis for the incremental evaluator ([`crate::delta`]).
 //!
 //! A prepared query is classified into one of three shapes:
 //!
 //! * [`Shape::Spj`] — a select-project-join block without self-joins,
-//!   subqueries, `DISTINCT`, `LIMIT`, or aggregation: eligible for
-//!   Algorithm 4/6 static checks and §4.2 batching;
+//!   subqueries, `DISTINCT`, `LIMIT`, or aggregation;
 //! * [`Shape::Agg`] — `γ_{G, agg…}(SPJ core)` without `HAVING`, `LIMIT`, or
 //!   `DISTINCT` aggregates, whose `WHERE` may add top-level `[NOT] EXISTS`
-//!   semi-joins over other tables: eligible for the incremental evaluator
-//!   ([`crate::delta`]);
+//!   semi-joins over other tables;
 //! * [`Shape::Opaque`] — anything else: priced by re-executing the query per
 //!   support instance (Algorithms 1–3 verbatim).
 //!
 //! Shape extraction happens once per query at prepare time. Both normal
 //! forms record each relation's column **footprint** — what the engine's
 //! visibility test ([`crate::engine::visibility`]) intersects an update's
-//! changed columns with. The SPJ shape also derives the auxiliary plans the
-//! optimizer executes:
-//!
-//! * the **keyed query** `Q̂` projecting every base relation's primary key —
-//!   one execution per pricing call yields the *contributing tuple* sets
-//!   (line 7 of Algorithm 4);
-//! * per-relation **probe plans** with a synthetic trailing `upid` column —
-//!   the widened `R⁺` relation of §4.2 over which batched dynamic checks
-//!   run.
-//!
-//! The aggregate shape needs no plan of its own beyond each semi-join's
-//! inner key plan: the incremental evaluator derives the unrolled core from
-//! the plan at sweep time.
+//! changed columns with. Neither needs a plan of its own beyond each
+//! semi-join's inner key plan: the incremental evaluator derives its
+//! `upid`-widened probes ([`widened`], the `R⁺` of §4.2) and an aggregate's
+//! unrolled core from the plan at sweep time.
 //!
 //! All agreement in this crate is **bag agreement of the projected rows**:
 //! the fingerprint ignores display order (`ORDER BY` cannot change content
@@ -77,36 +66,21 @@ pub struct RelShape {
     pub offset: usize,
     /// Relation arity (original, before any `upid` widening).
     pub arity: usize,
-    /// Primary-key column indices in the table schema.
-    pub pk_cols: Vec<usize>,
-    /// WHERE conjuncts that reference only this relation, rebased to
-    /// local (0-based) slots — the `C[u]` of Algorithm 4's static check.
-    pub local_condition: Vec<PExpr>,
     /// Local columns the query reads at all: the filter and the output
     /// expressions, and for an aggregate shape also the group keys, the
     /// aggregate arguments and the sort keys — every raw slot an execution
     /// evaluates. An update confined to other columns is *irrelevant* — the
     /// query cannot observe it (Blakeley et al.'s irrelevant-update test,
-    /// which §6 cites as the inspiration for the static checks).
+    /// which §6 cites as the inspiration for Algorithm 4's static checks).
     pub referenced_cols: HashSet<usize>,
 }
 
-/// SPJ shape (Algorithm 4/6 + batching).
+/// SPJ shape: the relations' footprints are all a sweep needs, as for
+/// [`AggShape`].
 #[derive(Debug, Clone)]
 pub struct SpjShape {
-    /// The keyed query `Q̂`: same FROM/WHERE, projecting all primary keys.
-    pub keyed: ResolvedSelect,
-    /// Output-column ranges of each relation's key within `keyed`.
-    pub keyed_ranges: Vec<std::ops::Range<usize>>,
     /// Per-relation shapes, in FROM order.
     pub relations: Vec<RelShape>,
-    /// Per relation, in FROM order: the probe plan with that relation
-    /// widened by a trailing `upid` column, projecting the original output
-    /// columns plus `upid` (§4.2). The `upid` is the last projection.
-    pub probes: Vec<ResolvedSelect>,
-    /// Global slots projected *verbatim* (bare `Slot` projections) — the
-    /// `A` of the exact `B ∩ A ≠ ∅` static disagreement for row updates.
-    pub identity_projected_slots: HashSet<usize>,
 }
 
 /// Aggregate shape: the relations' footprints are all a sweep needs — the
@@ -309,21 +283,25 @@ fn normal_form(db: &Database, plan: &ResolvedSelect) -> Option<Shape> {
     if !all_distinct(tables.iter()) {
         return None;
     }
-    // Primary keys per relation: needed to identify tuples.
-    let pk_cols = primary_keys(db, &tables);
-    if pk_cols.iter().any(|p| p.is_empty()) {
+    // Every relation must have a primary key. No path reads the key any
+    // more; the rule stays so that which plans have a normal form does not
+    // move.
+    if tables
+        .iter()
+        .any(|&t| db.table_at(t).schema.primary_key.is_empty())
+    {
         return None;
     }
 
     if !plan.grouped {
-        return Some(classify_spj(plan, &tables, &pk_cols));
+        return Some(classify_spj(plan, &tables));
     }
 
     // Aggregate shape exclusions.
     if plan.having.is_some() || plan.aggregates.iter().any(|a| a.distinct) {
         return None;
     }
-    Some(classify_agg(plan, &tables, &pk_cols))
+    Some(classify_agg(plan, &tables))
 }
 
 /// The catalog table of every relation, or `None` if one is derived.
@@ -341,13 +319,6 @@ fn all_distinct<'a>(tables: impl Iterator<Item = &'a usize>) -> bool {
     let mut sorted: Vec<usize> = tables.copied().collect();
     sorted.sort_unstable();
     sorted.windows(2).all(|w| w[0] != w[1])
-}
-
-fn primary_keys(db: &Database, tables: &[usize]) -> Vec<Vec<usize>> {
-    tables
-        .iter()
-        .map(|&t| db.table_at(t).schema.primary_key.clone())
-        .collect()
 }
 
 /// A conjunct `[NOT] EXISTS (inner)` as `(inner, negated)`, else the
@@ -424,7 +395,7 @@ fn semi_join_agg(db: &Database, plan: &ResolvedSelect) -> Option<Shape> {
         {
             e.collect_slots(&mut read_slots);
         }
-        let relations = rel_shapes(&keys, &tables, &primary_keys(db, &tables), &read_slots);
+        let relations = rel_shapes(&keys, &tables, &read_slots);
         // The correlation column decides membership: it joins the outer
         // relation's footprint.
         let outer = shape
@@ -445,65 +416,6 @@ fn semi_join_agg(db: &Database, plan: &ResolvedSelect) -> Option<Shape> {
     Some(Shape::Agg(shape))
 }
 
-/// Builds the keyed plan (project all primary keys) plus per-relation output
-/// ranges.
-fn build_keyed(
-    plan: &ResolvedSelect,
-    db_free_pks: &[Vec<usize>],
-) -> (ResolvedSelect, Vec<std::ops::Range<usize>>) {
-    let mut keyed = plan.clone();
-    keyed.grouped = false;
-    keyed.group_by.clear();
-    keyed.aggregates.clear();
-    keyed.having = None;
-    keyed.distinct = false;
-    keyed.order_by.clear();
-    keyed.limit = None;
-    keyed.projections.clear();
-    let mut ranges = Vec::with_capacity(db_free_pks.len());
-    for (rel_idx, pks) in db_free_pks.iter().enumerate() {
-        let start = keyed.projections.len();
-        for &pk in pks {
-            keyed.projections.push(Projection {
-                expr: PExpr::Slot(plan.offsets[rel_idx] + pk),
-                name: format!("pk_{rel_idx}_{pk}"),
-            });
-        }
-        ranges.push(start..keyed.projections.len());
-    }
-    (keyed, ranges)
-}
-
-/// Extracts the per-relation local WHERE conjuncts, rebased to local slots.
-fn local_conditions(plan: &ResolvedSelect) -> Vec<Vec<PExpr>> {
-    let n = plan.relations.len();
-    let mut out = vec![Vec::new(); n];
-    let Some(filter) = plan.filter.clone() else {
-        return out;
-    };
-    for c in filter.conjuncts() {
-        if c.has_subquery() {
-            continue;
-        }
-        let mut slots = Vec::new();
-        c.collect_slots(&mut slots);
-        if slots.is_empty() {
-            continue;
-        }
-        // `offsets` always contains 0, so every slot has a home relation.
-        #[allow(clippy::unwrap_used)]
-        let rel_of = |s: usize| plan.offsets.iter().rposition(|&o| o <= s).unwrap(); // qirana-lint::allow(QL007): offsets[0] == 0 gives every slot a home
-        let first = rel_of(slots[0]);
-        if slots.iter().all(|&s| rel_of(s) == first) {
-            let mut local = c.clone();
-            let offset = plan.offsets[first];
-            local.map_slots(&mut |s| s - offset);
-            out[first].push(local);
-        }
-    }
-    out
-}
-
 /// `plan` with relation `rel_idx` widened by a trailing `upid` column that
 /// is also projected last — the `R⁺` of §4.2, over which one execution
 /// answers for every update batched into the relation's override rows.
@@ -519,14 +431,7 @@ pub(crate) fn widened(plan: &ResolvedSelect, rel_idx: usize) -> ResolvedSelect {
 
 /// Per-relation shapes of `plan`; `read_slots` are the global slots the
 /// query reads, each relation's share of which is its `referenced_cols`.
-fn rel_shapes(
-    plan: &ResolvedSelect,
-    tables: &[usize],
-    pk_cols: &[Vec<usize>],
-    read_slots: &[usize],
-) -> Vec<RelShape> {
-    let locals = local_conditions(plan);
-
+fn rel_shapes(plan: &ResolvedSelect, tables: &[usize], read_slots: &[usize]) -> Vec<RelShape> {
     tables
         .iter()
         .enumerate()
@@ -543,25 +448,13 @@ fn rel_shapes(
                 table,
                 offset,
                 arity,
-                pk_cols: pk_cols[rel_idx].clone(),
-                local_condition: locals[rel_idx].clone(),
                 referenced_cols,
             }
         })
         .collect()
 }
 
-fn classify_spj(plan: &ResolvedSelect, tables: &[usize], pk_cols: &[Vec<usize>]) -> Shape {
-    let (keyed, keyed_ranges) = build_keyed(plan, pk_cols);
-
-    // Probe plan: the original projection, bag-compared (order dropped).
-    let mut probe_template = plan.clone();
-    probe_template.order_by.clear();
-
-    let probes = (0..tables.len())
-        .map(|rel_idx| widened(&probe_template, rel_idx))
-        .collect();
-
+fn classify_spj(plan: &ResolvedSelect, tables: &[usize]) -> Shape {
     let mut read_slots = Vec::new();
     for e in plan
         .filter
@@ -570,28 +463,12 @@ fn classify_spj(plan: &ResolvedSelect, tables: &[usize], pk_cols: &[Vec<usize>])
     {
         e.collect_slots(&mut read_slots);
     }
-    let relations = rel_shapes(plan, tables, pk_cols, &read_slots);
-
-    // Slots projected verbatim — exact `B ∩ A` carrier for row updates.
-    let identity_projected_slots: HashSet<usize> = plan
-        .projections
-        .iter()
-        .filter_map(|p| match &p.expr {
-            PExpr::Slot(s) => Some(*s),
-            _ => None,
-        })
-        .collect();
-
     Shape::Spj(Box::new(SpjShape {
-        keyed,
-        keyed_ranges,
-        relations,
-        probes,
-        identity_projected_slots,
+        relations: rel_shapes(plan, tables, &read_slots),
     }))
 }
 
-fn classify_agg(plan: &ResolvedSelect, tables: &[usize], pk_cols: &[Vec<usize>]) -> Shape {
+fn classify_agg(plan: &ResolvedSelect, tables: &[usize]) -> Shape {
     // The aggregate footprint: what the core reads (filter, group keys,
     // aggregate arguments) and the raw slots the output and sort
     // expressions read off a group's representative row — a change there
@@ -608,7 +485,7 @@ fn classify_agg(plan: &ResolvedSelect, tables: &[usize], pk_cols: &[Vec<usize>])
         e.collect_slots(&mut read_slots);
     }
     Shape::Agg(Box::new(AggShape {
-        relations: rel_shapes(plan, tables, pk_cols, &read_slots),
+        relations: rel_shapes(plan, tables, &read_slots),
         semi_joins: Vec::new(),
     }))
 }
@@ -664,17 +541,11 @@ mod tests {
             panic!("expected SPJ, got {:?}", p.shape)
         };
         assert_eq!(s.relations.len(), 2);
-        // keyed projects uid then tid.
-        assert_eq!(s.keyed.projections.len(), 2);
-        assert_eq!(s.keyed_ranges, vec![0..1, 1..2]);
-        // gender is identity-projected (slot 1 of User).
-        assert!(s.identity_projected_slots.contains(&1));
-        // local condition on User: age > 18, rebased to local slot 2.
-        assert_eq!(s.relations[0].local_condition.len(), 1);
-        // local condition on Tweet: location = 'CA'.
-        assert_eq!(s.relations[1].local_condition.len(), 1);
-        // probe for User carries upid as last projection.
-        assert_eq!(s.probes[0].projections.last().unwrap().name, "upid");
+        assert_eq!((s.relations[0].table, s.relations[1].table), (0, 1));
+        // User: uid (join), gender (output), age (filter); Tweet: uid
+        // (join), location (filter) — tid is unread.
+        assert_eq!(sorted(&s.relations[0].referenced_cols), [0, 1, 2]);
+        assert_eq!(sorted(&s.relations[1].referenced_cols), [1, 2]);
     }
 
     #[test]
@@ -853,10 +724,10 @@ mod tests {
             "select location from User U, Tweet T where U.uid = T.uid",
         )
         .unwrap();
-        let Shape::Spj(s) = &p.shape else { panic!() };
+        assert!(matches!(p.shape, Shape::Spj(_)));
         // User and Tweet both have 3 columns; widening User (rel 0) shifts
         // Tweet's slots by 1.
-        let probe = &s.probes[0];
+        let probe = widened(&p.plan, 0);
         assert_eq!(probe.offsets, vec![0, 4]);
         assert_eq!(probe.width, 7);
         // location was global slot 5, now 6.

@@ -3,8 +3,8 @@
 //!
 //! The support loop is the system's single hottest path — O(|support| ×
 //! query cost), and every iteration is independent of the others. Each
-//! such loop ([`crate::naive`]'s patched executions, the optimizer's
-//! unbatched probes and full re-checks, [`crate::delta`]'s fallbacks) is a
+//! such loop ([`crate::naive`]'s patched executions, [`crate::delta`]'s
+//! fallbacks) is a
 //! closure `f(i)` handed to [`fan_out`], which alone decides how it runs:
 //! **inline** on the caller's thread when one worker suffices (the
 //! default — no thread), or on a scoped worker pool. Either way three

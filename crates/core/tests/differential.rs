@@ -1,9 +1,8 @@
 //! Differential tests of the engine's evaluation strategies.
 //!
 //! The engine has several ways to compute the same semantics: per-instance
-//! re-execution, instance reduction, the static/dynamic optimized checks
-//! (batched and unbatched), the incremental delta evaluator for aggregate
-//! and entropy sweeps — each inline or on the worker pool, cached or not. There is one
+//! re-execution, instance reduction and the incremental delta evaluator —
+//! each inline or on the worker pool, cached or not. There is one
 //! reference — sequential, uncached [`Strategy::Naive`] — and one matrix:
 //! every [`Strategy`] × {sequential, 4 threads} × {cache on, off} ×
 //! {weighted coverage, Shannon entropy}. On randomized databases, support
@@ -98,12 +97,7 @@ fn query_pool(c: i16) -> Vec<String> {
 
 const PAR: Parallelism = Parallelism::Threads(4);
 
-const STRATEGIES: [Strategy; 4] = [
-    Strategy::Auto,
-    Strategy::NoBatching,
-    Strategy::Naive,
-    Strategy::NaiveReduced,
-];
+const STRATEGIES: [Strategy; 3] = [Strategy::Auto, Strategy::Naive, Strategy::NaiveReduced];
 
 const FUNCTIONS: [PricingFunction; 2] = [
     PricingFunction::WeightedCoverage,
@@ -588,7 +582,7 @@ fn commit_update_landing_on_a_support_value_prices_identically() {
         .expect("a row update of T.v in the support set");
     let seller_update = format!("UPDATE T SET v = {value} WHERE id = {row}");
     // c = -41: every tuple contributes, so the write-back neighbor is one
-    // the static checks reason about.
+    // the visibility test reasons about.
     let pool = query_pool(-41);
 
     for function in FUNCTIONS {

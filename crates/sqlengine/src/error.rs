@@ -71,7 +71,7 @@ impl EngineError {
     }
 
     /// Internal-invariant failure. Public (unlike the other constructors)
-    /// so downstream crates (`core::optimized`, `core::parallel`) can
+    /// so downstream crates (`core::engine`, `core::parallel`) can
     /// surface their own broken invariants through the same channel.
     pub fn internal(message: impl Into<String>) -> Self {
         EngineError::Internal(message.into())

@@ -1,4 +1,4 @@
-//! Property-based cross-check of the §4 optimizer: for *every* query shape
+//! Property-based cross-check of the evaluation paths: for *every* query shape
 //! and every evaluation strategy, the disagreement bits and partition
 //! fingerprints must equal the naive engine's (Theorems 4.1 / 4.2 made
 //! executable). Sequential, uncached `Strategy::Naive` is the reference
@@ -9,7 +9,7 @@
 //!
 //! Random databases, random support sets, a seller update landing on the
 //! support set's own values (so write-back neighbors occur), and a query
-//! pool spanning the SPJ shape (static checks, probes, batching), the
+//! pool spanning the SPJ shape (visibility, batched probes), the
 //! aggregate shape (accumulator folds, group movement, guard fallbacks),
 //! and opaque queries — plus fixed pools of `world` aggregates that were
 //! once mispriced.
@@ -91,7 +91,7 @@ const QUERIES: &[&str] = &[
     "select gender, age from User",
     "select age from User where gender = 'f'",
     "select uid from User where age between 20 and 40",
-    // SPJ: expression projection (excluded from the exact B∩A static).
+    // SPJ: expression projection.
     "select age + 1 from User where age > 15",
     // SPJ: join with local + join conditions.
     "select gender, location from User, Tweet where User.uid = Tweet.uid and age > 18",
@@ -278,23 +278,18 @@ fn check_all_configs(db: &mut Database, support: &SupportSet, queries: &[&str]) 
         .map(|q| prepare_query(db, q).expect("prepare"))
         .collect();
     let naive = EngineOptions::naive();
-    let configs: Vec<EngineOptions> = [
-        Strategy::Auto,
-        Strategy::NoBatching,
-        Strategy::Naive,
-        Strategy::NaiveReduced,
-    ]
-    .into_iter()
-    .flat_map(|strategy| {
-        [Parallelism::Sequential, Parallelism::Threads(4)].map(|par| {
-            EngineOptions {
-                strategy,
-                ..Default::default()
-            }
-            .with_parallelism(par)
+    let configs: Vec<EngineOptions> = [Strategy::Auto, Strategy::Naive, Strategy::NaiveReduced]
+        .into_iter()
+        .flat_map(|strategy| {
+            [Parallelism::Sequential, Parallelism::Threads(4)].map(|par| {
+                EngineOptions {
+                    strategy,
+                    ..Default::default()
+                }
+                .with_parallelism(par)
+            })
         })
-    })
-    .collect();
+        .collect();
     for q in &prepared {
         let bundle = [q];
         let bits = bundle_disagreements(db, &bundle, support, &naive, None).unwrap();

@@ -14,10 +14,14 @@
 // crates where the workspace lints deny panicking calls.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use qirana::core::fault;
-use qirana::core::WeightError;
+use qirana::core::engine::{query_bits, query_fps};
+use qirana::core::{
+    fault, generate_support, prepare_query, SupportSet, SupportUpdate, WeightError,
+};
 use qirana::solver::AbortCause;
-use qirana::sqlengine::{BudgetResource, ColumnDef, DataType, EngineError, TableSchema};
+use qirana::sqlengine::{
+    execute, BudgetResource, ColumnDef, DataType, EngineError, ExecContext, TableSchema,
+};
 use qirana::{
     BrokerError, Database, EngineOptions, ExecBudget, PricePoint, PricingFunction, Qirana,
     QiranaConfig, RetryPolicy, SupportConfig,
@@ -106,9 +110,9 @@ fn row_budget_trips_mid_join_as_structured_error() {
         matches!(again, BrokerError::Engine(e) if e.is_budget_exceeded()),
         "deterministic repeat trip expected"
     );
-    // An aggregate over the same join: under a budget its coverage sweep
-    // leaves the delta evaluator for per-instance execution, whose base
-    // execution trips the same way.
+    // An aggregate over the same join trips the same way: under a budget
+    // every sweep, SPJ or aggregate, leaves the delta evaluator for
+    // per-instance execution, whose base execution trips here.
     let agg = broker
         .quote(
             "SELECT gender, count(*) FROM User, Tweet WHERE User.uid = Tweet.uid GROUP BY gender",
@@ -124,6 +128,55 @@ fn row_budget_trips_mid_join_as_structured_error() {
         ),
         "got {agg}"
     );
+}
+
+/// Budget parity for an SPJ join: the default path must return exactly the
+/// `Result` per-instance execution returns — the same `BudgetExceeded` under
+/// a row budget the base execution passes but some neighbor's execution
+/// exceeds, the same bits and fingerprints under one every execution
+/// passes.
+#[test]
+fn spj_sweeps_under_a_row_budget_match_naive() {
+    let _guard = fault::serialize_tests();
+    let db = twitter_db();
+    let q = prepare_query(
+        &db,
+        "SELECT gender FROM User, Tweet WHERE User.uid = Tweet.uid AND age > 25",
+    )
+    .unwrap();
+    let updates = generate_support(&db, &small_support());
+    // Rows one execution charges, the stored database patched by `update`.
+    let charged = |update: Option<&SupportUpdate>| {
+        let patch = update.map(|up| up.patch(&db)).unwrap_or_default();
+        let table = update.map_or(0, SupportUpdate::table);
+        let ctx = ExecContext::new(&db)
+            .with_patch(table, &patch)
+            .with_budget(ExecBudget::UNLIMITED.with_max_rows(u64::MAX));
+        execute(&q.plan, &ctx).unwrap();
+        ctx.rows_charged()
+    };
+    let base = charged(None);
+    let worst = updates.iter().map(|up| charged(Some(up))).max().unwrap();
+    assert!(
+        worst > base,
+        "some neighbor must charge more rows than the base"
+    );
+    let support = SupportSet::Neighborhood(updates);
+    let all = vec![true; support.len()];
+
+    for max_rows in [base, worst] {
+        let budget = ExecBudget::UNLIMITED.with_max_rows(max_rows);
+        let naive = EngineOptions::naive().with_budget(budget);
+        let auto = EngineOptions::default().with_budget(budget);
+        let bits = query_bits(&db, &q, &support, &all, &naive);
+        let tripped = bits.as_ref().is_err_and(EngineError::is_budget_exceeded);
+        assert_eq!(tripped, max_rows == base, "{bits:?} at {max_rows} rows");
+        assert_eq!(query_bits(&db, &q, &support, &all, &auto), bits);
+        assert_eq!(
+            query_fps(&db, &q, &support, &auto),
+            query_fps(&db, &q, &support, &naive)
+        );
+    }
 }
 
 #[test]

@@ -5,10 +5,11 @@
 //! engine options, telemetry on a deterministic clock — prices one SPJ (an
 //! `EXISTS` aggregate for TPC-H), one aggregate and one opaque query per
 //! pricing family and asserts, per request, the path label on the sweep's
-//! `Disagreement` span and the exact, machine-independent work counters. A change that silently
-//! reroutes the default path (an SPJ coverage sweep through the delta
-//! evaluator, say) or does more sweeps per purchase fails here, in tier-1,
-//! instead of in a benchmark three changes later.
+//! `Disagreement` span and the exact, machine-independent work counters. A
+//! change that silently reroutes the default path (an SPJ coverage sweep
+//! off the delta evaluator, say), does more sweeps per purchase or executes
+//! an answer a sweep already computed fails here, in tier-1, instead of in
+//! a benchmark three changes later.
 
 // CLI/bench/demo target: aborting with a clear message on bad input or a
 // broken fixture is the intended failure mode here, unlike in the library
@@ -61,12 +62,6 @@ fn golden_counters(sweep: Option<(&Case, &str)>, answers: u64) -> [u64; 7] {
     };
     golden[6] += answers;
     golden
-}
-
-/// A buy executes its answer itself only when the sweep that priced it
-/// never ran the plan: §4's batched SPJ checks.
-fn answered_by(path: &str) -> u64 {
-    u64::from(path == "coverage/batched")
 }
 
 /// Reads what the sink recorded since the last call.
@@ -153,12 +148,12 @@ const WORLD: [Case; 3] = [
         shape: "spj",
         sql: "SELECT C.Name, T.Name FROM Country C, City T \
               WHERE C.Code = T.CountryCode AND T.Population > 1000000",
-        coverage: "coverage/batched",
+        coverage: "coverage/delta",
         entropy: "entropy/delta",
         relations: 2,
         build_execs: 1,
         probe_execs: 2,
-        sweep_execs: [7, 3],
+        sweep_execs: [3, 3],
     },
     Case {
         shape: "agg",
@@ -187,12 +182,12 @@ const SSB: [Case; 3] = [
         shape: "spj",
         sql: "SELECT lo_orderkey, lo_revenue FROM lineorder, dwdate \
               WHERE lo_orderdate = d_datekey AND d_year = 1993 AND lo_quantity < 5",
-        coverage: "coverage/batched",
+        coverage: "coverage/delta",
         entropy: "entropy/delta",
         relations: 2,
         build_execs: 1,
         probe_execs: 2,
-        sweep_execs: [2, 3],
+        sweep_execs: [3, 3],
     },
     Case {
         shape: "agg",
@@ -322,29 +317,31 @@ fn drive(db: Database, session: &[Case; 3], function: PricingFunction) {
             PricingFunction::ShannonEntropy => case.entropy,
             _ => case.coverage,
         };
-        let answers = answered_by(path);
         tape.advance(); // set-up and the shape check are not requests
         broker.quote(case.sql).unwrap();
         tape.expect(&format!("quote of {}", case.sql), Some((case, path)), 0);
         broker.buy("golden", case.sql).unwrap();
-        tape.expect(&format!("buy after quote of {}", case.sql), None, answers);
+        tape.expect(&format!("buy after quote of {}", case.sql), None, 0);
         broker.quote(case.sql).unwrap();
         tape.expect(&format!("repeat quote of {}", case.sql), None, 0);
         broker.buy("memo", case.sql).unwrap();
         tape.expect(&format!("memo-hit buy of {}", case.sql), None, 1);
 
+        // A cold buy — SPJ included — runs exactly one sweep's executions
+        // and no separate answer execution: every sweep path of the
+        // session executes the plan itself, and that output is the answer.
         unquoted_tape.advance();
         unquoted.buy("second", case.sql).unwrap();
         unquoted_tape.expect(
             &format!("unquoted buy of {}", case.sql),
             Some((case, path)),
-            answers,
+            0,
         );
     }
 }
 
 #[test]
-fn coverage_sweeps_batch_spj_checks_and_read_delta_for_aggregates() {
+fn coverage_sweeps_take_delta_for_normal_forms_and_execute_opaque_plans() {
     drive(
         world::generate(7),
         &WORLD,

@@ -7,7 +7,7 @@
 //! (`coverage_fallbacks_total`, respectively `delta_fallbacks_total` under
 //! `--function shannon`).
 //!
-//! `cargo run -p qirana-bench --bin fig5 --release -- <ssb|tpch|world> [--function coverage|shannon] [--sf F] [--support N] [--threads N]`
+//! `cargo run -p qirana-bench --bin fig5 --release -- <ssb|tpch|world> [--function coverage|shannon] [--sf F] [--support N]`
 //!
 //! The timed primitive is the coverage bitmap, or with `--function
 //! shannon` the entropy primitive's per-instance output fingerprints. The
@@ -26,8 +26,8 @@
 use qirana_bench::{time, usage_error, Args};
 use qirana_core::generate_support;
 use qirana_core::{
-    bundle_disagreements, bundle_partition, prepare_query, EngineOptions, Parallelism, Prepared,
-    SupportConfig, SupportSet, Telemetry,
+    bundle_disagreements, bundle_partition, prepare_query, EngineOptions, Prepared, SupportConfig,
+    SupportSet, Telemetry,
 };
 use qirana_datagen::queries::{ssb_queries, tpch_queries, WORLD_QUERIES};
 use qirana_datagen::{ssb, tpch, world};
@@ -49,12 +49,6 @@ fn main() {
         other => usage_error(&format!(
             "--function: unknown `{other}`; use coverage or shannon"
         )),
-    };
-    let threads: usize = args.get("threads", 1);
-    let par = if threads > 1 {
-        Parallelism::Threads(threads)
-    } else {
-        Parallelism::Sequential
     };
 
     let (db, queries): (_, Vec<(String, String)>) = match which.as_str() {
@@ -89,7 +83,7 @@ fn main() {
     // sweeps report to an enabled sink, which the fallbacks column reads.
     let tel = Telemetry::enabled();
     let sweep = |db: &Database, q: &Prepared, support: &SupportSet, opts: EngineOptions| {
-        let opts = opts.with_parallelism(par).with_telemetry(tel.clone());
+        let opts = opts.with_telemetry(tel.clone());
         if shannon {
             bundle_partition(db, &[q], support, &opts).unwrap().len()
         } else {
@@ -106,9 +100,7 @@ fn main() {
     };
     let fallbacks = || tel.sink().map_or(0, |sink| sink.counter(fallbacks_counter));
 
-    println!(
-        "== Figure 5 ({which}, {function}, sf={sf}, S={support}, threads={threads}): pricing time in seconds =="
-    );
+    println!("== Figure 5 ({which}, {function}, sf={sf}, S={support}): pricing time in seconds ==");
     let support_set = SupportSet::Neighborhood(generate_support(
         &db,
         &SupportConfig {

@@ -973,7 +973,7 @@ pub(crate) fn query_fps_nbrs(
             None => fallbacks.push(i),
         }
     }
-    // Only the fallbacks execute in full and fan out.
+    // Only the fallbacks execute in full.
     let full = neighbor_fps(db, &q.plan, updates, &fallbacks, opts)?;
     for (&i, fp) in fallbacks.iter().zip(full) {
         fps[i] = fp;
@@ -992,7 +992,6 @@ mod tests {
     use super::*;
     use crate::engine::{query_fps, visibility};
     use crate::normal_form::prepare_query;
-    use crate::parallel::Parallelism;
     use crate::support::{generate_support, SupportConfig, SupportSet};
     use qirana_sqlengine::{execute, ColumnDef, DataType, TableSchema};
 
@@ -1052,7 +1051,6 @@ mod tests {
         database: Database,
         sql: &str,
         updates: Vec<SupportUpdate>,
-        workers: usize,
     ) -> (Vec<Fingerprint>, ProbeStats) {
         let q = prepare_query(&database, sql).unwrap();
         let (state, _) = build(&database, &q, &Telemetry::disabled()).unwrap();
@@ -1062,46 +1060,39 @@ mod tests {
             unreachable!()
         };
         let visible = visibility(&database, &q, &support, &vec![true; updates.len()]);
-        let opts = EngineOptions::default().with_parallelism(Parallelism::Threads(workers));
+        let opts = EngineOptions::default();
         let (fps, stats) = query_fps_nbrs(&database, &q, &state, updates, &visible, &opts).unwrap();
         let naive_fps = query_fps(&database, &q, &support, &EngineOptions::naive()).unwrap();
         assert_eq!(fps, naive_fps, "fps diverged for {sql}");
         (fps, stats)
     }
 
-    fn assert_delta_matches_naive(sql: &str, workers: usize) {
+    fn assert_delta_matches_naive(sql: &str) {
         let database = db();
         let updates = support(&database, 160);
-        probe_checked(database, sql, updates, workers);
+        probe_checked(database, sql, updates);
     }
 
     #[test]
     fn spj_single_table_matches_naive() {
-        assert_delta_matches_naive("select v from T where grp = 'a'", 1);
-        assert_delta_matches_naive("select id, grp from T where v > 7", 1);
-        assert_delta_matches_naive("select * from T", 4);
+        assert_delta_matches_naive("select v from T where grp = 'a'");
+        assert_delta_matches_naive("select id, grp from T where v > 7");
+        assert_delta_matches_naive("select * from T");
     }
 
     #[test]
     fn spj_join_matches_naive() {
-        assert_delta_matches_naive(
-            "select T.grp, U.w from T, U where T.id = U.t_id and U.w > 2",
-            1,
-        );
-        assert_delta_matches_naive(
-            "select T.v from T join U on T.id = U.t_id where T.grp = 'b'",
-            4,
-        );
+        assert_delta_matches_naive("select T.grp, U.w from T, U where T.id = U.t_id and U.w > 2");
+        assert_delta_matches_naive("select T.v from T join U on T.id = U.t_id where T.grp = 'b'");
     }
 
     #[test]
     fn agg_matches_naive() {
-        assert_delta_matches_naive("select grp, count(*), sum(v) from T group by grp", 1);
-        assert_delta_matches_naive("select grp, min(v), max(v), avg(v) from T group by grp", 1);
-        assert_delta_matches_naive("select count(*) from T where v > 5", 1);
+        assert_delta_matches_naive("select grp, count(*), sum(v) from T group by grp");
+        assert_delta_matches_naive("select grp, min(v), max(v), avg(v) from T group by grp");
+        assert_delta_matches_naive("select count(*) from T where v > 5");
         assert_delta_matches_naive(
             "select T.grp, sum(U.w) from T, U where T.id = U.t_id group by T.grp",
-            4,
         );
     }
 
@@ -1118,7 +1109,7 @@ mod tests {
             })
             .collect();
         let sql = "select T.grp, U.w from T, U where T.id = U.t_id";
-        let (_, stats) = probe_checked(db(), sql, updates, 1);
+        let (_, stats) = probe_checked(db(), sql, updates);
         assert_eq!(stats.probes, 10);
         assert_eq!((stats.execs, stats.fallbacks), (1, 0), "one batch for U");
     }
@@ -1132,7 +1123,7 @@ mod tests {
                 changes: vec![(2, Value::Int(999 + i as i64))],
             })
             .collect();
-        let (fps, stats) = probe_checked(db(), "select v from T where v > 3", updates, 1);
+        let (fps, stats) = probe_checked(db(), "select v from T where v > 3", updates);
         assert!(
             fps.iter().all(|fp| *fp == fps[0]),
             "all agree with the base"
@@ -1151,7 +1142,7 @@ mod tests {
             row: 2,
             changes: vec![(1, "z".into())], // grp: outside the footprint
         }];
-        let (_, stats) = probe_checked(db(), "select v from T where v < 9", updates, 1);
+        let (_, stats) = probe_checked(db(), "select v from T where v < 9", updates);
         assert_eq!(stats.short_circuits, 1);
     }
 
@@ -1168,7 +1159,7 @@ mod tests {
         };
         assert!(!up.is_effective(&database));
         let sql = "select grp from T where v >= 0";
-        let (_, stats) = probe_checked(database, sql, vec![up], 1);
+        let (_, stats) = probe_checked(database, sql, vec![up]);
         assert_eq!(stats.short_circuits, 1, "declared-but-ineffective swap");
     }
 
@@ -1219,7 +1210,7 @@ mod tests {
         let database = db();
         let updates = support(&database, 80);
         let sql = "select count(*), sum(v) from T where v > 1000";
-        probe_checked(database, sql, updates, 1);
+        probe_checked(database, sql, updates);
     }
 
     fn row_up(table: usize, row: usize, col: usize, v: Value) -> SupportUpdate {
@@ -1264,7 +1255,7 @@ mod tests {
             row_up(1, 3, 1, 0.into()),
         ];
         for sql in ADVERSARIAL_QUERIES {
-            let (_, stats) = probe_checked(db(), sql, updates.clone(), 1);
+            let (_, stats) = probe_checked(db(), sql, updates.clone());
             assert_eq!(stats.fallbacks, 0, "{sql}");
             assert!(stats.execs <= 2, "{sql}: one execution per relation");
         }
@@ -1288,7 +1279,7 @@ mod tests {
             "select grp, count(*), max(v) from T group by grp",
             "select count(*), sum(v), min(v) from T where v < 6",
         ] {
-            let (fps, stats) = probe_checked(database.clone(), sql, updates.clone(), 1);
+            let (fps, stats) = probe_checked(database.clone(), sql, updates.clone());
             assert_ne!(fps[0], fps[1], "{sql}");
             assert_eq!(stats.fallbacks, 0, "{sql}");
         }
@@ -1364,7 +1355,6 @@ mod tests {
                 })
                 .collect::<Vec<_>>(),
         );
-        // Enough of them that `Threads(4)` really starts a pool.
         let updates: Vec<SupportUpdate> = (0..160)
             .map(|i| match i % 4 {
                 0 => swap(i % 10, i % 10 + 2, &[2]), // one group: same bag
@@ -1372,20 +1362,8 @@ mod tests {
             })
             .collect();
         let sql = "select g, sum(x), avg(x) from F group by g";
-        let (fps, stats) = probe_checked(database.clone(), sql, updates.clone(), 1);
+        let (_, stats) = probe_checked(database, sql, updates);
         assert_eq!(stats.fallbacks, 0, "float sums fold exactly");
-        let pooled = probe_checked(database.clone(), sql, updates.clone(), 4);
-        assert_eq!(
-            pooled,
-            (fps.clone(), stats),
-            "Threads(4) equals sequential bitwise"
-        );
-        // With no fallbacks the pool above has nothing to run; per-instance
-        // execution on it folds every neighbor's float groups on workers.
-        let q = prepare_query(&database, sql).unwrap();
-        let opts = EngineOptions::naive().with_parallelism(Parallelism::Threads(4));
-        let support = SupportSet::Neighborhood(updates);
-        assert_eq!(query_fps(&database, &q, &support, &opts).unwrap(), fps);
     }
 
     /// `T.id` 0..19 each have one `U` row (`t_id = uid`), 20..29 none.
@@ -1410,8 +1388,7 @@ mod tests {
         for sql in SEMI_JOINS {
             let q = prepare_query(&db(), sql).unwrap();
             assert!(matches!(q.shape, Shape::Agg(_)), "{sql}");
-            assert_delta_matches_naive(sql, 1);
-            assert_delta_matches_naive(sql, 4);
+            assert_delta_matches_naive(sql);
         }
     }
 
@@ -1430,7 +1407,7 @@ mod tests {
             row_up(0, 25, 0, 4.into()), // an outer key moves onto a matched one
         ];
         for sql in SEMI_JOINS {
-            let (fps, stats) = probe_checked(db(), sql, updates.clone(), 1);
+            let (fps, stats) = probe_checked(db(), sql, updates.clone());
             assert_eq!(stats.fallbacks, 0, "{sql}");
             assert_eq!(stats.execs, 2, "{sql}: one execution per relation");
             assert_ne!(fps[0], fps[4], "{sql}: a flip moves the output");

@@ -26,7 +26,6 @@ use crate::delta;
 use crate::fault;
 use crate::naive;
 use crate::normal_form::{Prepared, Shape};
-use crate::parallel::Parallelism;
 use crate::support::SupportSet;
 use crate::telemetry::{SpanGuard, Stage, Telemetry};
 use crate::update::SupportUpdate;
@@ -60,7 +59,7 @@ pub enum Strategy {
 }
 
 /// Engine configuration: the evaluation strategy plus the execution
-/// budget, worker pool, cache and telemetry every pricing query runs under.
+/// budget, cache and telemetry every pricing query runs under.
 ///
 /// Carries the [`Telemetry`] handle, so the struct is `Clone` (an `Arc`
 /// bump) but not `Copy`; engine entry points take it by reference.
@@ -74,10 +73,6 @@ pub struct EngineOptions {
     /// Trips surface as [`EngineError::BudgetExceeded`]. Unlimited by
     /// default.
     pub budget: ExecBudget,
-    /// Worker-pool size for the per-support-instance loops. Results are
-    /// bitwise identical to the sequential path for any setting; see
-    /// [`crate::parallel`].
-    pub parallelism: Parallelism,
     /// Incremental history-aware pricing: memoize per-query disagreement
     /// bitmaps and partition blocks in the broker's
     /// [`PricingCache`](crate::PricingCache), so a
@@ -97,7 +92,6 @@ impl Default for EngineOptions {
         EngineOptions {
             strategy: Strategy::Auto,
             budget: ExecBudget::UNLIMITED,
-            parallelism: Parallelism::Sequential,
             cache: CacheConfig::default(),
             telemetry: Telemetry::disabled(),
         }
@@ -116,12 +110,6 @@ impl EngineOptions {
     /// Replaces the execution budget.
     pub fn with_budget(mut self, budget: ExecBudget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Replaces the worker-pool configuration.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
         self
     }
 
@@ -244,8 +232,8 @@ pub fn visibility(db: &Database, q: &Prepared, support: &SupportSet, active: &[b
 }
 
 /// Opens a sweep's `Disagreement` span, labelled `<family>/<path>`, and
-/// records the sweep's deterministic work measures (identical sequential vs
-/// parallel): the span counts the instances still active going in, the
+/// records the sweep's deterministic work measures (identical on every
+/// path): the span counts the instances still active going in, the
 /// `neighbors_evaluated_total` counter adds the support size S — once per
 /// sweep, so once per member query of a bundle, cached or not.
 fn sweep_span(tel: &Telemetry, label: &str, active: &[bool]) -> SpanGuard {
@@ -577,11 +565,10 @@ mod tests {
         }
     }
 
-    /// The core cross-check: every strategy, sequential and parallel,
-    /// bundle-wise and member-wise (the full per-member artifacts the
-    /// broker memoizes), must reproduce sequential `Strategy::Naive`
-    /// bitwise for both primitives — SPJ, aggregate and opaque members
-    /// alike.
+    /// The core cross-check: every strategy, bundle-wise and member-wise
+    /// (the full per-member artifacts the broker memoizes), must reproduce
+    /// `Strategy::Naive` bitwise for both primitives — SPJ, aggregate and
+    /// opaque members alike.
     #[test]
     fn every_strategy_matches_naive_bitwise() {
         let database = db();
@@ -603,31 +590,23 @@ mod tests {
         let part_ref = bundle_partition(&database, &bundle, &support, &naive).unwrap();
 
         for strategy in STRATEGIES {
-            for par in [Parallelism::Sequential, Parallelism::Threads(4)] {
-                let opts = with_strategy(strategy).with_parallelism(par);
-                let bits = bundle_disagreements(&database, &bundle, &support, &opts, None).unwrap();
-                assert_eq!(
-                    bits, bits_ref,
-                    "coverage mismatch under {strategy:?}/{par:?}"
-                );
-                let part = bundle_partition(&database, &bundle, &support, &opts).unwrap();
-                assert_eq!(
-                    part, part_ref,
-                    "entropy mismatch under {strategy:?}/{par:?}"
-                );
+            let opts = with_strategy(strategy);
+            let bits = bundle_disagreements(&database, &bundle, &support, &opts, None).unwrap();
+            assert_eq!(bits, bits_ref, "coverage mismatch under {strategy:?}");
+            let part = bundle_partition(&database, &bundle, &support, &opts).unwrap();
+            assert_eq!(part, part_ref, "entropy mismatch under {strategy:?}");
 
-                // The OR of full member bitmaps equals the shrinking
-                // active set: a skipped instance already disagrees.
-                let all = vec![true; support.len()];
-                let mut ored = vec![false; support.len()];
-                for q in &bundle {
-                    let bits = query_bits(&database, q, &support, &all, &opts).unwrap();
-                    for (o, b) in ored.iter_mut().zip(bits) {
-                        *o |= b;
-                    }
+            // The OR of full member bitmaps equals the shrinking
+            // active set: a skipped instance already disagrees.
+            let all = vec![true; support.len()];
+            let mut ored = vec![false; support.len()];
+            for q in &bundle {
+                let bits = query_bits(&database, q, &support, &all, &opts).unwrap();
+                for (o, b) in ored.iter_mut().zip(bits) {
+                    *o |= b;
                 }
-                assert_eq!(ored, bits_ref, "member-wise coverage under {strategy:?}");
             }
+            assert_eq!(ored, bits_ref, "member-wise coverage under {strategy:?}");
         }
     }
 

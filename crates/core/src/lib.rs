@@ -30,7 +30,7 @@
 //! aggregate plans, which carries §4.2's batching, per-instance execution
 //! ([`naive`]) everywhere else. One update-visibility test — Algorithm 4's
 //! irrelevant-update check — sits in front of every path, and every
-//! per-instance loop runs through one fan-out helper ([`parallel`]).
+//! per-instance loop runs in index order on the caller's thread.
 //! [`Strategy`] pins a path for the paper's baselines and for the
 //! differential tests, which hold all of them bitwise equal.
 //!
@@ -83,7 +83,6 @@ pub mod fault;
 pub mod ledger;
 pub mod naive;
 pub mod normal_form;
-pub mod parallel;
 pub mod pricing;
 pub mod support;
 pub mod telemetry;
@@ -99,7 +98,6 @@ pub use determinacy::{determines, Determinacy};
 pub use engine::{bundle_disagreements, bundle_partition, EngineOptions, Strategy};
 pub use ledger::{FsyncPolicy, Ledger, LedgerConfig, LedgerError, LedgerEvent, SnapshotState};
 pub use normal_form::{prepare_query, Prepared, Shape};
-pub use parallel::Parallelism;
 pub use pricing::{PricingError, PricingFunction};
 pub use support::{
     generate_support, generate_uniform_worlds, try_generate_support, SupportConfig, SupportError,

@@ -4,13 +4,13 @@
 //!
 //! This is the reference every other evaluation path is held bitwise equal
 //! to, and the path [`crate::engine`] routes to whenever no faster one
-//! applies (uniform supports, opaque shapes, budget-limited sweeps). The loops are written once against [`fan_out`], which runs
-//! them inline or on a worker pool. Nothing here writes: a neighbor is the
-//! stored database read through its update's row patch.
+//! applies (uniform supports, opaque shapes, budget-limited sweeps). Each
+//! loop runs in index order on the caller's thread and stops at the first
+//! error. Nothing here writes: a neighbor is the stored database read
+//! through its update's row patch.
 
 use crate::engine::{bag_fp, run_plan, EngineOptions};
 use crate::normal_form::{Prepared, Shape};
-use crate::parallel::fan_out;
 use crate::update::SupportUpdate;
 use qirana_sqlengine::{Database, EngineError, ExecContext, Fingerprint, ResolvedSelect, Row};
 use std::collections::{BTreeMap, HashMap};
@@ -24,14 +24,16 @@ pub(crate) fn neighbor_fps(
     idxs: &[usize],
     opts: &EngineOptions,
 ) -> Result<Vec<Fingerprint>, EngineError> {
-    fan_out(idxs.len(), opts.parallelism, &opts.telemetry, |j| {
-        let up = &updates[idxs[j]];
-        let patch = up.patch(db);
-        let ctx = ExecContext::new(db)
-            .with_patch(up.table(), &patch)
-            .with_budget(opts.budget);
-        run_plan(&opts.telemetry, plan, &ctx).map(bag_fp)
-    })
+    idxs.iter()
+        .map(|&i| {
+            let up = &updates[i];
+            let patch = up.patch(db);
+            let ctx = ExecContext::new(db)
+                .with_patch(up.table(), &patch)
+                .with_budget(opts.budget);
+            run_plan(&opts.telemetry, plan, &ctx).map(bag_fp)
+        })
+        .collect()
 }
 
 /// The plan's output fingerprint on each uniform world `worlds[idxs[j]]`.
@@ -41,10 +43,12 @@ pub(crate) fn world_fps(
     idxs: &[usize],
     opts: &EngineOptions,
 ) -> Result<Vec<Fingerprint>, EngineError> {
-    fan_out(idxs.len(), opts.parallelism, &opts.telemetry, |j| {
-        let ctx = ExecContext::new(&worlds[idxs[j]]).with_budget(opts.budget);
-        run_plan(&opts.telemetry, plan, &ctx).map(bag_fp)
-    })
+    idxs.iter()
+        .map(|&i| {
+            let ctx = ExecContext::new(&worlds[i]).with_budget(opts.budget);
+            run_plan(&opts.telemetry, plan, &ctx).map(bag_fp)
+        })
+        .collect()
 }
 
 /// Instance reduction (Appendix A, Lemma A.3): for an SPJ query, the

@@ -2,12 +2,11 @@
 //!
 //! The engine has several ways to compute the same semantics: per-instance
 //! re-execution, instance reduction and the incremental delta evaluator —
-//! each inline or on the worker pool, cached or not. There is one
-//! reference — sequential, uncached [`Strategy::Naive`] — and one matrix:
-//! every [`Strategy`] × {sequential, 4 threads} × {cache on, off} ×
-//! {weighted coverage, Shannon entropy}. On randomized databases, support
-//! sets, seller updates and SPJ/aggregate queries, every cell must produce
-//! *identical* disagreement bits and partition fingerprints — and
+//! each cached or not. There is one reference — uncached
+//! [`Strategy::Naive`] — and one matrix: every [`Strategy`] × {cache on,
+//! off} × {weighted coverage, Shannon entropy}. On randomized databases,
+//! support sets, seller updates and SPJ/aggregate queries, every cell must
+//! produce *identical* disagreement bits and partition fingerprints — and
 //! therefore bitwise-identical prices. The reference in turn is held to an
 //! unfiltered apply/execute/undo oracle that shares no code with it: sweeps
 //! read each neighbor through a row patch, the oracle writes it.
@@ -15,11 +14,10 @@
 use proptest::prelude::*;
 use qirana_core::engine::{bag_fp, query_bits, query_fps};
 use qirana_core::{
-    bundle_disagreements, bundle_partition, generate_support, generate_uniform_worlds,
-    prepare_query,
+    bundle_disagreements, bundle_partition, generate_support, prepare_query,
     pricing::{shannon_entropy, weighted_coverage},
-    uniform_weights, CacheConfig, EngineOptions, Parallelism, PricingFunction, Qirana,
-    QiranaConfig, Strategy, SupportConfig, SupportSet, SupportUpdate, Telemetry, TestClock,
+    uniform_weights, CacheConfig, EngineOptions, PricingFunction, Qirana, QiranaConfig, Strategy,
+    SupportConfig, SupportSet, SupportUpdate, Telemetry, TestClock,
 };
 use qirana_sqlengine::update::{apply_writes, CellWrite};
 use qirana_sqlengine::{
@@ -95,8 +93,6 @@ fn query_pool(c: i16) -> Vec<String> {
     ]
 }
 
-const PAR: Parallelism = Parallelism::Threads(4);
-
 const STRATEGIES: [Strategy; 3] = [Strategy::Auto, Strategy::Naive, Strategy::NaiveReduced];
 
 const FUNCTIONS: [PricingFunction; 2] = [
@@ -104,13 +100,12 @@ const FUNCTIONS: [PricingFunction; 2] = [
     PricingFunction::ShannonEntropy,
 ];
 
-/// One cell of the matrix. `(Naive, Sequential, disabled)` is the reference.
-fn engine(strategy: Strategy, parallelism: Parallelism, cache: CacheConfig) -> EngineOptions {
+/// One cell of the matrix. `(Naive, disabled)` is the reference.
+fn engine(strategy: Strategy, cache: CacheConfig) -> EngineOptions {
     EngineOptions {
         strategy,
         ..Default::default()
     }
-    .with_parallelism(parallelism)
     .with_cache(cache)
 }
 
@@ -208,10 +203,10 @@ proptest! {
         }
     }
 
-    /// Every strategy, inline and on the worker pool, yields the reference
-    /// disagreement bits and partition fingerprints — and identical
-    /// coverage and entropy prices, to the last bit of the f64 — on a
-    /// database the seller has updated since the support set was drawn.
+    /// Every strategy yields the reference disagreement bits and partition
+    /// fingerprints — and identical coverage and entropy prices, to the
+    /// last bit of the f64 — on a database the seller has updated since the
+    /// support set was drawn.
     #[test]
     fn all_strategies_agree_on_bits_and_fingerprints(
         t_rows in prop::collection::vec((0u8..3, -40i16..40), 8..20),
@@ -234,32 +229,30 @@ proptest! {
         let ref_fps = bundle_partition(&db, &[&q], &support, &reference).unwrap();
         let weights = uniform_weights(support.len(), 100.0);
         for strategy in STRATEGIES {
-            for parallelism in [Parallelism::Sequential, PAR] {
-                let opts = engine(strategy, parallelism, CacheConfig::disabled());
-                let bits = bundle_disagreements(&db, &[&q], &support, &opts, None).unwrap();
-                prop_assert_eq!(&bits, &ref_bits, "bits diverge for {} under {:?}", sql, opts);
-                prop_assert_eq!(
-                    weighted_coverage(&weights, &bits).to_bits(),
-                    weighted_coverage(&weights, &ref_bits).to_bits(),
-                    "coverage price diverges for {}", sql
-                );
-                let fps = bundle_partition(&db, &[&q], &support, &opts).unwrap();
-                prop_assert_eq!(&fps, &ref_fps, "partition diverges for {} under {:?}", sql, opts);
-                prop_assert_eq!(
-                    shannon_entropy(100.0, &weights, &fps).to_bits(),
-                    shannon_entropy(100.0, &weights, &ref_fps).to_bits(),
-                    "entropy price diverges for {}", sql
-                );
-            }
+            let opts = engine(strategy, CacheConfig::disabled());
+            let bits = bundle_disagreements(&db, &[&q], &support, &opts, None).unwrap();
+            prop_assert_eq!(&bits, &ref_bits, "bits diverge for {} under {:?}", sql, opts);
+            prop_assert_eq!(
+                weighted_coverage(&weights, &bits).to_bits(),
+                weighted_coverage(&weights, &ref_bits).to_bits(),
+                "coverage price diverges for {}", sql
+            );
+            let fps = bundle_partition(&db, &[&q], &support, &opts).unwrap();
+            prop_assert_eq!(&fps, &ref_fps, "partition diverges for {} under {:?}", sql, opts);
+            prop_assert_eq!(
+                shannon_entropy(100.0, &weights, &fps).to_bits(),
+                shannon_entropy(100.0, &weights, &ref_fps).to_bits(),
+                "entropy price diverges for {}", sql
+            );
         }
     }
 
     /// The whole matrix, through the broker: after a seller update, over a
-    /// random purchase session (repeats included), every strategy ×
-    /// executor × cache setting charges what the reference charges, bit
-    /// for bit, at every step, for both pricing families. Cached brokers
-    /// must actually exercise the memo (hits > 0 whenever the session
-    /// repeats a query), uncached ones never.
+    /// random purchase session (repeats included), every strategy × cache
+    /// setting charges what the reference charges, bit for bit, at every
+    /// step, for both pricing families. Cached brokers must actually
+    /// exercise the memo (hits > 0 whenever the session repeats a query),
+    /// uncached ones never.
     #[test]
     fn sessions_are_bitwise_identical_across_the_matrix(
         t_rows in prop::collection::vec((0u8..3, -40i16..40), 8..16),
@@ -289,14 +282,11 @@ proptest! {
                 b.commit_writes(&writes).unwrap();
                 b
             };
-            let mut reference =
-                broker(engine(Strategy::Naive, Parallelism::Sequential, CacheConfig::disabled()));
+            let mut reference = broker(engine(Strategy::Naive, CacheConfig::disabled()));
             let mut cells = Vec::new();
             for strategy in STRATEGIES {
-                for parallelism in [Parallelism::Sequential, PAR] {
-                    for cache in [CacheConfig::default(), CacheConfig::disabled()] {
-                        cells.push(broker(engine(strategy, parallelism, cache)));
-                    }
+                for cache in [CacheConfig::default(), CacheConfig::disabled()] {
+                    cells.push(broker(engine(strategy, cache)));
                 }
             }
             for &idx in &session {
@@ -324,12 +314,8 @@ proptest! {
     }
 
     /// Telemetry is observationally free: with tracing and metrics enabled
-    /// versus disabled, under the sequential and the parallel executor, a
-    /// purchase session charges bitwise-identical prices for both pricing
-    /// families — and the deterministic engine counters
-    /// (`neighbors_evaluated_total`, `disagreements_found_total`) agree
-    /// between the sequential and parallel instrumented runs, so the
-    /// telemetry itself is reproducible, not just harmless.
+    /// versus disabled, a purchase session charges bitwise-identical prices
+    /// for both pricing families.
     #[test]
     fn telemetry_on_off_sessions_are_bitwise_identical(
         t_rows in prop::collection::vec((0u8..3, -40i16..40), 8..16),
@@ -345,28 +331,20 @@ proptest! {
             PricingFunction::WeightedCoverage
         };
         let pool = query_pool(c);
-        let broker = |telemetry: Telemetry, parallelism: Parallelism| {
+        let broker = |telemetry: Telemetry| {
             Qirana::new(
                 build_db(&t_rows, &u_rows),
                 QiranaConfig {
                     function,
                     support: support_config(seed),
-                    engine: EngineOptions::default()
-                        .with_telemetry(telemetry)
-                        .with_parallelism(parallelism),
+                    engine: EngineOptions::default().with_telemetry(telemetry),
                     ..Default::default()
                 },
             )
             .unwrap()
         };
-        let seq_tel = Telemetry::with_clock(Box::new(TestClock::stepping(10)));
-        let par_tel = Telemetry::with_clock(Box::new(TestClock::stepping(10)));
-        let mut variants = [
-            broker(Telemetry::disabled(), Parallelism::Sequential),
-            broker(seq_tel.clone(), Parallelism::Sequential),
-            broker(Telemetry::disabled(), PAR),
-            broker(par_tel.clone(), PAR),
-        ];
+        let tel = Telemetry::with_clock(Box::new(TestClock::stepping(10)));
+        let mut variants = [broker(Telemetry::disabled()), broker(tel.clone())];
         for &idx in &session {
             let sql = &pool[idx];
             let reference = variants[0].buy("p", sql).unwrap();
@@ -380,43 +358,10 @@ proptest! {
                 prop_assert_eq!(got.total_paid.to_bits(), reference.total_paid.to_bits());
             }
         }
-        // The instrumented runs recorded real work...
-        let seq_sink = seq_tel.sink().unwrap();
-        let par_sink = par_tel.sink().unwrap();
-        prop_assert_eq!(seq_sink.counter("purchases_total"), session.len() as u64);
-        prop_assert!(!seq_sink.spans().is_empty(), "enabled run must record spans");
-        // ...and the work counters are themselves deterministic: the
-        // parallel executor evaluates exactly the same neighbors and finds
-        // exactly the same disagreements as the sequential one.
-        for counter in ["neighbors_evaluated_total", "disagreements_found_total"] {
-            prop_assert_eq!(
-                seq_sink.counter(counter),
-                par_sink.counter(counter),
-                "{} differs between sequential and parallel runs", counter
-            );
-        }
-    }
-
-    /// Uniform-world supports: the read-only shared-reference parallel path
-    /// agrees with the sequential loop.
-    #[test]
-    fn parallel_uniform_worlds_agree(
-        t_rows in prop::collection::vec((0u8..3, -40i16..40), 8..16),
-        seed in any::<u64>(),
-        query_idx in 0usize..5,
-    ) {
-        let db = build_db(&t_rows, &[]);
-        let sql = &query_pool(0)[query_idx];
-        let q = prepare_query(&db, sql).unwrap();
-        let support = SupportSet::Uniform(generate_uniform_worlds(&db, 80, seed));
-
-        let seq = bundle_disagreements(
-            &db, &[&q], &support, &EngineOptions::default(), None,
-        ).unwrap();
-        let par = bundle_disagreements(
-            &db, &[&q], &support, &EngineOptions::default().with_parallelism(PAR), None,
-        ).unwrap();
-        prop_assert_eq!(seq, par, "uniform bits diverge for {}", sql);
+        // The instrumented run recorded real work.
+        let sink = tel.sink().unwrap();
+        prop_assert_eq!(sink.counter("purchases_total"), session.len() as u64);
+        prop_assert!(!sink.spans().is_empty(), "enabled run must record spans");
     }
 }
 
@@ -544,7 +489,7 @@ fn pricing_detects_update_between_adjacent_large_ints() {
         changes: vec![(1, Value::Int(BIG + 1))],
     }]);
     for strategy in STRATEGIES {
-        let opts = engine(strategy, Parallelism::Sequential, CacheConfig::disabled());
+        let opts = engine(strategy, CacheConfig::disabled());
         let bits = bundle_disagreements(&db, &[&q], &support, &opts, None).unwrap();
         assert_eq!(
             bits,
@@ -592,7 +537,7 @@ fn commit_update_landing_on_a_support_value_prices_identically() {
                 QiranaConfig {
                     function,
                     support: support_config(7),
-                    engine: engine(strategy, Parallelism::Sequential, CacheConfig::default()),
+                    engine: engine(strategy, CacheConfig::default()),
                     ..Default::default()
                 },
             )
@@ -659,7 +604,7 @@ fn tpch_q1_default_path_matches_naive_and_brute_force() {
     let support = SupportSet::Neighborhood(updates);
     let all = vec![true; support.len()];
     for strategy in [Strategy::Auto, Strategy::Naive] {
-        let opts = engine(strategy, Parallelism::Sequential, CacheConfig::disabled());
+        let opts = engine(strategy, CacheConfig::disabled());
         let bits = query_bits(&db, &q, &support, &all, &opts).unwrap();
         assert_eq!(bits, brute_bits, "Q1 bits under {strategy:?}");
         let fps = query_fps(&db, &q, &support, &opts).unwrap();
@@ -740,20 +685,19 @@ fn an_in_group_float_swap_agrees_everywhere() {
 
     let support = SupportSet::Neighborhood(vec![swap]);
     for strategy in STRATEGIES {
-        for parallelism in [Parallelism::Sequential, PAR] {
-            let opts = engine(strategy, parallelism, CacheConfig::disabled());
-            let bits = query_bits(&db, &q, &support, &[true], &opts).unwrap();
-            assert_eq!(bits, [false], "coverage under {strategy:?}");
-            let fps = query_fps(&db, &q, &support, &opts).unwrap();
-            assert_eq!(fps, [base], "entropy under {strategy:?}");
-        }
+        let opts = engine(strategy, CacheConfig::disabled());
+        let bits = query_bits(&db, &q, &support, &[true], &opts).unwrap();
+        assert_eq!(bits, [false], "coverage under {strategy:?}");
+        let fps = query_fps(&db, &q, &support, &opts).unwrap();
+        assert_eq!(fps, [base], "entropy under {strategy:?}");
     }
 }
 
-/// An expired execution budget must surface as `BudgetExceeded` through the
-/// parallel fan-out, not hang, panic, or report partial bits.
+/// An expired execution budget must surface as `BudgetExceeded` through
+/// `Strategy::Naive`'s per-instance loop, which stops at the first trip —
+/// not hang, panic, or report partial bits.
 #[test]
-fn budget_trip_propagates_through_parallel_path() {
+fn budget_trip_propagates_through_per_instance_path() {
     let t_rows: Vec<(u8, i16)> = (0..16).map(|i| (i as u8, i as i16)).collect();
     let db = build_db(&t_rows, &[]);
     let q = prepare_query(&db, "SELECT grp, sum(v) FROM T GROUP BY grp").unwrap();
@@ -764,9 +708,8 @@ fn budget_trip_propagates_through_parallel_path() {
             ..Default::default()
         },
     ));
-    let opts = EngineOptions::naive()
-        .with_parallelism(PAR)
-        .with_budget(ExecBudget::default().with_timeout(Duration::ZERO));
+    let opts =
+        EngineOptions::naive().with_budget(ExecBudget::default().with_timeout(Duration::ZERO));
     let err = bundle_disagreements(&db, &[&q], &support, &opts, None).unwrap_err();
     assert!(
         matches!(err, EngineError::BudgetExceeded { .. }),

@@ -71,8 +71,8 @@ impl EngineError {
     }
 
     /// Internal-invariant failure. Public (unlike the other constructors)
-    /// so downstream crates (`core::engine`, `core::parallel`) can
-    /// surface their own broken invariants through the same channel.
+    /// so downstream crates (`core::engine`) can surface their own broken
+    /// invariants through the same channel.
     pub fn internal(message: impl Into<String>) -> Self {
         EngineError::Internal(message.into())
     }

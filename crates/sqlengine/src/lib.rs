@@ -78,11 +78,12 @@ pub use update::{apply_update_sql, apply_writes, CellWrite};
 pub use validate::{check_database, Violation};
 pub use value::{lossless_f64, Value};
 
-// The pricing layer's parallel executor shares `&Database` and `&ResolvedSelect`
-// across a scoped worker pool and moves errors/outputs between threads. These
-// compile-time assertions pin the thread-safety contract: every interior-mutable
-// piece of execution state (budget meters, subquery caches) must stay inside the
-// per-execution `ExecContext`, never inside the shared plan or database types.
+// The pricing service's handler threads share one broker behind its `RwLock`
+// and execute plans concurrently on `&Database`, moving errors/outputs between
+// threads. These compile-time assertions pin the thread-safety contract: every
+// interior-mutable piece of execution state (budget meters, subquery caches)
+// must stay inside the per-execution `ExecContext`, never inside the shared
+// plan or database types.
 const _: () = {
     const fn shareable<T: Send + Sync>() {}
     const fn sendable<T: Send>() {}

@@ -46,7 +46,7 @@ pub use qirana_sqlengine as sqlengine;
 
 pub use qirana_core::{
     BrokerError, CacheConfig, CacheStats, EngineOptions, FsyncPolicy, Ledger, LedgerConfig,
-    LedgerError, LedgerEvent, Parallelism, PricePoint, PricingFunction, Purchase, Qirana,
-    QiranaConfig, Quote, RetryPolicy, SupportConfig, SupportType, Telemetry, TelemetrySink,
+    LedgerError, LedgerEvent, PricePoint, PricingFunction, Purchase, Qirana, QiranaConfig, Quote,
+    RetryPolicy, SupportConfig, SupportType, Telemetry, TelemetrySink,
 };
 pub use qirana_sqlengine::{Database, ExecBudget, QueryOutput, Value};

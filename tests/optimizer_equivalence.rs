@@ -1,10 +1,10 @@
 //! Property-based cross-check of the evaluation paths: for *every* query shape
 //! and every evaluation strategy, the disagreement bits and partition
 //! fingerprints must equal the naive engine's (Theorems 4.1 / 4.2 made
-//! executable). Sequential, uncached `Strategy::Naive` is the reference
-//! (itself held to an unfiltered apply/execute/undo oracle per query);
-//! the matrix is every `Strategy` × {sequential, 4 threads} for each query,
-//! × {cache on, off} for the whole pool as one bundle, over both
+//! executable). Uncached `Strategy::Naive` is the reference (itself held
+//! to an unfiltered apply/execute/undo oracle per query); the matrix is
+//! every `Strategy` for each query, × {cache on, off} for the whole pool
+//! as one bundle, over both
 //! primitives (coverage bits, entropy fingerprints).
 //!
 //! Random databases, random support sets, a seller update landing on the
@@ -24,7 +24,7 @@ use qirana::core::cache::{Artifact, Kind};
 use qirana::core::engine::{bag_fp, combine_bundle, query_fps};
 use qirana::core::{
     bundle_disagreements, bundle_partition, generate_support, prepare_query, EngineOptions,
-    Parallelism, Prepared, PricingCache, Shape, Strategy, SupportConfig, SupportSet, SupportUpdate,
+    Prepared, PricingCache, Shape, Strategy, SupportConfig, SupportSet, SupportUpdate,
 };
 use qirana::datagen::queries::tpch_queries;
 use qirana::datagen::{tpch, world};
@@ -280,14 +280,9 @@ fn check_all_configs(db: &mut Database, support: &SupportSet, queries: &[&str]) 
     let naive = EngineOptions::naive();
     let configs: Vec<EngineOptions> = [Strategy::Auto, Strategy::Naive, Strategy::NaiveReduced]
         .into_iter()
-        .flat_map(|strategy| {
-            [Parallelism::Sequential, Parallelism::Threads(4)].map(|par| {
-                EngineOptions {
-                    strategy,
-                    ..Default::default()
-                }
-                .with_parallelism(par)
-            })
+        .map(|strategy| EngineOptions {
+            strategy,
+            ..Default::default()
         })
         .collect();
     for q in &prepared {

@@ -2,15 +2,14 @@
 //! ablations DESIGN.md calls out:
 //!
 //! * support-set generation;
-//! * SPJ coverage sweeps — one rung per `Strategy` value: `Naive` vs.
-//!   `NaiveReduced` (instance reduction) vs. `Auto` (the batched delta
-//!   evaluator) — the §4 ladder;
+//! * SPJ coverage sweeps — the §4 ladder: per-instance execution vs.
+//!   Appendix A's instance reduction (a direct call) vs. the batched delta
+//!   evaluator;
 //! * SPJ entropy sweeps on the same join: `Naive` vs. `Auto` (the batched
 //!   delta evaluator);
 //! * aggregate coverage sweeps (Algorithm 5's job, done by the delta
 //!   evaluator);
 //! * entropy-family partition pricing (Algorithm 2);
-//! * history-aware repricing (the shrinking-support effect of §5.3);
 //! * a quote followed by the buy of the same query, with and without the
 //!   broker's quote-to-buy handoff;
 //! * weight assignment with price points (the max-entropy solve).
@@ -21,11 +20,11 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qirana_core::engine::query_fps;
+use qirana_core::engine::{query_fps, visibility};
+use qirana_core::naive::reduced_disagreements;
 use qirana_core::{
     bundle_disagreements, bundle_partition, generate_support, prepare_query, EngineOptions,
-    Prepared, PricePoint, PricingFunction, Qirana, QiranaConfig, Strategy, SupportConfig,
-    SupportSet,
+    Prepared, PricePoint, PricingFunction, Qirana, QiranaConfig, SupportConfig, SupportSet,
 };
 use qirana_datagen::queries::ssb_q11_instance;
 use qirana_datagen::{ssb, world};
@@ -75,17 +74,24 @@ fn spj_fixture() -> (Database, SupportSet, Prepared) {
 
 fn spj_engine_ladder(c: &mut Criterion) {
     let (db, support, q) = spj_fixture();
+    let SupportSet::Neighborhood(updates) = &support else {
+        unreachable!("spj_fixture draws a neighborhood")
+    };
     let mut g = c.benchmark_group("spj_coverage_S2000");
-    // The §4 ladder, one rung per `Strategy` value.
-    for strategy in [Strategy::Naive, Strategy::NaiveReduced, Strategy::Auto] {
-        let opts = EngineOptions {
-            strategy,
-            ..Default::default()
-        };
-        g.bench_function(format!("{strategy:?}"), |b| {
-            b.iter(|| bundle_disagreements(&db, &[&q], &support, &opts, None).unwrap())
-        });
-    }
+    // The §4 ladder. Instance reduction is a direct call: the engine never
+    // routes to it.
+    g.bench_function("Naive", |b| {
+        b.iter(|| bundle_disagreements(&db, &[&q], &support, &EngineOptions::naive()).unwrap())
+    });
+    g.bench_function("NaiveReduced", |b| {
+        b.iter(|| {
+            let visible = visibility(&db, &q, &support);
+            reduced_disagreements(&db, &q, updates, &visible, &EngineOptions::default()).unwrap()
+        })
+    });
+    g.bench_function("Auto", |b| {
+        b.iter(|| bundle_disagreements(&db, &[&q], &support, &EngineOptions::default()).unwrap())
+    });
     g.finish();
 }
 
@@ -125,7 +131,7 @@ fn agg_engine(c: &mut Criterion) {
         ("Auto", EngineOptions::default()),
     ] {
         g.bench_function(name, |b| {
-            b.iter(|| bundle_disagreements(&db, &[&q], &support, &opts, None).unwrap())
+            b.iter(|| bundle_disagreements(&db, &[&q], &support, &opts).unwrap())
         });
     }
     g.finish();
@@ -148,39 +154,6 @@ fn entropy_partition(c: &mut Criterion) {
     c.bench_function("bundle_partition_S300", |b| {
         b.iter(|| bundle_partition(&db, &[&q], &support, &EngineOptions::default()).unwrap())
     });
-}
-
-fn history_shrinks_work(c: &mut Criterion) {
-    let db = world::generate(7);
-    let support = SupportSet::Neighborhood(generate_support(
-        &db,
-        &SupportConfig {
-            size: 2000,
-            ..Default::default()
-        },
-    ));
-    let q = prepare_query(&db, "SELECT * FROM Country WHERE ID < 120").unwrap();
-    // A buyer who already paid for 90% of the support set.
-    let charged: Vec<bool> = (0..2000).map(|i| i % 10 != 0).collect();
-    let mut g = c.benchmark_group("history_aware_S2000");
-    g.bench_function("fresh_buyer", |b| {
-        b.iter(|| {
-            bundle_disagreements(&db, &[&q], &support, &EngineOptions::default(), None).unwrap()
-        })
-    });
-    g.bench_function("buyer_with_90pct_history", |b| {
-        b.iter(|| {
-            bundle_disagreements(
-                &db,
-                &[&q],
-                &support,
-                &EngineOptions::default(),
-                Some(&charged),
-            )
-            .unwrap()
-        })
-    });
-    g.finish();
 }
 
 /// `history_entropy`'s market (SSB sf 0.001, Shannon, S = 256, support
@@ -270,7 +243,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = support_generation, spj_engine_ladder, spj_entropy, agg_engine,
-              entropy_partition, history_shrinks_work, quote_then_buy,
+              entropy_partition, quote_then_buy,
               weight_assignment, maxent_solver
 }
 criterion_main!(benches);

@@ -87,7 +87,7 @@ fn main() {
         if shannon {
             bundle_partition(db, &[q], support, &opts).unwrap().len()
         } else {
-            bundle_disagreements(db, &[q], support, &opts, None)
+            bundle_disagreements(db, &[q], support, &opts)
                 .unwrap()
                 .len()
         }

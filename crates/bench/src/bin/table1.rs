@@ -15,7 +15,8 @@ use qirana_bench::{broker, Args};
 use qirana_core::{PricingFunction, Qirana, SupportType};
 use qirana_datagen::world;
 
-/// Determinacy pairs `(finer, coarser)` — see `tests/arbitrage.rs`.
+/// Pairs `(finer, coarser)` where the first query determines the second
+/// — see `tests/arbitrage.rs`.
 const PAIRS: &[(&str, &str)] = &[
     (
         "SELECT ID, Name, Continent, Population FROM Country",

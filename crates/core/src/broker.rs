@@ -10,8 +10,8 @@
 //! repeated information is never charged twice and a buyer who has paid for
 //! everything gets all further queries free.
 
-use crate::cache::{Artifact, CacheStats, Handed, Kind, PricingCache};
-use crate::engine::{failpoint, fold_partition, run_plan, sweep_bits, sweep_fps, EngineOptions};
+use crate::cache::{Artifact, CacheStats, Kind, PricingCache};
+use crate::engine::{failpoint, fold_partition, run_plan, sweep, EngineOptions};
 use crate::fault;
 use crate::ledger::{
     self, BuyerSnapshot, Ledger, LedgerConfig, LedgerError, LedgerEvent, SnapshotState,
@@ -731,12 +731,16 @@ impl Qirana {
     /// only) the handoff a quote left, else a sweep of the stored database
     /// (the caller's read lock keeps it still), which a quote then leaves
     /// in the handoff. Next to the artifact comes `q`'s answer on the
-    /// stored database whenever the sweep that produced it executed the
-    /// plan (a buy's own sweep, or the quote's it took from the handoff);
-    /// a quote hands its answer off instead of returning it. Never moves
-    /// LRU state or [`CacheStats`]; only a buy's commit step does
+    /// stored database, which every sweep computes: a buy gets it from its
+    /// own sweep or from the handoff, and only an LRU hit returns none; a
+    /// quote hands its answer off instead of returning it. Never moves LRU
+    /// state or [`CacheStats`]; only a buy's commit step does
     /// ([`PricingCache::touch_or_insert`]).
-    fn artifact(&self, q: &Prepared, reader: Reader) -> Result<Handed, BrokerError> {
+    fn artifact(
+        &self,
+        q: &Prepared,
+        reader: Reader,
+    ) -> Result<(Artifact, Option<QueryOutput>), BrokerError> {
         let kind = if self.cfg.function.needs_partition() {
             Kind::Blocks
         } else {
@@ -754,31 +758,24 @@ impl Qirana {
                 return Ok((hit, None));
             }
             if reader == Reader::Buy {
-                if let Some(handed) = cache.take_handoff(q.plan_fp, kind) {
+                if let Some((artifact, answer)) = cache.take_handoff(q.plan_fp, kind) {
                     lookup.count("handoff", 1);
-                    return Ok(handed);
+                    return Ok((artifact, Some(answer)));
                 }
             }
             lookup.count("miss", 1);
         }
-        let (db, support, opts) = (&self.db, &self.support, &self.cfg.engine);
-        let (artifact, answer) = match kind {
-            Kind::Bits => {
-                let all = vec![true; support.len()];
-                let (bits, answer) = sweep_bits(db, q, support, &all, opts)?;
-                (Artifact::Bits(Arc::new(bits)), answer)
-            }
-            Kind::Blocks => {
-                let (fps, answer) = sweep_fps(db, q, support, opts)?;
-                (Artifact::Blocks(Arc::new(fps)), answer)
-            }
+        let swept = sweep(&self.db, q, &self.support, kind, &self.cfg.engine)?;
+        let artifact = match kind {
+            Kind::Bits => Artifact::Bits(Arc::new(swept.bits())),
+            Kind::Blocks => Artifact::Blocks(Arc::new(swept.fps)),
         };
         if reader == Reader::Quote {
             self.cache_guard()
-                .hand_off(q.plan_fp, (artifact.clone(), answer));
+                .hand_off(q.plan_fp, (artifact.clone(), swept.out));
             return Ok((artifact, None));
         }
-        Ok((artifact, answer))
+        Ok((artifact, Some(swept.out)))
     }
 
     /// The history-oblivious price of a bundle from its members' artifacts.
@@ -792,9 +789,8 @@ impl Qirana {
         })
     }
 
-    /// The OR of the members' full bitmaps: bitwise what the engine's
-    /// shrinking active set yields, since a skipped instance already
-    /// disagrees.
+    /// The OR of the members' full bitmaps, as the engine's
+    /// [`crate::bundle_disagreements`] computes it.
     fn union_bits(&self, members: &[Artifact]) -> Result<Vec<bool>, BrokerError> {
         let mut disagree = vec![false; self.support.len()];
         for m in members {
@@ -866,11 +862,9 @@ impl Qirana {
     /// pricing artifact through the one read path and answers it —
     /// everything about the new query that does not depend on the buyer.
     /// The answer is the one the artifact's sweep computed, whether this
-    /// buy's own sweep or a quote's taken from the handoff; only when the
-    /// read path returned none (an LRU hit, or a sweep over reduced
-    /// instances under `Strategy::NaiveReduced`) is the plan executed
-    /// here. Touches no account, ledger or LRU state;
-    /// [`Qirana::commit_staged`] charges it.
+    /// buy's own sweep or a quote's taken from the handoff; only after an
+    /// LRU hit, which swept nothing, is the plan executed here. Touches no
+    /// account, ledger or LRU state; [`Qirana::commit_staged`] charges it.
     pub fn stage_buy(&self, sql: &str) -> Result<StagedBuy, BrokerError> {
         fault::check(fault::BROKER_BUY).map_err(BrokerError::Injected)?;
         let prepared = {
@@ -981,7 +975,7 @@ impl Qirana {
         } else {
             // Coverage family: Algorithm 3's bitmap. The memo holds the
             // query's *full* bitmap (shared across buyers); masking it with
-            // the charged bits is bitwise identical to skip-evaluating,
+            // the charged bits is Algorithm 3's skip of charged instances,
             // since per-instance verdicts are independent.
             let full = self.union_bits(&members)?;
             let charged = match self.buyers.get(buyer) {

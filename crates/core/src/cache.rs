@@ -37,9 +37,9 @@
 //! function leaves it in a small first-in-first-out side memo
 //! ([`PricingCache::hand_off`], [`HANDOFF_CAPACITY`] entries), and only a
 //! buy's read may [`PricingCache::take_handoff`] it — so quote-then-buy
-//! sweeps once. An entry carries the artifact and, when the sweep's path
-//! executed the plan itself, the query's answer on the stored database,
-//! so such a buy executes nothing at all. Quotes never read the handoff (a
+//! sweeps once. An entry carries the artifact and the query's answer on
+//! the stored database, which every sweep computes, so such a buy
+//! executes nothing at all. Quotes never read the handoff (a
 //! repeated cold quote still sweeps in full), it is not part of
 //! [`CacheStats`], [`PricingCache::len`] or the recency snapshot, and a
 //! generation change empties it: prices, answers, LRU state and counters
@@ -124,8 +124,8 @@ pub struct CacheStats {
 pub const HANDOFF_CAPACITY: usize = 32;
 
 /// A handoff entry: a quote's artifact, and the query's answer on the
-/// stored database when the quote's sweep computed one.
-pub type Handed = (Artifact, Option<QueryOutput>);
+/// stored database that the quote's sweep computed.
+pub type Handed = (Artifact, QueryOutput);
 
 /// The two artifact families, part of the cache key: a query's bitmap and
 /// its partition blocks are distinct entries.
@@ -263,7 +263,7 @@ impl PricingCache {
     }
 
     /// Leaves a quote's freshly swept artifact, and the answer its sweep
-    /// computed if any, for a following buy. A key already waiting is
+    /// computed, for a following buy. A key already waiting is
     /// kept; beyond [`HANDOFF_CAPACITY`] the oldest entry goes. Stores
     /// nothing when the cache has no capacity (disabled).
     pub fn hand_off(&mut self, plan_fp: Fingerprint, (artifact, answer): Handed) {
@@ -387,6 +387,14 @@ mod tests {
         Artifact::Blocks(Arc::new(b.iter().map(|&x| fp(x)).collect()))
     }
 
+    fn answer(n: i64) -> QueryOutput {
+        QueryOutput {
+            columns: vec!["n".into()],
+            rows: vec![vec![n.into()]],
+            ordered: false,
+        }
+    }
+
     #[test]
     fn touch_or_insert_counts_a_miss_then_hits() {
         let mut c = PricingCache::new(8);
@@ -441,7 +449,7 @@ mod tests {
         let mut c = PricingCache::new(8);
         c.touch_or_insert(fp(1), bits(&[true]));
         c.touch_or_insert(fp(2), blocks(&[5]));
-        c.hand_off(fp(3), (bits(&[true]), None));
+        c.hand_off(fp(3), (bits(&[true]), answer(3)));
         c.bump_generation();
         assert_eq!(c.generation(), 1);
         assert!(c.is_empty());
@@ -451,7 +459,7 @@ mod tests {
         // Re-inserted artifacts live under the new generation.
         c.touch_or_insert(fp(1), bits(&[false]));
         assert_eq!(c.peek(fp(1), Kind::Bits), Some(bits(&[false])));
-        c.hand_off(fp(3), (bits(&[true]), None));
+        c.hand_off(fp(3), (bits(&[true]), answer(3)));
         c.restore_generation(7);
         assert_eq!(c.handoff_len(), 0, "a restore empties the handoff too");
     }
@@ -460,7 +468,7 @@ mod tests {
     fn zero_capacity_never_stores() {
         let mut c = PricingCache::new(0);
         c.touch_or_insert(fp(1), bits(&[true]));
-        c.hand_off(fp(2), (bits(&[true]), None));
+        c.hand_off(fp(2), (bits(&[true]), answer(2)));
         assert!(c.is_empty());
         assert_eq!(c.handoff_len(), 0);
         assert!(c.peek(fp(1), Kind::Bits).is_none());
@@ -496,9 +504,9 @@ mod tests {
         c.touch_or_insert(fp(0), bits(&[true]));
         let (stats, tick, recency) = (c.stats(), c.tick(), c.recency_snapshot());
         for k in 1..=HANDOFF_CAPACITY as u128 + 1 {
-            c.hand_off(fp(k), (bits(&[k % 2 == 0]), None));
+            c.hand_off(fp(k), (bits(&[k % 2 == 0]), answer(k as i64)));
         }
-        c.hand_off(fp(5), (bits(&[true]), None)); // already waiting: kept once
+        c.hand_off(fp(5), (bits(&[true]), answer(0))); // already waiting: kept once
         assert_eq!(c.handoff_len(), HANDOFF_CAPACITY);
         assert!(
             c.take_handoff(fp(1), Kind::Bits).is_none(),
@@ -510,7 +518,7 @@ mod tests {
         );
         assert_eq!(
             c.take_handoff(fp(5), Kind::Bits),
-            Some((bits(&[false]), None)),
+            Some((bits(&[false]), answer(5))),
             "the first entry for a key stays"
         );
         assert!(c.take_handoff(fp(5), Kind::Bits).is_none(), "taken once");
@@ -526,15 +534,10 @@ mod tests {
     #[test]
     fn handoff_carries_the_answer_next_to_the_artifact() {
         let mut c = PricingCache::new(4);
-        let answer = QueryOutput {
-            columns: vec!["n".into()],
-            rows: vec![vec![7i64.into()]],
-            ordered: false,
-        };
-        c.hand_off(fp(1), (blocks(&[9]), Some(answer.clone())));
+        c.hand_off(fp(1), (blocks(&[9]), answer(7)));
         assert_eq!(
             c.take_handoff(fp(1), Kind::Blocks),
-            Some((blocks(&[9]), Some(answer)))
+            Some((blocks(&[9]), answer(7)))
         );
         assert!(c.is_empty(), "the LRU never holds an answer");
     }

@@ -16,7 +16,7 @@
 //!
 //! * **Fingerprint arithmetic.** An unordered result fingerprint is
 //!   `header(N, C) + Σ row_hash(r)` under wrapping `u128` addition
-//!   (see [`qirana_sqlengine::fingerprint`]), so a neighbor's fingerprint
+//!   (see [`mod@qirana_sqlengine::fingerprint`]), so a neighbor's fingerprint
 //!   is the base fingerprint minus the removed rows' hashes plus the
 //!   added rows' hashes, with the header adjusted for the new row count.
 //!   Prices compare fingerprints, never row orders, so `ORDER BY` is
@@ -1059,7 +1059,7 @@ mod tests {
         let SupportSet::Neighborhood(updates) = &support else {
             unreachable!()
         };
-        let visible = visibility(&database, &q, &support, &vec![true; updates.len()]);
+        let visible = visibility(&database, &q, &support);
         let opts = EngineOptions::default();
         let (fps, stats) = query_fps_nbrs(&database, &q, &state, updates, &visible, &opts).unwrap();
         let naive_fps = query_fps(&database, &q, &support, &EngineOptions::naive()).unwrap();

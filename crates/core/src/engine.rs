@@ -1,27 +1,31 @@
-//! Pricing-engine orchestration: two per-query sweep primitives and the
-//! one place an evaluation path is chosen.
+//! Pricing-engine orchestration: one sweep per query, and the one place an
+//! evaluation path is chosen.
 //!
-//! A pricing call reduces to one of two primitives over the support set:
+//! Every pricing function is a function of the partition a query induces
+//! on the support instances and the stored database, so one sweep serves
+//! both families: the query's output fingerprint on every support instance
+//! (the question Algorithms 1 and 2 ask of each instance). Two primitives
+//! read it:
 //!
 //! * [`query_bits`] — for the coverage-family functions: one bit per
 //!   support instance, "does the query's output change on `Dᵢ`?"
-//!   (Algorithm 1 / 3): "fingerprint ≠ base" for every shape.
-//! * [`query_fps`] — for the entropy-family functions: the query's output
-//!   fingerprint per instance (Algorithm 2). This inherently requires the
-//!   outputs per instance — the paper's reason weighted coverage is the
+//!   (Algorithm 1 / 3), read as fingerprint ≠ base.
+//! * [`query_fps`] — for the entropy-family functions: the fingerprints
+//!   themselves (Algorithm 2's dictionary keys). This inherently requires
+//!   the outputs per instance — the paper's reason weighted coverage is the
 //!   recommended default.
 //!
-//! Each primitive picks its evaluation path with one `match`, at sweep
-//! time, on what it can observe — support kind, [`Prepared::shape`], the
-//! primitive itself, whether a budget is set — per the routing table in
-//! DESIGN.md §9; no user-set switch takes part ([`Strategy`] exists for the
-//! paper's baselines and the differential suites only). In front of every
-//! path sits one update-visibility test ([`visibility`]). A bundle is
-//! always derived from its members' per-query results: the OR with a
-//! shrinking active set ([`bundle_disagreements`]), respectively the
-//! per-instance [`combine_bundle`] fold ([`fold_partition`]).
+//! The sweep picks its evaluation path with one `match`, on what it can
+//! observe — support kind, [`Prepared::shape`], whether a budget is set —
+//! per the routing table in DESIGN.md §9; no user-set switch takes part
+//! ([`Strategy::Naive`] exists for the paper's baseline and the
+//! differential suites only). In front of every path sits one
+//! update-visibility test ([`visibility`]). A bundle is always derived from
+//! its members' full per-query results: the OR of their bitmaps
+//! ([`bundle_disagreements`]), respectively the per-instance
+//! [`combine_bundle`] fold ([`fold_partition`]).
 
-use crate::cache::CacheConfig;
+use crate::cache::{CacheConfig, Kind};
 use crate::delta;
 use crate::fault;
 use crate::naive;
@@ -37,25 +41,22 @@ use std::borrow::Borrow;
 
 /// How a sweep is evaluated — the ablation axis of the paper's Figure 5.
 ///
-/// Every value produces bitwise-identical bits and fingerprints; only the
-/// cost differs. Production code leaves the default: the non-default values
-/// exist solely so `fig5`, the criterion ablation and the differential
-/// suites can pin one path.
+/// Both values produce bitwise-identical bits and fingerprints; only the
+/// cost differs. Production code leaves the default: `Naive` exists solely
+/// so `fig5`, the criterion ablation and the differential suites can pin
+/// the per-instance path. Appendix A's instance reduction is not a value
+/// here but a direct call, [`naive::reduced_disagreements`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Strategy {
-    /// Route by primitive × plan shape (DESIGN.md §9): the incremental
-    /// evaluator ([`crate::delta`]) for unbudgeted sweeps of either
-    /// primitive over SPJ and aggregate shapes, per-instance execution
-    /// everywhere else.
+    /// Route by plan shape (DESIGN.md §9): the incremental evaluator
+    /// ([`crate::delta`]) for unbudgeted sweeps over SPJ and aggregate
+    /// shapes, per-instance execution everywhere else.
     #[default]
     Auto,
     /// The unoptimized baseline (Algorithms 1–2 verbatim): execute the
     /// query on every instance the visibility test lets through. The
-    /// reference every other value is tested against.
+    /// reference `Auto` is tested against.
     Naive,
-    /// [`Strategy::Naive`] against per-relation *reduced instances*
-    /// (Appendix A) for coverage sweeps over SPJ shapes.
-    NaiveReduced,
 }
 
 /// Engine configuration: the evaluation strategy plus the execution
@@ -126,10 +127,10 @@ impl EngineOptions {
     }
 }
 
-/// The engine's failpoint. Every sweep passes it ([`query_bits`],
-/// [`query_fps`]), so every public entry point does before any execution;
-/// the broker also checks it at the head of every quote and buy, so an
-/// armed fault aborts a warm (all-hit) request like a cold one.
+/// The engine's failpoint. Every sweep passes it, so every public entry
+/// point ([`query_bits`], [`query_fps`] and the bundles) does before any
+/// execution; the broker also checks it at the head of every quote and
+/// buy, so an armed fault aborts a warm (all-hit) request like a cold one.
 pub(crate) fn failpoint() -> Result<(), EngineError> {
     fault::check(fault::ENGINE_EXECUTE)
         .map_err(|f| EngineError::Eval(format!("injected fault: {f}")))
@@ -192,21 +193,21 @@ pub fn combine_bundle(fps: &[Fingerprint]) -> Fingerprint {
 
 /// The update-visibility test, in front of every evaluation path: per
 /// support instance, whether any path evaluates it. An instance needs
-/// evaluation only if it is still active, its update touches a table the
-/// query references and — for SPJ/aggregate shapes, which record it — at
-/// least one *effectively* changed column lies in that relation's
-/// footprint (`RelShape::referenced_cols`). This is the column-level form
-/// of Algorithm 4's irrelevant-update check; opaque shapes get the
-/// table-level form, uniform worlds only the mask. Every other instance
-/// agrees with the base.
+/// evaluation only if its update touches a table the query references and
+/// — for SPJ/aggregate shapes, which record it — at least one
+/// *effectively* changed column lies in that relation's footprint
+/// (`RelShape::referenced_cols`). This is the column-level form of
+/// Algorithm 4's irrelevant-update check; opaque shapes get the
+/// table-level form, and every uniform world is visible. Every other
+/// instance agrees with the base.
 ///
 /// Effective, not declared: [`crate::Qirana::commit_update`] keeps the
 /// support set while stored cells change, so an update may write a value
 /// back (in some or all of its columns), and only the columns that really
 /// differ count.
-pub fn visibility(db: &Database, q: &Prepared, support: &SupportSet, active: &[bool]) -> Vec<bool> {
+pub fn visibility(db: &Database, q: &Prepared, support: &SupportSet) -> Vec<bool> {
     let SupportSet::Neighborhood(updates) = support else {
-        return active.to_vec();
+        return vec![true; support.len()];
     };
     let refs = q.referenced_tables();
     let sees = |up: &SupportUpdate| -> bool {
@@ -224,40 +225,39 @@ pub fn visibility(db: &Database, q: &Prepared, support: &SupportSet, active: &[b
             None => !changed.is_empty(),
         }
     };
-    updates
-        .iter()
-        .zip(active)
-        .map(|(up, &a)| a && sees(up))
-        .collect()
+    updates.iter().map(sees).collect()
 }
 
 /// Opens a sweep's `Disagreement` span, labelled `<family>/<path>`, and
 /// records the sweep's deterministic work measures (identical on every
-/// path): the span counts the instances still active going in, the
-/// `neighbors_evaluated_total` counter adds the support size S — once per
-/// sweep, so once per member query of a bundle, cached or not.
-fn sweep_span(tel: &Telemetry, label: &str, active: &[bool]) -> SpanGuard {
+/// path): the span counts the `n` support instances going in, the
+/// `neighbors_evaluated_total` counter adds them — once per sweep, so once
+/// per member query of a bundle, cached or not.
+fn sweep_span(tel: &Telemetry, family: &str, path: &str, n: usize) -> SpanGuard {
     if !tel.is_enabled() {
         return tel.span(Stage::Disagreement);
     }
-    let span = tel.span_with(Stage::Disagreement, label.into());
-    span.count("neighbors", active.iter().filter(|&&a| a).count() as u64);
-    tel.counter_add("neighbors_evaluated_total", active.len() as u64);
+    let span = tel.span_with(Stage::Disagreement, format!("{family}/{path}"));
+    span.count("neighbors", n as u64);
+    tel.counter_add("neighbors_evaluated_total", n as u64);
     span
 }
 
-/// What a fingerprinting sweep yields: the query's output on the stored
-/// database, its bag fingerprint, and the query's fingerprint on every
-/// support instance.
-struct Swept {
-    out: QueryOutput,
-    base: Fingerprint,
-    fps: Vec<Fingerprint>,
+/// What a sweep yields: the query's output on the stored database, its bag
+/// fingerprint, and the query's fingerprint on every support instance.
+pub(crate) struct Swept {
+    pub(crate) out: QueryOutput,
+    pub(crate) base: Fingerprint,
+    pub(crate) fps: Vec<Fingerprint>,
 }
 
-/// A sweep's per-instance result, plus the query's output on the stored
-/// database when the sweep's path computed it.
-pub(crate) type Answered<T> = (T, Option<QueryOutput>);
+impl Swept {
+    /// The coverage reading: instance `i` disagrees iff its fingerprint
+    /// differs from the base.
+    pub(crate) fn bits(&self) -> Vec<bool> {
+        self.fps.iter().map(|fp| *fp != self.base).collect()
+    }
+}
 
 /// Per-instance execution (Algorithms 1–2 verbatim): the base output —
 /// `base` when the caller already executed it, else executed here — and
@@ -293,8 +293,8 @@ fn per_instance(
     Ok(Swept { out, base, fps })
 }
 
-/// The incremental sweep (DESIGN.md §9) both primitives run over
-/// neighborhood supports: `q`'s fingerprints from one [`delta::build`] plus
+/// The incremental path (DESIGN.md §9) of [`sweep`] over neighborhood
+/// supports: `q`'s fingerprints from one [`delta::build`] plus
 /// one batched probe per relation, and how many neighbors the fold left to
 /// full execution. A declined build (failed self-check, unsupported
 /// detail) leaves the whole sweep to per-instance execution, like any
@@ -331,109 +331,83 @@ fn delta_sweep(
     Ok((Swept { out, base, fps }, stats.fallbacks))
 }
 
-/// The coverage primitive: for every support instance, whether `q`'s
-/// output on it differs from the output on the stored database.
-/// `active[i] = false` excludes instance `i` (its bit stays `false`).
-pub fn query_bits(
+/// The one sweep: `q`'s fingerprint on every support instance, by the
+/// path the routing table (DESIGN.md §9) picks. `kind` names the pricing
+/// family the sweep serves; it only labels the span (`coverage/<path>`,
+/// `entropy/<path>`) and picks the counters — a coverage sweep also
+/// counts its disagreements and its delta fallbacks.
+pub(crate) fn sweep(
     db: &Database,
     q: &Prepared,
     support: &SupportSet,
-    active: &[bool],
+    kind: Kind,
     opts: &EngineOptions,
-) -> Result<Vec<bool>, EngineError> {
-    sweep_bits(db, q, support, active, opts).map(|(bits, _)| bits)
-}
-
-/// [`query_bits`], plus `q`'s output on the stored database where the
-/// path executed the plan itself: every row of the routing table but the
-/// reduced instances.
-pub(crate) fn sweep_bits(
-    db: &Database,
-    q: &Prepared,
-    support: &SupportSet,
-    active: &[bool],
-    opts: &EngineOptions,
-) -> Result<Answered<Vec<bool>>, EngineError> {
+) -> Result<Swept, EngineError> {
     use {Shape::*, Strategy::*, SupportSet::*};
     failpoint()?;
     let tel = &opts.telemetry;
-    let visible = visibility(db, q, support, active);
-    let disagreeing = |Swept { out, base, fps }: Swept| -> Answered<Vec<bool>> {
-        (fps.iter().map(|fp| *fp != base).collect(), Some(out))
-    };
+    let coverage = kind == Kind::Bits;
+    let family = if coverage { "coverage" } else { "entropy" };
+    let visible = visibility(db, q, support);
     let span;
-    // The routing table (DESIGN.md §9), coverage rows.
+    // The routing table (DESIGN.md §9).
     let swept = match (support, opts.strategy, &q.shape) {
         // Delta probes skip whole executions, so under a budget — whose
         // trips must fire exactly where per-instance execution trips —
         // they do not apply.
         (Neighborhood(ups), Auto, Spj(_) | Agg(_)) if opts.budget.is_unlimited() => {
-            span = sweep_span(tel, "coverage/delta", active);
+            span = sweep_span(tel, family, "delta", support.len());
             delta_sweep(db, q, support, ups, &visible, opts).map(|(swept, fallbacks)| {
-                span.count("fallbacks", fallbacks);
-                tel.counter_add("coverage_fallbacks_total", fallbacks);
-                disagreeing(swept)
+                if coverage {
+                    span.count("fallbacks", fallbacks);
+                    tel.counter_add("coverage_fallbacks_total", fallbacks);
+                }
+                swept
             })
-        }
-        (Neighborhood(ups), NaiveReduced, Spj(_)) => {
-            span = sweep_span(tel, "coverage/reduced", active);
-            naive::reduced_disagreements(db, q, ups, &visible, opts).map(|bits| (bits, None))
         }
         // Uniform worlds, opaque shapes, sweeps under a budget, `Naive`.
         (Uniform(_), ..) | (Neighborhood(_), ..) => {
-            span = sweep_span(tel, "coverage/per-instance", active);
-            per_instance(db, q, support, &visible, opts, None).map(disagreeing)
+            span = sweep_span(tel, family, "per-instance", support.len());
+            per_instance(db, q, support, &visible, opts, None)
         }
     };
     let swept = meter_trips(tel, swept)?;
-    if tel.is_enabled() {
-        let found = swept.0.iter().filter(|&&b| b).count() as u64;
+    if coverage && tel.is_enabled() {
+        let found = swept.fps.iter().filter(|&&fp| fp != swept.base).count() as u64;
         span.count("disagreements", found);
         tel.counter_add("disagreements_found_total", found);
     }
     Ok(swept)
 }
 
+/// The coverage primitive: for every support instance, whether `q`'s
+/// output on it differs from the output on the stored database.
+pub fn query_bits(
+    db: &Database,
+    q: &Prepared,
+    support: &SupportSet,
+    opts: &EngineOptions,
+) -> Result<Vec<bool>, EngineError> {
+    sweep(db, q, support, Kind::Bits, opts).map(|swept| swept.bits())
+}
+
 /// Computes, for every support instance, whether the bundle's output on it
 /// differs from the output on the stored database: the OR of the members'
-/// [`query_bits`], each evaluated only where no earlier member already
-/// disagreed.
-///
-/// `skip[i] = true` excludes instance `i` from evaluation (its bit stays
-/// `false`): history-aware pricing passes the already-charged bitmap here
-/// (Algorithm 3), which also makes repeat pricing *faster*, as §5.3
-/// observes.
+/// full [`query_bits`], which is what [`crate::Qirana::quote_bundle`]
+/// prices. A member that errs on any instance errs the bundle.
 pub fn bundle_disagreements(
     db: &Database,
     bundle: &[&Prepared],
     support: &SupportSet,
     opts: &EngineOptions,
-    skip: Option<&[bool]>,
 ) -> Result<Vec<bool>, EngineError> {
     if bundle.is_empty() {
         failpoint()?; // no member sweep will pass it
     }
-    let n = support.len();
-    // active[i]: still needs evaluation for the remaining queries.
-    let mut active: Vec<bool> = match skip {
-        Some(s) if s.len() != n => {
-            return Err(EngineError::internal(format!(
-                "skip bitmap covers {} of {n} support instances",
-                s.len()
-            )));
-        }
-        Some(s) => s.iter().map(|&b| !b).collect(),
-        None => vec![true; n],
-    };
-    let mut disagree = vec![false; n];
+    let mut disagree = vec![false; support.len()];
     for q in bundle {
-        let bits = query_bits(db, q, support, &active, opts)?;
-        for i in 0..n {
-            if bits[i] {
-                disagree[i] = true;
-                // A later bundle member cannot change the verdict.
-                active[i] = false;
-            }
+        for (d, b) in disagree.iter_mut().zip(query_bits(db, q, support, opts)?) {
+            *d |= b;
         }
     }
     Ok(disagree)
@@ -447,36 +421,7 @@ pub fn query_fps(
     support: &SupportSet,
     opts: &EngineOptions,
 ) -> Result<Vec<Fingerprint>, EngineError> {
-    sweep_fps(db, q, support, opts).map(|(fps, _)| fps)
-}
-
-/// [`query_fps`], plus `q`'s output on the stored database: every entropy
-/// path executes the plan itself.
-pub(crate) fn sweep_fps(
-    db: &Database,
-    q: &Prepared,
-    support: &SupportSet,
-    opts: &EngineOptions,
-) -> Result<Answered<Vec<Fingerprint>>, EngineError> {
-    use {Shape::*, Strategy::*, SupportSet::*};
-    failpoint()?;
-    let tel = &opts.telemetry;
-    let active = vec![true; support.len()];
-    let visible = visibility(db, q, support, &active);
-    let _span;
-    // The routing table (DESIGN.md §9), entropy rows; the budget rule is
-    // the coverage rows'.
-    let swept = match (support, opts.strategy, &q.shape) {
-        (Neighborhood(ups), Auto, Spj(_) | Agg(_)) if opts.budget.is_unlimited() => {
-            _span = sweep_span(tel, "entropy/delta", &active);
-            delta_sweep(db, q, support, ups, &visible, opts).map(|(swept, _)| swept)
-        }
-        (Uniform(_), ..) | (Neighborhood(_), ..) => {
-            _span = sweep_span(tel, "entropy/per-instance", &active);
-            per_instance(db, q, support, &visible, opts, None)
-        }
-    };
-    meter_trips(tel, swept).map(|Swept { out, fps, .. }| (fps, Some(out)))
+    sweep(db, q, support, Kind::Blocks, opts).map(|swept| swept.fps)
 }
 
 /// A bundle's partition from its members' per-query fingerprint vectors
@@ -524,7 +469,7 @@ mod tests {
     use qirana_sqlengine::{execute, ColumnDef, DataType, TableSchema, Value};
     use std::sync::Arc;
 
-    const STRATEGIES: [Strategy; 3] = [Strategy::Auto, Strategy::Naive, Strategy::NaiveReduced];
+    const STRATEGIES: [Strategy; 2] = [Strategy::Auto, Strategy::Naive];
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -586,22 +531,21 @@ mod tests {
         let bundle: Vec<&Prepared> = prepared.iter().collect();
 
         let naive = EngineOptions::naive();
-        let bits_ref = bundle_disagreements(&database, &bundle, &support, &naive, None).unwrap();
+        let bits_ref = bundle_disagreements(&database, &bundle, &support, &naive).unwrap();
         let part_ref = bundle_partition(&database, &bundle, &support, &naive).unwrap();
 
         for strategy in STRATEGIES {
             let opts = with_strategy(strategy);
-            let bits = bundle_disagreements(&database, &bundle, &support, &opts, None).unwrap();
+            let bits = bundle_disagreements(&database, &bundle, &support, &opts).unwrap();
             assert_eq!(bits, bits_ref, "coverage mismatch under {strategy:?}");
             let part = bundle_partition(&database, &bundle, &support, &opts).unwrap();
             assert_eq!(part, part_ref, "entropy mismatch under {strategy:?}");
 
-            // The OR of full member bitmaps equals the shrinking
-            // active set: a skipped instance already disagrees.
-            let all = vec![true; support.len()];
+            // Member-wise, as the broker prices a bundle from its memo:
+            // the OR of the members' full bitmaps.
             let mut ored = vec![false; support.len()];
             for q in &bundle {
-                let bits = query_bits(&database, q, &support, &all, &opts).unwrap();
+                let bits = query_bits(&database, q, &support, &opts).unwrap();
                 for (o, b) in ored.iter_mut().zip(bits) {
                     *o |= b;
                 }
@@ -655,7 +599,7 @@ mod tests {
             let base = bag_fp(execute(&q.plan, &ExecContext::new(&database)).unwrap());
             for strategy in STRATEGIES {
                 let opts = with_strategy(strategy);
-                let bits = bundle_disagreements(&database, &[&q], &support, &opts, None);
+                let bits = bundle_disagreements(&database, &[&q], &support, &opts);
                 assert_eq!(bits.unwrap(), [false, true], "{sql} under {strategy:?}");
                 let fps = query_fps(&database, &q, &support, &opts).unwrap();
                 assert_eq!(fps[0], base, "{sql} under {strategy:?}");
@@ -672,45 +616,49 @@ mod tests {
         let q = prepare_query(&database, "select avg(age) from User").unwrap();
         for strategy in STRATEGIES {
             let opts = with_strategy(strategy);
-            bundle_disagreements(&database, &[&q], &support, &opts, None).unwrap();
+            bundle_disagreements(&database, &[&q], &support, &opts).unwrap();
             bundle_partition(&database, &[&q], &support, &opts).unwrap();
             assert_eq!(database.table("User").unwrap().rows, before);
         }
     }
 
+    /// A bundle errs wherever any member errs, also on an instance an
+    /// earlier member already disagrees on: the engine's bundle is the OR
+    /// of full member sweeps, as the broker's. The second member's scalar
+    /// subquery returns two rows on every neighbor that writes a second
+    /// `age = 45`, and the first member disagrees there.
     #[test]
-    fn skip_suppresses_evaluation() {
+    fn a_bundle_errs_like_the_brokers_where_a_later_member_errs() {
+        use crate::broker::{BrokerError, Qirana, QiranaConfig};
         let database = db();
-        let support = support(&database, 50);
-        let q = prepare_query(&database, "select * from User").unwrap();
-        let skip = vec![true; 50];
-        let bits = bundle_disagreements(
-            &database,
-            &[&q],
-            &support,
-            &EngineOptions::default(),
-            Some(&skip),
-        )
-        .unwrap();
-        assert!(bits.iter().all(|&b| !b), "all skipped → all false");
-    }
-
-    /// Regression: a skip bitmap of the wrong length used to `assert_eq!`
-    /// — a panic in library code reachable from `POST /v1/buy`.
-    #[test]
-    fn short_skip_bitmap_is_a_typed_error() {
-        let database = db();
-        let support = support(&database, 50);
-        let q = prepare_query(&database, "select * from User").unwrap();
-        let err = bundle_disagreements(
-            &database,
-            &[&q],
-            &support,
-            &EngineOptions::default(),
-            Some(&[true; 49]),
-        )
-        .unwrap_err();
-        assert!(matches!(err, EngineError::Internal(_)), "got {err:?}");
+        let sqls = [
+            "select uid, age from User",
+            "select gender from User where uid = (select uid from User where age = 45)",
+        ];
+        let config = QiranaConfig {
+            support: SupportConfig {
+                size: 100,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let broker = Qirana::new(database.clone(), config).unwrap();
+        let quoted = broker.quote_bundle(&sqls).unwrap_err();
+        let BrokerError::Engine(expected) = quoted else {
+            panic!("expected an engine error, got {quoted:?}");
+        };
+        let prepared: Vec<Prepared> = sqls
+            .iter()
+            .map(|sql| prepare_query(&database, sql).unwrap())
+            .collect();
+        let bundle: Vec<&Prepared> = prepared.iter().collect();
+        // The broker's support set: same config, first attempt.
+        let support = support(&database, 100);
+        for strategy in STRATEGIES {
+            let opts = with_strategy(strategy);
+            let got = bundle_disagreements(&database, &bundle, &support, &opts).unwrap_err();
+            assert_eq!(got, expected, "under {strategy:?}");
+        }
     }
 
     #[test]
@@ -719,8 +667,7 @@ mod tests {
         let support = support(&database, 200);
         let q = prepare_query(&database, "select * from User").unwrap();
         let bits =
-            bundle_disagreements(&database, &[&q], &support, &EngineOptions::default(), None)
-                .unwrap();
+            bundle_disagreements(&database, &[&q], &support, &EngineOptions::default()).unwrap();
         assert!(
             bits.iter().all(|&b| b),
             "every neighbor differs from D, so Q_all must disagree everywhere"
@@ -744,8 +691,7 @@ mod tests {
         let support = support(&database, 100);
         let q = prepare_query(&database, "select 1 from Other where v = 2").unwrap();
         let bits =
-            bundle_disagreements(&database, &[&q], &support, &EngineOptions::default(), None)
-                .unwrap();
+            bundle_disagreements(&database, &[&q], &support, &EngineOptions::default()).unwrap();
         // Only updates touching Other can flip bits; verify against which
         // updates touch table index 1.
         let SupportSet::Neighborhood(updates) = &support else {
@@ -768,7 +714,7 @@ mod tests {
         let opts = EngineOptions::default().with_telemetry(Telemetry::enabled());
         let sink = opts.telemetry.sink().map(Arc::clone).unwrap();
 
-        query_bits(&database, &q, &support, &[true; 120], &opts).unwrap();
+        query_bits(&database, &q, &support, &opts).unwrap();
         assert_eq!(sink.counter("delta_builds_total"), 1);
         assert_eq!(sink.counter("delta_probes_total"), 120);
         assert_eq!(sink.counter("delta_probe_execs_total"), 1, "one relation");
@@ -794,7 +740,7 @@ mod tests {
         };
         // Opaque, so the build declines.
         let q = prepare_query(&database, "select distinct gender from User").unwrap();
-        let visible = visibility(&database, &q, &support, &[true; 60]);
+        let visible = visibility(&database, &q, &support);
         let live = visible.iter().filter(|&&v| v).count() as u64;
         assert!(live > 0, "some neighbor must be visible");
         let opts = EngineOptions::default().with_telemetry(Telemetry::enabled());

@@ -29,6 +29,7 @@
 //! matrix in `tests/crash_matrix.rs` sweeps this budget over every byte
 //! offset of a recorded session.
 
+use qirana_sqlengine::fingerprint::mix64;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -196,11 +197,9 @@ pub fn hit_count(failpoint: &str) -> u64 {
     lock().points.get(failpoint).map_or(0, |a| a.hits)
 }
 
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// splitmix64: the golden-ratio step, then [`mix64`].
+fn splitmix(z: u64) -> u64 {
+    mix64(z.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Checks a failpoint: `Err(InjectedFault)` when armed and its trigger

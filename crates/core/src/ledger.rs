@@ -51,6 +51,7 @@
 
 use crate::fault;
 use crate::telemetry::{Stage, Telemetry};
+use qirana_sqlengine::fingerprint::mix64;
 use qirana_sqlengine::{CellWrite, Value};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -253,11 +254,9 @@ pub enum LedgerEvent {
 // Checksum — splitmix64 word-fold, the `normal_form` hashing style.
 // ---------------------------------------------------------------------
 
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// splitmix64: the golden-ratio step, then [`mix64`].
+fn mix(z: u64) -> u64 {
+    mix64(z.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Streaming splitmix64 checksum over a record payload: the payload is
@@ -1266,6 +1265,18 @@ mod tests {
         assert_ne!(checksum(b"a"), checksum(b"a\0"), "tail length is hashed");
         assert_ne!(checksum(b""), checksum(b"\0"));
         assert_ne!(checksum(b"12345678"), checksum(b"123456789"));
+    }
+
+    /// The checksum is part of the on-disk record format: these values
+    /// must never change, or every existing log fails its frame check.
+    /// Covers the empty payload, a tail-only one, one whole word, and a
+    /// word plus a tail.
+    #[test]
+    fn checksum_values_are_pinned() {
+        assert_eq!(checksum(b""), 0xee91_9ff2_f932_c062);
+        assert_eq!(checksum(b"qirana!"), 0x5204_127b_c6d5_ab93);
+        assert_eq!(checksum(b"qirana!!"), 0x7de6_60e5_06e9_c4a6);
+        assert_eq!(checksum(b"qirana!!!"), 0xf076_44eb_ebe6_3acd);
     }
 
     #[test]

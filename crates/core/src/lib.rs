@@ -31,8 +31,9 @@
 //! ([`naive`]) everywhere else. One update-visibility test — Algorithm 4's
 //! irrelevant-update check — sits in front of every path, and every
 //! per-instance loop runs in index order on the caller's thread.
-//! [`Strategy`] pins a path for the paper's baselines and for the
-//! differential tests, which hold all of them bitwise equal.
+//! [`Strategy::Naive`] pins per-instance execution for the paper's
+//! baseline and for the differential tests, which hold both paths bitwise
+//! equal.
 //!
 //! ## Quick start
 //!
@@ -77,7 +78,6 @@
 pub mod broker;
 pub mod cache;
 pub mod delta;
-pub mod determinacy;
 pub mod engine;
 pub mod fault;
 pub mod ledger;
@@ -94,7 +94,6 @@ pub use broker::{
 };
 pub use cache::{CacheConfig, CacheStats, PricingCache};
 pub use delta::DeltaState;
-pub use determinacy::{determines, Determinacy};
 pub use engine::{bundle_disagreements, bundle_partition, EngineOptions, Strategy};
 pub use ledger::{FsyncPolicy, Ledger, LedgerConfig, LedgerError, LedgerEvent, SnapshotState};
 pub use normal_form::{prepare_query, Prepared, Shape};

@@ -2,12 +2,18 @@
 //! (Algorithms 1 and 2 verbatim), plus Appendix A's *instance reduction*
 //! optimization of that baseline.
 //!
-//! This is the reference every other evaluation path is held bitwise equal
-//! to, and the path [`crate::engine`] routes to whenever no faster one
-//! applies (uniform supports, opaque shapes, budget-limited sweeps). Each
-//! loop runs in index order on the caller's thread and stops at the first
-//! error. Nothing here writes: a neighbor is the stored database read
-//! through its update's row patch.
+//! The loops are the reference every other evaluation path is held
+//! bitwise equal to, and the path [`crate::engine`] routes to whenever no
+//! faster one applies (uniform supports, opaque shapes, budget-limited
+//! sweeps). Each loop runs in index order on the caller's thread and stops
+//! at the first error. Nothing here writes: a neighbor is the stored
+//! database read through its update's row patch.
+//!
+//! Instance reduction ([`reduced_disagreements`]) is not a path the engine
+//! routes to: it yields coverage bits only, never the fingerprints both
+//! pricing families share, and the delta evaluator prices SPJ coverage
+//! faster. It stays as a direct call for the paper's §4 ladder (the
+//! middle row of the criterion group `spj_coverage_S2000`) and its tests.
 
 use crate::engine::{bag_fp, run_plan, EngineOptions};
 use crate::normal_form::{Prepared, Shape};
@@ -66,10 +72,8 @@ pub fn reduced_disagreements(
     visible: &[bool],
     opts: &EngineOptions,
 ) -> Result<Vec<bool>, EngineError> {
-    // Callers route non-SPJ shapes through the full-execution path;
-    // reaching here with one is a caller bug — but a routing bug must
-    // degrade to a typed error the broker can fall back from (priced
-    // slower via full execution), never a crash mid-purchase.
+    // The reduction holds for SPJ shapes only (Lemma A.3); any other
+    // shape is a typed error, never a crash.
     let Shape::Spj(_) = &q.shape else {
         return Err(EngineError::Eval(
             "instance reduction requires an SPJ shape".into(),
@@ -126,7 +130,7 @@ pub fn reduced_disagreements(
 mod tests {
     use super::*;
     use crate::engine::{
-        bundle_disagreements, bundle_partition, combine_bundle, query_fps, Strategy,
+        bundle_disagreements, bundle_partition, combine_bundle, query_fps, visibility,
     };
     use crate::normal_form::prepare_query;
     use crate::support::{generate_support, generate_uniform_worlds, SupportConfig, SupportSet};
@@ -186,17 +190,13 @@ mod tests {
         ))
     }
 
-    fn reduced() -> EngineOptions {
-        EngineOptions {
-            strategy: Strategy::NaiveReduced,
-            ..Default::default()
-        }
-    }
-
     #[test]
     fn reduction_matches_plain_naive() {
         let database = db();
         let support = support(&database, 200);
+        let SupportSet::Neighborhood(updates) = &support else {
+            unreachable!()
+        };
         for sql in [
             "select v from T where grp = 'a'",
             "select id, grp from T where v > 12",
@@ -204,10 +204,10 @@ mod tests {
         ] {
             let q = prepare_query(&database, sql).unwrap();
             let plain =
-                bundle_disagreements(&database, &[&q], &support, &EngineOptions::naive(), None)
-                    .unwrap();
-            let reduced =
-                bundle_disagreements(&database, &[&q], &support, &reduced(), None).unwrap();
+                bundle_disagreements(&database, &[&q], &support, &EngineOptions::naive()).unwrap();
+            let visible = visibility(&database, &q, &support);
+            let opts = EngineOptions::default();
+            let reduced = reduced_disagreements(&database, &q, updates, &visible, &opts).unwrap();
             assert_eq!(plain, reduced, "reduction changed verdicts for {sql}");
         }
     }
@@ -226,9 +226,6 @@ mod tests {
         let opts = EngineOptions::default();
         let err = reduced_disagreements(&database, &q, updates, &visible, &opts).unwrap_err();
         assert!(matches!(err, EngineError::Eval(_)), "got {err:?}");
-        // The engine never routes it there: under `NaiveReduced` the same
-        // query prices through per-instance execution.
-        bundle_disagreements(&database, &[&q], &support, &reduced(), None).unwrap();
     }
 
     #[test]
@@ -236,8 +233,8 @@ mod tests {
         let database = db();
         let support = SupportSet::Uniform(generate_uniform_worlds(&database, 20, 3));
         let q = prepare_query(&database, "select grp, v from T").unwrap();
-        let bits = bundle_disagreements(&database, &[&q], &support, &EngineOptions::naive(), None)
-            .unwrap();
+        let bits =
+            bundle_disagreements(&database, &[&q], &support, &EngineOptions::naive()).unwrap();
         let frac = bits.iter().filter(|&&b| b).count() as f64 / bits.len() as f64;
         assert!(
             frac > 0.9,
@@ -293,7 +290,7 @@ mod tests {
         let support = support(&database, 100);
         let q = prepare_query(&database, "select count(*) from T where v > 30").unwrap();
         let opts = EngineOptions::naive();
-        let bits = bundle_disagreements(&database, &[&q], &support, &opts, None).unwrap();
+        let bits = bundle_disagreements(&database, &[&q], &support, &opts).unwrap();
         let fps = query_fps(&database, &q, &support, &opts).unwrap();
         let base = bag_fp(execute(&q.plan, &ExecContext::new(&database)).unwrap());
         for i in 0..bits.len() {

@@ -23,6 +23,7 @@
 //! without changing the bag), matching the paper's `h(Q(D))` treatment.
 
 use qirana_sqlengine::ast::UnaryOp;
+use qirana_sqlengine::fingerprint::mix64;
 use qirana_sqlengine::plan::{decorrelate, Projection};
 use qirana_sqlengine::{Database, EngineError, Fingerprint, PExpr, PRelation, ResolvedSelect};
 use std::collections::HashSet;
@@ -159,12 +160,6 @@ pub fn prepare_query(db: &Database, sql: &str) -> Result<Prepared, EngineError> 
 pub fn plan_fingerprint(plan: &ResolvedSelect) -> Fingerprint {
     use std::fmt::Write;
 
-    fn mix(mut z: u64) -> u64 {
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
     struct Lanes {
         lo: u64,
         hi: u64,
@@ -174,8 +169,8 @@ pub fn plan_fingerprint(plan: &ResolvedSelect) -> Fingerprint {
 
     impl Lanes {
         fn word(&mut self, w: u64) {
-            self.lo = mix(self.lo ^ w);
-            self.hi = mix(self.hi.rotate_left(29) ^ w.wrapping_mul(0xc2b2_ae3d_27d4_eb4f));
+            self.lo = mix64(self.lo ^ w);
+            self.hi = mix64(self.hi.rotate_left(29) ^ w.wrapping_mul(0xc2b2_ae3d_27d4_eb4f));
         }
     }
 

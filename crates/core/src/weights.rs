@@ -131,7 +131,7 @@ pub fn assign_weights_with(
             sql: pt.sql.clone(),
             error: e.to_string(),
         })?;
-        let bits = bundle_disagreements(db, &[&prepared], support, opts, None).map_err(|e| {
+        let bits = bundle_disagreements(db, &[&prepared], support, opts).map_err(|e| {
             WeightError::BadPricePoint {
                 sql: pt.sql.clone(),
                 error: e.to_string(),
@@ -234,8 +234,7 @@ mod tests {
         assert!((w.iter().sum::<f64>() - 100.0).abs() < 1e-5);
         // Re-derive the constraint: User-touching updates must carry 70.
         let q = prepare_query(&database, "SELECT * FROM User").unwrap();
-        let bits =
-            bundle_disagreements(&database, &[&q], &s, &EngineOptions::default(), None).unwrap();
+        let bits = bundle_disagreements(&database, &[&q], &s, &EngineOptions::default()).unwrap();
         let user_mass: f64 = w
             .iter()
             .zip(&bits)

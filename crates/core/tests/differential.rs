@@ -93,7 +93,7 @@ fn query_pool(c: i16) -> Vec<String> {
     ]
 }
 
-const STRATEGIES: [Strategy; 3] = [Strategy::Auto, Strategy::Naive, Strategy::NaiveReduced];
+const STRATEGIES: [Strategy; 2] = [Strategy::Auto, Strategy::Naive];
 
 const FUNCTIONS: [PricingFunction; 2] = [
     PricingFunction::WeightedCoverage,
@@ -175,7 +175,6 @@ proptest! {
         let writes = seller_writes(&db, &updates, &picks);
         apply_writes(&mut db, &writes);
         let support = SupportSet::Neighborhood(updates.clone());
-        let all = vec![true; updates.len()];
         let reference = EngineOptions::naive();
         let mut pool = query_pool(c);
         pool.push("SELECT DISTINCT grp FROM T".to_string());
@@ -197,7 +196,7 @@ proptest! {
                 .collect();
             let fps = query_fps(&db, &q, &support, &reference).unwrap();
             prop_assert_eq!(&fps, &brute, "reference fingerprints diverge for {}", sql);
-            let bits = query_bits(&db, &q, &support, &all, &reference).unwrap();
+            let bits = query_bits(&db, &q, &support, &reference).unwrap();
             let brute_bits: Vec<bool> = brute.iter().map(|fp| *fp != base).collect();
             prop_assert_eq!(bits, brute_bits, "reference bits diverge for {}", sql);
         }
@@ -225,12 +224,12 @@ proptest! {
         let q = prepare_query(&db, sql).unwrap();
 
         let reference = EngineOptions::naive();
-        let ref_bits = bundle_disagreements(&db, &[&q], &support, &reference, None).unwrap();
+        let ref_bits = bundle_disagreements(&db, &[&q], &support, &reference).unwrap();
         let ref_fps = bundle_partition(&db, &[&q], &support, &reference).unwrap();
         let weights = uniform_weights(support.len(), 100.0);
         for strategy in STRATEGIES {
             let opts = engine(strategy, CacheConfig::disabled());
-            let bits = bundle_disagreements(&db, &[&q], &support, &opts, None).unwrap();
+            let bits = bundle_disagreements(&db, &[&q], &support, &opts).unwrap();
             prop_assert_eq!(&bits, &ref_bits, "bits diverge for {} under {:?}", sql, opts);
             prop_assert_eq!(
                 weighted_coverage(&weights, &bits).to_bits(),
@@ -490,7 +489,7 @@ fn pricing_detects_update_between_adjacent_large_ints() {
     }]);
     for strategy in STRATEGIES {
         let opts = engine(strategy, CacheConfig::disabled());
-        let bits = bundle_disagreements(&db, &[&q], &support, &opts, None).unwrap();
+        let bits = bundle_disagreements(&db, &[&q], &support, &opts).unwrap();
         assert_eq!(
             bits,
             vec![true],
@@ -602,10 +601,9 @@ fn tpch_q1_default_path_matches_naive_and_brute_force() {
     let brute_bits: Vec<bool> = brute.iter().map(|fp| *fp != base).collect();
     assert!(!brute_bits[51], "an in-group swap keeps every sum");
     let support = SupportSet::Neighborhood(updates);
-    let all = vec![true; support.len()];
     for strategy in [Strategy::Auto, Strategy::Naive] {
         let opts = engine(strategy, CacheConfig::disabled());
-        let bits = query_bits(&db, &q, &support, &all, &opts).unwrap();
+        let bits = query_bits(&db, &q, &support, &opts).unwrap();
         assert_eq!(bits, brute_bits, "Q1 bits under {strategy:?}");
         let fps = query_fps(&db, &q, &support, &opts).unwrap();
         assert_eq!(fps, brute, "Q1 fingerprints under {strategy:?}");
@@ -626,7 +624,6 @@ fn tpch_float_aggregates_never_fall_back() {
             ..Default::default()
         },
     ));
-    let all = vec![true; support.len()];
     for (name, sql) in qirana_datagen::queries::tpch_queries(0.001) {
         if !["Q1", "Q5", "Q6"].contains(&name) {
             continue;
@@ -634,7 +631,7 @@ fn tpch_float_aggregates_never_fall_back() {
         let q = prepare_query(&db, &sql).unwrap();
         let tel = Telemetry::enabled();
         let opts = EngineOptions::default().with_telemetry(tel.clone());
-        query_bits(&db, &q, &support, &all, &opts).unwrap();
+        query_bits(&db, &q, &support, &opts).unwrap();
         query_fps(&db, &q, &support, &opts).unwrap();
         let sink = tel.sink().unwrap();
         assert_eq!(sink.counter("delta_builds_total"), 2, "{name}");
@@ -686,7 +683,7 @@ fn an_in_group_float_swap_agrees_everywhere() {
     let support = SupportSet::Neighborhood(vec![swap]);
     for strategy in STRATEGIES {
         let opts = engine(strategy, CacheConfig::disabled());
-        let bits = query_bits(&db, &q, &support, &[true], &opts).unwrap();
+        let bits = query_bits(&db, &q, &support, &opts).unwrap();
         assert_eq!(bits, [false], "coverage under {strategy:?}");
         let fps = query_fps(&db, &q, &support, &opts).unwrap();
         assert_eq!(fps, [base], "entropy under {strategy:?}");
@@ -710,7 +707,7 @@ fn budget_trip_propagates_through_per_instance_path() {
     ));
     let opts =
         EngineOptions::naive().with_budget(ExecBudget::default().with_timeout(Duration::ZERO));
-    let err = bundle_disagreements(&db, &[&q], &support, &opts, None).unwrap_err();
+    let err = bundle_disagreements(&db, &[&q], &support, &opts).unwrap_err();
     assert!(
         matches!(err, EngineError::BudgetExceeded { .. }),
         "expected BudgetExceeded, got {err:?}"

@@ -39,9 +39,11 @@ pub struct Fingerprint(pub u128);
 const SEED_LO: u64 = 0x9e37_79b9_7f4a_7c15;
 const SEED_HI: u64 = 0xc2b2_ae3d_27d4_eb4f;
 
-/// splitmix64 finalizer — a fast, well-distributed 64-bit mixer.
+/// splitmix64 finalizer — a fast, well-distributed 64-bit mixer. The one
+/// copy in the workspace: plan fingerprints, ledger checksums and seeded
+/// failpoints mix with it too.
 #[inline]
-fn mix64(mut z: u64) -> u64 {
+pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)

@@ -35,7 +35,7 @@ fn broker(f: PricingFunction, size: usize) -> Qirana {
     .expect("broker")
 }
 
-/// Determinacy pairs `(finer, coarser)`: the first query's answer computes
+/// Pairs `(finer, coarser)` where the first query's answer computes
 /// the second's (`Q1 ↠ Q2`), so `p(Q2) ≤ p(Q1)` is required.
 fn determinacy_pairs() -> Vec<(&'static str, &'static str)> {
     vec![
@@ -250,8 +250,8 @@ fn uniform_entropy_gain_bundle_arbitrage_witness() {
 
     let q1 = prepare_query(&db, "select v from T where id = 0").unwrap();
     let q2 = prepare_query(&db, "select v from T where id = 1").unwrap();
-    let b1 = bundle_disagreements(&db, &[&q1], &support, &EngineOptions::default(), None).unwrap();
-    let b2 = bundle_disagreements(&db, &[&q2], &support, &EngineOptions::default(), None).unwrap();
+    let b1 = bundle_disagreements(&db, &[&q1], &support, &EngineOptions::default()).unwrap();
+    let b2 = bundle_disagreements(&db, &[&q2], &support, &EngineOptions::default()).unwrap();
     assert_eq!(b1.iter().filter(|&&b| b).count(), 1, "Q1 hits exactly one");
     assert_eq!(b2.iter().filter(|&&b| b).count(), 1, "Q2 hits exactly one");
     assert!(b1.iter().zip(&b2).all(|(a, b)| !(a & b)), "disjoint hits");

@@ -3,9 +3,9 @@
 //! fingerprints must equal the naive engine's (Theorems 4.1 / 4.2 made
 //! executable). Uncached `Strategy::Naive` is the reference (itself held
 //! to an unfiltered apply/execute/undo oracle per query); the matrix is
-//! every `Strategy` for each query, × {cache on, off} for the whole pool
-//! as one bundle, over both
-//! primitives (coverage bits, entropy fingerprints).
+//! every `Strategy` (plus Appendix A's instance reduction for SPJ
+//! coverage) for each query, × {cache on, off} for the whole pool as one
+//! bundle, over both primitives (coverage bits, entropy fingerprints).
 //!
 //! Random databases, random support sets, a seller update landing on the
 //! support set's own values (so write-back neighbors occur), and a query
@@ -21,7 +21,8 @@
 
 use proptest::prelude::*;
 use qirana::core::cache::{Artifact, Kind};
-use qirana::core::engine::{bag_fp, combine_bundle, query_fps};
+use qirana::core::engine::{bag_fp, combine_bundle, query_fps, visibility};
+use qirana::core::naive::reduced_disagreements;
 use qirana::core::{
     bundle_disagreements, bundle_partition, generate_support, prepare_query, EngineOptions,
     Prepared, PricingCache, Shape, Strategy, SupportConfig, SupportSet, SupportUpdate,
@@ -265,7 +266,7 @@ fn memoized(
 ) -> Artifact {
     let artifact = cache.peek(q.plan_fp, kind).unwrap_or_else(|| match kind {
         Kind::Bits => Artifact::Bits(Arc::new(
-            bundle_disagreements(db, &[q], support, opts, None).unwrap(),
+            bundle_disagreements(db, &[q], support, opts).unwrap(),
         )),
         Kind::Blocks => Artifact::Blocks(Arc::new(query_fps(db, q, support, opts).unwrap())),
     });
@@ -278,7 +279,7 @@ fn check_all_configs(db: &mut Database, support: &SupportSet, queries: &[&str]) 
         .map(|q| prepare_query(db, q).expect("prepare"))
         .collect();
     let naive = EngineOptions::naive();
-    let configs: Vec<EngineOptions> = [Strategy::Auto, Strategy::Naive, Strategy::NaiveReduced]
+    let configs: Vec<EngineOptions> = [Strategy::Auto, Strategy::Naive]
         .into_iter()
         .map(|strategy| EngineOptions {
             strategy,
@@ -287,28 +288,34 @@ fn check_all_configs(db: &mut Database, support: &SupportSet, queries: &[&str]) 
         .collect();
     for q in &prepared {
         let bundle = [q];
-        let bits = bundle_disagreements(db, &bundle, support, &naive, None).unwrap();
+        let bits = bundle_disagreements(db, &bundle, support, &naive).unwrap();
         let fps = bundle_partition(db, &bundle, support, &naive).unwrap();
         let (base, brute) = brute_force(db, q, support);
         let brute_bits: Vec<bool> = brute.iter().map(|fp| *fp != base).collect();
         assert_eq!(bits, brute_bits, "reference bits wrong for {:?}", q.sql);
         let brute_fps: Vec<Fingerprint> = brute.iter().map(|fp| combine_bundle(&[*fp])).collect();
         assert_eq!(fps, brute_fps, "reference fps wrong for {:?}", q.sql);
+        if let (Shape::Spj(_), SupportSet::Neighborhood(updates)) = (&q.shape, support) {
+            // Appendix A's instance reduction, a direct call for SPJ shapes.
+            let visible = visibility(db, q, support);
+            let got = reduced_disagreements(db, q, updates, &visible, &naive).unwrap();
+            assert_eq!(got, bits, "reduced bits mismatch for {:?}", q.sql);
+        }
         for opts in &configs {
-            let got = bundle_disagreements(db, &bundle, support, opts, None).unwrap();
+            let got = bundle_disagreements(db, &bundle, support, opts).unwrap();
             assert_eq!(got, bits, "bits mismatch for {:?} under {opts:?}", q.sql);
             let got = bundle_partition(db, &bundle, support, opts).unwrap();
             assert_eq!(got, fps, "fps mismatch for {:?} under {opts:?}", q.sql);
         }
     }
-    // Whole pool as one bundle, too — uncached (shrinking active set) and
-    // through a `PricingCache` (members' full artifacts, cold then warm,
-    // OR'd and folded as the broker does).
+    // Whole pool as one bundle, too — uncached and through a
+    // `PricingCache` (members' full artifacts, cold then warm, OR'd and
+    // folded as the broker does).
     let bundle: Vec<&Prepared> = prepared.iter().collect();
-    let bits = bundle_disagreements(db, &bundle, support, &naive, None).unwrap();
+    let bits = bundle_disagreements(db, &bundle, support, &naive).unwrap();
     let fps = bundle_partition(db, &bundle, support, &naive).unwrap();
     for opts in &configs {
-        let got = bundle_disagreements(db, &bundle, support, opts, None).unwrap();
+        let got = bundle_disagreements(db, &bundle, support, opts).unwrap();
         assert_eq!(got, bits, "bundle bits mismatch under {opts:?}");
         let got = bundle_partition(db, &bundle, support, opts).unwrap();
         assert_eq!(got, fps, "bundle fps mismatch under {opts:?}");
@@ -440,32 +447,4 @@ fn tpch_q4_matches_naive_and_brute_force() {
     };
     let support = SupportSet::Neighborhood(generate_support(&db, &cfg));
     check_all_configs(&mut db, &support, &[q4.as_str()]);
-}
-
-#[test]
-fn skip_bitmap_consistency() {
-    // With a skip mask, evaluated bits must match the unmasked run on the
-    // non-skipped positions and be false elsewhere.
-    let users: Vec<(i64, u8, i64)> = (0..8).map(|i| (i, (i % 2) as u8, 20 + i)).collect();
-    let tweets: Vec<(i64, i64, u8)> = (0..10).map(|i| (i, i, (i % 3) as u8)).collect();
-    let db = build_db(&users, &tweets);
-    let support = SupportSet::Neighborhood(generate_support(
-        &db,
-        &SupportConfig {
-            size: 200,
-            ..Default::default()
-        },
-    ));
-    let q = prepare_query(&db, "select gender, avg(age) from User group by gender").unwrap();
-    let full = bundle_disagreements(&db, &[&q], &support, &EngineOptions::default(), None).unwrap();
-    let skip: Vec<bool> = (0..200).map(|i| i % 3 == 0).collect();
-    let masked =
-        bundle_disagreements(&db, &[&q], &support, &EngineOptions::default(), Some(&skip)).unwrap();
-    for i in 0..200 {
-        if skip[i] {
-            assert!(!masked[i], "skipped position {i} must stay false");
-        } else {
-            assert_eq!(masked[i], full[i], "position {i}");
-        }
-    }
 }

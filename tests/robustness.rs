@@ -162,16 +162,15 @@ fn spj_sweeps_under_a_row_budget_match_naive() {
         "some neighbor must charge more rows than the base"
     );
     let support = SupportSet::Neighborhood(updates);
-    let all = vec![true; support.len()];
 
     for max_rows in [base, worst] {
         let budget = ExecBudget::UNLIMITED.with_max_rows(max_rows);
         let naive = EngineOptions::naive().with_budget(budget);
         let auto = EngineOptions::default().with_budget(budget);
-        let bits = query_bits(&db, &q, &support, &all, &naive);
+        let bits = query_bits(&db, &q, &support, &naive);
         let tripped = bits.as_ref().is_err_and(EngineError::is_budget_exceeded);
         assert_eq!(tripped, max_rows == base, "{bits:?} at {max_rows} rows");
-        assert_eq!(query_bits(&db, &q, &support, &all, &auto), bits);
+        assert_eq!(query_bits(&db, &q, &support, &auto), bits);
         assert_eq!(
             query_fps(&db, &q, &support, &auto),
             query_fps(&db, &q, &support, &naive)

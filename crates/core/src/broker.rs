@@ -24,7 +24,7 @@ use crate::support::{
 use crate::telemetry::Stage;
 use crate::weights::{assign_weights_with, uniform_weights, PricePoint, WeightError};
 use qirana_solver::SolverOptions;
-use qirana_sqlengine::update::{apply_update_sql, apply_writes, CellWrite};
+use qirana_sqlengine::update::{apply_writes, check_writes, plan_update, CellWrite};
 use qirana_sqlengine::{Database, EngineError, ExecContext, Fingerprint, QueryOutput};
 use std::collections::HashMap;
 use std::fmt;
@@ -45,11 +45,10 @@ pub enum SupportType {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Attempts at generating a support set and solving for weights.
-    /// Each attempt reseeds the support generator; treated as 1 when 0.
+    /// Each attempt reseeds the support generator, and attempts beyond the
+    /// second double the support size (backoff), capped at 8× the
+    /// configured size; treated as 1 when 0.
     pub max_attempts: u32,
-    /// Grow the support set across attempts (backoff): attempts beyond the
-    /// second double the size, capped at 8× the configured size.
-    pub grow_support: bool,
     /// After every attempt fails on a *retryable* error (infeasible price
     /// points, solver deadline, numerical divergence), degrade gracefully:
     /// drop the price points, assign uniform weights, and mark the broker —
@@ -65,7 +64,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             max_attempts: 3,
-            grow_support: true,
             fallback_to_uniform: true,
         }
     }
@@ -297,8 +295,8 @@ pub struct Qirana {
     cache: Mutex<PricingCache>,
     /// Durable write-ahead log of market events. `None` for an in-memory
     /// broker ([`Qirana::new`]); set by [`Qirana::open`] and
-    /// [`Qirana::recover`]. Every purchase and commit is appended (and
-    /// synced per the fsync policy) *before* it mutates broker state.
+    /// [`Qirana::recover`]. Every purchase and commit is appended and
+    /// synced *before* it mutates broker state.
     ledger: Option<Ledger>,
 }
 
@@ -335,7 +333,7 @@ impl Qirana {
     /// assigns weights. If the seller's price points are infeasible for the
     /// sampled support set — or the solve hits its deadline — the broker
     /// retries per [`QiranaConfig::retry`]: each attempt reseeds the
-    /// support generator and (optionally) grows the support set, the
+    /// support generator and grows the support set, the
     /// reaction loop of §3.3. When every attempt fails on a retryable
     /// error and [`RetryPolicy::fallback_to_uniform`] is set, the broker
     /// degrades to uniform weights and flags itself — and every quote —
@@ -346,11 +344,9 @@ impl Qirana {
         for attempt in 0..attempts {
             let mut support_cfg = cfg.support.clone();
             support_cfg.seed = cfg.support.seed.wrapping_add(attempt as u64);
-            if cfg.retry.grow_support {
-                // Backoff: resample at the configured size first, then
-                // double per attempt, capped at 8×.
-                support_cfg.size = cfg.support.size << attempt.saturating_sub(1).min(3);
-            }
+            // Backoff: resample at the configured size first, then double
+            // per attempt, capped at 8×.
+            support_cfg.size = cfg.support.size << attempt.saturating_sub(1).min(3);
             let support = {
                 let span = cfg.engine.telemetry.span(Stage::SupportGen);
                 match build_support(&db, &support_cfg, cfg.support_type) {
@@ -594,25 +590,10 @@ impl Qirana {
                 }
                 Ok(())
             }
-            LedgerEvent::UpdateCommitted { sql, changed } => {
-                let undo = apply_update_sql(&mut self.db, sql)
-                    .map_err(|e| diverged(format!("logged update failed to re-apply: {e}")))?;
-                if undo.len() as u64 != *changed {
-                    return Err(diverged(format!(
-                        "logged update changed {changed} cells, replay changed {}",
-                        undo.len()
-                    )));
-                }
-                if !undo.is_empty() {
-                    self.after_commit();
-                }
-                Ok(())
-            }
             LedgerEvent::WritesCommitted { writes } => {
-                if !writes.is_empty() {
-                    apply_writes(&mut self.db, writes);
-                    self.after_commit();
-                }
+                check_writes(&self.db, writes)
+                    .map_err(|e| diverged(format!("logged writes do not fit: {e}")))?;
+                self.apply_committed(writes);
                 Ok(())
             }
             LedgerEvent::SnapshotTaken { .. } => Ok(()),
@@ -1092,7 +1073,9 @@ impl Qirana {
     }
 
     /// Commits a SQL `UPDATE` statement to the stored database and returns
-    /// the number of cells changed.
+    /// the number of cells changed. The statement is planned read-only
+    /// into its cell writes, which then take the [`Qirana::commit_writes`]
+    /// path: the ledger logs exactly the writes applied.
     ///
     /// Committing bumps the database generation, which invalidates every
     /// memoized pricing artifact at once (a cached bitmap describes the old
@@ -1108,58 +1091,49 @@ impl Qirana {
             .engine
             .telemetry
             .span_with(Stage::BrokerCommit, "update".into());
-        // qirana-lint::allow(QL009): the changed-cell count is only known after applying; an append failure rolls the database back via the undo batch
-        let undo = apply_update_sql(&mut self.db, sql)?;
-        span.count("cells_changed", undo.len() as u64);
-        let changed = undo.len();
-        if changed == 0 {
-            return Ok(0);
-        }
-        // The changed-cell count is only known after applying, so this
-        // path applies first and logs second; if the append fails, the
-        // undo batch rolls the database back so memory and disk agree.
-        if let Some(led) = self.ledger.as_mut() {
-            if let Err(e) = led.append(&LedgerEvent::UpdateCommitted {
-                sql: sql.to_string(),
-                changed: changed as u64,
-            }) {
-                apply_writes(&mut self.db, &undo);
-                return Err(e.into());
-            }
-        }
-        self.after_commit();
-        self.maybe_snapshot()?;
-        self.publish_gauges();
-        Ok(changed)
+        let writes = plan_update(&self.db, sql)?;
+        span.count("cells_changed", writes.len() as u64);
+        self.commit_cells(&writes)?;
+        Ok(writes.len())
     }
 
-    /// Commits a batch of cell writes to the stored database (the
-    /// programmatic counterpart of [`Qirana::commit_update`], same
-    /// invalidation semantics). Fails without applying anything when the
-    /// ledger append fails (append-then-apply).
+    /// Commits a batch of cell writes to the stored database, with the
+    /// invalidation semantics of [`Qirana::commit_update`]. A write outside
+    /// the database fails the batch as [`BrokerError::Engine`], and a
+    /// failed ledger append fails it too; either way nothing is applied
+    /// (append-then-apply).
     pub fn commit_writes(&mut self, writes: &[CellWrite]) -> Result<(), BrokerError> {
-        if writes.is_empty() {
-            return Ok(());
-        }
         let span = self
             .cfg
             .engine
             .telemetry
             .span_with(Stage::BrokerCommit, "writes".into());
         span.count("cells_changed", writes.len() as u64);
+        self.commit_cells(writes)
+    }
+
+    /// The one seller commit path: check, append, apply, then the
+    /// snapshot cadence.
+    fn commit_cells(&mut self, writes: &[CellWrite]) -> Result<(), BrokerError> {
+        if writes.is_empty() {
+            return Ok(());
+        }
+        check_writes(&self.db, writes)?;
         if let Some(led) = self.ledger.as_mut() {
             led.append(&LedgerEvent::WritesCommitted {
                 writes: writes.to_vec(),
             })?;
         }
-        apply_writes(&mut self.db, writes);
-        self.after_commit();
+        self.apply_committed(writes);
         self.maybe_snapshot()?;
         self.publish_gauges();
         Ok(())
     }
 
-    fn after_commit(&mut self) {
+    /// Applies logged writes, bumps the cache generation and re-anchors the
+    /// entropy factors: shared by the live commit and replay.
+    fn apply_committed(&mut self, writes: &[CellWrite]) {
+        apply_writes(&mut self.db, writes);
         self.cache
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner)

@@ -75,46 +75,24 @@ const SNAP_FILE: &str = "snapshot.bin";
 const SNAP_TMP_FILE: &str = "snapshot.bin.tmp";
 const LOCK_FILE: &str = "ledger.lock";
 
-/// When appended records are flushed to stable storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FsyncPolicy {
-    /// `fdatasync` after every append — every committed event survives a
-    /// crash. The default.
-    #[default]
-    Always,
-    /// `fdatasync` every `n` appends — bounded loss window, higher
-    /// throughput. `EveryN(0)` behaves like `EveryN(1)`.
-    EveryN(u32),
-    /// Never sync explicitly; durability is left to the OS page cache.
-    Never,
-}
-
-/// Where and how the ledger persists.
+/// Where and how the ledger persists. Every append is `fdatasync`ed
+/// before it returns.
 #[derive(Debug, Clone)]
 pub struct LedgerConfig {
     /// Directory holding `ledger.log` and `snapshot.bin`.
     pub dir: PathBuf,
-    /// Flush policy for appends.
-    pub fsync: FsyncPolicy,
     /// Take a snapshot (and compact the log) after this many applied
     /// events; `0` disables snapshots entirely (pure WAL).
     pub snapshot_every: u64,
 }
 
 impl LedgerConfig {
-    /// A config with the default fsync policy and snapshot cadence.
+    /// A config with the default snapshot cadence.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         LedgerConfig {
             dir: dir.into(),
-            fsync: FsyncPolicy::Always,
             snapshot_every: 256,
         }
-    }
-
-    /// Builder: set the fsync policy.
-    pub fn with_fsync(mut self, fsync: FsyncPolicy) -> Self {
-        self.fsync = fsync;
-        self
     }
 
     /// Builder: set the snapshot cadence (`0` = never snapshot).
@@ -241,9 +219,8 @@ pub enum LedgerEvent {
         price: f64,
         total_paid: f64,
     },
-    /// A seller-side SQL update that changed `changed` cells.
-    UpdateCommitted { sql: String, changed: u64 },
-    /// A seller-side raw cell-write batch.
+    /// A seller update as the exact cell writes it applies; a SQL
+    /// `UPDATE` is planned into writes before it is logged.
     WritesCommitted { writes: Vec<CellWrite> },
     /// Marker: a snapshot covering every event with `seq <= seq` exists
     /// on disk; written just before log compaction.
@@ -341,7 +318,6 @@ fn put_write(buf: &mut Vec<u8>, w: &CellWrite) {
 }
 
 const TAG_PURCHASE: u8 = 1;
-const TAG_UPDATE: u8 = 2;
 const TAG_WRITES: u8 = 3;
 const TAG_SNAPSHOT: u8 = 4;
 
@@ -360,11 +336,6 @@ fn encode_payload(seq: u64, ev: &LedgerEvent) -> Vec<u8> {
             put_str(&mut b, sql);
             put_u64(&mut b, price.to_bits());
             put_u64(&mut b, total_paid.to_bits());
-        }
-        LedgerEvent::UpdateCommitted { sql, changed } => {
-            put_u8(&mut b, TAG_UPDATE);
-            put_str(&mut b, sql);
-            put_u64(&mut b, *changed);
         }
         LedgerEvent::WritesCommitted { writes } => {
             put_u8(&mut b, TAG_WRITES);
@@ -496,10 +467,6 @@ pub fn decode_payload(payload: &[u8]) -> Result<(u64, LedgerEvent), String> {
             sql: c.str()?,
             price: f64::from_bits(c.u64()?),
             total_paid: f64::from_bits(c.u64()?),
-        },
-        TAG_UPDATE => LedgerEvent::UpdateCommitted {
-            sql: c.str()?,
-            changed: c.u64()?,
         },
         TAG_WRITES => {
             let n = c.usize()?;
@@ -878,7 +845,6 @@ pub struct Ledger {
     log: File,
     next_seq: u64,
     records_since_snapshot: u64,
-    appends_since_sync: u32,
     poisoned: bool,
     telemetry: Telemetry,
     /// Held for the handle's whole lifetime; releases on drop.
@@ -932,7 +898,6 @@ impl Ledger {
             log,
             next_seq: 1,
             records_since_snapshot: 0,
-            appends_since_sync: 0,
             poisoned: false,
             telemetry: Telemetry::disabled(),
             _lock: lock,
@@ -945,11 +910,6 @@ impl Ledger {
     /// recovery; a detached ledger stays silent.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    /// The ledger's configuration.
-    pub fn config(&self) -> &LedgerConfig {
-        &self.cfg
     }
 
     /// Sequence number the next appended event will get.
@@ -978,7 +938,7 @@ impl Ledger {
     }
 
     /// Appends one event, returning its sequence number. The record is
-    /// on disk (per the fsync policy) when this returns — callers apply
+    /// written and `fdatasync`ed when this returns — callers apply
     /// the event to in-memory state only afterwards (append-then-apply).
     pub fn append(&mut self, ev: &LedgerEvent) -> Result<u64, LedgerError> {
         if self.poisoned {
@@ -1007,7 +967,7 @@ impl Ledger {
             self.poisoned = true;
             return Err(io_at(self.cfg.log_path(), e));
         }
-        self.after_write()?;
+        self.sync()?;
         self.next_seq += 1;
         if !matches!(ev, LedgerEvent::SnapshotTaken { .. }) {
             self.records_since_snapshot += 1;
@@ -1016,28 +976,7 @@ impl Ledger {
         Ok(seq)
     }
 
-    fn after_write(&mut self) -> Result<(), LedgerError> {
-        let sync = match self.cfg.fsync {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::EveryN(n) => {
-                self.appends_since_sync += 1;
-                if self.appends_since_sync >= n.max(1) {
-                    self.appends_since_sync = 0;
-                    true
-                } else {
-                    false
-                }
-            }
-            FsyncPolicy::Never => false,
-        };
-        if sync {
-            self.sync()?;
-        }
-        Ok(())
-    }
-
-    /// Forces an `fdatasync` of the log now, regardless of policy.
-    pub fn sync(&mut self) -> Result<(), LedgerError> {
+    fn sync(&mut self) -> Result<(), LedgerError> {
         let _span = self.telemetry.span(Stage::LedgerFsync);
         let out = self
             .log
@@ -1097,7 +1036,6 @@ impl Ledger {
             .open(&path)
             .map_err(|e| io_at(path, e))?;
         self.records_since_snapshot = 0;
-        self.appends_since_sync = 0;
         self.telemetry.counter_add("ledger_snapshots_total", 1);
         self.telemetry.counter_add("ledger_compactions_total", 1);
         Ok(())
@@ -1221,7 +1159,6 @@ pub fn recover_dir(cfg: &LedgerConfig) -> Result<(Ledger, Recovered), LedgerErro
             log,
             next_seq,
             records_since_snapshot,
-            appends_since_sync: 0,
             poisoned: false,
             telemetry: Telemetry::disabled(),
             _lock: lock,
@@ -1283,10 +1220,6 @@ mod tests {
     fn event_roundtrip_all_variants() {
         let events = [
             ev_purchase("alice", 12.5, 40.25),
-            LedgerEvent::UpdateCommitted {
-                sql: "UPDATE T SET a = 1 WHERE b = 2".to_string(),
-                changed: 3,
-            },
             LedgerEvent::WritesCommitted {
                 writes: vec![
                     CellWrite {
@@ -1388,11 +1321,8 @@ mod tests {
         let mut led = Ledger::create(cfg.clone()).unwrap();
         assert_eq!(led.append(&ev_purchase("a", 1.0, 1.0)).unwrap(), 1);
         assert_eq!(
-            led.append(&LedgerEvent::UpdateCommitted {
-                sql: "UPDATE T SET x = 1".to_string(),
-                changed: 2,
-            })
-            .unwrap(),
+            led.append(&LedgerEvent::WritesCommitted { writes: vec![] })
+                .unwrap(),
             2
         );
         assert_eq!(led.append(&ev_purchase("b", 2.0, 2.0)).unwrap(), 3);
@@ -1630,28 +1560,6 @@ mod tests {
             recover_dir(&cfg).unwrap_err(),
             LedgerError::Corrupt { .. }
         ));
-    }
-
-    #[test]
-    fn fsync_policies_all_recover() {
-        let _guard = fault::serialize_tests();
-        fault::reset();
-        for (tag, policy) in [
-            ("always", FsyncPolicy::Always),
-            ("every3", FsyncPolicy::EveryN(3)),
-            ("never", FsyncPolicy::Never),
-        ] {
-            let cfg = LedgerConfig::new(tmpdir(tag))
-                .with_fsync(policy)
-                .with_snapshot_every(0);
-            let mut led = Ledger::create(cfg.clone()).unwrap();
-            for i in 0..5 {
-                led.append(&ev_purchase("a", i as f64, i as f64)).unwrap();
-            }
-            drop(led);
-            let (_, rec) = recover_dir(&cfg).unwrap();
-            assert_eq!(rec.events.len(), 5, "policy {policy:?}");
-        }
     }
 
     #[test]

@@ -95,7 +95,7 @@ pub use broker::{
 pub use cache::{CacheConfig, CacheStats, PricingCache};
 pub use delta::DeltaState;
 pub use engine::{bundle_disagreements, bundle_partition, EngineOptions, Strategy};
-pub use ledger::{FsyncPolicy, Ledger, LedgerConfig, LedgerError, LedgerEvent, SnapshotState};
+pub use ledger::{Ledger, LedgerConfig, LedgerError, LedgerEvent, SnapshotState};
 pub use normal_form::{prepare_query, Prepared, Shape};
 pub use pricing::{PricingError, PricingFunction};
 pub use support::{

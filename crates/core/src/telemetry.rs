@@ -35,6 +35,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::{self, ThreadId};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -273,10 +274,22 @@ impl SpanRecord {
 #[derive(Default)]
 struct TraceState {
     spans: Vec<SpanRecord>,
-    /// Indices of currently-open spans, innermost last. Spans are opened and
-    /// closed on the orchestrating thread only; worker threads report via
-    /// counters, never spans.
-    stack: Vec<usize>,
+    /// Indices of currently-open spans per thread, innermost last. A span's
+    /// parent is the innermost span open on its own thread, so concurrent
+    /// request handlers never parent each other's spans. A thread's entry
+    /// goes when its last open span closes.
+    stacks: Vec<(ThreadId, Vec<usize>)>,
+}
+
+impl TraceState {
+    /// The calling thread's open spans, if it has any.
+    fn own_stack(&mut self) -> Option<&mut Vec<usize>> {
+        let me = thread::current().id();
+        self.stacks
+            .iter_mut()
+            .find(|(id, _)| *id == me)
+            .map(|(_, stack)| stack)
+    }
 }
 
 #[derive(Default)]
@@ -321,7 +334,7 @@ impl TelemetrySink {
     fn open_span(&self, stage: Stage, detail: String) -> usize {
         let now = self.clock.now_ns();
         let mut t = lock(&self.trace);
-        let parent = t.stack.last().copied();
+        let parent = t.own_stack().and_then(|s| s.last().copied());
         let idx = t.spans.len();
         t.spans.push(SpanRecord {
             stage,
@@ -331,15 +344,23 @@ impl TelemetrySink {
             end_ns: None,
             counts: BTreeMap::new(),
         });
-        t.stack.push(idx);
+        match t.own_stack() {
+            Some(stack) => stack.push(idx),
+            None => t.stacks.push((thread::current().id(), vec![idx])),
+        }
         idx
     }
 
     fn close_span(&self, idx: usize) {
         let now = self.clock.now_ns();
         let mut t = lock(&self.trace);
-        if let Some(pos) = t.stack.iter().rposition(|&i| i == idx) {
-            t.stack.remove(pos);
+        // Searched by index, not thread: a guard may drop on another thread.
+        if let Some(k) = t.stacks.iter().position(|(_, s)| s.contains(&idx)) {
+            let stack = &mut t.stacks[k].1;
+            stack.retain(|&i| i != idx);
+            if stack.is_empty() {
+                t.stacks.swap_remove(k);
+            }
         }
         let (dur, stage) = if let Some(span) = t.spans.get_mut(idx) {
             span.end_ns = Some(now);
@@ -364,7 +385,7 @@ impl TelemetrySink {
 
     fn innermost_count(&self, key: &'static str, delta: u64) {
         let mut t = lock(&self.trace);
-        if let Some(idx) = t.stack.last().copied() {
+        if let Some(idx) = t.own_stack().and_then(|s| s.last().copied()) {
             if let Some(span) = t.spans.get_mut(idx) {
                 *span.counts.entry(key).or_insert(0) += delta;
             }
@@ -650,11 +671,6 @@ impl Telemetry {
         }
     }
 
-    /// Wraps an existing sink (share one sink across brokers/engines).
-    pub fn from_sink(sink: Arc<TelemetrySink>) -> Self {
-        Telemetry { sink: Some(sink) }
-    }
-
     pub fn is_enabled(&self) -> bool {
         self.sink.is_some()
     }
@@ -693,9 +709,9 @@ impl Telemetry {
 
     /// Bumps a named count on the innermost open span, whichever stage it
     /// is — for work counted where it happens, by code that holds no span
-    /// guard (plan executions). A worker thread's count lands on the span
-    /// its orchestrating thread has open. No-op when disabled or when no
-    /// span is open.
+    /// guard (plan executions). The count lands on the innermost span open
+    /// on the calling thread. No-op when disabled or when the calling
+    /// thread has no span open.
     pub fn count_innermost(&self, key: &'static str, delta: u64) {
         if let Some(sink) = &self.sink {
             sink.innermost_count(key, delta);
@@ -887,6 +903,34 @@ mod tests {
             .map(|s| s.counts.get("execs").copied())
             .collect();
         assert_eq!(execs, [Some(2), Some(1)]);
+    }
+
+    #[test]
+    fn concurrent_threads_keep_their_own_span_stacks() {
+        let t = Telemetry::with_clock(Box::new(TestClock::stepping(1)));
+        let both_open = std::sync::Barrier::new(2);
+        let both_counted = std::sync::Barrier::new(2);
+        thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    let _request = t.span(Stage::ServerRequest);
+                    both_open.wait();
+                    t.count_innermost("execs", 1);
+                    both_counted.wait();
+                });
+            }
+        });
+        let sink = match t.sink() {
+            Some(s) => Arc::clone(s),
+            None => unreachable!("enabled telemetry has a sink"),
+        };
+        let spans = sink.spans();
+        assert_eq!(spans.len(), 2);
+        for span in &spans {
+            assert_eq!(span.parent, None, "a request span parents no other");
+            assert_eq!(span.counts.get("execs"), Some(&1));
+            assert!(span.end_ns.is_some());
+        }
     }
 
     #[test]

@@ -15,10 +15,10 @@
 use proptest::prelude::*;
 use qirana_core::ledger::scan_log;
 use qirana_core::{
-    ledger, BrokerError, FsyncPolicy, LedgerConfig, LedgerError, LedgerEvent, PricingFunction,
-    Qirana, QiranaConfig, SupportConfig,
+    ledger, BrokerError, LedgerConfig, LedgerError, LedgerEvent, PricingFunction, Qirana,
+    QiranaConfig, SupportConfig,
 };
-use qirana_sqlengine::{ColumnDef, DataType, Database, TableSchema};
+use qirana_sqlengine::{CellWrite, ColumnDef, DataType, Database, TableSchema, Value};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
@@ -334,10 +334,100 @@ fn tampered_logged_price_is_replay_divergence() {
 }
 
 // ---------------------------------------------------------------------------
-// Property: under every fsync policy, a durable market prices random
-// sessions bitwise like a ledger-less one and recovers to its live state;
-// and it recovers bitwise-identically at EVERY record boundary, for both
-// pricing families.
+// Seller updates: one logged event, exactly the writes applied
+// ---------------------------------------------------------------------------
+
+fn cell(table: usize, row: usize, col: usize, v: i64) -> CellWrite {
+    CellWrite {
+        table,
+        row,
+        col,
+        value: Value::Int(v),
+    }
+}
+
+#[test]
+fn a_committed_update_logs_exactly_the_writes_it_applied() {
+    let dir = market_dir("update-writes");
+    let function = PricingFunction::WeightedCoverage;
+    let mut broker = Qirana::open(db(), cfg(function), LedgerConfig::new(&dir)).unwrap();
+    let changed = broker
+        .commit_update("UPDATE T SET v = v + 1 WHERE grp = 'a'")
+        .unwrap();
+    // grp = 'a' on rows 0, 3, 6, 9, whose v is i * 7 % 13.
+    let expected: Vec<CellWrite> = [0, 3, 6, 9]
+        .into_iter()
+        .map(|i| cell(0, i, 2, (i as i64 * 7 % 13) + 1))
+        .collect();
+    assert_eq!(changed, expected.len());
+    for w in &expected {
+        assert_eq!(broker.db().table_at(0).rows[w.row][w.col], w.value);
+    }
+    let scan = scan_log(&fs::read(LedgerConfig::new(&dir).log_path()).unwrap()).unwrap();
+    assert_eq!(scan.records.len(), 1, "one record per update");
+    let logged = LedgerEvent::WritesCommitted { writes: expected };
+    assert_eq!(scan.records[0].event, logged);
+    drop(broker);
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_write_outside_the_database_is_refused_before_it_is_logged() {
+    let dir = market_dir("write-outside");
+    let mut broker = Qirana::open(
+        db(),
+        cfg(PricingFunction::WeightedCoverage),
+        LedgerConfig::new(&dir),
+    )
+    .unwrap();
+    let rows = broker.db().table_at(0).rows.clone();
+    // Past the last row, past the last column, and a table that is not there.
+    for bad in [cell(0, 99, 2, 100), cell(0, 0, 3, 100), cell(1, 0, 0, 100)] {
+        let err = broker
+            .commit_writes(&[cell(0, 0, 2, 100), bad])
+            .unwrap_err();
+        assert!(
+            matches!(err, BrokerError::Engine(_)),
+            "expected an engine error, got {err}"
+        );
+        assert_eq!(broker.db().table_at(0).rows, rows, "nothing applied");
+        assert_eq!(broker.ledger().unwrap().last_seq(), 0, "nothing logged");
+    }
+    drop(broker);
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_logged_write_outside_the_database_is_replay_divergence() {
+    let dir = market_dir("replay-outside");
+    let log_path = LedgerConfig::new(&dir).log_path();
+    let function = PricingFunction::WeightedCoverage;
+    {
+        let mut broker = Qirana::open(db(), cfg(function), LedgerConfig::new(&dir)).unwrap();
+        broker.buy("alice", POOL[0]).unwrap();
+    }
+    let mut bytes = fs::read(&log_path).unwrap();
+    let forged = LedgerEvent::WritesCommitted {
+        writes: vec![cell(0, 99, 2, 100)],
+    };
+    bytes.extend_from_slice(&ledger::encode_record(2, &forged).unwrap());
+    fs::write(&log_path, &bytes).unwrap();
+
+    let err = Qirana::recover(db(), cfg(function), LedgerConfig::new(&dir)).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            BrokerError::Ledger(LedgerError::ReplayDiverged { seq: 2, .. })
+        ),
+        "expected ReplayDiverged, got {err}"
+    );
+    fs::remove_dir_all(&dir).ok();
+}
+
+// ---------------------------------------------------------------------------
+// Property: a durable market prices random sessions bitwise like a
+// ledger-less one and recovers to its live state; and it recovers
+// bitwise-identically at EVERY record boundary, for both pricing families.
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -363,35 +453,28 @@ proptest! {
             checkpoints.push(state_of(&control));
         }
 
-        // Cadence 0 keeps each log a pure WAL, so record k ↔ checkpoint k.
-        let policies = [FsyncPolicy::Always, FsyncPolicy::EveryN(8), FsyncPolicy::Never];
-        let dirs: Vec<PathBuf> = policies.iter().map(|_| market_dir("prop")).collect();
-        for (&policy, dir) in policies.iter().zip(&dirs) {
-            let ledger_cfg = LedgerConfig::new(dir).with_fsync(policy).with_snapshot_every(0);
-            let mut broker = Qirana::open(db(), cfg(function), ledger_cfg).unwrap();
-            for (k, &(qi, second_buyer)) in session.iter().enumerate() {
-                let price = broker.buy(buyer(second_buyer), POOL[qi]).unwrap().price;
-                prop_assert_eq!(
-                    price.to_bits(),
-                    prices[k],
-                    "{:?}: purchase {} priced apart from the ledger-less market",
-                    policy,
-                    k
-                );
-                prop_assert_eq!(&state_of(&broker), &checkpoints[k + 1]);
-            }
-            drop(broker);
-            let recovered =
-                Qirana::recover(db(), cfg(function), LedgerConfig::new(dir)).unwrap();
+        // Cadence 0 keeps the log a pure WAL, so record k ↔ checkpoint k.
+        let dir = &market_dir("prop");
+        let ledger_cfg = LedgerConfig::new(dir).with_snapshot_every(0);
+        let mut broker = Qirana::open(db(), cfg(function), ledger_cfg).unwrap();
+        for (k, &(qi, second_buyer)) in session.iter().enumerate() {
+            let price = broker.buy(buyer(second_buyer), POOL[qi]).unwrap().price;
             prop_assert_eq!(
-                &state_of(&recovered),
-                &checkpoints[session.len()],
-                "{:?}: recovery differs from the live market",
-                policy
+                price.to_bits(),
+                prices[k],
+                "purchase {} priced apart from the ledger-less market",
+                k
             );
+            prop_assert_eq!(&state_of(&broker), &checkpoints[k + 1]);
         }
+        drop(broker);
+        let recovered = Qirana::recover(db(), cfg(function), LedgerConfig::new(dir)).unwrap();
+        prop_assert_eq!(
+            &state_of(&recovered),
+            &checkpoints[session.len()],
+            "recovery differs from the live market"
+        );
 
-        let dir = &dirs[0];
         let bytes = fs::read(LedgerConfig::new(dir).log_path()).unwrap();
         let scan = scan_log(&bytes).unwrap();
         prop_assert_eq!(scan.records.len(), session.len());
@@ -415,9 +498,7 @@ proptest! {
                 function
             );
         }
-        for dir in &dirs {
-            fs::remove_dir_all(dir).ok();
-        }
+        fs::remove_dir_all(dir).ok();
         fs::remove_dir_all(&replay_dir).ok();
     }
 }

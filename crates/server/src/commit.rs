@@ -25,9 +25,8 @@ use qirana_core::{BrokerError, Purchase, Qirana};
 /// Commits one history-aware purchase for `buyer`.
 ///
 /// The sweep runs under the read lock; the write lock is held only for
-/// the charge, which covers the WAL append, the fsync (per the ledger's
-/// policy), and the in-memory account mutation as one atomic step from
-/// any reader's point of view.
+/// the charge, which covers the WAL append, the fsync and the in-memory
+/// account mutation as one atomic step from any reader's point of view.
 pub fn commit_buy(
     broker: &RwLock<Qirana>,
     buyer: &str,

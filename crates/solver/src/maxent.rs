@@ -120,11 +120,6 @@ impl SolveResult {
     pub fn is_optimal(&self) -> bool {
         matches!(self, SolveResult::Optimal { .. })
     }
-
-    /// True iff the solve was cut short without a feasibility verdict.
-    pub fn is_aborted(&self) -> bool {
-        matches!(self, SolveResult::Aborted { .. })
-    }
 }
 
 /// Solves the problem with default options.

@@ -211,14 +211,6 @@ impl Expr {
         }
     }
 
-    /// Qualified column reference helper.
-    pub fn qcol(table: &str, name: &str) -> Expr {
-        Expr::Column {
-            table: Some(table.to_string()),
-            column: name.to_string(),
-        }
-    }
-
     /// Literal helper.
     pub fn lit(v: impl Into<Value>) -> Expr {
         Expr::Literal(v.into())

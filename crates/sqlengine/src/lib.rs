@@ -74,7 +74,7 @@ pub use parser::{parse_select, parse_statement};
 pub use plan::{plan_select, PExpr, PRelation, ResolvedSelect};
 pub use schema::{ColumnDef, DataType, Domain, ForeignKey, TableSchema};
 pub use table::{Row, Table};
-pub use update::{apply_update_sql, apply_writes, CellWrite};
+pub use update::{apply_writes, check_writes, plan_update, CellWrite};
 pub use validate::{check_database, Violation};
 pub use value::{lossless_f64, Value};
 

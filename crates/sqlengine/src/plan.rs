@@ -358,12 +358,6 @@ impl ResolvedSelect {
         insert_at
     }
 
-    /// The slot range `[offset, offset+arity)` of relation `rel`.
-    pub fn relation_slots(&self, rel: usize) -> std::ops::Range<usize> {
-        let o = self.offsets[rel];
-        o..o + self.relations[rel].arity()
-    }
-
     /// True iff any expression in the plan contains a subquery.
     pub fn has_subquery(&self) -> bool {
         let exprs = self

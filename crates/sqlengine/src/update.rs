@@ -5,10 +5,10 @@
 //! ([`crate::ExecContext::with_patch`]) and never write; committed seller
 //! updates and test oracles write through the engine-level primitive, a
 //! [`CellWrite`]: applying a batch of writes returns the inverse batch.
-//! SQL `UPDATE` statements are also supported for updates expressed as
-//! text (the paper stores them in an `UpdateQueries` table).
+//! SQL `UPDATE` statements (the paper stores them in an `UpdateQueries`
+//! table) are planned read-only into the writes they would apply.
 
-use crate::ast::{SelectItem, SelectStmt, Statement, UpdateStmt};
+use crate::ast::{SelectItem, SelectStmt, Statement};
 use crate::database::Database;
 use crate::error::{EngineError, Result};
 use crate::exec::{eval_row_expr, ExecContext};
@@ -25,8 +25,27 @@ pub struct CellWrite {
     pub value: Value,
 }
 
+/// Checks that every write names an existing table, row and column of
+/// `db`, so that [`apply_writes`] cannot index out of bounds.
+pub fn check_writes(db: &Database, writes: &[CellWrite]) -> Result<()> {
+    for w in writes {
+        let fits = w.table < db.num_tables() && {
+            let t = db.table_at(w.table);
+            w.row < t.len() && w.col < t.schema.arity()
+        };
+        if !fits {
+            return Err(EngineError::plan(format!(
+                "cell write (table {}, row {}, col {}) is outside the database",
+                w.table, w.row, w.col
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Applies the writes in order and returns the inverse writes (in reverse
 /// order, so applying the result undoes the batch even when writes overlap).
+/// The writes must pass [`check_writes`].
 pub fn apply_writes(db: &mut Database, writes: &[CellWrite]) -> Vec<CellWrite> {
     let mut undo = Vec::with_capacity(writes.len());
     for w in writes {
@@ -44,16 +63,14 @@ pub fn apply_writes(db: &mut Database, writes: &[CellWrite]) -> Vec<CellWrite> {
     undo
 }
 
-/// Parses and applies a SQL `UPDATE` statement; returns the undo writes.
-pub fn apply_update_sql(db: &mut Database, sql: &str) -> Result<Vec<CellWrite>> {
-    match parse_statement(sql)? {
-        Statement::Update(u) => apply_update_stmt(db, &u),
-        Statement::Select(_) => Err(EngineError::plan("expected an UPDATE statement")),
-    }
-}
-
-/// Applies a parsed `UPDATE` statement; returns the undo writes.
-pub fn apply_update_stmt(db: &mut Database, stmt: &UpdateStmt) -> Result<Vec<CellWrite>> {
+/// Parses a SQL `UPDATE` statement and returns the cell writes it makes,
+/// in row order, without touching `db`. Every expression is evaluated
+/// against the pre-update state, as SQL requires.
+pub fn plan_update(db: &Database, sql: &str) -> Result<Vec<CellWrite>> {
+    let stmt = match parse_statement(sql)? {
+        Statement::Update(u) => u,
+        Statement::Select(_) => return Err(EngineError::plan("expected an UPDATE statement")),
+    };
     let table_idx = db
         .table_index(&stmt.table)
         .ok_or_else(|| EngineError::plan(format!("unknown table {}", stmt.table)))?;
@@ -94,30 +111,25 @@ pub fn apply_update_stmt(db: &mut Database, stmt: &UpdateStmt) -> Result<Vec<Cel
         })
         .collect::<Result<_>>()?;
 
-    // Evaluate per row; collect writes first (so evaluation sees the
-    // pre-update state throughout, as SQL requires).
     let mut writes = Vec::new();
-    {
-        let ctx = ExecContext::new(db);
-        let table = db.table_at(table_idx);
-        for (ri, row) in table.rows.iter().enumerate() {
-            if let Some(f) = &plan.filter {
-                if eval_row_expr(f, row, &ctx)?.as_bool3() != Some(true) {
-                    continue;
-                }
-            }
-            for (ci, proj) in cols.iter().zip(&plan.projections) {
-                let v = eval_row_expr(&proj.expr, row, &ctx)?;
-                writes.push(CellWrite {
-                    table: table_idx,
-                    row: ri,
-                    col: *ci,
-                    value: v,
-                });
+    let ctx = ExecContext::new(db);
+    for (ri, row) in db.table_at(table_idx).rows.iter().enumerate() {
+        if let Some(f) = &plan.filter {
+            if eval_row_expr(f, row, &ctx)?.as_bool3() != Some(true) {
+                continue;
             }
         }
+        for (ci, proj) in cols.iter().zip(&plan.projections) {
+            let v = eval_row_expr(&proj.expr, row, &ctx)?;
+            writes.push(CellWrite {
+                table: table_idx,
+                row: ri,
+                col: *ci,
+                value: v,
+            });
+        }
     }
-    Ok(apply_writes(db, &writes))
+    Ok(writes)
 }
 
 #[cfg(test)]
@@ -196,7 +208,8 @@ mod tests {
     #[test]
     fn sql_update_with_where() {
         let mut db = db();
-        let undo = apply_update_sql(&mut db, "UPDATE User SET gender = 'f' WHERE uid = 1").unwrap();
+        let writes = plan_update(&db, "UPDATE User SET gender = 'f' WHERE uid = 1").unwrap();
+        let undo = apply_writes(&mut db, &writes);
         assert_eq!(db.table("User").unwrap().rows[0][1], Value::str("f"));
         assert_eq!(undo.len(), 1);
         apply_writes(&mut db, &undo);
@@ -206,7 +219,8 @@ mod tests {
     #[test]
     fn sql_update_expression_sees_pre_state() {
         let mut db = db();
-        apply_update_sql(&mut db, "UPDATE User SET age = age + 1").unwrap();
+        let writes = plan_update(&db, "UPDATE User SET age = age + 1").unwrap();
+        apply_writes(&mut db, &writes);
         let ages: Vec<i64> = db
             .table("User")
             .unwrap()
@@ -219,8 +233,8 @@ mod tests {
 
     #[test]
     fn sql_update_unknown_column_errors() {
-        let mut db = db();
-        assert!(apply_update_sql(&mut db, "UPDATE User SET nope = 1").is_err());
-        assert!(apply_update_sql(&mut db, "UPDATE Missing SET age = 1").is_err());
+        let db = db();
+        assert!(plan_update(&db, "UPDATE User SET nope = 1").is_err());
+        assert!(plan_update(&db, "UPDATE Missing SET age = 1").is_err());
     }
 }

@@ -45,8 +45,8 @@ pub use qirana_solver as solver;
 pub use qirana_sqlengine as sqlengine;
 
 pub use qirana_core::{
-    BrokerError, CacheConfig, CacheStats, EngineOptions, FsyncPolicy, Ledger, LedgerConfig,
-    LedgerError, LedgerEvent, PricePoint, PricingFunction, Purchase, Qirana, QiranaConfig, Quote,
-    RetryPolicy, SupportConfig, SupportType, Telemetry, TelemetrySink,
+    BrokerError, CacheConfig, CacheStats, EngineOptions, Ledger, LedgerConfig, LedgerError,
+    LedgerEvent, PricePoint, PricingFunction, Purchase, Qirana, QiranaConfig, Quote, RetryPolicy,
+    SupportConfig, SupportType, Telemetry, TelemetrySink,
 };
 pub use qirana_sqlengine::{Database, ExecBudget, QueryOutput, Value};

@@ -278,7 +278,6 @@ fn solver_timeout_without_fallback_is_a_typed_error() {
         retry: RetryPolicy {
             max_attempts: 2,
             fallback_to_uniform: false,
-            ..Default::default()
         },
         ..Default::default()
     };

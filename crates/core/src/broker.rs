@@ -10,7 +10,7 @@
 //! repeated information is never charged twice and a buyer who has paid for
 //! everything gets all further queries free.
 
-use crate::cache::{Artifact, CacheStats, Kind, PricingCache};
+use crate::cache::{Artifact, CacheStats, Kind, PricingCache, LRU_CAPACITY};
 use crate::engine::{failpoint, fold_partition, run_plan, sweep, EngineOptions};
 use crate::fault;
 use crate::ledger::{
@@ -51,12 +51,11 @@ pub struct RetryPolicy {
     pub max_attempts: u32,
     /// After every attempt fails on a *retryable* error (infeasible price
     /// points, solver deadline, numerical divergence), degrade gracefully:
-    /// drop the price points, assign uniform weights, and mark the broker —
-    /// and every quote and purchase it issues — as [degraded]. Prices stay
-    /// arbitrage-free; only the seller's price points are no longer
-    /// honored. Off, the construction error is returned instead.
-    ///
-    /// [degraded]: Quote::degraded
+    /// drop the price points, assign uniform weights, and mark the broker
+    /// ([`Qirana::is_degraded`]) and every purchase it makes
+    /// ([`Purchase::degraded`]) as degraded. Prices stay arbitrage-free;
+    /// only the seller's price points are no longer honored. Off, the
+    /// construction error is returned instead.
     pub fallback_to_uniform: bool,
 }
 
@@ -188,17 +187,6 @@ impl From<LedgerError> for BrokerError {
     }
 }
 
-/// A price, plus how it was produced.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Quote {
-    /// The (arbitrage-free) price.
-    pub price: f64,
-    /// True when the broker is running on degraded uniform weights because
-    /// the seller's price points could not be honored (see
-    /// [`RetryPolicy::fallback_to_uniform`]).
-    pub degraded: bool,
-}
-
 /// Result of a history-aware purchase.
 #[derive(Debug, Clone)]
 pub struct Purchase {
@@ -209,12 +197,8 @@ pub struct Purchase {
     /// The query answer.
     pub output: QueryOutput,
     /// True when priced under degraded uniform weights (see
-    /// [`Quote::degraded`]).
+    /// [`RetryPolicy::fallback_to_uniform`]).
     pub degraded: bool,
-    /// Cumulative pricing-cache counters as of this purchase (all zeros
-    /// when the cache is disabled). The per-purchase deltas between
-    /// consecutive purchases show how much engine work the memo absorbed.
-    pub cache: CacheStats,
 }
 
 /// Per-buyer history state.
@@ -336,8 +320,8 @@ impl Qirana {
     /// support generator and grows the support set, the
     /// reaction loop of §3.3. When every attempt fails on a retryable
     /// error and [`RetryPolicy::fallback_to_uniform`] is set, the broker
-    /// degrades to uniform weights and flags itself — and every quote —
-    /// [`Quote::degraded`].
+    /// degrades to uniform weights and flags itself
+    /// ([`Qirana::is_degraded`]).
     pub fn new(db: Database, cfg: QiranaConfig) -> Result<Self, BrokerError> {
         let attempts = cfg.retry.max_attempts.max(1);
         let mut last_err: Option<BrokerError> = None;
@@ -400,11 +384,6 @@ impl Qirana {
     ) -> Self {
         let (shannon_factor, tsallis_factor) =
             entropy_factors(&db, &support, &weights, cfg.total_price);
-        let cache = PricingCache::new(if cfg.engine.cache.enabled {
-            cfg.engine.cache.capacity
-        } else {
-            0
-        });
         Qirana {
             db,
             cfg,
@@ -414,7 +393,7 @@ impl Qirana {
             shannon_factor,
             tsallis_factor,
             degraded,
-            cache: Mutex::new(cache),
+            cache: Mutex::new(PricingCache::new(LRU_CAPACITY)),
             ledger: None,
         }
     }
@@ -529,6 +508,16 @@ impl Qirana {
         }
         self.buyers.clear();
         for b in &snap.buyers {
+            // An account charged under another support size would fail its
+            // next buy as `BitmapLength`; refuse the snapshot instead.
+            if !b.charged.is_empty() && b.charged.len() != self.support.len() {
+                return Err(mismatch(format!(
+                    "buyer {}: charged bitmap has {} bits, support set has {}",
+                    b.name,
+                    b.charged.len(),
+                    self.support.len()
+                )));
+            }
             let mut history = Vec::with_capacity(b.history.len());
             for sql in &b.history {
                 let prepared = prepare_query(&self.db, sql).map_err(|e| {
@@ -650,22 +639,12 @@ impl Qirana {
     /// happened; only the bounded handoff memo differs (a missed sweep is
     /// left there for a following buy, see [`crate::cache`]).
     pub fn quote(&self, sql: &str) -> Result<f64, BrokerError> {
-        Ok(self.quote_ex(sql)?.price)
-    }
-
-    /// [`Qirana::quote`], with the degradation flag attached.
-    pub fn quote_ex(&self, sql: &str) -> Result<Quote, BrokerError> {
-        self.quote_bundle_ex(&[sql])
+        self.quote_bundle(&[sql])
     }
 
     /// History-oblivious price of a query bundle `Q = (Q₁, …, Qₙ)`.
     /// `&self`, like [`Qirana::quote`].
     pub fn quote_bundle(&self, sqls: &[&str]) -> Result<f64, BrokerError> {
-        Ok(self.quote_bundle_ex(sqls)?.price)
-    }
-
-    /// [`Qirana::quote_bundle`], with the degradation flag attached.
-    pub fn quote_bundle_ex(&self, sqls: &[&str]) -> Result<Quote, BrokerError> {
         let prepared: Vec<Prepared> = {
             let span = self.cfg.engine.telemetry.span(Stage::Prepare);
             span.count("queries", sqls.len() as u64);
@@ -676,10 +655,7 @@ impl Qirana {
         let bundle: Vec<&Prepared> = prepared.iter().collect();
         let price = self.price_bundle_readonly(&bundle)?;
         self.publish_gauges();
-        Ok(Quote {
-            price,
-            degraded: self.degraded,
-        })
+        Ok(price)
     }
 
     fn entropy_factor(&self) -> f64 {
@@ -727,25 +703,25 @@ impl Qirana {
         } else {
             Kind::Bits
         };
-        if self.cfg.engine.cache.enabled {
-            let lookup = self
-                .cfg
-                .engine
-                .telemetry
-                .span_with(Stage::CacheLookup, String::new());
-            let mut cache = self.cache_guard();
-            if let Some(hit) = cache.peek(q.plan_fp, kind) {
-                lookup.count("hit", 1);
-                return Ok((hit, None));
-            }
-            if reader == Reader::Buy {
-                if let Some((artifact, answer)) = cache.take_handoff(q.plan_fp, kind) {
-                    lookup.count("handoff", 1);
-                    return Ok((artifact, Some(answer)));
-                }
-            }
-            lookup.count("miss", 1);
+        let lookup = self
+            .cfg
+            .engine
+            .telemetry
+            .span_with(Stage::CacheLookup, String::new());
+        let mut cache = self.cache_guard();
+        if let Some(hit) = cache.peek(q.plan_fp, kind) {
+            lookup.count("hit", 1);
+            return Ok((hit, None));
         }
+        if reader == Reader::Buy {
+            if let Some((artifact, answer)) = cache.take_handoff(q.plan_fp, kind) {
+                lookup.count("handoff", 1);
+                return Ok((artifact, Some(answer)));
+            }
+        }
+        lookup.count("miss", 1);
+        // The sweep runs outside the lock and the lookup span.
+        drop((cache, lookup));
         let swept = sweep(&self.db, q, &self.support, kind, &self.cfg.engine)?;
         let artifact = match kind {
             Kind::Bits => Artifact::Bits(Arc::new(swept.bits())),
@@ -821,12 +797,12 @@ impl Qirana {
     /// History-aware purchase: prices the query against the buyer's
     /// account, charges only for new information, and returns the answer.
     ///
-    /// With the pricing cache enabled (the default), only the one new query
-    /// is evaluated against the support set — O(S), and not at all when a
-    /// quote of it just left its sweep in the handoff — while every history
-    /// entry's disagreement bitmap or partition blocks come from the shared
-    /// memo; with it disabled the whole accumulated bundle is re-evaluated
-    /// (O(H·S)). The two paths produce bitwise-identical prices.
+    /// Only the one new query is evaluated against the support set — O(S),
+    /// and not at all when a quote of it just left its sweep in the
+    /// handoff — while every history entry's disagreement bitmap or
+    /// partition blocks come from the shared memo ([`crate::cache`]).
+    /// Prices are bitwise those of re-evaluating the whole accumulated
+    /// bundle (O(H·S)), which the differential suite checks.
     ///
     /// [`Qirana::stage_buy`] followed by [`Qirana::commit_staged`]; a
     /// service runs the first under its read lock.
@@ -925,14 +901,12 @@ impl Qirana {
             .collect::<Result<Vec<_>, _>>()?;
         members.push(artifact);
         let commit = self.cfg.engine.telemetry.span(Stage::BrokerCommit);
-        if self.cfg.engine.cache.enabled {
-            // The commit step, in bundle order: the counters, ticks and
-            // evictions a get-then-insert per member always produced.
-            let cache = self.cache.get_mut().unwrap_or_else(PoisonError::into_inner);
-            let plans = history.iter().chain([&prepared]);
-            for (q, member) in plans.zip(&mut members) {
-                *member = cache.touch_or_insert(q.plan_fp, member.clone());
-            }
+        // The commit step, in bundle order: the counters, ticks and
+        // evictions a get-then-insert per member always produced.
+        let cache = self.cache.get_mut().unwrap_or_else(PoisonError::into_inner);
+        let plans = history.iter().chain([&prepared]);
+        for (q, member) in plans.zip(&mut members) {
+            *member = cache.touch_or_insert(q.plan_fp, member.clone());
         }
         let old_paid = self.buyers.get(buyer).map(|b| b.paid).unwrap_or(0.0);
         let (price, total_after, update) = if entropy {
@@ -1019,11 +993,6 @@ impl Qirana {
             total_paid: total_after,
             output,
             degraded: self.degraded,
-            cache: self
-                .cache
-                .get_mut()
-                .unwrap_or_else(PoisonError::into_inner)
-                .stats(),
         };
         if log {
             self.maybe_snapshot()?;
@@ -1284,7 +1253,7 @@ fn world_fingerprint(db: &Database) -> qirana_sqlengine::Fingerprint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{CacheConfig, HANDOFF_CAPACITY};
+    use crate::cache::HANDOFF_CAPACITY;
     use qirana_sqlengine::{ColumnDef, DataType, TableSchema};
 
     fn twitter_db() -> Database {
@@ -1509,13 +1478,15 @@ mod tests {
     fn repeat_buys_hit_the_cache() {
         let mut q = broker();
         let sql = "SELECT gender, count(*) FROM User GROUP BY gender";
-        let first = q.buy("alice", sql).unwrap();
-        assert_eq!(first.cache.hits, 0);
-        assert!(first.cache.misses >= 1, "cold buy must miss");
-        let second = q.buy("alice", sql).unwrap();
-        assert!(second.cache.hits > first.cache.hits, "repeat must hit");
+        q.buy("alice", sql).unwrap();
+        let first = q.cache_stats();
+        assert_eq!(first.hits, 0);
+        assert!(first.misses >= 1, "cold buy must miss");
+        q.buy("alice", sql).unwrap();
+        let second = q.cache_stats();
+        assert!(second.hits > first.hits, "repeat must hit");
         assert_eq!(
-            second.cache.misses, first.cache.misses,
+            second.misses, first.misses,
             "repeat does no new engine work"
         );
     }
@@ -1527,60 +1498,13 @@ mod tests {
         q.buy("alice", sql).unwrap();
         let before = q.cache_stats();
         let bob = q.buy("bob", sql).unwrap();
-        assert_eq!(
-            bob.cache.misses, before.misses,
-            "bob reuses alice's artifact"
-        );
-        assert_eq!(bob.cache.hits, before.hits + 1);
+        let after = q.cache_stats();
+        assert_eq!(after.misses, before.misses, "bob reuses alice's artifact");
+        assert_eq!(after.hits, before.hits + 1);
         assert!(
             bob.price > 0.0,
             "shared artifact, separate account: bob still pays"
         );
-    }
-
-    #[test]
-    fn cached_and_uncached_sessions_price_identically() {
-        for function in [
-            PricingFunction::WeightedCoverage,
-            PricingFunction::UniformEntropyGain,
-            PricingFunction::ShannonEntropy,
-            PricingFunction::QEntropy,
-        ] {
-            let cfg = |enabled: bool| QiranaConfig {
-                function,
-                support: SupportConfig {
-                    size: 300,
-                    ..Default::default()
-                },
-                engine: if enabled {
-                    EngineOptions::default()
-                } else {
-                    EngineOptions::default().with_cache(crate::cache::CacheConfig::disabled())
-                },
-                ..Default::default()
-            };
-            let mut on = Qirana::new(twitter_db(), cfg(true)).unwrap();
-            let mut off = Qirana::new(twitter_db(), cfg(false)).unwrap();
-            let session = [
-                "SELECT count(*) FROM User WHERE gender = 'f'",
-                "SELECT gender, count(*) FROM User GROUP BY gender",
-                "SELECT count(*) FROM User WHERE gender = 'f'",
-                "SELECT AVG(age) FROM User",
-                "SELECT * FROM Tweet",
-            ];
-            for sql in session {
-                let a = on.buy("dana", sql).unwrap();
-                let b = off.buy("dana", sql).unwrap();
-                assert_eq!(
-                    a.price.to_bits(),
-                    b.price.to_bits(),
-                    "{function:?}: {sql} priced differently with cache on"
-                );
-                assert_eq!(a.total_paid.to_bits(), b.total_paid.to_bits());
-            }
-            assert!(on.cache_stats().hits > 0, "{function:?}: session must hit");
-            assert_eq!(off.cache_stats(), crate::cache::CacheStats::default());
-        }
     }
 
     /// Regression for the mutable-quote bug: quoting used to demand
@@ -1632,7 +1556,7 @@ mod tests {
         }
     }
 
-    fn broker_with(function: PricingFunction, cache: CacheConfig) -> Qirana {
+    fn broker_with(function: PricingFunction) -> Qirana {
         Qirana::new(
             twitter_db(),
             QiranaConfig {
@@ -1641,7 +1565,6 @@ mod tests {
                     size: 200,
                     ..Default::default()
                 },
-                engine: EngineOptions::default().with_cache(cache),
                 ..Default::default()
             },
         )
@@ -1659,7 +1582,7 @@ mod tests {
             PricingFunction::ShannonEntropy,
         ] {
             let make = || {
-                let mut b = broker_with(function, CacheConfig::default());
+                let mut b = broker_with(function);
                 b.buy("alice", "SELECT * FROM User WHERE age > 20").unwrap();
                 b
             };
@@ -1699,8 +1622,8 @@ mod tests {
             PricingFunction::WeightedCoverage,
             PricingFunction::ShannonEntropy,
         ] {
-            let mut split = broker_with(function, CacheConfig::default());
-            let mut fresh = broker_with(function, CacheConfig::default());
+            let mut split = broker_with(function);
+            let mut fresh = broker_with(function);
             split.quote(sql).unwrap(); // a handoff the commit must discard
             let staged = split.stage_buy(sql).unwrap();
             split.commit_update(update).unwrap();
@@ -1736,17 +1659,6 @@ mod tests {
             0,
             "a generation bump empties it"
         );
-    }
-
-    #[test]
-    fn a_disabled_cache_hands_nothing_off() {
-        let sql = "SELECT name FROM User WHERE gender = 'f'";
-        let mut q = broker_with(PricingFunction::WeightedCoverage, CacheConfig::disabled());
-        q.quote(sql).unwrap();
-        assert_eq!(q.cache_guard().handoff_len(), 0);
-        q.buy("dana", sql).unwrap();
-        assert_eq!(q.cache_guard().handoffs_taken(), 0);
-        assert_eq!(q.cache_stats(), CacheStats::default());
     }
 
     /// The concurrent-session design rests on `&self` quotes being safe to

@@ -56,55 +56,15 @@
 //! recorded generation no longer matches. (The bump also purges eagerly,
 //! so stale artifacts do not occupy capacity.)
 //!
-//! **Bounding.** The cache holds at most [`CacheConfig::capacity`]
+//! **Bounding.** The broker's cache holds at most [`LRU_CAPACITY`]
 //! artifacts; inserting beyond that evicts the least-recently-used entry.
 //! Recency is a monotone touch tick, so eviction order is deterministic.
 //! Hit/miss/eviction/invalidation counters are exposed via [`CacheStats`]
-//! and surfaced on every [`crate::Purchase`].
+//! ([`crate::Qirana::cache_stats`]).
 
 use qirana_sqlengine::{Fingerprint, QueryOutput};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-
-/// Pricing-cache knobs, threaded through [`crate::EngineOptions`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheConfig {
-    /// Master switch. Off, the broker prices exactly as the pre-cache
-    /// engine did (the differential suite holds the two paths bitwise
-    /// equal, so this is a performance switch, not a semantic one).
-    pub enabled: bool,
-    /// Maximum number of memoized artifacts (LRU-evicted beyond this).
-    /// Each artifact is O(S): one bit — or one 128-bit fingerprint — per
-    /// support instance. A capacity of 0 disables storage entirely.
-    pub capacity: usize,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig {
-            enabled: true,
-            capacity: 1024,
-        }
-    }
-}
-
-impl CacheConfig {
-    /// Caching off (the pre-cache engine behavior).
-    pub fn disabled() -> Self {
-        CacheConfig {
-            enabled: false,
-            capacity: 0,
-        }
-    }
-
-    /// Caching on with an explicit LRU capacity.
-    pub fn with_capacity(capacity: usize) -> Self {
-        CacheConfig {
-            enabled: true,
-            capacity,
-        }
-    }
-}
 
 /// Cumulative cache counters (monotone over a broker's lifetime).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -118,6 +78,10 @@ pub struct CacheStats {
     /// Entries dropped because the database generation advanced.
     pub invalidations: u64,
 }
+
+/// Artifacts the broker's LRU holds (evicting beyond this). Each artifact
+/// is O(S): one bit — or one 128-bit fingerprint — per support instance.
+pub const LRU_CAPACITY: usize = 1024;
 
 /// Artifacts the quote path leaves for a following buy. Fixed: the
 /// handoff only has to bridge one quote-to-buy gap per concurrent buyer.
@@ -264,11 +228,10 @@ impl PricingCache {
 
     /// Leaves a quote's freshly swept artifact, and the answer its sweep
     /// computed, for a following buy. A key already waiting is
-    /// kept; beyond [`HANDOFF_CAPACITY`] the oldest entry goes. Stores
-    /// nothing when the cache has no capacity (disabled).
+    /// kept; beyond [`HANDOFF_CAPACITY`] the oldest entry goes.
     pub fn hand_off(&mut self, plan_fp: Fingerprint, (artifact, answer): Handed) {
         let key = (plan_fp.0, artifact.kind());
-        if self.capacity == 0 || self.handoff.iter().any(|(k, _)| *k == key) {
+        if self.handoff.iter().any(|(k, _)| *k == key) {
             return;
         }
         if self.handoff.len() == HANDOFF_CAPACITY {
@@ -342,9 +305,6 @@ impl PricingCache {
     }
 
     fn insert(&mut self, key: (u128, Kind), artifact: Artifact) {
-        if self.capacity == 0 {
-            return;
-        }
         self.tick += 1;
         self.entries.insert(
             key,
@@ -462,18 +422,6 @@ mod tests {
         c.hand_off(fp(3), (bits(&[true]), answer(3)));
         c.restore_generation(7);
         assert_eq!(c.handoff_len(), 0, "a restore empties the handoff too");
-    }
-
-    #[test]
-    fn zero_capacity_never_stores() {
-        let mut c = PricingCache::new(0);
-        c.touch_or_insert(fp(1), bits(&[true]));
-        c.hand_off(fp(2), (bits(&[true]), answer(2)));
-        assert!(c.is_empty());
-        assert_eq!(c.handoff_len(), 0);
-        assert!(c.peek(fp(1), Kind::Bits).is_none());
-        assert!(c.take_handoff(fp(2), Kind::Bits).is_none());
-        assert_eq!(c.stats().evictions, 0);
     }
 
     #[test]

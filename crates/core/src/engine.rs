@@ -25,7 +25,7 @@
 //! ([`bundle_disagreements`]), respectively the per-instance
 //! [`combine_bundle`] fold ([`fold_partition`]).
 
-use crate::cache::{CacheConfig, Kind};
+use crate::cache::Kind;
 use crate::delta;
 use crate::fault;
 use crate::naive;
@@ -60,7 +60,7 @@ pub enum Strategy {
 }
 
 /// Engine configuration: the evaluation strategy plus the execution
-/// budget, cache and telemetry every pricing query runs under.
+/// budget and telemetry every pricing query runs under.
 ///
 /// Carries the [`Telemetry`] handle, so the struct is `Clone` (an `Arc`
 /// bump) but not `Copy`; engine entry points take it by reference.
@@ -74,13 +74,6 @@ pub struct EngineOptions {
     /// Trips surface as [`EngineError::BudgetExceeded`]. Unlimited by
     /// default.
     pub budget: ExecBudget,
-    /// Incremental history-aware pricing: memoize per-query disagreement
-    /// bitmaps and partition blocks in the broker's
-    /// [`PricingCache`](crate::PricingCache), so a
-    /// purchase evaluates only the new query (O(S)) instead of the whole
-    /// accumulated bundle (O(H·S)). Prices are bitwise identical with the
-    /// cache on or off; see [`crate::cache`].
-    pub cache: CacheConfig,
     /// Observability hooks (spans + metrics). Disabled by default; the
     /// disabled path is a single branch on a null sink, and prices are
     /// bitwise identical with telemetry on or off (see
@@ -93,7 +86,6 @@ impl Default for EngineOptions {
         EngineOptions {
             strategy: Strategy::Auto,
             budget: ExecBudget::UNLIMITED,
-            cache: CacheConfig::default(),
             telemetry: Telemetry::disabled(),
         }
     }
@@ -111,12 +103,6 @@ impl EngineOptions {
     /// Replaces the execution budget.
     pub fn with_budget(mut self, budget: ExecBudget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Replaces the pricing-cache configuration.
-    pub fn with_cache(mut self, cache: CacheConfig) -> Self {
-        self.cache = cache;
         self
     }
 
@@ -232,7 +218,7 @@ pub fn visibility(db: &Database, q: &Prepared, support: &SupportSet) -> Vec<bool
 /// records the sweep's deterministic work measures (identical on every
 /// path): the span counts the `n` support instances going in, the
 /// `neighbors_evaluated_total` counter adds them — once per sweep, so once
-/// per member query of a bundle, cached or not.
+/// per member query of a bundle.
 fn sweep_span(tel: &Telemetry, family: &str, path: &str, n: usize) -> SpanGuard {
     if !tel.is_enabled() {
         return tel.span(Stage::Disagreement);

@@ -90,9 +90,9 @@ pub mod update;
 pub mod weights;
 
 pub use broker::{
-    BrokerError, Purchase, Qirana, QiranaConfig, Quote, RetryPolicy, StagedBuy, SupportType,
+    BrokerError, Purchase, Qirana, QiranaConfig, RetryPolicy, StagedBuy, SupportType,
 };
-pub use cache::{CacheConfig, CacheStats, PricingCache};
+pub use cache::{CacheStats, PricingCache};
 pub use delta::DeltaState;
 pub use engine::{bundle_disagreements, bundle_partition, EngineOptions, Strategy};
 pub use ledger::{Ledger, LedgerConfig, LedgerError, LedgerEvent, SnapshotState};

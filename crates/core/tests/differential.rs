@@ -1,23 +1,27 @@
-//! Differential tests of the engine's evaluation strategies.
+//! Differential tests of the engine's evaluation strategies and of the
+//! broker's pricing memo.
 //!
-//! The engine has several ways to compute the same semantics: per-instance
-//! re-execution, instance reduction and the incremental delta evaluator —
-//! each cached or not. There is one reference — uncached
-//! [`Strategy::Naive`] — and one matrix: every [`Strategy`] × {cache on,
-//! off} × {weighted coverage, Shannon entropy}. On randomized databases,
-//! support sets, seller updates and SPJ/aggregate queries, every cell must
-//! produce *identical* disagreement bits and partition fingerprints — and
-//! therefore bitwise-identical prices. The reference in turn is held to an
+//! The engine has two ways to compute the same semantics: per-instance
+//! re-execution ([`Strategy::Naive`], the reference) and the incremental
+//! delta evaluator. On randomized databases, support sets, seller updates
+//! and SPJ/aggregate queries, every [`Strategy`] must produce *identical*
+//! disagreement bits and partition fingerprints — and therefore
+//! bitwise-identical prices. The reference in turn is held to an
 //! unfiltered apply/execute/undo oracle that shares no code with it: sweeps
 //! read each neighbor through a row patch, the oracle writes it.
+//!
+//! The broker's memo (`qirana_core::cache`) is held to a reference that
+//! reads no memo by construction: at every step of a purchase session,
+//! under every strategy and all four pricing functions, a broker charges
+//! what sweeping the buyer's whole bundle afresh charges.
 
 use proptest::prelude::*;
 use qirana_core::engine::{bag_fp, query_bits, query_fps};
 use qirana_core::{
     bundle_disagreements, bundle_partition, generate_support, prepare_query,
-    pricing::{shannon_entropy, weighted_coverage},
-    uniform_weights, CacheConfig, EngineOptions, PricingFunction, Qirana, QiranaConfig, Strategy,
-    SupportConfig, SupportSet, SupportUpdate, Telemetry, TestClock,
+    pricing::{coverage_price, shannon_entropy, weighted_coverage},
+    uniform_weights, EngineOptions, PricingFunction, Qirana, QiranaConfig, Strategy, SupportConfig,
+    SupportSet, SupportUpdate, Telemetry, TestClock,
 };
 use qirana_sqlengine::update::{apply_writes, CellWrite};
 use qirana_sqlengine::{
@@ -100,13 +104,19 @@ const FUNCTIONS: [PricingFunction; 2] = [
     PricingFunction::ShannonEntropy,
 ];
 
-/// One cell of the matrix. `(Naive, disabled)` is the reference.
-fn engine(strategy: Strategy, cache: CacheConfig) -> EngineOptions {
+const ALL_FUNCTIONS: [PricingFunction; 4] = [
+    PricingFunction::WeightedCoverage,
+    PricingFunction::UniformEntropyGain,
+    PricingFunction::ShannonEntropy,
+    PricingFunction::QEntropy,
+];
+
+/// The engine under `strategy`; `Naive` is the reference.
+fn engine(strategy: Strategy) -> EngineOptions {
     EngineOptions {
         strategy,
         ..Default::default()
     }
-    .with_cache(cache)
 }
 
 fn support_config(seed: u64) -> SupportConfig {
@@ -228,7 +238,7 @@ proptest! {
         let ref_fps = bundle_partition(&db, &[&q], &support, &reference).unwrap();
         let weights = uniform_weights(support.len(), 100.0);
         for strategy in STRATEGIES {
-            let opts = engine(strategy, CacheConfig::disabled());
+            let opts = engine(strategy);
             let bits = bundle_disagreements(&db, &[&q], &support, &opts).unwrap();
             prop_assert_eq!(&bits, &ref_bits, "bits diverge for {} under {:?}", sql, opts);
             prop_assert_eq!(
@@ -246,14 +256,20 @@ proptest! {
         }
     }
 
-    /// The whole matrix, through the broker: after a seller update, over a
-    /// random purchase session (repeats included), every strategy × cache
-    /// setting charges what the reference charges, bit for bit, at every
-    /// step, for both pricing families. Cached brokers must actually
-    /// exercise the memo (hits > 0 whenever the session repeats a query),
-    /// uncached ones never.
+    /// The memo, through the broker: after a seller update, over a random
+    /// purchase session (repeats included), a broker under every strategy
+    /// charges what a memo-free reference charges, bit for bit, at every
+    /// step, for all four pricing functions. The reference reads no memo by
+    /// construction. Entropy family: a broker that never buys, so its LRU
+    /// stays empty and it never reads the handoff; its quote of the buyer's
+    /// bundle (history ++ [q]) sweeps every member. Coverage family: the
+    /// query's `bundle_disagreements` under `EngineOptions::naive()`,
+    /// masked with the bits the buyer was charged and priced by
+    /// `coverage_price` over the broker's weights. The brokers must
+    /// actually exercise the memo (hits > 0 whenever the session repeats a
+    /// query).
     #[test]
-    fn sessions_are_bitwise_identical_across_the_matrix(
+    fn sessions_match_the_memo_free_reference(
         t_rows in prop::collection::vec((0u8..3, -40i16..40), 8..16),
         u_rows in prop::collection::vec((any::<u8>(), -40i16..40), 4..10),
         c in -40i16..40,
@@ -263,17 +279,19 @@ proptest! {
     ) {
         let pool = query_pool(c);
         let db = build_db(&t_rows, &u_rows);
-        let writes = seller_writes(&db, &generate_support(&db, &support_config(seed)), &picks);
+        let updates = generate_support(&db, &support_config(seed));
+        let writes = seller_writes(&db, &updates, &picks);
+        let support = SupportSet::Neighborhood(updates);
         let repeats = session.len()
             != session.iter().collect::<std::collections::HashSet<_>>().len();
-        for function in FUNCTIONS {
-            let broker = |opts: EngineOptions| {
+        for function in ALL_FUNCTIONS {
+            let broker = |strategy: Strategy| {
                 let mut b = Qirana::new(
                     db.clone(),
                     QiranaConfig {
                         function,
                         support: support_config(seed),
-                        engine: opts,
+                        engine: engine(strategy),
                         ..Default::default()
                     },
                 )
@@ -281,32 +299,50 @@ proptest! {
                 b.commit_writes(&writes).unwrap();
                 b
             };
-            let mut reference = broker(engine(Strategy::Naive, CacheConfig::disabled()));
-            let mut cells = Vec::new();
-            for strategy in STRATEGIES {
-                for cache in [CacheConfig::default(), CacheConfig::disabled()] {
-                    cells.push(broker(engine(strategy, cache)));
-                }
-            }
+            let reference = broker(Strategy::Naive);
+            let mut cells: Vec<Qirana> = STRATEGIES.into_iter().map(broker).collect();
+            let (mut history, mut charged) = (Vec::new(), vec![false; support.len()]);
+            let mut paid = 0.0;
             for &idx in &session {
-                let sql = &pool[idx];
-                let want = reference.buy("p", sql).unwrap();
+                let sql = pool[idx].as_str();
+                // The entropy family anchors the account at the priced
+                // bundle; the coverage family adds each charge.
+                let (delta, anchor) = if function.needs_partition() {
+                    history.push(sql);
+                    let total = reference.quote_bundle(&history).unwrap();
+                    (total - paid, Some(total))
+                } else {
+                    let live = reference.db();
+                    let q = prepare_query(live, sql).unwrap();
+                    let full = bundle_disagreements(live, &[&q], &support, &EngineOptions::naive())
+                        .unwrap();
+                    let bits: Vec<bool> =
+                        full.iter().zip(&charged).map(|(&b, &c)| b && !c).collect();
+                    for (c, b) in charged.iter_mut().zip(&bits) {
+                        *c |= b;
+                    }
+                    let price = coverage_price(function, 100.0, reference.weights(), &bits);
+                    (price.unwrap(), None)
+                };
+                let price = if delta <= 0.0 { 0.0 } else { delta };
+                paid = match anchor {
+                    Some(total) if price > 0.0 => total,
+                    _ => paid + price,
+                };
                 for (k, cell) in cells.iter_mut().enumerate() {
                     let got = cell.buy("p", sql).unwrap();
                     prop_assert_eq!(
                         got.price.to_bits(),
-                        want.price.to_bits(),
-                        "cell {} diverges on {} ({:?})", k, sql, function
+                        price.to_bits(),
+                        "{:?} diverges on {} ({:?})", STRATEGIES[k], sql, function
                     );
-                    prop_assert_eq!(got.total_paid.to_bits(), want.total_paid.to_bits());
+                    prop_assert_eq!(got.total_paid.to_bits(), paid.to_bits());
                 }
             }
-            for (k, cell) in cells.iter().enumerate() {
-                let hits = cell.cache_stats().hits;
-                if k % 2 == 1 {
-                    prop_assert_eq!(hits, 0, "disabled cache never hits");
-                } else if repeats {
-                    prop_assert!(hits > 0, "repeat session must hit");
+            prop_assert_eq!(reference.cache_len(), 0, "the reference memoised nothing");
+            if repeats {
+                for cell in &cells {
+                    prop_assert!(cell.cache_stats().hits > 0, "repeat session must hit");
                 }
             }
         }
@@ -370,12 +406,12 @@ proptest! {
     /// The quote path is `&self`: N sessions quoting the same broker
     /// concurrently (shared reference, no external locking) must price
     /// bitwise-identically to quoting sequentially — for both pricing
-    /// families, with the pricing cache populated and disabled. Cached
-    /// quotes run as generation-checked peeks and misses price on pooled
-    /// scratch databases, so any shared mutable state leaking between
-    /// concurrent sessions shows up here as a flipped bit. Quotes must
-    /// also leave no trace: the memo's entry count is unchanged after
-    /// the concurrent burst.
+    /// families, with the pricing memo warmed by buys. Memoised quotes run
+    /// as generation-checked peeks and misses sweep the shared database
+    /// read-only, so any shared mutable state leaking between concurrent
+    /// sessions shows up here as a flipped bit. Quotes must also leave no
+    /// trace: the memo's entry count is unchanged after the concurrent
+    /// burst.
     #[test]
     fn concurrent_quote_sessions_match_sequential_bitwise(
         t_rows in prop::collection::vec((0u8..3, -40i16..40), 8..16),
@@ -383,28 +419,25 @@ proptest! {
         c in -40i16..40,
         seed in any::<u64>(),
         entropy in any::<bool>(),
-        cached in any::<bool>(),
     ) {
         let function = if entropy {
             PricingFunction::ShannonEntropy
         } else {
             PricingFunction::WeightedCoverage
         };
-        let cache = if cached { CacheConfig::default() } else { CacheConfig::disabled() };
         let pool = query_pool(c);
         let mut broker = Qirana::new(
             build_db(&t_rows, &u_rows),
             QiranaConfig {
                 function,
                 support: support_config(seed),
-                engine: EngineOptions::default().with_cache(cache),
                 ..Default::default()
             },
         )
         .unwrap();
         // Warm the memo through buys (quotes are peek-only and never
-        // insert), so the cached runs exercise concurrent hits as well
-        // as concurrent misses.
+        // insert), so the sessions exercise concurrent hits as well as
+        // concurrent misses.
         for sql in pool.iter().step_by(2) {
             broker.buy("warm", sql).unwrap();
         }
@@ -443,8 +476,8 @@ proptest! {
                 prop_assert_eq!(
                     bits,
                     sequential[idx],
-                    "session {} diverged from sequential on {} ({:?}, cached={})",
-                    session, pool[idx], function, cached
+                    "session {} diverged from sequential on {} ({:?})",
+                    session, pool[idx], function
                 );
             }
         }
@@ -488,7 +521,7 @@ fn pricing_detects_update_between_adjacent_large_ints() {
         changes: vec![(1, Value::Int(BIG + 1))],
     }]);
     for strategy in STRATEGIES {
-        let opts = engine(strategy, CacheConfig::disabled());
+        let opts = engine(strategy);
         let bits = bundle_disagreements(&db, &[&q], &support, &opts).unwrap();
         assert_eq!(
             bits,
@@ -536,7 +569,7 @@ fn commit_update_landing_on_a_support_value_prices_identically() {
                 QiranaConfig {
                     function,
                     support: support_config(7),
-                    engine: engine(strategy, CacheConfig::default()),
+                    engine: engine(strategy),
                     ..Default::default()
                 },
             )
@@ -602,7 +635,7 @@ fn tpch_q1_default_path_matches_naive_and_brute_force() {
     assert!(!brute_bits[51], "an in-group swap keeps every sum");
     let support = SupportSet::Neighborhood(updates);
     for strategy in [Strategy::Auto, Strategy::Naive] {
-        let opts = engine(strategy, CacheConfig::disabled());
+        let opts = engine(strategy);
         let bits = query_bits(&db, &q, &support, &opts).unwrap();
         assert_eq!(bits, brute_bits, "Q1 bits under {strategy:?}");
         let fps = query_fps(&db, &q, &support, &opts).unwrap();
@@ -682,7 +715,7 @@ fn an_in_group_float_swap_agrees_everywhere() {
 
     let support = SupportSet::Neighborhood(vec![swap]);
     for strategy in STRATEGIES {
-        let opts = engine(strategy, CacheConfig::disabled());
+        let opts = engine(strategy);
         let bits = query_bits(&db, &q, &support, &opts).unwrap();
         assert_eq!(bits, [false], "coverage under {strategy:?}");
         let fps = query_fps(&db, &q, &support, &opts).unwrap();

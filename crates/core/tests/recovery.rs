@@ -424,6 +424,32 @@ fn a_logged_write_outside_the_database_is_replay_divergence() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// A snapshot taken at one support size does not fit a config with
+/// another: recovery refuses it instead of restoring a charged bitmap the
+/// next buy could not use.
+#[test]
+fn a_snapshot_from_another_support_size_is_a_state_mismatch() {
+    let dir = market_dir("support-size");
+    let sized = |size: usize| QiranaConfig {
+        support: SupportConfig {
+            size,
+            ..Default::default()
+        },
+        ..cfg(PricingFunction::WeightedCoverage)
+    };
+    {
+        let ledger_cfg = LedgerConfig::new(&dir).with_snapshot_every(1);
+        let mut broker = Qirana::open(db(), sized(64), ledger_cfg).unwrap();
+        broker.buy("alice", POOL[0]).unwrap();
+    }
+    let err = Qirana::recover(db(), sized(32), LedgerConfig::new(&dir)).unwrap_err();
+    assert!(
+        matches!(err, BrokerError::Ledger(LedgerError::StateMismatch { .. })),
+        "expected StateMismatch, got {err}"
+    );
+    fs::remove_dir_all(&dir).ok();
+}
+
 // ---------------------------------------------------------------------------
 // Property: a durable market prices random sessions bitwise like a
 // ledger-less one and recovers to its live state; and it recovers

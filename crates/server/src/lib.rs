@@ -306,16 +306,8 @@ fn post_quote(shared: &Shared, body: &str) -> (u16, String) {
         Ok(sql) => sql,
         Err(out) => return out,
     };
-    match shared.read_broker().quote_ex(sql) {
-        Ok(q) => (
-            200,
-            render_obj(vec![
-                ("price", Json::Num(q.price)),
-                ("degraded", Json::Bool(q.degraded)),
-            ]),
-        ),
-        Err(e) => error_response(&e),
-    }
+    let broker = shared.read_broker();
+    price_response(broker.quote(sql), broker.is_degraded())
 }
 
 fn post_bundle_quote(shared: &Shared, body: &str) -> (u16, String) {
@@ -333,12 +325,18 @@ fn post_bundle_quote(shared: &Shared, body: &str) -> (u16, String) {
             None => return (400, error_body("`sqls` must contain only strings", "body")),
         }
     }
-    match shared.read_broker().quote_bundle_ex(&sqls) {
-        Ok(q) => (
+    let broker = shared.read_broker();
+    price_response(broker.quote_bundle(&sqls), broker.is_degraded())
+}
+
+/// The `{"price","degraded"}` body of both quote endpoints.
+fn price_response(price: Result<f64, BrokerError>, degraded: bool) -> (u16, String) {
+    match price {
+        Ok(price) => (
             200,
             render_obj(vec![
-                ("price", Json::Num(q.price)),
-                ("degraded", Json::Bool(q.degraded)),
+                ("price", Json::Num(price)),
+                ("degraded", Json::Bool(degraded)),
             ]),
         ),
         Err(e) => error_response(&e),

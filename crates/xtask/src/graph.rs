@@ -353,10 +353,8 @@ fn scan_mutation_sites(ctx: &FileContext, range: std::ops::Range<usize>, out: &m
         if t.kind != TokKind::Ident {
             continue;
         }
-        // Applying updates/writes to the live database.
-        if (t.is_ident("apply_update_sql") || t.is_ident("apply_writes"))
-            && code.get(i + 1).is_some_and(|n| n.is_punct("("))
-        {
+        // Applying writes to the live database.
+        if t.is_ident("apply_writes") && code.get(i + 1).is_some_and(|n| n.is_punct("(")) {
             out.push(Site {
                 tok: i,
                 line: t.line,

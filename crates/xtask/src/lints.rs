@@ -229,8 +229,8 @@ impl Lint {
                  PR 6's append-then-apply rule: on every path from a commit entry\n\
                  point (`buy`, `commit*` — in the broker module or anywhere in the\n\
                  server crate) to an account/database mutation\n\
-                 (buyers map, paid/charged fields, history, apply_update_sql/\n\
-                 apply_writes), a `ledger.append(..)` must come first — otherwise a\n\
+                 (buyers map, paid/charged fields, history, apply_writes), a\n\
+                 `ledger.append(..)` must come first — otherwise a\n\
                  crash between mutation and logging strands state the WAL cannot\n\
                  replay. The pass walks only call edges not preceded by an append in\n\
                  the caller's body and flags mutation sites with no earlier append in\n\

@@ -1,10 +1,10 @@
 //! A purchase returns the query's answer bit for bit, whichever way its
 //! pricing artifact was read: a quote's sweep taken from the handoff, the
-//! buy's own cold sweep, a memo hit, or a broker with the cache off. The
-//! answer may come from the sweep that priced the query, so each of these
-//! is held against `Qirana::answer` — columns, order flag, row order and
-//! every float's bits — over the three benchmark query families, under
-//! both pricing families.
+//! buy's own cold sweep, or a memo hit. The answer may come from the sweep
+//! that priced the query, or (after a memo hit) from executing the plan,
+//! so each of these is held against `Qirana::answer` — columns, order
+//! flag, row order and every float's bits — over the three benchmark query
+//! families, under both pricing families.
 
 // CLI/bench/demo target: aborting with a clear message on bad input or a
 // broken fixture is the intended failure mode here, unlike in the library
@@ -13,8 +13,8 @@
 
 use qirana::datagen::{queries, ssb, tpch, world};
 use qirana::{
-    BrokerError, CacheConfig, Database, EngineOptions, ExecBudget, PricingFunction, Qirana,
-    QiranaConfig, QueryOutput, SupportConfig, Value,
+    BrokerError, Database, EngineOptions, ExecBudget, PricingFunction, Qirana, QiranaConfig,
+    QueryOutput, SupportConfig, Value,
 };
 
 const S: usize = 16;
@@ -35,14 +35,6 @@ fn broker(db: Database, function: PricingFunction, engine: EngineOptions) -> Qir
         ..Default::default()
     };
     Qirana::new(db, config).unwrap()
-}
-
-fn cached() -> EngineOptions {
-    EngineOptions::default()
-}
-
-fn uncached() -> EngineOptions {
-    EngineOptions::default().with_cache(CacheConfig::disabled())
 }
 
 /// An output as its columns, order flag and rows, each value as its
@@ -95,9 +87,8 @@ fn markets() -> Vec<(&'static str, Database, Vec<String>)> {
 fn every_kind_of_buy_returns_the_answer_bit_for_bit() {
     for (market, db, sqls) in markets() {
         for function in FUNCTIONS {
-            let mut quoted = broker(db.clone(), function, cached());
-            let mut cold = broker(db.clone(), function, cached());
-            let mut off = broker(db.clone(), function, uncached());
+            let mut quoted = broker(db.clone(), function, EngineOptions::default());
+            let mut cold = broker(db.clone(), function, EngineOptions::default());
             for (i, sql) in sqls.iter().enumerate() {
                 let want = image(&quoted.answer(sql).unwrap());
                 quoted.quote(sql).unwrap();
@@ -105,7 +96,6 @@ fn every_kind_of_buy_returns_the_answer_bit_for_bit() {
                     ("quote then buy", quoted.buy(&format!("q{i}"), sql)),
                     ("memo-hit buy", quoted.buy(&format!("m{i}"), sql)),
                     ("cold buy", cold.buy(&format!("c{i}"), sql)),
-                    ("uncached buy", off.buy(&format!("u{i}"), sql)),
                 ];
                 for (how, purchase) in bought {
                     let got = image(&purchase.unwrap().output);
@@ -127,7 +117,7 @@ fn a_commit_between_quote_and_buy_answers_from_the_new_database() {
     ];
     for function in FUNCTIONS {
         for sql in sqls {
-            let mut b = broker(world::generate(7), function, cached());
+            let mut b = broker(world::generate(7), function, EngineOptions::default());
             let before = image(&b.answer(sql).unwrap());
             b.quote(sql).unwrap();
             let changed = b
@@ -153,7 +143,8 @@ fn a_budget_the_answer_trips_fails_the_buy_with_the_same_error() {
     ];
     for function in FUNCTIONS {
         for sql in sqls {
-            let engine = cached().with_budget(ExecBudget::UNLIMITED.with_max_rows(3));
+            let engine =
+                EngineOptions::default().with_budget(ExecBudget::UNLIMITED.with_max_rows(3));
             let mut b = broker(world::generate(7), function, engine);
             let Err(BrokerError::Engine(want)) = b.answer(sql) else {
                 panic!("{sql}: the answer must trip the budget");

@@ -1,11 +1,12 @@
 //! Property-based cross-check of the evaluation paths: for *every* query shape
 //! and every evaluation strategy, the disagreement bits and partition
 //! fingerprints must equal the naive engine's (Theorems 4.1 / 4.2 made
-//! executable). Uncached `Strategy::Naive` is the reference (itself held
-//! to an unfiltered apply/execute/undo oracle per query); the matrix is
-//! every `Strategy` (plus Appendix A's instance reduction for SPJ
-//! coverage) for each query, × {cache on, off} for the whole pool as one
-//! bundle, over both primitives (coverage bits, entropy fingerprints).
+//! executable). `Strategy::Naive` is the reference (itself held to an
+//! unfiltered apply/execute/undo oracle per query); the matrix is every
+//! `Strategy` (plus Appendix A's instance reduction for SPJ coverage) for
+//! each query, × {direct engine call, through a `PricingCache`} for the
+//! whole pool as one bundle, over both primitives (coverage bits, entropy
+//! fingerprints).
 //!
 //! Random databases, random support sets, a seller update landing on the
 //! support set's own values (so write-back neighbors occur), and a query
@@ -255,7 +256,7 @@ fn brute_force(
 }
 
 /// `q`'s full artifact of `kind` the way the broker reaches it: the memo's
-/// entry, or an uncached sweep, then the buy's commit step.
+/// entry, or a fresh sweep, then the buy's commit step.
 fn memoized(
     cache: &mut PricingCache,
     db: &Database,
@@ -308,7 +309,7 @@ fn check_all_configs(db: &mut Database, support: &SupportSet, queries: &[&str]) 
             assert_eq!(got, fps, "fps mismatch for {:?} under {opts:?}", q.sql);
         }
     }
-    // Whole pool as one bundle, too — uncached and through a
+    // Whole pool as one bundle, too — by direct engine calls and through a
     // `PricingCache` (members' full artifacts, cold then warm, OR'd and
     // folded as the broker does).
     let bundle: Vec<&Prepared> = prepared.iter().collect();

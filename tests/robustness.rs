@@ -251,13 +251,12 @@ fn solver_timeout_degrades_to_uniform_weights() {
         "every solve attempt hits the zero deadline, so the broker must \
          fall back to uniform weights"
     );
-    // Quotes carry the flag and stay arbitrage-free: Q_all still prices at P.
+    // Quotes stay arbitrage-free: Q_all still prices at P.
     let q = broker
-        .quote_bundle_ex(&["SELECT * FROM User", "SELECT * FROM Tweet"])
+        .quote_bundle(&["SELECT * FROM User", "SELECT * FROM Tweet"])
         .unwrap();
-    assert!(q.degraded);
-    assert!((q.price - 100.0).abs() < 1e-9, "Q_all = P even degraded");
-    // Purchases carry it too.
+    assert!((q - 100.0).abs() < 1e-9, "Q_all = P even degraded");
+    // Purchases carry the flag.
     let p = broker
         .buy("bob", "SELECT count(*) FROM User WHERE gender = 'f'")
         .unwrap();
@@ -302,9 +301,8 @@ fn infeasible_price_points_degrade_with_flag() {
     };
     let broker = Qirana::new(twitter_db(), cfg).unwrap();
     assert!(broker.is_degraded());
-    let q = broker.quote_ex("SELECT * FROM User").unwrap();
-    assert!(q.degraded);
-    assert!(q.price > 0.0 && q.price <= 100.0 + 1e-9);
+    let q = broker.quote("SELECT * FROM User").unwrap();
+    assert!(q > 0.0 && q <= 100.0 + 1e-9);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,12 +7,17 @@
 //! (`coverage_fallbacks_total`, respectively `delta_fallbacks_total` under
 //! `--function shannon`).
 //!
-//! `cargo run -p qirana-bench --bin fig5 --release -- <ssb|tpch|world> [--function coverage|shannon] [--sf F] [--support N]`
+//! `cargo run -p qirana-bench --bin fig5 --release -- <ssb|tpch|world> [--function coverage|shannon] [--sf F] [--support N] [--profile]`
 //!
 //! The timed primitive is the coverage bitmap, or with `--function
 //! shannon` the entropy primitive's per-instance output fingerprints. The
 //! `world` arm prices the join queries of `WORLD_QUERIES` (`--sf` does not
 //! apply) — the SPJ joins the SSB/TPC-H flights lack.
+//!
+//! `--profile` prints, after each query's row, the "with batching" sweep's
+//! spans as collapsed stacks (`frame;frame self-ns`): one
+//! `delta_batch:<table>:<members>` frame per batched probe, and the rows
+//! the probes produced (`delta_probe_rows_total`).
 //!
 //! The paper runs SF = 1 with S = 100 000; defaults here are scaled down
 //! (see EXPERIMENTS.md) — the *ratios* between the three columns are the
@@ -43,6 +48,7 @@ fn main() {
     let sf: f64 = args.get("sf", 0.01);
     let support: usize = args.get("support", 2000);
     let function: String = args.get("function", "coverage".to_string());
+    let profile = args.switch("profile");
     let shannon = match function.as_str() {
         "coverage" => false,
         "shannon" => true,
@@ -79,18 +85,18 @@ fn main() {
         other => usage_error(&format!("unknown dataset {other}; use ssb, tpch or world")),
     };
     // One sweep of the timed primitive: the coverage bitmap, or the
-    // per-instance fingerprints an entropy price is a function of. The
-    // sweeps report to an enabled sink, which the fallbacks column reads.
-    let tel = Telemetry::enabled();
+    // per-instance fingerprints an entropy price is a function of. Each
+    // sweep reports to its own enabled sink, which the fallbacks column
+    // and `--profile` read.
     let sweep = |db: &Database, q: &Prepared, support: &SupportSet, opts: EngineOptions| {
+        let tel = Telemetry::enabled();
         let opts = opts.with_telemetry(tel.clone());
         if shannon {
-            bundle_partition(db, &[q], support, &opts).unwrap().len()
+            bundle_partition(db, &[q], support, &opts).unwrap();
         } else {
-            bundle_disagreements(db, &[q], support, &opts)
-                .unwrap()
-                .len()
+            bundle_disagreements(db, &[q], support, &opts).unwrap();
         }
+        tel
     };
 
     let fallbacks_counter = if shannon {
@@ -98,7 +104,6 @@ fn main() {
     } else {
         "coverage_fallbacks_total"
     };
-    let fallbacks = || tel.sink().map_or(0, |sink| sink.counter(fallbacks_counter));
 
     println!("== Figure 5 ({which}, {function}, sf={sf}, S={support}): pricing time in seconds ==");
     let support_set = SupportSet::Neighborhood(generate_support(
@@ -125,9 +130,16 @@ fn main() {
         };
         let (_, t_exec) = time(|| execute(&q.plan, &ExecContext::new(&db)).unwrap());
         let (_, t_naive) = time(|| sweep(&db, &q, &support_set, EngineOptions::naive()));
-        let fell_back = fallbacks();
-        let (_, t_batch) = time(|| sweep(&db, &q, &support_set, EngineOptions::default()));
-        let fell_back = fallbacks() - fell_back;
+        let (tel, t_batch) = time(|| sweep(&db, &q, &support_set, EngineOptions::default()));
+        let sink = tel.sink().expect("an enabled sink");
+        let fell_back = sink.counter(fallbacks_counter);
         println!("{name:<6} {t_naive:>14.4} {t_batch:>14.4} {t_exec:>14.4} {fell_back:>10}");
+        if profile {
+            let rows = sink.counter("delta_probe_rows_total");
+            println!("  -- {name} sweep profile; probe rows {rows}");
+            for line in sink.collapsed_stacks().lines() {
+                println!("  {line}");
+            }
+        }
     }
 }

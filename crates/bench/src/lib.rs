@@ -29,7 +29,8 @@ pub mod json;
 use qirana_core::{PricingFunction, Qirana, QiranaConfig, SupportConfig, SupportType};
 use qirana_sqlengine::Database;
 
-/// Minimal flag parser: positional args plus `--name value` pairs.
+/// Minimal flag parser: positional args plus `--name value` pairs. A flag
+/// followed by another flag, or last, is a switch: its value is empty.
 pub struct Args {
     pub positional: Vec<String>,
     flags: Vec<(String, String)>,
@@ -43,18 +44,27 @@ impl Args {
 
     /// Parses `std::env::args`.
     pub fn parse() -> Args {
+        Args::from_args(std::env::args().skip(1))
+    }
+
+    fn from_args(args: impl Iterator<Item = String>) -> Args {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
-        let mut it = std::env::args().skip(1).peekable();
+        let mut it = args.peekable();
         while let Some(a) = it.next() {
             if let Some(name) = a.strip_prefix("--") {
-                let value = it.next().unwrap_or_default();
+                let value = it.next_if(|v| !v.starts_with("--")).unwrap_or_default();
                 flags.push((name.to_string(), value));
             } else {
                 positional.push(a);
             }
         }
         Args { positional, flags }
+    }
+
+    /// True iff `--name` was given, with or without a value.
+    pub fn switch(&self, name: &str) -> bool {
+        self.flags.iter().any(|(n, _)| n == name)
     }
 
     /// Typed flag lookup with a default. A value that does not parse as
@@ -167,6 +177,16 @@ mod tests {
     #[test]
     fn combos_cover_all_eight() {
         assert_eq!(combos().len(), 8);
+    }
+
+    #[test]
+    fn a_switch_takes_no_value() {
+        let words = "ssb --profile --sf 0.5 --verbose";
+        let args = Args::from_args(words.split(' ').map(String::from));
+        assert_eq!(args.positional, ["ssb"]);
+        assert!(args.switch("profile") && args.switch("verbose"));
+        assert!(!args.switch("support"));
+        assert_eq!(args.try_get("sf", 0.01), Ok(0.5));
     }
 
     #[test]

@@ -8,11 +8,15 @@
 //! *all* neighbors of a relation from **one** further execution: §4.2's
 //! `upid`-widened probe. A sweep therefore costs O(relations) plan
 //! executions, independent of the support size and of how many neighbors
-//! are visible. With no budget set, both [`crate::engine::query_fps`] and
-//! [`crate::engine::query_bits`] (bit = fingerprint ≠ base) route here for
-//! SPJ/aggregate shapes over neighborhood supports (DESIGN.md §9) — the
-//! paper's Algorithm 5 re-executes an aggregate per contributing-tuple
-//! update, the exact accumulators below decide those neighbors without.
+//! are visible, and each relation a probe leaves unchanged has its
+//! filtered rows and join index read once per sweep: the build, the
+//! probes and the fallbacks share the sweep's scan memo
+//! ([`qirana_sqlengine::SweepScans`]). With no budget set, both
+//! [`crate::engine::query_fps`] and [`crate::engine::query_bits`]
+//! (bit = fingerprint ≠ base) route here for SPJ/aggregate shapes over
+//! neighborhood supports (DESIGN.md §9) — the paper's Algorithm 5
+//! re-executes an aggregate per contributing-tuple update, the exact
+//! accumulators below decide those neighbors without.
 //!
 //! * **Fingerprint arithmetic.** An unordered result fingerprint is
 //!   `header(N, C) + Σ row_hash(r)` under wrapping `u128` addition
@@ -72,13 +76,13 @@
 use crate::engine::{bag_fp, run_plan, run_plan_with_input, EngineOptions};
 use crate::naive::neighbor_fps;
 use crate::normal_form::{widened, Prepared, RelShape, SemiJoin, Shape};
-use crate::telemetry::Telemetry;
+use crate::telemetry::{Stage, Telemetry};
 use crate::update::SupportUpdate;
 use qirana_sqlengine::exec::{eval_group_expr, eval_row_expr};
 use qirana_sqlengine::plan::{AggSpec, Projection};
 use qirana_sqlengine::{
     output_row_hash, Database, EngineError, ExecContext, Fingerprint, PExpr, QueryOutput,
-    ResolvedSelect, Row, SumAcc, Value,
+    ResolvedSelect, Row, SumAcc, SweepScans, Value,
 };
 use std::collections::{BTreeMap, HashMap};
 
@@ -423,8 +427,9 @@ pub fn build(
     db: &Database,
     q: &Prepared,
     tel: &Telemetry,
+    scans: Option<&SweepScans<'_>>,
 ) -> Result<(DeltaState, QueryOutput), EngineError> {
-    let ctx = ExecContext::new(db);
+    let ctx = ExecContext::new(db).with_scans(scans);
     let (out, core_rows) = run_plan_with_input(tel, &q.plan, &ctx)?;
     let state = match &q.shape {
         Shape::Spj(shape) => DeltaState::Spj(Base::new(
@@ -666,11 +671,12 @@ type Moved = [Vec<Row>; 2];
 fn run_batch(
     db: &Database,
     tel: &Telemetry,
+    scans: Option<&SweepScans<'_>>,
     probe: &ResolvedSelect,
     table: usize,
     updates: &[SupportUpdate],
     members: &[usize],
-) -> Option<Vec<Moved>> {
+) -> Option<(Vec<Moved>, u64)> {
     let mut batch: Vec<Row> = Vec::with_capacity(members.len() * 2);
     for (k, &i) in members.iter().enumerate() {
         let (old_rows, new_rows) = updates[i].old_new_rows(db);
@@ -681,13 +687,15 @@ fn run_batch(
             }
         }
     }
-    let out = run_plan(tel, probe, &ExecContext::with_override(db, table, &batch)).ok()?;
+    let ctx = ExecContext::with_override(db, table, &batch).with_scans(scans);
+    let out = run_plan(tel, probe, &ctx).ok()?;
+    let rows = out.rows.len() as u64;
     let mut moved: Vec<Moved> = vec![Moved::default(); members.len()];
     for mut row in out.rows {
         let tag = usize::try_from(row.pop()?.as_i64()?).ok()?;
         moved.get_mut(tag / 2)?[tag % 2].push(row);
     }
-    Some(moved)
+    Some((moved, rows))
 }
 
 impl Base {
@@ -894,10 +902,11 @@ impl AggDelta {
 pub(crate) fn probe_batched(
     db: &Database,
     tel: &Telemetry,
+    scans: Option<&SweepScans<'_>>,
     state: &DeltaState,
     updates: &[SupportUpdate],
     live: &[usize],
-) -> (Vec<Option<Fingerprint>>, u64) {
+) -> (Vec<Option<Fingerprint>>, Batches) {
     // Positions into `live`, per updated table, in table order.
     let mut by_table: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     for (pos, &i) in live.iter().enumerate() {
@@ -905,7 +914,7 @@ pub(crate) fn probe_batched(
     }
     let ctx = ExecContext::new(db);
     let mut fps = vec![None; live.len()];
-    let mut execs = 0;
+    let mut batches = Batches::default();
     for (table, positions) in by_table {
         // SPJ/aggregate shapes read no table twice, so a table is one
         // relation; a visible update always hits one.
@@ -913,10 +922,19 @@ pub(crate) fn probe_batched(
             continue;
         };
         let members: Vec<usize> = positions.iter().map(|&pos| live[pos]).collect();
-        execs += 1;
-        let Some(moved) = run_batch(db, tel, probe, table, updates, &members) else {
+        batches.execs += 1;
+        let span = tel.is_enabled().then(|| {
+            let name = &db.table_at(table).schema.name;
+            tel.span_with(Stage::DeltaBatch, format!("{name}:{}", members.len()))
+        });
+        let batch = run_batch(db, tel, scans, probe, table, updates, &members);
+        let Some((moved, rows)) = batch else {
             continue;
         };
+        batches.rows += rows;
+        if let Some(span) = &span {
+            span.count("rows", rows);
+        }
         for (pos, moved) in positions.into_iter().zip(&moved) {
             fps[pos] = match state {
                 DeltaState::Spj(base) => Some(base.fold_spj(moved)),
@@ -925,7 +943,15 @@ pub(crate) fn probe_batched(
             };
         }
     }
-    (fps, execs)
+    (fps, batches)
+}
+
+/// What the batched probes of one sweep executed: one plan execution per
+/// batch, and the rows those executions produced.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Batches {
+    pub(crate) execs: u64,
+    pub(crate) rows: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -944,6 +970,8 @@ pub struct ProbeStats {
     pub fallbacks: u64,
     /// Plan executions the batched probes issued (fallbacks excluded).
     pub execs: u64,
+    /// Rows those executions produced, every member's u⁻ and u⁺ rows.
+    pub rows: u64,
 }
 
 /// Per-neighbor output fingerprints through the delta path (the
@@ -958,13 +986,14 @@ pub(crate) fn query_fps_nbrs(
     updates: &[SupportUpdate],
     visible: &[bool],
     opts: &EngineOptions,
+    scans: Option<&SweepScans<'_>>,
 ) -> Result<(Vec<Fingerprint>, ProbeStats), EngineError> {
     let Some(base) = state.base_fp() else {
         return Err(EngineError::Eval("delta probe on ineligible state".into()));
     };
     let n = updates.len();
     let live: Vec<usize> = (0..n).filter(|&i| visible[i]).collect();
-    let (probed, execs) = probe_batched(db, &opts.telemetry, state, updates, &live);
+    let (probed, batches) = probe_batched(db, &opts.telemetry, scans, state, updates, &live);
     let mut fps = vec![base; n];
     let mut fallbacks = Vec::new();
     for (&i, fp) in live.iter().zip(probed) {
@@ -974,7 +1003,7 @@ pub(crate) fn query_fps_nbrs(
         }
     }
     // Only the fallbacks execute in full.
-    let full = neighbor_fps(db, &q.plan, updates, &fallbacks, opts)?;
+    let full = neighbor_fps(db, &q.plan, updates, &fallbacks, opts, scans)?;
     for (&i, fp) in fallbacks.iter().zip(full) {
         fps[i] = fp;
     }
@@ -982,7 +1011,8 @@ pub(crate) fn query_fps_nbrs(
         probes: n as u64,
         short_circuits: (n - live.len()) as u64,
         fallbacks: fallbacks.len() as u64,
-        execs,
+        execs: batches.execs,
+        rows: batches.rows,
     };
     Ok((fps, stats))
 }
@@ -1053,7 +1083,7 @@ mod tests {
         updates: Vec<SupportUpdate>,
     ) -> (Vec<Fingerprint>, ProbeStats) {
         let q = prepare_query(&database, sql).unwrap();
-        let (state, _) = build(&database, &q, &Telemetry::disabled()).unwrap();
+        let (state, _) = build(&database, &q, &Telemetry::disabled(), None).unwrap();
         assert!(state.base_fp().is_some(), "delta build declined for {sql}");
         let support = SupportSet::Neighborhood(updates);
         let SupportSet::Neighborhood(updates) = &support else {
@@ -1061,7 +1091,8 @@ mod tests {
         };
         let visible = visibility(&database, &q, &support);
         let opts = EngineOptions::default();
-        let (fps, stats) = query_fps_nbrs(&database, &q, &state, updates, &visible, &opts).unwrap();
+        let (fps, stats) =
+            query_fps_nbrs(&database, &q, &state, updates, &visible, &opts, None).unwrap();
         let naive_fps = query_fps(&database, &q, &support, &EngineOptions::naive()).unwrap();
         assert_eq!(fps, naive_fps, "fps diverged for {sql}");
         (fps, stats)
@@ -1169,10 +1200,10 @@ mod tests {
         // Self-joins break per-tuple contribution additivity; the shape
         // classifier routes them to Opaque and the build must decline.
         let q = prepare_query(&database, "select a.v from T a, T b where a.id = b.id").unwrap();
-        let (state, _) = build(&database, &q, &Telemetry::disabled()).unwrap();
+        let (state, _) = build(&database, &q, &Telemetry::disabled(), None).unwrap();
         assert!(state.base_fp().is_none());
         let opts = EngineOptions::default();
-        let err = query_fps_nbrs(&database, &q, &state, &[], &[], &opts).unwrap_err();
+        let err = query_fps_nbrs(&database, &q, &state, &[], &[], &opts, None).unwrap_err();
         assert!(matches!(err, EngineError::Eval(_)));
     }
 
@@ -1189,7 +1220,7 @@ mod tests {
         ] {
             let q = prepare_query(&database, sql).unwrap();
             let tel = Telemetry::enabled();
-            let (_, out) = build(&database, &q, &tel).unwrap();
+            let (_, out) = build(&database, &q, &tel, None).unwrap();
             let sink = tel.sink().unwrap();
             assert_eq!(sink.counter("plan_executions_total"), 1, "{sql}");
             let alone = execute(&q.plan, &ExecContext::new(&database)).unwrap();
@@ -1306,23 +1337,24 @@ mod tests {
         let off = Telemetry::disabled();
 
         let q = prepare_query(&database, "select grp, sum(v + 1) from T group by grp").unwrap();
-        let (state, _) = build(&database, &q, &off).unwrap();
-        let (fps, execs) = probe_batched(&database, &off, &state, &updates, &[0, 1, 2, 3]);
+        let (state, _) = build(&database, &q, &off, None).unwrap();
+        let (fps, batches) = probe_batched(&database, &off, None, &state, &updates, &[0, 1, 2, 3]);
         let alone = SupportSet::Neighborhood(healthy);
         let expect = query_fps(&database, &q, &alone, &naive).unwrap();
         assert_eq!(
             fps,
             [Some(expect[0]), None, Some(expect[1]), Some(expect[2])]
         );
-        assert_eq!(execs, 1);
+        assert_eq!(batches.execs, 1);
 
         // The second query reads the bad cell only in its sort key (which
         // the visibility test in front of a real sweep does not count).
         for sql in ["select v + 1 from T", "select id from T order by v + 1"] {
             let q = prepare_query(&database, sql).unwrap();
-            let (state, _) = build(&database, &q, &off).unwrap();
-            let (fps, execs) = probe_batched(&database, &off, &state, &updates, &[0, 1, 2, 3]);
-            assert_eq!((fps, execs), (vec![None; 4], 1), "{sql}");
+            let (state, _) = build(&database, &q, &off, None).unwrap();
+            let (fps, batches) =
+                probe_batched(&database, &off, None, &state, &updates, &[0, 1, 2, 3]);
+            assert_eq!((fps, batches.execs), (vec![None; 4], 1), "{sql}");
         }
         let q = prepare_query(&database, "select v + 1 from T").unwrap();
         let support = SupportSet::Neighborhood(updates);
@@ -1425,17 +1457,20 @@ mod tests {
                    where exists (select 1 from U where U.t_id = T.id and U.w + 1 > 3) group by grp";
         let q = prepare_query(&database, sql).unwrap();
         let off = Telemetry::disabled();
-        let (state, _) = build(&database, &q, &off).unwrap();
+        let (state, _) = build(&database, &q, &off, None).unwrap();
         let updates = vec![
             row_up(0, 2, 2, 50.into()),
             row_up(1, 3, 1, 25.into()),
             row_up(1, 4, 2, "boom".into()),
             row_up(1, 5, 2, 9.into()),
         ];
-        let (fps, execs) = probe_batched(&database, &off, &state, &updates, &[0, 1, 2, 3]);
+        let (fps, batches) = probe_batched(&database, &off, None, &state, &updates, &[0, 1, 2, 3]);
         let alone = SupportSet::Neighborhood(updates[..1].to_vec());
         let expect = query_fps(&database, &q, &alone, &EngineOptions::naive()).unwrap();
-        assert_eq!((fps, execs), (vec![Some(expect[0]), None, None, None], 2));
+        assert_eq!(
+            (fps, batches.execs),
+            (vec![Some(expect[0]), None, None, None], 2)
+        );
         let support = SupportSet::Neighborhood(updates);
         for opts in [EngineOptions::default(), EngineOptions::naive()] {
             let err = query_fps(&database, &q, &support, &opts).unwrap_err();
@@ -1453,7 +1488,7 @@ mod tests {
                    where v > 1000 and exists (select 1 from U where U.t_id = T.id and U.w + 'x' > 0)";
         let q = prepare_query(&database, sql).unwrap();
         assert!(matches!(q.shape, Shape::Agg(_)));
-        let (state, _) = build(&database, &q, &Telemetry::disabled()).unwrap();
+        let (state, _) = build(&database, &q, &Telemetry::disabled(), None).unwrap();
         assert!(state.base_fp().is_none(), "the build must decline");
         let support = SupportSet::Neighborhood(support(&database, 40));
         let naive = query_fps(&database, &q, &support, &EngineOptions::naive());

@@ -35,7 +35,7 @@ use crate::telemetry::{SpanGuard, Stage, Telemetry};
 use crate::update::SupportUpdate;
 use qirana_sqlengine::{
     execute_with_input, Database, EngineError, ExecBudget, ExecContext, Fingerprint, QueryOutput,
-    ResolvedSelect, Row,
+    ResolvedSelect, Row, SweepScans,
 };
 use std::borrow::Borrow;
 
@@ -255,12 +255,15 @@ fn per_instance(
     support: &SupportSet,
     visible: &[bool],
     opts: &EngineOptions,
+    scans: Option<&SweepScans<'_>>,
     base: Option<QueryOutput>,
 ) -> Result<Swept, EngineError> {
     let out = match base {
         Some(out) => out,
         None => {
-            let ctx = ExecContext::new(db).with_budget(opts.budget);
+            let ctx = ExecContext::new(db)
+                .with_budget(opts.budget)
+                .with_scans(scans);
             run_plan(&opts.telemetry, &q.plan, &ctx)?
         }
     };
@@ -268,7 +271,7 @@ fn per_instance(
     let idxs: Vec<usize> = (0..visible.len()).filter(|&i| visible[i]).collect();
     let executed = match support {
         SupportSet::Neighborhood(updates) => {
-            naive::neighbor_fps(db, &q.plan, updates, &idxs, opts)?
+            naive::neighbor_fps(db, &q.plan, updates, &idxs, opts, scans)?
         }
         SupportSet::Uniform(worlds) => naive::world_fps(&q.plan, worlds, &idxs, opts)?,
     };
@@ -292,19 +295,21 @@ fn delta_sweep(
     updates: &[SupportUpdate],
     visible: &[bool],
     opts: &EngineOptions,
+    scans: &SweepScans<'_>,
 ) -> Result<(Swept, u64), EngineError> {
     let tel = &opts.telemetry;
     // Build errors are base-execution errors, which every full path
     // reproduces.
     let build_span = tel.span(Stage::DeltaBuild);
-    let (state, out) = delta::build(db, q, tel)?;
+    let (state, out) = delta::build(db, q, tel, Some(scans))?;
     drop(build_span);
     tel.counter_add("delta_builds_total", 1);
     let Some(base) = state.base_fp() else {
-        return per_instance(db, q, support, visible, opts, Some(out)).map(|swept| (swept, 0));
+        return per_instance(db, q, support, visible, opts, Some(scans), Some(out))
+            .map(|swept| (swept, 0));
     };
     let probe_span = tel.span(Stage::DeltaProbe);
-    let (fps, stats) = delta::query_fps_nbrs(db, q, &state, updates, visible, opts)?;
+    let (fps, stats) = delta::query_fps_nbrs(db, q, &state, updates, visible, opts, Some(scans))?;
     if tel.is_enabled() {
         probe_span.count("probes", stats.probes);
         probe_span.count("short_circuits", stats.short_circuits);
@@ -313,6 +318,7 @@ fn delta_sweep(
         tel.counter_add("delta_short_circuits_total", stats.short_circuits);
         tel.counter_add("delta_fallbacks_total", stats.fallbacks);
         tel.counter_add("delta_probe_execs_total", stats.execs);
+        tel.counter_add("delta_probe_rows_total", stats.rows);
     }
     Ok((Swept { out, base, fps }, stats.fallbacks))
 }
@@ -335,6 +341,12 @@ pub(crate) fn sweep(
     let coverage = kind == Kind::Bits;
     let family = if coverage { "coverage" } else { "entropy" };
     let visible = visibility(db, q, support);
+    // Every execution of an unbudgeted `Auto` sweep on the stored database
+    // shares one scan memo. Skipped scans would move where a budget trips,
+    // and `Naive` stays the memo-free reference. A uniform world is
+    // another database, which the memo never answers.
+    let scans = SweepScans::new(db);
+    let shared = (opts.strategy == Auto && opts.budget.is_unlimited()).then_some(&scans);
     let span;
     // The routing table (DESIGN.md §9).
     let swept = match (support, opts.strategy, &q.shape) {
@@ -343,7 +355,7 @@ pub(crate) fn sweep(
         // they do not apply.
         (Neighborhood(ups), Auto, Spj(_) | Agg(_)) if opts.budget.is_unlimited() => {
             span = sweep_span(tel, family, "delta", support.len());
-            delta_sweep(db, q, support, ups, &visible, opts).map(|(swept, fallbacks)| {
+            delta_sweep(db, q, support, ups, &visible, opts, &scans).map(|(swept, fallbacks)| {
                 if coverage {
                     span.count("fallbacks", fallbacks);
                     tel.counter_add("coverage_fallbacks_total", fallbacks);
@@ -354,9 +366,10 @@ pub(crate) fn sweep(
         // Uniform worlds, opaque shapes, sweeps under a budget, `Naive`.
         (Uniform(_), ..) | (Neighborhood(_), ..) => {
             span = sweep_span(tel, family, "per-instance", support.len());
-            per_instance(db, q, support, &visible, opts, None)
+            per_instance(db, q, support, &visible, opts, shared, None)
         }
     };
+    tel.counter_add("sweep_scan_reuses_total", scans.reuses());
     let swept = meter_trips(tel, swept)?;
     if coverage && tel.is_enabled() {
         let found = swept.fps.iter().filter(|&&fp| fp != swept.base).count() as u64;
@@ -730,8 +743,9 @@ mod tests {
         let live = visible.iter().filter(|&&v| v).count() as u64;
         assert!(live > 0, "some neighbor must be visible");
         let opts = EngineOptions::default().with_telemetry(Telemetry::enabled());
+        let scans = SweepScans::new(&database);
         let (swept, fallbacks) =
-            delta_sweep(&database, &q, &support, ups, &visible, &opts).unwrap();
+            delta_sweep(&database, &q, &support, ups, &visible, &opts, &scans).unwrap();
         let sink = opts.telemetry.sink().unwrap();
         assert_eq!(sink.counter("plan_executions_total"), 1 + live);
         assert_eq!(fallbacks, 0);

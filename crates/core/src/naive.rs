@@ -18,17 +18,22 @@
 use crate::engine::{bag_fp, run_plan, EngineOptions};
 use crate::normal_form::{Prepared, Shape};
 use crate::update::SupportUpdate;
-use qirana_sqlengine::{Database, EngineError, ExecContext, Fingerprint, ResolvedSelect, Row};
+use qirana_sqlengine::{
+    Database, EngineError, ExecContext, Fingerprint, ResolvedSelect, Row, SweepScans,
+};
 use std::collections::{BTreeMap, HashMap};
 
 /// The plan's output fingerprint on each neighbor `updates[idxs[j]]`:
-/// execute under `opts.budget` with the update's row patch.
+/// execute under `opts.budget` with the update's row patch. The tables a
+/// neighbor leaves unpatched are read through `scans`, when the sweep
+/// shares one.
 pub(crate) fn neighbor_fps(
     db: &Database,
     plan: &ResolvedSelect,
     updates: &[SupportUpdate],
     idxs: &[usize],
     opts: &EngineOptions,
+    scans: Option<&SweepScans<'_>>,
 ) -> Result<Vec<Fingerprint>, EngineError> {
     idxs.iter()
         .map(|&i| {
@@ -36,7 +41,8 @@ pub(crate) fn neighbor_fps(
             let patch = up.patch(db);
             let ctx = ExecContext::new(db)
                 .with_patch(up.table(), &patch)
-                .with_budget(opts.budget);
+                .with_budget(opts.budget)
+                .with_scans(scans);
             run_plan(&opts.telemetry, plan, &ctx).map(bag_fp)
         })
         .collect()
@@ -260,8 +266,15 @@ mod tests {
         let q = prepare_query(&database, "select grp, v from T where v > 9").unwrap();
         let fast = query_fps(&database, &q, &support, &EngineOptions::naive()).unwrap();
         let every: Vec<usize> = (0..updates.len()).collect();
-        let brute =
-            neighbor_fps(&database, &q.plan, updates, &every, &EngineOptions::naive()).unwrap();
+        let brute = neighbor_fps(
+            &database,
+            &q.plan,
+            updates,
+            &every,
+            &EngineOptions::naive(),
+            None,
+        )
+        .unwrap();
         assert_eq!(fast, brute, "skip path changed partition fingerprints");
     }
 

@@ -124,6 +124,9 @@ pub enum Stage {
     /// The batched delta probes over a built delta state, their fold and
     /// the per-neighbor fallbacks; `detail` carries the family.
     DeltaProbe,
+    /// One batched probe execution inside [`Stage::DeltaProbe`]; `detail`
+    /// is `<table>:<members>`, the span's `rows` count what it produced.
+    DeltaBatch,
     /// Weight assignment / entropy-maximization solve.
     Solve,
     /// Pricing-cache probe.
@@ -152,6 +155,7 @@ impl Stage {
             Stage::Disagreement => "disagreement",
             Stage::DeltaBuild => "delta_build",
             Stage::DeltaProbe => "delta_probe",
+            Stage::DeltaBatch => "delta_batch",
             Stage::Solve => "solve",
             Stage::CacheLookup => "cache_lookup",
             Stage::BrokerCommit => "broker_commit",

@@ -20,8 +20,8 @@ use qirana_core::engine::{bag_fp, query_bits, query_fps};
 use qirana_core::{
     bundle_disagreements, bundle_partition, generate_support, prepare_query,
     pricing::{coverage_price, shannon_entropy, weighted_coverage},
-    uniform_weights, EngineOptions, PricingFunction, Qirana, QiranaConfig, Strategy, SupportConfig,
-    SupportSet, SupportUpdate, Telemetry, TestClock,
+    uniform_weights, EngineOptions, PricingFunction, Qirana, QiranaConfig, Shape, Strategy,
+    SupportConfig, SupportSet, SupportUpdate, Telemetry, TestClock,
 };
 use qirana_sqlengine::update::{apply_writes, CellWrite};
 use qirana_sqlengine::{
@@ -745,4 +745,118 @@ fn budget_trip_propagates_through_per_instance_path() {
         matches!(err, EngineError::BudgetExceeded { .. }),
         "expected BudgetExceeded, got {err:?}"
     );
+}
+
+/// Every neighbor of a support that updates `U` only: `T` is read
+/// unpatched by every execution of a sweep, so `Auto` serves it from the
+/// sweep's scan memo.
+#[allow(clippy::unwrap_used)] // test fixture: a missing table is a broken test
+fn u_only_support(db: &Database, size: usize) -> SupportSet {
+    let u = db.table_index("U").unwrap();
+    let updates: Vec<SupportUpdate> = generate_support(db, &support_config(3))
+        .into_iter()
+        .filter(|up| up.table() == u)
+        .take(size)
+        .collect();
+    assert!(updates.len() >= 8, "too few `U` neighbors");
+    SupportSet::Neighborhood(updates)
+}
+
+/// `Auto`'s fingerprints and bits equal `Naive`'s bitwise, for both
+/// pricing families.
+#[allow(clippy::unwrap_used)] // test helper: an error fails the test
+fn assert_auto_is_naive(db: &Database, sql: &str, support: &SupportSet) {
+    let q = prepare_query(db, sql).unwrap();
+    let [auto, naive] = STRATEGIES.map(|s| query_fps(db, &q, support, &engine(s)).unwrap());
+    assert_eq!(auto, naive, "fingerprints of {sql}");
+    let [auto, naive] = STRATEGIES.map(|s| query_bits(db, &q, support, &engine(s)).unwrap());
+    assert_eq!(auto, naive, "bits of {sql}");
+}
+
+/// The scan memo's keys compare literals bitwise. The outer block filters
+/// `T` with `v * 4 > 0`, the `EXISTS` block with `v * 4.0 > 0`: equal
+/// under `PExpr`'s derived `PartialEq`, yet `v = 2^62` wraps to 0 under
+/// the first and passes the second. Keys that conflated them would hand
+/// the inner block the outer block's rows.
+#[test]
+fn scan_memo_keys_tell_int_and_float_literals_apart() {
+    let t_rows: Vec<(u8, i16)> = (0..8).map(|i| (i as u8, 1 + i as i16)).collect();
+    let u_rows: Vec<(u8, i16)> = (0..24).map(|i| (i as u8, ((i + 1) % 8) as i16)).collect();
+    let mut db = build_db(&t_rows, &u_rows);
+    db.table_at_mut(0).rows[3][2] = Value::Int(1 << 62);
+    let sql = "SELECT DISTINCT U.uid FROM T, U \
+               WHERE T.id = U.t_id AND T.v * 4 > 0 \
+               AND EXISTS (SELECT 1 FROM T t2 WHERE t2.id = U.w AND t2.v * 4.0 > 0)";
+    let q = prepare_query(&db, sql).unwrap();
+    assert!(matches!(q.shape, Shape::Opaque { .. }));
+    // The big row is in play: it decides the `EXISTS` of some `U` rows
+    // the outer filter keeps.
+    let out = execute(&q.plan, &ExecContext::new(&db)).unwrap();
+    assert_eq!(out.rows.len(), 21, "{out:?}");
+    assert_auto_is_naive(&db, sql, &u_only_support(&db, 64));
+}
+
+/// A stored row whose `v` is a string fails `v + 1` wherever `T` is
+/// scanned. The base execution never reaches the uncorrelated `EXISTS`
+/// (no `U` row passes `w > 100`); a neighbor that lifts some `w` past 100
+/// does, and errs there. `Auto`, reading `T` through the scan memo, errs
+/// exactly like `Naive`, on every route.
+#[test]
+fn an_unpatched_poisoned_row_errs_like_naive() {
+    let t_rows: Vec<(u8, i16)> = (0..8).map(|i| (i as u8, i as i16)).collect();
+    let u_rows: Vec<(u8, i16)> = (0..12).map(|i| (i as u8, i as i16)).collect();
+    let mut db = build_db(&t_rows, &u_rows);
+    db.table_at_mut(0).rows[5][2] = Value::str("boom");
+    let u = db.table_index("U").unwrap();
+    let lift = |row, w: i64| SupportUpdate::Row {
+        table: u,
+        row,
+        changes: vec![(2, Value::Int(w))],
+    };
+    let support = SupportSet::Neighborhood(vec![lift(0, 7), lift(1, 9), lift(2, 500), lift(3, 8)]);
+    for sql in [
+        // Opaque: per-instance; the third neighbor errs.
+        "SELECT DISTINCT U.w FROM U WHERE U.w > 100 \
+         AND EXISTS (SELECT 1 FROM T WHERE T.v + 1 > 0)",
+        // Delta shapes: the base execution errs.
+        "SELECT U.w FROM T, U WHERE T.id = U.t_id AND T.v + 1 > 0",
+        "SELECT T.grp, sum(U.w) FROM T, U WHERE T.id = U.t_id AND T.v + 1 > 0 GROUP BY T.grp",
+    ] {
+        let q = prepare_query(&db, sql).unwrap();
+        for bits in [false, true] {
+            let [auto, naive] = STRATEGIES.map(|s| {
+                let opts = engine(s);
+                let err = match bits {
+                    true => query_bits(&db, &q, &support, &opts).map(|_| ()),
+                    false => query_fps(&db, &q, &support, &opts).map(|_| ()),
+                };
+                format!("{:?}", err.unwrap_err())
+            });
+            assert_eq!(auto, naive, "{sql}");
+        }
+    }
+}
+
+/// The opaque TPC-H plans run per instance, reading every relation a
+/// neighbor leaves unpatched through the scan memo: their fingerprints
+/// and bits are `Naive`'s.
+#[test]
+fn opaque_tpch_plans_match_naive_through_the_scan_memo() {
+    let db = qirana_datagen::tpch::generate(0.0005, 5);
+    let support = SupportSet::Neighborhood(generate_support(
+        &db,
+        &SupportConfig {
+            size: 64,
+            seed: 1,
+            ..Default::default()
+        },
+    ));
+    for (name, sql) in qirana_datagen::queries::tpch_queries(0.0005) {
+        if !["Q2", "Q11", "Q17"].contains(&name) {
+            continue;
+        }
+        let q = prepare_query(&db, &sql).unwrap();
+        assert!(matches!(q.shape, Shape::Opaque { .. }), "{name}");
+        assert_auto_is_naive(&db, &sql, &support);
+    }
 }

@@ -287,6 +287,16 @@ fn protocol_errors_map_to_the_documented_statuses() {
     let (status, _) = client.request("POST", "/v1/quote", &quote_req("SELECT * FROM Missing"));
     assert_eq!(status, 400);
 
+    // A FROM list past the executor's 64-relation limit: a plan failure
+    // too, not a panicked connection thread.
+    let from: Vec<String> = (0..65).map(|i| format!("User u{i}")).collect();
+    let wide = format!("SELECT count(*) FROM {}", from.join(", "));
+    let (status, doc) = client.request("POST", "/v1/quote", &quote_req(&wide));
+    assert_eq!(status, 400);
+    assert_eq!(doc.get("kind").and_then(Json::as_str), Some("plan"));
+    let (status, _) = client.request("GET", "/v1/healthz", "");
+    assert_eq!(status, 200);
+
     // Non-JSON body.
     let (status, doc) = client.request("POST", "/v1/quote", "not json");
     assert_eq!(status, 400);

@@ -32,11 +32,15 @@ use crate::database::Database;
 use crate::error::{BudgetResource, EngineError, Result};
 use crate::exact::SumAcc;
 use crate::expr::{binary_op, date_interval, like_match};
-use crate::plan::{decorrelate, plan_escapes, AggSpec, PExpr, PRelation, ResolvedSelect};
+use crate::plan::{
+    decorrelate, plan_escapes, AggSpec, PExpr, PRelation, ResolvedSelect, MAX_RELATIONS,
+};
+use crate::scans::{JoinIndex, ScanKey, SweepScans};
 use crate::table::Row;
 use crate::value::Value;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// Resource limits for one execution context.
@@ -171,13 +175,14 @@ impl BudgetMeter {
 }
 
 /// Execution context: the database, optional per-table row overrides and
-/// row patches, and an optional resource budget.
+/// row patches, an optional resource budget and an optional scan memo.
 #[derive(Clone)]
 pub struct ExecContext<'a> {
     db: &'a Database,
     overrides: Vec<(usize, &'a [Row])>,
     patches: Vec<(usize, &'a [(usize, Row)])>,
     meter: BudgetMeter,
+    scans: Option<&'a SweepScans<'a>>,
 }
 
 impl<'a> ExecContext<'a> {
@@ -188,6 +193,7 @@ impl<'a> ExecContext<'a> {
             overrides: Vec::new(),
             patches: Vec::new(),
             meter: BudgetMeter::new(ExecBudget::UNLIMITED),
+            scans: None,
         }
     }
 
@@ -209,6 +215,32 @@ impl<'a> ExecContext<'a> {
         self.patches.retain(|(t, _)| *t != table_idx);
         self.patches.push((table_idx, patch));
         self
+    }
+
+    /// Builder: base-table scans share `scans` ([`SweepScans`]) — they
+    /// borrow the prefiltered rows and join indexes an earlier execution on
+    /// the same database stored there, and store what they derive. Only a
+    /// relation read with no override and no patch, in a block run with no
+    /// outer row, under no budget, on the database the memo is bound to
+    /// does; everything else executes as without it. `None` leaves the
+    /// context memo-free.
+    pub fn with_scans(mut self, scans: Option<&'a SweepScans<'a>>) -> Self {
+        self.scans = scans;
+        self
+    }
+
+    /// The scan memo a scan of stored table `table_idx` may share: none
+    /// when the table is overridden or patched, `outer` holds a row, a
+    /// budget is set or the memo belongs to another database.
+    fn shared_scans(&self, table_idx: usize, outer: &[&[Value]]) -> Option<&'a SweepScans<'a>> {
+        self.scans.filter(|scans| {
+            outer.is_empty()
+                && self.meter.budget.is_unlimited()
+                && scans.binds(self.db)
+                && self.db.table_at(table_idx).rows.len() <= u32::MAX as usize
+                && !self.overrides.iter().any(|(t, _)| *t == table_idx)
+                && !self.patches.iter().any(|(t, _)| *t == table_idx)
+        })
     }
 
     /// Installs a resource budget; the wall-clock deadline starts now.
@@ -707,6 +739,11 @@ enum Source<'a> {
         patch: &'a [(usize, Row)],
     },
     Owned(Vec<Row>),
+    /// Stored rows at the positions a shared prefilter kept, in order.
+    Selected {
+        rows: &'a [Row],
+        keep: Rc<[u32]>,
+    },
 }
 
 impl Source<'_> {
@@ -714,22 +751,44 @@ impl Source<'_> {
         match self {
             Source::Borrowed(rows) | Source::Patched { rows, .. } => rows.len(),
             Source::Owned(rows) => rows.len(),
+            Source::Selected { keep, .. } => keep.len(),
         }
     }
 
-    /// The rows in stored order, each patched index yielding its patch row.
+    /// The rows in stored order, each patched index yielding its patch row
+    /// (a selection yields only the rows it kept).
     fn iter(&self) -> impl Iterator<Item = &Row> {
         let (rows, patch): (&[Row], &[(usize, Row)]) = match self {
             Source::Borrowed(rows) => (rows, &[]),
             Source::Patched { rows, patch } => (rows, patch),
             Source::Owned(rows) => (rows, &[]),
+            Source::Selected { .. } => (&[], &[]),
+        };
+        let (stored, keep): (&[Row], &[u32]) = match self {
+            Source::Selected { rows, keep } => (rows, keep),
+            _ => (&[], &[]),
         };
         let mut pending = patch.iter().peekable();
-        rows.iter().enumerate().map(move |(i, row)| {
-            pending
-                .next_if(|(j, _)| *j == i)
-                .map_or(row, |(_, patched)| patched)
-        })
+        rows.iter()
+            .enumerate()
+            .map(move |(i, row)| {
+                pending
+                    .next_if(|(j, _)| *j == i)
+                    .map_or(row, |(_, patched)| patched)
+            })
+            .chain(keep.iter().map(move |&p| &stored[p as usize]))
+    }
+
+    /// The row [`Source::iter`] yields at position `i`.
+    fn get(&self, i: usize) -> &Row {
+        match self {
+            Source::Borrowed(rows) => &rows[i],
+            Source::Owned(rows) => &rows[i],
+            Source::Patched { rows, patch } => patch
+                .binary_search_by_key(&i, |(j, _)| *j)
+                .map_or(&rows[i], |k| &patch[k].1),
+            Source::Selected { rows, keep } => &rows[keep[i] as usize],
+        }
     }
 }
 
@@ -791,13 +850,22 @@ fn run_from(
         }
         return Ok(row);
     }
-    assert!(n <= 64, "at most 64 relations per query block");
+
+    if n > MAX_RELATIONS {
+        return Err(EngineError::internal(format!(
+            "{n} relations in one query block; at most {MAX_RELATIONS} are supported"
+        )));
+    }
 
     // Classify conjuncts.
     let mut prefilters: Vec<Vec<PExpr>> = vec![Vec::new(); n];
     let mut edges: Vec<EquiEdge> = Vec::new();
     let mut residuals: Vec<Conjunct> = Vec::new();
-    let all_mask: u64 = if n == 64 { u64::MAX } else { (1 << n) - 1 };
+    let all_mask: u64 = if n == MAX_RELATIONS {
+        u64::MAX
+    } else {
+        (1 << n) - 1
+    };
     if let Some(f) = plan.filter.clone() {
         for c in f.conjuncts() {
             if c.has_subquery() {
@@ -841,16 +909,22 @@ fn run_from(
     }
 
     // Materialize and prefilter each relation's rows (rows stay relation-local
-    // width here; prefilter expressions are rebased to local slots).
+    // width here; prefilter expressions are rebased to local slots). A
+    // stored table the scan memo may share takes its prefiltered rows from
+    // there, and `shared[i]` keeps its key for the join index below.
     let mut sources: Vec<Source<'_>> = Vec::with_capacity(n);
+    let mut shared: Vec<Option<(&SweepScans<'_>, ScanKey)>> = Vec::new();
     for (i, rel) in plan.relations.iter().enumerate() {
-        let raw: Source<'_> = match rel {
-            PRelation::Base { table, arity, .. } => ctx.scan(*table, *arity)?,
+        let (raw, scans) = match rel {
+            PRelation::Base { table, arity, .. } => (
+                ctx.scan(*table, *arity)?,
+                ctx.shared_scans(*table, outer).map(|scans| (scans, *table)),
+            ),
             PRelation::Derived { plan: sub, .. } => {
-                Source::Owned(execute_nested(sub, ctx, &[])?.rows)
+                (Source::Owned(execute_nested(sub, ctx, &[])?.rows), None)
             }
         };
-        if prefilters[i].is_empty() {
+        if scans.is_none() && prefilters[i].is_empty() {
             sources.push(raw);
             continue;
         }
@@ -863,28 +937,39 @@ fn run_from(
                 e
             })
             .collect();
-        let mut kept = Vec::new();
-        for row in raw.iter() {
-            let env = Env {
-                row,
-                aggs: None,
-                outer,
-                ctx,
-                cache,
-            };
-            let mut pass = true;
-            for e in &local {
-                if eval(e, &env)?.as_bool3() != Some(true) {
-                    pass = false;
-                    break;
-                }
-            }
-            if pass {
-                ctx.charge_rows(1, row.len())?;
-                kept.push(row.clone());
-            }
+        let Some((scans, table)) = scans else {
+            let mut kept = Vec::new();
+            prefilter(&raw, &local, ctx, outer, cache, |_, row| {
+                kept.push(row.clone())
+            })?;
+            sources.push(Source::Owned(kept));
+            continue;
+        };
+        let key = ScanKey::new(table, local);
+        if shared.is_empty() {
+            shared.resize_with(n, || None);
         }
-        sources.push(Source::Owned(kept));
+        if !key.filter().is_empty() {
+            let keep = match scans.rows(&key) {
+                Some(keep) => keep,
+                None => {
+                    let mut keep = Vec::new();
+                    prefilter(&raw, key.filter(), ctx, outer, cache, |p, _| {
+                        keep.push(p as u32)
+                    })?;
+                    let keep: Rc<[u32]> = keep.into();
+                    scans.store_rows(key.clone(), Rc::clone(&keep));
+                    keep
+                }
+            };
+            let Source::Borrowed(rows) = raw else {
+                return Err(EngineError::internal("a shared scan read a patched table"));
+            };
+            sources.push(Source::Selected { rows, keep });
+        } else {
+            sources.push(raw);
+        }
+        shared[i] = Some((scans, key));
     }
 
     // Greedy join: start from the smallest relation, repeatedly hash-join a
@@ -947,29 +1032,18 @@ fn run_from(
                         e
                     })
                     .collect();
-                // Build.
-                let mut ht: HashMap<Vec<Value>, Vec<&Row>> =
-                    HashMap::with_capacity(sources[r].len());
-                'build: for row in sources[r].iter() {
-                    let env = Env {
-                        row,
-                        aggs: None,
-                        outer,
-                        ctx,
-                        cache,
-                    };
-                    let mut key = Vec::with_capacity(local_build.len());
-                    for e in &local_build {
-                        let v = eval(e, &env)?;
-                        if v.is_null() {
-                            continue 'build; // NULL never joins
-                        }
-                        key.push(v);
-                    }
-                    ctx.charge_rows(1, key.len())?;
-                    ht.entry(key).or_default().push(row);
-                }
-                // Probe.
+                // Build — or borrow the index a shared scan stored — then
+                // probe.
+                let memo = shared.get(r).and_then(Option::as_ref);
+                let stored = memo.and_then(|(scans, key)| scans.index(key, &local_build));
+                let built = match stored {
+                    Some(_) => None,
+                    None => Some(build_index(&sources[r], &local_build, ctx, outer, cache)?),
+                };
+                let ht = stored
+                    .as_deref()
+                    .or(built.as_ref())
+                    .ok_or_else(|| EngineError::internal("hash join without an index"))?;
                 let mut next = Vec::new();
                 'probe: for irow in &inter {
                     let env = Env {
@@ -988,13 +1062,16 @@ fn run_from(
                         key.push(v);
                     }
                     if let Some(matches) = ht.get(&key) {
-                        for &matched in matches {
+                        for &p in matches {
                             ctx.charge_rows(1, width)?;
                             let mut merged = irow.clone();
-                            fill(&mut merged, matched, offset);
+                            fill(&mut merged, sources[r].get(p as usize), offset);
                             next.push(merged);
                         }
                     }
+                }
+                if let (Some((scans, key)), Some(built)) = (memo, built) {
+                    scans.store_index(key.clone(), local_build, built);
                 }
                 inter = next;
                 bound |= 1 << r;
@@ -1037,6 +1114,69 @@ fn widen(row: &Row, offset: usize, width: usize) -> Row {
 
 fn fill(dst: &mut Row, src: &Row, offset: usize) {
     dst[offset..offset + src.len()].clone_from_slice(src);
+}
+
+/// Hands `keep` each row of `source` that passes every conjunct of
+/// `filter` (local slots), with its position, charging it to the budget.
+fn prefilter<'r>(
+    source: &'r Source<'_>,
+    filter: &[PExpr],
+    ctx: &ExecContext<'_>,
+    outer: &[&[Value]],
+    cache: &SubCache,
+    mut keep: impl FnMut(usize, &'r Row),
+) -> Result<()> {
+    'rows: for (p, row) in source.iter().enumerate() {
+        let env = Env {
+            row,
+            aggs: None,
+            outer,
+            ctx,
+            cache,
+        };
+        for e in filter {
+            if eval(e, &env)?.as_bool3() != Some(true) {
+                continue 'rows;
+            }
+        }
+        ctx.charge_rows(1, row.len())?;
+        keep(p, row);
+    }
+    Ok(())
+}
+
+/// The hash index of `source` on the build keys `build` (local slots):
+/// key → positions in [`Source::iter`] order. A NULL key never joins.
+fn build_index(
+    source: &Source<'_>,
+    build: &[PExpr],
+    ctx: &ExecContext<'_>,
+    outer: &[&[Value]],
+    cache: &SubCache,
+) -> Result<JoinIndex> {
+    let mut ht: JoinIndex = HashMap::with_capacity(source.len());
+    'build: for (p, row) in source.iter().enumerate() {
+        let env = Env {
+            row,
+            aggs: None,
+            outer,
+            ctx,
+            cache,
+        };
+        let mut key = Vec::with_capacity(build.len());
+        for e in build {
+            let v = eval(e, &env)?;
+            if v.is_null() {
+                continue 'build; // NULL never joins
+            }
+            key.push(v);
+        }
+        ctx.charge_rows(1, key.len())?;
+        let p = u32::try_from(p)
+            .map_err(|_| EngineError::internal("a join's build side exceeds 2^32 rows"))?;
+        ht.entry(key).or_default().push(p);
+    }
+    Ok(ht)
 }
 
 fn apply_ready_residuals(
@@ -2168,5 +2308,129 @@ mod tests {
         // 4 scanned rows widened + 4 projected rows.
         assert_eq!(ctx.rows_charged(), 8);
         assert!(ctx.bytes_charged() > 0);
+    }
+
+    // -- the sweep-scoped scan memo ---------------------------------------
+
+    fn planned(db: &Database, sql: &str) -> ResolvedSelect {
+        plan_select(&parse_select(sql).unwrap(), db).unwrap()
+    }
+
+    /// Bitwise image of an output: `Debug` tells `Int(4)` from `Float(4.0)`.
+    fn bits(out: &QueryOutput) -> String {
+        format!("{out:?}")
+    }
+
+    const SHARED: [&str; 5] = [
+        "select name, location from User, Tweet where User.uid = Tweet.uid and age > 18",
+        "select name, location from Tweet, User where Tweet.uid = User.uid and location <> 'WA'",
+        "select gender, count(*) from User, Tweet where User.uid = Tweet.uid group by gender",
+        "select name from User where exists \
+         (select 1 from Tweet where Tweet.uid = User.uid and location = 'CA')",
+        "select a.name, b.name from User a, User b where a.age < b.age",
+    ];
+
+    /// A second execution borrows what the first stored, and both return
+    /// exactly what a memo-free execution returns.
+    #[test]
+    fn shared_scans_return_what_a_fresh_scan_builds() {
+        let db = db();
+        let scans = SweepScans::new(&db);
+        for sql in SHARED {
+            let plan = planned(&db, sql);
+            let alone = bits(&execute(&plan, &ExecContext::new(&db)).unwrap());
+            for _ in 0..2 {
+                let ctx = ExecContext::new(&db).with_scans(Some(&scans));
+                assert_eq!(bits(&execute(&plan, &ctx).unwrap()), alone, "{sql}");
+            }
+        }
+        assert!(scans.len() > 0);
+        assert!(scans.reuses() >= SHARED.len() as u64, "{}", scans.reuses());
+    }
+
+    /// The patched or overridden table is read as the context says; only
+    /// the other relation comes from the memo.
+    #[test]
+    fn a_patched_table_is_never_shared() {
+        let db = db();
+        let scans = SweepScans::new(&db);
+        let sql = SHARED[0];
+        let plan = planned(&db, sql);
+        execute(&plan, &ExecContext::new(&db).with_scans(Some(&scans))).unwrap();
+        let stored = scans.len();
+        let patch = [(1, user(2, "Alice", "f", 30))];
+        let rows = [tweet(9, 2, "NV")];
+        let user_t = db.table_index("User").unwrap();
+        let tweet_t = db.table_index("Tweet").unwrap();
+        let check = |ctx: ExecContext<'_>| {
+            let alone = bits(&execute(&plan, &ctx).unwrap());
+            let reuses = scans.reuses();
+            let shared = ctx.with_scans(Some(&scans));
+            assert_eq!(bits(&execute(&plan, &shared).unwrap()), alone);
+            assert!(scans.reuses() > reuses, "the other relation is shared");
+        };
+        // The patched run joins in the base run's order: it borrows
+        // `Tweet`'s index and stores nothing for `User`.
+        check(ExecContext::new(&db).with_patch(user_t, &patch));
+        assert_eq!(scans.len(), stored);
+        check(ExecContext::with_override(&db, tweet_t, &rows));
+    }
+
+    /// A memo answers only executions on the database it was built from.
+    #[test]
+    fn a_memo_bound_to_another_database_is_ignored() {
+        let a = db();
+        let mut b = db();
+        b.table_at_mut(0).rows[0][3] = 99.into();
+        let scans = SweepScans::new(&a);
+        for sql in SHARED {
+            let plan = planned(&a, sql);
+            execute(&plan, &ExecContext::new(&a).with_scans(Some(&scans))).unwrap();
+            let stored = (scans.len(), scans.reuses());
+            let alone = bits(&execute(&plan, &ExecContext::new(&b)).unwrap());
+            let ctx = ExecContext::new(&b).with_scans(Some(&scans));
+            assert_eq!(bits(&execute(&plan, &ctx).unwrap()), alone, "{sql}");
+            assert_eq!((scans.len(), scans.reuses()), stored, "{sql}");
+        }
+    }
+
+    /// Under a budget the memo is neither read nor filled: every row is
+    /// charged where a memo-free execution charges it.
+    #[test]
+    fn a_budgeted_execution_never_touches_the_memo() {
+        let db = db();
+        let scans = SweepScans::new(&db);
+        let plan = planned(&db, SHARED[0]);
+        execute(&plan, &ExecContext::new(&db).with_scans(Some(&scans))).unwrap();
+        let stored = (scans.len(), scans.reuses());
+        let budget = ExecBudget::default().with_max_rows(1000);
+        let alone = ExecContext::new(&db).with_budget(budget);
+        let out = execute(&plan, &alone).unwrap();
+        let shared = ExecContext::new(&db)
+            .with_budget(budget)
+            .with_scans(Some(&scans));
+        assert_eq!(bits(&execute(&plan, &shared).unwrap()), bits(&out));
+        assert_eq!(shared.rows_charged(), alone.rows_charged());
+        assert_eq!((scans.len(), scans.reuses()), stored);
+    }
+
+    /// An eval error in a prefilter or a build key propagates as without
+    /// the memo and leaves nothing behind.
+    #[test]
+    fn an_eval_error_stores_nothing() {
+        let mut db = db();
+        db.table_at_mut(0).rows[2][3] = "boom".into();
+        for sql in [
+            "select name from User where age + 1 > 18",
+            "select location from Tweet, User where Tweet.uid = User.uid + age",
+        ] {
+            let plan = planned(&db, sql);
+            let alone = execute(&plan, &ExecContext::new(&db)).unwrap_err();
+            let scans = SweepScans::new(&db);
+            let ctx = ExecContext::new(&db).with_scans(Some(&scans));
+            let err = execute(&plan, &ctx).unwrap_err();
+            assert_eq!(format!("{err:?}"), format!("{alone:?}"), "{sql}");
+            assert_eq!(scans.len(), 0, "{sql}");
+        }
     }
 }

@@ -56,6 +56,7 @@ pub mod fingerprint;
 pub mod lexer;
 pub mod parser;
 pub mod plan;
+pub mod scans;
 pub mod schema;
 pub mod table;
 pub mod update;
@@ -72,6 +73,7 @@ pub use fingerprint::{
 };
 pub use parser::{parse_select, parse_statement};
 pub use plan::{plan_select, PExpr, PRelation, ResolvedSelect};
+pub use scans::SweepScans;
 pub use schema::{ColumnDef, DataType, Domain, ForeignKey, TableSchema};
 pub use table::{Row, Table};
 pub use update::{apply_writes, check_writes, plan_update, CellWrite};

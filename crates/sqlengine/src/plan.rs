@@ -633,6 +633,10 @@ impl Scope {
     }
 }
 
+/// The most relations one query block may list in its FROM clause: the
+/// executor tracks which relations a join has bound in a `u64` mask.
+pub const MAX_RELATIONS: usize = 64;
+
 /// Plans a SELECT against a database.
 pub fn plan_select(stmt: &SelectStmt, db: &Database) -> Result<ResolvedSelect> {
     Resolver { db }.resolve_select(stmt, &[])
@@ -653,6 +657,12 @@ struct ExprCtx<'s> {
 
 impl<'a> Resolver<'a> {
     fn resolve_select(&self, stmt: &SelectStmt, outer: &[Scope]) -> Result<ResolvedSelect> {
+        if stmt.from.len() > MAX_RELATIONS {
+            return Err(EngineError::plan(format!(
+                "{} relations in one FROM clause; at most {MAX_RELATIONS} are supported",
+                stmt.from.len()
+            )));
+        }
         // 1. FROM clause: build relations and the current scope.
         let mut relations = Vec::new();
         let mut offsets = Vec::new();

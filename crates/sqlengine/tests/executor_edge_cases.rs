@@ -2,7 +2,9 @@
 //! correlation, CASE forms, NULL propagation through predicates,
 //! multi-key ordering, and `DISTINCT` aggregates at the numeric edges.
 
-use qirana_sqlengine::{fingerprint, query, ColumnDef, DataType, Database, TableSchema, Value};
+use qirana_sqlengine::{
+    fingerprint, query, ColumnDef, DataType, Database, EngineError, TableSchema, Value,
+};
 
 fn db() -> Database {
     let mut db = Database::new();
@@ -299,4 +301,30 @@ fn distinct_float_aggregates_are_exact() {
     )
     .unwrap();
     assert_eq!(fingerprint(&out), fingerprint(&again));
+}
+
+/// `select count(*) from T t0, …, T t{n-1}`, each alias pinned to one row.
+fn self_joins(n: usize) -> String {
+    let from: Vec<String> = (0..n).map(|i| format!("T t{i}")).collect();
+    let pins: Vec<String> = (0..n).map(|i| format!("t{i}.id = 1")).collect();
+    format!(
+        "select count(*) from {} where {}",
+        from.join(", "),
+        pins.join(" and ")
+    )
+}
+
+/// The executor tracks bound relations in a `u64`, so a block of 65
+/// relations is a plan error, never a panic; 64 still execute.
+#[test]
+fn more_than_64_relations_in_one_block_is_a_plan_error() {
+    let db = db();
+    let out = query(&db, &self_joins(64)).unwrap();
+    assert_eq!(out.rows, vec![vec![Value::Int(1)]]);
+    let err = query(&db, &self_joins(65)).unwrap_err();
+    assert!(matches!(err, EngineError::Plan(_)), "{err:?}");
+    // Inside a subquery too.
+    let nested = format!("select id from T where exists ({})", self_joins(65));
+    let err = query(&db, &nested).unwrap_err();
+    assert!(matches!(err, EngineError::Plan(_)), "{err:?}");
 }

@@ -16,9 +16,13 @@
 // crates where the workspace lints deny panicking calls.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use qirana::core::{prepare_query, Shape, Stage, TestClock};
-use qirana::datagen::queries::tpch_queries;
+use qirana::core::engine::query_fps;
+use qirana::core::{
+    generate_support, prepare_query, Shape, Stage, SupportSet, SupportUpdate, TestClock,
+};
+use qirana::datagen::queries::{ssb_queries, tpch_queries};
 use qirana::datagen::{ssb, tpch, world};
+use qirana::sqlengine::ExecBudget;
 use qirana::{
     Database, EngineOptions, PricingFunction, Qirana, QiranaConfig, SupportConfig, Telemetry,
     TelemetrySink,
@@ -407,4 +411,59 @@ fn delta_probe_executions_do_not_grow_with_the_support() {
             }
         }
     }
+}
+
+/// What one sweep of `sql` over `updates` adds to the scan-reuse and the
+/// probe-row counters.
+fn scan_and_probe_rows(
+    db: &Database,
+    sql: &str,
+    updates: &[SupportUpdate],
+    opts: EngineOptions,
+) -> (u64, u64) {
+    let telemetry = Telemetry::enabled();
+    let sink = Arc::clone(telemetry.sink().unwrap());
+    let q = prepare_query(db, sql).unwrap();
+    let support = SupportSet::Neighborhood(updates.to_vec());
+    query_fps(db, &q, &support, &opts.with_telemetry(telemetry)).unwrap();
+    (
+        sink.counter("sweep_scan_reuses_total"),
+        sink.counter("delta_probe_rows_total"),
+    )
+}
+
+/// The sweep's scan memo and its probe-row counter on SSB Q1.1. A delta
+/// sweep borrows the base run's filtered `lineorder` and its join index in
+/// the `dwdate` probe; `Naive` (the memo-free reference) and a budgeted
+/// sweep reuse nothing. A batch carries each member's own u⁻ and u⁺ rows
+/// and nothing else, so the probe rows of a support are the sum of its
+/// halves': how members share a batch does not grow them.
+#[test]
+fn delta_sweeps_share_scans_and_probe_rows_are_per_member() {
+    let db = ssb::generate(0.0005, 5);
+    let (_, q11) = ssb_queries()[0];
+    let updates = generate_support(
+        &db,
+        &SupportConfig {
+            size: 8 * S as usize,
+            ..Default::default()
+        },
+    );
+    let (reuses, rows) = scan_and_probe_rows(&db, q11, &updates, EngineOptions::default());
+    assert!(reuses >= 1, "no scan reused");
+    assert!(rows > 0, "no probe produced a row");
+    let budgeted =
+        EngineOptions::default().with_budget(ExecBudget::default().with_max_rows(1 << 40));
+    for opts in [EngineOptions::naive(), budgeted] {
+        assert_eq!(
+            scan_and_probe_rows(&db, q11, &updates, opts.clone()),
+            (0, 0),
+            "{:?}",
+            opts.strategy
+        );
+    }
+    let (front, back) = updates.split_at(updates.len() / 2);
+    let halves =
+        [front, back].map(|half| scan_and_probe_rows(&db, q11, half, EngineOptions::default()).1);
+    assert_eq!(halves[0] + halves[1], rows);
 }

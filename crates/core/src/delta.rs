@@ -25,7 +25,7 @@
 //!   added rows' hashes, with the header adjusted for the new row count.
 //!   Prices compare fingerprints, never row orders, so `ORDER BY` is
 //!   transparent to the delta.
-//! * **The batched probe** ([`probe_batched`]). Per relation with a
+//! * **The batched probe** (`probe_batched`). Per relation with a
 //!   visible neighbor, the relation is overridden with every such
 //!   neighbor's `old_new_rows`, each row tagged with a trailing `upid`
 //!   (`2k` for a u⁻ row of batch member `k`, `2k + 1` for a u⁺ row, so
@@ -418,7 +418,7 @@ impl DAcc {
 /// core — so the core never executes on its own. An aggregate with
 /// semi-joins executes two more plans, neither of them the plan: its
 /// stripped core for the candidates, and each inner key plan for the
-/// counts ([`build_semi`]). Returns [`DeltaState::Ineligible`] (not an
+/// counts (`build_semi`). Returns [`DeltaState::Ineligible`] (not an
 /// error) when the shape is opaque, a shape detail is unsupported, one of
 /// those extra executions errs, or a base self-check fails; errors only
 /// when the base execution itself errors — exactly when every

@@ -23,7 +23,7 @@
 //! update-visibility test ([`visibility`]). A bundle is always derived from
 //! its members' full per-query results: the OR of their bitmaps
 //! ([`bundle_disagreements`]), respectively the per-instance
-//! [`combine_bundle`] fold ([`fold_partition`]).
+//! [`combine_bundle`] fold (`fold_partition`).
 
 use crate::cache::Kind;
 use crate::delta;
@@ -441,7 +441,7 @@ pub(crate) fn fold_partition(per_query: &[&[Fingerprint]], n: usize) -> Vec<Fing
 }
 
 /// Computes the bundle output fingerprint on every support instance
-/// (Algorithm 2's dictionary keys): the [`fold_partition`] of the members'
+/// (Algorithm 2's dictionary keys): the `fold_partition` of the members'
 /// [`query_fps`].
 pub fn bundle_partition(
     db: &Database,

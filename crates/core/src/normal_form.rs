@@ -15,7 +15,7 @@
 //! visibility test ([`crate::engine::visibility`]) intersects an update's
 //! changed columns with. Neither needs a plan of its own beyond each
 //! semi-join's inner key plan: the incremental evaluator derives its
-//! `upid`-widened probes ([`widened`], the `R⁺` of §4.2) and an aggregate's
+//! `upid`-widened probes (`widened`, the `R⁺` of §4.2) and an aggregate's
 //! unrolled core from the plan at sweep time.
 //!
 //! All agreement in this crate is **bag agreement of the projected rows**:
@@ -24,7 +24,7 @@
 
 use qirana_sqlengine::ast::UnaryOp;
 use qirana_sqlengine::fingerprint::mix64;
-use qirana_sqlengine::plan::{decorrelate, Projection};
+use qirana_sqlengine::plan::{Projection, Subquery, SubqueryKind, SubqueryMode};
 use qirana_sqlengine::{Database, EngineError, Fingerprint, PExpr, PRelation, ResolvedSelect};
 use std::collections::HashSet;
 
@@ -235,27 +235,17 @@ fn collect_tables(plan: &ResolvedSelect, out: &mut HashSet<usize>) {
 }
 
 fn collect_expr_tables(e: &PExpr, out: &mut HashSet<usize>) {
-    match e {
-        PExpr::InSubquery { expr, plan, .. } => {
-            collect_expr_tables(expr, out);
-            collect_tables(plan, out);
+    // walk doesn't descend into subquery plans, so recurse on each
+    // subquery it surfaces.
+    e.walk(&mut |sub| {
+        if let PExpr::Subquery(sub) = sub {
+            collect_tables(sub.plan(), out);
         }
-        PExpr::Exists { plan, .. } | PExpr::ScalarSubquery(plan) => collect_tables(plan, out),
-        other => other.walk(&mut |sub| {
-            // walk doesn't descend into subqueries, so recurse manually on
-            // the subquery-bearing nodes it surfaces.
-            match sub {
-                PExpr::InSubquery { plan, .. }
-                | PExpr::Exists { plan, .. }
-                | PExpr::ScalarSubquery(plan) => collect_tables(plan, out),
-                _ => {}
-            }
-        }),
-    }
+    });
 }
 
 /// Classifies a plan into its optimizer shape. Only a plan with a subquery
-/// pays for semi-join detection ([`semi_join_agg`]).
+/// pays for semi-join detection (`semi_join_agg`).
 pub fn classify(db: &Database, plan: &ResolvedSelect) -> Shape {
     let shape = if plan.has_subquery() {
         semi_join_agg(db, plan)
@@ -316,32 +306,33 @@ fn all_distinct<'a>(tables: impl Iterator<Item = &'a usize>) -> bool {
     sorted.windows(2).all(|w| w[0] != w[1])
 }
 
-/// A conjunct `[NOT] EXISTS (inner)` as `(inner, negated)`, else the
-/// conjunct back. The parser spells `NOT EXISTS` as `NOT` over `EXISTS`;
+/// A conjunct `[NOT] EXISTS (…)` as its subquery and whether it is
+/// negated. The parser spells `NOT EXISTS` as `NOT` over `EXISTS`;
 /// `EXISTS` never yields NULL, so the two forms filter alike.
-fn exists_conjunct(c: PExpr) -> Result<(ResolvedSelect, bool), PExpr> {
-    match c {
-        PExpr::Exists { plan, negated } => Ok((*plan, negated)),
+fn exists_conjunct(c: &PExpr) -> Option<(&Subquery, bool)> {
+    let (e, not) = match c {
         PExpr::Unary {
             op: UnaryOp::Not,
             expr,
-        } => match *expr {
-            PExpr::Exists { plan, negated } => Ok((*plan, !negated)),
-            other => Err(PExpr::Unary {
-                op: UnaryOp::Not,
-                expr: Box::new(other),
-            }),
+        } => (&**expr, true),
+        e => (e, false),
+    };
+    match e {
+        PExpr::Subquery(sub) => match sub.kind {
+            SubqueryKind::Exists { negated } => Some((sub, negated != not)),
+            _ => None,
         },
-        other => Err(other),
+        _ => None,
     }
 }
 
 /// An aggregate block whose `WHERE` holds top-level `[NOT] EXISTS`
 /// conjuncts: `Agg` with one [`SemiJoin`] per conjunct, when
 ///
-/// * each conjunct decorrelates by the executor's own rule
-///   ([`decorrelate`]) over an SPJ inner block — no grouping, `DISTINCT`,
-///   `LIMIT`, derived table or nested subquery;
+/// * the binder bound each conjunct [`SubqueryMode::Keyed`] — the mode the
+///   executor evaluates it in — over an SPJ inner block: no `DISTINCT`,
+///   derived table or nested subquery (a keyed `EXISTS` is never grouped
+///   or limited);
 /// * the plan without those conjuncts classifies as `Agg` by itself;
 /// * no catalog table appears twice across the outer and inner blocks, so
 ///   a neighbor moves either the outer rows or one inner block's counts,
@@ -354,14 +345,12 @@ fn semi_join_agg(db: &Database, plan: &ResolvedSelect) -> Option<Shape> {
         return None;
     }
     let mut stripped = plan.clone();
-    let mut inners = Vec::new();
-    let mut kept = Vec::new();
-    for c in plan.filter.clone()?.conjuncts() {
-        match exists_conjunct(c) {
-            Ok(inner) => inners.push(inner),
-            Err(other) => kept.push(other),
-        }
-    }
+    let (inners, kept): (Vec<PExpr>, Vec<PExpr>) = plan
+        .filter
+        .clone()?
+        .conjuncts()
+        .into_iter()
+        .partition(|c| exists_conjunct(c).is_some());
     stripped.filter = PExpr::conjoin(kept);
     if inners.is_empty() || stripped.has_subquery() {
         return None;
@@ -369,18 +358,19 @@ fn semi_join_agg(db: &Database, plan: &ResolvedSelect) -> Option<Shape> {
     let Some(Shape::Agg(mut shape)) = normal_form(db, &stripped) else {
         return None;
     };
-    for (inner, negated) in inners {
-        let spj = !inner.grouped && inner.having.is_none() && !inner.distinct;
-        if !spj || inner.relations.is_empty() || inner.has_subquery() {
+    for c in &inners {
+        let (sub, negated) = exists_conjunct(c)?;
+        let SubqueryMode::Keyed {
+            plan: keys,
+            outer_slot,
+        } = &sub.mode
+        else {
+            return None;
+        };
+        if keys.distinct || keys.relations.is_empty() || keys.has_subquery() {
             return None;
         }
-        let dec = decorrelate(&inner)?;
-        let mut keys = dec.inner;
-        keys.projections = vec![Projection {
-            expr: dec.inner_key,
-            name: "k".into(),
-        }];
-        keys.order_by.clear();
+        let (keys, outer_slot) = (keys.clone(), *outer_slot);
         let tables = base_tables(&keys)?;
         let mut read_slots = Vec::new();
         for e in keys
@@ -396,11 +386,11 @@ fn semi_join_agg(db: &Database, plan: &ResolvedSelect) -> Option<Shape> {
         let outer = shape
             .relations
             .iter_mut()
-            .rfind(|r| r.offset <= dec.outer_slot)?;
-        outer.referenced_cols.insert(dec.outer_slot - outer.offset);
+            .rfind(|r| r.offset <= outer_slot)?;
+        outer.referenced_cols.insert(outer_slot - outer.offset);
         shape.semi_joins.push(SemiJoin {
             negated,
-            outer_slot: dec.outer_slot,
+            outer_slot,
             keys,
             relations,
         });

@@ -33,7 +33,7 @@ use crate::error::{BudgetResource, EngineError, Result};
 use crate::exact::SumAcc;
 use crate::expr::{binary_op, date_interval, like_match};
 use crate::plan::{
-    decorrelate, plan_escapes, AggSpec, PExpr, PRelation, ResolvedSelect, MAX_RELATIONS,
+    AggSpec, PExpr, PRelation, ResolvedSelect, Subquery, SubqueryKind, SubqueryMode, MAX_RELATIONS,
 };
 use crate::scans::{JoinIndex, ScanKey, SweepScans};
 use crate::table::Row;
@@ -377,7 +377,7 @@ fn eval_in(
     aggs: Option<&[Value]>,
     ctx: &ExecContext<'_>,
 ) -> Result<Value> {
-    let cache: SubCache = RefCell::new(HashMap::new());
+    let tables: SubTables = RefCell::new(HashMap::new());
     eval(
         e,
         &Env {
@@ -385,40 +385,14 @@ fn eval_in(
             aggs,
             outer: &[],
             ctx,
-            cache: &cache,
+            tables: &tables,
         },
     )
 }
 
-/// Cached result of an uncorrelated subquery, computed once per execution.
-enum CachedSub {
-    Exists(bool),
-    Set {
-        set: HashSet<Value>,
-        has_null: bool,
-    },
-    Scalar(Value),
-    /// Decorrelated EXISTS: the inner keys that have at least one row.
-    SemiKeys {
-        keys: HashSet<Value>,
-        outer_slot: usize,
-    },
-    /// Decorrelated IN: inner key → (projected values, saw NULL value).
-    InIndex {
-        map: HashMap<Value, (HashSet<Value>, bool)>,
-        outer_slot: usize,
-    },
-    /// Decorrelated scalar: inner key → (value, row count); `empty` is the
-    /// value the subquery yields when no inner row matches (NULL, or the
-    /// empty-input aggregate row for a global aggregate).
-    ScalarIndex {
-        map: HashMap<Value, (Value, usize)>,
-        empty: Value,
-        outer_slot: usize,
-    },
-}
-
-type SubCache = RefCell<HashMap<usize, CachedSub>>;
+/// The tables one execution of a block builds for its uncorrelated and
+/// keyed subqueries, by [`Subquery::id`], each on first use.
+type SubTables = RefCell<HashMap<usize, SubTable>>;
 
 /// Evaluation environment for one row.
 struct Env<'e> {
@@ -426,7 +400,7 @@ struct Env<'e> {
     aggs: Option<&'e [Value]>,
     outer: &'e [&'e [Value]],
     ctx: &'e ExecContext<'e>,
-    cache: &'e SubCache,
+    tables: &'e SubTables,
 }
 
 fn execute_nested(
@@ -445,14 +419,14 @@ fn execute_input(
     // Catch an already-expired deadline before doing any work (the periodic
     // in-loop checks only fire once enough rows have been charged).
     ctx.meter.check_deadline()?;
-    let cache: SubCache = RefCell::new(HashMap::new());
-    let joined = run_from(plan, ctx, outer, &cache)?;
+    let tables: SubTables = RefCell::new(HashMap::new());
+    let joined = run_from(plan, ctx, outer, &tables)?;
 
     let columns: Vec<String> = plan.projections.iter().map(|p| p.name.clone()).collect();
     let mut rows: Vec<Row>;
 
     if plan.grouped {
-        rows = run_grouped(plan, ctx, outer, &cache, &joined)?;
+        rows = run_grouped(plan, ctx, outer, &tables, &joined)?;
     } else {
         rows = Vec::with_capacity(joined.len());
         for r in &joined {
@@ -461,7 +435,7 @@ fn execute_input(
                 aggs: None,
                 outer,
                 ctx,
-                cache: &cache,
+                tables: &tables,
             };
             let mut out = Vec::with_capacity(plan.projections.len());
             for p in &plan.projections {
@@ -480,7 +454,7 @@ fn execute_input(
                     aggs: None,
                     outer,
                     ctx,
-                    cache: &cache,
+                    tables: &tables,
                 };
                 let mut key = Vec::with_capacity(plan.order_by.len());
                 for (e, _) in &plan.order_by {
@@ -529,7 +503,7 @@ fn run_grouped(
     plan: &ResolvedSelect,
     ctx: &ExecContext<'_>,
     outer: &[&[Value]],
-    cache: &SubCache,
+    tables: &SubTables,
     joined: &[Row],
 ) -> Result<Vec<Row>> {
     struct Group {
@@ -545,7 +519,7 @@ fn run_grouped(
             aggs: None,
             outer,
             ctx,
-            cache,
+            tables,
         };
         let mut key = Vec::with_capacity(plan.group_by.len());
         for g in &plan.group_by {
@@ -595,7 +569,7 @@ fn run_grouped(
             aggs: Some(&agg_vals),
             outer,
             ctx,
-            cache,
+            tables,
         };
         if let Some(h) = &plan.having {
             if eval(h, &env)?.as_bool3() != Some(true) {
@@ -830,7 +804,7 @@ fn run_from(
     plan: &ResolvedSelect,
     ctx: &ExecContext<'_>,
     outer: &[&[Value]],
-    cache: &SubCache,
+    tables: &SubTables,
 ) -> Result<Vec<Row>> {
     let n = plan.relations.len();
     if n == 0 {
@@ -842,7 +816,7 @@ fn run_from(
                 aggs: None,
                 outer,
                 ctx,
-                cache,
+                tables,
             };
             if eval(f, &env)?.as_bool3() != Some(true) {
                 row.clear();
@@ -939,7 +913,7 @@ fn run_from(
             .collect();
         let Some((scans, table)) = scans else {
             let mut kept = Vec::new();
-            prefilter(&raw, &local, ctx, outer, cache, |_, row| {
+            prefilter(&raw, &local, ctx, outer, tables, |_, row| {
                 kept.push(row.clone())
             })?;
             sources.push(Source::Owned(kept));
@@ -954,7 +928,7 @@ fn run_from(
                 Some(keep) => keep,
                 None => {
                     let mut keep = Vec::new();
-                    prefilter(&raw, key.filter(), ctx, outer, cache, |p, _| {
+                    prefilter(&raw, key.filter(), ctx, outer, tables, |p, _| {
                         keep.push(p as u32)
                     })?;
                     let keep: Rc<[u32]> = keep.into();
@@ -985,7 +959,7 @@ fn run_from(
         ctx.charge_rows(1, width)?;
         inter.push(widen(r, plan.offsets[start], width));
     }
-    apply_ready_residuals(&mut residuals, bound, &mut inter, ctx, outer, cache)?;
+    apply_ready_residuals(&mut residuals, bound, &mut inter, ctx, outer, tables)?;
 
     while bound != all_mask {
         // Gather join keys for every unbound relation connected to `bound`.
@@ -1038,7 +1012,7 @@ fn run_from(
                 let stored = memo.and_then(|(scans, key)| scans.index(key, &local_build));
                 let built = match stored {
                     Some(_) => None,
-                    None => Some(build_index(&sources[r], &local_build, ctx, outer, cache)?),
+                    None => Some(build_index(&sources[r], &local_build, ctx, outer, tables)?),
                 };
                 let ht = stored
                     .as_deref()
@@ -1051,7 +1025,7 @@ fn run_from(
                         aggs: None,
                         outer,
                         ctx,
-                        cache,
+                        tables,
                     };
                     let mut key = Vec::with_capacity(probe_exprs.len());
                     for e in &probe_exprs {
@@ -1099,7 +1073,7 @@ fn run_from(
                 bound |= 1 << r;
             }
         }
-        apply_ready_residuals(&mut residuals, bound, &mut inter, ctx, outer, cache)?;
+        apply_ready_residuals(&mut residuals, bound, &mut inter, ctx, outer, tables)?;
     }
 
     debug_assert!(residuals.iter().all(|c| c.applied));
@@ -1123,7 +1097,7 @@ fn prefilter<'r>(
     filter: &[PExpr],
     ctx: &ExecContext<'_>,
     outer: &[&[Value]],
-    cache: &SubCache,
+    tables: &SubTables,
     mut keep: impl FnMut(usize, &'r Row),
 ) -> Result<()> {
     'rows: for (p, row) in source.iter().enumerate() {
@@ -1132,7 +1106,7 @@ fn prefilter<'r>(
             aggs: None,
             outer,
             ctx,
-            cache,
+            tables,
         };
         for e in filter {
             if eval(e, &env)?.as_bool3() != Some(true) {
@@ -1152,7 +1126,7 @@ fn build_index(
     build: &[PExpr],
     ctx: &ExecContext<'_>,
     outer: &[&[Value]],
-    cache: &SubCache,
+    tables: &SubTables,
 ) -> Result<JoinIndex> {
     let mut ht: JoinIndex = HashMap::with_capacity(source.len());
     'build: for (p, row) in source.iter().enumerate() {
@@ -1161,7 +1135,7 @@ fn build_index(
             aggs: None,
             outer,
             ctx,
-            cache,
+            tables,
         };
         let mut key = Vec::with_capacity(build.len());
         for e in build {
@@ -1185,7 +1159,7 @@ fn apply_ready_residuals(
     inter: &mut Vec<Row>,
     ctx: &ExecContext<'_>,
     outer: &[&[Value]],
-    cache: &SubCache,
+    tables: &SubTables,
 ) -> Result<()> {
     for c in residuals.iter_mut() {
         if c.applied || c.rels & !bound != 0 {
@@ -1199,7 +1173,7 @@ fn apply_ready_residuals(
                 aggs: None,
                 outer,
                 ctx,
-                cache,
+                tables,
             };
             if eval(&c.expr, &env)?.as_bool3() == Some(true) {
                 kept.push(row);
@@ -1335,28 +1309,7 @@ fn eval(e: &PExpr, env: &Env<'_>) -> Result<Value> {
             }
             in_result(found, saw_null, *negated)
         }
-        PExpr::InSubquery {
-            expr,
-            plan,
-            negated,
-        } => {
-            let v = eval(expr, env)?;
-            let (set, has_null) = subquery_set(plan, env)?;
-            if set.is_empty() && !has_null {
-                // x IN (empty) is FALSE even for NULL x.
-                return Ok(Value::Bool(*negated));
-            }
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            let found = set.contains(&v);
-            in_result(found, has_null, *negated)
-        }
-        PExpr::Exists { plan, negated } => {
-            let nonempty = subquery_exists(plan, env)?;
-            Value::Bool(nonempty != *negated)
-        }
-        PExpr::ScalarSubquery(plan) => subquery_scalar(plan, env)?,
+        PExpr::Subquery(sub) => subquery(sub, env)?,
         PExpr::IsNull { expr, negated } => {
             let v = eval(expr, env)?;
             Value::Bool(v.is_null() != *negated)
@@ -1403,301 +1356,149 @@ fn in_result(found: bool, saw_null: bool, negated: bool) -> Value {
 }
 
 // ---------------------------------------------------------------------------
-// Subquery evaluation with uncorrelated-result caching
+// Subquery evaluation
 // ---------------------------------------------------------------------------
 
-fn run_subquery(plan: &ResolvedSelect, env: &Env<'_>) -> Result<QueryOutput> {
-    let stack: Vec<&[Value]> = std::iter::once(env.row)
-        .chain(env.outer.iter().copied())
-        .collect();
-    execute_nested(plan, env.ctx, &stack)
+/// One key's inner rows, as the subquery's kind reads them.
+#[derive(Default)]
+struct Bucket {
+    rows: usize,
+    /// Scalar: the first row's value, the answer when it is the only row.
+    first: Option<Value>,
+    /// `IN`: whether a NULL was among the values.
+    has_null: bool,
 }
 
-/// The value of the parent-row column a decorrelated lookup keys on.
-fn outer_value(env: &Env<'_>, slot: usize) -> Value {
-    env.row[slot].clone()
+/// A subquery's inner rows by key. Uncorrelated and per-row rows all file
+/// under NULL, which is also what they are looked up by; a keyed row files
+/// under its key, except a NULL key, which equals no outer value. `empty`
+/// answers a scalar whose key has no rows.
+struct SubTable {
+    buckets: HashMap<Value, Bucket>,
+    /// `IN`: each key's non-NULL values, as `(key, value)`.
+    values: HashSet<(Value, Value)>,
+    empty: Value,
 }
 
-fn subquery_exists(plan: &ResolvedSelect, env: &Env<'_>) -> Result<bool> {
-    let key = plan as *const _ as usize;
-    match env.cache.borrow().get(&key) {
-        Some(CachedSub::Exists(b)) => return Ok(*b),
-        Some(CachedSub::SemiKeys { keys, outer_slot }) => {
-            let v = outer_value(env, *outer_slot);
-            return Ok(!v.is_null() && keys.contains(&v));
-        }
-        _ => {}
-    }
-    let correlated = plan_escapes(plan, 0);
-    if !correlated {
-        let out = run_subquery(plan, env)?;
-        let b = !out.rows.is_empty();
-        env.cache.borrow_mut().insert(key, CachedSub::Exists(b));
-        return Ok(b);
-    }
-    // Correlated: try a one-shot semi-join index.
-    if !plan.grouped {
-        if let Some(dec) = decorrelate(plan) {
-            let mut probe = dec.inner;
-            probe.projections = vec![crate::plan::Projection {
-                expr: dec.inner_key,
-                name: "k".into(),
-            }];
-            probe.distinct = true;
-            probe.order_by.clear();
-            let out = execute_nested(&probe, env.ctx, &[])?;
-            let keys: HashSet<Value> = out
-                .rows
-                .into_iter()
-                .map(|mut r| r.swap_remove(0))
-                .filter(|v| !v.is_null())
-                .collect();
-            let v = outer_value(env, dec.outer_slot);
-            let b = !v.is_null() && keys.contains(&v);
-            env.cache.borrow_mut().insert(
-                key,
-                CachedSub::SemiKeys {
-                    keys,
-                    outer_slot: dec.outer_slot,
+impl SubTable {
+    /// Files `rows`: each is `[key, value…]` when `keyed`, else `[value…]`.
+    fn new(kind: &SubqueryKind, rows: Vec<Row>, keyed: bool, empty: Value) -> SubTable {
+        let mut buckets: HashMap<Value, Bucket> = HashMap::new();
+        let mut values = HashSet::new();
+        for row in rows {
+            let mut cells = row.into_iter();
+            let key = match keyed {
+                false => Value::Null,
+                true => match cells.next() {
+                    Some(key) if !key.is_null() => key,
+                    _ => continue,
                 },
-            );
-            return Ok(b);
-        }
-    }
-    // Irreducibly correlated: run per row.
-    let out = run_subquery(plan, env)?;
-    Ok(!out.rows.is_empty())
-}
-
-fn subquery_set(plan: &ResolvedSelect, env: &Env<'_>) -> Result<(HashSet<Value>, bool)> {
-    let key = plan as *const _ as usize;
-    match env.cache.borrow().get(&key) {
-        Some(CachedSub::Set { set, has_null }) => return Ok((set.clone(), *has_null)),
-        Some(CachedSub::InIndex { map, outer_slot }) => {
-            let v = outer_value(env, *outer_slot);
-            return Ok(match map.get(&v) {
-                Some((set, has_null)) => (set.clone(), *has_null),
-                None => (HashSet::new(), false),
-            });
-        }
-        _ => {}
-    }
-    let collect = |out: QueryOutput| {
-        let mut set = HashSet::with_capacity(out.rows.len());
-        let mut has_null = false;
-        for mut r in out.rows {
-            let v = r.swap_remove(0);
-            if v.is_null() {
-                has_null = true;
-            } else {
-                set.insert(v);
-            }
-        }
-        (set, has_null)
-    };
-    let correlated = plan_escapes(plan, 0);
-    if !correlated {
-        let (set, has_null) = collect(run_subquery(plan, env)?);
-        env.cache.borrow_mut().insert(
-            key,
-            CachedSub::Set {
-                set: set.clone(),
-                has_null,
-            },
-        );
-        return Ok((set, has_null));
-    }
-    if !plan.grouped && !plan.distinct {
-        if let Some(dec) = decorrelate(plan) {
-            let mut probe = dec.inner;
-            let value_proj = probe.projections.swap_remove(0);
-            probe.projections = vec![
-                crate::plan::Projection {
-                    expr: dec.inner_key,
-                    name: "k".into(),
-                },
-                value_proj,
-            ];
-            probe.order_by.clear();
-            let out = execute_nested(&probe, env.ctx, &[])?;
-            let mut map: HashMap<Value, (HashSet<Value>, bool)> = HashMap::new();
-            for mut r in out.rows {
-                let v = r.swap_remove(1);
-                let k = r.swap_remove(0);
-                if k.is_null() {
-                    continue; // NULL keys never equal any outer value
-                }
-                let entry = map.entry(k).or_default();
-                if v.is_null() {
-                    entry.1 = true;
-                } else {
-                    entry.0.insert(v);
-                }
-            }
-            let v = outer_value(env, dec.outer_slot);
-            let result = match map.get(&v) {
-                Some((set, has_null)) => (set.clone(), *has_null),
-                None => (HashSet::new(), false),
             };
-            env.cache.borrow_mut().insert(
-                key,
-                CachedSub::InIndex {
-                    map,
-                    outer_slot: dec.outer_slot,
-                },
-            );
-            return Ok(result);
+            let bucket = buckets.entry(key.clone()).or_default();
+            bucket.rows += 1;
+            let value = cells.next().unwrap_or(Value::Null);
+            match kind {
+                SubqueryKind::Exists { .. } => {}
+                SubqueryKind::In { .. } if value.is_null() => bucket.has_null = true,
+                SubqueryKind::In { .. } => {
+                    values.insert((key, value));
+                }
+                SubqueryKind::Scalar => {
+                    bucket.first.get_or_insert(value);
+                }
+            }
         }
-    }
-    Ok(collect(run_subquery(plan, env)?))
-}
-
-fn subquery_scalar(plan: &ResolvedSelect, env: &Env<'_>) -> Result<Value> {
-    let key = plan as *const _ as usize;
-    match env.cache.borrow().get(&key) {
-        Some(CachedSub::Scalar(v)) => return Ok(v.clone()),
-        Some(CachedSub::ScalarIndex {
-            map,
+        SubTable {
+            buckets,
+            values,
             empty,
-            outer_slot,
-        }) => {
-            let v = outer_value(env, *outer_slot);
-            return match map.get(&v) {
-                Some((value, 1)) => Ok(value.clone()),
-                Some((_, n)) => Err(EngineError::eval(format!(
-                    "scalar subquery returned {n} rows"
-                ))),
-                None => Ok(empty.clone()),
-            };
         }
-        _ => {}
     }
-    let scalar_of = |out: QueryOutput| -> Result<Value> {
-        match out.rows.len() {
-            0 => Ok(Value::Null),
-            1 => Ok(out.rows[0][0].clone()),
-            n => Err(EngineError::eval(format!(
-                "scalar subquery returned {n} rows"
-            ))),
-        }
-    };
-    let correlated = plan_escapes(plan, 0);
-    if !correlated {
-        let v = scalar_of(run_subquery(plan, env)?)?;
-        env.cache
-            .borrow_mut()
-            .insert(key, CachedSub::Scalar(v.clone()));
-        return Ok(v);
+
+    /// The subquery's value for an outer row of key `key`; `operand` is an
+    /// `IN`'s left side.
+    fn answer(&self, kind: &SubqueryKind, key: &Value, operand: Value) -> Result<Value> {
+        let bucket = self.buckets.get(key);
+        Ok(match (kind, bucket) {
+            (SubqueryKind::Exists { negated }, _) => Value::Bool(bucket.is_some() != *negated),
+            // x IN (empty) is FALSE even for NULL x.
+            (SubqueryKind::In { negated, .. }, None) => Value::Bool(*negated),
+            (SubqueryKind::In { .. }, Some(_)) if operand.is_null() => Value::Null,
+            (SubqueryKind::In { negated, .. }, Some(b)) => {
+                let found = self.values.contains(&(key.clone(), operand));
+                in_result(found, b.has_null, *negated)
+            }
+            (SubqueryKind::Scalar, None) => self.empty.clone(),
+            (SubqueryKind::Scalar, Some(b)) if b.rows == 1 => {
+                b.first.clone().unwrap_or(Value::Null)
+            }
+            (SubqueryKind::Scalar, Some(b)) => {
+                return Err(EngineError::eval(format!(
+                    "scalar subquery returned {} rows",
+                    b.rows
+                )))
+            }
+        })
     }
-    if let Some(built) = build_scalar_index(plan, env)? {
-        let v = outer_value(env, built.2);
-        let result = match built.0.get(&v) {
-            Some((value, 1)) => Ok(value.clone()),
-            Some((_, n)) => Err(EngineError::eval(format!(
-                "scalar subquery returned {n} rows"
-            ))),
-            None => Ok(built.1.clone()),
-        };
-        env.cache.borrow_mut().insert(
-            key,
-            CachedSub::ScalarIndex {
-                map: built.0,
-                empty: built.1,
-                outer_slot: built.2,
-            },
-        );
-        return result;
-    }
-    scalar_of(run_subquery(plan, env)?)
 }
 
-/// Builds a `(key → (value, count), empty-input value, outer slot)` index
-/// for a decorrelatable scalar subquery, or `None` if the shape doesn't
-/// qualify.
-#[allow(clippy::type_complexity)]
-fn build_scalar_index(
-    plan: &ResolvedSelect,
-    env: &Env<'_>,
-) -> Result<Option<(HashMap<Value, (Value, usize)>, Value, usize)>> {
-    if plan.distinct || plan.having.is_some() || plan.projections.len() != 1 {
-        return Ok(None);
-    }
-    let global_agg = plan.grouped && plan.group_by.is_empty();
-    if plan.grouped && !global_agg {
-        return Ok(None); // correlated grouped-with-keys scalars stay per-row
-    }
-    if plan.projections[0].expr.has_subquery() {
-        return Ok(None);
-    }
-    let Some(dec) = decorrelate(plan) else {
-        return Ok(None);
+/// A subquery's value for the row `env` holds, in the mode the binder
+/// chose. An uncorrelated or keyed subquery builds its table the first
+/// time a row of this execution of the block reaches it; a per-row one
+/// executes with the row in scope.
+fn subquery(sub: &Subquery, env: &Env<'_>) -> Result<Value> {
+    // `IN` reads its left side before its subquery.
+    let operand = match &sub.kind {
+        SubqueryKind::In { expr, .. } => eval(expr, env)?,
+        _ => Value::Null,
     };
-
-    let mut probe = dec.inner;
-    let value_proj = probe.projections.swap_remove(0);
-    probe.order_by.clear();
-    if global_agg {
-        // γ_{key}(inner): one row per key; a missing key yields the
-        // empty-input aggregate row (COUNT = 0, others NULL), exactly what
-        // the original produces for a non-matching outer row.
-        probe.group_by = vec![dec.inner_key.clone()];
-        probe.projections = vec![
-            crate::plan::Projection {
-                expr: dec.inner_key,
-                name: "k".into(),
-            },
-            value_proj,
-        ];
-        let empty = {
-            let empties: Vec<Value> = probe
-                .aggregates
-                .iter()
-                .map(|spec| Accum::new(spec).finalize())
+    let (plan, key) = match &sub.mode {
+        SubqueryMode::PerRow(plan) => {
+            let stack: Vec<&[Value]> = std::iter::once(env.row)
+                .chain(env.outer.iter().copied())
                 .collect();
-            let null_row = vec![Value::Null; probe.width];
-            let tmp_cache: SubCache = RefCell::new(HashMap::new());
-            eval(
-                &probe.projections[1].expr,
-                &Env {
-                    row: &null_row,
-                    aggs: Some(&empties),
-                    outer: &[],
-                    ctx: env.ctx,
-                    cache: &tmp_cache,
-                },
-            )?
-        };
-        let out = execute_nested(&probe, env.ctx, &[])?;
-        let mut map = HashMap::with_capacity(out.rows.len());
-        for mut r in out.rows {
-            let v = r.swap_remove(1);
-            let k = r.swap_remove(0);
-            if !k.is_null() {
-                map.insert(k, (v, 1));
-            }
+            let rows = execute_nested(plan, env.ctx, &stack)?.rows;
+            let table = SubTable::new(&sub.kind, rows, false, Value::Null);
+            return table.answer(&sub.kind, &Value::Null, operand);
         }
-        Ok(Some((map, empty, dec.outer_slot)))
-    } else {
-        probe.projections = vec![
-            crate::plan::Projection {
-                expr: dec.inner_key,
-                name: "k".into(),
-            },
-            value_proj,
-        ];
-        let out = execute_nested(&probe, env.ctx, &[])?;
-        let mut map: HashMap<Value, (Value, usize)> = HashMap::with_capacity(out.rows.len());
-        for mut r in out.rows {
-            let v = r.swap_remove(1);
-            let k = r.swap_remove(0);
-            if k.is_null() {
-                continue;
-            }
-            let e = map.entry(k).or_insert((v, 0));
-            e.1 += 1;
-        }
-        Ok(Some((map, Value::Null, dec.outer_slot)))
+        SubqueryMode::Uncorrelated(plan) => (plan, Value::Null),
+        SubqueryMode::Keyed { plan, outer_slot } => (plan, env.row[*outer_slot].clone()),
+    };
+    if !env.tables.borrow().contains_key(&sub.id) {
+        let table = build_table(sub, plan, env.ctx)?;
+        env.tables.borrow_mut().insert(sub.id, table);
     }
+    let tables = env.tables.borrow();
+    let table = tables
+        .get(&sub.id)
+        .ok_or_else(|| EngineError::internal("a subquery's table went missing"))?;
+    table.answer(&sub.kind, &key, operand)
+}
+
+/// The table of an uncorrelated or keyed subquery: its plan executed once,
+/// with no outer row.
+fn build_table(sub: &Subquery, plan: &ResolvedSelect, ctx: &ExecContext<'_>) -> Result<SubTable> {
+    let keyed = matches!(sub.mode, SubqueryMode::Keyed { .. });
+    // γ_key of a global aggregate has no row for a key without inner rows;
+    // that key reads the empty-input row (COUNT 0, others NULL), exactly
+    // what the correlated block yields for it.
+    let empty = if keyed && plan.grouped {
+        let empties: Vec<Value> = plan
+            .aggregates
+            .iter()
+            .map(|spec| Accum::new(spec).finalize())
+            .collect();
+        eval_group_expr(
+            &plan.projections[1].expr,
+            &vec![Value::Null; plan.width],
+            &empties,
+            ctx,
+        )?
+    } else {
+        Value::Null
+    };
+    let rows = execute_nested(plan, ctx, &[])?.rows;
+    Ok(SubTable::new(&sub.kind, rows, keyed, empty))
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@
 //!   `i64 → f64` cast, which is deterministic — probability 1, not 10⁻²⁶ —
 //!   in collapsing distinct integers beyond 2^53 (`2^53` and `2^53 + 1`
 //!   fingerprinted identically). Integers with no exact `f64` now hash
-//!   their own bits under a distinct tag (see [`write_value`]), so only
+//!   their own bits under a distinct tag (see `write_value`), so only
 //!   genuinely equal numerics share a fingerprint.
 
 use crate::exec::QueryOutput;

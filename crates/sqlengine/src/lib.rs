@@ -83,7 +83,7 @@ pub use value::{lossless_f64, Value};
 // The pricing service's handler threads share one broker behind its `RwLock`
 // and execute plans concurrently on `&Database`, moving errors/outputs between
 // threads. These compile-time assertions pin the thread-safety contract: every
-// interior-mutable piece of execution state (budget meters, subquery caches)
+// interior-mutable piece of execution state (budget meters, subquery tables)
 // must stay inside the per-execution `ExecContext`, never inside the shared
 // plan or database types.
 const _: () = {

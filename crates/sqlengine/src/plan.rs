@@ -2,6 +2,11 @@
 //! [`ResolvedSelect`] where every column reference is a slot index into the
 //! joined row.
 //!
+//! Binding also finishes every subquery: each becomes one
+//! [`PExpr::Subquery`] whose [`SubqueryMode`] — uncorrelated, keyed on one
+//! correlation equality, or per row — is decided here, once, and read by
+//! both the executor and the pricing layer's shape analysis.
+//!
 //! The resolved form is deliberately *open* (public fields, slot-rewriting
 //! helpers): QIRANA's pricing optimizer programmatically derives variant
 //! queries from it — the key-augmented query `Q̂`, unrolled aggregates `Q°γ`,
@@ -12,6 +17,7 @@ use crate::ast::{AggFunc, BinaryOp, Expr, SelectItem, SelectStmt, TableRef, Unar
 use crate::database::Database;
 use crate::error::{EngineError, Result};
 use crate::value::Value;
+use std::cell::Cell;
 
 /// A resolved (planned) SELECT.
 #[derive(Debug, Clone, PartialEq)]
@@ -134,16 +140,7 @@ pub enum PExpr {
         list: Vec<PExpr>,
         negated: bool,
     },
-    InSubquery {
-        expr: Box<PExpr>,
-        plan: Box<ResolvedSelect>,
-        negated: bool,
-    },
-    Exists {
-        plan: Box<ResolvedSelect>,
-        negated: bool,
-    },
-    ScalarSubquery(Box<ResolvedSelect>),
+    Subquery(Box<Subquery>),
     IsNull {
         expr: Box<PExpr>,
         negated: bool,
@@ -153,6 +150,63 @@ pub enum PExpr {
         branches: Vec<(PExpr, PExpr)>,
         else_expr: Option<Box<PExpr>>,
     },
+}
+
+/// A subquery as the binder leaves it: what its block answers (`kind`)
+/// and how the executor evaluates it (`mode`), decided once at plan time.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Subquery {
+    pub kind: SubqueryKind,
+    pub mode: SubqueryMode,
+    /// Which table of its block's execution an `Uncorrelated` or `Keyed`
+    /// mode builds; distinct for every subquery of one planned statement.
+    pub(crate) id: usize,
+}
+
+/// What a subquery's rows answer.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SubqueryKind {
+    /// `[NOT] EXISTS (…)`: whether there is a row.
+    Exists { negated: bool },
+    /// `expr [NOT] IN (…)`, three-valued: a NULL among the values makes a
+    /// miss UNKNOWN.
+    In { expr: Box<PExpr>, negated: bool },
+    /// `(…)` in expression position: the one row's value, NULL for no row,
+    /// an evaluation error for more.
+    Scalar,
+}
+
+/// How the executor evaluates a subquery. Each mode stores one plan.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SubqueryMode {
+    /// The block reads no enclosing row: it runs once per execution of the
+    /// enclosing block, on first use.
+    Uncorrelated(ResolvedSelect),
+    /// The block reads the enclosing row only through one equality
+    /// `inner_key = row[outer_slot]`. `plan` is the block without that
+    /// conjunct and its `ORDER BY`, projecting the key first: `[key]` for
+    /// `EXISTS`, `[key, value]` for `IN` and a scalar, and a scalar global
+    /// aggregate grouped by the key (γ_key). It runs once per execution of
+    /// the enclosing block, on first use; each outer row reads its key's
+    /// rows, a NULL key none.
+    Keyed {
+        plan: ResolvedSelect,
+        outer_slot: usize,
+    },
+    /// Every other correlated block (the Apply fallback): it runs once per
+    /// outer row that reaches it, with that row in scope.
+    PerRow(ResolvedSelect),
+}
+
+impl Subquery {
+    /// The one plan the mode stores.
+    pub fn plan(&self) -> &ResolvedSelect {
+        match &self.mode {
+            SubqueryMode::Uncorrelated(plan)
+            | SubqueryMode::Keyed { plan, .. }
+            | SubqueryMode::PerRow(plan) => plan,
+        }
+    }
 }
 
 impl PExpr {
@@ -224,8 +278,11 @@ impl PExpr {
                     e.walk(f);
                 }
             }
-            PExpr::InSubquery { expr, .. } => expr.walk(f),
-            PExpr::Exists { .. } | PExpr::ScalarSubquery(_) => {}
+            PExpr::Subquery(sub) => {
+                if let SubqueryKind::In { expr, .. } = &sub.kind {
+                    expr.walk(f)
+                }
+            }
             PExpr::Case {
                 operand,
                 branches,
@@ -249,10 +306,7 @@ impl PExpr {
     pub fn has_subquery(&self) -> bool {
         let mut found = false;
         self.walk(&mut |e| {
-            if matches!(
-                e,
-                PExpr::InSubquery { .. } | PExpr::Exists { .. } | PExpr::ScalarSubquery(_)
-            ) {
+            if matches!(e, PExpr::Subquery(_)) {
                 found = true;
             }
         });
@@ -294,7 +348,7 @@ impl PExpr {
                     e.map_slots(f);
                 }
             }
-            PExpr::InSubquery { .. } | PExpr::Exists { .. } | PExpr::ScalarSubquery(_) => {
+            PExpr::Subquery(_) => {
                 panic!("map_slots on an expression containing a subquery") // qirana-lint::allow(QL007): documented contract; planners strip subqueries before slot mapping
             }
             PExpr::Case {
@@ -385,7 +439,9 @@ impl ResolvedSelect {
 
 /// True iff any expression inside `plan` references a row more than `level`
 /// scopes above it (i.e. escapes the plan and depends on the current row).
-pub fn plan_escapes(plan: &ResolvedSelect, level: usize) -> bool {
+/// A `Keyed` subquery's plan lacks its correlation conjunct, which reads
+/// only its parent block's row, so the stored plans answer this alike.
+fn plan_escapes(plan: &ResolvedSelect, level: usize) -> bool {
     let exprs = plan
         .filter
         .iter()
@@ -403,7 +459,7 @@ pub fn plan_escapes(plan: &ResolvedSelect, level: usize) -> bool {
 }
 
 /// [`plan_escapes`] for one expression of a plan at nesting `level`.
-pub fn expr_escapes(e: &PExpr, level: usize) -> bool {
+fn expr_escapes(e: &PExpr, level: usize) -> bool {
     match e {
         PExpr::OuterSlot { depth, .. } => *depth >= level,
         PExpr::Literal(_) | PExpr::Interval { .. } | PExpr::Slot(_) | PExpr::AggRef(_) => false,
@@ -419,11 +475,10 @@ pub fn expr_escapes(e: &PExpr, level: usize) -> bool {
         PExpr::InList { expr, list, .. } => {
             expr_escapes(expr, level) || list.iter().any(|e| expr_escapes(e, level))
         }
-        PExpr::InSubquery { expr, plan, .. } => {
-            expr_escapes(expr, level) || plan_escapes(plan, level + 1)
+        PExpr::Subquery(sub) => {
+            matches!(&sub.kind, SubqueryKind::In { expr, .. } if expr_escapes(expr, level))
+                || plan_escapes(sub.plan(), level + 1)
         }
-        PExpr::Exists { plan, .. } => plan_escapes(plan, level + 1),
-        PExpr::ScalarSubquery(plan) => plan_escapes(plan, level + 1),
         PExpr::Case {
             operand,
             branches,
@@ -438,30 +493,26 @@ pub fn expr_escapes(e: &PExpr, level: usize) -> bool {
     }
 }
 
-/// A correlated subquery reducible to one keyed index build.
+/// A correlated subquery reducible to one keyed table build.
 ///
 /// Applies when the *only* reference to enclosing rows is a single
 /// equality conjunct `inner_expr = OuterSlot{depth: 0}`. TPC-H Q4's
 /// `EXISTS (… WHERE l_orderkey = o_orderkey …)` and Q17's
 /// `(SELECT 0.2 * avg(l_quantity) … WHERE l2.l_partkey = p_partkey)` both
 /// fit; without this rewrite every outer row rescans the inner relation.
-/// The executor builds its subquery indexes from this form, and the
-/// pricing layer's shape analysis reads the same form, so the two agree
-/// on what "decorrelatable" means.
-#[derive(Debug)]
-pub struct Decorrelated {
+struct Decorrelated {
     /// The subquery with the correlated conjunct removed (no outer refs).
-    pub inner: ResolvedSelect,
+    inner: ResolvedSelect,
     /// Key expression over the subquery's own joined row.
-    pub inner_key: PExpr,
+    inner_key: PExpr,
     /// The parent-row slot the removed conjunct compared against.
-    pub outer_slot: usize,
+    outer_slot: usize,
 }
 
 /// Rewrites a correlated subquery into [`Decorrelated`] form, or `None` if
 /// it has a `LIMIT` or references enclosing rows other than through one
 /// equality conjunct.
-pub fn decorrelate(plan: &ResolvedSelect) -> Option<Decorrelated> {
+fn decorrelate(plan: &ResolvedSelect) -> Option<Decorrelated> {
     if plan.limit.is_some() {
         return None; // LIMIT interacts with per-key row counts
     }
@@ -504,6 +555,54 @@ pub fn decorrelate(plan: &ResolvedSelect) -> Option<Decorrelated> {
         inner_key,
         outer_slot,
     })
+}
+
+/// The mode a subquery of `kind` over `plan` evaluates in. A correlated
+/// block is `Keyed` when it [`decorrelate`]s and its kind allows it:
+/// `EXISTS` over an ungrouped block, `IN` over one neither grouped nor
+/// `DISTINCT`, a scalar over an ungrouped block or a global aggregate,
+/// without `DISTINCT`, `HAVING` or a subquery in its value. Any other
+/// correlated block runs `PerRow`.
+fn bind_mode(kind: &SubqueryKind, plan: ResolvedSelect) -> SubqueryMode {
+    if !plan_escapes(&plan, 0) {
+        return SubqueryMode::Uncorrelated(plan);
+    }
+    let keyable = match kind {
+        SubqueryKind::Exists { .. } => !plan.grouped,
+        SubqueryKind::In { .. } => !plan.grouped && !plan.distinct,
+        SubqueryKind::Scalar => {
+            !plan.distinct
+                && plan.having.is_none()
+                && plan.group_by.is_empty()
+                && !plan.projections[0].expr.has_subquery()
+        }
+    };
+    let Some(Decorrelated {
+        mut inner,
+        inner_key,
+        outer_slot,
+    }) = keyable.then(|| decorrelate(&plan)).flatten()
+    else {
+        return SubqueryMode::PerRow(plan);
+    };
+    let key = Projection {
+        expr: inner_key,
+        name: "k".into(),
+    };
+    inner.order_by.clear();
+    inner.projections = match kind {
+        SubqueryKind::Exists { .. } => vec![key],
+        SubqueryKind::In { .. } | SubqueryKind::Scalar => {
+            if inner.grouped {
+                inner.group_by = vec![key.expr.clone()];
+            }
+            vec![key, inner.projections.swap_remove(0)]
+        }
+    };
+    SubqueryMode::Keyed {
+        plan: inner,
+        outer_slot,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -639,11 +738,17 @@ pub const MAX_RELATIONS: usize = 64;
 
 /// Plans a SELECT against a database.
 pub fn plan_select(stmt: &SelectStmt, db: &Database) -> Result<ResolvedSelect> {
-    Resolver { db }.resolve_select(stmt, &[])
+    Resolver {
+        db,
+        subqueries: Cell::new(0),
+    }
+    .resolve_select(stmt, &[])
 }
 
 struct Resolver<'a> {
     db: &'a Database,
+    /// Subqueries bound so far: the next one's [`Subquery::id`].
+    subqueries: Cell<usize>,
 }
 
 /// Expression-resolution context.
@@ -895,6 +1000,14 @@ impl<'a> Resolver<'a> {
         })
     }
 
+    /// A resolved subquery block as a [`PExpr::Subquery`] with its mode.
+    fn bind_subquery(&self, kind: SubqueryKind, plan: ResolvedSelect) -> PExpr {
+        let id = self.subqueries.get();
+        self.subqueries.set(id + 1);
+        let mode = bind_mode(&kind, plan);
+        PExpr::Subquery(Box::new(Subquery { kind, mode, id }))
+    }
+
     fn resolve_expr(&self, e: &Expr, ctx: &mut ExprCtx<'_>) -> Result<PExpr> {
         Ok(match e {
             Expr::Literal(v) => PExpr::Literal(v.clone()),
@@ -974,22 +1087,22 @@ impl<'a> Resolver<'a> {
                 if plan.projections.len() != 1 {
                     return Err(EngineError::plan("IN subquery must return one column"));
                 }
-                PExpr::InSubquery {
+                let kind = SubqueryKind::In {
                     expr: Box::new(self.resolve_expr(expr, ctx)?),
-                    plan: Box::new(plan),
                     negated: *negated,
-                }
+                };
+                self.bind_subquery(kind, plan)
             }
-            Expr::Exists { subquery, negated } => PExpr::Exists {
-                plan: Box::new(self.resolve_select(subquery, ctx.scopes)?),
-                negated: *negated,
-            },
+            Expr::Exists { subquery, negated } => self.bind_subquery(
+                SubqueryKind::Exists { negated: *negated },
+                self.resolve_select(subquery, ctx.scopes)?,
+            ),
             Expr::ScalarSubquery(subquery) => {
                 let plan = self.resolve_select(subquery, ctx.scopes)?;
                 if plan.projections.len() != 1 {
                     return Err(EngineError::plan("scalar subquery must return one column"));
                 }
-                PExpr::ScalarSubquery(Box::new(plan))
+                self.bind_subquery(SubqueryKind::Scalar, plan)
             }
             Expr::IsNull { expr, negated } => PExpr::IsNull {
                 expr: Box::new(self.resolve_expr(expr, ctx)?),
@@ -1156,11 +1269,129 @@ mod tests {
         let p = plan(
             "select name from User U where exists (select 1 from Tweet T where T.uid = U.uid)",
         );
-        let PExpr::Exists { plan: sub, .. } = p.filter.unwrap() else {
+        let PExpr::Subquery(sub) = p.filter.unwrap() else {
             panic!("expected EXISTS")
         };
-        let f = format!("{:?}", sub.filter);
-        assert!(f.contains("OuterSlot"), "correlated ref resolved: {f}");
+        assert_eq!(sub.kind, SubqueryKind::Exists { negated: false });
+        let SubqueryMode::Keyed {
+            plan: keys,
+            outer_slot,
+        } = sub.mode
+        else {
+            panic!("expected a keyed EXISTS, got {:?}", sub.mode)
+        };
+        // U.uid is the outer row's slot 0. The correlation conjunct left the
+        // inner block, which projects its side, T.uid (slot 1), as the key.
+        assert_eq!(outer_slot, 0);
+        assert_eq!(keys.filter, None);
+        assert_eq!(keys.projections.len(), 1);
+        assert_eq!(keys.projections[0].expr, PExpr::Slot(1));
+    }
+
+    /// The first subquery of `p`'s filter or projections.
+    fn first_subquery(p: &ResolvedSelect) -> Subquery {
+        let mut found = None;
+        for e in p.filter.iter().chain(p.projections.iter().map(|p| &p.expr)) {
+            e.walk(&mut |e| {
+                if let PExpr::Subquery(sub) = e {
+                    found.get_or_insert_with(|| (**sub).clone());
+                }
+            });
+        }
+        found.expect("a subquery")
+    }
+
+    #[test]
+    fn the_binder_decides_each_subquery_mode() {
+        let exists = |inner: &str| format!("select name from User U where exists ({inner})");
+        for (why, sql, want) in [
+            (
+                "uncorrelated",
+                "select name from User where uid in (select uid from Tweet)".to_string(),
+                "uncorrelated",
+            ),
+            (
+                "one equality",
+                exists("select 1 from Tweet T where T.uid = U.uid and T.location = 'CA'"),
+                "keyed",
+            ),
+            (
+                "IN on one equality",
+                "select name from User U where age in \
+                 (select T.tid from Tweet T where U.uid = T.uid)"
+                    .to_string(),
+                "keyed",
+            ),
+            (
+                "a global aggregate",
+                "select (select count(*) from Tweet T where T.uid = U.uid) from User U".to_string(),
+                "keyed",
+            ),
+            (
+                "a non-equality correlation",
+                exists("select 1 from Tweet T where T.uid < U.uid"),
+                "per-row",
+            ),
+            (
+                "two correlation conjuncts",
+                exists("select 1 from Tweet T where T.uid = U.uid and T.tid = U.age"),
+                "per-row",
+            ),
+            (
+                "an inner LIMIT",
+                exists("select 1 from Tweet T where T.uid = U.uid limit 1"),
+                "per-row",
+            ),
+            (
+                "a scalar grouped with keys",
+                "select (select count(*) from Tweet T where T.uid = U.uid group by T.location) \
+                 from User U"
+                    .to_string(),
+                "per-row",
+            ),
+            (
+                "a grouped EXISTS",
+                exists("select T.uid from Tweet T where T.uid = U.uid group by T.uid"),
+                "per-row",
+            ),
+            (
+                "IN over DISTINCT",
+                "select name from User U where age in \
+                 (select distinct T.tid from Tweet T where T.uid = U.uid)"
+                    .to_string(),
+                "per-row",
+            ),
+            (
+                "a reference two levels up",
+                exists(
+                    "select 1 from Tweet T where T.uid = U.uid and T.tid in \
+                     (select T2.tid from Tweet T2 where T2.location = U.name)",
+                ),
+                "per-row",
+            ),
+        ] {
+            let sub = first_subquery(&plan(&sql));
+            let got = match &sub.mode {
+                SubqueryMode::Uncorrelated(_) => "uncorrelated",
+                SubqueryMode::Keyed { .. } => "keyed",
+                SubqueryMode::PerRow(_) => "per-row",
+            };
+            assert_eq!(got, want, "{why}: {sql}");
+            if let SubqueryMode::Keyed { plan: keys, .. } = &sub.mode {
+                // The key comes first; the correlation conjunct is gone.
+                assert!(!plan_escapes(keys, 0), "{why}");
+                let width = if sub.kind == (SubqueryKind::Exists { negated: false }) {
+                    1
+                } else {
+                    2
+                };
+                assert_eq!(keys.projections.len(), width, "{why}");
+                // γ_key: a global aggregate groups by the key.
+                if keys.grouped {
+                    assert_eq!(keys.group_by, [keys.projections[0].expr.clone()], "{why}");
+                }
+            }
+        }
     }
 
     #[test]

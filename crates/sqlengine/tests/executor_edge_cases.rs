@@ -1,6 +1,7 @@
 //! Executor edge cases not covered by the module unit tests: deep
 //! correlation, CASE forms, NULL propagation through predicates,
-//! multi-key ordering, and `DISTINCT` aggregates at the numeric edges.
+//! multi-key ordering, `DISTINCT` aggregates at the numeric edges, and
+//! subqueries alike in each evaluation mode.
 
 use qirana_sqlengine::{
     fingerprint, query, ColumnDef, DataType, Database, EngineError, TableSchema, Value,
@@ -327,4 +328,153 @@ fn more_than_64_relations_in_one_block_is_a_plan_error() {
     let nested = format!("select id from T where exists ({})", self_joins(65));
     let err = query(&db, &nested).unwrap_err();
     assert!(matches!(err, EngineError::Plan(_)), "{err:?}");
+}
+
+// -- subqueries in each evaluation mode ----------------------------------------
+
+/// Outer rows `O(id, k, a)` and inner rows `I(id, k, v)`. Key 1 holds a
+/// NULL value beside a non-NULL one, key 2 two rows, key 3 one row; outer
+/// key 4 has no inner row and outer row 4 a NULL key.
+fn keyed_db() -> Database {
+    let mut db = Database::new();
+    let columns = |value: &str| {
+        vec![
+            ColumnDef::new("id", DataType::Int),
+            ColumnDef::new("k", DataType::Int),
+            ColumnDef::new(value, DataType::Int),
+        ]
+    };
+    db.add_table(
+        TableSchema::new("O", columns("a"), &["id"]),
+        vec![
+            vec![1.into(), 1.into(), 8.into()],
+            vec![2.into(), 2.into(), 6.into()],
+            vec![3.into(), 3.into(), 7.into()],
+            vec![4.into(), Value::Null, 8.into()],
+            vec![5.into(), 4.into(), 9.into()],
+        ],
+    );
+    db.add_table(
+        TableSchema::new("I", columns("v"), &["id"]),
+        vec![
+            vec![1.into(), 1.into(), 5.into()],
+            vec![2.into(), 1.into(), Value::Null],
+            vec![3.into(), 2.into(), 6.into()],
+            vec![4.into(), 2.into(), 60.into()],
+            vec![5.into(), 3.into(), 70.into()],
+        ],
+    );
+    db
+}
+
+/// `sql` with `{corr}` spelled as each of `spellings`: every spelling must
+/// answer alike (rows, or the error's text). Returns the common answer.
+fn alike(sql: &str, spellings: &[&str]) -> Result<Vec<Vec<Value>>, EngineError> {
+    let db = keyed_db();
+    let mut answers: Vec<_> = spellings
+        .iter()
+        .map(|corr| query(&db, &sql.replace("{corr}", corr)).map(|out| out.rows))
+        .collect();
+    let render = |a: &Result<Vec<Vec<Value>>, EngineError>| match a {
+        Ok(rows) => format!("{rows:?}"),
+        Err(e) => format!("error {e}"),
+    };
+    for (corr, answer) in spellings.iter().zip(&answers) {
+        assert_eq!(render(answer), render(&answers[0]), "{sql} with {corr}");
+    }
+    answers.swap_remove(0)
+}
+
+/// A keyed correlation and the same correlation forced per row.
+const KEYED: &[&str] = &["I.k = O.k", "I.k = O.k + 0"];
+/// No correlation, and a correlation that holds on every row but forces
+/// the subquery per row.
+const UNCORRELATED: &[&str] = &["1 = 1", "O.id > 0"];
+
+/// The first column of `rows`.
+fn ids(rows: Vec<Vec<Value>>) -> Vec<Value> {
+    rows.into_iter().map(|mut r| r.swap_remove(0)).collect()
+}
+
+#[test]
+fn null_inside_not_in_subquery() {
+    // Uncorrelated: I.v holds a NULL, so NOT IN is never TRUE and IN is
+    // TRUE only on a match.
+    let not_in = "select id from O where a not in (select v from I where {corr}) order by id";
+    assert_eq!(ids(alike(not_in, UNCORRELATED).unwrap()), []);
+    let is_in = "select id from O where a in (select v from I where {corr}) order by id";
+    assert_eq!(ids(alike(is_in, UNCORRELATED).unwrap()), [Value::Int(2)]);
+    // Keyed: key 1's NULL makes `8 NOT IN (5, NULL)` UNKNOWN; a key with no
+    // inner row, and a NULL key, see the empty set, where NOT IN is TRUE.
+    assert_eq!(
+        ids(alike(not_in, KEYED).unwrap()),
+        [3, 4, 5].map(Value::Int)
+    );
+    assert_eq!(ids(alike(is_in, KEYED).unwrap()), [Value::Int(2)]);
+}
+
+#[test]
+fn scalar_subquery_of_two_rows_errs_alike_in_every_mode() {
+    let keyed = alike(
+        "select id, (select v from I where {corr}) from O order by id",
+        KEYED,
+    )
+    .unwrap_err();
+    let uncorrelated = alike(
+        "select id, (select v from I where I.k = 2 and {corr}) from O order by id",
+        UNCORRELATED,
+    )
+    .unwrap_err();
+    for err in [&keyed, &uncorrelated] {
+        assert!(matches!(err, EngineError::Eval(_)), "{err:?}");
+        assert_eq!(
+            err.to_string(),
+            "evaluation error: scalar subquery returned 2 rows"
+        );
+    }
+}
+
+#[test]
+fn correlated_aggregates_of_a_key_without_rows() {
+    let rows = alike(
+        "select id, (select count(*) from I where {corr}), (select sum(v) from I where {corr}) \
+         from O order by id",
+        KEYED,
+    )
+    .unwrap();
+    let counts: Vec<Value> = rows.iter().map(|r| r[1].clone()).collect();
+    let sums: Vec<Value> = rows.iter().map(|r| r[2].clone()).collect();
+    // Rows 4 (NULL key) and 5 (key 4) have no inner row: COUNT 0, SUM NULL.
+    assert_eq!(counts, [2, 2, 1, 0, 0].map(Value::Int));
+    assert_eq!(
+        sums,
+        [
+            Value::Int(5),
+            Value::Int(66),
+            Value::Int(70),
+            Value::Null,
+            Value::Null
+        ]
+    );
+}
+
+#[test]
+fn a_subquery_no_row_reaches_never_runs() {
+    // The inner block errs on its first row: its filter reads a scalar
+    // subquery of five rows.
+    for spellings in [KEYED, UNCORRELATED] {
+        let inner = "(select count(*) from I where {corr} and I.v > (select v from I))";
+        let reached = format!("select id from O where a > 0 and a > {inner}");
+        let err = alike(&reached, spellings).unwrap_err();
+        assert!(matches!(err, EngineError::Eval(_)), "{err:?}");
+        // Every outer row is filtered out before the conjunct: no error.
+        let filtered = format!("select id from O where a > 100 and a > {inner}");
+        assert_eq!(
+            alike(&filtered, spellings).unwrap(),
+            Vec::<Vec<Value>>::new()
+        );
+        // A branch no row takes never runs it either.
+        let branch = format!("select id, case when a > 100 then {inner} else 0 end from O");
+        assert_eq!(alike(&branch, spellings).unwrap().len(), 5);
+    }
 }
